@@ -2,8 +2,8 @@
 
 Subcommands: crystal | faces | pipedreams | product | verify | volume.
 Output is JSON (optionally CSV for lattice-point tables) on stdout; --pretty
-adds ASCII diagrams.  Exit codes: 0 ok, 1 theorem violation, 2 bad input,
-3 time budget exceeded.
+adds ASCII diagrams.  Exit codes: 0 ok, 1 theorem violation or
+internal invariant violated, 2 bad input, 3 time budget exceeded.
 """
 
 from __future__ import annotations
@@ -392,6 +392,9 @@ def main(argv=None) -> int:
     except BadInput as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_BAD_INPUT
+    except (crystals.CorruptElementError, crystals.CrystalPolytopeMismatchError) as err:
+        print("internal invariant violated: %s" % err, file=sys.stderr)
+        return EXIT_VIOLATION
     except (ValueError, faces.PairingUnresolvedError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -225,9 +225,15 @@ def schubert_class(datum: RootDatum, w: WeylElement, family: str) -> FaceSum:
 
 
 class DeformedContext:
-    """Vertex-level face calculus on a fixed simple deformation of the model
-    polytope.  Faces are handled as bitmasks over the vertex list; a face's
-    canonical identity is the full set of facets containing it."""
+    """Face calculus on a fixed simple deformation of the model polytope.
+
+    Faces are handled as bitmasks over the vertex list; a face's canonical
+    identity is the full set of facets containing it.  On a simple d-polytope
+    a nonempty face of dimension k lies in exactly d - k facets, so a face's
+    dimension is read off its facet count (`mask_dim`).  The constructor
+    certifies simplicity on the facet masks (every vertex lies in exactly d
+    of them) and raises otherwise; exact elimination runs only there, for d
+    and in `polytopes.facet_defining`."""
 
     def __init__(self, datum: RootDatum, lam=None, profile=None):
         self.datum = datum
@@ -248,8 +254,11 @@ class DeformedContext:
                     mask |= 1 << idx
             self.masks.append(mask)
         self.full_mask = (1 << len(self.verts)) - 1
-        if not polytopes.is_simple(self.polytope):
-            raise ValueError("deformed polytope is not simple; enlarge lambda")
+        self.dim = polytopes.affine_rank(self.verts)
+        self.facet_masks = tuple(self.masks[idx] for idx in polytopes.facet_defining(self.polytope))
+        for idx in range(len(self.verts)):
+            if sum(m >> idx & 1 for m in self.facet_masks) != self.dim:
+                raise ValueError("deformed polytope is not simple; enlarge lambda")
 
     def _indices(self, ref: FaceRef):
         return [k - 1 for k in ref.f_tight] + [self.big_n + k - 1 for k in ref.fv_tight]
@@ -263,8 +272,15 @@ class DeformedContext:
     def mask_vertices(self, mask: int):
         return [v for idx, v in enumerate(self.verts) if mask >> idx & 1]
 
+    def mask_dim(self, mask: int) -> int:
+        """Dimension of the face whose vertex set is `mask` (-1 when empty):
+        dim minus the number of facets containing it."""
+        if not mask:
+            return -1
+        return self.dim - sum(1 for m in self.facet_masks if mask & m == mask)
+
     def face_dim(self, ref: FaceRef) -> int:
-        return polytopes.affine_rank(self.mask_vertices(self.face_mask(ref)))
+        return self.mask_dim(self.face_mask(ref))
 
     def face_nonempty(self, ref: FaceRef) -> bool:
         return self.face_mask(ref) != 0
@@ -279,16 +295,10 @@ class DeformedContext:
 
     def transversal(self, a: FaceRef, b: FaceRef) -> bool:
         """Nonempty intersection whose codimension adds."""
-        merged = FaceRef(
-            tuple(sorted(set(a.f_tight) | set(b.f_tight))),
-            tuple(sorted(set(a.fv_tight) | set(b.fv_tight))),
-        )
-        mask = self.face_mask(merged)
+        mask = self.face_mask(a) & self.face_mask(b)
         if mask == 0:
             return False
-        return self.big_n - polytopes.affine_rank(self.mask_vertices(mask)) == self.codim(
-            a
-        ) + self.codim(b)
+        return self.big_n - self.mask_dim(mask) == self.codim(a) + self.codim(b)
 
     def intersect(self, a: FaceRef, b: FaceRef) -> FaceRef:
         return FaceRef(
@@ -315,11 +325,10 @@ def degree_pairing(datum: RootDatum, u: WeylElement, v: WeylElement, ctx=None) -
     total = 0
     for fa in first.terms:
         for fb in second.terms:
-            merged = ctx.intersect(fa, fb)
-            mask = ctx.face_mask(merged)
+            mask = ctx.face_mask(fa) & ctx.face_mask(fb)
             if mask == 0:
                 continue
-            dim = polytopes.affine_rank(ctx.mask_vertices(mask))
+            dim = ctx.mask_dim(mask)
             expected_codim = len(fa.f_tight) + len(fb.fv_tight)
             if ctx.big_n - dim != expected_codim or dim != 0:
                 raise PairingUnresolvedError(
@@ -367,8 +376,7 @@ def _combine(ctx, left, right):
             if mask == 0:
                 dropped.append((fa, fb))
                 continue
-            dim = polytopes.affine_rank(ctx.mask_vertices(mask))
-            if ctx.big_n - dim != ctx.codim(fa) + ctx.codim(fb):
+            if ctx.big_n - ctx.mask_dim(mask) != ctx.codim(fa) + ctx.codim(fb):
                 bad.append((fa, fb))
                 continue
             terms.append(ref)
@@ -461,11 +469,10 @@ def _pair_value(ctx, h, refs):
     pair is nonempty without adding codimensions."""
     total = 0
     for g in refs:
-        merged = ctx.intersect(h, g)
-        mask = ctx.face_mask(merged)
+        mask = ctx.face_mask(h) & ctx.face_mask(g)
         if mask == 0:
             continue
-        dim = polytopes.affine_rank(ctx.mask_vertices(mask))
+        dim = ctx.mask_dim(mask)
         if ctx.big_n - dim != ctx.codim(h) + ctx.codim(g) or dim != 0:
             return None
         total += bin(mask).count("1")

@@ -2,6 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from schubcalc import cli, crystals
+
 
 def run_cli(*args):
     proc = subprocess.run(
@@ -169,3 +173,18 @@ def test_schubert_side_rejects_custom_word():
 def test_verify_rank_bounds():
     proc = run_cli("verify", "theorem1", "--type", "C", "--rank", "5", "--lambda-max", "1")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "error", [crystals.CorruptElementError, crystals.CrystalPolytopeMismatchError]
+)
+def test_internal_invariant_exits_one(monkeypatch, capsys, error):
+    def broken(args):
+        raise error("planted fault")
+
+    monkeypatch.setattr(cli, "cmd_crystal", broken)
+    code = cli.main(["crystal", "--type", "A", "--rank", "2", "--lambda", "1,1"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VIOLATION
+    assert "internal invariant violated: planted fault" in err
+    assert "Traceback" not in err

@@ -142,6 +142,27 @@ def test_class_codims_in_deformed_polytope():
                 assert ctx.codim(ref) == C2.num_positive_roots - length(w)
 
 
+@pytest.mark.parametrize("datum", [A2, C2, A3], ids=["A2", "C2", "A3"])
+def test_mask_dim_matches_affine_rank(datum):
+    # the facet-count dimension against exact elimination over the vertices,
+    # on the face cut out by every subset of the inequalities
+    ctx = fc.default_context(datum)
+    n = len(ctx.masks)
+    assert n == 2 * datum.num_positive_roots
+    for bits in range(1 << n):
+        mask = ctx.full_mask
+        for idx in range(n):
+            if bits >> idx & 1:
+                mask &= ctx.masks[idx]
+        assert ctx.mask_dim(mask) == pt.affine_rank(ctx.mask_vertices(mask)), bits
+
+
+@pytest.mark.parametrize("lam", [(1, 1), (2, 1), (2, 2)])
+def test_context_refuses_non_simple_polytope(lam):
+    with pytest.raises(ValueError, match="not simple"):
+        fc.DeformedContext(C2, lam, pt.zero_profile(C2))
+
+
 def test_transversality_ops():
     ctx = fc.default_context(C2)
     f = fc.FaceRef((1,), ())

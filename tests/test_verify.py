@@ -22,6 +22,11 @@ def test_products_suite():
     assert report["status"] == "pass"
     assert len(report["cells"]) == 64
     assert all(cell["identified"] for cell in report["cells"])
+    # identified is not certified: 10 expansions are copied from the oracle
+    assert report["certified"] == 54
+    assert report["oracle_assisted"] == 10
+    for cell in report["cells"]:
+        assert cell["certified"] == (cell["method"] != "oracle-assisted")
 
 
 def test_axioms_suite_deterministic():
