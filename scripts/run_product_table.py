@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Print the full rank-two symplectic multiplication table of opposite
-Schubert classes, with the identification method used for each entry."""
+"""Print the full multiplication table of opposite Schubert classes in type C
+of the chosen rank (default 2), with the identification method used for each
+entry."""
 
 import argparse
 import sys

@@ -17,6 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+
+from . import linalg
+
+
+class InvariantError(AssertionError):
+    """A load-bearing internal invariant failed.  Raised explicitly, so that
+    `python -O` cannot strip the check."""
 
 
 @dataclass(frozen=True)
@@ -66,21 +74,10 @@ def symmetrizer(datum: RootDatum) -> tuple:
     for i in range(1, n):
         # chain graph: propagate along the edge (i-1, i)
         d[i] = d[i - 1] * c[i - 1][i] / c[i][i - 1]
-    scale = 1
-    for x in d:
-        scale = scale * x.denominator // _gcd(scale, x.denominator)
+    scale = lcm(*(x.denominator for x in d))
     ints = [int(x * scale) for x in d]
-    g = 0
-    for x in ints:
-        g = _gcd(g, x)
-    ints = [x // g for x in ints]
-    return tuple(ints)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else abs(b)
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
 @lru_cache(maxsize=None)
@@ -104,7 +101,11 @@ def positive_roots(datum: RootDatum) -> tuple:
         roots |= new
         frontier = new
     result = tuple(sorted(roots))
-    assert len(result) == datum.num_positive_roots
+    if len(result) != datum.num_positive_roots:
+        raise InvariantError(
+            "reflection closure found %d positive roots, expected %d"
+            % (len(result), datum.num_positive_roots)
+        )
     return result
 
 
@@ -123,17 +124,7 @@ def weight_inner(datum: RootDatum, lam, mu) -> Fraction:
     c = cartan_matrix(datum)
     n = datum.rank
     # solve C g = mu, so that mu = sum_j g_j alpha_j
-    a = [[Fraction(c[i][j]) for j in range(n)] + [Fraction(mu[i])] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    g = [a[i][n] for i in range(n)]
+    g = linalg.solve([c[i] + (mu[i],) for i in range(n)], n)
     d = symmetrizer(datum)
     return sum(g[j] * d[j] * lam[j] for j in range(n))
 
@@ -146,10 +137,6 @@ def simple_root_in_fundamental(datum: RootDatum, i: int) -> tuple:
 
 def is_dominant(lam) -> bool:
     return all(x >= 0 for x in lam)
-
-
-def is_regular_dominant(lam) -> bool:
-    return all(x > 0 for x in lam)
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +231,6 @@ def left_descents(w: WeylElement):
     return [i for i in range(1, w.datum.rank + 1) if length(left_mul(i, w)) < lw]
 
 
-def right_descents(w: WeylElement):
-    lw = length(w)
-    return [i for i in range(1, w.datum.rank + 1) if length(right_mul(w, i)) < lw]
-
-
 def longest_element(datum: RootDatum) -> WeylElement:
     if datum.family == "A":
         return WeylElement(datum, tuple(range(datum.rank + 1, 0, -1)))
@@ -325,7 +307,7 @@ def star_index(datum: RootDatum, i: int) -> int:
     for j in range(datum.rank):
         if neg == tuple(1 if k == j else 0 for k in range(datum.rank)):
             return j + 1
-    raise AssertionError("w_0 does not permute the negated simple roots")
+    raise InvariantError("w_0 does not permute the negated simple roots")
 
 
 def star_weight(datum: RootDatum, lam) -> tuple:

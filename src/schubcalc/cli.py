@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from . import crystals, faces, pipedreams, polytopes, verify
 from .cartan import (
+    InvariantError,
     RootDatum,
     length,
     reduced_word,
@@ -392,7 +393,11 @@ def main(argv=None) -> int:
     except BadInput as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (crystals.CorruptElementError, crystals.CrystalPolytopeMismatchError) as err:
+    except (
+        InvariantError,
+        crystals.CorruptElementError,
+        crystals.CrystalPolytopeMismatchError,
+    ) as err:
         print("internal invariant violated: %s" % err, file=sys.stderr)
         return EXIT_VIOLATION
     except (ValueError, faces.PairingUnresolvedError) as err:

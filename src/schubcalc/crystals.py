@@ -21,11 +21,11 @@ string coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import polytopes
 from .cartan import (
+    InvariantError,
     RootDatum,
     WeylElement,
     cartan_matrix,
@@ -50,33 +50,6 @@ class CrystalPolytopeMismatchError(AssertionError):
 
 
 INFINITY = None  # highest-weight slot for the unbounded crystal
-
-
-@dataclass(frozen=True)
-class CrystalView:
-    """A crystal element: coordinates along `word`, cut at `lam` (None = infinity)."""
-
-    datum: RootDatum
-    word: tuple
-    lam: object  # weight tuple or None
-    coords: tuple
-
-    def weight(self):
-        return weight_of(self.datum, self.word, self.lam, self.coords)
-
-    def epsilon(self, i):
-        return epsilon(self.datum, self.word, self.lam, self.coords, i)
-
-    def phi(self, i):
-        return phi(self.datum, self.word, self.lam, self.coords, i)
-
-    def f(self, i):
-        new = f_op(self.datum, self.word, self.lam, self.coords, i)
-        return None if new is None else CrystalView(self.datum, self.word, self.lam, new)
-
-    def e(self, i):
-        new = e_op(self.datum, self.word, self.lam, self.coords, i)
-        return None if new is None else CrystalView(self.datum, self.word, self.lam, new)
 
 
 def sigma(datum: RootDatum, word, coords, k: int) -> int:
@@ -225,9 +198,11 @@ def string_coords(datum: RootDatum, word, lam, state) -> tuple:
                 break
             cur = nxt
             count += 1
-        assert count == expected, "non-normal state: not in the generated crystal"
+        if count != expected:
+            raise InvariantError("non-normal state: not in the generated crystal")
         out.append(count)
-    assert all(x == 0 for x in cur), "string extraction did not reach the top"
+    if any(cur):
+        raise InvariantError("string extraction did not reach the top")
     return tuple(out)
 
 
@@ -240,7 +215,8 @@ def _string_tables(datum: RootDatum, word, lam):
         s = string_coords(datum, word, lam, state)
         to_string[state] = s
         to_state[s] = state
-    assert len(to_state) == len(to_string), "string parametrization not injective"
+    if len(to_state) != len(to_string):
+        raise InvariantError("string parametrization not injective")
     return to_string, to_state
 
 
@@ -278,7 +254,8 @@ def lowest_state(datum: RootDatum, word, lam) -> tuple:
         for s in crystal_states(datum, word, lam)
         if all(f_op(datum, word, lam, s, i) is None for i in range(1, datum.rank + 1))
     ]
-    assert len(hits) == 1, "lowest element not unique"
+    if len(hits) != 1:
+        raise InvariantError("lowest element not unique")
     return hits[0]
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import crystals, oracles, pipedreams, polytopes
+from . import crystals, linalg, oracles, pipedreams, polytopes
 from .cartan import (
     RootDatum,
     WeylElement,
@@ -246,19 +246,12 @@ class DeformedContext:
         self.verts = polytopes.vertices(self.polytope)
         if not self.verts:
             raise ValueError("deformed polytope is empty")
-        self.masks = []
-        for coeffs, rhs in self.polytope.ineqs:
-            mask = 0
-            for idx, v in enumerate(self.verts):
-                if sum(Fraction(c) * x for c, x in zip(coeffs, v)) == rhs:
-                    mask |= 1 << idx
-            self.masks.append(mask)
+        if not polytopes.is_simple(self.polytope):
+            raise ValueError("deformed polytope is not simple; enlarge lambda")
+        self.masks = polytopes.incidence(self.polytope)
         self.full_mask = (1 << len(self.verts)) - 1
         self.dim = polytopes.affine_rank(self.verts)
         self.facet_masks = tuple(self.masks[idx] for idx in polytopes.facet_defining(self.polytope))
-        for idx in range(len(self.verts)):
-            if sum(m >> idx & 1 for m in self.facet_masks) != self.dim:
-                raise ValueError("deformed polytope is not simple; enlarge lambda")
 
     def _indices(self, ref: FaceRef):
         return [k - 1 for k in ref.f_tight] + [self.big_n + k - 1 for k in ref.fv_tight]
@@ -427,39 +420,13 @@ def _solve_cover(ctx, datum, terms, candidates):
     for u in candidates:
         refs = [r for r in schubert_class(datum, u, "dual-kogan").terms if ctx.face_nonempty(r)]
         cand_sets.append(multiset(refs))
-    keys = sorted(set(target) | {k for cs in cand_sets for k in cs})
-    rows = [[Fraction(cs.get(key, 0)) for cs in cand_sets] + [Fraction(target.get(key, 0))] for key in keys]
-    ncols = len(cand_sets)
-    # exact Gaussian elimination; require a unique consistent solution
-    pivots = []
-    for row in rows:
-        for piv, erow in pivots:
-            fac = row[piv]
-            if fac:
-                row = [x - fac * y for x, y in zip(row, erow)]
-        piv = next((j for j in range(ncols) if row[j]), None)
-        if piv is None:
-            if row[ncols]:
-                return None
-            continue
-        inv = 1 / row[piv]
-        row = [x * inv for x in row]
-        pivots.append((piv, row))
-    if len(pivots) < ncols:
+    # a candidate face outside the product forces a zero coefficient, and
+    # such a cover is not accepted
+    if any(key not in target for cs in cand_sets for key in cs):
         return None
-    sol = [Fraction(0)] * ncols
-    for piv, row in reversed(pivots):
-        val = row[ncols] - sum(row[j] * sol[j] for j in range(ncols) if j != piv)
-        sol[piv] = val
-    for cs, c in zip(cand_sets, sol):
-        if c.denominator != 1 or c < 0:
-            return None
-    # verify (elimination already guarantees consistency, but keep it honest)
-    check = {}
-    for cs, c in zip(cand_sets, sol):
-        for key, mult in cs.items():
-            check[key] = check.get(key, 0) + int(c) * mult
-    if check != {k: m for k, m in target.items() if m}:
+    rows = [[cs.get(key, 0) for cs in cand_sets] + [target[key]] for key in sorted(target)]
+    sol = linalg.solve(rows, len(cand_sets))
+    if sol is None or any(c.denominator != 1 or c < 0 for c in sol):
         return None
     return {u: int(c) for u, c in zip(candidates, sol) if c}
 
@@ -491,55 +458,20 @@ def _sum_pairing(ctx, terms, refs):
     return total
 
 
-def _class_pairing_rows(ctx, datum, reps, unknowns, degree):
-    """One extraction row per test class whose pairing resolves: pairing the
-    product with the dual of t isolates the coefficient of t (Poincare
+def _class_pairings(ctx, datum, reps, unknowns):
+    """The coefficient of each test class t whose pairing resolves: pairing
+    the product with the dual of t isolates the coefficient of t (Poincare
     duality, itself exercised by the duality suite)."""
-    rows = []
+    resolved = {}
     w0 = longest_element(datum)
-    for idx, t in enumerate(unknowns):
+    for t in unknowns:
         dual = multiply(w0, t)
         dual_reps = [class_face_refs(datum, dual, "Fv"), class_face_refs(datum, dual, "F")]
-        value = None
-        for terms, _ in reps.values():
-            for refs in dual_reps:
-                value = _sum_pairing(ctx, terms, refs)
-                if value is not None:
-                    break
-            if value is not None:
-                break
+        values = (_sum_pairing(ctx, terms, refs) for terms, _ in reps.values() for refs in dual_reps)
+        value = next((v for v in values if v is not None), None)
         if value is not None:
-            coeffs = [1 if j == idx else 0 for j in range(len(unknowns))]
-            rows.append((coeffs, value))
-    return rows
-
-
-def _solve_rows(rows, n_unknowns):
-    """Unique nonnegative integer solution of the stacked rows, or None."""
-    pivots = []
-    for coeffs, value in rows:
-        row = [Fraction(c) for c in coeffs] + [Fraction(value)]
-        for piv, erow in pivots:
-            fac = row[piv]
-            if fac:
-                row = [x - fac * y for x, y in zip(row, erow)]
-        piv = next((j for j in range(n_unknowns) if row[j]), None)
-        if piv is None:
-            if row[n_unknowns]:
-                return None
-            continue
-        inv = 1 / row[piv]
-        pivots.append((piv, [x * inv for x in row]))
-    if len(pivots) < n_unknowns:
-        return None
-    sol = [Fraction(0)] * n_unknowns
-    for piv, row in reversed(pivots):
-        sol[piv] = row[n_unknowns] - sum(
-            row[j] * sol[j] for j in range(n_unknowns) if j != piv
-        )
-    if any(c.denominator != 1 or c < 0 for c in sol):
-        return None
-    return [int(c) for c in sol]
+            resolved[t] = value
+    return resolved
 
 
 def _pairing_extraction(ctx, datum, reps, degree):
@@ -549,15 +481,14 @@ def _pairing_extraction(ctx, datum, reps, degree):
     hold only after projecting to the polytope-ring module).
 
     Returns (expansion or None, resolved) where resolved maps each test
-    element whose pairing resolved to its machine-derived coefficient.
+    element whose pairing resolved to its machine-derived coefficient; the
+    expansion exists once every test element resolved.
     """
     unknowns = [t for t in all_elements(datum) if length(t) == degree]
-    rows = _class_pairing_rows(ctx, datum, reps, unknowns, degree)
-    resolved = {unknowns[coeffs.index(1)]: value for coeffs, value in rows}
-    sol = _solve_rows(rows, len(unknowns))
-    if sol is None:
+    resolved = _class_pairings(ctx, datum, reps, unknowns)
+    if len(resolved) < len(unknowns):
         return None, resolved
-    return {t: c for t, c in zip(unknowns, sol) if c}, resolved
+    return {t: c for t, c in resolved.items() if c}, resolved
 
 
 def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> ProductResult:

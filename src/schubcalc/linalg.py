@@ -1,0 +1,104 @@
+"""Exact linear algebra: one fraction-free integer row echelon.
+
+Every rank, vertex and linear solve in the library goes through `Echelon`.
+A row is a coefficient vector followed by its right-hand side.  Rational
+input is scaled to integers once, on entry; elimination cross-multiplies
+(fraction-free, after Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", 1968) and each stored row is
+divided by its content, so no Fraction is built before back-substitution.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+
+INDEPENDENT = "independent"
+DEPENDENT = "dependent"
+INCONSISTENT = "inconsistent"
+
+
+def integer_row(values) -> list:
+    """The entries (ints or Fractions) times their least common denominator."""
+    values = tuple(values)
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
+class Echelon:
+    """Row echelon form of an integer system in `ncols` unknowns, built one
+    row at a time.  Stored rows are primitive, have a positive pivot, and
+    vanish at the pivots of the rows stored before them."""
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows = []  # (pivot column, row including right-hand side)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def push(self, row) -> str:
+        """Reduce `row` against the stored rows and store it if it is
+        INDEPENDENT; a DEPENDENT or INCONSISTENT (0 = c, c != 0) row is not
+        stored."""
+        row = integer_row(row)
+        for piv, erow in self.rows:
+            f = row[piv]
+            if f:
+                a = erow[piv]
+                g = gcd(a, f)
+                a, f = a // g, f // g
+                row = [a * x - f * y for x, y in zip(row, erow)]
+        piv = next((j for j in range(self.ncols) if row[j]), None)
+        if piv is None:
+            return INCONSISTENT if row[self.ncols] else DEPENDENT
+        g = gcd(*row)
+        if row[piv] < 0:
+            g = -g
+        self.rows.append((piv, [x // g for x in row]))
+        return INDEPENDENT
+
+    def pop(self):
+        """Drop the most recently stored row."""
+        self.rows.pop()
+
+    def solve(self):
+        """The unique solution as a tuple of Fractions, or None while some
+        unknown is free.  With full rank every column is a pivot, so each
+        row is resolved by the rows stored after it."""
+        n = self.ncols
+        if len(self.rows) < n:
+            return None
+        num = [0] * n  # solution = num / den, den > 0
+        den = 1
+        for piv, row in reversed(self.rows):
+            s = row[n] * den - sum(row[j] * num[j] for j in range(n) if j != piv)
+            a = row[piv]
+            num = [x * a for x in num]
+            num[piv] = s
+            den *= a
+        return tuple(Fraction(x, den) for x in num)
+
+
+def rank(rows) -> int:
+    """Rank of a list of coefficient vectors (ints or Fractions)."""
+    rows = list(rows)
+    if not rows:
+        return 0
+    echelon = Echelon(len(rows[0]))
+    for row in rows:
+        echelon.push(tuple(row) + (0,))
+        if echelon.rank == echelon.ncols:
+            break
+    return echelon.rank
+
+
+def solve(rows, ncols: int):
+    """Unique exact solution of the rows (coefficients, then right-hand
+    side) in `ncols` unknowns; None when inconsistent or underdetermined."""
+    echelon = Echelon(ncols)
+    for row in rows:
+        if echelon.push(row) == INCONSISTENT:
+            return None
+    return echelon.solve()

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cartan import (
+    InvariantError,
     RootDatum,
     WeylElement,
     inverse,
@@ -130,13 +131,6 @@ def is_reduced(d: Diagram) -> bool:
     return length(word_to_element(d.datum, letters)) == len(letters)
 
 
-def column_letter(datum: RootDatum, j: int) -> int:
-    """Letter attached to a board column (type C pairs columns n-i+1, n+i-1)."""
-    if datum.family == "A":
-        raise ValueError("column letters are a type C notion")
-    return abs(j - datum.rank) + 1
-
-
 def letter_columns(datum: RootDatum, i: int) -> tuple:
     n = datum.rank
     return (n - i + 1,) if i == 1 else (n - i + 1, n + i - 1)
@@ -236,9 +230,10 @@ def bottom_diagram(datum: RootDatum, w: WeylElement) -> Diagram:
     out = Diagram(datum, board_boxes(datum) - complement)
     if datum.family == "A":
         closed = _bottom_closed_form_a(datum, w)
-        assert out.boxes == closed, "lex-min bottom diagram disagrees with closed form"
+        if out.boxes != closed:
+            raise InvariantError("lex-min bottom diagram disagrees with closed form")
     else:
-        _assert_staircase_shape(out)
+        _check_staircase_shape(out)
     return out
 
 
@@ -252,11 +247,12 @@ def _bottom_closed_form_a(datum: RootDatum, w: WeylElement):
     return frozenset(boxes)
 
 
-def _assert_staircase_shape(d: Diagram):
+def _check_staircase_shape(d: Diagram):
     n = d.datum.rank
     for i in range(1, n + 1):
         row = sorted(j for (r, j) in d.boxes if r == i)
-        assert row == list(range(i, i + len(row))), "bottom diagram is not left-justified"
+        if row != list(range(i, i + len(row))):
+            raise InvariantError("bottom diagram is not left-justified")
 
 
 def ladder_set(datum: RootDatum, w: WeylElement) -> frozenset:
@@ -291,11 +287,13 @@ def mitosis_top(j: int, d: Diagram) -> frozenset:
     out = set()
     for i in cand:
         rows = [p for p in range(1, i + 1) if (p, j + 1) not in d.boxes]
-        assert rows and rows[-1] == i
+        if not rows or rows[-1] != i:
+            raise InvariantError("mitosis candidate row %d has no free chain" % i)
         cur = Diagram(d.datum, d.boxes - {(rows[0], j)})
         for p in rows[1:]:
             cur = ladder_move(cur, p, j)
-            assert cur is not None, "mitosis ladder chain broke"
+            if cur is None:
+                raise InvariantError("mitosis ladder chain broke")
         out.add(cur)
     return frozenset(out)
 
@@ -378,11 +376,3 @@ def ascii_diagram(d: Diagram) -> str:
             row = ["+" if (i, j) in d.boxes else "." for j in range(i, 2 * n - i + 1)]
             lines.append(pad + "".join(row))
     return "\n".join(lines)
-
-
-def diagram_from_rows(datum: RootDatum, rows) -> Diagram:
-    """Build a diagram from an iterable of (row, columns) pairs."""
-    boxes = set()
-    for i, cols in rows:
-        boxes.update((i, j) for j in cols)
-    return Diagram(datum, frozenset(boxes))

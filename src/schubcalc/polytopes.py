@@ -2,7 +2,10 @@
 their epsilon deformations, lattice points, vertices, and Ehrhart volumes.
 
 H-representations keep integer data throughout (normal . x <= rhs); vertex
-coordinates and Ehrhart coefficients are exact Fractions.  Facet indices are
+coordinates and Ehrhart coefficients are exact Fractions.  Vertices and
+affine ranks come from the fraction-free integer echelon of `linalg`; the
+vertex-inequality incidence (`incidence`) is computed once per polytope and
+read by `facet_defining` and `is_simple`.  Facet indices are
 laid out uniformly across the model polytopes: inequalities 0..N-1 are the
 "F" family (lambda bounds on the string side, dual Kogan equations on the
 GT/SGT side) and N..2N-1 are the "F-vee" family (string-cone facets, Kogan
@@ -16,7 +19,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
+from . import linalg
 from .cartan import (
     RootDatum,
     cartan_matrix,
@@ -35,9 +40,6 @@ class Polytope:
     eqs: tuple = ()         # ((coeffs, rhs), ...) meaning coeffs . x == rhs
     labels: tuple = ()      # semantic tag per inequality, parallel to ineqs
     sweep_order: tuple = () # coordinate elimination order for lattice sweeps
-
-    def label(self, idx: int) -> str:
-        return self.labels[idx] if idx < len(self.labels) else ""
 
 
 @dataclass(frozen=True)
@@ -176,102 +178,50 @@ def transversal(f: Face, g: Face) -> bool:
 @lru_cache(maxsize=None)
 def vertices(p: Polytope) -> tuple:
     """All vertices, exactly, by depth-first search over tight inequality sets
-    with a shared incremental elimination."""
+    on one shared incremental echelon."""
     dim = p.ambient_dim
-    rows = [tuple(Fraction(x) for x in c) + (Fraction(r),) for c, r in p.eqs]
-    ineq_rows = [tuple(Fraction(x) for x in c) + (Fraction(r),) for c, r in p.ineqs]
-
-    echelon = []  # list of (pivot_col, normalized row incl. rhs)
-
-    def reduce_row(row):
-        row = list(row)
-        for piv, erow in echelon:
-            f = row[piv]
-            if f:
-                for j in range(dim + 1):
-                    row[j] -= f * erow[j]
-        return row
-
-    def add_row(row):
-        """Reduce and push; returns pivot or None (dependent), raises on 0=c."""
-        row = reduce_row(row)
-        piv = next((j for j in range(dim) if row[j]), None)
-        if piv is None:
-            if row[dim]:
-                return "inconsistent"
-            return None
-        inv = 1 / row[piv]
-        echelon.append((piv, tuple(x * inv for x in row)))
-        return piv
-
-    for r in rows:
-        res = add_row(r)
-        if res == "inconsistent":
+    echelon = linalg.Echelon(dim)
+    for c, r in p.eqs:
+        if echelon.push(tuple(c) + (r,)) == linalg.INCONSISTENT:
             return ()
-
+    ineq_rows = [tuple(c) + (r,) for c, r in p.ineqs]
     found = set()
 
-    def solve_and_check():
-        sol = [Fraction(0)] * dim
-        fixed = [False] * dim
-        for piv, erow in reversed(echelon):
-            val = erow[dim] - sum(erow[j] * sol[j] for j in range(dim) if j != piv and fixed[j])
-            # columns never pivoted stay at 0; full rank here so all are pivots
-            sol[piv] = val
-            fixed[piv] = True
-        for c, r in p.ineqs:
-            if sum(Fraction(c[j]) * sol[j] for j in range(dim)) > r:
-                return
-        found.add(tuple(sol))
-
-    base_rank = len(echelon)
-    if base_rank > dim:
-        return ()
-
     def dfs(idx):
-        if len(echelon) == dim:
-            solve_and_check()
+        if echelon.rank == dim:
+            sol = echelon.solve()
+            point = linalg.integer_row(sol + (1,))  # numerators, then denominator
+            if all(sum(a * x for a, x in zip(c, point)) <= r * point[-1] for c, r in p.ineqs):
+                found.add(sol)
             return
-        if len(ineq_rows) - idx < dim - len(echelon):
+        if len(ineq_rows) - idx < dim - echelon.rank:
             return
-        if idx == len(ineq_rows):
-            return
-        res = add_row(ineq_rows[idx])
-        if res not in (None, "inconsistent"):
+        if echelon.push(ineq_rows[idx]) == linalg.INDEPENDENT:
             dfs(idx + 1)
             echelon.pop()
         dfs(idx + 1)
 
-    if len(echelon) == dim:
-        solve_and_check()
-    else:
-        dfs(0)
+    dfs(0)
     return tuple(sorted(found))
 
 
+@lru_cache(maxsize=None)
+def incidence(p: Polytope) -> tuple:
+    """Per inequality, the bitmask over `vertices(p)` of the vertices on
+    which it is tight."""
+    masks = [0] * len(p.ineqs)
+    for k, v in enumerate(vertices(p)):
+        point = linalg.integer_row(v + (1,))
+        for i, (c, r) in enumerate(p.ineqs):
+            if sum(a * x for a, x in zip(c, point)) == r * point[-1]:
+                masks[i] |= 1 << k
+    return tuple(masks)
+
+
 def affine_rank(points) -> int:
-    """Dimension of the affine span (-1 for empty input)."""
-    pts = list(points)
-    if not pts:
-        return -1
-    base = pts[0]
-    rows = [[Fraction(x) - Fraction(y) for x, y in zip(q, base)] for q in pts[1:]]
-    rank = 0
-    ncols = len(base)
-    pivots = []
-    for row in rows:
-        for piv, erow in pivots:
-            f = row[piv]
-            if f:
-                row = [a - f * b for a, b in zip(row, erow)]
-        piv = next((j for j in range(ncols) if row[j]), None)
-        if piv is not None:
-            inv = 1 / row[piv]
-            pivots.append((piv, [x * inv for x in row]))
-            rank += 1
-            if rank == ncols:
-                break
-    return rank
+    """Dimension of the affine span (-1 for empty input): the rank of the
+    points in homogeneous coordinates, minus one."""
+    return linalg.rank(tuple(q) + (1,) for q in points) - 1
 
 
 def polytope_dim(p: Polytope) -> int:
@@ -280,31 +230,23 @@ def polytope_dim(p: Polytope) -> int:
 
 
 def _normalized_halfspace(coeffs, rhs):
-    g = 0
-    for x in coeffs:
-        g = _gcd(g, x)
-    g = _gcd(g, rhs) or 1
+    g = gcd(*coeffs, rhs) or 1
     return tuple(x // g for x in coeffs), rhs // g
 
 
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
+@lru_cache(maxsize=None)
 def facet_defining(p: Polytope) -> tuple:
-    """Indices of inequalities whose tight vertex set has rank dim(P) - 1."""
+    """Indices of inequalities whose tight vertex set has rank dim(P) - 1;
+    of several inequalities defining the same halfspace, the first."""
     verts = vertices(p)
     amb_dim = affine_rank(verts)
     out = []
     seen_halfspaces = set()
-    for idx, (c, r) in enumerate(p.ineqs):
+    for idx, ((c, r), mask) in enumerate(zip(p.ineqs, incidence(p))):
         key = _normalized_halfspace(c, r)
         if key in seen_halfspaces:
             continue
-        tight = [v for v in verts if sum(Fraction(c[j]) * v[j] for j in range(p.ambient_dim)) == r]
+        tight = [v for k, v in enumerate(verts) if mask >> k & 1]
         if affine_rank(tight) == amb_dim - 1:
             seen_halfspaces.add(key)
             out.append(idx)
@@ -315,17 +257,11 @@ def is_simple(p: Polytope) -> bool:
     """Every vertex lies on exactly dim(P) facet-defining inequalities."""
     verts = vertices(p)
     amb_dim = affine_rank(verts)
-    facets = facet_defining(p)
-    for v in verts:
-        count = sum(
-            1
-            for idx in facets
-            if sum(Fraction(p.ineqs[idx][0][j]) * v[j] for j in range(p.ambient_dim))
-            == p.ineqs[idx][1]
-        )
-        if count != amb_dim:
-            return False
-    return True
+    masks = incidence(p)
+    facet_masks = [masks[idx] for idx in facet_defining(p)]
+    return all(
+        sum(m >> k & 1 for m in facet_masks) == amb_dim for k in range(len(verts))
+    )
 
 
 def facet_normal_set(p: Polytope) -> frozenset:
@@ -333,9 +269,7 @@ def facet_normal_set(p: Polytope) -> frozenset:
     out = set()
     for idx in facet_defining(p):
         c, _ = p.ineqs[idx]
-        g = 0
-        for x in c:
-            g = _gcd(g, x)
+        g = gcd(*c)
         out.add(tuple(x // g for x in c))
     return frozenset(out)
 
@@ -416,25 +350,6 @@ def volume_at_dim(p: Polytope, d: int) -> Fraction:
 
 def _tri(k: int) -> int:
     return k * (k + 1) // 2
-
-
-@lru_cache(maxsize=None)
-def coordinate_names(datum: RootDatum) -> tuple:
-    """Names in storage order: a[j,i] is the row-j entry of level i, b[j,i]
-    likewise for the auxiliary type-C rows."""
-    n = datum.rank
-    names = []
-    if datum.family == "A":
-        for r in range(1, n + 1):
-            for j in range(1, r + 1):
-                names.append("a[%d,%d]" % (j, r - j + 1))
-    else:
-        for r in range(1, n + 1):
-            for j in range(1, r):
-                names.append("b[%d,%d]" % (j, r - j + 1))
-            for j in range(r, 0, -1):
-                names.append("a[%d,%d]" % (j, r - j + 1))
-    return tuple(names)
 
 
 def a_pos(datum: RootDatum, j: int, i: int) -> int:

@@ -24,10 +24,6 @@ from .cartan import (
 )
 
 
-class BudgetExceeded(Exception):
-    pass
-
-
 def dominant_weights(rank: int, max_coeff: int):
     return [tuple(t) for t in itertools.product(range(max_coeff + 1), repeat=rank)]
 

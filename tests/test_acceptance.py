@@ -221,11 +221,17 @@ def test_10_poincare_duality():
 
 
 def test_11_simplicity():
+    # vertices, dimension and facet-defining inequalities: an N-cube
+    counts = {A2: (8, 3, 6), A3: (64, 6, 12), C2: (16, 4, 8), C3: (512, 9, 18)}
+
     def body():
         for datum in (A2, A3, C2, C3):
             profile = pt.default_strict_profile(datum)
             lam = pt.default_regular_lambda(datum, profile)
             deformed = pt.deformed_polytope(datum, lam, profile)
             assert pt.is_simple(deformed), datum
+            verts = pt.vertices(deformed)
+            got = (len(verts), pt.affine_rank(verts), len(pt.facet_defining(deformed)))
+            assert got == counts[datum], datum
 
     _timed("11 deformed polytopes simple", 120.0, body)

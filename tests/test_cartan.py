@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,3 +181,25 @@ def test_inner_product_invariance(datum, data):
     mu = tuple(data.draw(st.integers(-3, 3)) for _ in range(datum.rank))
     lhs = weight_inner(datum, act_on_weight(w, lam), act_on_weight(w, mu))
     assert lhs == weight_inner(datum, lam, mu)
+
+
+@pytest.mark.parametrize(
+    "datum, i, j, value",
+    [
+        (A2, 1, 1, Fraction(2, 3)),
+        (A2, 1, 2, Fraction(1, 3)),
+        (A3, 1, 1, Fraction(3, 4)),
+        (A3, 1, 3, Fraction(1, 4)),
+        (C2, 1, 1, 2),
+        (C2, 2, 2, 1),
+        (C2, 1, 2, 1),
+        (C3, 1, 1, 3),
+        (C3, 3, 3, 1),
+        (C3, 1, 3, 1),
+    ],
+)
+def test_inner_product_of_fundamental_weights(datum, i, j, value):
+    omega = [tuple(int(k == m) for k in range(1, datum.rank + 1)) for m in (i, j)]
+    got = weight_inner(datum, *omega)
+    assert isinstance(got, Fraction)
+    assert got == value

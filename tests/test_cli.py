@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from schubcalc import cli, crystals
+from schubcalc.cartan import InvariantError
 
 
 def run_cli(*args):
@@ -176,7 +177,7 @@ def test_verify_rank_bounds():
 
 
 @pytest.mark.parametrize(
-    "error", [crystals.CorruptElementError, crystals.CrystalPolytopeMismatchError]
+    "error", [crystals.CorruptElementError, crystals.CrystalPolytopeMismatchError, InvariantError]
 )
 def test_internal_invariant_exits_one(monkeypatch, capsys, error):
     def broken(args):

@@ -1,0 +1,47 @@
+"""Load-bearing invariants raise `InvariantError`, which `python -O` keeps,
+and no library module falls back on strippable `assert` statements."""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+import schubcalc
+
+PACKAGE = pathlib.Path(schubcalc.__file__).parent
+
+NON_NORMAL_STATE = """
+from schubcalc.cartan import InvariantError, RootDatum, standard_word
+from schubcalc.crystals import string_coords
+
+A2 = RootDatum("A", 2)
+try:
+    print(string_coords(A2, standard_word(A2), (1, 0), (5, 5, 5)))
+except InvariantError as err:
+    print("InvariantError:", err)
+"""
+
+
+def test_invariant_survives_optimize_flag():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", NON_NORMAL_STATE],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InvariantError: non-normal state"), proc.stdout
+
+
+def test_library_has_no_assert_statements():
+    found = [
+        "%s:%d" % (path.relative_to(PACKAGE), node.lineno)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
