@@ -45,8 +45,6 @@ class JobConfig:
     epsilon: tuple
     fmt: str
     pretty: bool
-    jobs: int
-    seed: int
 
 
 def _parse_ints(text, what):
@@ -92,8 +90,6 @@ def _build_config(args) -> JobConfig:
         epsilon=eps,
         fmt=getattr(args, "format", "json"),
         pretty=bool(getattr(args, "pretty", False)),
-        jobs=getattr(args, "jobs", 1),
-        seed=getattr(args, "seed", 0),
     )
 
 
@@ -176,8 +172,7 @@ def cmd_faces(args) -> int:
     else:
         dec = faces.demazure_faces(datum, w, lam)
         payload["diagrams"] = [
-            sorted(map(list, d.boxes))
-            for d in sorted(pipedreams.mset(datum, w), key=lambda d: sorted(d.boxes))
+            sorted(map(list, d.boxes)) for d in pipedreams.box_order(pipedreams.mset(datum, w))
         ]
     payload["faces"] = [list(t) for t in dec.tights]
     payload["empty_faces"] = [list(t) for t in dec.empty]
@@ -185,8 +180,7 @@ def cmd_faces(args) -> int:
     payload["volume"] = str(faces.side_volume(datum, side, w, lam))
     if cfg.pretty and side == "schubert":
         payload["ascii"] = [
-            pipedreams.ascii_diagram(d)
-            for d in sorted(pipedreams.mset(datum, w), key=lambda d: sorted(d.boxes))
+            pipedreams.ascii_diagram(d) for d in pipedreams.box_order(pipedreams.mset(datum, w))
         ]
     _emit(payload, cfg.fmt, rows_key="faces")
     return EXIT_OK
@@ -200,15 +194,13 @@ def cmd_pipedreams(args) -> int:
     if op == "bottom":
         diagrams = [pipedreams.bottom_diagram(datum, w)]
     elif op == "closure":
-        diagrams = sorted(pipedreams.ladder_set(datum, w), key=lambda d: sorted(d.boxes))
+        diagrams = pipedreams.box_order(pipedreams.ladder_set(datum, w))
     elif op == "mset":
-        diagrams = sorted(pipedreams.mset(datum, w), key=lambda d: sorted(d.boxes))
+        diagrams = pipedreams.box_order(pipedreams.mset(datum, w))
     elif op == "mitosis":
         if cfg.family != "A":
             raise BadInput("mitosis chains are type A only")
-        diagrams = sorted(
-            pipedreams.mitosis_chain(datum, cfg.w), key=lambda d: sorted(d.boxes)
-        )
+        diagrams = pipedreams.box_order(pipedreams.mitosis_chain(datum, cfg.w))
     else:
         raise BadInput("unknown pipedreams op %r" % op)
     payload = {
@@ -262,9 +254,7 @@ def cmd_product(args) -> int:
         "corollary_faces": [
             {"f": list(r.f_tight), "fv": list(r.fv_tight)} for r in result.corollary_faces
         ],
-        "expansion": None
-        if result.expansion is None
-        else {",".join(map(str, reduced_word(u))): c for u, c in sorted(
+        "expansion": {",".join(map(str, reduced_word(u))): c for u, c in sorted(
             result.expansion.items(), key=lambda kv: (length(kv[0]), kv[0].oneline)
         )},
         "certified": result.certified,
@@ -323,20 +313,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["status"] == "pass" else EXIT_VIOLATION
 
 
-def _add_common(sub, lam=True, word=True, w=True):
+def _add_common(sub, lam=True, word=True, fmt=True, pretty=False):
     sub.add_argument("--type", required=True, choices=["A", "C"])
     sub.add_argument("--rank", required=True, type=int)
     if word:
         sub.add_argument("--word", help="reduced word of the longest element (default: standard)")
     if lam:
         sub.add_argument("--lambda", dest="lam", help="fundamental coefficients, comma-separated")
-    if w:
-        sub.add_argument("--w", default="", help="simple-reflection letters, applied left to right")
-    sub.add_argument("--epsilon", help="deformation profile entries")
-    sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--format", choices=["json", "csv"], default="json")
-    sub.add_argument("--pretty", action="store_true")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--w", default="", help="simple-reflection letters, applied left to right")
+    if fmt:
+        sub.add_argument("--format", choices=["json", "csv"], default="json")
+    if pretty:
+        sub.add_argument("--pretty", action="store_true", help="add ASCII diagrams")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,22 +342,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_crystal)
 
     p = subs.add_parser("faces", help="face decompositions, equations, lattice unions, volumes")
-    _add_common(p)
+    _add_common(p, pretty=True)
     p.add_argument("--side", choices=["schubert", "opposite"], default="opposite")
     p.set_defaults(func=cmd_faces)
 
     p = subs.add_parser("pipedreams", help="bottom diagrams, ladder closures, box-removal sets")
-    _add_common(p, lam=False, word=False)
+    _add_common(p, lam=False, word=False, pretty=True)
     p.add_argument("--op", choices=["bottom", "closure", "mset", "mitosis"], default="mset")
     p.set_defaults(func=cmd_pipedreams)
 
     p = subs.add_parser("product", help="product of two opposite Schubert classes (type C)")
-    _add_common(p, lam=False, word=False)
+    _add_common(p, lam=False, word=False, fmt=False)
     p.add_argument("--v", required=True)
+    p.add_argument("--epsilon", help="deformation profile entries")
     p.set_defaults(func=cmd_product)
 
     p = subs.add_parser("volume", help="section-space dimensions and face volumes")
-    _add_common(p, word=False)
+    _add_common(p, word=False, fmt=False)
     p.set_defaults(func=cmd_volume)
 
     p = subs.add_parser("verify", help="run a verification suite")

@@ -220,7 +220,7 @@ def _string_tables(datum: RootDatum, word, lam):
     return to_string, to_state
 
 
-def generate_b_lambda(datum: RootDatum, word, lam, allow_experimental=False, check=True) -> frozenset:
+def generate_b_lambda(datum: RootDatum, word, lam, allow_experimental=False) -> frozenset:
     """Phi(B(lam)) as a set of string-coordinate tuples.
 
     For the standard word the result is cross-checked against the lattice
@@ -232,7 +232,7 @@ def generate_b_lambda(datum: RootDatum, word, lam, allow_experimental=False, che
     if not certified and not allow_experimental:
         raise ValueError("word %r is not certified; pass allow_experimental=True" % (word,))
     strings = frozenset(_string_tables(datum, word, lam)[0].values())
-    if certified and check:
+    if certified:
         poly_points = frozenset(polytopes.lattice_points(polytopes.string_polytope(datum, lam)))
         if strings != poly_points:
             raise CrystalPolytopeMismatchError(

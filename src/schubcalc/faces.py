@@ -14,8 +14,8 @@ The two decomposition results being exercised:
 
 Both are checked against the crystal route on every call and raise
 TheoremViolationError on any discrepancy.  Class arithmetic happens on a
-deformed (simple) model polytope where every face is canonically identified
-by the set of facets containing it.
+deformed (simple) model polytope where every face is identified by its
+vertex set.
 """
 
 from __future__ import annotations
@@ -64,29 +64,17 @@ def _ambient_string_points(datum, word, lam, experimental):
     return list(polytopes.lattice_points(polytopes.string_polytope(datum, lam)))
 
 
-def _lambda_face_filter(datum, word, lam, tight, points):
-    rows = []
-    for j in tight:
-        vec, lam_vec = polytopes.string_lambda_facet(datum, word, j)
-        rhs = sum(a * b for a, b in zip(lam_vec, lam))
-        rows.append((vec, rhs))
-    return tuple(
-        p for p in points if all(sum(v * x for v, x in zip(vec, p)) == rhs for vec, rhs in rows)
-    )
-
-
-def _cone_face_filter(datum, tight, points):
-    facets = polytopes.string_cone_facets(datum)
-    rows = [facets[k - 1] for k in tight]
-    return tuple(p for p in points if all(sum(v * x for v, x in zip(vec, p)) == 0 for vec in rows))
-
-
-def _decompose(tights, filter_fn, points):
+def _decompose(tights, rows, points):
+    """Faces cut out of `points` by the rows (coefficients, right-hand side)
+    that each tight set indexes, 1-based; empty faces are reported apart."""
     faces = []
     empty = []
     union = set()
     for tight in tights:
-        pts = filter_fn(tight, points)
+        eqs = [rows[k - 1] for k in tight]
+        pts = tuple(
+            p for p in points if all(sum(v * x for v, x in zip(vec, p)) == rhs for vec, rhs in eqs)
+        )
         if pts:
             faces.append((tight, pts))
             union.update(pts)
@@ -100,52 +88,49 @@ def _decompose(tights, filter_fn, points):
     )
 
 
+def _check_union(theorem, datum, lam, w, dec, expected):
+    """The decomposition, once its lattice union equals the crystal's."""
+    if dec.union != expected:
+        raise TheoremViolationError(
+            {
+                "theorem": theorem,
+                "type": datum.family,
+                "rank": datum.rank,
+                "lambda": list(lam),
+                "w": list(reduced_word(w)),
+                "face_union": len(dec.union),
+                "crystal": len(expected),
+            }
+        )
+    return dec
+
+
 def opposite_demazure_faces(datum: RootDatum, w: WeylElement, lam, word=None) -> FaceDecomposition:
     """Lambda-bound faces indexed by the extractions of w; the lattice union
     must reproduce the opposite Demazure crystal."""
     word = tuple(word) if word is not None else standard_word(datum)
     experimental = not crystals.is_certified_word(datum, word)
     tights = compatible_subsets(datum, word, w)
+    rows = []
+    for j in range(1, len(word) + 1):
+        vec, lam_vec = polytopes.string_lambda_facet(datum, word, j)
+        rows.append((vec, sum(a * b for a, b in zip(lam_vec, lam))))
     points = _ambient_string_points(datum, word, lam, experimental)
-    dec = _decompose(tights, lambda t, pts: _lambda_face_filter(datum, word, lam, t, pts), points)
+    dec = _decompose(tights, rows, points)
     expected = crystals.opposite_demazure_crystal(datum, word, w, lam, allow_experimental=experimental)
-    if dec.union != expected:
-        raise TheoremViolationError(
-            {
-                "theorem": "opposite-demazure-faces",
-                "type": datum.family,
-                "rank": datum.rank,
-                "lambda": list(lam),
-                "w": list(reduced_word(w)),
-                "face_union": len(dec.union),
-                "crystal": len(expected),
-            }
-        )
-    return dec
+    return _check_union("opposite-demazure-faces", datum, lam, w, dec, expected)
 
 
 def demazure_faces(datum: RootDatum, w: WeylElement, lam) -> FaceDecomposition:
     """String-cone faces indexed by the box-removal set of w; the lattice
     union must reproduce the Demazure crystal."""
     word = standard_word(datum)
-    diagrams = sorted(pipedreams.mset(datum, w), key=lambda d: sorted(d.boxes))
-    tights = tuple(pipedreams.arrangement_kd(d) for d in diagrams)
+    tights = [ref.fv_tight for ref in schubert_class(datum, w, "kogan").terms]
+    rows = [(vec, 0) for vec in polytopes.string_cone_facets(datum)]
     points = _ambient_string_points(datum, word, lam, experimental=False)
-    dec = _decompose(tights, lambda t, pts: _cone_face_filter(datum, t, pts), points)
+    dec = _decompose(tights, rows, points)
     expected = crystals.demazure_crystal(datum, word, w, lam)
-    if dec.union != expected:
-        raise TheoremViolationError(
-            {
-                "theorem": "demazure-faces",
-                "type": datum.family,
-                "rank": datum.rank,
-                "lambda": list(lam),
-                "w": list(reduced_word(w)),
-                "face_union": len(dec.union),
-                "crystal": len(expected),
-            }
-        )
-    return dec
+    return _check_union("demazure-faces", datum, lam, w, dec, expected)
 
 
 def model_face_union_count(datum: RootDatum, lam, tights, family: str) -> int:
@@ -175,21 +160,16 @@ def side_volume(datum: RootDatum, side: str, w: WeylElement, lam) -> Fraction:
     (l(w) on the Demazure side, N - l(w) on the opposite side)."""
     poly = polytopes.string_polytope(datum, lam)
     big_n = datum.num_positive_roots
-    total = Fraction(0)
     if side == "opposite":
-        d = big_n - length(w)
-        tights = compatible_subsets(datum, standard_word(datum), w)
-        for tight in tights:
-            f = polytopes.face(poly, tuple(k - 1 for k in tight))
-            total += polytopes.volume_at_dim(polytopes.face_polytope(f), d)
+        family, d = "dual-kogan", big_n - length(w)
     elif side == "schubert":
-        d = length(w)
-        for dgm in sorted(pipedreams.mset(datum, w), key=lambda x: sorted(x.boxes)):
-            tight = pipedreams.arrangement_kd(dgm)
-            f = polytopes.face(poly, tuple(big_n + k - 1 for k in tight))
-            total += polytopes.volume_at_dim(polytopes.face_polytope(f), d)
+        family, d = "kogan", length(w)
     else:
         raise ValueError("side must be 'schubert' or 'opposite'")
+    total = Fraction(0)
+    for ref in schubert_class(datum, w, family).terms:
+        f = polytopes.face(poly, _facet_indices(ref, big_n))
+        total += polytopes.volume_at_dim(polytopes.face_polytope(f), d)
     return total
 
 
@@ -206,6 +186,11 @@ class FaceRef:
     fv_tight: tuple
 
 
+def _facet_indices(ref: FaceRef, big_n: int) -> tuple:
+    """0-based inequality indices of a face: the first family, then the second."""
+    return tuple(k - 1 for k in ref.f_tight) + tuple(big_n + k - 1 for k in ref.fv_tight)
+
+
 @dataclass(frozen=True)
 class FaceSum:
     terms: tuple  # FaceRef multiset
@@ -219,7 +204,7 @@ def schubert_class(datum: RootDatum, w: WeylElement, family: str) -> FaceSum:
         tights = compatible_subsets(datum, standard_word(datum), w)
         return FaceSum(tuple(FaceRef(t, ()) for t in tights))
     if family == "kogan":
-        diagrams = sorted(pipedreams.mset(datum, w), key=lambda d: sorted(d.boxes))
+        diagrams = pipedreams.box_order(pipedreams.mset(datum, w))
         return FaceSum(tuple(FaceRef((), pipedreams.arrangement_kd(d)) for d in diagrams))
     raise ValueError("family must be 'dual-kogan' or 'kogan'")
 
@@ -227,10 +212,12 @@ def schubert_class(datum: RootDatum, w: WeylElement, family: str) -> FaceSum:
 class DeformedContext:
     """Face calculus on a fixed simple deformation of the model polytope.
 
-    Faces are handled as bitmasks over the vertex list; a face's canonical
-    identity is the full set of facets containing it.  On a simple d-polytope
-    a nonempty face of dimension k lies in exactly d - k facets, so a face's
-    dimension is read off its facet count (`mask_dim`).  The constructor
+    Faces are handled as bitmasks over the vertex list; on these faces the
+    vertex mask and the set of facets containing it determine each other.
+    On a simple d-polytope a nonempty face of dimension k lies in exactly
+    d - k facets, so a face's dimension is read off its facet count
+    (`mask_dim`).  `meet` is the one transversality rule: it intersects two
+    faces and says whether their codimensions add.  The constructor
     certifies simplicity on the facet masks (every vertex lies in exactly d
     of them) and raises otherwise; exact elimination runs only there, for d
     and in `polytopes.facet_defining`."""
@@ -253,12 +240,9 @@ class DeformedContext:
         self.dim = polytopes.affine_rank(self.verts)
         self.facet_masks = tuple(self.masks[idx] for idx in polytopes.facet_defining(self.polytope))
 
-    def _indices(self, ref: FaceRef):
-        return [k - 1 for k in ref.f_tight] + [self.big_n + k - 1 for k in ref.fv_tight]
-
     def face_mask(self, ref: FaceRef) -> int:
         mask = self.full_mask
-        for idx in self._indices(ref):
+        for idx in _facet_indices(ref, self.big_n):
             mask &= self.masks[idx]
         return mask
 
@@ -272,26 +256,23 @@ class DeformedContext:
             return -1
         return self.dim - sum(1 for m in self.facet_masks if mask & m == mask)
 
-    def face_dim(self, ref: FaceRef) -> int:
-        return self.mask_dim(self.face_mask(ref))
-
     def face_nonempty(self, ref: FaceRef) -> bool:
         return self.face_mask(ref) != 0
 
-    def canonical_id(self, mask: int) -> tuple:
-        """All facet indices containing the masked face (canonical in a simple
-        polytope)."""
-        return tuple(i for i, m in enumerate(self.masks) if mask and mask & m == mask)
-
     def codim(self, ref: FaceRef) -> int:
-        return self.big_n - self.face_dim(ref)
+        return self.big_n - self.mask_dim(self.face_mask(ref))
+
+    def meet(self, a: FaceRef, b: FaceRef):
+        """Vertex mask of a and b intersected: 0 when empty, None when
+        nonempty but its codimension is not codim(a) + codim(b)."""
+        mask = self.face_mask(a) & self.face_mask(b)
+        if mask and self.big_n - self.mask_dim(mask) != self.codim(a) + self.codim(b):
+            return None
+        return mask
 
     def transversal(self, a: FaceRef, b: FaceRef) -> bool:
         """Nonempty intersection whose codimension adds."""
-        mask = self.face_mask(a) & self.face_mask(b)
-        if mask == 0:
-            return False
-        return self.big_n - self.mask_dim(mask) == self.codim(a) + self.codim(b)
+        return bool(self.meet(a, b))
 
     def intersect(self, a: FaceRef, b: FaceRef) -> FaceRef:
         return FaceRef(
@@ -308,26 +289,12 @@ def default_context(datum: RootDatum) -> DeformedContext:
 def degree_pairing(datum: RootDatum, u: WeylElement, v: WeylElement, ctx=None) -> int:
     """Intersection number of the opposite classes of u and v in complementary
     codimensions, evaluated by vertex counting on the deformed polytope."""
-    big_n = datum.num_positive_roots
-    if length(u) + length(v) != big_n:
+    if length(u) + length(v) != datum.num_positive_roots:
         raise ValueError("lengths must be complementary")
     ctx = ctx or default_context(datum)
-    w0 = longest_element(datum)
-    first = schubert_class(datum, u, "dual-kogan")
-    second = schubert_class(datum, multiply(w0, v), "kogan")
-    total = 0
-    for fa in first.terms:
-        for fb in second.terms:
-            mask = ctx.face_mask(fa) & ctx.face_mask(fb)
-            if mask == 0:
-                continue
-            dim = ctx.mask_dim(mask)
-            expected_codim = len(fa.f_tight) + len(fb.fv_tight)
-            if ctx.big_n - dim != expected_codim or dim != 0:
-                raise PairingUnresolvedError(
-                    "non-transversal pair %r, %r in pairing(%r, %r)" % (fa, fb, u, v)
-                )
-            total += bin(mask).count("1")
+    total = _sum_pairing(ctx, class_face_refs(datum, u, "F"), class_face_refs(datum, v, "Fv"))
+    if total is None:
+        raise PairingUnresolvedError("non-transversal face pair in pairing(%r, %r)" % (u, v))
     return total
 
 
@@ -337,12 +304,16 @@ class ProductResult:
     w: WeylElement
     faces: tuple            # primary face sum (FaceRef multiset)
     corollary_faces: tuple  # mixed-family face sum from the product corollary
-    expansion: dict         # WeylElement -> coefficient, or None
-    certified: bool
+    expansion: dict         # WeylElement -> coefficient
     method: str
     dropped_empty: tuple
     nontransversal: tuple
     verified_pairings: dict = None  # test element -> machine-derived coefficient
+
+    @property
+    def certified(self) -> bool:
+        """The geometry identified the expansion without the oracle."""
+        return self.method != "oracle-assisted"
 
 
 def class_face_refs(datum: RootDatum, u: WeylElement, family: str):
@@ -350,10 +321,8 @@ def class_face_refs(datum: RootDatum, u: WeylElement, family: str):
     facet family: its extraction tuples in the first family, the box-diagram
     indices of the longest-complement in the second."""
     if family == "F":
-        return [FaceRef(t, ()) for t in compatible_subsets(datum, standard_word(datum), u)]
-    w0 = longest_element(datum)
-    diagrams = sorted(pipedreams.mset(datum, multiply(w0, u)), key=lambda d: sorted(d.boxes))
-    return [FaceRef((), pipedreams.arrangement_kd(d)) for d in diagrams]
+        return schubert_class(datum, u, "dual-kogan").terms
+    return schubert_class(datum, multiply(longest_element(datum), u), "kogan").terms
 
 
 def _combine(ctx, left, right):
@@ -364,15 +333,13 @@ def _combine(ctx, left, right):
     bad = []
     for fa in left:
         for fb in right:
-            ref = ctx.intersect(fa, fb)
-            mask = ctx.face_mask(ref)
+            mask = ctx.meet(fa, fb)
             if mask == 0:
                 dropped.append((fa, fb))
-                continue
-            if ctx.big_n - ctx.mask_dim(mask) != ctx.codim(fa) + ctx.codim(fb):
+            elif mask is None:
                 bad.append((fa, fb))
-                continue
-            terms.append(ref)
+            else:
+                terms.append(ctx.intersect(fa, fb))
     return terms, dropped, bad
 
 
@@ -405,13 +372,12 @@ def _candidates(datum, v, w, degree):
 
 
 def _solve_cover(ctx, datum, terms, candidates):
-    """Solve (product multiset) = sum_u c_u (class multiset of u) over
-    canonical face identities; None unless a unique nonnegative integer
-    solution exists."""
+    """Solve (product multiset) = sum_u c_u (class multiset of u) over face
+    vertex masks; None unless a unique nonnegative integer solution exists."""
     def multiset(refs):
         out = {}
         for ref in refs:
-            key = ctx.canonical_id(ctx.face_mask(ref))
+            key = ctx.face_mask(ref)
             out[key] = out.get(key, 0) + 1
         return out
 
@@ -433,14 +399,11 @@ def _solve_cover(ctx, datum, terms, candidates):
 
 def _pair_value(ctx, h, refs):
     """Vertex-count pairing of one face against a class face sum; None when a
-    pair is nonempty without adding codimensions."""
+    pair meets non-transversally or in more than a vertex."""
     total = 0
     for g in refs:
-        mask = ctx.face_mask(h) & ctx.face_mask(g)
-        if mask == 0:
-            continue
-        dim = ctx.mask_dim(mask)
-        if ctx.big_n - dim != ctx.codim(h) + ctx.codim(g) or dim != 0:
+        mask = ctx.meet(h, g)
+        if mask is None or (mask and ctx.mask_dim(mask) != 0):
             return None
         total += bin(mask).count("1")
     return total
@@ -458,24 +421,10 @@ def _sum_pairing(ctx, terms, refs):
     return total
 
 
-def _class_pairings(ctx, datum, reps, unknowns):
-    """The coefficient of each test class t whose pairing resolves: pairing
-    the product with the dual of t isolates the coefficient of t (Poincare
-    duality, itself exercised by the duality suite)."""
-    resolved = {}
-    w0 = longest_element(datum)
-    for t in unknowns:
-        dual = multiply(w0, t)
-        dual_reps = [class_face_refs(datum, dual, "Fv"), class_face_refs(datum, dual, "F")]
-        values = (_sum_pairing(ctx, terms, refs) for terms, _ in reps.values() for refs in dual_reps)
-        value = next((v for v in values if v is not None), None)
-        if value is not None:
-            resolved[t] = value
-    return resolved
-
-
 def _pairing_extraction(ctx, datum, reps, degree):
-    """Coefficients extracted from duality pairings alone.  Only pairings
+    """Coefficients extracted from duality pairings alone: pairing the
+    product with the dual of a test class t isolates the coefficient of t
+    (Poincare duality, itself exercised by the duality suite).  Only pairings
     against representatives of honest classes are valid linear functionals
     here (arbitrary single-facet test cycles are not: the face-sum identities
     hold only after projecting to the polytope-ring module).
@@ -485,7 +434,15 @@ def _pairing_extraction(ctx, datum, reps, degree):
     expansion exists once every test element resolved.
     """
     unknowns = [t for t in all_elements(datum) if length(t) == degree]
-    resolved = _class_pairings(ctx, datum, reps, unknowns)
+    w0 = longest_element(datum)
+    resolved = {}
+    for t in unknowns:
+        dual = multiply(w0, t)
+        dual_reps = [class_face_refs(datum, dual, "Fv"), class_face_refs(datum, dual, "F")]
+        values = (_sum_pairing(ctx, terms, refs) for terms, _ in reps.values() for refs in dual_reps)
+        value = next((v for v in values if v is not None), None)
+        if value is not None:
+            resolved[t] = value
     if len(resolved) < len(unknowns):
         return None, resolved
     return {t: c for t, c in resolved.items() if c}, resolved
@@ -504,7 +461,7 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
     degree = length(v) + length(w)
     oracle = dict(oracles.bgg_structure_constants(datum, v, w))
     if degree > datum.num_positive_roots:
-        return ProductResult(v, w, (), (), {}, True, "zero", (), ())
+        return ProductResult(v, w, (), (), {}, "zero", (), ())
     reps, failures = _product_representations(ctx, datum, v, w)
     candidates = _candidates(datum, v, w, degree)
 
@@ -519,15 +476,13 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
     )
 
     expansion = None
-    method = "unidentified"
-    certified = False
+    method = "oracle-assisted"
     verified = {}
     if ("F", "F") in reps:
         primary = tuple(reps[("F", "F")][0])
         expansion = _solve_cover(ctx, datum, list(primary), candidates)
         if expansion is not None:
             method = "multiset-cover"
-            certified = True
     elif reps:
         primary = tuple(next(iter(sorted(reps.items())))[1][0])
     else:
@@ -536,14 +491,11 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
         expansion, verified = _pairing_extraction(ctx, datum, reps, degree)
         if expansion is not None:
             method = "degree-pairing"
-            certified = True
     if expansion is None:
         # geometry pinned only part of the expansion: adopt the
         # divided-difference constants and keep the resolved pairings as the
         # partial certificate
         expansion = dict(oracle)
-        method = "oracle-assisted"
-        certified = False
     for t, value in verified.items():
         if oracle.get(t, 0) != value:
             raise TheoremViolationError(
@@ -572,7 +524,6 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
         faces=primary,
         corollary_faces=corollary,
         expansion=expansion,
-        certified=certified,
         method=method,
         dropped_empty=dropped,
         nontransversal=bad,

@@ -48,6 +48,12 @@ class Diagram:
         return len(self.boxes)
 
 
+def box_order(diagrams) -> list:
+    """Diagrams sorted by their sorted box lists: the one fixed order of
+    face sums and reports."""
+    return sorted(diagrams, key=lambda d: sorted(d.boxes))
+
+
 @lru_cache(maxsize=None)
 def board_boxes(datum: RootDatum) -> frozenset:
     n = datum.rank

@@ -467,31 +467,27 @@ class EpsilonProfile:
 
     def __post_init__(self):
         if self.family == "A":
-            chain = list(self.eps)
-            if not chain or chain[0] != 0:
+            if not self.eps or self.eps[0] != 0:
                 raise ValueError("type A profile must start with eps_1 = 0")
-            if any(a > b for a, b in zip(chain, chain[1:])):
-                raise ValueError("profile violates the chain order")
-        else:
-            if not self.eps_prime or self.eps_prime[0] != 0:
-                raise ValueError("type C profile must have eps'_1 = 0")
-            chain = []
-            for k in range(len(self.eps_prime)):
-                if k > 0:
-                    chain.append(self.eps[k - 1])
-                chain.append(self.eps_prime[k])
-            if any(a > b for a, b in zip(chain, chain[1:])):
-                raise ValueError("profile violates the chain order")
+        elif not self.eps_prime or self.eps_prime[0] != 0:
+            raise ValueError("type C profile must have eps'_1 = 0")
+        chain = self._chain()
+        if any(a > b for a, b in zip(chain, chain[1:])):
+            raise ValueError("profile violates the chain order")
+
+    def _chain(self) -> list:
+        """The offsets in their chain order."""
+        if self.family == "A":
+            return list(self.eps)
+        chain = []
+        for k in range(len(self.eps_prime)):
+            if k > 0:
+                chain.append(self.eps[k - 1])
+            chain.append(self.eps_prime[k])
+        return chain
 
     def is_strict(self) -> bool:
-        if self.family == "A":
-            chain = list(self.eps)
-        else:
-            chain = []
-            for k in range(len(self.eps_prime)):
-                if k > 0:
-                    chain.append(self.eps[k - 1])
-                chain.append(self.eps_prime[k])
+        chain = self._chain()
         return all(a < b for a, b in zip(chain, chain[1:]))
 
     def max_entry(self) -> int:

