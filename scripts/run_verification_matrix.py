@@ -42,8 +42,8 @@ def main():
         rep["status"], len(rep["cells"]), rep["unresolved"]))
     reports.append(rep)
     rep = verify.products_suite("C", 2)
-    identified = sum(1 for c in rep["cells"] if c["identified"])
-    print("products  C2: %s (%d/%d identified)" % (rep["status"], identified, len(rep["cells"])))
+    print("products  C2: %s (%d cells, %d certified, %d oracle-assisted)" % (
+        rep["status"], len(rep["cells"]), rep["certified"], rep["oracle_assisted"]))
     reports.append(rep)
     rep = verify.axioms_suite("A", 4, 120, seed=args.seed)
     print("axioms    A4: %s" % rep["status"])

@@ -28,6 +28,7 @@ from .cartan import (
     InvariantError,
     RootDatum,
     WeylElement,
+    bruhat_leq,
     cartan_matrix,
     check_word_of_longest,
     inverse,
@@ -40,12 +41,12 @@ from .cartan import (
 )
 
 
-class CorruptElementError(ValueError):
+class CorruptElementError(InvariantError):
     """The lowering argmin fell beyond the stored coordinates, which cannot
     happen for elements of the embedded crystal."""
 
 
-class CrystalPolytopeMismatchError(AssertionError):
+class CrystalPolytopeMismatchError(InvariantError):
     """Crystal generation and string-polytope lattice points disagree."""
 
 
@@ -182,7 +183,6 @@ def crystal_states(datum: RootDatum, word, lam) -> tuple:
     return tuple(sorted(seen))
 
 
-@lru_cache(maxsize=None)
 def string_coords(datum: RootDatum, word, lam, state) -> tuple:
     """String parametrization of a cut-crystal element: raise greedily along
     the word, recording how many raises each letter admits."""
@@ -207,17 +207,15 @@ def string_coords(datum: RootDatum, word, lam, state) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _string_tables(datum: RootDatum, word, lam):
-    """(state -> string coords, string coords -> state) over the cut crystal."""
-    to_string = {}
-    to_state = {}
-    for state in crystal_states(datum, word, lam):
-        s = string_coords(datum, word, lam, state)
-        to_string[state] = s
-        to_state[s] = state
-    if len(to_state) != len(to_string):
+def _string_table(datum: RootDatum, word, lam) -> dict:
+    """State -> string coords over the cut crystal."""
+    table = {
+        state: string_coords(datum, word, lam, state)
+        for state in crystal_states(datum, word, lam)
+    }
+    if len(set(table.values())) != len(table):
         raise InvariantError("string parametrization not injective")
-    return to_string, to_state
+    return table
 
 
 def generate_b_lambda(datum: RootDatum, word, lam, allow_experimental=False) -> frozenset:
@@ -231,7 +229,7 @@ def generate_b_lambda(datum: RootDatum, word, lam, allow_experimental=False) -> 
     certified = is_certified_word(datum, word)
     if not certified and not allow_experimental:
         raise ValueError("word %r is not certified; pass allow_experimental=True" % (word,))
-    strings = frozenset(_string_tables(datum, word, lam)[0].values())
+    strings = frozenset(_string_table(datum, word, lam).values())
     if certified:
         poly_points = frozenset(polytopes.lattice_points(polytopes.string_polytope(datum, lam)))
         if strings != poly_points:
@@ -308,7 +306,7 @@ def opposite_demazure_states(datum: RootDatum, word, w: WeylElement, lam) -> fro
 
 
 def _to_strings(datum, word, lam, states) -> frozenset:
-    table = _string_tables(datum, word, lam)[0]
+    table = _string_table(datum, word, lam)
     return frozenset(table[s] for s in states)
 
 
@@ -328,8 +326,6 @@ def opposite_demazure_crystal(datum: RootDatum, word, w, lam, allow_experimental
 
 def richardson_lattice_points(datum: RootDatum, word, v, w, lam, allow_experimental=False) -> frozenset:
     """String image of the intersection of B_w(lam) with B^v(lam); requires v <= w in Bruhat order."""
-    from .cartan import bruhat_leq
-
     if not bruhat_leq(v, w):
         raise ValueError("need v <= w in Bruhat order")
     lower = demazure_crystal(datum, word, w, lam, allow_experimental)

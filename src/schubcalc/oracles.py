@@ -24,7 +24,9 @@ from math import factorial
 from .cartan import (
     RootDatum,
     WeylElement,
+    all_elements,
     cartan_matrix,
+    identity_element,
     inverse,
     length,
     longest_element,
@@ -247,15 +249,9 @@ def schubert_representative(datum: RootDatum, w: WeylElement) -> tuple:
 
 def check_normalization(datum: RootDatum):
     """The identity representative must be the constant 1."""
-    f = dict(schubert_representative(datum, _identity(datum)))
+    f = dict(schubert_representative(datum, identity_element(datum)))
     if f != {(0,) * datum.rank: Fraction(1)}:
         raise ArithmeticError("top-class normalization failed; convention error")
-
-
-def _identity(datum):
-    from .cartan import identity_element
-
-    return identity_element(datum)
 
 
 @lru_cache(maxsize=None)
@@ -273,8 +269,6 @@ def bgg_structure_constants(datum: RootDatum, u: WeylElement, v: WeylElement) ->
         return ()
     product = poly_mul(dict(schubert_representative(datum, u)), dict(schubert_representative(datum, v)))
     out = []
-    from .cartan import all_elements
-
     for w in all_elements(datum):
         if length(w) != deg:
             continue

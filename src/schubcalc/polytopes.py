@@ -5,12 +5,17 @@ H-representations keep integer data throughout (normal . x <= rhs); vertex
 coordinates and Ehrhart coefficients are exact Fractions.  Vertices and
 affine ranks come from the fraction-free integer echelon of `linalg`; the
 vertex-inequality incidence (`incidence`) is computed once per polytope and
-read by `facet_defining` and `is_simple`.  Facet indices are
-laid out uniformly across the model polytopes: inequalities 0..N-1 are the
-"F" family (lambda bounds on the string side, dual Kogan equations on the
-GT/SGT side) and N..2N-1 are the "F-vee" family (string-cone facets, Kogan
-equations), each in the fixed arrangement order that the face combinatorics
-relies on.
+read by `facet_defining` and `is_simple`; Ehrhart coefficients solve their
+Vandermonde system on the same kernel.
+
+Every string, GT and SGT polytope is built by one builder (`_polytope`) from
+facet rows (vec, lam_vec, eps_key), read as
+vec . x <= lam_vec . lam + eps[eps_key], and each family's row table is
+cached per root datum.  Facet indices are laid out uniformly across the model
+polytopes: inequalities 0..N-1 are the "F" family (lambda bounds on the
+string side, dual Kogan equations on the GT/SGT side) and N..2N-1 are the
+"F-vee" family (string-cone facets, Kogan equations), each in the fixed
+arrangement order that the face combinatorics relies on.
 """
 
 from __future__ import annotations
@@ -292,29 +297,10 @@ def ehrhart_polynomial(p: Polytope) -> tuple:
     if not pts:
         raise ValueError("Ehrhart polynomial of an empty polytope")
     d = affine_rank(pts)
-    values = [(0, 1)] + [(k, len(lattice_points(dilate(p, k)))) for k in range(1, d + 1)]
-    return _interpolate(values)
-
-
-def _interpolate(values):
-    n = len(values)
-    coeffs = [Fraction(0)] * n
-    for k, (xk, yk) in enumerate(values):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(values):
-            if j == k:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for deg, c in enumerate(basis):
-                new[deg] -= c * xj
-                new[deg + 1] += c
-            basis = new
-            denom *= Fraction(xk - xj)
-        scale = Fraction(yk) / denom
-        for deg, c in enumerate(basis):
-            coeffs[deg] += scale * c
-    return tuple(coeffs)
+    counts = [1] + [len(lattice_points(dilate(p, k))) for k in range(1, d + 1)]
+    # the Vandermonde system sum_e a_e k^e = count(k), k = 0..d, has one solution
+    rows = [[k ** e for e in range(d + 1)] + [c] for k, c in enumerate(counts)]
+    return linalg.solve(rows, d + 1)
 
 
 def ehrhart_value(coeffs, k) -> Fraction:
@@ -421,34 +407,41 @@ def string_lambda_facet(datum: RootDatum, word, j: int):
     return tuple(vec), lam_vec
 
 
+@lru_cache(maxsize=None)
+def _string_rows(datum: RootDatum) -> tuple:
+    """(F rows, Fv rows, sweep order) of the string polytope for the standard
+    word: lambda-bound facets, then cone facets."""
+    word = standard_word(datum)
+    big_n = datum.num_positive_roots
+    f_rows = tuple(string_lambda_facet(datum, word, j) + (None,) for j in range(1, big_n + 1))
+    zero = (0,) * datum.rank
+    fv_rows = tuple((vec, zero, None) for vec in string_cone_facets(datum))
+    return f_rows, fv_rows, tuple(range(big_n - 1, -1, -1))
+
+
+def _polytope(f_rows, fv_rows, order, lam, profile=None) -> Polytope:
+    """The polytope of the facet rows F1.. then Fv1..; a row (vec, lam_vec,
+    eps_key) reads vec . x <= lam_vec . lam + eps[eps_key] under the profile.
+    The sweep order lists every coordinate once."""
+    ineqs = []
+    labels = []
+    for fam, rows in (("F", f_rows), ("Fv", fv_rows)):
+        for k, (vec, lam_vec, eps_key) in enumerate(rows, start=1):
+            rhs = sum(u * l for u, l in zip(lam_vec, lam)) + _eps_value(profile, eps_key)
+            ineqs.append((vec, rhs))
+            labels.append("%s%d" % (fam, k))
+    return Polytope(len(order), tuple(ineqs), labels=tuple(labels), sweep_order=order)
+
+
 def string_polytope(datum: RootDatum, lam) -> Polytope:
     """String polytope for the standard word: lambda-bound facets F_1..F_N
     first, cone facets Fv_1..Fv_N after."""
-    word = standard_word(datum)
-    big_n = datum.num_positive_roots
-    ineqs = []
-    labels = []
-    for j in range(1, big_n + 1):
-        vec, lam_vec = string_lambda_facet(datum, word, j)
-        rhs = sum(lv * l for lv, l in zip(lam_vec, lam))
-        ineqs.append((vec, rhs))
-        labels.append("F%d" % j)
-    for k, vec in enumerate(string_cone_facets(datum), start=1):
-        ineqs.append((vec, 0))
-        labels.append("Fv%d" % k)
-    return Polytope(
-        ambient_dim=big_n,
-        ineqs=tuple(ineqs),
-        labels=tuple(labels),
-        sweep_order=tuple(range(big_n - 1, -1, -1)),
-    )
+    return _polytope(*_string_rows(datum), lam)
 
 
 def string_cone(datum: RootDatum) -> Polytope:
-    big_n = datum.num_positive_roots
-    ineqs = tuple((vec, 0) for vec in string_cone_facets(datum))
-    labels = tuple("Fv%d" % k for k in range(1, big_n + 1))
-    return Polytope(big_n, ineqs, labels=labels, sweep_order=tuple(range(big_n - 1, -1, -1)))
+    _, fv_rows, order = _string_rows(datum)
+    return _polytope((), fv_rows, order, (0,) * datum.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -523,106 +516,92 @@ def default_regular_lambda(datum: RootDatum, profile: EpsilonProfile) -> tuple:
 # GT and SGT polytopes (possibly deformed)
 
 
-def _gt_const(lam, k: int, n: int) -> int:
-    # a_k^{(0)} = lambda_k + ... + lambda_n, with a_{n+1}^{(0)} = 0
-    return sum(lam[k - 1 : n])
+def _lam_sum(n: int, lo: int, hi: int) -> tuple:
+    """Lambda-coefficients of lambda_lo + ... + lambda_hi (0 when hi < lo)."""
+    return tuple(int(lo <= t <= hi) for t in range(1, n + 1))
 
 
-def _sgt_const(lam, k: int, n: int) -> int:
-    # b_k^{(1)} = lambda_1 + ... + lambda_{n-k+1}, with b_{n+1}^{(1)} = 0
-    return sum(lam[0 : n - k + 1])
+def _row(size: int, hi, lo, eps_key=None) -> tuple:
+    """The facet row hi <= lo + eps[eps_key] between two pattern entries, each
+    (terms, lam_vec): (coordinate, coefficient) terms plus the
+    lambda-coefficients of a constant part."""
+    vec = [0] * size
+    for v, c in hi[0]:
+        vec[v] += c
+    for v, c in lo[0]:
+        vec[v] -= c
+    return tuple(vec), tuple(b - a for a, b in zip(hi[1], lo[1])), eps_key
 
 
-def _gt_facet_specs(datum: RootDatum):
-    """(F_descriptors, Fv_descriptors); each descriptor is (terms, const_fn,
-    eps_index) with terms a list of (coordinate index, coefficient), the
-    inequality reading terms . x <= const_fn(lam) + eps[eps_index]."""
+@lru_cache(maxsize=None)
+def _gt_facet_specs(datum: RootDatum) -> tuple:
+    """(F rows, Fv rows, sweep order) of the GT polytope, type A."""
     n = datum.rank
-    f_specs = []
+    big_n = datum.num_positive_roots
+
+    def avar(j, i):
+        """a_j^{(i)}: a coordinate, or for i = 0 the constant
+        a_j^{(0)} = lambda_j + ... + lambda_n, with a_{n+1}^{(0)} = 0."""
+        if i == 0:
+            return [], _lam_sum(n, j, n)
+        return [(a_pos(datum, j, i), 1)], (0,) * n
+
+    f_rows = []
+    fv_rows = []
     for r in range(1, n + 1):
         lvl = n - r + 1
         for m in range(1, r + 1):
-            j = r - m + 1
-            # a_j^{(lvl)} >= a_{j+1}^{(lvl-1)}
-            if lvl - 1 == 0:
-                terms = [(a_pos(datum, j, 1), -1)]
-                const = (lambda jj: (lambda lam: -_gt_const(lam, jj, n)))(j + 1)
-            else:
-                terms = [(a_pos(datum, j + 1, lvl - 1), 1), (a_pos(datum, j, lvl), -1)]
-                const = lambda lam: 0
-            f_specs.append((terms, const, None))
-    fv_specs = []
-    for r in range(1, n + 1):
-        lvl = n - r  # rows (lvl, lvl+1)
-        for m in range(1, r + 1):
-            # a_m^{(lvl)} + eps_{lvl+1} >= a_m^{(lvl+1)}
-            if lvl == 0:
-                terms = [(a_pos(datum, m, 1), 1)]
-                const = (lambda mm: (lambda lam: _gt_const(lam, mm, n)))(m)
-            else:
-                terms = [(a_pos(datum, m, lvl + 1), 1), (a_pos(datum, m, lvl), -1)]
-                const = lambda lam: 0
-            fv_specs.append((terms, const, lvl + 1))
-    return f_specs, fv_specs
+            # a_j^{(lvl)} >= a_{j+1}^{(lvl-1)} with j = r - m + 1
+            f_rows.append(_row(big_n, avar(r - m + 2, lvl - 1), avar(r - m + 1, lvl)))
+            # a_m^{(lvl-1)} + eps_{lvl} >= a_m^{(lvl)}
+            fv_rows.append(_row(big_n, avar(m, lvl), avar(m, lvl - 1), lvl))
+    order = tuple(a_pos(datum, j, i) for i in range(1, n + 1) for j in range(1, n - i + 2))
+    return tuple(f_rows), tuple(fv_rows), order
 
 
-def _sgt_facet_specs(datum: RootDatum):
+@lru_cache(maxsize=None)
+def _sgt_facet_specs(datum: RootDatum) -> tuple:
+    """(F rows, Fv rows, sweep order) of the SGT polytope, type C."""
     n = datum.rank
+    big_n = datum.num_positive_roots
+    zero = (0,) * n
+
+    def avar(j, i):
+        return [(a_pos(datum, j, i), 1)], zero
 
     def bvar(j, i):
-        """(terms, const_fn) for b_j^{(i)}: variable, lambda constant, or 0."""
+        """b_j^{(i)}: a coordinate, the constant b_j^{(1)} = lambda_1 + ... +
+        lambda_{n-j+1}, or the fixed zero b_{n-i+2}^{(i)}."""
         if i == 1:
-            return [], (lambda jj: (lambda lam: _sgt_const(lam, jj, n)))(j)
+            return [], _lam_sum(n, 1, n - j + 1)
         if j == n - i + 2:
-            return [], lambda lam: 0
-        return [(b_pos(datum, j, i), 1)], lambda lam: 0
+            return [], zero
+        return [(b_pos(datum, j, i), 1)], zero
 
-    f_specs = []
+    f_rows = []
+    fv_rows = []
     for r in range(1, n + 1):
         lvl = n - r + 1
         for k in range(1, r + 1):
             # a_k^{(lvl)} + eps_{lvl+1} >= b_k^{(lvl+1)}; for k = r the right
             # side is the fixed zero and the facet is the plain a_r^{(lvl)} >= 0
-            if k == r:
-                f_specs.append(([(a_pos(datum, r, lvl), -1)], lambda lam: 0, None))
-            else:
-                terms, cf = bvar(k, lvl + 1)
-                terms = terms + [(a_pos(datum, k, lvl), -1)]
-                f_specs.append((terms, _negate(cf), ("e", lvl + 1)))
+            eps_key = None if k == r else ("e", lvl + 1)
+            f_rows.append(_row(big_n, bvar(k, lvl + 1), avar(k, lvl), eps_key))
         for k in range(r, 1, -1):
             # a_{k-1}^{(lvl)} >= b_k^{(lvl)}
-            terms, cf = bvar(k, lvl)
-            terms = terms + [(a_pos(datum, k - 1, lvl), -1)]
-            f_specs.append((terms, _negate(cf), None))
-    fv_specs = []
-    for r in range(1, n + 1):
-        lvl = n - r + 1
+            f_rows.append(_row(big_n, bvar(k, lvl), avar(k - 1, lvl)))
         for k in range(2, r + 1):
             # b_{k-1}^{(lvl+1)} >= a_k^{(lvl)}
-            terms, cf = bvar(k - 1, lvl + 1)
-            terms = [(a_pos(datum, k, lvl), 1)] + [(v, -c) for v, c in terms]
-            fv_specs.append((terms, cf, None))
-    # the first block has no type-one entries, so the loop above starts the
-    # arrangement with block r = 1 contributing only its type-two equation
-    fv_specs2 = []
-    idx = 0
-    for r in range(1, n + 1):
-        lvl = n - r + 1
-        block = []
-        for k in range(2, r + 1):
-            block.append(fv_specs[idx])
-            idx += 1
+            fv_rows.append(_row(big_n, avar(k, lvl), bvar(k - 1, lvl + 1)))
         for k in range(r, 0, -1):
             # b_k^{(lvl)} + eps'_{lvl} >= a_k^{(lvl)}
-            terms, cf = bvar(k, lvl)
-            terms = [(a_pos(datum, k, lvl), 1)] + [(v, -c) for v, c in terms]
-            block.append((terms, cf, ("ep", lvl)))
-        fv_specs2.extend(block)
-    return f_specs, fv_specs2
-
-
-def _negate(cf):
-    return lambda lam: -cf(lam)
+            fv_rows.append(_row(big_n, avar(k, lvl), bvar(k, lvl), ("ep", lvl)))
+    order = []
+    for i in range(1, n + 1):
+        order.extend(a_pos(datum, j, i) for j in range(1, n - i + 2))
+        if i < n:
+            order.extend(b_pos(datum, j, i + 1) for j in range(1, n - i + 1))
+    return tuple(f_rows), tuple(fv_rows), tuple(order)
 
 
 def _eps_value(profile: EpsilonProfile, key) -> int:
@@ -637,29 +616,8 @@ def _eps_value(profile: EpsilonProfile, key) -> int:
 
 
 def _interlacing_polytope(datum: RootDatum, lam, profile: EpsilonProfile) -> Polytope:
-    n = datum.rank
-    big_n = datum.num_positive_roots
-    if datum.family == "A":
-        f_specs, fv_specs = _gt_facet_specs(datum)
-        order = [a_pos(datum, j, i) for i in range(1, n + 1) for j in range(1, n - i + 2)]
-    else:
-        f_specs, fv_specs = _sgt_facet_specs(datum)
-        order = []
-        for i in range(1, n + 1):
-            order.extend(a_pos(datum, j, i) for j in range(1, n - i + 2))
-            if i < n:
-                order.extend(b_pos(datum, j, i + 1) for j in range(1, n - i + 1))
-    ineqs = []
-    labels = []
-    for fam, specs in (("F", f_specs), ("Fv", fv_specs)):
-        for k, (terms, const_fn, eps_key) in enumerate(specs, start=1):
-            vec = [0] * big_n
-            for v, c in terms:
-                vec[v] += c
-            rhs = const_fn(lam) + _eps_value(profile, eps_key)
-            ineqs.append((tuple(vec), rhs))
-            labels.append("%s%d" % (fam, k))
-    return Polytope(big_n, tuple(ineqs), labels=tuple(labels), sweep_order=tuple(order))
+    specs = _gt_facet_specs if datum.family == "A" else _sgt_facet_specs
+    return _polytope(*specs(datum), lam, profile)
 
 
 def gt_polytope(datum: RootDatum, lam) -> Polytope:

@@ -104,6 +104,69 @@ def test_facet_arrangement_pins():
     assert s.labels[4] == "Fv1"
 
 
+def _default_deformed(datum):
+    profile = pt.default_strict_profile(datum)
+    return pt.deformed_polytope(datum, pt.default_regular_lambda(datum, profile), profile)
+
+
+@pytest.mark.parametrize(
+    "build, ineqs, labels, order",
+    [
+        (
+            lambda: _default_deformed(A2),  # lambda = (3, 3), eps = (0, 1)
+            (
+                ((0, -1, 1), 0),
+                ((0, 0, -1), 0),
+                ((-1, 0, 0), -3),
+                ((-1, 1, 0), 1),
+                ((1, 0, 0), 6),
+                ((0, 0, 1), 3),
+            ),
+            ("F1", "F2", "F3", "Fv1", "Fv2", "Fv3"),
+            (0, 2, 1),
+        ),
+        (
+            lambda: _default_deformed(C2),  # lambda = (8, 8), eps = (1,), eps' = (0, 2)
+            (
+                ((0, 0, 0, -1), 0),
+                ((-1, 1, 0, 0), 1),
+                ((0, 0, -1, 0), 0),
+                ((-1, 0, 0, 0), -8),
+                ((0, -1, 0, 1), 2),
+                ((0, -1, 1, 0), 0),
+                ((0, 0, 1, 0), 8),
+                ((1, 0, 0, 0), 16),
+            ),
+            ("F1", "F2", "F3", "F4", "Fv1", "Fv2", "Fv3", "Fv4"),
+            (0, 2, 1, 3),
+        ),
+        (
+            lambda: pt.sgt_polytope(C2, (1, 1)),
+            (
+                ((0, 0, 0, -1), 0),
+                ((-1, 1, 0, 0), 0),
+                ((0, 0, -1, 0), 0),
+                ((-1, 0, 0, 0), -1),
+                ((0, -1, 0, 1), 0),
+                ((0, -1, 1, 0), 0),
+                ((0, 0, 1, 0), 1),
+                ((1, 0, 0, 0), 2),
+            ),
+            ("F1", "F2", "F3", "F4", "Fv1", "Fv2", "Fv3", "Fv4"),
+            (0, 2, 1, 3),
+        ),
+    ],
+    ids=["deformed-A2", "deformed-C2", "sgt-C2"],
+)
+def test_full_facet_rows_pinned(build, ineqs, labels, order):
+    # every row, right-hand side (with the offset each row carries) and label
+    poly = build()
+    assert poly.ineqs == ineqs
+    assert poly.labels == labels
+    assert poly.sweep_order == order
+    assert poly.eqs == () and poly.ambient_dim == len(order)
+
+
 def test_zero_profile_is_identity():
     for datum, lam in ((A2, (2, 1)), (C2, (1, 2)), (A3, (1, 1, 1))):
         if datum.family == "A":
