@@ -380,7 +380,7 @@ def main(argv=None) -> int:
     except InvariantError as err:
         print("internal invariant violated: %s" % err, file=sys.stderr)
         return EXIT_VIOLATION
-    except (ValueError, faces.PairingUnresolvedError) as err:
+    except ValueError as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_BAD_INPUT
     except faces.TheoremViolationError as err:

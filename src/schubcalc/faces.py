@@ -14,8 +14,8 @@ The two decomposition results being exercised:
 
 Both are checked against the crystal route on every call and raise
 TheoremViolationError on any discrepancy.  Class arithmetic happens on a
-deformed (simple) model polytope where every face is identified by its
-vertex set.
+deformed model polytope certified as a tower of intervals, where every face
+is identified by its set of tight rows.
 """
 
 from __future__ import annotations
@@ -209,18 +209,19 @@ def schubert_class(datum: RootDatum, w: WeylElement, family: str) -> FaceSum:
     raise ValueError("family must be 'dual-kogan' or 'kogan'")
 
 
-class DeformedContext:
-    """Face calculus on a fixed simple deformation of the model polytope.
+# The meet of two faces with no common point; distinct from the empty row
+# set, which is the whole polytope.
+EMPTY = object()
 
-    Faces are handled as bitmasks over the vertex list; on these faces the
-    vertex mask and the set of facets containing it determine each other.
-    On a simple d-polytope a nonempty face of dimension k lies in exactly
-    d - k facets, so a face's dimension is read off its facet count
-    (`mask_dim`).  `meet` is the one transversality rule: it intersects two
-    faces and says whether their codimensions add.  The constructor
-    certifies simplicity on the facet masks (every vertex lies in exactly d
-    of them) and raises otherwise; exact elimination runs only there, for d
-    and in `polytopes.facet_defining`."""
+
+class DeformedContext:
+    """Face calculus on a deformation of the model polytope certified as a
+    tower of intervals (`polytopes.interval_tower`): two rows per sweep step,
+    combinatorially an N-cube.  A face is its set of tight rows (`rows`): it
+    is nonempty exactly when no two of them share a step, and then its
+    codimension is their number.  `meet` is the one transversality rule.  No
+    elimination runs here; the constructor raises when the certificate
+    fails."""
 
     def __init__(self, datum: RootDatum, lam=None, profile=None):
         self.datum = datum
@@ -230,49 +231,24 @@ class DeformedContext:
         )
         self.polytope = polytopes.deformed_polytope(datum, self.lam, self.profile)
         self.big_n = datum.num_positive_roots
-        self.verts = polytopes.vertices(self.polytope)
-        if not self.verts:
-            raise ValueError("deformed polytope is empty")
-        if not polytopes.is_simple(self.polytope):
+        tower = polytopes.interval_tower(self.polytope)
+        if tower is None:
             raise ValueError("deformed polytope is not simple; enlarge lambda")
-        self.masks = polytopes.incidence(self.polytope)
-        self.full_mask = (1 << len(self.verts)) - 1
-        self.dim = polytopes.affine_rank(self.verts)
-        self.facet_masks = tuple(self.masks[idx] for idx in polytopes.facet_defining(self.polytope))
+        self.step, self.verts = tower
 
-    def face_mask(self, ref: FaceRef) -> int:
-        mask = self.full_mask
-        for idx in _facet_indices(ref, self.big_n):
-            mask &= self.masks[idx]
-        return mask
-
-    def mask_vertices(self, mask: int):
-        return [v for idx, v in enumerate(self.verts) if mask >> idx & 1]
-
-    def mask_dim(self, mask: int) -> int:
-        """Dimension of the face whose vertex set is `mask` (-1 when empty):
-        dim minus the number of facets containing it."""
-        if not mask:
-            return -1
-        return self.dim - sum(1 for m in self.facet_masks if mask & m == mask)
-
-    def face_nonempty(self, ref: FaceRef) -> bool:
-        return self.face_mask(ref) != 0
-
-    def codim(self, ref: FaceRef) -> int:
-        return self.big_n - self.mask_dim(self.face_mask(ref))
+    def rows(self, *refs):
+        """Tight rows of the faces' intersection, sorted; EMPTY when two of
+        them share a step.  A nonempty face has codimension len(rows)."""
+        rows = sorted({k for ref in refs for k in _facet_indices(ref, self.big_n)})
+        return tuple(rows) if len({self.step[k] for k in rows}) == len(rows) else EMPTY
 
     def meet(self, a: FaceRef, b: FaceRef):
-        """Vertex mask of a and b intersected: 0 when empty, None when
-        nonempty but its codimension is not codim(a) + codim(b)."""
-        mask = self.face_mask(a) & self.face_mask(b)
-        if mask and self.big_n - self.mask_dim(mask) != self.codim(a) + self.codim(b):
+        """Rows of a and b intersected: EMPTY when they complete a step, None
+        when a and b share a row, so that their codimensions do not add."""
+        rows = self.rows(a, b)
+        if rows is not EMPTY and len(rows) < len(a.f_tight + a.fv_tight + b.f_tight + b.fv_tight):
             return None
-        return mask
-
-    def transversal(self, a: FaceRef, b: FaceRef) -> bool:
-        """Nonempty intersection whose codimension adds."""
-        return bool(self.meet(a, b))
+        return rows
 
     def intersect(self, a: FaceRef, b: FaceRef) -> FaceRef:
         return FaceRef(
@@ -333,10 +309,10 @@ def _combine(ctx, left, right):
     bad = []
     for fa in left:
         for fb in right:
-            mask = ctx.meet(fa, fb)
-            if mask == 0:
+            rows = ctx.meet(fa, fb)
+            if rows is EMPTY:
                 dropped.append((fa, fb))
-            elif mask is None:
+            elif rows is None:
                 bad.append((fa, fb))
             else:
                 terms.append(ctx.intersect(fa, fb))
@@ -372,20 +348,19 @@ def _candidates(datum, v, w, degree):
 
 
 def _solve_cover(ctx, datum, terms, candidates):
-    """Solve (product multiset) = sum_u c_u (class multiset of u) over face
-    vertex masks; None unless a unique nonnegative integer solution exists."""
+    """Solve (product multiset) = sum_u c_u (class multiset of u) over the
+    nonempty faces, keyed by their rows; None unless a unique nonnegative
+    integer solution exists."""
     def multiset(refs):
         out = {}
         for ref in refs:
-            key = ctx.face_mask(ref)
-            out[key] = out.get(key, 0) + 1
+            key = ctx.rows(ref)
+            if key is not EMPTY:
+                out[key] = out.get(key, 0) + 1
         return out
 
     target = multiset(terms)
-    cand_sets = []
-    for u in candidates:
-        refs = [r for r in schubert_class(datum, u, "dual-kogan").terms if ctx.face_nonempty(r)]
-        cand_sets.append(multiset(refs))
+    cand_sets = [multiset(schubert_class(datum, u, "dual-kogan").terms) for u in candidates]
     # a candidate face outside the product forces a zero coefficient, and
     # such a cover is not accepted
     if any(key not in target for cs in cand_sets for key in cs):
@@ -398,14 +373,15 @@ def _solve_cover(ctx, datum, terms, candidates):
 
 
 def _pair_value(ctx, h, refs):
-    """Vertex-count pairing of one face against a class face sum; None when a
-    pair meets non-transversally or in more than a vertex."""
+    """Vertex-count pairing of one face against a class face sum: each meet
+    in a vertex (N rows) counts 1; None when a pair meets non-transversally
+    or in more than a vertex."""
     total = 0
     for g in refs:
-        mask = ctx.meet(h, g)
-        if mask is None or (mask and ctx.mask_dim(mask) != 0):
+        rows = ctx.meet(h, g)
+        if rows is None or (rows is not EMPTY and len(rows) != ctx.big_n):
             return None
-        total += bin(mask).count("1")
+        total += rows is not EMPTY
     return total
 
 

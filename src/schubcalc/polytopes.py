@@ -1,12 +1,12 @@
 """Exact rational polytopes: string cones/polytopes, GT and SGT polytopes,
 their epsilon deformations, lattice points, vertices, and Ehrhart volumes.
 
-H-representations keep integer data throughout (normal . x <= rhs); vertex
-coordinates and Ehrhart coefficients are exact Fractions.  Vertices and
-affine ranks come from the fraction-free integer echelon of `linalg`; the
-vertex-inequality incidence (`incidence`) is computed once per polytope and
-read by `facet_defining` and `is_simple`; Ehrhart coefficients solve their
-Vandermonde system on the same kernel.
+H-representations keep integer data throughout (normal . x <= rhs).
+`interval_tower` certifies a polytope as a tower of intervals along its
+sweep order and lists its integer vertices with no elimination.  The oracles
+`vertices` (exact Fractions), `affine_rank`, `incidence`, `facet_defining`
+and `is_simple`, and the Ehrhart interpolation, run on the fraction-free
+integer echelon of `linalg`.
 
 Every string, GT and SGT polytope is built by one builder (`_polytope`) from
 facet rows (vec, lam_vec, eps_key), read as
@@ -91,28 +91,43 @@ def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
-@lru_cache(maxsize=None)
-def lattice_points(p: Polytope) -> tuple:
-    """All integer points, sorted.  Requires bounds derivable along the sweep
-    order (true for every polytope built here and their faces)."""
+def _sweep_rows(p: Polytope):
+    """(order, steps, by_step), or None when a row without support fails.
+    A row's step is the position along the sweep order of the last coordinate
+    in its support; `steps` lists it per inequality, then per equation (None
+    without support); by_step[t] holds the rows of step t as (coefficient of
+    its coordinate, the other (coordinate, coefficient) terms, rhs, is_eq)."""
     dim = p.ambient_dim
     order = p.sweep_order or tuple(range(dim - 1, -1, -1))
     pos = {v: t for t, v in enumerate(order)}
+    steps = []
     by_step = [[] for _ in range(dim)]
     for coeffs, rhs, is_eq in itertools.chain(
         ((c, r, False) for c, r in p.ineqs), ((c, r, True) for c, r in p.eqs)
     ):
         support = [v for v in range(dim) if coeffs[v]]
         if not support:
-            ok = rhs == 0 if is_eq else rhs >= 0
-            if not ok:
-                return ()
+            if not (rhs == 0 if is_eq else rhs >= 0):
+                return None
+            steps.append(None)
             continue
         step = max(pos[v] for v in support)
         var = order[step]
         rest = tuple((v, coeffs[v]) for v in support if v != var)
         by_step[step].append((coeffs[var], rest, rhs, is_eq))
+        steps.append(step)
+    return order, steps, by_step
 
+
+@lru_cache(maxsize=None)
+def lattice_points(p: Polytope) -> tuple:
+    """All integer points, sorted.  Requires bounds derivable along the sweep
+    order (true for every polytope built here and their faces)."""
+    rows = _sweep_rows(p)
+    if rows is None:
+        return ()
+    order, _, by_step = rows
+    dim = p.ambient_dim
     point = [0] * dim
     out = []
 
@@ -154,26 +169,40 @@ def face_lattice_points(f: Face) -> tuple:
     return lattice_points(face_polytope(f))
 
 
-def face_dim(f: Face) -> int:
-    """Dimension of a face via its lattice points (exact for the integral
-    polytopes built here); -1 signals the empty face, distinct from 0."""
-    return affine_rank(face_lattice_points(f))
+def interval_tower(p: Polytope):
+    """(step of each inequality, sorted integer vertices) when p is a tower of
+    intervals along its sweep order, else None.
 
-
-def intersect_faces(f: Face, g: Face) -> Face:
-    if f.parent != g.parent:
-        raise ValueError("faces of distinct parents")
-    return face(f.parent, tuple(set(f.tight) | set(g.tight)))
-
-
-def transversal(f: Face, g: Face) -> bool:
-    """Nonempty intersection whose codimension is the sum of codimensions."""
-    both = intersect_faces(f, g)
-    d = face_dim(both)
-    if d < 0:
-        return False
-    ambient = polytope_dim(f.parent)
-    return ambient - d == (ambient - face_dim(f)) + (ambient - face_dim(g))
+    The certificate: no equations; each step t has two rows, with
+    coefficients +1 and -1 on its coordinate, reading lo_t(y) <= x_t <= hi_t(y)
+    for lo_t, hi_t affine in the earlier coordinates y; and walking the sweep
+    tree, fixing x_t at lo_t or hi_t, gives lo_t < hi_t at every node.  The
+    2^N leaves are the vertices.  Why this is enough: by induction the nodes of
+    depth t are the vertices of the projection P_t of p to the first t
+    coordinates, and hi_t - lo_t, affine and positive on them, is positive on
+    all of P_t.  So every row is a facet, the two rows of a step never meet,
+    p is simple, and each vertex cone is triangular with a unit diagonal.  A
+    row set is the tight set of a nonempty face exactly when no two of its
+    rows share a step, and that face has codimension their number."""
+    rows = _sweep_rows(p)
+    if p.eqs or rows is None:
+        return None
+    order, steps, by_step = rows
+    if None in steps or any(sorted(a for a, _, _, _ in step) != [-1, 1] for step in by_step):
+        return None
+    points = [[0] * p.ambient_dim]
+    for var, step in zip(order, by_step):
+        (_, lo_rest, lo_rhs, _), (_, hi_rest, hi_rhs, _) = sorted(step)  # lower bound first
+        grown = []
+        for y in points:
+            lo = sum(c * y[v] for v, c in lo_rest) - lo_rhs
+            hi = hi_rhs - sum(c * y[v] for v, c in hi_rest)
+            if lo >= hi:
+                return None
+            for val in (lo, hi):
+                grown.append(y[:var] + [val] + y[var + 1 :])
+        points = grown
+    return tuple(steps), tuple(sorted(map(tuple, points)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +256,6 @@ def affine_rank(points) -> int:
     """Dimension of the affine span (-1 for empty input): the rank of the
     points in homogeneous coordinates, minus one."""
     return linalg.rank(tuple(q) + (1,) for q in points) - 1
-
-
-def polytope_dim(p: Polytope) -> int:
-    """Dimension via lattice points; exact for integral polytopes."""
-    return affine_rank(lattice_points(p))
 
 
 def _normalized_halfspace(coeffs, rhs):

@@ -233,5 +233,7 @@ def test_11_simplicity():
             verts = pt.vertices(deformed)
             got = (len(verts), pt.affine_rank(verts), len(pt.facet_defining(deformed)))
             assert got == counts[datum], datum
+            # the tower walk gives the same vertices as the elimination DFS
+            assert pt.interval_tower(deformed)[1] == verts, datum
 
     _timed("11 deformed polytopes simple", 120.0, body)

@@ -159,6 +159,15 @@ def test_product_epsilon_override():
     assert payload["expansion"] == {"1,2": 1, "2,1": 1}
 
 
+def test_refused_profile_exits_two():
+    # the zero profile leaves the symplectic polytope non-simple
+    proc = run_cli(
+        "product", "--type", "C", "--rank", "2", "--v", "1", "--w", "2", "--epsilon", "0,0,0"
+    )
+    assert proc.returncode == 2
+    assert "not simple" in proc.stderr
+
+
 def test_verify_budget_exit_code():
     proc = run_cli(
         "verify", "theorem1", "--type", "A", "--rank", "3", "--lambda-max", "2",

@@ -140,48 +140,97 @@ def test_class_codims_in_deformed_polytope(datum, nonempty):
     seen = 0
     for w in all_elements(datum):
         for ref in fc.schubert_class(datum, w, "dual-kogan").terms:
-            if ctx.face_nonempty(ref):
-                assert ctx.codim(ref) == length(w) == len(ref.f_tight)
+            rows = ctx.rows(ref)
+            if rows is not fc.EMPTY:
+                assert len(rows) == length(w) == len(ref.f_tight)
                 seen += 1
         for ref in fc.schubert_class(datum, w, "kogan").terms:
-            if ctx.face_nonempty(ref):
-                assert ctx.codim(ref) == datum.num_positive_roots - length(w) == len(ref.fv_tight)
+            rows = ctx.rows(ref)
+            if rows is not fc.EMPTY:
+                assert len(rows) == datum.num_positive_roots - length(w) == len(ref.fv_tight)
                 seen += 1
     assert seen == nonempty
 
 
+def _ref(rows, big_n):
+    """The FaceRef of 0-based row indices: the first family, then the second."""
+    return fc.FaceRef(
+        tuple(k + 1 for k in rows if k < big_n), tuple(k - big_n + 1 for k in rows if k >= big_n)
+    )
+
+
 @pytest.mark.parametrize("datum", [A2, C2, A3], ids=["A2", "C2", "A3"])
-def test_mask_dim_matches_affine_rank(datum):
-    # the facet-count dimension against exact elimination over the vertices,
-    # on the face cut out by every subset of the inequalities
+def test_tight_set_rule_matches_vertex_oracle(datum):
+    # the tight-set rule against exact elimination over the DFS vertices, on
+    # the face cut out by every subset of the 2N rows
     ctx = fc.default_context(datum)
-    n = len(ctx.masks)
-    assert n == 2 * datum.num_positive_roots
-    for bits in range(1 << n):
-        mask = ctx.full_mask
-        for idx in range(n):
-            if bits >> idx & 1:
-                mask &= ctx.masks[idx]
-        assert ctx.mask_dim(mask) == pt.affine_rank(ctx.mask_vertices(mask)), bits
+    big_n = datum.num_positive_roots
+    verts = pt.vertices(ctx.polytope)
+    masks = pt.incidence(ctx.polytope)
+    assert len(masks) == 2 * big_n
+    for bits in range(1 << 2 * big_n):
+        rows = [k for k in range(2 * big_n) if bits >> k & 1]
+        tight = [v for i, v in enumerate(verts) if all(masks[k] >> i & 1 for k in rows)]
+        got = ctx.rows(_ref(rows, big_n))
+        assert (got is not fc.EMPTY) == bool(tight), bits
+        if tight:
+            assert len(got) == len(rows) == big_n - pt.affine_rank(tight), bits
 
 
-@pytest.mark.parametrize("lam", [(1, 1), (2, 1), (2, 2)])
-def test_context_refuses_non_simple_polytope(lam):
+@pytest.mark.parametrize(
+    "lam, profile",
+    [
+        ((1, 1), pt.zero_profile(C2)),
+        ((2, 1), pt.zero_profile(C2)),
+        ((2, 2), pt.zero_profile(C2)),
+        # lower-dimensional polytopes under the default profile
+        ((0, 1), None),
+        ((0, 0), None),
+    ],
+    ids=["lam0", "lam1", "lam2", "lam3", "lam4"],
+)
+def test_context_refuses_non_simple_polytope(lam, profile):
     with pytest.raises(ValueError, match="not simple"):
-        fc.DeformedContext(C2, lam, pt.zero_profile(C2))
+        fc.DeformedContext(C2, lam, profile)
 
 
 def test_transversality_ops():
     ctx = fc.default_context(C2)
+    big_n = C2.num_positive_roots
     f = fc.FaceRef((1,), ())
     assert ctx.intersect(f, f) == f
-    assert not ctx.transversal(f, f)
-    g = fc.FaceRef((), (4,))
-    if ctx.face_nonempty(ctx.intersect(f, g)):
-        assert ctx.transversal(f, g)
+    # a facet met with itself shares its row
+    assert ctx.meet(f, f) is None
+    # the two rows of one step meet empty, rows of two steps transversally
+    pairs = [(i, j) for i in range(2 * big_n) for j in range(i + 1, 2 * big_n)]
+    same = [(i, j) for i, j in pairs if ctx.step[i] == ctx.step[j]]
+    assert len(same) == big_n
+    for i, j in pairs:
+        got = ctx.meet(_ref([i], big_n), _ref([j], big_n))
+        assert (got is fc.EMPTY) if (i, j) in same else (got == (i, j))
+    # the whole polytope has no rows and is not empty
+    whole = fc.FaceRef((), ())
+    assert ctx.rows(whole) == () and ctx.meet(whole, whole) == ()
     # the first two dual-family facets of the deformed symplectic polytope
     # meet transversally
-    assert ctx.transversal(fc.FaceRef((1,), ()), fc.FaceRef((2,), ()))
+    assert ctx.meet(fc.FaceRef((1,), ()), fc.FaceRef((2,), ())) == (0, 1)
+
+
+def test_product_pipeline_runs_no_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination reached the face calculus")
+
+    for name in ("vertices", "incidence", "facet_defining", "is_simple", "affine_rank"):
+        monkeypatch.setattr(pt, name, refuse)
+    ctx = fc.DeformedContext(C3)
+    assert len(ctx.verts) == 2 ** C3.num_positive_roots
+    s1 = word_to_element(C3, (1,))
+    s2 = word_to_element(C3, (2,))
+    result = fc.product_c(C3, s1, s2, ctx)
+    assert result.method == "multiset-cover"
+    assert result.expansion == dict(bgg_structure_constants(C3, s1, s2))
+    w0 = longest_element(C3)
+    assert fc.degree_pairing(C3, s1, multiply(w0, s1), ctx) == 1
 
 
 def test_degree_pairing_duality():

@@ -253,7 +253,7 @@ def test_dilation_consistency():
 def test_volume_at_lower_dim_is_zero():
     degenerate = pt.string_polytope(A2, (1, 0))
     assert pt.volume_at_dim(degenerate, 3) == 0
-    assert pt.volume_at_dim(degenerate, pt.polytope_dim(degenerate)) > 0
+    assert pt.volume_at_dim(degenerate, pt.affine_rank(pt.lattice_points(degenerate))) > 0
 
 
 def test_face_json_roundtrip():
@@ -265,24 +265,25 @@ def test_face_json_roundtrip():
 
 
 def test_face_intersection_and_transversality():
+    # the unit cube is a tower of intervals: the two rows of a coordinate
+    # share a step and never meet
     cube = unit_cube(3)
-    top = pt.face(cube, (0,))
-    assert pt.intersect_faces(top, top).tight == top.tight
-    assert not pt.transversal(top, top)
-    side = pt.face(cube, (2,))
-    assert pt.transversal(top, side)
-    bottom = pt.face(cube, (1,))  # opposite halfspace of the same coordinate
-    assert pt.face_dim(pt.intersect_faces(top, bottom)) == -1
-    assert not pt.transversal(top, bottom)
-    other = unit_cube(2)
-    with pytest.raises(ValueError):
-        pt.intersect_faces(top, pt.face(other, (0,)))
+    steps, verts = pt.interval_tower(cube)
+    assert verts == pt.vertices(cube) and len(verts) == 8
+    top, bottom, side = 0, 1, 2
+    assert steps[top] == steps[bottom] != steps[side]
+    assert pt.face_lattice_points(pt.face(cube, (top, bottom))) == ()
+    assert pt.affine_rank(pt.face_lattice_points(pt.face(cube, (top, side)))) == 1
+    # a step with a single row fails the certificate
+    assert pt.interval_tower(pt.Polytope(3, cube.ineqs[1:])) is None
 
 
 def test_empty_face_distinct_from_point():
     poly = pt.string_polytope(A2, (1, 0))
     # a single lattice point has dimension zero, emptiness is negative
     squeezed = pt.face(poly, (0, 1, 2))
-    assert pt.face_dim(squeezed) in (-1, 0)
+    assert pt.affine_rank(pt.face_lattice_points(squeezed)) in (-1, 0)
     zero = pt.string_polytope(A2, (0, 0))
-    assert pt.face_dim(pt.face(zero, ())) == 0
+    assert pt.affine_rank(pt.face_lattice_points(pt.face(zero, ()))) == 0
+    cube = unit_cube(3)
+    assert pt.affine_rank(pt.face_lattice_points(pt.face(cube, (0, 1)))) == -1
