@@ -1,6 +1,6 @@
 """Independent cross-validation oracles.
 
-Three routes that never touch the polytope or pipe-dream machinery:
+Three routes that never touch the polytope, crystal or pipe-dream machinery:
 
 * the Weyl dimension formula, evaluated exactly over rationals;
 * isobaric Demazure operators on formal characters, for Demazure module
@@ -8,11 +8,20 @@ Three routes that never touch the polytope or pipe-dream machinery:
 * divided differences on the coinvariant algebra, for Schubert-basis
   structure constants.
 
-Polynomials live in Sym of the weight space: generators are the fundamental
-weights, a weight is a linear form, simple reflections act by the usual
-substitution, and each divided difference divides exactly by a simple root
-(a hard error otherwise, which catches any action-convention slip
-immediately).
+The divided differences act on integer polynomials in orthogonal coordinates,
+the classical realization of Billey-Haiman ("Schubert polynomials for the
+classical groups", J. AMS 1995).  A polynomial is a dict {exponent tuple: int}
+in x_1..x_n for type C and x_1..x_{n+1} for type A.  With node 1 long, as in
+`cartan`, type C has alpha_1 = 2x_1, with s_1 negating x_1, and
+alpha_i = x_i - x_{i-1} for i >= 2; type A has alpha_i = x_i - x_{i+1}.  Every
+other s_i swaps the two variables of alpha_i, so each divided difference is a
+closed form per monomial, with no multiplication and no division.
+
+The top class is the integer product of the positive roots, so the
+representative of w is |W| times its Schubert polynomial and a structure
+constant is a constant term divided by |W|^2.  An identity representative
+other than the constant |W|, or a remainder in that division, is a convention
+slip and raises `InvariantError`.
 """
 
 from __future__ import annotations
@@ -22,10 +31,10 @@ from functools import lru_cache
 from math import factorial
 
 from .cartan import (
+    InvariantError,
     RootDatum,
     WeylElement,
     all_elements,
-    cartan_matrix,
     identity_element,
     inverse,
     length,
@@ -48,7 +57,7 @@ def weyl_dimension(datum: RootDatum, lam) -> int:
             datum, rho(datum), alpha
         )
     if num.denominator != 1:
-        raise ArithmeticError("Weyl dimension is not an integer: Cartan convention error")
+        raise InvariantError("Weyl dimension is not an integer: Cartan convention error")
     return int(num)
 
 
@@ -95,39 +104,8 @@ def demazure_dimension(datum: RootDatum, w: WeylElement, lam) -> int:
     return sum(demazure_character(datum, w, lam).values())
 
 
-def character_is_w_invariant(datum: RootDatum, char: dict) -> bool:
-    c = cartan_matrix(datum)
-    n = datum.rank
-    for i in range(1, n + 1):
-        reflected = {}
-        for mu, coeff in char.items():
-            img = tuple(mu[j] - mu[i - 1] * c[j][i - 1] for j in range(n))
-            reflected[img] = reflected.get(img, 0) + coeff
-        if reflected != char:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# weight-space polynomials and divided differences
-
-# polynomial = {exponent tuple: Fraction}, variables = fundamental weights
-
-
-def poly_add(f: dict, g: dict) -> dict:
-    out = dict(f)
-    for m, c in g.items():
-        out[m] = out.get(m, Fraction(0)) + c
-        if out[m] == 0:
-            del out[m]
-    return out
-
-
-def poly_scale(f: dict, c) -> dict:
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {m: v * c for m, v in f.items()}
+# integer polynomials in orthogonal coordinates and divided differences
 
 
 def poly_mul(f: dict, g: dict) -> dict:
@@ -135,83 +113,44 @@ def poly_mul(f: dict, g: dict) -> dict:
     for m1, c1 in f.items():
         for m2, c2 in g.items():
             m = tuple(a + b for a, b in zip(m1, m2))
-            out[m] = out.get(m, Fraction(0)) + c1 * c2
-            if out[m] == 0:
-                del out[m]
-    return out
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
-def linear_form(coeffs) -> dict:
-    n = len(coeffs)
-    out = {}
-    for j, c in enumerate(coeffs):
-        if c:
-            mono = tuple(1 if t == j else 0 for t in range(n))
-            out[mono] = Fraction(c)
-    return out
+def _num_variables(datum: RootDatum) -> int:
+    return datum.rank + 1 if datum.family == "A" else datum.rank
 
 
-def constant_term(f: dict) -> Fraction:
-    if not f:
-        return Fraction(0)
-    zero = (0,) * len(next(iter(f)))
-    return f.get(zero, Fraction(0))
-
-
-@lru_cache(maxsize=None)
-def _generator_image(datum: RootDatum, i: int, j: int):
-    """s_i applied to the j-th fundamental weight, as a linear polynomial."""
-    n = datum.rank
-    base = [Fraction(1) if t == j else Fraction(0) for t in range(n)]
-    if j == i - 1:
-        alpha = simple_root_in_fundamental(datum, i)
-        base = [b - a for b, a in zip(base, alpha)]
-    return linear_form(base)
-
-
-def apply_reflection(datum: RootDatum, i: int, f: dict) -> dict:
-    n = datum.rank
-    out = {}
-    power_cache = {}
-    for mono, coeff in f.items():
-        term = {(0,) * n: Fraction(1)}
-        for j, e in enumerate(mono):
-            if not e:
-                continue
-            key = (j, e)
-            if key not in power_cache:
-                p = {(0,) * n: Fraction(1)}
-                img = _generator_image(datum, i, j)
-                for _ in range(e):
-                    p = poly_mul(p, img)
-                power_cache[key] = p
-            term = poly_mul(term, power_cache[key])
-        out = poly_add(out, poly_scale(term, coeff))
-    return out
-
-
-def divide_by_simple_root(datum: RootDatum, i: int, f: dict) -> dict:
-    """Exact division by alpha_i; raises if the remainder is nonzero."""
-    alpha_poly = linear_form(simple_root_in_fundamental(datum, i))
-    var = i - 1
-    quotient = {}
-    work = dict(f)
-    while work:
-        mono = max(work, key=lambda m: (m[var], m))
-        if mono[var] == 0:
-            raise ArithmeticError("polynomial is not divisible by the simple root")
-        qc = work[mono] / 2  # alpha_i has coefficient 2 on its own fundamental weight
-        qmono = tuple(e - 1 if j == var else e for j, e in enumerate(mono))
-        quotient[qmono] = quotient.get(qmono, Fraction(0)) + qc
-        work = poly_add(work, poly_scale(poly_mul({qmono: Fraction(1)}, alpha_poly), -qc))
-    return {m: c for m, c in quotient.items() if c != 0}
+def _swapped_variables(datum: RootDatum, i: int) -> tuple:
+    """Indices (a, b) with alpha_i = x_a - x_b, 0-based; s_i swaps them."""
+    return (i - 1, i) if datum.family == "A" else (i - 1, i - 2)
 
 
 def divided_difference(datum: RootDatum, i: int, f: dict) -> dict:
-    num = poly_add(f, poly_scale(apply_reflection(datum, i, f), -1))
-    if not num:
-        return {}
-    return divide_by_simple_root(datum, i, num)
+    """(f - s_i f) / alpha_i, one monomial at a time."""
+    if datum.family == "C" and i == 1:
+        # (x^p - (-x)^p) / 2x is x^(p-1) for odd p and 0 for even p
+        return {(m[0] - 1,) + m[1:]: c for m, c in f.items() if m[0] % 2}
+    a, b = _swapped_variables(datum, i)
+    out = {}
+    for mono, c in f.items():
+        p, q = mono[a], mono[b]
+        if p == q:
+            continue
+        # (x_a^p x_b^q - x_a^q x_b^p) / (x_a - x_b)
+        #   = sign * sum of x_a^e x_b^(p+q-1-e) over min(p,q) <= e < max(p,q)
+        if p < q:
+            c = -c
+            lo, hi = p, q
+        else:
+            lo, hi = q, p
+        term = list(mono)
+        for e in range(lo, hi):
+            term[a] = e
+            term[b] = p + q - 1 - e
+            key = tuple(term)
+            out[key] = out.get(key, 0) + c
+    return {m: c for m, c in out.items() if c}
 
 
 def apply_divided_differences(datum: RootDatum, word, f: dict) -> dict:
@@ -222,36 +161,55 @@ def apply_divided_differences(datum: RootDatum, word, f: dict) -> dict:
     return f
 
 
+def orthogonal_root(datum: RootDatum, root) -> tuple:
+    """A root given in the simple-root basis, in orthogonal coordinates."""
+    out = [0] * _num_variables(datum)
+    for j, m in enumerate(root, start=1):
+        if datum.family == "C" and j == 1:
+            out[0] += 2 * m
+        else:
+            a, b = _swapped_variables(datum, j)
+            out[a] += m
+            out[b] -= m
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def top_class_polynomial(datum: RootDatum) -> tuple:
-    """(prod of positive roots)/|W| as a sorted item tuple."""
-    f = {(0,) * datum.rank: Fraction(1)}
+    """The product of the positive roots, |W| times the class of a point, as
+    a sorted item tuple."""
+    size = _num_variables(datum)
+    f = {(0,) * size: 1}
     for alpha in positive_roots(datum):
-        coeffs = [0] * datum.rank
-        for j, m in enumerate(alpha):
-            if m:
-                root = simple_root_in_fundamental(datum, j + 1)
-                for t in range(datum.rank):
-                    coeffs[t] += m * root[t]
-        f = poly_mul(f, linear_form(coeffs))
-    f = poly_scale(f, Fraction(1, group_order(datum)))
+        vec = orthogonal_root(datum, alpha)
+        f = poly_mul(f, {tuple(int(t == j) for t in range(size)): c for j, c in enumerate(vec) if c})
     return tuple(sorted(f.items()))
 
 
 @lru_cache(maxsize=None)
 def schubert_representative(datum: RootDatum, w: WeylElement) -> tuple:
-    """Representative of the degree-l(w) Schubert class, as a sorted item
-    tuple: divided differences along w^{-1} w_0 applied to the top class."""
+    """|W| times the Schubert polynomial of w, as a sorted item tuple: divided
+    differences along w^{-1} w_0 applied to the top class."""
     f = dict(top_class_polynomial(datum))
     word = reduced_word(multiply(inverse(w), longest_element(datum)))
     return tuple(sorted(apply_divided_differences(datum, word, f).items()))
 
 
 def check_normalization(datum: RootDatum):
-    """The identity representative must be the constant 1."""
+    """The identity representative must be the constant |W|."""
     f = dict(schubert_representative(datum, identity_element(datum)))
-    if f != {(0,) * datum.rank: Fraction(1)}:
-        raise ArithmeticError("top-class normalization failed; convention error")
+    if f != {(0,) * _num_variables(datum): group_order(datum)}:
+        raise InvariantError("top-class normalization failed; convention error")
+
+
+@lru_cache(maxsize=None)
+def _reduced_words_by_length(datum: RootDatum) -> tuple:
+    """Entry d: every (w, reduced word of w) with l(w) = d."""
+    elems = all_elements(datum)
+    return tuple(
+        tuple((w, reduced_word(w)) for w in elems if length(w) == d)
+        for d in range(datum.num_positive_roots + 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -260,21 +218,21 @@ def bgg_structure_constants(datum: RootDatum, u: WeylElement, v: WeylElement) ->
     sorted tuple of (w, c) with c > 0 and l(w) = l(u) + l(v).
 
     Coefficient extraction: c_w is the constant term of the divided-difference
-    chain for w applied to any representative of the product.
+    chain for w applied to any representative of the product, here
+    |W|^2 times the product.
     """
     check_normalization(datum)
     deg = length(u) + length(v)
-    big_n = datum.num_positive_roots
-    if deg > big_n:
+    if deg > datum.num_positive_roots:
         return ()
     product = poly_mul(dict(schubert_representative(datum, u)), dict(schubert_representative(datum, v)))
+    zero = (0,) * _num_variables(datum)
+    scale = group_order(datum) ** 2
     out = []
-    for w in all_elements(datum):
-        if length(w) != deg:
-            continue
-        val = constant_term(apply_divided_differences(datum, reduced_word(w), product))
+    for w, word in _reduced_words_by_length(datum)[deg]:
+        val, rem = divmod(apply_divided_differences(datum, word, product).get(zero, 0), scale)
+        if rem:
+            raise InvariantError("structure constant is not an integer; convention error")
         if val:
-            if val.denominator != 1:
-                raise ArithmeticError("non-integral structure constant; convention error")
-            out.append((w, int(val)))
+            out.append((w, val))
     return tuple(out)

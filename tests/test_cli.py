@@ -204,3 +204,11 @@ def test_internal_invariant_exits_one(monkeypatch, capsys, error):
     assert code == cli.EXIT_VIOLATION
     assert "internal invariant violated: planted fault" in err
     assert "Traceback" not in err
+
+
+def test_oracle_convention_slip_exits_one(wrong_signed_root, capsys):
+    code = cli.main(["product", "--type", "C", "--rank", "2", "--v", "1", "--w", "2"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VIOLATION
+    assert "internal invariant violated: top-class normalization failed" in err
+    assert "Traceback" not in err

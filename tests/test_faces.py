@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from schubcalc import crystals as cr
 from schubcalc import faces as fc
@@ -291,6 +293,16 @@ def test_product_table_against_oracle():
     # most of the table is identified independently of the oracle
     assert methods.get("multiset-cover", 0) + methods.get("degree-pairing", 0) >= 29
     assert methods.get("unidentified", 0) == 0
+
+
+@seed(20261018)
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(all_elements(C3)), st.sampled_from(all_elements(C3)))
+def test_c3_face_sum_products_commute(v, w):
+    ctx = fc.default_context(C3)
+    forward = fc.product_c(C3, v, w, ctx)
+    assert forward.expansion == fc.product_c(C3, w, v, ctx).expansion
+    assert forward.expansion == dict(bgg_structure_constants(C3, v, w))
 
 
 def test_empty_faces_are_reported_not_silent():

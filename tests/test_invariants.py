@@ -45,3 +45,20 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_oracles_import_no_validated_module():
+    # the oracles cross-check the polytope, crystal and pipe-dream code, so
+    # they must not be built from it
+    forbidden = {"faces", "polytopes", "pipedreams", "crystals"}
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "oracles.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[-1] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                imported.add(node.module.split(".")[-1])
+            if node.module in (None, "schubcalc"):
+                imported |= {alias.name for alias in node.names}
+    assert "cartan" in imported
+    assert not imported & forbidden, imported & forbidden

@@ -1,18 +1,22 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from schubcalc import oracles as orc
 from schubcalc.cartan import (
+    InvariantError,
     RootDatum,
+    act_on_weight,
     all_elements,
     all_reduced_words,
     identity_element,
     length,
     longest_element,
     multiply,
+    simple_element,
     word_to_element,
 )
 
@@ -20,6 +24,18 @@ A2 = RootDatum("A", 2)
 A3 = RootDatum("A", 3)
 C2 = RootDatum("C", 2)
 C3 = RootDatum("C", 3)
+SEED = 20261018
+
+
+def num_variables(datum):
+    """x_1..x_{n+1} for type A, x_1..x_n for type C."""
+    return datum.rank + 1 if datum.family == "A" else datum.rank
+
+
+def coxeter_order(datum, i, j):
+    if abs(i - j) > 1:
+        return 2
+    return 4 if datum.family == "C" and {i, j} == {1, 2} else 3
 
 
 def test_weyl_dimensions():
@@ -78,7 +94,14 @@ def test_demazure_character_word_independence_and_top():
             assert len(chars) == 1
         top = orc.demazure_character(datum, longest_element(datum), lam)
         assert sum(top.values()) == orc.weyl_dimension(datum, lam)
-        assert orc.character_is_w_invariant(datum, top)
+        # the top Demazure character is fixed by every simple reflection
+        for i in range(1, datum.rank + 1):
+            s = simple_element(datum, i)
+            reflected = {}
+            for mu, coeff in top.items():
+                img = act_on_weight(s, mu)
+                reflected[img] = reflected.get(img, 0) + coeff
+            assert reflected == top
 
 
 def test_demazure_dimension_example():
@@ -87,40 +110,52 @@ def test_demazure_dimension_example():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([A2, C2]), st.data())
+@given(st.sampled_from([A2, C2, A3, C3]), st.data())
 def test_divided_difference_nilpotent_and_braid(datum, data):
     n = datum.rank
-    monos = st.tuples(*[st.integers(0, 2) for _ in range(n)])
+    monos = st.tuples(*[st.integers(0, 2) for _ in range(num_variables(datum))])
     poly = {}
     for _ in range(data.draw(st.integers(1, 4))):
-        poly[data.draw(monos)] = Fraction(data.draw(st.integers(-3, 3)))
+        poly[data.draw(monos)] = data.draw(st.integers(-3, 3))
     poly = {m: c for m, c in poly.items() if c}
     for i in range(1, n + 1):
         once = orc.divided_difference(datum, i, poly)
+        assert all(isinstance(c, int) and c for c in once.values())
         assert orc.divided_difference(datum, i, once) == {}
-    # braid relations: the two alternating words of the Coxeter order agree
-    m = 3 if datum.family == "A" else 4
-    word1 = ([1, 2] * m)[:m]
-    word2 = ([2, 1] * m)[:m]
-    left = dict(poly)
-    right = dict(poly)
-    for i in reversed(word1):
-        left = orc.divided_difference(datum, i, left)
-    for i in reversed(word2):
-        right = orc.divided_difference(datum, i, right)
-    assert left == right
+    # braid relations: for every pair of letters, the two alternating words
+    # of their Coxeter order agree
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            m = coxeter_order(datum, i, j)
+            word1 = ([i, j] * m)[:m]
+            word2 = ([j, i] * m)[:m]
+            assert orc.apply_divided_differences(datum, word1, poly) == orc.apply_divided_differences(
+                datum, word2, poly
+            )
 
 
-def test_divided_difference_exact_division_failure():
-    # a polynomial not antisymmetric under the reflection divides only after
-    # subtracting its reflection, never directly
-    poly = {(1, 0): Fraction(1)}
-    with pytest.raises(ArithmeticError):
-        orc.divide_by_simple_root(A2, 2, poly)
+def test_divided_difference_closed_forms():
+    # type C, s_1 negates x_1 and alpha_1 = 2 x_1
+    assert orc.divided_difference(C2, 1, {(3, 1): 5, (2, 0): 7}) == {(2, 1): 5}
+    # type C, alpha_2 = x_2 - x_1
+    assert orc.divided_difference(C2, 2, {(0, 1): 1}) == {(0, 0): 1}
+    assert orc.divided_difference(C2, 2, {(2, 0): 1}) == {(1, 0): -1, (0, 1): -1}
+    # type A, alpha_1 = x_1 - x_2
+    assert orc.divided_difference(A2, 1, {(1, 0, 0): 1}) == {(0, 0, 0): 1}
+    assert orc.divided_difference(A2, 2, {(0, 0, 3): 1}) == {(0, 2, 0): -1, (0, 1, 1): -1, (0, 0, 2): -1}
+
+
+@pytest.mark.parametrize("datum", [A2, C2, A3, C3], ids=["A2", "C2", "A3", "C3"])
+def test_wrong_signed_root_trips_normalization_gate(wrong_signed_root, datum):
+    with pytest.raises(InvariantError, match="normalization"):
+        orc.check_normalization(datum)
+    e = identity_element(datum)
+    with pytest.raises(InvariantError, match="normalization"):
+        orc.bgg_structure_constants(datum, e, e)
 
 
 def test_word_independence_of_divided_difference_chains():
-    for datum in (A2, C2):
+    for datum in (A2, C2, A3, C3):
         f = dict(orc.top_class_polynomial(datum))
         for w in all_elements(datum):
             images = set()
@@ -134,6 +169,46 @@ def test_normalization_gate():
     orc.check_normalization(A3)
     orc.check_normalization(C2)
     orc.check_normalization(C3)
+
+
+def test_top_class_is_the_integer_product_of_positive_roots():
+    # A2: (x1 - x2)(x2 - x3)(x1 - x3); C2: (2 x1)(x2 - x1)(x2 + x1)(2 x2)
+    a2 = dict(orc.top_class_polynomial(A2))
+    assert a2[(2, 1, 0)] == 1 and a2[(0, 1, 2)] == -1 and len(a2) == 6
+    assert dict(orc.top_class_polynomial(C2)) == {(1, 3): 4, (3, 1): -4}
+    for datum in (A2, C2, A3, C3):
+        e = identity_element(datum)
+        assert dict(orc.schubert_representative(datum, e)) == {
+            (0,) * num_variables(datum): orc.group_order(datum)
+        }
+
+
+def table_digest(datum):
+    """sha256 of the canonical repr of the whole structure-constant table,
+    with the counts of its pairs, of the pairs beyond the top degree and of
+    the empty expansions."""
+    elems = all_elements(datum)
+    table = tuple(
+        (u.oneline, v.oneline, tuple((w.oneline, c) for w, c in orc.bgg_structure_constants(datum, u, v)))
+        for u in elems
+        for v in elems
+    )
+    beyond = sum(1 for u in elems for v in elems if length(u) + length(v) > datum.num_positive_roots)
+    empty = sum(1 for _, _, cs in table if not cs)
+    return hashlib.sha256(repr(table).encode()).hexdigest(), len(table), beyond, empty
+
+
+@pytest.mark.parametrize(
+    "datum, digest, pairs, beyond, empty",
+    [
+        (A3, "a1f3d00268f0ca99ef0d9119eaba3fbe1617050eb7fba72c4f2f441258d3a9a5", 576, 235, 363),
+        (C3, "668728af101879ca374f5c38eb71b42d4eca0b4a898ea8e75965370ad14cf4a8", 2304, 1004, 1457),
+    ],
+    ids=["A3", "C3"],
+)
+def test_full_tables_pinned(datum, digest, pairs, beyond, empty):
+    # captured from the earlier weight-coordinate Fraction implementation
+    assert table_digest(datum) == (digest, pairs, beyond, empty)
 
 
 def test_structure_constants_c2_example():
@@ -172,25 +247,25 @@ def test_structure_constants_poincare_duality():
                 assert cs == expected
 
 
+def expand(datum, coeffs, t):
+    """(sum of c_x [X^x]) . [X^t] in the Schubert basis."""
+    out = {}
+    for x, c in coeffs.items():
+        for w, c2 in orc.bgg_structure_constants(datum, x, t):
+            out[w] = out.get(w, 0) + c * c2
+    return {w: c for w, c in out.items() if c}
+
+
 def test_structure_constants_associative_a2():
     elems = all_elements(A2)
-    table = {
-        (u, v): dict(orc.bgg_structure_constants(A2, u, v)) for u in elems for v in elems
-    }
-
-    def expand(coeffs, t):
-        out = {}
-        for x, c in coeffs.items():
-            for w, c2 in table[(x, t)].items():
-                out[w] = out.get(w, 0) + c * c2
-        return {w: c for w, c in out.items() if c}
-
     for u in elems:
         for v in elems:
             for t in elems:
                 if length(u) + length(v) + length(t) > 3:
                     continue
-                assert expand(table[(u, v)], t) == expand(table[(v, t)], u)
+                uv = dict(orc.bgg_structure_constants(A2, u, v))
+                vt = dict(orc.bgg_structure_constants(A2, v, t))
+                assert expand(A2, uv, t) == expand(A2, vt, u)
 
 
 def test_kleiman_positivity():
@@ -198,3 +273,27 @@ def test_kleiman_positivity():
         for u in all_elements(datum):
             for v in all_elements(datum):
                 assert all(c >= 0 for _, c in orc.bgg_structure_constants(datum, u, v))
+
+
+C3_ELEMENTS = all_elements(C3)
+
+
+@seed(SEED)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(C3_ELEMENTS), st.sampled_from(C3_ELEMENTS))
+def test_c3_products_commute(u, v):
+    assert orc.bgg_structure_constants(C3, u, v) == orc.bgg_structure_constants(C3, v, u)
+
+
+@seed(SEED)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_c3_products_associate(data):
+    big_n = C3.num_positive_roots
+    u = data.draw(st.sampled_from(C3_ELEMENTS))
+    v = data.draw(st.sampled_from([x for x in C3_ELEMENTS if length(u) + length(x) <= big_n]))
+    room = big_n - length(u) - length(v)
+    t = data.draw(st.sampled_from([x for x in C3_ELEMENTS if length(x) <= room]))
+    uv = dict(orc.bgg_structure_constants(C3, u, v))
+    vt = dict(orc.bgg_structure_constants(C3, v, t))
+    assert expand(C3, uv, t) == expand(C3, vt, u)
