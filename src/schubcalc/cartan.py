@@ -310,14 +310,6 @@ def star_index(datum: RootDatum, i: int) -> int:
     raise InvariantError("w_0 does not permute the negated simple roots")
 
 
-def star_weight(datum: RootDatum, lam) -> tuple:
-    """-w_0(lam) in fundamental coordinates (coefficient i goes to slot i*)."""
-    out = [0] * datum.rank
-    for i in range(1, datum.rank + 1):
-        out[star_index(datum, i) - 1] = lam[i - 1]
-    return tuple(out)
-
-
 def standard_word(datum: RootDatum) -> tuple:
     """The block reduced word of w_0 used throughout: (1, 21, 321, ...) for A,
     (1, 212, 32123, ...) for C."""

@@ -9,14 +9,18 @@ longest element.  The raising/lowering operators use the sigma statistics
 with lowering localized at the smallest maximizing position and raising at the
 largest; positions beyond the word carry zeros.  A dominant weight cuts the
 infinite crystal down via the tensor cutoff: lowering returns null exactly
-when eps_i + <lam + wt, h_i> = 0.
+when eps_i + <lam + wt, h_i> = 0.  One backward sweep of the coordinates gives
+each operator the sigma maximum, its argmin and argmax and <wt, h_i>.
 
 These coordinates are the embedding coordinates of an element's
 canonical lift, NOT its string parametrization: the two differ already in rank
-two.  `string_coords` converts by greedily raising along the word inside the
-cut crystal and recording the counts; everything exported to the polytope side
-(B(lam), Demazure and opposite Demazure sets, Richardson intersections) is in
-string coordinates.
+two.  The string of b is (a_1, tail(e_{i_1}^{a_1} b)): the number of raises
+by the first letter, then the string of the raised element along the rest of
+the word.  `_string_table` memoises these tails per word position and state
+over the whole cut crystal, so each (position, state) pair is raised once;
+`string_coords` is the per-state route it is tested against.  Everything
+exported to the polytope side (B(lam), Demazure and opposite Demazure sets,
+Richardson intersections) is in string coordinates.
 """
 
 from __future__ import annotations
@@ -63,28 +67,29 @@ def sigma(datum: RootDatum, word, coords, k: int) -> int:
     return total
 
 
-def _sigma_profile(datum, word, coords, i):
-    """(max sigma over letter-i positions together with 0, argmin, argmax)."""
-    c = cartan_matrix(datum)
-    row = c[i - 1]
+def _sigma_profile(datum, word, lam, coords, i):
+    """(best, first, last, wt_i) from one backward sweep: best is the max of 0
+    and the letter-i sigmas, first/last the smallest/largest position attaining
+    it (None when none does), wt_i = <wt, h_i>.  The suffix sum left after
+    position 1 is <sum a_k alpha_{i_k}, h_i>, so wt_i is lam_i minus it."""
+    row = cartan_matrix(datum)[i - 1]
     best = 0
     first = last = None
-    n_pos = len(word)
     suffix = 0
-    sigmas = {}
-    for k in range(n_pos, 0, -1):
-        if word[k - 1] == i:
-            sigmas[k] = coords[k - 1] + suffix
-        suffix += row[word[k - 1] - 1] * coords[k - 1]
-    for k, s in sigmas.items():
-        if s > best:
-            best = s
-    for k in sorted(sigmas):
-        if sigmas[k] == best:
-            if first is None:
+    for k in range(len(word), 0, -1):
+        a = coords[k - 1]
+        letter = word[k - 1]
+        if letter == i:
+            s = a + suffix
+            if s > best:
+                best = s
+                first = last = k
+            elif s == best:
                 first = k
-            last = k
-    return best, first, last
+                if last is None:
+                    last = k
+        suffix += row[letter - 1] * a
+    return best, first, last, (0 if lam is INFINITY else lam[i - 1]) - suffix
 
 
 def weight_of(datum: RootDatum, word, lam, coords):
@@ -101,27 +106,20 @@ def weight_of(datum: RootDatum, word, lam, coords):
 
 
 def epsilon(datum: RootDatum, word, lam, coords, i: int) -> int:
-    best, _, _ = _sigma_profile(datum, word, coords, i)
-    if lam is INFINITY:
-        return best
-    wt = weight_of(datum, word, lam, coords)
-    return max(best, -wt[i - 1])
+    best, _, _, wt_i = _sigma_profile(datum, word, lam, coords, i)
+    return best if lam is INFINITY else max(best, -wt_i)
 
 
 def phi(datum: RootDatum, word, lam, coords, i: int) -> int:
-    wt = weight_of(datum, word, lam, coords)
-    if lam is INFINITY:
-        best, _, _ = _sigma_profile(datum, word, coords, i)
-        return best + wt[i - 1]
-    return epsilon(datum, word, lam, coords, i) + wt[i - 1]
+    best, _, _, wt_i = _sigma_profile(datum, word, lam, coords, i)
+    return (best if lam is INFINITY else max(best, -wt_i)) + wt_i
 
 
 def f_op(datum: RootDatum, word, lam, coords, i: int):
     """Lower by alpha_i; None at the cutoff, never None at infinity."""
-    best, first, _ = _sigma_profile(datum, word, coords, i)
+    best, first, _, wt_i = _sigma_profile(datum, word, lam, coords, i)
     if lam is not INFINITY:
-        wt = weight_of(datum, word, lam, coords)
-        naive_phi = best + wt[i - 1]
+        naive_phi = best + wt_i
         if naive_phi < 0:
             raise CorruptElementError("negative phi: element outside the cut crystal")
         if naive_phi == 0:
@@ -136,14 +134,12 @@ def f_op(datum: RootDatum, word, lam, coords, i: int):
 
 def e_op(datum: RootDatum, word, lam, coords, i: int):
     """Raise by alpha_i; None when no raise is possible."""
-    best, _, last = _sigma_profile(datum, word, coords, i)
+    best, _, last, wt_i = _sigma_profile(datum, word, lam, coords, i)
     if best == 0:
         return None
-    if lam is not INFINITY:
-        wt = weight_of(datum, word, lam, coords)
-        if best + wt[i - 1] < 0:
-            # the raise would act on the cutoff factor
-            return None
+    if lam is not INFINITY and best + wt_i < 0:
+        # the raise would act on the cutoff factor
+        return None
     out = list(coords)
     out[last - 1] -= 1
     return tuple(out)
@@ -183,39 +179,58 @@ def crystal_states(datum: RootDatum, word, lam) -> tuple:
     return tuple(sorted(seen))
 
 
+def _raise_string(datum, word, lam, state, i):
+    """(count, top): raise by letter i until null.  The count must be eps_i,
+    or the state is not in the generated crystal."""
+    expected = epsilon(datum, word, lam, state, i)
+    count = 0
+    while True:
+        nxt = e_op(datum, word, lam, state, i)
+        if nxt is None:
+            break
+        state = nxt
+        count += 1
+    if count != expected:
+        raise InvariantError("non-normal state: not in the generated crystal")
+    return count, state
+
+
 def string_coords(datum: RootDatum, word, lam, state) -> tuple:
-    """String parametrization of a cut-crystal element: raise greedily along
-    the word, recording how many raises each letter admits."""
+    """String parametrization of one cut-crystal element: raise along the
+    word, recording how many raises each letter admits.  The per-state
+    reference for the suffix table of `_string_table`."""
     out = []
-    cur = state
-    for k in range(len(word)):
-        i = word[k]
-        expected = epsilon(datum, word, lam, cur, i)
-        count = 0
-        while True:
-            nxt = e_op(datum, word, lam, cur, i)
-            if nxt is None:
-                break
-            cur = nxt
-            count += 1
-        if count != expected:
-            raise InvariantError("non-normal state: not in the generated crystal")
+    for i in word:
+        count, state = _raise_string(datum, word, lam, state, i)
         out.append(count)
-    if any(cur):
+    if any(state):
         raise InvariantError("string extraction did not reach the top")
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _string_table(datum: RootDatum, word, lam) -> dict:
-    """State -> string coords over the cut crystal."""
-    table = {
-        state: string_coords(datum, word, lam, state)
-        for state in crystal_states(datum, word, lam)
-    }
-    if len(set(table.values())) != len(table):
+    """State -> string coords over the cut crystal, by suffix table.
+
+    The string of b is (a_1, tail(e_{i_1}^{a_1} b)), where the tail is the
+    string of the raised element from position 2 on.  Each distinct state
+    reaching position p is raised there once, so the work is the sum of the
+    level sizes rather than N times the crystal; the levels are dropped once
+    the tails are assembled."""
+    levels = []
+    frontier = crystal_states(datum, word, lam)
+    for i in word:
+        step = {b: _raise_string(datum, word, lam, b, i) for b in frontier}
+        levels.append(step)
+        frontier = {top for _, top in step.values()}
+    if any(any(top) for top in frontier):
+        raise InvariantError("string extraction did not reach the top")
+    tails = dict.fromkeys(frontier, ())
+    for step in reversed(levels):
+        tails = {b: (count,) + tails[top] for b, (count, top) in step.items()}
+    if len(set(tails.values())) != len(tails):
         raise InvariantError("string parametrization not injective")
-    return table
+    return tails
 
 
 def generate_b_lambda(datum: RootDatum, word, lam, allow_experimental=False) -> frozenset:

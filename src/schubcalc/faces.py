@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
+from operator import mul
 
 from . import crystals, linalg, oracles, pipedreams, polytopes
 from .cartan import (
@@ -66,15 +68,25 @@ def _ambient_string_points(datum, word, lam, experimental):
 
 def _decompose(tights, rows, points):
     """Faces cut out of `points` by the rows (coefficients, right-hand side)
-    that each tight set indexes, 1-based; empty faces are reported apart."""
+    that each tight set indexes, 1-based; empty faces are reported apart.
+
+    Each row the tight sets use is evaluated once per point, into a mask with
+    bit k set when the point lies on row k; a face is then the points whose
+    mask holds all of its tight set's bits, in point order."""
+    used = [(1 << k, *rows[k - 1]) for k in sorted({k for tight in tights for k in tight})]
+    masks = []
+    for p in points:
+        m = 0
+        for bit, vec, rhs in used:
+            if sum(map(mul, vec, p)) == rhs:
+                m |= bit
+        masks.append(m)
     faces = []
     empty = []
     union = set()
     for tight in tights:
-        eqs = [rows[k - 1] for k in tight]
-        pts = tuple(
-            p for p in points if all(sum(v * x for v, x in zip(vec, p)) == rhs for vec, rhs in eqs)
-        )
+        want = sum(1 << k for k in set(tight))
+        pts = tuple(compress(points, [m & want == want for m in masks]))
         if pts:
             faces.append((tight, pts))
             union.update(pts)

@@ -293,23 +293,6 @@ def is_simple(p: Polytope) -> bool:
     )
 
 
-def facet_normal_set(p: Polytope) -> frozenset:
-    """Normalized normals of the facet-defining inequalities."""
-    out = set()
-    for idx in facet_defining(p):
-        c, _ = p.ineqs[idx]
-        g = gcd(*c)
-        out.add(tuple(x // g for x in c))
-    return frozenset(out)
-
-
-def support_value(p: Polytope, direction) -> Fraction:
-    verts = vertices(p)
-    if not verts:
-        raise ValueError("support value of empty polytope")
-    return max(sum(Fraction(d) * v[j] for j, d in enumerate(direction)) for v in verts)
-
-
 # ---------------------------------------------------------------------------
 # Ehrhart interpolation and volumes
 
@@ -325,13 +308,6 @@ def ehrhart_polynomial(p: Polytope) -> tuple:
     # the Vandermonde system sum_e a_e k^e = count(k), k = 0..d, has one solution
     rows = [[k ** e for e in range(d + 1)] + [c] for k, c in enumerate(counts)]
     return linalg.solve(rows, d + 1)
-
-
-def ehrhart_value(coeffs, k) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * k + c
-    return total
 
 
 def normalized_volume(p: Polytope) -> Fraction:
@@ -666,11 +642,3 @@ def deformed_polytope(datum: RootDatum, lam, profile: EpsilonProfile) -> Polytop
 
 def model_polytope(datum: RootDatum, lam) -> Polytope:
     return gt_polytope(datum, lam) if datum.family == "A" else sgt_polytope(datum, lam)
-
-
-def polytope_to_json(p: Polytope) -> dict:
-    return {
-        "ambient_dim": p.ambient_dim,
-        "inequalities": [[list(c), r] for c, r in p.ineqs],
-        "labels": {str(i): lab for i, lab in enumerate(p.labels)},
-    }

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from schubcalc import crystals as cr
 from schubcalc.cartan import (
+    InvariantError,
     RootDatum,
     all_elements,
     all_reduced_words,
@@ -11,14 +13,16 @@ from schubcalc.cartan import (
     longest_element,
     multiply,
     standard_word,
-    star_weight,
+    star_index,
     word_to_element,
 )
 from schubcalc.oracles import demazure_dimension, weyl_dimension
 
 A2 = RootDatum("A", 2)
 A3 = RootDatum("A", 3)
+A4 = RootDatum("A", 4)
 C2 = RootDatum("C", 2)
+C3 = RootDatum("C", 3)
 IA2 = standard_word(A2)
 IC2 = standard_word(C2)
 
@@ -113,12 +117,12 @@ def test_cardinality_duality():
     for datum, word in ((A2, IA2), (C2, IC2)):
         w0 = longest_element(datum)
         for lam in [(1, 1), (2, 1), (0, 2)]:
+            # -w_0(lam): coefficient i moves to slot i*
+            star = tuple(lam[star_index(datum, i) - 1] for i in range(1, datum.rank + 1))
             for w in all_elements(datum):
                 opp = len(cr.opposite_demazure_crystal(datum, word, w, lam))
                 assert opp == demazure_dimension(datum, multiply(w0, w), lam)
-                assert opp == demazure_dimension(
-                    datum, multiply(w, w0), star_weight(datum, lam)
-                )
+                assert opp == demazure_dimension(datum, multiply(w, w0), star)
 
 
 def test_richardson():
@@ -256,3 +260,55 @@ def test_demazure_word_independence_rank_three():
                 states = cr._f_closure(A3, word, lam, i, states)
             sets.add(states)
         assert len(sets) == 1
+
+
+def test_string_table_matches_per_state_route():
+    for datum, lam in ((C2, (2, 2)), (C3, (1, 1, 1)), (A4, (1, 1, 1, 1))):
+        word = standard_word(datum)
+        table = cr._string_table(datum, word, lam)
+        assert table == {
+            s: cr.string_coords(datum, word, lam, s)
+            for s in cr.crystal_states(datum, word, lam)
+        }
+
+
+def test_string_table_rejects_non_normal_state(monkeypatch):
+    original = cr.crystal_states
+
+    def planted(datum, word, lam):
+        return original(datum, word, lam) + ((5, 5, 5),)
+
+    cr._string_table.cache_clear()
+    monkeypatch.setattr(cr, "crystal_states", planted)
+    try:
+        with pytest.raises(InvariantError, match="^non-normal state"):
+            cr.generate_b_lambda(A2, IA2, (1, 0))
+    finally:
+        monkeypatch.undo()
+        cr._string_table.cache_clear()
+
+
+def test_sigma_profile_matches_definition():
+    # the crystal states, plus a box of tuples outside it where every letter-i
+    # sigma can be negative and no position attains the max
+    for datum, lam in ((A2, (2, 1)), (C2, (1, 1))):
+        word = standard_word(datum)
+        box = itertools.product(range(3), repeat=len(word))
+        for state in set(cr.crystal_states(datum, word, lam)).union(box):
+            for i in range(1, datum.rank + 1):
+                sigmas = {
+                    k: cr.sigma(datum, word, state, k)
+                    for k in range(1, len(word) + 1)
+                    if word[k - 1] == i
+                }
+                best = max([0, *sigmas.values()])
+                hits = [k for k, s in sigmas.items() if s == best]
+                first, last = (min(hits), max(hits)) if hits else (None, None)
+                for top in (lam, cr.INFINITY):
+                    wt = cr.weight_of(datum, word, top, state)
+                    assert cr._sigma_profile(datum, word, top, state, i) == (
+                        best,
+                        first,
+                        last,
+                        wt[i - 1],
+                    )

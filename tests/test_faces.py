@@ -373,3 +373,33 @@ def test_opposite_faces_hold_for_every_ambient_word():
     for word in all_reduced_words(longest_element(C2)):
         for w in all_elements(C2):
             fc.opposite_demazure_faces(C2, w, (1, 1), word=word)
+
+
+def _dot_product_decompose(tights, rows, points):
+    """The reference face cut: every tight row's dot product, per point."""
+    faces = []
+    empty = []
+    for tight in tights:
+        eqs = [rows[k - 1] for k in tight]
+        pts = tuple(
+            p for p in points if all(sum(v * x for v, x in zip(vec, p)) == rhs for vec, rhs in eqs)
+        )
+        if pts:
+            faces.append((tight, pts))
+        else:
+            empty.append(tight)
+    return fc.FaceDecomposition(
+        tights=tuple(t for t, _ in faces),
+        face_points=tuple(pts for _, pts in faces),
+        union=frozenset(p for _, pts in faces for p in pts),
+        empty=tuple(empty),
+    )
+
+
+def test_mask_face_cut_matches_dot_product_filter(monkeypatch):
+    lam = (2, 2)
+    sides = (fc.opposite_demazure_faces, fc.demazure_faces)
+    masked = {(side, w): side(C2, w, lam) for side in sides for w in all_elements(C2)}
+    monkeypatch.setattr(fc, "_decompose", _dot_product_decompose)
+    for (side, w), dec in masked.items():
+        assert side(C2, w, lam) == dec

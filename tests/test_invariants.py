@@ -22,19 +22,43 @@ except InvariantError as err:
     print("InvariantError:", err)
 """
 
+# the suffix table meets a state planted among the generated ones
+NON_NORMAL_TABLE_ENTRY = """
+from schubcalc import crystals
+from schubcalc.cartan import InvariantError, RootDatum, standard_word
 
-def test_invariant_survives_optimize_flag():
+generated = crystals.crystal_states
+crystals.crystal_states = lambda datum, word, lam: generated(datum, word, lam) + ((5, 5, 5),)
+A2 = RootDatum("A", 2)
+try:
+    print(sorted(crystals.generate_b_lambda(A2, standard_word(A2), (1, 0))))
+except InvariantError as err:
+    print("InvariantError:", err)
+"""
+
+
+def _run_optimized(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", NON_NORMAL_STATE],
+        [sys.executable, "-O", "-c", script],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("InvariantError: non-normal state"), proc.stdout
+    return proc.stdout
+
+
+def test_invariant_survives_optimize_flag():
+    out = _run_optimized(NON_NORMAL_STATE)
+    assert out.startswith("InvariantError: non-normal state"), out
+
+
+def test_table_invariant_survives_optimize_flag():
+    out = _run_optimized(NON_NORMAL_TABLE_ENTRY)
+    assert out.startswith("InvariantError: non-normal state"), out
 
 
 def test_library_has_no_assert_statements():

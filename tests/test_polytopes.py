@@ -197,7 +197,9 @@ def test_deformed_simplicity_and_normal_fan():
         deformed = pt.deformed_polytope(datum, lam, profile)
         assert pt.is_simple(deformed)
         undeformed = pt.deformed_polytope(datum, lam, pt.zero_profile(datum))
-        assert pt.facet_normal_set(deformed) == pt.facet_normal_set(undeformed)
+        # the same rows define facets, with the same normals: equal normal fans
+        assert pt.facet_defining(deformed) == pt.facet_defining(undeformed)
+        assert [c for c, _ in deformed.ineqs] == [c for c, _ in undeformed.ineqs]
 
 
 def test_undeformed_sgt_not_simple():
@@ -205,6 +207,11 @@ def test_undeformed_sgt_not_simple():
     # too many facets already at small regular weights
     found = any(not pt.is_simple(pt.sgt_polytope(C2, lam)) for lam in [(1, 1), (2, 1), (2, 2)])
     assert found
+
+
+def _support(p, direction):
+    """max <direction, v> over the vertices of p."""
+    return max(sum(d * x for d, x in zip(direction, v)) for v in pt.vertices(p))
 
 
 def test_minkowski_support_additivity():
@@ -220,9 +227,7 @@ def test_minkowski_support_additivity():
         total = pt.deformed_polytope(datum, tuple(a + b for a, b in zip(lam, mu)), profile)
         directions = {c for c, _ in big.ineqs}
         for xi in directions:
-            assert pt.support_value(big, xi) + pt.support_value(plain, xi) == pt.support_value(
-                total, xi
-            )
+            assert _support(big, xi) + _support(plain, xi) == _support(total, xi)
 
 
 def test_lattice_count_minkowski_consistency():
@@ -241,13 +246,14 @@ def test_ehrhart_and_volumes():
     coeffs = pt.ehrhart_polynomial(rho)
     d = len(coeffs) - 1
     held_out = len(pt.lattice_points(pt.dilate(rho, d + 1)))
-    assert pt.ehrhart_value(coeffs, d + 1) == held_out
+    assert sum(c * (d + 1) ** e for e, c in enumerate(coeffs)) == held_out
 
 
 def test_dilation_consistency():
     poly = pt.gt_polytope(A2, (1, 1))
     coeffs = pt.ehrhart_polynomial(poly)
-    assert pt.ehrhart_value(coeffs, 2) == len(pt.lattice_points(pt.dilate(poly, 2)))
+    held_out = len(pt.lattice_points(pt.dilate(poly, 2)))
+    assert sum(c * 2 ** e for e, c in enumerate(coeffs)) == held_out
 
 
 def test_volume_at_lower_dim_is_zero():
@@ -256,12 +262,11 @@ def test_volume_at_lower_dim_is_zero():
     assert pt.volume_at_dim(degenerate, pt.affine_rank(pt.lattice_points(degenerate))) > 0
 
 
-def test_face_json_roundtrip():
+def test_string_polytope_rows_and_labels():
     poly = pt.string_polytope(A2, (1, 1))
-    blob = pt.polytope_to_json(poly)
-    assert blob["ambient_dim"] == 3
-    assert len(blob["inequalities"]) == 6
-    assert blob["labels"]["0"] == "F1"
+    assert poly.ambient_dim == 3
+    assert len(poly.ineqs) == 6
+    assert poly.labels[0] == "F1"
 
 
 def test_face_intersection_and_transversality():
