@@ -38,12 +38,11 @@ def main():
             kind, family, rank, rep["status"], len(rep["cells"]), rep["elapsed_seconds"]))
         reports.append(rep)
     rep = verify.duality_suite("C", 2)
-    print("duality   C2: %s (%d cells, %d unresolved)" % (
-        rep["status"], len(rep["cells"]), rep["unresolved"]))
+    print("duality   C2: %s (%d cells)" % (rep["status"], len(rep["cells"])))
     reports.append(rep)
     rep = verify.products_suite("C", 2)
-    print("products  C2: %s (%d cells, %d certified, %d oracle-assisted)" % (
-        rep["status"], len(rep["cells"]), rep["certified"], rep["oracle_assisted"]))
+    print("products  C2: %s (%d cells, methods %s)" % (
+        rep["status"], len(rep["cells"]), json.dumps(rep["methods"], sort_keys=True)))
     reports.append(rep)
     rep = verify.axioms_suite("A", 4, 120, seed=args.seed)
     print("axioms    A4: %s" % rep["status"])

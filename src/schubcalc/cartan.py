@@ -334,10 +334,12 @@ def check_word_of_longest(datum: RootDatum, word):
         raise ValueError("word %r is not a reduced word of the longest element" % (word,))
 
 
-def compatible_subsets(datum: RootDatum, word, w: WeylElement) -> tuple:
+@lru_cache(maxsize=None)
+def compatible_subsets(datum: RootDatum, word: tuple, w: WeylElement) -> tuple:
     """All strictly increasing position tuples extracting a reduced word of w.
 
-    Positions are 1-based into `word`, which must be a reduced word of w_0.
+    Positions are 1-based into `word`, a tuple that must be a reduced word of
+    w_0.
     """
     check_word_of_longest(datum, word)
     target_len = length(w)

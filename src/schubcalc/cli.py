@@ -3,7 +3,8 @@
 Subcommands: crystal | faces | pipedreams | product | verify | volume.
 Output is JSON (optionally CSV for lattice-point tables) on stdout; --pretty
 adds ASCII diagrams.  Exit codes: 0 ok, 1 theorem violation or
-internal invariant violated, 2 bad input, 3 time budget exceeded.
+internal invariant violated (with one JSON line on stderr), 2 bad input,
+3 time budget exceeded.
 """
 
 from __future__ import annotations
@@ -246,13 +247,9 @@ def cmd_product(args) -> int:
         "faces": [
             {"f": list(r.f_tight), "fv": list(r.fv_tight)} for r in result.faces
         ],
-        "corollary_faces": [
-            {"f": list(r.f_tight), "fv": list(r.fv_tight)} for r in result.corollary_faces
-        ],
         "expansion": {",".join(map(str, reduced_word(u))): c for u, c in sorted(
             result.expansion.items(), key=lambda kv: (length(kv[0]), kv[0].oneline)
         )},
-        "certified": result.certified,
         "method": result.method,
     }
     _emit(payload, cfg.fmt)
@@ -378,14 +375,16 @@ def main(argv=None) -> int:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_BAD_INPUT
     except InvariantError as err:
-        print("internal invariant violated: %s" % err, file=sys.stderr)
-        return EXIT_VIOLATION
+        fault = {"error": "internal invariant violated", "type": type(err).__name__,
+                 "message": str(err)}
     except ValueError as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_BAD_INPUT
     except faces.TheoremViolationError as err:
-        print("theorem violation: %s" % err, file=sys.stderr)
-        return EXIT_VIOLATION
+        fault = {"error": "theorem violation", "payload": err.payload}
+    # one JSON line on stderr; stdout holds only what a command emitted
+    print(json.dumps(fault, sort_keys=True, default=str), file=sys.stderr)
+    return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

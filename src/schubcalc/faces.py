@@ -1,6 +1,6 @@
 """Face decompositions of (opposite) Demazure crystals and the Schubert
-calculus built on them: class representatives as face sums, degree pairings by
-vertex counting, and products with machine-checked identification.
+calculus built on them: Schubert classes as face sums, and products and
+degree pairings read off those sums in the ring of a deformed polytope.
 
 The two decomposition results being exercised:
 
@@ -13,25 +13,33 @@ The two decomposition results being exercised:
   box-removal set of w.
 
 Both are checked against the crystal route on every call and raise
-TheoremViolationError on any discrepancy.  Class arithmetic happens on a
-deformed model polytope certified as a tower of intervals, where every face
-is identified by its set of tight rows.
+TheoremViolationError on any discrepancy.
+
+The claim the class arithmetic exercises: the (dual) Kogan face sums
+represent the Schubert classes in the polytope ring (Kiritchenko-Smirnov-
+Timorin for Gelfand-Zetlin polytopes, the paper's result for the symplectic
+ones).  The arithmetic runs on a deformed model polytope certified as a tower
+of intervals, where every face is its set of tight rows and the cohomology
+ring of the toric variety is Z[x_row] modulo the products of the two rows of
+a step and one linear relation per coordinate.  A pairing or a product
+coefficient is one degree in that ring (`DeformedContext.degree`), and every
+product is checked against the divided-difference oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from operator import mul
 
-from . import crystals, linalg, oracles, pipedreams, polytopes
+from . import crystals, oracles, pipedreams, polytopes
 from .cartan import (
     RootDatum,
     WeylElement,
     all_elements,
-    bruhat_leq,
     compatible_subsets,
     length,
     longest_element,
@@ -45,11 +53,6 @@ class TheoremViolationError(AssertionError):
     def __init__(self, payload):
         self.payload = payload
         super().__init__(str(payload))
-
-
-class PairingUnresolvedError(ValueError):
-    """A face pair needed by a pairing is non-transversal with nonempty
-    intersection; no number is reported in that case."""
 
 
 @dataclass(frozen=True)
@@ -231,9 +234,17 @@ class DeformedContext:
     tower of intervals (`polytopes.interval_tower`): two rows per sweep step,
     combinatorially an N-cube.  A face is its set of tight rows (`rows`): it
     is nonempty exactly when no two of them share a step, and then its
-    codimension is their number.  `meet` is the one transversality rule.  No
-    elimination runs here; the constructor raises when the certificate
-    fails."""
+    codimension is their number.  `meet` is the one transversality rule.
+
+    The certificate makes the polytope smooth, so its toric variety has the
+    cohomology ring Z[x_row] modulo x_up * x_lo = 0 for the two rows of each
+    step and one linear relation per coordinate (Jurkiewicz-Danilov).  The
+    relation of the coordinate of step t, solved for a row i of that step,
+    reads x_i = -a_i[var] * sum_j a_j[var] x_j over the rows j of later steps
+    whose support holds var; the other row of step t is left out, since its
+    product with x_i is 0.  `relation` maps each row to those (j, coefficient)
+    pairs; `degree` evaluates top-degree monomials with them.  No elimination
+    runs here; the constructor raises when the certificate fails."""
 
     def __init__(self, datum: RootDatum, lam=None, profile=None):
         self.datum = datum
@@ -247,12 +258,27 @@ class DeformedContext:
         if tower is None:
             raise ValueError("deformed polytope is not simple; enlarge lambda")
         self.step, self.verts = tower
+        coeffs = [vec for vec, _ in self.polytope.ineqs]
+        relation = []
+        for i, a in enumerate(coeffs):
+            var = self.polytope.sweep_order[self.step[i]]
+            relation.append(tuple(
+                (j, -a[var] * b[var])
+                for j, b in enumerate(coeffs)
+                if self.step[j] > self.step[i] and b[var]
+            ))
+        self.relation = tuple(relation)
 
     def rows(self, *refs):
         """Tight rows of the faces' intersection, sorted; EMPTY when two of
         them share a step.  A nonempty face has codimension len(rows)."""
         rows = sorted({k for ref in refs for k in _facet_indices(ref, self.big_n)})
         return tuple(rows) if len({self.step[k] for k in rows}) == len(rows) else EMPTY
+
+    def monomial(self, *refs):
+        """The product of the faces' classes as its sorted row multiset: a row
+        shared by two faces appears twice."""
+        return tuple(sorted(k for ref in refs for k in _facet_indices(ref, self.big_n)))
 
     def meet(self, a: FaceRef, b: FaceRef):
         """Rows of a and b intersected: EMPTY when they complete a step, None
@@ -268,40 +294,34 @@ class DeformedContext:
             tuple(sorted(set(a.fv_tight) | set(b.fv_tight))),
         )
 
+    def degree(self, rows, memo):
+        """Degree of the monomial of `rows`, a sorted multiset of N rows: 0
+        when two distinct rows share a step; 1 when the N rows lie on N steps
+        (they meet in one vertex of a unimodular cone); otherwise one copy of
+        a repeated row is rewritten by its relation.  Every row of a relation
+        lies at a later step than the row it replaces, so the rewriting ends.
+        `memo` is the caller's, one per product or pairing."""
+        got = memo.get(rows)
+        if got is None:
+            distinct = set(rows)
+            if len({self.step[k] for k in distinct}) < len(distinct):
+                got = 0
+            elif len(distinct) == len(rows):
+                got = 1
+            else:
+                at = next(i for i in range(1, len(rows)) if rows[i] == rows[i - 1])
+                rest = rows[:at] + rows[at + 1 :]
+                got = sum(
+                    c * self.degree(tuple(sorted(rest + (j,))), memo)
+                    for j, c in self.relation[rows[at]]
+                )
+            memo[rows] = got
+        return got
+
 
 @lru_cache(maxsize=None)
 def default_context(datum: RootDatum) -> DeformedContext:
     return DeformedContext(datum)
-
-
-def degree_pairing(datum: RootDatum, u: WeylElement, v: WeylElement, ctx=None) -> int:
-    """Intersection number of the opposite classes of u and v in complementary
-    codimensions, evaluated by vertex counting on the deformed polytope."""
-    if length(u) + length(v) != datum.num_positive_roots:
-        raise ValueError("lengths must be complementary")
-    ctx = ctx or default_context(datum)
-    total = _sum_pairing(ctx, class_face_refs(datum, u, "F"), class_face_refs(datum, v, "Fv"))
-    if total is None:
-        raise PairingUnresolvedError("non-transversal face pair in pairing(%r, %r)" % (u, v))
-    return total
-
-
-@dataclass
-class ProductResult:
-    v: WeylElement
-    w: WeylElement
-    faces: tuple            # primary face sum (FaceRef multiset)
-    corollary_faces: tuple  # mixed-family face sum from the product corollary
-    expansion: dict         # WeylElement -> coefficient
-    method: str
-    dropped_empty: tuple
-    nontransversal: tuple
-    verified_pairings: dict = None  # test element -> machine-derived coefficient
-
-    @property
-    def certified(self) -> bool:
-        """The geometry identified the expansion without the oracle."""
-        return self.method != "oracle-assisted"
 
 
 def class_face_refs(datum: RootDatum, u: WeylElement, family: str):
@@ -313,9 +333,40 @@ def class_face_refs(datum: RootDatum, u: WeylElement, family: str):
     return schubert_class(datum, multiply(longest_element(datum), u), "kogan").terms
 
 
+def _pairing(ctx, product, refs, memo):
+    """Degree of a face sum, given as a Counter of row multisets, times the
+    face sum `refs` of the complementary codimension."""
+    duals = [ctx.monomial(ref) for ref in refs]
+    return sum(
+        n * ctx.degree(tuple(sorted(m + d)), memo) for m, n in product.items() for d in duals
+    )
+
+
+def degree_pairing(datum: RootDatum, u: WeylElement, v: WeylElement, ctx=None) -> int:
+    """Intersection number of the opposite classes of u and v in complementary
+    codimensions: the degree of F_u * Fv_v in the ring of the deformed
+    polytope."""
+    if length(u) + length(v) != datum.num_positive_roots:
+        raise ValueError("lengths must be complementary")
+    ctx = ctx or default_context(datum)
+    product = Counter(map(ctx.monomial, class_face_refs(datum, u, "F")))
+    return _pairing(ctx, product, class_face_refs(datum, v, "Fv"), {})
+
+
+@dataclass
+class ProductResult:
+    v: WeylElement
+    w: WeylElement
+    faces: tuple            # transversal meets of the (F, F) face sums
+    expansion: dict         # WeylElement -> coefficient
+    method: str
+    dropped_empty: tuple    # (F, F) face pairs that do not meet
+    nontransversal: tuple   # (F, F) face pairs that share a row
+
+
 def _combine(ctx, left, right):
-    """Pairwise intersections of two face lists; a pair lands in `bad` when it
-    is nonempty without adding codimensions."""
+    """Pairwise intersections of two face lists, with the pairs that meet in
+    no point and the pairs that share a row reported apart."""
     terms = []
     dropped = []
     bad = []
@@ -331,171 +382,39 @@ def _combine(ctx, left, right):
     return terms, dropped, bad
 
 
-_PRODUCT_FAMILIES = (("F", "F"), ("F", "Fv"), ("Fv", "F"), ("Fv", "Fv"))
-
-
-def _product_representations(ctx, datum, v, w):
-    """All transversal face-sum representations of the product, keyed by the
-    family pair; family pairs with a non-transversal nonempty pair are
-    reported, not used."""
-    reps = {}
-    failures = {}
-    for fam in _PRODUCT_FAMILIES:
-        left = class_face_refs(datum, v, fam[0])
-        right = class_face_refs(datum, w, fam[1])
-        terms, dropped, bad = _combine(ctx, left, right)
-        if bad:
-            failures[fam] = (terms, dropped, bad)
-        else:
-            reps[fam] = (terms, dropped)
-    return reps, failures
-
-
-def _candidates(datum, v, w, degree):
-    return [
-        u
-        for u in all_elements(datum)
-        if length(u) == degree and bruhat_leq(v, u) and bruhat_leq(w, u)
-    ]
-
-
-def _solve_cover(ctx, datum, terms, candidates):
-    """Solve (product multiset) = sum_u c_u (class multiset of u) over the
-    nonempty faces, keyed by their rows; None unless a unique nonnegative
-    integer solution exists."""
-    def multiset(refs):
-        out = {}
-        for ref in refs:
-            key = ctx.rows(ref)
-            if key is not EMPTY:
-                out[key] = out.get(key, 0) + 1
-        return out
-
-    target = multiset(terms)
-    cand_sets = [multiset(schubert_class(datum, u, "dual-kogan").terms) for u in candidates]
-    # a candidate face outside the product forces a zero coefficient, and
-    # such a cover is not accepted
-    if any(key not in target for cs in cand_sets for key in cs):
-        return None
-    rows = [[cs.get(key, 0) for cs in cand_sets] + [target[key]] for key in sorted(target)]
-    sol = linalg.solve(rows, len(cand_sets))
-    if sol is None or any(c.denominator != 1 or c < 0 for c in sol):
-        return None
-    return {u: int(c) for u, c in zip(candidates, sol) if c}
-
-
-def _pair_value(ctx, h, refs):
-    """Vertex-count pairing of one face against a class face sum: each meet
-    in a vertex (N rows) counts 1; None when a pair meets non-transversally
-    or in more than a vertex."""
-    total = 0
-    for g in refs:
-        rows = ctx.meet(h, g)
-        if rows is None or (rows is not EMPTY and len(rows) != ctx.big_n):
-            return None
-        total += rows is not EMPTY
-    return total
-
-
-def _sum_pairing(ctx, terms, refs):
-    """Pairing of a face multiset against a class face sum; None when any pair
-    fails to resolve."""
-    total = 0
-    for h in terms:
-        val = _pair_value(ctx, h, refs)
-        if val is None:
-            return None
-        total += val
-    return total
-
-
-def _pairing_extraction(ctx, datum, reps, degree):
-    """Coefficients extracted from duality pairings alone: pairing the
-    product with the dual of a test class t isolates the coefficient of t
-    (Poincare duality, itself exercised by the duality suite).  Only pairings
-    against representatives of honest classes are valid linear functionals
-    here (arbitrary single-facet test cycles are not: the face-sum identities
-    hold only after projecting to the polytope-ring module).
-
-    Returns (expansion or None, resolved) where resolved maps each test
-    element whose pairing resolved to its machine-derived coefficient; the
-    expansion exists once every test element resolved.
-    """
-    unknowns = [t for t in all_elements(datum) if length(t) == degree]
-    w0 = longest_element(datum)
-    resolved = {}
-    for t in unknowns:
-        dual = multiply(w0, t)
-        dual_reps = [class_face_refs(datum, dual, "Fv"), class_face_refs(datum, dual, "F")]
-        values = (_sum_pairing(ctx, terms, refs) for terms, _ in reps.values() for refs in dual_reps)
-        value = next((v for v in values if v is not None), None)
-        if value is not None:
-            resolved[t] = value
-    if len(resolved) < len(unknowns):
-        return None, resolved
-    return {t: c for t, c in resolved.items() if c}, resolved
-
-
 def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> ProductResult:
-    """Product of the opposite Schubert classes of v and w as face sums, with
-    an identified Schubert expansion when the machinery can certify one.
+    """Product of the opposite Schubert classes of v and w, read off their
+    dual Kogan face sums.  The claim exercised: the class face sums represent
+    the Schubert classes in the ring of the polytope (Kiritchenko-Smirnov-
+    Timorin in type A, the paper's symplectic result in type C), so the
+    coefficient of t is the degree of F_v * F_w * Fv_{w0 t} in the ring of the
+    deformed polytope, where Fv_{w0 t} is the Kogan face sum of the Schubert
+    variety of t.  The (F, F) face sum, with its empty and
+    non-transversal pairs, is the printed certificate; a pair that shares a
+    row enters the degree with the row repeated.
 
-    The identified expansion is always checked against the divided-difference
-    oracle; disagreement is a hard error.
+    The expansion is checked against the divided-difference oracle;
+    disagreement is a hard error.
     """
     if datum.family != "C":
         raise ValueError("the product pipeline is certified for type C only")
     ctx = ctx or default_context(datum)
     degree = length(v) + length(w)
-    oracle = dict(oracles.bgg_structure_constants(datum, v, w))
     if degree > datum.num_positive_roots:
-        return ProductResult(v, w, (), (), {}, "zero", (), ())
-    reps, failures = _product_representations(ctx, datum, v, w)
-    candidates = _candidates(datum, v, w, degree)
-
-    dropped = tuple(
-        (fam, fa, fb) for fam, (_, drp) in sorted(reps.items()) for fa, fb in drp
+        return ProductResult(v, w, (), {}, "zero", (), ())
+    terms, dropped, bad = _combine(
+        ctx, class_face_refs(datum, v, "F"), class_face_refs(datum, w, "F")
     )
-    bad = tuple(
-        (fam, fa, fb) for fam, (_, _, b) in sorted(failures.items()) for fa, fb in b
-    )
-    corollary = tuple(reps[("F", "Fv")][0]) if ("F", "Fv") in reps else tuple(
-        failures[("F", "Fv")][0]
-    )
-
-    expansion = None
-    method = "oracle-assisted"
-    verified = {}
-    if ("F", "F") in reps:
-        primary = tuple(reps[("F", "F")][0])
-        expansion = _solve_cover(ctx, datum, list(primary), candidates)
-        if expansion is not None:
-            method = "multiset-cover"
-    elif reps:
-        primary = tuple(next(iter(sorted(reps.items())))[1][0])
-    else:
-        primary = corollary
-    if expansion is None and reps:
-        expansion, verified = _pairing_extraction(ctx, datum, reps, degree)
-        if expansion is not None:
-            method = "degree-pairing"
-    if expansion is None:
-        # geometry pinned only part of the expansion: adopt the
-        # divided-difference constants and keep the resolved pairings as the
-        # partial certificate
-        expansion = dict(oracle)
-    for t, value in verified.items():
-        if oracle.get(t, 0) != value:
-            raise TheoremViolationError(
-                {
-                    "theorem": "product-pairing",
-                    "v": list(reduced_word(v)),
-                    "w": list(reduced_word(w)),
-                    "t": list(reduced_word(t)),
-                    "pairing": value,
-                    "oracle": oracle.get(t, 0),
-                }
-            )
+    product = Counter(map(ctx.monomial, terms))
+    product.update(ctx.monomial(fa, fb) for fa, fb in bad)
+    memo = {}
+    expansion = {}
+    for t in all_elements(datum):
+        if length(t) == degree:
+            c = _pairing(ctx, product, schubert_class(datum, t, "kogan").terms, memo)
+            if c:
+                expansion[t] = c
+    oracle = dict(oracles.bgg_structure_constants(datum, v, w))
     if expansion != oracle:
         raise TheoremViolationError(
             {
@@ -509,11 +428,9 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
     return ProductResult(
         v=v,
         w=w,
-        faces=primary,
-        corollary_faces=corollary,
+        faces=tuple(terms),
         expansion=expansion,
-        method=method,
-        dropped_empty=dropped,
-        nontransversal=bad,
-        verified_pairings=verified,
+        method="degree-pairing",
+        dropped_empty=tuple(dropped),
+        nontransversal=tuple(bad),
     )

@@ -1,10 +1,9 @@
 """Batch verification suites over (type, rank, lambda, w) matrices.
 
 Each runner returns a JSON-ready report: one cell per matrix entry with a
-pass/violation status (or "unresolved", for a pairing the geometry could not
-decide), plus a top-level status that is "violation" exactly when some cell
-is a violation, else "pass" ("partial" when a time budget ran out, with the
-remaining cells unlisted).  Unresolved cells are counted, not scored.
+pass/violation status, plus a top-level status that is "violation" exactly
+when some cell is a violation, else "pass" ("partial" when a time budget ran
+out, with the remaining cells unlisted).
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
@@ -133,20 +133,15 @@ def duality_suite(family: str, rank: int, budget=None):
             "mismatches": [],
         }
         expected = 1 if v == multiply(w0, u) else 0
-        try:
-            got = faces.degree_pairing(datum, u, v, ctx)
-            cell["pairing"] = got
-            if got != expected:
-                cell["status"] = "violation"
-                cell["mismatches"].append({"expected": expected, "got": got})
-        except faces.PairingUnresolvedError as err:
-            cell["status"] = "unresolved"
-            cell["mismatches"].append({"unresolved": str(err)})
+        got = faces.degree_pairing(datum, u, v, ctx)
+        cell["pairing"] = got
+        if got != expected:
+            cell["status"] = "violation"
+            cell["mismatches"].append({"expected": expected, "got": got})
         cells.append(cell)
         partial = budget is not None and time.perf_counter() - start > budget
         if partial:
             break
-    report["unresolved"] = sum(1 for c in cells if c["status"] == "unresolved")
     return _finish(report, cells, start, partial)
 
 
@@ -172,7 +167,6 @@ def products_suite(family: str, rank: int, budget=None):
             try:
                 result = faces.product_c(datum, v, w, ctx)
                 cell["method"] = result.method
-                cell["certified"] = result.certified
             except faces.TheoremViolationError as err:
                 cell["status"] = "violation"
                 cell["mismatches"].append(err.payload)
@@ -183,10 +177,9 @@ def products_suite(family: str, rank: int, budget=None):
 
 
 def _product_counts(report, cells):
-    """Products whose expansion the geometry certified, and those copied from
-    the divided-difference oracle; both still score as "pass"."""
-    report["certified"] = sum(1 for c in cells if c.get("certified"))
-    report["oracle_assisted"] = sum(1 for c in cells if c.get("method") == "oracle-assisted")
+    """The histogram of identification methods over the products that
+    finished; a violation has no method."""
+    report["methods"] = dict(sorted(Counter(c["method"] for c in cells if "method" in c).items()))
     return report
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from schubcalc import cli, crystals
+from schubcalc import cli, crystals, faces
 from schubcalc.cartan import InvariantError
 
 
@@ -74,7 +74,8 @@ def test_product_command():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["expansion"] == {"1,2": 1, "2,1": 1}
-    assert payload["certified"] is True
+    assert payload["method"] == "degree-pairing"
+    assert "certified" not in payload and "corollary_faces" not in payload
     assert sorted(tuple(f["f"]) for f in payload["faces"]) == [
         (1, 2),
         (1, 4),
@@ -202,7 +203,9 @@ def test_internal_invariant_exits_one(monkeypatch, capsys, error):
     code = cli.main(["crystal", "--type", "A", "--rank", "2", "--lambda", "1,1"])
     err = capsys.readouterr().err
     assert code == cli.EXIT_VIOLATION
-    assert "internal invariant violated: planted fault" in err
+    assert json.loads(err) == {
+        "error": "internal invariant violated", "type": error.__name__, "message": "planted fault"
+    }
     assert "Traceback" not in err
 
 
@@ -210,5 +213,42 @@ def test_oracle_convention_slip_exits_one(wrong_signed_root, capsys):
     code = cli.main(["product", "--type", "C", "--rank", "2", "--v", "1", "--w", "2"])
     err = capsys.readouterr().err
     assert code == cli.EXIT_VIOLATION
-    assert "internal invariant violated: top-class normalization failed" in err
+    assert json.loads(err) == {
+        "error": "internal invariant violated",
+        "type": "InvariantError",
+        "message": "top-class normalization failed; convention error",
+    }
     assert "Traceback" not in err
+
+
+def test_invariant_fault_is_one_json_line(monkeypatch, capsys):
+    def broken(args):
+        print("partial output")
+        raise InvariantError("planted fault")
+
+    monkeypatch.setattr(cli, "cmd_volume", broken)
+    code = cli.main(["volume", "--type", "A", "--rank", "2"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_VIOLATION
+    assert out == "partial output\n"
+    assert err.count("\n") == 1
+    assert err == json.dumps(
+        {"error": "internal invariant violated", "message": "planted fault", "type": "InvariantError"},
+        sort_keys=True,
+    ) + "\n"
+
+
+def test_theorem_violation_payload_is_one_json_line(monkeypatch, capsys):
+    payload = {"theorem": "product", "v": [1], "w": [2], "expansion": {"s1": 2}, "oracle": {}}
+
+    def broken(args):
+        raise faces.TheoremViolationError(payload)
+
+    monkeypatch.setattr(cli, "cmd_product", broken)
+    code = cli.main(["product", "--type", "C", "--rank", "2", "--v", "1", "--w", "2"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_VIOLATION
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "theorem violation", "payload": payload}
+    assert err == json.dumps(json.loads(err), sort_keys=True) + "\n"

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -179,6 +181,53 @@ def test_tight_set_rule_matches_vertex_oracle(datum):
             assert len(got) == len(rows) == big_n - pt.affine_rank(tight), bits
 
 
+@pytest.mark.parametrize("datum", [A2, C2, A3], ids=["A2", "C2", "A3"])
+def test_square_free_degree_matches_vertex_count(datum):
+    # the degree of every N-subset of the 2N rows against the number of DFS
+    # vertices tight on all of them
+    ctx = fc.default_context(datum)
+    big_n = datum.num_positive_roots
+    masks = pt.incidence(ctx.polytope)
+    n_verts = len(pt.vertices(ctx.polytope))
+    for rows in itertools.combinations(range(2 * big_n), big_n):
+        tight = sum(1 for i in range(n_verts) if all(masks[k] >> i & 1 for k in rows))
+        assert ctx.degree(rows, {}) == tight, rows
+
+
+def _c2_product_table(ctx):
+    for v in all_elements(C2):
+        for w in all_elements(C2):
+            fc.product_c(C2, v, w, ctx)
+
+
+# The rows of the default C2 context whose relations the C2 product table
+# reaches with a nonzero weight; the relation of row 2 enters it only in
+# terms that vanish, and those of rows 6 and 7 not at all.
+@pytest.mark.parametrize("row", [1, 3, 5])
+def test_relation_sign_flip_is_caught(row):
+    ctx = fc.DeformedContext(C2)
+    (j, c), = ctx.relation[row]
+    ctx.relation = ctx.relation[:row] + (((j, -c),),) + ctx.relation[row + 1 :]
+    with pytest.raises(fc.TheoremViolationError):
+        _c2_product_table(ctx)
+
+
+def test_dropping_the_empty_step_rule_is_caught():
+    # one step per row: the two rows of a step no longer multiply to 0
+    ctx = fc.DeformedContext(C2)
+    _c2_product_table(ctx)
+    ctx.step = tuple(range(2 * C2.num_positive_roots))
+    with pytest.raises(fc.TheoremViolationError):
+        _c2_product_table(ctx)
+    w0 = longest_element(C2)
+    assert any(
+        fc.degree_pairing(C2, u, v, ctx) != (v == multiply(w0, u))
+        for u in all_elements(C2)
+        for v in all_elements(C2)
+        if length(u) + length(v) == C2.num_positive_roots
+    )
+
+
 @pytest.mark.parametrize(
     "lam, profile",
     [
@@ -229,31 +278,28 @@ def test_product_pipeline_runs_no_elimination(monkeypatch):
     s1 = word_to_element(C3, (1,))
     s2 = word_to_element(C3, (2,))
     result = fc.product_c(C3, s1, s2, ctx)
-    assert result.method == "multiset-cover"
+    assert result.method == "degree-pairing"
     assert result.expansion == dict(bgg_structure_constants(C3, s1, s2))
     w0 = longest_element(C3)
     assert fc.degree_pairing(C3, s1, multiply(w0, s1), ctx) == 1
 
 
 def test_degree_pairing_duality():
-    ctx = fc.default_context(C2)
-    w0 = longest_element(C2)
-    e = identity_element(C2)
-    assert fc.degree_pairing(C2, e, w0, ctx) == 1
-    unresolved = 0
-    for u in all_elements(C2):
-        for v in all_elements(C2):
-            if length(u) + length(v) != 4:
-                continue
-            try:
-                got = fc.degree_pairing(C2, u, v, ctx)
-            except fc.PairingUnresolvedError:
-                unresolved += 1
-                continue
-            assert got == (1 if v == multiply(w0, u) else 0)
-    # exact duals always resolve
-    for u in all_elements(C2):
-        assert fc.degree_pairing(C2, u, multiply(w0, u), ctx) == 1
+    # every complementary pair of A2, C2, A3 and C3 gets a number: 1 exactly
+    # on Poincare-dual pairs
+    for datum, cells in ((A2, 10), (C2, 14), (A3, 106), (C3, 296)):
+        ctx = fc.default_context(datum)
+        w0 = longest_element(datum)
+        big_n = datum.num_positive_roots
+        e = identity_element(datum)
+        assert fc.degree_pairing(datum, e, w0, ctx) == 1
+        seen = 0
+        for u in all_elements(datum):
+            for v in all_elements(datum):
+                if length(u) + length(v) == big_n:
+                    assert fc.degree_pairing(datum, u, v, ctx) == (v == multiply(w0, u)), (u, v)
+                    seen += 1
+        assert seen == cells
 
 
 def test_degree_pairing_validates_lengths():
@@ -266,7 +312,7 @@ def test_product_example():
     s2 = word_to_element(C2, (2,))
     res = fc.product_c(C2, s1, s2)
     assert sorted(r.f_tight for r in res.faces) == [(1, 2), (1, 4), (2, 3), (3, 4)]
-    assert res.method == "multiset-cover" and res.certified
+    assert res.method == "degree-pairing"
     assert {tuple(reduced_word(u)): c for u, c in res.expansion.items()} == {
         (1, 2): 1,
         (2, 1): 1,
@@ -290,9 +336,8 @@ def test_product_table_against_oracle():
             assert all(c >= 0 for c in res.expansion.values())
             expected = dict(bgg_structure_constants(C2, v, w))
             assert res.expansion == expected
-    # most of the table is identified independently of the oracle
-    assert methods.get("multiset-cover", 0) + methods.get("degree-pairing", 0) >= 29
-    assert methods.get("unidentified", 0) == 0
+    # every product of degree <= N is read off the geometry
+    assert methods == {"degree-pairing": 39, "zero": 25}
 
 
 @seed(20261018)

@@ -15,37 +15,29 @@ def test_theorem_suites_rank_two():
 def test_duality_suite():
     report = verify.duality_suite("C", 2)
     assert report["status"] == "pass"
-    resolved = [c for c in report["cells"] if c["status"] == "pass"]
-    assert resolved, "nothing resolved"
-    for cell in resolved:
+    assert len(report["cells"]) == 14
+    for cell in report["cells"]:
+        assert cell["status"] == "pass"
         assert cell["pairing"] in (0, 1)
 
 
-@pytest.mark.parametrize("family, cells", [("A", 106), ("C", 296)], ids=["A3", "C3"])
-def test_duality_suite_rank_three(family, cells):
+@pytest.mark.parametrize(
+    "family, cells, order", [("A", 106, 24), ("C", 296, 48)], ids=["A3", "C3"]
+)
+def test_duality_suite_rank_three(family, cells, order):
     report = verify.duality_suite(family, 3)
     assert report["status"] == "pass"
-    assert report["unresolved"] == 0
     assert len(report["cells"]) == cells
+    # every cell is numbered and scored; each element pairs to 1 with its dual only
+    assert all(c["status"] == "pass" and c["pairing"] in (0, 1) for c in report["cells"])
+    assert sum(c["pairing"] for c in report["cells"]) == order
 
 
-def test_partial_duality_report_counts_unresolved():
+def test_partial_duality_report_numbers_its_cells():
     report = verify.duality_suite("C", 2, budget=0.0)
     assert report["status"] == "partial"
-    assert report["unresolved"] == 0
     assert len(report["cells"]) == 1
-
-
-def test_unresolved_pairings_are_counted_not_scored(monkeypatch):
-    def unresolved(datum, u, v, ctx):
-        raise faces.PairingUnresolvedError("planted")
-
-    monkeypatch.setattr(faces, "degree_pairing", unresolved)
-    report = verify.duality_suite("C", 2)
-    assert report["status"] == "pass"
-    assert report["cells"]
-    assert all(c["status"] == "unresolved" for c in report["cells"])
-    assert report["unresolved"] == len(report["cells"])
+    assert report["cells"][0]["pairing"] in (0, 1)
 
 
 def test_partial_report_is_sorted(monkeypatch):
@@ -62,11 +54,11 @@ def test_products_suite():
     report = verify.products_suite("C", 2)
     assert report["status"] == "pass"
     assert len(report["cells"]) == 64
-    # 10 expansions are copied from the oracle
-    assert report["certified"] == 54
-    assert report["oracle_assisted"] == 10
+    # every product of degree <= N = 4 is read off the degree pairing
+    assert report["methods"] == {"degree-pairing": 39, "zero": 25}
     for cell in report["cells"]:
-        assert cell["certified"] == (cell["method"] != "oracle-assisted")
+        degree = len(cell["v"]) + len(cell["w"])
+        assert cell["method"] == ("zero" if degree > 4 else "degree-pairing")
 
 
 def test_axioms_suite_deterministic():
