@@ -237,6 +237,7 @@ def longest_element(datum: RootDatum) -> WeylElement:
     return WeylElement(datum, tuple(-j for j in range(1, datum.rank + 1)))
 
 
+@lru_cache(maxsize=None)
 def reduced_word(w: WeylElement) -> tuple:
     """One reduced word, deterministic (smallest left descent first)."""
     word = []
@@ -366,6 +367,7 @@ def compatible_subsets(datum: RootDatum, word: tuple, w: WeylElement) -> tuple:
     return tuple(sorted(results))
 
 
+@lru_cache(maxsize=None)
 def all_elements(datum: RootDatum) -> tuple:
     """Every Weyl group element, sorted by (length, one-line form)."""
     seen = {identity_element(datum)}

@@ -13,7 +13,13 @@ The two decomposition results being exercised:
   box-removal set of w.
 
 Both are checked against the crystal route on every call and raise
-TheoremViolationError on any discrepancy.
+TheoremViolationError on any discrepancy.  The faces are cut by set
+arithmetic: one table per (datum, word, lambda), cached, holds the ambient
+string points and one bitmask per row over them (bit i set when point i lies
+on the row), so a face is the AND of its rows' masks and a union the OR of
+its faces.  The GT/SGT side counts its face unions the same way over the
+lattice points of the model polytope (`polytopes.lattice_incidence`).  Only
+the tables are cached; the crystal comparison runs on every call.
 
 The claim the class arithmetic exercises: the (dual) Kogan face sums
 represent the Schubert classes in the polytope ring (Kiritchenko-Smirnov-
@@ -32,8 +38,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
-from operator import mul
 
 from . import crystals, oracles, pipedreams, polytopes
 from .cartan import (
@@ -63,42 +67,51 @@ class FaceDecomposition:
     empty: tuple                  # index tuples whose face is empty
 
 
-def _ambient_string_points(datum, word, lam, experimental):
-    if experimental:
-        return sorted(crystals.generate_b_lambda(datum, word, lam, allow_experimental=True))
-    return list(polytopes.lattice_points(polytopes.string_polytope(datum, lam)))
+@lru_cache(maxsize=None)
+def _row_table(datum: RootDatum, word: tuple, lam: tuple) -> tuple:
+    """(ambient string points, per-row bitmasks over them) of one (datum,
+    word, lambda).  On the certified (standard) word the points are the string
+    polytope's lattice points and the rows are its inequalities, the N
+    lambda-bound rows followed by the N cone rows; on any other word the
+    points are the crystal's, sorted, and the rows the lambda-bound ones."""
+    if crystals.is_certified_word(datum, word):
+        return polytopes.lattice_incidence(polytopes.string_polytope(datum, lam))
+    points = tuple(sorted(crystals.generate_b_lambda(datum, word, lam, allow_experimental=True)))
+    rows = []
+    for j in range(1, len(word) + 1):
+        vec, lam_vec = polytopes.string_lambda_facet(datum, word, j)
+        rows.append((vec, sum(a * b for a, b in zip(lam_vec, lam))))
+    return points, polytopes.tight_bits(rows, points)
 
 
-def _decompose(tights, rows, points):
-    """Faces cut out of `points` by the rows (coefficients, right-hand side)
-    that each tight set indexes, 1-based; empty faces are reported apart.
+def _face_mask(masks, tight, full):
+    """The AND of the masks that a tight set indexes, 1-based; `full` for the
+    empty tight set."""
+    for k in tight:
+        full &= masks[k - 1]
+    return full
 
-    Each row the tight sets use is evaluated once per point, into a mask with
-    bit k set when the point lies on row k; a face is then the points whose
-    mask holds all of its tight set's bits, in point order."""
-    used = [(1 << k, *rows[k - 1]) for k in sorted({k for tight in tights for k in tight})]
-    masks = []
-    for p in points:
-        m = 0
-        for bit, vec, rhs in used:
-            if sum(map(mul, vec, p)) == rhs:
-                m |= bit
-        masks.append(m)
+
+def _decompose(tights, masks, points):
+    """Faces cut out of `points` by the rows that each tight set indexes,
+    1-based into `masks` (per row, bit i set when points[i] lies on it);
+    empty faces are reported apart.  A face is the AND of its rows' masks and
+    the union the OR of the faces; only the faces' points are decoded."""
+    full = (1 << len(points)) - 1
     faces = []
     empty = []
-    union = set()
+    union = 0
     for tight in tights:
-        want = sum(1 << k for k in set(tight))
-        pts = tuple(compress(points, [m & want == want for m in masks]))
-        if pts:
-            faces.append((tight, pts))
-            union.update(pts)
+        mask = _face_mask(masks, tight, full)
+        if mask:
+            faces.append((tight, polytopes.mask_points(mask, points)))
+            union |= mask
         else:
             empty.append(tight)
     return FaceDecomposition(
         tights=tuple(t for t, _ in faces),
         face_points=tuple(pts for _, pts in faces),
-        union=frozenset(union),
+        union=frozenset(polytopes.mask_points(union, points)),
         empty=tuple(empty),
     )
 
@@ -125,13 +138,8 @@ def opposite_demazure_faces(datum: RootDatum, w: WeylElement, lam, word=None) ->
     must reproduce the opposite Demazure crystal."""
     word = tuple(word) if word is not None else standard_word(datum)
     experimental = not crystals.is_certified_word(datum, word)
-    tights = compatible_subsets(datum, word, w)
-    rows = []
-    for j in range(1, len(word) + 1):
-        vec, lam_vec = polytopes.string_lambda_facet(datum, word, j)
-        rows.append((vec, sum(a * b for a, b in zip(lam_vec, lam))))
-    points = _ambient_string_points(datum, word, lam, experimental)
-    dec = _decompose(tights, rows, points)
+    points, masks = _row_table(datum, word, tuple(lam))
+    dec = _decompose(compatible_subsets(datum, word, w), masks, points)
     expected = crystals.opposite_demazure_crystal(datum, word, w, lam, allow_experimental=experimental)
     return _check_union("opposite-demazure-faces", datum, lam, w, dec, expected)
 
@@ -141,24 +149,35 @@ def demazure_faces(datum: RootDatum, w: WeylElement, lam) -> FaceDecomposition:
     union must reproduce the Demazure crystal."""
     word = standard_word(datum)
     tights = [ref.fv_tight for ref in schubert_class(datum, w, "kogan").terms]
-    rows = [(vec, 0) for vec in polytopes.string_cone_facets(datum)]
-    points = _ambient_string_points(datum, word, lam, experimental=False)
-    dec = _decompose(tights, rows, points)
+    points, masks = _row_table(datum, word, tuple(lam))
+    dec = _decompose(tights, masks[datum.num_positive_roots :], points)
     expected = crystals.demazure_crystal(datum, word, w, lam)
     return _check_union("demazure-faces", datum, lam, w, dec, expected)
 
 
+@lru_cache(maxsize=None)
+def _model_table(datum: RootDatum, lam: tuple) -> tuple:
+    """(lattice points, per-row bitmasks over them) of the GT/SGT model
+    polytope at lambda: the dual Kogan rows, then the Kogan rows."""
+    return polytopes.lattice_incidence(polytopes.model_polytope(datum, lam))
+
+
 def model_face_union_count(datum: RootDatum, lam, tights, family: str) -> int:
     """Lattice count of the corresponding face union on the GT/SGT side,
-    where family "F" means the first facet block and "Fv" the second."""
-    poly = polytopes.model_polytope(datum, lam)
+    where family "F" means the first facet block (rows 0..N-1) and "Fv" the
+    second (rows N..2N-1): the bits of the OR of the faces' masks."""
+    if family not in ("F", "Fv"):
+        raise ValueError("family must be 'F' or 'Fv'")
     big_n = datum.num_positive_roots
-    offset = 0 if family == "F" else big_n
-    union = set()
+    if any(not 1 <= k <= big_n for tight in tights for k in tight):
+        raise IndexError("tight indices run from 1 to %d" % big_n)
+    points, masks = _model_table(datum, tuple(lam))
+    masks = masks[big_n:] if family == "Fv" else masks[:big_n]
+    full = (1 << len(points)) - 1
+    union = 0
     for tight in tights:
-        f = polytopes.face(poly, tuple(offset + k - 1 for k in tight))
-        union.update(polytopes.face_lattice_points(f))
-    return len(union)
+        union |= _face_mask(masks, tight, full)
+    return union.bit_count()
 
 
 def h0_dimension(datum: RootDatum, side: str, w: WeylElement, lam) -> int:

@@ -3,10 +3,12 @@ their epsilon deformations, lattice points, vertices, and Ehrhart volumes.
 
 H-representations keep integer data throughout (normal . x <= rhs).
 `interval_tower` certifies a polytope as a tower of intervals along its
-sweep order and lists its integer vertices with no elimination.  The oracles
-`vertices` (exact Fractions), `affine_rank`, `incidence`, `facet_defining`
-and `is_simple`, and the Ehrhart interpolation, run on the fraction-free
-integer echelon of `linalg`.
+sweep order and lists its integer vertices with no elimination.
+`lattice_incidence` gives each inequality a bitmask over the lattice points
+it is tight on, so that faces and unions of faces are integer AND and OR.
+The oracles `vertices` (exact Fractions), `affine_rank`, `incidence`,
+`facet_defining` and `is_simple`, and the Ehrhart interpolation, run on the
+fraction-free integer echelon of `linalg`.
 
 Every string, GT and SGT polytope is built by one builder (`_polytope`) from
 facet rows (vec, lam_vec, eps_key), read as
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add, eq, mul
 
 from . import linalg
 from .cartan import (
@@ -165,8 +168,40 @@ def lattice_points(p: Polytope) -> tuple:
     return tuple(sorted(out))
 
 
-def face_lattice_points(f: Face) -> tuple:
-    return lattice_points(face_polytope(f))
+# flag bytes 0/1 as the binary digits "0"/"1", and back
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def tight_bits(rows, points) -> tuple:
+    """Per row (coefficients, rhs), the int with bit i set when points[i]
+    lies on the row, read in base 2 off one flag string per row.  The dot
+    products run column by column over the row's support, exactly, so the
+    points may hold Fractions."""
+    columns = tuple(zip(*points[::-1]))  # the last point is the last digit, bit 0
+    out = []
+    for vec, rhs in rows:
+        dots = [0] * len(points)
+        for column, c in zip(columns, vec):
+            if c:
+                dots = map(add, dots, map(mul, itertools.repeat(c), column))
+        out.append(int(bytes(map(eq, dots, itertools.repeat(rhs))).translate(_DIGITS) or b"0", 2))
+    return tuple(out)
+
+
+def mask_points(mask: int, points) -> tuple:
+    """The points whose bits are set in `mask`, in point order: the inverse
+    of `tight_bits`, with bit 0 the last binary digit."""
+    return tuple(itertools.compress(points, bin(mask)[:1:-1].encode().translate(_FLAGS)))
+
+
+@lru_cache(maxsize=None)
+def lattice_incidence(p: Polytope) -> tuple:
+    """(lattice_points(p), per inequality the bitmask over those points of
+    the ones on which it is tight): a face's lattice points are the AND of
+    its rows' masks."""
+    points = lattice_points(p)
+    return points, tight_bits(p.ineqs, points)
 
 
 def interval_tower(p: Polytope):
@@ -243,13 +278,7 @@ def vertices(p: Polytope) -> tuple:
 def incidence(p: Polytope) -> tuple:
     """Per inequality, the bitmask over `vertices(p)` of the vertices on
     which it is tight."""
-    masks = [0] * len(p.ineqs)
-    for k, v in enumerate(vertices(p)):
-        point = linalg.integer_row(v + (1,))
-        for i, (c, r) in enumerate(p.ineqs):
-            if sum(a * x for a, x in zip(c, point)) == r * point[-1]:
-                masks[i] |= 1 << k
-    return tuple(masks)
+    return tight_bits(p.ineqs, vertices(p))
 
 
 def affine_rank(points) -> int:

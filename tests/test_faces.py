@@ -11,7 +11,9 @@ from schubcalc import polytopes as pt
 from schubcalc.cartan import (
     RootDatum,
     all_elements,
+    all_reduced_words,
     bruhat_leq,
+    compatible_subsets,
     identity_element,
     length,
     longest_element,
@@ -409,8 +411,6 @@ def test_product_pipeline_is_type_c_only():
 def test_opposite_faces_hold_for_every_ambient_word():
     # the opposite-side decomposition is word-general: drive it over every
     # reduced word of the longest element at the adjoint-type weight
-    from schubcalc.cartan import all_reduced_words
-
     lam3 = (1, 1, 1)
     for word in all_reduced_words(longest_element(A3)):
         for w in all_elements(A3):
@@ -441,10 +441,74 @@ def _dot_product_decompose(tights, rows, points):
     )
 
 
-def test_mask_face_cut_matches_dot_product_filter(monkeypatch):
-    lam = (2, 2)
-    sides = (fc.opposite_demazure_faces, fc.demazure_faces)
-    masked = {(side, w): side(C2, w, lam) for side in sides for w in all_elements(C2)}
-    monkeypatch.setattr(fc, "_decompose", _dot_product_decompose)
-    for (side, w), dec in masked.items():
-        assert side(C2, w, lam) == dec
+def _string_rows_and_points(datum, word, lam):
+    """The lambda-bound rows of `word` and its ambient string points, built
+    directly: the string polytope's lattice points on the standard word, the
+    sorted crystal on any other."""
+    rows = []
+    for j in range(1, len(word) + 1):
+        vec, lam_vec = pt.string_lambda_facet(datum, word, j)
+        rows.append((vec, sum(a * b for a, b in zip(lam_vec, lam))))
+    if cr.is_certified_word(datum, word):
+        points = list(pt.lattice_points(pt.string_polytope(datum, lam)))
+    else:
+        points = sorted(cr.generate_b_lambda(datum, word, lam, allow_experimental=True))
+    return rows, points
+
+
+def test_mask_face_cut_matches_dot_product_filter():
+    # every field of both decompositions against the dot-product reference,
+    # on the standard words and on one other reduced word of A3
+    other = next(word for word in all_reduced_words(longest_element(A3)) if word != standard_word(A3))
+    for datum, lam, word in (
+        (C2, (2, 2), standard_word(C2)),
+        (A3, (1, 1, 1), standard_word(A3)),
+        (A3, (1, 1, 1), other),
+    ):
+        rows, points = _string_rows_and_points(datum, word, lam)
+        cone = [(vec, 0) for vec in pt.string_cone_facets(datum)]
+        for w in all_elements(datum):
+            dec = fc.opposite_demazure_faces(datum, w, lam, word=word)
+            assert dec == _dot_product_decompose(compatible_subsets(datum, word, w), rows, points)
+            if word == standard_word(datum):
+                tights = [ref.fv_tight for ref in fc.schubert_class(datum, w, "kogan").terms]
+                assert fc.demazure_faces(datum, w, lam) == _dot_product_decompose(tights, cone, points)
+
+
+def _swept_face_union(datum, lam, tights, offset):
+    """The model-side union count by one lattice sweep per face."""
+    poly = pt.model_polytope(datum, lam)
+    union = set()
+    for tight in tights:
+        f = pt.face(poly, [offset + k - 1 for k in tight])
+        union.update(pt.lattice_points(pt.face_polytope(f)))
+    return len(union)
+
+
+def test_model_face_union_count_matches_face_sweeps():
+    for datum in (A2, C2, A3, C3):
+        big_n = datum.num_positive_roots
+        for lam in itertools.product((0, 1), repeat=datum.rank):
+            for w in all_elements(datum):
+                f_tights = compatible_subsets(datum, standard_word(datum), w)
+                fv_tights = [ref.fv_tight for ref in fc.schubert_class(datum, w, "kogan").terms]
+                assert fc.model_face_union_count(datum, lam, f_tights, "F") == _swept_face_union(
+                    datum, lam, f_tights, 0
+                )
+                assert fc.model_face_union_count(datum, lam, fv_tights, "Fv") == _swept_face_union(
+                    datum, lam, fv_tights, big_n
+                )
+
+
+def test_model_face_union_count_rejects_unknown_family():
+    for family in ("kogan", "G", "f"):
+        with pytest.raises(ValueError):
+            fc.model_face_union_count(A2, (1, 1), [(1,)], family)
+
+
+def test_model_face_union_count_rejects_rows_outside_its_block():
+    # A2 has N = 3 rows per block
+    for family in ("F", "Fv"):
+        for bad in ((0,), (4,), (1, 6)):
+            with pytest.raises(IndexError):
+                fc.model_face_union_count(A2, (1, 1), [(1,), bad], family)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from schubcalc import polytopes as pt
 from schubcalc.cartan import RootDatum
@@ -26,7 +28,7 @@ def test_cube_basics():
     assert len(pt.vertices(cube3)) == 8
     assert pt.is_simple(cube3)
     f = pt.face(cube3, (0,))
-    assert pt.affine_rank(pt.face_lattice_points(f)) == 2
+    assert pt.affine_rank(pt.lattice_points(pt.face_polytope(f))) == 2
 
 
 def test_string_cone_facet_labels():
@@ -277,8 +279,8 @@ def test_face_intersection_and_transversality():
     assert verts == pt.vertices(cube) and len(verts) == 8
     top, bottom, side = 0, 1, 2
     assert steps[top] == steps[bottom] != steps[side]
-    assert pt.face_lattice_points(pt.face(cube, (top, bottom))) == ()
-    assert pt.affine_rank(pt.face_lattice_points(pt.face(cube, (top, side)))) == 1
+    assert pt.lattice_points(pt.face_polytope(pt.face(cube, (top, bottom)))) == ()
+    assert pt.affine_rank(pt.lattice_points(pt.face_polytope(pt.face(cube, (top, side))))) == 1
     # a step with a single row fails the certificate
     assert pt.interval_tower(pt.Polytope(3, cube.ineqs[1:])) is None
 
@@ -287,8 +289,45 @@ def test_empty_face_distinct_from_point():
     poly = pt.string_polytope(A2, (1, 0))
     # a single lattice point has dimension zero, emptiness is negative
     squeezed = pt.face(poly, (0, 1, 2))
-    assert pt.affine_rank(pt.face_lattice_points(squeezed)) in (-1, 0)
+    assert pt.affine_rank(pt.lattice_points(pt.face_polytope(squeezed))) in (-1, 0)
     zero = pt.string_polytope(A2, (0, 0))
-    assert pt.affine_rank(pt.face_lattice_points(pt.face(zero, ()))) == 0
+    assert pt.affine_rank(pt.lattice_points(pt.face_polytope(pt.face(zero, ())))) == 0
     cube = unit_cube(3)
-    assert pt.affine_rank(pt.face_lattice_points(pt.face(cube, (0, 1)))) == -1
+    assert pt.affine_rank(pt.lattice_points(pt.face_polytope(pt.face(cube, (0, 1))))) == -1
+
+
+def test_tight_bits_of_no_points_are_zero():
+    assert pt.tight_bits((((1, 0), 0), ((0, 1), 2)), []) == (0, 0)
+    assert pt.tight_bits((), [(0, 0)]) == ()
+
+
+@st.composite
+def rows_and_points(draw):
+    dim = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(-2, 2)] * dim)
+    rows = draw(st.lists(st.tuples(vector, st.integers(-3, 3)), max_size=5))
+    return rows, draw(st.lists(vector, max_size=40))
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None)
+@given(rows_and_points())
+def test_tight_bits_matches_per_point_evaluation(case):
+    rows, points = case
+    bits = pt.tight_bits(rows, points)
+    assert len(bits) == len(rows)
+    for (vec, rhs), mask in zip(rows, bits):
+        assert mask >> len(points) == 0
+        for i, p in enumerate(points):
+            assert mask >> i & 1 == (sum(a * x for a, x in zip(vec, p)) == rhs)
+        on_row = [p for p in points if sum(a * x for a, x in zip(vec, p)) == rhs]
+        assert list(pt.mask_points(mask, points)) == on_row
+
+
+def test_lattice_incidence_is_points_and_facet_masks():
+    poly = pt.string_polytope(A2, (2, 1))
+    points, masks = pt.lattice_incidence(poly)
+    assert points == pt.lattice_points(poly)
+    for k, mask in enumerate(masks):
+        on_row = pt.lattice_points(pt.face_polytope(pt.face(poly, (k,))))
+        assert [p for i, p in enumerate(points) if mask >> i & 1] == list(on_row)
