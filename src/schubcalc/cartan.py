@@ -158,7 +158,7 @@ def identity_element(datum: RootDatum) -> WeylElement:
 
 
 def simple_element(datum: RootDatum, i: int) -> WeylElement:
-    _check_letter(datum, i)
+    check_letter(datum, i)
     w = list(identity_element(datum).oneline)
     if datum.family == "A":
         w[i - 1], w[i] = w[i], w[i - 1]
@@ -169,7 +169,7 @@ def simple_element(datum: RootDatum, i: int) -> WeylElement:
     return WeylElement(datum, tuple(w))
 
 
-def _check_letter(datum: RootDatum, i: int):
+def check_letter(datum: RootDatum, i: int):
     if not 1 <= i <= datum.rank:
         raise ValueError("letter %r out of range 1..%d" % (i, datum.rank))
 
@@ -220,10 +220,6 @@ def length(w: WeylElement) -> int:
 
 def left_mul(i: int, w: WeylElement) -> WeylElement:
     return multiply(simple_element(w.datum, i), w)
-
-
-def right_mul(w: WeylElement, i: int) -> WeylElement:
-    return multiply(w, simple_element(w.datum, i))
 
 
 def left_descents(w: WeylElement):
@@ -301,7 +297,7 @@ def act_on_weight(w: WeylElement, lam) -> tuple:
 @lru_cache(maxsize=None)
 def star_index(datum: RootDatum, i: int) -> int:
     """The involution i* with w_0(alpha_i) = -alpha_{i*}."""
-    _check_letter(datum, i)
+    check_letter(datum, i)
     alpha = tuple(1 if j == i - 1 else 0 for j in range(datum.rank))
     image = act_on_root(longest_element(datum), alpha)
     neg = tuple(-x for x in image)
@@ -336,35 +332,40 @@ def check_word_of_longest(datum: RootDatum, word):
 
 
 @lru_cache(maxsize=None)
-def compatible_subsets(datum: RootDatum, word: tuple, w: WeylElement) -> tuple:
-    """All strictly increasing position tuples extracting a reduced word of w.
+def _extraction_table(datum: RootDatum, word: tuple) -> dict:
+    """w -> sorted position tuples extracting a reduced word of w, for every w.
 
-    Positions are 1-based into `word`, a tuple that must be a reduced word of
-    w_0.
-    """
+    The extraction sets of all w together are the reduced subwords of `word`
+    (the faces of the subword complex, Knutson-Miller), so one depth-first
+    search over the subwords, keeping each extension that raises the length
+    by one, enumerates them all; every w occurs, by the subword property."""
     check_word_of_longest(datum, word)
-    target_len = length(w)
-    n_pos = len(word)
-    results = []
+    simple = [simple_element(datum, i) for i in range(1, datum.rank + 1)]
+    found = {}
 
     def extend(pos, current, chosen):
-        cur_len = len(chosen)
-        if cur_len == target_len:
-            if current == w:
-                results.append(tuple(chosen))
-            return
-        if n_pos - pos < target_len - cur_len:
-            return
-        for k in range(pos, n_pos):
-            i = word[k]
-            nxt = right_mul(current, i)
-            if length(nxt) == cur_len + 1 and bruhat_leq(nxt, w):
+        found.setdefault(current, []).append(tuple(chosen))
+        for k in range(pos, len(word)):
+            nxt = multiply(current, simple[word[k] - 1])
+            if length(nxt) == len(chosen) + 1:
                 chosen.append(k + 1)
                 extend(k + 1, nxt, chosen)
                 chosen.pop()
 
     extend(0, identity_element(datum), [])
-    return tuple(sorted(results))
+    return {w: tuple(sorted(positions)) for w, positions in found.items()}
+
+
+def compatible_subsets(datum: RootDatum, word: tuple, w: WeylElement) -> tuple:
+    """All strictly increasing position tuples extracting a reduced word of w.
+
+    Positions are 1-based into `word`, a tuple that must be a reduced word of
+    w_0; w must be an element of the Weyl group of `datum`.
+    """
+    table = _extraction_table(datum, word)
+    if w not in table:
+        raise ValueError("%r is not an element of the Weyl group of %r" % (w, datum))
+    return table[w]
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,15 @@ infinite crystal down via the tensor cutoff: lowering returns null exactly
 when eps_i + <lam + wt, h_i> = 0.  One backward sweep of the coordinates gives
 each operator the sigma maximum, its argmin and argmax and <wt, h_i>.
 
+The cut crystal at one (datum, word, lam) is built once, as an operator
+table: the breadth-first closure of the highest element under lowering, with
+per letter the index of f_i of every state, its inverse e_i (e_i f_i b = b)
+and eps_i, all read off the sweeps that lowered.  Every later layer walks
+these integer indices instead of recomputing operators.  The Demazure folds
+follow Kashiwara's recursion, B_w = F_i B_{s_i w} for a left descent i and
+B^w = E_i B^{s_i w} for a left ascent i, so each fold is one closure of a
+smaller cached index set.
+
 These coordinates are the embedding coordinates of an element's
 canonical lift, NOT its string parametrization: the two differ already in rank
 two.  The string of b is (a_1, tail(e_{i_1}^{a_1} b)): the number of raises
@@ -26,6 +35,7 @@ Richardson intersections) is in string coordinates.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import polytopes
 from .cartan import (
@@ -34,11 +44,12 @@ from .cartan import (
     WeylElement,
     bruhat_leq,
     cartan_matrix,
+    check_letter,
     check_word_of_longest,
-    inverse,
     is_dominant,
+    left_mul,
+    length,
     longest_element,
-    multiply,
     reduced_word,
     simple_root_in_fundamental,
     standard_word,
@@ -106,34 +117,43 @@ def weight_of(datum: RootDatum, word, lam, coords):
 
 
 def epsilon(datum: RootDatum, word, lam, coords, i: int) -> int:
+    check_letter(datum, i)
     best, _, _, wt_i = _sigma_profile(datum, word, lam, coords, i)
     return best if lam is INFINITY else max(best, -wt_i)
 
 
 def phi(datum: RootDatum, word, lam, coords, i: int) -> int:
+    check_letter(datum, i)
     best, _, _, wt_i = _sigma_profile(datum, word, lam, coords, i)
     return (best if lam is INFINITY else max(best, -wt_i)) + wt_i
 
 
-def f_op(datum: RootDatum, word, lam, coords, i: int):
-    """Lower by alpha_i; None at the cutoff, never None at infinity."""
+def _lower(datum, word, lam, coords, i):
+    """(f_i coords or None, best, wt_i) from one sweep, the letter unchecked."""
     best, first, _, wt_i = _sigma_profile(datum, word, lam, coords, i)
     if lam is not INFINITY:
         naive_phi = best + wt_i
         if naive_phi < 0:
             raise CorruptElementError("negative phi: element outside the cut crystal")
         if naive_phi == 0:
-            return None
+            return None, best, wt_i
     if first is None:
         # all stored letter-i sigmas are negative while the tail is zero
         raise CorruptElementError("lowering argmin beyond stored coordinates")
     out = list(coords)
     out[first - 1] += 1
-    return tuple(out)
+    return tuple(out), best, wt_i
+
+
+def f_op(datum: RootDatum, word, lam, coords, i: int):
+    """Lower by alpha_i; None at the cutoff, never None at infinity."""
+    check_letter(datum, i)
+    return _lower(datum, word, lam, coords, i)[0]
 
 
 def e_op(datum: RootDatum, word, lam, coords, i: int):
     """Raise by alpha_i; None when no raise is possible."""
+    check_letter(datum, i)
     best, _, last, wt_i = _sigma_profile(datum, word, lam, coords, i)
     if best == 0:
         return None
@@ -146,12 +166,14 @@ def e_op(datum: RootDatum, word, lam, coords, i: int):
 
 
 # ---------------------------------------------------------------------------
-# generation
+# the operator table
 
 
 def _validate(datum, word, lam):
     check_word_of_longest(datum, word)
-    if lam is not INFINITY and (len(lam) != datum.rank or not is_dominant(lam)):
+    if lam is INFINITY:
+        raise ValueError("the crystal at infinity is infinite; pass a dominant weight")
+    if len(lam) != datum.rank or not is_dominant(lam):
         raise ValueError("weight %r is not dominant of rank %d" % (lam, datum.rank))
 
 
@@ -159,24 +181,64 @@ def is_certified_word(datum: RootDatum, word) -> bool:
     return tuple(word) == standard_word(datum)
 
 
+class _OperatorTable(NamedTuple):
+    states: tuple  # the cut crystal in breadth-first order, the highest first
+    index: dict    # state -> index
+    down: tuple    # down[i - 1][k]: index of f_i states[k], or -1
+    up: tuple      # up[i - 1][k]: index of e_i states[k], or -1
+    eps: tuple     # eps[i - 1][k]: epsilon_i of states[k]
+
+
+def _invert(step) -> list:
+    """The inverse of one letter's lowering indices: e_i f_i b = b, so e_i is
+    f_i read backwards, which needs f_i injective."""
+    out = [-1] * len(step)
+    for k, j in enumerate(step):
+        if j >= 0:
+            if out[j] >= 0:
+                raise InvariantError("lowering is not injective")
+            out[j] = k
+    return out
+
+
 @lru_cache(maxsize=None)
-def crystal_states(datum: RootDatum, word, lam) -> tuple:
-    """All elements of the cut crystal in ladder coordinates (breadth-first
-    closure of the zero vector under lowering), sorted."""
+def _operator_table(datum: RootDatum, word, lam) -> _OperatorTable:
+    """The cut crystal and its operators over integer indices.
+
+    The states are the breadth-first closure of the zero vector under
+    lowering.  The sweep that lowers a state by letter i also gives its
+    eps_i, and raising is lowering inverted, so every operator value comes
+    from `_lower` alone; every later crystal layer reads this table."""
     _validate(datum, word, lam)
+    letters = range(1, datum.rank + 1)
     zero = (0,) * len(word)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        new = []
-        for state in frontier:
-            for i in range(1, datum.rank + 1):
-                nxt = f_op(datum, word, lam, state, i)
-                if nxt is not None and nxt not in seen:
-                    seen.add(nxt)
-                    new.append(nxt)
-        frontier = new
-    return tuple(sorted(seen))
+    states = [zero]
+    index = {zero: 0}
+    down = [[] for _ in letters]
+    eps = [[] for _ in letters]
+    for state in states:  # visits the states appended on the way
+        for i in letters:
+            nxt, best, wt_i = _lower(datum, word, lam, state, i)
+            eps[i - 1].append(max(best, -wt_i))
+            j = -1
+            if nxt is not None:
+                j = index.get(nxt)
+                if j is None:
+                    j = index[nxt] = len(states)
+                    states.append(nxt)
+            down[i - 1].append(j)
+    return _OperatorTable(
+        tuple(states),
+        index,
+        tuple(tuple(row) for row in down),
+        tuple(tuple(_invert(row)) for row in down),
+        tuple(tuple(row) for row in eps),
+    )
+
+
+def crystal_states(datum: RootDatum, word, lam) -> tuple:
+    """All elements of the cut crystal in ladder coordinates, sorted."""
+    return tuple(sorted(_operator_table(datum, word, lam).states))
 
 
 def _raise_string(datum, word, lam, state, i):
@@ -209,28 +271,41 @@ def string_coords(datum: RootDatum, word, lam, state) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _string_table(datum: RootDatum, word, lam) -> dict:
-    """State -> string coords over the cut crystal, by suffix table.
+def _string_table(datum: RootDatum, word, lam) -> tuple:
+    """The string coords of every table state, in table order, by suffix
+    table.
 
     The string of b is (a_1, tail(e_{i_1}^{a_1} b)), where the tail is the
     string of the raised element from position 2 on.  Each distinct state
-    reaching position p is raised there once, so the work is the sum of the
-    level sizes rather than N times the crystal; the levels are dropped once
-    the tails are assembled."""
+    reaching position p is raised there once, along the table's raising
+    indices, so the work is the sum of the level sizes rather than N times
+    the crystal; the levels are dropped once the tails are assembled."""
+    table = _operator_table(datum, word, lam)
     levels = []
-    frontier = crystal_states(datum, word, lam)
+    frontier = range(len(table.states))
     for i in word:
-        step = {b: _raise_string(datum, word, lam, b, i) for b in frontier}
+        up, eps = table.up[i - 1], table.eps[i - 1]
+        step = {}
+        for b in frontier:
+            top, count = b, 0
+            while up[top] >= 0:
+                top = up[top]
+                count += 1
+            if count != eps[b]:
+                raise InvariantError("non-normal state: not in the generated crystal")
+            step[b] = (count, top)
         levels.append(step)
         frontier = {top for _, top in step.values()}
-    if any(any(top) for top in frontier):
+    highest = table.index[highest_state(datum, word)]
+    if frontier != {highest}:
         raise InvariantError("string extraction did not reach the top")
-    tails = dict.fromkeys(frontier, ())
+    tails = {highest: ()}
     for step in reversed(levels):
         tails = {b: (count,) + tails[top] for b, (count, top) in step.items()}
-    if len(set(tails.values())) != len(tails):
+    strings = tuple(tails[k] for k in range(len(table.states)))
+    if len(set(strings)) != len(strings):
         raise InvariantError("string parametrization not injective")
-    return tails
+    return strings
 
 
 def generate_b_lambda(datum: RootDatum, word, lam, allow_experimental=False) -> frozenset:
@@ -244,7 +319,7 @@ def generate_b_lambda(datum: RootDatum, word, lam, allow_experimental=False) -> 
     certified = is_certified_word(datum, word)
     if not certified and not allow_experimental:
         raise ValueError("word %r is not certified; pass allow_experimental=True" % (word,))
-    strings = frozenset(_string_table(datum, word, lam).values())
+    strings = frozenset(_string_table(datum, word, lam))
     if certified:
         poly_points = frozenset(polytopes.lattice_points(polytopes.string_polytope(datum, lam)))
         if strings != poly_points:
@@ -262,81 +337,89 @@ def highest_state(datum: RootDatum, word):
 @lru_cache(maxsize=None)
 def lowest_state(datum: RootDatum, word, lam) -> tuple:
     """The unique element every lowering operator kills."""
-    hits = [
-        s
-        for s in crystal_states(datum, word, lam)
-        if all(f_op(datum, word, lam, s, i) is None for i in range(1, datum.rank + 1))
-    ]
+    table = _operator_table(datum, word, lam)
+    hits = [k for k in range(len(table.states)) if all(row[k] < 0 for row in table.down)]
     if len(hits) != 1:
         raise InvariantError("lowest element not unique")
-    return hits[0]
+    return table.states[hits[0]]
 
 
-def _f_closure(datum, word, lam, i, states):
-    out = set(states)
-    for s in states:
-        cur = s
-        while True:
-            cur = f_op(datum, word, lam, cur, i)
-            if cur is None:
-                break
-            out.add(cur)
+# ---------------------------------------------------------------------------
+# Demazure folds
+
+
+def _closure(step, members) -> frozenset:
+    """The closure of an index set under one letter's operator indices; each
+    chain is walked only until it meets a member."""
+    out = set(members)
+    for k in members:
+        j = step[k]
+        while j >= 0 and j not in out:
+            out.add(j)
+            j = step[j]
     return frozenset(out)
 
 
-def _e_closure(datum, word, lam, i, states):
-    out = set(states)
-    for s in states:
-        cur = s
-        while True:
-            cur = e_op(datum, word, lam, cur, i)
-            if cur is None:
-                break
-            out.add(cur)
-    return frozenset(out)
+def _check_group(datum, w):
+    if w.datum != datum:
+        raise ValueError("elements from different groups")
 
 
 @lru_cache(maxsize=None)
+def _demazure_indices(datum: RootDatum, word, w: WeylElement, lam) -> frozenset:
+    """Table indices of B_w(lam) by Kashiwara's recursion: B_e is the highest
+    element and B_w = F_i B_{s_i w} for the first letter i of reduced_word(w),
+    a left descent."""
+    _check_group(datum, w)
+    table = _operator_table(datum, word, lam)
+    if length(w) == 0:
+        return frozenset([table.index[highest_state(datum, word)]])
+    i = reduced_word(w)[0]
+    return _closure(table.down[i - 1], _demazure_indices(datum, word, left_mul(i, w), lam))
+
+
+@lru_cache(maxsize=None)
+def _opposite_indices(datum: RootDatum, word, w: WeylElement, lam) -> frozenset:
+    """Table indices of B^w(lam): B^{w_0} is the lowest element and
+    B^w = E_i B^{s_i w} for the smallest left ascent i of w."""
+    _check_group(datum, w)
+    table = _operator_table(datum, word, lam)
+    if w == longest_element(datum):
+        return frozenset([table.index[lowest_state(datum, word, lam)]])
+    lw = length(w)
+    i = next(i for i in range(1, datum.rank + 1) if length(left_mul(i, w)) > lw)
+    return _closure(table.up[i - 1], _opposite_indices(datum, word, left_mul(i, w), lam))
+
+
 def demazure_states(datum: RootDatum, word, w: WeylElement, lam) -> frozenset:
-    """B_w(lam) in ladder coordinates: fold lowering-string closures along a
-    reduced word of w, right to left."""
-    _validate(datum, word, lam)
-    states = frozenset([highest_state(datum, word)])
-    for i in reversed(reduced_word(w)):
-        states = _f_closure(datum, word, lam, i, states)
-    return states
+    """B_w(lam) in ladder coordinates."""
+    states = _operator_table(datum, word, lam).states
+    return frozenset(states[k] for k in _demazure_indices(datum, word, w, lam))
 
 
-@lru_cache(maxsize=None)
 def opposite_demazure_states(datum: RootDatum, word, w: WeylElement, lam) -> frozenset:
-    """B^w(lam): raising-string closures along a length-decreasing chain from
-    the longest element down to w."""
-    _validate(datum, word, lam)
-    w0 = longest_element(datum)
-    prefix = reduced_word(multiply(w0, inverse(w)))
-    states = frozenset([lowest_state(datum, word, lam)])
-    for i in prefix:
-        states = _e_closure(datum, word, lam, i, states)
-    return states
+    """B^w(lam) in ladder coordinates."""
+    states = _operator_table(datum, word, lam).states
+    return frozenset(states[k] for k in _opposite_indices(datum, word, w, lam))
 
 
-def _to_strings(datum, word, lam, states) -> frozenset:
-    table = _string_table(datum, word, lam)
-    return frozenset(table[s] for s in states)
+def _to_strings(datum, word, lam, indices) -> frozenset:
+    strings = _string_table(datum, word, lam)
+    return frozenset(strings[k] for k in indices)
 
 
 def demazure_crystal(datum: RootDatum, word, w, lam, allow_experimental=False) -> frozenset:
     word = tuple(word)
     if not is_certified_word(datum, word) and not allow_experimental:
         raise ValueError("word %r is not certified; pass allow_experimental=True" % (word,))
-    return _to_strings(datum, word, lam, demazure_states(datum, word, w, lam))
+    return _to_strings(datum, word, lam, _demazure_indices(datum, word, w, lam))
 
 
 def opposite_demazure_crystal(datum: RootDatum, word, w, lam, allow_experimental=False) -> frozenset:
     word = tuple(word)
     if not is_certified_word(datum, word) and not allow_experimental:
         raise ValueError("word %r is not certified; pass allow_experimental=True" % (word,))
-    return _to_strings(datum, word, lam, opposite_demazure_states(datum, word, w, lam))
+    return _to_strings(datum, word, lam, _opposite_indices(datum, word, w, lam))
 
 
 def richardson_lattice_points(datum: RootDatum, word, v, w, lam, allow_experimental=False) -> frozenset:
@@ -365,26 +448,22 @@ def lusztig_transform(datum: RootDatum, word, lam, string_point) -> tuple:
 
 
 def i_strings(datum: RootDatum, word, lam, i: int):
-    """Partition of the cut crystal into i-strings, each listed top to bottom."""
-    states = set(crystal_states(datum, word, lam))
+    """Partition of the cut crystal into i-strings, each listed top to bottom,
+    in the order of their smallest states."""
+    check_letter(datum, i)
+    table = _operator_table(datum, word, lam)
+    up, down = table.up[i - 1], table.down[i - 1]
     seen = set()
     out = []
-    for s in sorted(states):
-        if s in seen:
+    for k in sorted(range(len(table.states)), key=table.states.__getitem__):
+        if k in seen:
             continue
-        top = s
-        while True:
-            up = e_op(datum, word, lam, top, i)
-            if up is None:
-                break
-            top = up
+        top = k
+        while up[top] >= 0:
+            top = up[top]
         chain = [top]
-        cur = top
-        while True:
-            cur = f_op(datum, word, lam, cur, i)
-            if cur is None:
-                break
-            chain.append(cur)
+        while down[chain[-1]] >= 0:
+            chain.append(down[chain[-1]])
         seen.update(chain)
-        out.append(tuple(chain))
+        out.append(tuple(table.states[j] for j in chain))
     return tuple(out)

@@ -25,6 +25,8 @@ from schubcalc.cartan import (
     word_to_element,
 )
 
+import reference_routes as ref
+
 A2 = RootDatum("A", 2)
 A3 = RootDatum("A", 3)
 A4 = RootDatum("A", 4)
@@ -159,6 +161,23 @@ def test_compatible_subsets_examples():
         assert compatible_subsets(datum, word, longest_element(datum)) == (
             tuple(range(1, datum.num_positive_roots + 1)),
         )
+
+
+def test_extraction_table_matches_per_element_search():
+    for datum in (A3, A4, C2, C3):
+        for word in (standard_word(datum), ref.other_word(datum)):
+            for w in all_elements(datum):
+                assert compatible_subsets(datum, word, w) == ref.compatible_subsets(datum, word, w)
+
+
+def test_compatible_subsets_rejects_bad_input():
+    with pytest.raises(ValueError, match="not a reduced word"):
+        compatible_subsets(A2, (1, 2), identity_element(A2))
+    with pytest.raises(ValueError, match="not a reduced word"):
+        compatible_subsets(A2, (1, 2, 2), identity_element(A2))
+    for w in (identity_element(A3), longest_element(C2), simple_element(A3, 3)):
+        with pytest.raises(ValueError, match="not an element"):
+            compatible_subsets(A2, standard_word(A2), w)
 
 
 def test_standard_words_are_reduced_words_of_longest():

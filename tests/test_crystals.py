@@ -10,13 +10,18 @@ from schubcalc.cartan import (
     all_elements,
     all_reduced_words,
     identity_element,
+    left_mul,
+    length,
     longest_element,
     multiply,
+    reduced_word,
     standard_word,
     star_index,
     word_to_element,
 )
 from schubcalc.oracles import demazure_dimension, weyl_dimension
+
+import reference_routes as ref
 
 A2 = RootDatum("A", 2)
 A3 = RootDatum("A", 3)
@@ -91,10 +96,7 @@ def test_demazure_word_independence():
         for w in all_elements(datum):
             sets = set()
             for rw in all_reduced_words(w):
-                states = frozenset([cr.highest_state(datum, word)])
-                for i in reversed(rw):
-                    states = cr._f_closure(datum, word, lam, i, states)
-                sets.add(states)
+                sets.add(ref.fold_demazure(datum, word, lam, rw))
             assert len(sets) == 1
 
 
@@ -255,37 +257,134 @@ def test_demazure_word_independence_rank_three():
     for w in all_elements(A3):
         sets = set()
         for rw in all_reduced_words(w):
-            states = frozenset([cr.highest_state(A3, word)])
-            for i in reversed(rw):
-                states = cr._f_closure(A3, word, lam, i, states)
-            sets.add(states)
+            sets.add(ref.fold_demazure(A3, word, lam, rw))
         assert len(sets) == 1
 
 
 def test_string_table_matches_per_state_route():
     for datum, lam in ((C2, (2, 2)), (C3, (1, 1, 1)), (A4, (1, 1, 1, 1))):
         word = standard_word(datum)
+        states = cr._operator_table(datum, word, lam).states
         table = cr._string_table(datum, word, lam)
-        assert table == {
-            s: cr.string_coords(datum, word, lam, s)
-            for s in cr.crystal_states(datum, word, lam)
+        assert dict(zip(states, table)) == {
+            s: cr.string_coords(datum, word, lam, s) for s in states
         }
 
 
+def _with_planted_state(table, datum, word, lam, planted):
+    """The table with one more state, unreached by any operator, whose eps
+    are its true ones."""
+    return table._replace(
+        states=table.states + (planted,),
+        index={**table.index, planted: len(table.states)},
+        down=tuple(row + (-1,) for row in table.down),
+        up=tuple(row + (-1,) for row in table.up),
+        eps=tuple(
+            row + (cr.epsilon(datum, word, lam, planted, i),)
+            for i, row in enumerate(table.eps, start=1)
+        ),
+    )
+
+
 def test_string_table_rejects_non_normal_state(monkeypatch):
-    original = cr.crystal_states
-
-    def planted(datum, word, lam):
-        return original(datum, word, lam) + ((5, 5, 5),)
-
+    table = cr._operator_table(A2, IA2, (1, 0))
+    planted = _with_planted_state(table, A2, IA2, (1, 0), (5, 5, 5))
     cr._string_table.cache_clear()
-    monkeypatch.setattr(cr, "crystal_states", planted)
+    monkeypatch.setattr(cr, "_operator_table", lambda datum, word, lam: planted)
     try:
         with pytest.raises(InvariantError, match="^non-normal state"):
             cr.generate_b_lambda(A2, IA2, (1, 0))
     finally:
         monkeypatch.undo()
         cr._string_table.cache_clear()
+
+
+TABLE_CASES = ((A2, (2, 1)), (C2, (1, 1)), (A3, (1, 1, 1)), (C3, (1, 1, 1)))
+
+
+def test_operator_table_matches_operators():
+    for datum, lam in TABLE_CASES:
+        word = standard_word(datum)
+        table = cr._operator_table(datum, word, lam)
+        assert cr.crystal_states(datum, word, lam) == ref.bfs_states(datum, word, lam)
+        assert table.states[0] == cr.highest_state(datum, word)
+        assert all(table.index[s] == k for k, s in enumerate(table.states))
+        assert len(table.index) == len(table.states)
+
+        def state(k):
+            return None if k < 0 else table.states[k]
+
+        for i in range(1, datum.rank + 1):
+            for k, s in enumerate(table.states):
+                assert state(table.down[i - 1][k]) == cr.f_op(datum, word, lam, s, i)
+                assert state(table.up[i - 1][k]) == cr.e_op(datum, word, lam, s, i)
+                assert table.eps[i - 1][k] == cr.epsilon(datum, word, lam, s, i)
+
+
+def test_invert_rejects_non_injective_lowering():
+    assert cr._invert((1, 2, -1)) == [-1, 0, 1]
+    with pytest.raises(InvariantError, match="not injective"):
+        cr._invert((2, 2, -1))
+
+
+def test_table_readers_match_reference_routes():
+    cases = [(datum, standard_word(datum), lam) for datum, lam in TABLE_CASES]
+    cases.append((A3, ref.other_word(A3), (1, 0, 1)))
+    cases.append((C2, ref.other_word(C2), (2, 1)))
+    for datum, word, lam in cases:
+        assert cr.lowest_state(datum, word, lam) == ref.lowest(datum, word, lam)
+        for i in range(1, datum.rank + 1):
+            assert cr.i_strings(datum, word, lam, i) == ref.i_strings(datum, word, lam, i)
+        for w in all_elements(datum):
+            assert cr.demazure_states(datum, word, w, lam) == ref.fold_demazure(
+                datum, word, lam, reduced_word(w)
+            )
+            assert cr.opposite_demazure_states(datum, word, w, lam) == ref.fold_opposite(
+                datum, word, lam, w
+            )
+
+
+def test_folds_through_every_descent_and_ascent():
+    # Kashiwara's recursion holds at every left descent (B_w) and every left
+    # ascent (B^w), not only at the one the folds choose
+    word = standard_word(A3)
+    for lam in ((1, 1, 1), (2, 0, 1)):
+        table = cr._operator_table(A3, word, lam)
+        for w in all_elements(A3):
+            for i in range(1, A3.rank + 1):
+                v = left_mul(i, w)
+                if length(v) < length(w):
+                    assert cr._closure(
+                        table.down[i - 1], cr._demazure_indices(A3, word, v, lam)
+                    ) == cr._demazure_indices(A3, word, w, lam)
+                else:
+                    assert cr._closure(
+                        table.up[i - 1], cr._opposite_indices(A3, word, v, lam)
+                    ) == cr._opposite_indices(A3, word, w, lam)
+
+
+def test_folds_reject_other_group():
+    with pytest.raises(ValueError, match="different groups"):
+        cr.demazure_states(A2, IA2, longest_element(A3), (1, 1))
+    with pytest.raises(ValueError, match="different groups"):
+        cr.opposite_demazure_crystal(A2, IA2, identity_element(A3), (1, 1))
+
+
+def test_letters_out_of_range_rejected():
+    state = (0, 1, 0)
+    for op in (cr.f_op, cr.e_op, cr.epsilon, cr.phi):
+        for lam in ((1, 1), cr.INFINITY):
+            for i in (0, -1, 3):
+                with pytest.raises(ValueError, match="out of range"):
+                    op(A2, IA2, lam, state, i)
+    for i in (0, -1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            cr.i_strings(A2, IA2, (1, 1), i)
+
+
+def test_crystal_at_infinity_has_no_table():
+    with pytest.raises(ValueError, match="infinite"):
+        cr.crystal_states(A2, IA2, cr.INFINITY)
 
 
 def test_sigma_profile_matches_definition():

@@ -22,16 +22,25 @@ except InvariantError as err:
     print("InvariantError:", err)
 """
 
-# the suffix table meets a state planted among the generated ones
+# the suffix table meets a state planted in the operator table: no operator
+# reaches it, and its eps are its true ones
 NON_NORMAL_TABLE_ENTRY = """
 from schubcalc import crystals
 from schubcalc.cartan import InvariantError, RootDatum, standard_word
 
-generated = crystals.crystal_states
-crystals.crystal_states = lambda datum, word, lam: generated(datum, word, lam) + ((5, 5, 5),)
 A2 = RootDatum("A", 2)
+word, lam, state = standard_word(A2), (1, 0), (5, 5, 5)
+table = crystals._operator_table(A2, word, lam)
+planted = table._replace(
+    states=table.states + (state,),
+    index={**table.index, state: len(table.states)},
+    down=tuple(row + (-1,) for row in table.down),
+    up=tuple(row + (-1,) for row in table.up),
+    eps=tuple(row + (crystals.epsilon(A2, word, lam, state, i),) for i, row in enumerate(table.eps, 1)),
+)
+crystals._operator_table = lambda datum, word, lam: planted
 try:
-    print(sorted(crystals.generate_b_lambda(A2, standard_word(A2), (1, 0))))
+    print(sorted(crystals.generate_b_lambda(A2, word, lam)))
 except InvariantError as err:
     print("InvariantError:", err)
 """
