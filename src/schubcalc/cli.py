@@ -287,6 +287,15 @@ def cmd_verify(args) -> int:
         raise BadInput(
             "verify supports ranks 2..%d for type %s" % (_VERIFY_RANK_LIMITS[family], family)
         )
+    # a suite over no cells would report "pass" having checked nothing, and
+    # fewer than one worker would silently run in this process
+    for value, flag, least in (
+        (args.lambda_max, "--lambda-max", 0),
+        (args.samples, "--samples", 1),
+        (args.jobs, "--jobs", 1),
+    ):
+        if value < least:
+            raise BadInput("%s must be at least %d, got %d" % (flag, least, value))
     if theorem in ("theorem1", "theorem2", "theorem3"):
         report = verify.theorem_suite(
             theorem, family, rank, args.lambda_max, jobs=args.jobs, budget=budget

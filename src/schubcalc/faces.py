@@ -25,11 +25,11 @@ The claim the class arithmetic exercises: the (dual) Kogan face sums
 represent the Schubert classes in the polytope ring (Kiritchenko-Smirnov-
 Timorin for Gelfand-Zetlin polytopes, the paper's result for the symplectic
 ones).  The arithmetic runs on a deformed model polytope certified as a tower
-of intervals, where every face is its set of tight rows and the cohomology
-ring of the toric variety is Z[x_row] modulo the products of the two rows of
-a step and one linear relation per coordinate.  A pairing or a product
-coefficient is one degree in that ring (`DeformedContext.degree`), and every
-product is checked against the divided-difference oracle.
+of intervals, whose toric cohomology ring is that of a Bott tower: a face is a
+pair of step bitmasks, every class has one square-free normal form, and a
+pairing or a product coefficient is read off by complement
+(`DeformedContext`).  Every product is checked against the
+divided-difference oracle.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from functools import lru_cache
 
 from . import crystals, oracles, pipedreams, polytopes
 from .cartan import (
+    InvariantError,
     RootDatum,
     WeylElement,
     all_elements,
@@ -243,27 +244,24 @@ def schubert_class(datum: RootDatum, w: WeylElement, family: str) -> FaceSum:
     raise ValueError("family must be 'dual-kogan' or 'kogan'")
 
 
-# The meet of two faces with no common point; distinct from the empty row
-# set, which is the whole polytope.
-EMPTY = object()
-
-
 class DeformedContext:
     """Face calculus on a deformation of the model polytope certified as a
-    tower of intervals (`polytopes.interval_tower`): two rows per sweep step,
-    combinatorially an N-cube.  A face is its set of tight rows (`rows`): it
-    is nonempty exactly when no two of them share a step, and then its
-    codimension is their number.  `meet` is the one transversality rule.
+    tower of intervals (`polytopes.interval_tower`): combinatorially an
+    N-cube, whose step t (0-based along the sweep order) holds exactly one
+    row of the first facet family, f_t, and one of the second, g_t; the
+    constructor raises `InvariantError` otherwise.  A face is its pair of
+    step bitmasks (`masks`): it is nonempty exactly when they are disjoint,
+    and then its codimension is their total bit count.
 
     The certificate makes the polytope smooth, so its toric variety has the
-    cohomology ring Z[x_row] modulo x_up * x_lo = 0 for the two rows of each
-    step and one linear relation per coordinate (Jurkiewicz-Danilov).  The
-    relation of the coordinate of step t, solved for a row i of that step,
-    reads x_i = -a_i[var] * sum_j a_j[var] x_j over the rows j of later steps
-    whose support holds var; the other row of step t is left out, since its
-    product with x_i is 0.  `relation` maps each row to those (j, coefficient)
-    pairs; `degree` evaluates top-degree monomials with them.  No elimination
-    runs here; the constructor raises when the certificate fails."""
+    cohomology ring Z[x_row] modulo f_t * g_t = 0 for each step and one
+    linear relation per coordinate (Jurkiewicz-Danilov), the ring of a Bott
+    tower.  The relation of the coordinate of step t reads g_t = f_t - L_t,
+    for L_t a linear form in the f of later steps, so f_t^2 = f_t * L_t:
+    every class has one square-free normal form {F-step mask: coefficient},
+    and a top-degree f^m * g^m' has degree 1 when m' = full ^ m and 0
+    otherwise.  `square[t]` holds L_t as (step, coefficient) pairs.  No
+    elimination runs here."""
 
     def __init__(self, datum: RootDatum, lam=None, profile=None):
         self.datum = datum
@@ -272,70 +270,43 @@ class DeformedContext:
             datum, self.profile
         )
         self.polytope = polytopes.deformed_polytope(datum, self.lam, self.profile)
-        self.big_n = datum.num_positive_roots
+        self.big_n = big_n = datum.num_positive_roots
         tower = polytopes.interval_tower(self.polytope)
         if tower is None:
             raise ValueError("deformed polytope is not simple; enlarge lambda")
         self.step, self.verts = tower
+        steps = list(range(big_n))
+        if sorted(self.step[:big_n]) != steps or sorted(self.step[big_n:]) != steps:
+            raise InvariantError("a tower step does not hold one row of each facet family")
         coeffs = [vec for vec, _ in self.polytope.ineqs]
-        relation = []
-        for i, a in enumerate(coeffs):
-            var = self.polytope.sweep_order[self.step[i]]
-            relation.append(tuple(
-                (j, -a[var] * b[var])
-                for j, b in enumerate(coeffs)
-                if self.step[j] > self.step[i] and b[var]
-            ))
-        self.relation = tuple(relation)
+        square = [()] * big_n
+        for t in reversed(steps):
+            # L_t = -a[var] * sum_j b[var] x_j over the rows j of later steps,
+            # each g_s among them rewritten as f_s - L_s; f_t is the first
+            # row of step t
+            var = self.polytope.sweep_order[t]
+            a = coeffs[self.step.index(t)][var]
+            form = Counter()
+            for j, b in enumerate(coeffs):
+                s = self.step[j]
+                if s > t and b[var]:
+                    c = -a * b[var]
+                    form[s] += c
+                    if j >= big_n:
+                        for r, d in square[s]:
+                            form[r] -= c * d
+            square[t] = tuple((s, c) for s, c in sorted(form.items()) if c)
+        self.square = tuple(square)
 
-    def rows(self, *refs):
-        """Tight rows of the faces' intersection, sorted; EMPTY when two of
-        them share a step.  A nonempty face has codimension len(rows)."""
-        rows = sorted({k for ref in refs for k in _facet_indices(ref, self.big_n)})
-        return tuple(rows) if len({self.step[k] for k in rows}) == len(rows) else EMPTY
-
-    def monomial(self, *refs):
-        """The product of the faces' classes as its sorted row multiset: a row
-        shared by two faces appears twice."""
-        return tuple(sorted(k for ref in refs for k in _facet_indices(ref, self.big_n)))
-
-    def meet(self, a: FaceRef, b: FaceRef):
-        """Rows of a and b intersected: EMPTY when they complete a step, None
-        when a and b share a row, so that their codimensions do not add."""
-        rows = self.rows(a, b)
-        if rows is not EMPTY and len(rows) < len(a.f_tight + a.fv_tight + b.f_tight + b.fv_tight):
-            return None
-        return rows
-
-    def intersect(self, a: FaceRef, b: FaceRef) -> FaceRef:
-        return FaceRef(
-            tuple(sorted(set(a.f_tight) | set(b.f_tight))),
-            tuple(sorted(set(a.fv_tight) | set(b.fv_tight))),
-        )
-
-    def degree(self, rows, memo):
-        """Degree of the monomial of `rows`, a sorted multiset of N rows: 0
-        when two distinct rows share a step; 1 when the N rows lie on N steps
-        (they meet in one vertex of a unimodular cone); otherwise one copy of
-        a repeated row is rewritten by its relation.  Every row of a relation
-        lies at a later step than the row it replaces, so the rewriting ends.
-        `memo` is the caller's, one per product or pairing."""
-        got = memo.get(rows)
-        if got is None:
-            distinct = set(rows)
-            if len({self.step[k] for k in distinct}) < len(distinct):
-                got = 0
-            elif len(distinct) == len(rows):
-                got = 1
-            else:
-                at = next(i for i in range(1, len(rows)) if rows[i] == rows[i - 1])
-                rest = rows[:at] + rows[at + 1 :]
-                got = sum(
-                    c * self.degree(tuple(sorted(rest + (j,))), memo)
-                    for j, c in self.relation[rows[at]]
-                )
-            memo[rows] = got
-        return got
+    def masks(self, ref: FaceRef) -> tuple:
+        """(F-step mask, Fv-step mask) of a face: bit t set when the face is
+        tight on the row of step t in that family."""
+        f = g = 0
+        for k in ref.f_tight:
+            f |= 1 << self.step[k - 1]
+        for k in ref.fv_tight:
+            g |= 1 << self.step[self.big_n + k - 1]
+        return f, g
 
 
 @lru_cache(maxsize=None)
@@ -352,28 +323,24 @@ def class_face_refs(datum: RootDatum, u: WeylElement, family: str):
     return schubert_class(datum, multiply(longest_element(datum), u), "kogan").terms
 
 
-def _pairing(ctx, product, refs, memo):
-    """Degree of a face sum, given as a Counter of row multisets, times the
-    face sum `refs` of the complementary codimension."""
-    duals = [ctx.monomial(ref) for ref in refs]
-    return sum(
-        n * ctx.degree(tuple(sorted(m + d)), memo) for m, n in product.items() for d in duals
-    )
-
-
 def degree_pairing(datum: RootDatum, u: WeylElement, v: WeylElement, ctx=None) -> int:
     """Intersection number of the opposite classes of u and v in complementary
     codimensions: the degree of F_u * Fv_v in the ring of the deformed
-    polytope."""
+    polytope, the number of face pairs (a, b) whose F-step mask of a is the
+    complement of the Fv-step mask of b."""
     if length(u) + length(v) != datum.num_positive_roots:
         raise ValueError("lengths must be complementary")
     ctx = ctx or default_context(datum)
-    product = Counter(map(ctx.monomial, class_face_refs(datum, u, "F")))
-    return _pairing(ctx, product, class_face_refs(datum, v, "Fv"), {})
+    full = (1 << datum.num_positive_roots) - 1
+    duals = Counter(full ^ ctx.masks(ref)[1] for ref in class_face_refs(datum, v, "Fv"))
+    return sum(duals[ctx.masks(ref)[0]] for ref in class_face_refs(datum, u, "F"))
 
 
 @dataclass
 class ProductResult:
+    """`dropped_empty` is always (): the F rows lie on distinct steps, so two
+    F faces never complete a step and always meet."""
+
     v: WeylElement
     w: WeylElement
     faces: tuple            # transversal meets of the (F, F) face sums
@@ -383,24 +350,6 @@ class ProductResult:
     nontransversal: tuple   # (F, F) face pairs that share a row
 
 
-def _combine(ctx, left, right):
-    """Pairwise intersections of two face lists, with the pairs that meet in
-    no point and the pairs that share a row reported apart."""
-    terms = []
-    dropped = []
-    bad = []
-    for fa in left:
-        for fb in right:
-            rows = ctx.meet(fa, fb)
-            if rows is EMPTY:
-                dropped.append((fa, fb))
-            elif rows is None:
-                bad.append((fa, fb))
-            else:
-                terms.append(ctx.intersect(fa, fb))
-    return terms, dropped, bad
-
-
 def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> ProductResult:
     """Product of the opposite Schubert classes of v and w, read off their
     dual Kogan face sums.  The claim exercised: the class face sums represent
@@ -408,9 +357,10 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
     Timorin in type A, the paper's symplectic result in type C), so the
     coefficient of t is the degree of F_v * F_w * Fv_{w0 t} in the ring of the
     deformed polytope, where Fv_{w0 t} is the Kogan face sum of the Schubert
-    variety of t.  The (F, F) face sum, with its empty and
+    variety of t: the normal form of F_v * F_w read at the complements of the
+    Fv-step masks of those Kogan faces.  The (F, F) face sum, with its
     non-transversal pairs, is the printed certificate; a pair that shares a
-    row enters the degree with the row repeated.
+    row enters the normal form through the square rule.
 
     The expansion is checked against the divided-difference oracle;
     disagreement is a hard error.
@@ -418,19 +368,55 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
     if datum.family != "C":
         raise ValueError("the product pipeline is certified for type C only")
     ctx = ctx or default_context(datum)
+    big_n = datum.num_positive_roots
     degree = length(v) + length(w)
-    if degree > datum.num_positive_roots:
+    if degree > big_n:
         return ProductResult(v, w, (), {}, "zero", (), ())
-    terms, dropped, bad = _combine(
-        ctx, class_face_refs(datum, v, "F"), class_face_refs(datum, w, "F")
-    )
-    product = Counter(map(ctx.monomial, terms))
-    product.update(ctx.monomial(fa, fb) for fa, fb in bad)
     memo = {}
+
+    def times(mask, t):
+        """Normal form of f^mask * f_t: square-free as it stands, else
+        rewritten by f_t^2 = f_t * L_t onto later steps."""
+        got = memo.get((mask, t))
+        if got is None:
+            if not mask >> t & 1:
+                got = {mask | 1 << t: 1}
+            else:
+                got = Counter()
+                for s, c in ctx.square[t]:
+                    for m, n in times(mask, s).items():
+                        got[m] += c * n
+            memo[mask, t] = got
+        return got
+
+    form = Counter()
+
+    def add(mask, shared, n):
+        """form += n * f^mask * f^shared, one shared step at a time."""
+        if not shared:
+            form[mask] += n
+            return
+        t = shared.bit_length() - 1
+        for m, c in times(mask, t).items():
+            add(m, shared ^ 1 << t, n * c)
+
+    terms = []
+    bad = []
+    right = [(fb, ctx.masks(fb)[0]) for fb in class_face_refs(datum, w, "F")]
+    for fa in class_face_refs(datum, v, "F"):
+        a = ctx.masks(fa)[0]
+        for fb, b in right:
+            if a & b:
+                bad.append((fa, fb))
+            else:
+                terms.append(FaceRef(tuple(sorted(fa.f_tight + fb.f_tight)), ()))
+            add(a | b, a & b, 1)
+    full = (1 << big_n) - 1
     expansion = {}
     for t in all_elements(datum):
         if length(t) == degree:
-            c = _pairing(ctx, product, schubert_class(datum, t, "kogan").terms, memo)
+            kogan = schubert_class(datum, t, "kogan").terms
+            c = sum(form[full ^ ctx.masks(ref)[1]] for ref in kogan)
             if c:
                 expansion[t] = c
     oracle = dict(oracles.bgg_structure_constants(datum, v, w))
@@ -450,6 +436,6 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
         faces=tuple(terms),
         expansion=expansion,
         method="degree-pairing",
-        dropped_empty=tuple(dropped),
+        dropped_empty=(),
         nontransversal=tuple(bad),
     )

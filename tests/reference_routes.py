@@ -1,13 +1,18 @@
 """Slow reference routes that the library's table-driven code is tested
 against: the crystal read off `f_op`/`e_op` state by state, the Demazure
-folds along whole reduced words, and the extraction sets by one search per
-Weyl element."""
+folds along whole reduced words, the extraction sets by one search per
+Weyl element, and the products and pairings of the deformed-polytope ring by
+rewriting row multisets one repeated row at a time."""
+
+from collections import Counter
 
 from schubcalc import crystals as cr
+from schubcalc import faces as fc
 from schubcalc.cartan import (
     all_reduced_words,
     bruhat_leq,
     check_word_of_longest,
+    all_elements,
     identity_element,
     inverse,
     length,
@@ -127,3 +132,87 @@ def other_word(datum):
     if word == standard_word(datum):
         raise ValueError("the standard word is the last one for %r" % (datum,))
     return word
+
+
+# ---------------------------------------------------------------------------
+# the deformed-polytope ring over row multisets
+
+
+def relation(ctx):
+    """Per row i of the context's polytope, the (row j, coefficient) pairs of
+    x_i^2 = x_i * sum_j c_j x_j: the relation of the coordinate of i's step,
+    solved for x_i, over the rows j of later steps whose support holds it."""
+    coeffs = [vec for vec, _ in ctx.polytope.ineqs]
+    out = []
+    for i, a in enumerate(coeffs):
+        var = ctx.polytope.sweep_order[ctx.step[i]]
+        out.append(tuple(
+            (j, -a[var] * b[var])
+            for j, b in enumerate(coeffs)
+            if ctx.step[j] > ctx.step[i] and b[var]
+        ))
+    return tuple(out)
+
+
+def row_degree(ctx, rel, rows, memo):
+    """Degree of the monomial of `rows`, a sorted multiset of N rows: 0 when
+    two distinct rows share a step, 1 when the N rows lie on N steps, and
+    otherwise one copy of a repeated row rewritten by its relation."""
+    got = memo.get(rows)
+    if got is None:
+        distinct = set(rows)
+        if len({ctx.step[k] for k in distinct}) < len(distinct):
+            got = 0
+        elif len(distinct) == len(rows):
+            got = 1
+        else:
+            at = next(i for i in range(1, len(rows)) if rows[i] == rows[i - 1])
+            rest = rows[:at] + rows[at + 1 :]
+            got = sum(c * row_degree(ctx, rel, tuple(sorted(rest + (j,))), memo) for j, c in rel[rows[at]])
+        memo[rows] = got
+    return got
+
+
+def _monomial(ctx, *refs):
+    """The product of the faces' classes as its sorted row multiset."""
+    return tuple(sorted(
+        k - 1 if family == 0 else ctx.big_n + k - 1
+        for ref in refs
+        for family, tight in enumerate((ref.f_tight, ref.fv_tight))
+        for k in tight
+    ))
+
+
+def _pairing(ctx, rel, product, refs, memo):
+    duals = [_monomial(ctx, ref) for ref in refs]
+    return sum(
+        n * row_degree(ctx, rel, tuple(sorted(m + d)), memo) for m, n in product.items() for d in duals
+    )
+
+
+def degree_pairing(datum, u, v, ctx):
+    """deg(F_u * Fv_v) by row-multiset rewriting."""
+    product = Counter(_monomial(ctx, ref) for ref in fc.class_face_refs(datum, u, "F"))
+    return _pairing(ctx, relation(ctx), product, fc.class_face_refs(datum, v, "Fv"), {})
+
+
+def product_expansion(datum, v, w, ctx):
+    """{t: deg(F_v * F_w * Fv_{w0 t})} over the nonzero coefficients, by
+    row-multiset rewriting; {} above the top degree."""
+    degree = length(v) + length(w)
+    if degree > datum.num_positive_roots:
+        return {}
+    rel = relation(ctx)
+    product = Counter(
+        _monomial(ctx, fa, fb)
+        for fa in fc.class_face_refs(datum, v, "F")
+        for fb in fc.class_face_refs(datum, w, "F")
+    )
+    memo = {}
+    expansion = {}
+    for t in all_elements(datum):
+        if length(t) == degree:
+            c = _pairing(ctx, rel, product, fc.schubert_class(datum, t, "kogan").terms, memo)
+            if c:
+                expansion[t] = c
+    return expansion

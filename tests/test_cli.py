@@ -85,11 +85,29 @@ def test_product_command():
 
 
 def test_verify_axioms_zero_samples():
+    # a suite of no cells checks nothing, so it is bad input, not a pass
     proc = run_cli("verify", "axioms", "--type", "A", "--rank", "2", "--samples", "0")
-    assert proc.returncode == 0
-    payload = json.loads(proc.stdout)
-    assert payload["status"] == "pass"
-    assert payload["cells"] == []
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--samples" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("theorem1", "--lambda-max", "-1"),
+        ("axioms", "--samples", "-5"),
+        ("theorem1", "--lambda-max", "0", "--jobs", "0"),
+        ("theorem1", "--lambda-max", "0", "--jobs", "-4"),
+    ],
+    ids=["lambda-max", "samples", "jobs-zero", "jobs-negative"],
+)
+def test_verify_rejects_counts_that_check_nothing(args):
+    theorem, flag = args[0], args[-2]
+    proc = run_cli("verify", theorem, "--type", "A", "--rank", "2", *args[1:])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert flag in proc.stderr
 
 
 def test_verify_theorem1_small():

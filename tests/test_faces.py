@@ -9,6 +9,7 @@ from schubcalc import faces as fc
 from schubcalc import pipedreams as pd
 from schubcalc import polytopes as pt
 from schubcalc.cartan import (
+    InvariantError,
     RootDatum,
     all_elements,
     all_reduced_words,
@@ -23,6 +24,8 @@ from schubcalc.cartan import (
     word_to_element,
 )
 from schubcalc.oracles import bgg_structure_constants, demazure_dimension, weyl_dimension
+
+import reference_routes as routes
 
 A2 = RootDatum("A", 2)
 A3 = RootDatum("A", 3)
@@ -146,14 +149,14 @@ def test_class_codims_in_deformed_polytope(datum, nonempty):
     seen = 0
     for w in all_elements(datum):
         for ref in fc.schubert_class(datum, w, "dual-kogan").terms:
-            rows = ctx.rows(ref)
-            if rows is not fc.EMPTY:
-                assert len(rows) == length(w) == len(ref.f_tight)
+            f, g = ctx.masks(ref)
+            if not f & g:
+                assert (f | g).bit_count() == length(w) == len(ref.f_tight)
                 seen += 1
         for ref in fc.schubert_class(datum, w, "kogan").terms:
-            rows = ctx.rows(ref)
-            if rows is not fc.EMPTY:
-                assert len(rows) == datum.num_positive_roots - length(w) == len(ref.fv_tight)
+            f, g = ctx.masks(ref)
+            if not f & g:
+                assert (f | g).bit_count() == datum.num_positive_roots - length(w) == len(ref.fv_tight)
                 seen += 1
     assert seen == nonempty
 
@@ -167,8 +170,9 @@ def _ref(rows, big_n):
 
 @pytest.mark.parametrize("datum", [A2, C2, A3], ids=["A2", "C2", "A3"])
 def test_tight_set_rule_matches_vertex_oracle(datum):
-    # the tight-set rule against exact elimination over the DFS vertices, on
-    # the face cut out by every subset of the 2N rows
+    # the step-mask rule against exact elimination over the DFS vertices, on
+    # the face cut out by every subset of the 2N rows: nonempty exactly when
+    # its two masks are disjoint, of codimension their total bit count
     ctx = fc.default_context(datum)
     big_n = datum.num_positive_roots
     verts = pt.vertices(ctx.polytope)
@@ -177,23 +181,25 @@ def test_tight_set_rule_matches_vertex_oracle(datum):
     for bits in range(1 << 2 * big_n):
         rows = [k for k in range(2 * big_n) if bits >> k & 1]
         tight = [v for i, v in enumerate(verts) if all(masks[k] >> i & 1 for k in rows)]
-        got = ctx.rows(_ref(rows, big_n))
-        assert (got is not fc.EMPTY) == bool(tight), bits
+        f, g = ctx.masks(_ref(rows, big_n))
+        assert (not f & g) == bool(tight), bits
         if tight:
-            assert len(got) == len(rows) == big_n - pt.affine_rank(tight), bits
+            assert (f | g).bit_count() == len(rows) == big_n - pt.affine_rank(tight), bits
 
 
 @pytest.mark.parametrize("datum", [A2, C2, A3], ids=["A2", "C2", "A3"])
 def test_square_free_degree_matches_vertex_count(datum):
-    # the degree of every N-subset of the 2N rows against the number of DFS
-    # vertices tight on all of them
+    # every N-subset of the 2N rows meets in one DFS vertex exactly when its
+    # F-step and Fv-step masks are complementary, and in none otherwise
     ctx = fc.default_context(datum)
     big_n = datum.num_positive_roots
+    full = (1 << big_n) - 1
     masks = pt.incidence(ctx.polytope)
     n_verts = len(pt.vertices(ctx.polytope))
     for rows in itertools.combinations(range(2 * big_n), big_n):
         tight = sum(1 for i in range(n_verts) if all(masks[k] >> i & 1 for k in rows))
-        assert ctx.degree(rows, {}) == tight, rows
+        f, g = ctx.masks(_ref(rows, big_n))
+        assert tight == (g == full ^ f), rows
 
 
 def _c2_product_table(ctx):
@@ -202,20 +208,29 @@ def _c2_product_table(ctx):
             fc.product_c(C2, v, w, ctx)
 
 
-# The rows of the default C2 context whose relations the C2 product table
-# reaches with a nonzero weight; the relation of row 2 enters it only in
-# terms that vanish, and those of rows 6 and 7 not at all.
-@pytest.mark.parametrize("row", [1, 3, 5])
-def test_relation_sign_flip_is_caught(row):
+# Every entry of the squares of the default C2 context, as (step, position):
+# f_0^2 = -f_0 f_2, f_1^2 = f_1 (f_2 - f_3), f_2^2 = f_2 f_3, and f_3^2 = 0.
+C2_SQUARE_ENTRIES = [(0, 0), (1, 0), (1, 1), (2, 0)]
+
+
+def test_c2_square_entries():
+    ctx = fc.default_context(C2)
+    assert [(t, i) for t, sq in enumerate(ctx.square) for i in range(len(sq))] == C2_SQUARE_ENTRIES
+
+
+@pytest.mark.parametrize("step, at", C2_SQUARE_ENTRIES, ids=["%d-%d" % e for e in C2_SQUARE_ENTRIES])
+def test_square_sign_flip_is_caught(step, at):
     ctx = fc.DeformedContext(C2)
-    (j, c), = ctx.relation[row]
-    ctx.relation = ctx.relation[:row] + (((j, -c),),) + ctx.relation[row + 1 :]
+    square = list(ctx.square[step])
+    s, c = square[at]
+    square[at] = (s, -c)
+    ctx.square = ctx.square[:step] + (tuple(square),) + ctx.square[step + 1 :]
     with pytest.raises(fc.TheoremViolationError):
         _c2_product_table(ctx)
 
 
 def test_dropping_the_empty_step_rule_is_caught():
-    # one step per row: the two rows of a step no longer multiply to 0
+    # one step per row: no F-step mask is the complement of an Fv-step mask
     ctx = fc.DeformedContext(C2)
     _c2_product_table(ctx)
     ctx.step = tuple(range(2 * C2.num_positive_roots))
@@ -250,23 +265,59 @@ def test_context_refuses_non_simple_polytope(lam, profile):
 def test_transversality_ops():
     ctx = fc.default_context(C2)
     big_n = C2.num_positive_roots
-    f = fc.FaceRef((1,), ())
-    assert ctx.intersect(f, f) == f
-    # a facet met with itself shares its row
-    assert ctx.meet(f, f) is None
+    # every step holds one row of each facet family
+    assert sorted(ctx.step[:big_n]) == sorted(ctx.step[big_n:]) == list(range(big_n))
+    # a facet met with itself shares its row: s1 * s1 reports the pairs of
+    # equal facets as non-transversal and the others as their meets
+    s1 = word_to_element(C2, (1,))
+    res = fc.product_c(C2, s1, s1, ctx)
+    f1, f3 = fc.FaceRef((1,), ()), fc.FaceRef((3,), ())
+    assert res.nontransversal == ((f1, f1), (f3, f3))
+    assert res.faces == (fc.FaceRef((1, 3), ()),) * 2
+    assert res.dropped_empty == ()
     # the two rows of one step meet empty, rows of two steps transversally
     pairs = [(i, j) for i in range(2 * big_n) for j in range(i + 1, 2 * big_n)]
     same = [(i, j) for i, j in pairs if ctx.step[i] == ctx.step[j]]
     assert len(same) == big_n
     for i, j in pairs:
-        got = ctx.meet(_ref([i], big_n), _ref([j], big_n))
-        assert (got is fc.EMPTY) if (i, j) in same else (got == (i, j))
+        f, g = ctx.masks(_ref([i, j], big_n))
+        assert bool(f & g) == ((i, j) in same)
+        assert (f | g).bit_count() == (1 if (i, j) in same else 2)
     # the whole polytope has no rows and is not empty
-    whole = fc.FaceRef((), ())
-    assert ctx.rows(whole) == () and ctx.meet(whole, whole) == ()
+    assert ctx.masks(fc.FaceRef((), ())) == (0, 0)
     # the first two dual-family facets of the deformed symplectic polytope
     # meet transversally
-    assert ctx.meet(fc.FaceRef((1,), ()), fc.FaceRef((2,), ())) == (0, 1)
+    assert ctx.masks(fc.FaceRef((1, 2), ())) == (1 << ctx.step[0] | 1 << ctx.step[1], 0)
+
+
+def test_normal_form_matches_row_multiset_route():
+    # every complementary pairing of C2, A3 and C3 and every product of C2
+    # and C3 against the row-multiset rewriting it replaced
+    for datum in (C2, A3, C3):
+        ctx = fc.default_context(datum)
+        for u in all_elements(datum):
+            for v in all_elements(datum):
+                if length(u) + length(v) == datum.num_positive_roots:
+                    assert fc.degree_pairing(datum, u, v, ctx) == routes.degree_pairing(datum, u, v, ctx)
+    for datum in (C2, C3):
+        ctx = fc.default_context(datum)
+        for v in all_elements(datum):
+            for w in all_elements(datum):
+                got = fc.product_c(datum, v, w, ctx).expansion
+                assert got == routes.product_expansion(datum, v, w, ctx), (v, w)
+
+
+def test_context_refuses_a_step_without_one_row_of_each_family(monkeypatch):
+    # the F rows of the first two steps planted on one step
+    tower = pt.interval_tower
+
+    def planted(p):
+        step, verts = tower(p)
+        return (step[1],) + step[1:], verts
+
+    monkeypatch.setattr(pt, "interval_tower", planted)
+    with pytest.raises(InvariantError, match="one row of each facet family"):
+        fc.DeformedContext(C2)
 
 
 def test_product_pipeline_runs_no_elimination(monkeypatch):

@@ -45,6 +45,27 @@ except InvariantError as err:
     print("InvariantError:", err)
 """
 
+# a tower whose first two steps hold the F rows of one step: the deformed
+# context must refuse it rather than build a ring on it
+REPEATED_F_STEP = """
+from schubcalc import faces, polytopes
+from schubcalc.cartan import InvariantError, RootDatum
+
+tower = polytopes.interval_tower
+
+
+def planted(p):
+    step, verts = tower(p)
+    return (step[1],) + step[1:], verts
+
+
+polytopes.interval_tower = planted
+try:
+    print(faces.DeformedContext(RootDatum("C", 2)).square)
+except InvariantError as err:
+    print("InvariantError:", err)
+"""
+
 
 def _run_optimized(script):
     env = dict(os.environ)
@@ -68,6 +89,11 @@ def test_invariant_survives_optimize_flag():
 def test_table_invariant_survives_optimize_flag():
     out = _run_optimized(NON_NORMAL_TABLE_ENTRY)
     assert out.startswith("InvariantError: non-normal state"), out
+
+
+def test_context_invariant_survives_optimize_flag():
+    out = _run_optimized(REPEATED_F_STEP)
+    assert out.startswith("InvariantError: a tower step does not hold one row of each"), out
 
 
 def test_library_has_no_assert_statements():
