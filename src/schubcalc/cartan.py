@@ -9,7 +9,20 @@ against the symplectic Weyl dimensions.
 Weyl elements are stored in one-line form: a permutation of 1..n+1 for type A,
 a signed permutation of 1..n for type C (entry j is the signed image of the
 j-th coordinate vector).  Products compose right-to-left, so the word
-(j_1, ..., j_m) denotes s_{j_1} s_{j_2} ... s_{j_m}.
+(j_1, ..., j_m) denotes s_{j_1} s_{j_2} ... s_{j_m}.  A `WeylElement` refuses
+any other one-line form with `ValueError`.
+
+The group arithmetic runs on one table per datum (`_weyl_table`), built once
+from `multiply`, `inverse`, `simple_element` and the inversion count: every
+element in `all_elements` order, an index from one-line form to position,
+per letter the positions of the left and right products by s_i, and the
+lengths, |W| * (2 * rank + 1) integers in all.  `length`, `left_mul`,
+`left_descents`, `left_ascents`, `word_to_element`, `reduced_word`,
+`bruhat_leq` and the subword search of `_extraction_table` walk these integer
+indices and return the table's own elements; a lookup of a non-member raises
+`ValueError`.  The build raises `InvariantError` unless |W| is (n+1)! (type
+A) or 2^n n! (type C), the identity and w_0 sit at the two ends, and every
+product by a simple reflection changes the length by exactly one.
 """
 
 from __future__ import annotations
@@ -17,9 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-
-from . import linalg
+from math import factorial, gcd, lcm
+from typing import NamedTuple
 
 
 class InvariantError(AssertionError):
@@ -119,16 +131,6 @@ def weight_root_pairing(datum: RootDatum, lam, root) -> Fraction:
     return Fraction(sum(root[j] * d[j] * lam[j] for j in range(datum.rank)))
 
 
-def weight_inner(datum: RootDatum, lam, mu) -> Fraction:
-    """W-invariant inner product of two weights in fundamental coordinates."""
-    c = cartan_matrix(datum)
-    n = datum.rank
-    # solve C g = mu, so that mu = sum_j g_j alpha_j
-    g = linalg.solve([c[i] + (mu[i],) for i in range(n)], n)
-    d = symmetrizer(datum)
-    return sum(g[j] * d[j] * lam[j] for j in range(n))
-
-
 def simple_root_in_fundamental(datum: RootDatum, i: int) -> tuple:
     """alpha_i written in fundamental-weight coordinates (column i of Cartan)."""
     c = cartan_matrix(datum)
@@ -147,6 +149,16 @@ def is_dominant(lam) -> bool:
 class WeylElement:
     datum: RootDatum
     oneline: tuple
+
+    def __post_init__(self):
+        signed = self.datum.family == "C"
+        size = self.datum.rank if signed else self.datum.rank + 1
+        line = self.oneline
+        entries = map(abs, line) if signed else line
+        if not isinstance(line, tuple) or sorted(entries) != list(range(1, size + 1)):
+            raise ValueError(
+                "%r is not a %spermutation of 1..%d" % (line, "signed " if signed else "", size)
+            )
 
     def __repr__(self):
         return "W%s%d%r" % (self.datum.family, self.datum.rank, list(self.oneline))
@@ -193,15 +205,13 @@ def inverse(w: WeylElement) -> WeylElement:
     return WeylElement(w.datum, tuple(out))
 
 
-def word_to_element(datum: RootDatum, word) -> WeylElement:
-    w = identity_element(datum)
-    for i in word:
-        w = multiply(w, simple_element(datum, i))
-    return w
+def longest_element(datum: RootDatum) -> WeylElement:
+    if datum.family == "A":
+        return WeylElement(datum, tuple(range(datum.rank + 1, 0, -1)))
+    return WeylElement(datum, tuple(-j for j in range(1, datum.rank + 1)))
 
 
-@lru_cache(maxsize=None)
-def length(w: WeylElement) -> int:
+def _inversions(w: WeylElement) -> int:
     """Number of positive roots sent to negative roots (= inversion count)."""
     line = w.oneline
     n = len(line)
@@ -218,29 +228,133 @@ def length(w: WeylElement) -> int:
     return total
 
 
+# ---------------------------------------------------------------------------
+# the group table
+
+
+class _WeylTable(NamedTuple):
+    elements: tuple  # every element, sorted by (length, one-line form)
+    index: dict      # one-line form -> its position in `elements`
+    left: tuple      # left[i - 1][k]: index of s_i * elements[k]
+    right: tuple     # right[i - 1][k]: index of elements[k] * s_i
+    length: tuple    # length[k]: length of elements[k]
+
+
+@lru_cache(maxsize=None)
+def _weyl_table(datum: RootDatum) -> _WeylTable:
+    """The Weyl group of `datum` as integer arrays, built once from `multiply`,
+    `inverse`, `simple_element` and the inversion count: the closure of the
+    identity under right multiplication by the simple reflections, sorted,
+    with per letter the indices of the right products and of the left ones,
+    read off the right products of the inverses.
+
+    Raises `InvariantError` unless the group has (n+1)! elements (type A) or
+    2^n n! (type C), the identity and w_0 sit at the two ends, and every left
+    or right product by a simple reflection changes the length by exactly one
+    (the Coxeter property)."""
+    n = datum.rank
+    simple = [simple_element(datum, i) for i in range(1, n + 1)]
+    products = {}  # element -> its right products by s_1, ..., s_n
+    frontier = {identity_element(datum)}
+    while frontier:
+        for w in frontier:
+            products[w] = [multiply(w, s) for s in simple]
+        frontier = {x for w in frontier for x in products[w]} - products.keys()
+    expected = factorial(n + 1) if datum.family == "A" else 2**n * factorial(n)
+    if len(products) != expected:
+        raise InvariantError(
+            "found %d elements of W(%s%d), expected %d" % (len(products), datum.family, n, expected)
+        )
+    inversions = {w: _inversions(w) for w in products}
+    elements = tuple(sorted(products, key=lambda w: (inversions[w], w.oneline)))
+    if elements[0] != identity_element(datum) or elements[-1] != longest_element(datum):
+        raise InvariantError("the identity and w_0 are not the ends of W(%s%d)" % (datum.family, n))
+    index = {w.oneline: k for k, w in enumerate(elements)}
+    length = tuple(inversions[w] for w in elements)
+    right = tuple(tuple(index[products[w][i].oneline] for w in elements) for i in range(n))
+    # s_i w = (w^-1 s_i)^-1
+    inv = [index[inverse(w).oneline] for w in elements]
+    left = tuple(tuple(inv[step[j]] for j in inv) for step in right)
+    for side, steps in (("left", left), ("right", right)):
+        for i, step in enumerate(steps, 1):
+            for k, j in enumerate(step):
+                if abs(length[j] - length[k]) != 1:
+                    raise InvariantError(
+                        "the %s product of %r by s_%d changes the length by %d"
+                        % (side, elements[k], i, length[j] - length[k])
+                    )
+    return _WeylTable(elements, index, left, right, length)
+
+
+def _non_member(w: WeylElement) -> ValueError:
+    return ValueError("%r is not an element of the Weyl group of %r" % (w, w.datum))
+
+
+def _locate(w: WeylElement):
+    """(table, index) of w; ValueError, not KeyError, for a non-member."""
+    table = _weyl_table(w.datum)
+    try:
+        return table, table.index[w.oneline]
+    except KeyError:
+        raise _non_member(w) from None
+
+
+def all_elements(datum: RootDatum) -> tuple:
+    """Every Weyl group element, sorted by (length, one-line form)."""
+    return _weyl_table(datum).elements
+
+
+def length(w: WeylElement) -> int:
+    """Number of positive roots sent to negative roots (= inversion count).
+    `_locate` is inlined: callers sum lengths over all pairs of elements."""
+    table = _weyl_table(w.datum)
+    try:
+        return table.length[table.index[w.oneline]]
+    except KeyError:
+        raise _non_member(w) from None
+
+
+def word_to_element(datum: RootDatum, word) -> WeylElement:
+    """s_{j_1} ... s_{j_m} for word (j_1, ..., j_m): right products from the
+    identity."""
+    table = _weyl_table(datum)
+    k = 0
+    for i in word:
+        check_letter(datum, i)
+        k = table.right[i - 1][k]
+    return table.elements[k]
+
+
 def left_mul(i: int, w: WeylElement) -> WeylElement:
-    return multiply(simple_element(w.datum, i), w)
+    check_letter(w.datum, i)
+    table, k = _locate(w)
+    return table.elements[table.left[i - 1][k]]
 
 
-def left_descents(w: WeylElement):
-    lw = length(w)
-    return [i for i in range(1, w.datum.rank + 1) if length(left_mul(i, w)) < lw]
+def left_descents(w: WeylElement) -> list:
+    """The letters i with l(s_i w) < l(w), increasing."""
+    table, k = _locate(w)
+    lw = table.length[k]
+    return [i for i, step in enumerate(table.left, 1) if table.length[step[k]] < lw]
 
 
-def longest_element(datum: RootDatum) -> WeylElement:
-    if datum.family == "A":
-        return WeylElement(datum, tuple(range(datum.rank + 1, 0, -1)))
-    return WeylElement(datum, tuple(-j for j in range(1, datum.rank + 1)))
+def left_ascents(w: WeylElement) -> list:
+    """The letters i with l(s_i w) > l(w), increasing."""
+    table, k = _locate(w)
+    lw = table.length[k]
+    return [i for i, step in enumerate(table.left, 1) if table.length[step[k]] > lw]
 
 
 @lru_cache(maxsize=None)
 def reduced_word(w: WeylElement) -> tuple:
     """One reduced word, deterministic (smallest left descent first)."""
+    table, k = _locate(w)
+    length, left = table.length, table.left
     word = []
-    while length(w) > 0:
-        i = left_descents(w)[0]
+    while length[k]:
+        i = next(i for i, step in enumerate(left, 1) if length[step[k]] < length[k])
         word.append(i)
-        w = left_mul(i, w)
+        k = left[i - 1][k]
     return tuple(word)
 
 
@@ -256,20 +370,23 @@ def all_reduced_words(w: WeylElement) -> tuple:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
 def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order via the lifting property."""
+    """Bruhat order by the lifting property, on table indices: for a left
+    descent s of w, v <= w iff sv <= sw when s is a left descent of v, and
+    iff v <= sw otherwise."""
     if v.datum != w.datum:
         raise ValueError("elements from different groups")
-    if length(v) == 0:
-        return True
-    if length(v) > length(w):
-        return False
-    i = left_descents(w)[0]
-    sv = left_mul(i, v)
-    if length(sv) < length(v):
-        return bruhat_leq(sv, left_mul(i, w))
-    return bruhat_leq(v, left_mul(i, w))
+    table, a = _locate(v)
+    _, b = _locate(w)
+    length, left = table.length, table.left
+    while length[a]:
+        if length[a] > length[b]:
+            return False
+        step = next(step for step in left if length[step[b]] < length[b])
+        if length[step[a]] < length[a]:
+            a = step[a]
+        b = step[b]
+    return True
 
 
 def act_on_root(w: WeylElement, root) -> tuple:
@@ -280,17 +397,6 @@ def act_on_root(w: WeylElement, root) -> tuple:
     for i in reversed(reduced_word(w)):
         pairing = sum(vec[j] * c[i - 1][j] for j in range(n))
         vec = tuple(vec[j] - (pairing if j == i - 1 else 0) for j in range(n))
-    return vec
-
-
-def act_on_weight(w: WeylElement, lam) -> tuple:
-    """Image of a weight (fundamental coordinates) under w."""
-    c = cartan_matrix(w.datum)
-    n = w.datum.rank
-    vec = tuple(lam)
-    for i in reversed(reduced_word(w)):
-        coeff = vec[i - 1]
-        vec = tuple(vec[j] - coeff * c[j][i - 1] for j in range(n))
     return vec
 
 
@@ -307,6 +413,7 @@ def star_index(datum: RootDatum, i: int) -> int:
     raise InvariantError("w_0 does not permute the negated simple roots")
 
 
+@lru_cache(maxsize=None)
 def standard_word(datum: RootDatum) -> tuple:
     """The block reduced word of w_0 used throughout: (1, 21, 321, ...) for A,
     (1, 212, 32123, ...) for C."""
@@ -318,10 +425,6 @@ def standard_word(datum: RootDatum) -> tuple:
             word.extend(range(r, 0, -1))
             word.extend(range(2, r + 1))
     return tuple(word)
-
-
-def is_reduced_word(datum: RootDatum, word) -> bool:
-    return length(word_to_element(datum, word)) == len(word)
 
 
 def check_word_of_longest(datum: RootDatum, word):
@@ -340,20 +443,20 @@ def _extraction_table(datum: RootDatum, word: tuple) -> dict:
     search over the subwords, keeping each extension that raises the length
     by one, enumerates them all; every w occurs, by the subword property."""
     check_word_of_longest(datum, word)
-    simple = [simple_element(datum, i) for i in range(1, datum.rank + 1)]
+    table = _weyl_table(datum)
     found = {}
 
     def extend(pos, current, chosen):
         found.setdefault(current, []).append(tuple(chosen))
         for k in range(pos, len(word)):
-            nxt = multiply(current, simple[word[k] - 1])
-            if length(nxt) == len(chosen) + 1:
+            nxt = table.right[word[k] - 1][current]
+            if table.length[nxt] == len(chosen) + 1:
                 chosen.append(k + 1)
                 extend(k + 1, nxt, chosen)
                 chosen.pop()
 
-    extend(0, identity_element(datum), [])
-    return {w: tuple(sorted(positions)) for w, positions in found.items()}
+    extend(0, 0, [])
+    return {table.elements[k]: tuple(sorted(positions)) for k, positions in found.items()}
 
 
 def compatible_subsets(datum: RootDatum, word: tuple, w: WeylElement) -> tuple:
@@ -366,20 +469,3 @@ def compatible_subsets(datum: RootDatum, word: tuple, w: WeylElement) -> tuple:
     if w not in table:
         raise ValueError("%r is not an element of the Weyl group of %r" % (w, datum))
     return table[w]
-
-
-@lru_cache(maxsize=None)
-def all_elements(datum: RootDatum) -> tuple:
-    """Every Weyl group element, sorted by (length, one-line form)."""
-    seen = {identity_element(datum)}
-    frontier = [identity_element(datum)]
-    while frontier:
-        new = []
-        for w in frontier:
-            for i in range(1, datum.rank + 1):
-                x = left_mul(i, w)
-                if x not in seen:
-                    seen.add(x)
-                    new.append(x)
-        frontier = new
-    return tuple(sorted(seen, key=lambda w: (length(w), w.oneline)))

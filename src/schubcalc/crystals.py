@@ -19,7 +19,8 @@ and eps_i, all read off the sweeps that lowered.  Every later layer walks
 these integer indices instead of recomputing operators.  The Demazure folds
 follow Kashiwara's recursion, B_w = F_i B_{s_i w} for a left descent i and
 B^w = E_i B^{s_i w} for a left ascent i, so each fold is one closure of a
-smaller cached index set.
+smaller cached index set, kept as a sorted tuple: the folds of every w are
+cached, and a tuple takes a fraction of a frozenset's memory.
 
 These coordinates are the embedding coordinates of an element's
 canonical lift, NOT its string parametrization: the two differ already in rank
@@ -47,10 +48,9 @@ from .cartan import (
     check_letter,
     check_word_of_longest,
     is_dominant,
+    left_ascents,
+    left_descents,
     left_mul,
-    length,
-    longest_element,
-    reduced_word,
     simple_root_in_fundamental,
     standard_word,
 )
@@ -348,16 +348,16 @@ def lowest_state(datum: RootDatum, word, lam) -> tuple:
 # Demazure folds
 
 
-def _closure(step, members) -> frozenset:
-    """The closure of an index set under one letter's operator indices; each
-    chain is walked only until it meets a member."""
+def _closure(step, members) -> tuple:
+    """The closure of an index set under one letter's operator indices, as a
+    sorted tuple; each chain is walked only until it meets a member."""
     out = set(members)
     for k in members:
         j = step[k]
         while j >= 0 and j not in out:
             out.add(j)
             j = step[j]
-    return frozenset(out)
+    return tuple(sorted(out))
 
 
 def _check_group(datum, w):
@@ -366,28 +366,29 @@ def _check_group(datum, w):
 
 
 @lru_cache(maxsize=None)
-def _demazure_indices(datum: RootDatum, word, w: WeylElement, lam) -> frozenset:
-    """Table indices of B_w(lam) by Kashiwara's recursion: B_e is the highest
-    element and B_w = F_i B_{s_i w} for the first letter i of reduced_word(w),
-    a left descent."""
+def _demazure_indices(datum: RootDatum, word, w: WeylElement, lam) -> tuple:
+    """Sorted table indices of B_w(lam) by Kashiwara's recursion: B_e is the
+    highest element and B_w = F_i B_{s_i w} for the smallest left descent i
+    of w."""
     _check_group(datum, w)
     table = _operator_table(datum, word, lam)
-    if length(w) == 0:
-        return frozenset([table.index[highest_state(datum, word)]])
-    i = reduced_word(w)[0]
+    descents = left_descents(w)
+    if not descents:
+        return (table.index[highest_state(datum, word)],)
+    i = descents[0]
     return _closure(table.down[i - 1], _demazure_indices(datum, word, left_mul(i, w), lam))
 
 
 @lru_cache(maxsize=None)
-def _opposite_indices(datum: RootDatum, word, w: WeylElement, lam) -> frozenset:
-    """Table indices of B^w(lam): B^{w_0} is the lowest element and
+def _opposite_indices(datum: RootDatum, word, w: WeylElement, lam) -> tuple:
+    """Sorted table indices of B^w(lam): B^{w_0} is the lowest element and
     B^w = E_i B^{s_i w} for the smallest left ascent i of w."""
     _check_group(datum, w)
     table = _operator_table(datum, word, lam)
-    if w == longest_element(datum):
-        return frozenset([table.index[lowest_state(datum, word, lam)]])
-    lw = length(w)
-    i = next(i for i in range(1, datum.rank + 1) if length(left_mul(i, w)) > lw)
+    ascents = left_ascents(w)
+    if not ascents:
+        return (table.index[lowest_state(datum, word, lam)],)
+    i = ascents[0]
     return _closure(table.up[i - 1], _opposite_indices(datum, word, left_mul(i, w), lam))
 
 

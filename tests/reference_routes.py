@@ -1,16 +1,20 @@
 """Slow reference routes that the library's table-driven code is tested
-against: the crystal read off `f_op`/`e_op` state by state, the Demazure
-folds along whole reduced words, the extraction sets by one search per
-Weyl element, and the products and pairings of the deformed-polytope ring by
-rewriting row multisets one repeated row at a time."""
+against: the Weyl group by one-line arithmetic, the crystal read off
+`f_op`/`e_op` state by state, the Demazure folds along whole reduced words,
+the extraction sets by one search per Weyl element, and the products and
+pairings of the deformed-polytope ring by rewriting row multisets one
+repeated row at a time.  Also the weight helpers that only tests use."""
 
 from collections import Counter
 
 from schubcalc import crystals as cr
 from schubcalc import faces as fc
+from schubcalc import linalg
 from schubcalc.cartan import (
+    _inversions,
     all_reduced_words,
     bruhat_leq,
+    cartan_matrix,
     check_word_of_longest,
     all_elements,
     identity_element,
@@ -21,7 +25,97 @@ from schubcalc.cartan import (
     reduced_word,
     simple_element,
     standard_word,
+    symmetrizer,
+    word_to_element,
 )
+
+
+# ---------------------------------------------------------------------------
+# the Weyl group by one-line arithmetic
+
+
+def oneline_left_mul(i, w):
+    """s_i w by composing one-line forms."""
+    return multiply(simple_element(w.datum, i), w)
+
+
+def bfs_elements(datum):
+    """Every element: the breadth-first closure of the identity under left
+    multiplication, sorted by (inversion count, one-line form)."""
+    seen = {identity_element(datum)}
+    frontier = [identity_element(datum)]
+    while frontier:
+        new = []
+        for w in frontier:
+            for i in range(1, datum.rank + 1):
+                x = oneline_left_mul(i, w)
+                if x not in seen:
+                    seen.add(x)
+                    new.append(x)
+        frontier = new
+    return tuple(sorted(seen, key=lambda w: (_inversions(w), w.oneline)))
+
+
+def _first_left_descent(w):
+    return next(
+        i for i in range(1, w.datum.rank + 1) if _inversions(oneline_left_mul(i, w)) < _inversions(w)
+    )
+
+
+def oneline_reduced_word(w):
+    """The reduced word that takes the smallest left descent first."""
+    word = []
+    while _inversions(w):
+        i = _first_left_descent(w)
+        word.append(i)
+        w = oneline_left_mul(i, w)
+    return tuple(word)
+
+
+def lifting_bruhat_leq(v, w):
+    """Bruhat order by the lifting property, recursively on elements."""
+    if _inversions(v) == 0:
+        return True
+    if _inversions(v) > _inversions(w):
+        return False
+    i = _first_left_descent(w)
+    sv = oneline_left_mul(i, v)
+    if _inversions(sv) < _inversions(v):
+        return lifting_bruhat_leq(sv, oneline_left_mul(i, w))
+    return lifting_bruhat_leq(v, oneline_left_mul(i, w))
+
+
+# ---------------------------------------------------------------------------
+# weights
+
+
+def weight_inner(datum, lam, mu):
+    """W-invariant inner product of two weights in fundamental coordinates."""
+    c = cartan_matrix(datum)
+    n = datum.rank
+    # solve C g = mu, so that mu = sum_j g_j alpha_j
+    g = linalg.solve([c[i] + (mu[i],) for i in range(n)], n)
+    d = symmetrizer(datum)
+    return sum(g[j] * d[j] * lam[j] for j in range(n))
+
+
+def act_on_weight(w, lam):
+    """Image of a weight (fundamental coordinates) under w."""
+    c = cartan_matrix(w.datum)
+    n = w.datum.rank
+    vec = tuple(lam)
+    for i in reversed(reduced_word(w)):
+        coeff = vec[i - 1]
+        vec = tuple(vec[j] - coeff * c[j][i - 1] for j in range(n))
+    return vec
+
+
+def is_reduced_word(datum, word):
+    return length(word_to_element(datum, word)) == len(word)
+
+
+# ---------------------------------------------------------------------------
+# crystals
 
 
 def bfs_states(datum, word, lam):

