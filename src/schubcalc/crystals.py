@@ -27,8 +27,8 @@ canonical lift, NOT its string parametrization: the two differ already in rank
 two.  The string of b is (a_1, tail(e_{i_1}^{a_1} b)): the number of raises
 by the first letter, then the string of the raised element along the rest of
 the word.  `_string_table` memoises these tails per word position and state
-over the whole cut crystal, so each (position, state) pair is raised once;
-`string_coords` is the per-state route it is tested against.  Everything
+over the whole cut crystal, so each (position, state) pair is raised once,
+and `string_coords` reads one state's string off it.  Everything
 exported to the polytope side (B(lam), Demazure and opposite Demazure sets,
 Richardson intersections) is in string coordinates.
 """
@@ -66,16 +66,6 @@ class CrystalPolytopeMismatchError(InvariantError):
 
 
 INFINITY = None  # highest-weight slot for the unbounded crystal
-
-
-def sigma(datum: RootDatum, word, coords, k: int) -> int:
-    """sigma_k = a_k + sum_{l>k} c_{i_k, i_l} a_l (1-based k)."""
-    c = cartan_matrix(datum)
-    ik = word[k - 1]
-    total = coords[k - 1]
-    for l in range(k + 1, len(word) + 1):
-        total += c[ik - 1][word[l - 1] - 1] * coords[l - 1]
-    return total
 
 
 def _sigma_profile(datum, word, lam, coords, i):
@@ -241,33 +231,13 @@ def crystal_states(datum: RootDatum, word, lam) -> tuple:
     return tuple(sorted(_operator_table(datum, word, lam).states))
 
 
-def _raise_string(datum, word, lam, state, i):
-    """(count, top): raise by letter i until null.  The count must be eps_i,
-    or the state is not in the generated crystal."""
-    expected = epsilon(datum, word, lam, state, i)
-    count = 0
-    while True:
-        nxt = e_op(datum, word, lam, state, i)
-        if nxt is None:
-            break
-        state = nxt
-        count += 1
-    if count != expected:
-        raise InvariantError("non-normal state: not in the generated crystal")
-    return count, state
-
-
 def string_coords(datum: RootDatum, word, lam, state) -> tuple:
-    """String parametrization of one cut-crystal element: raise along the
-    word, recording how many raises each letter admits.  The per-state
-    reference for the suffix table of `_string_table`."""
-    out = []
-    for i in word:
-        count, state = _raise_string(datum, word, lam, state, i)
-        out.append(count)
-    if any(state):
-        raise InvariantError("string extraction did not reach the top")
-    return tuple(out)
+    """String parametrization of one cut-crystal element, read off
+    `_string_table` at the state's table index."""
+    k = _operator_table(datum, word, lam).index.get(state)
+    if k is None:
+        raise InvariantError("non-normal state: not in the generated crystal")
+    return _string_table(datum, word, lam)[k]
 
 
 @lru_cache(maxsize=None)

@@ -62,8 +62,7 @@ class TheoremViolationError(AssertionError):
 
 @dataclass(frozen=True)
 class FaceDecomposition:
-    tights: tuple                 # index tuples, one per face
-    face_points: tuple            # per face, sorted lattice point tuples
+    tights: tuple                 # index tuples, one per nonempty face
     union: frozenset
     empty: tuple                  # index tuples whose face is empty
 
@@ -97,7 +96,7 @@ def _decompose(tights, masks, points):
     """Faces cut out of `points` by the rows that each tight set indexes,
     1-based into `masks` (per row, bit i set when points[i] lies on it);
     empty faces are reported apart.  A face is the AND of its rows' masks and
-    the union the OR of the faces; only the faces' points are decoded."""
+    the union the OR of the faces; only the union's points are decoded."""
     full = (1 << len(points)) - 1
     faces = []
     empty = []
@@ -105,13 +104,12 @@ def _decompose(tights, masks, points):
     for tight in tights:
         mask = _face_mask(masks, tight, full)
         if mask:
-            faces.append((tight, polytopes.mask_points(mask, points)))
+            faces.append(tight)
             union |= mask
         else:
             empty.append(tight)
     return FaceDecomposition(
-        tights=tuple(t for t, _ in faces),
-        face_points=tuple(pts for _, pts in faces),
+        tights=tuple(faces),
         union=frozenset(polytopes.mask_points(union, points)),
         empty=tuple(empty),
     )
@@ -149,7 +147,7 @@ def demazure_faces(datum: RootDatum, w: WeylElement, lam) -> FaceDecomposition:
     """String-cone faces indexed by the box-removal set of w; the lattice
     union must reproduce the Demazure crystal."""
     word = standard_word(datum)
-    tights = [ref.fv_tight for ref in schubert_class(datum, w, "kogan").terms]
+    tights = [ref.fv_tight for ref in schubert_class(datum, w, "kogan")]
     points, masks = _row_table(datum, word, tuple(lam))
     dec = _decompose(tights, masks[datum.num_positive_roots :], points)
     expected = crystals.demazure_crystal(datum, word, w, lam)
@@ -202,9 +200,9 @@ def side_volume(datum: RootDatum, side: str, w: WeylElement, lam) -> Fraction:
     else:
         raise ValueError("side must be 'schubert' or 'opposite'")
     total = Fraction(0)
-    for ref in schubert_class(datum, w, family).terms:
-        f = polytopes.face(poly, _facet_indices(ref, big_n))
-        total += polytopes.volume_at_dim(polytopes.face_polytope(f), d)
+    for ref in schubert_class(datum, w, family):
+        face = polytopes.face_polytope(poly, _facet_indices(ref, big_n))
+        total += polytopes.volume_at_dim(face, d)
     return total
 
 
@@ -226,21 +224,17 @@ def _facet_indices(ref: FaceRef, big_n: int) -> tuple:
     return tuple(k - 1 for k in ref.f_tight) + tuple(big_n + k - 1 for k in ref.fv_tight)
 
 
-@dataclass(frozen=True)
-class FaceSum:
-    terms: tuple  # FaceRef multiset
-
-
-def schubert_class(datum: RootDatum, w: WeylElement, family: str) -> FaceSum:
-    """Formal face sum representing a Schubert class on the model polytope:
-    family "dual-kogan" gives the opposite class of w (codimension l(w)),
-    family "kogan" gives the class of the Schubert variety of w."""
+def schubert_class(datum: RootDatum, w: WeylElement, family: str) -> tuple:
+    """Formal face sum representing a Schubert class on the model polytope,
+    as its tuple of `FaceRef` terms: family "dual-kogan" gives the opposite
+    class of w (codimension l(w)), family "kogan" gives the class of the
+    Schubert variety of w."""
     if family == "dual-kogan":
         tights = compatible_subsets(datum, standard_word(datum), w)
-        return FaceSum(tuple(FaceRef(t, ()) for t in tights))
+        return tuple(FaceRef(t, ()) for t in tights)
     if family == "kogan":
         diagrams = pipedreams.box_order(pipedreams.mset(datum, w))
-        return FaceSum(tuple(FaceRef((), pipedreams.arrangement_kd(d)) for d in diagrams))
+        return tuple(FaceRef((), pipedreams.arrangement_kd(d)) for d in diagrams)
     raise ValueError("family must be 'dual-kogan' or 'kogan'")
 
 
@@ -319,8 +313,8 @@ def class_face_refs(datum: RootDatum, u: WeylElement, family: str):
     facet family: its extraction tuples in the first family, the box-diagram
     indices of the longest-complement in the second."""
     if family == "F":
-        return schubert_class(datum, u, "dual-kogan").terms
-    return schubert_class(datum, multiply(longest_element(datum), u), "kogan").terms
+        return schubert_class(datum, u, "dual-kogan")
+    return schubert_class(datum, multiply(longest_element(datum), u), "kogan")
 
 
 def degree_pairing(datum: RootDatum, u: WeylElement, v: WeylElement, ctx=None) -> int:
@@ -415,7 +409,7 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
     expansion = {}
     for t in all_elements(datum):
         if length(t) == degree:
-            kogan = schubert_class(datum, t, "kogan").terms
+            kogan = schubert_class(datum, t, "kogan")
             c = sum(form[full ^ ctx.masks(ref)[1]] for ref in kogan)
             if c:
                 expansion[t] = c

@@ -25,7 +25,6 @@ from .cartan import (
     longest_element,
     multiply,
     standard_word,
-    word_to_element,
     compatible_subsets,
 )
 
@@ -126,18 +125,11 @@ def arrangement_kd_prime(d: Diagram) -> tuple:
     return tuple(sorted(pos[b] for b in board_boxes(d.datum) - d.boxes))
 
 
-def word_of_diagram(d: Diagram) -> tuple:
-    """Letters of the standard word at the k_D positions."""
-    word = standard_word(d.datum)
-    return tuple(word[k - 1] for k in arrangement_kd(d))
-
-
-def is_reduced(d: Diagram) -> bool:
-    letters = word_of_diagram(d)
-    return length(word_to_element(d.datum, letters)) == len(letters)
-
-
 def letter_columns(datum: RootDatum, i: int) -> tuple:
+    """The board columns of letter i: column i in type A, the mirrored pair
+    n - i + 1, n + i - 1 (one column for i = 1) in type C."""
+    if datum.family == "A":
+        return (i,)
     n = datum.rank
     return (n - i + 1,) if i == 1 else (n - i + 1, n + i - 1)
 
@@ -147,39 +139,23 @@ def letter_columns(datum: RootDatum, i: int) -> tuple:
 
 
 def ladder_move(d: Diagram, i: int, j: int):
-    """The ladder move with source box (i, j); None when inapplicable."""
-    return _ladder_a(d, i, j) if d.datum.family == "A" else _ladder_c(d, i, j)
+    """The ladder move with source box (i, j); None when inapplicable.
 
-
-def _ladder_a(d: Diagram, i: int, j: int):
-    boxes = d.boxes
-    if (i, j) not in boxes or (i, j + 1) in boxes:
-        return None
-    m = 1
-    while m < i:
-        above, above_r = (i - m, j), (i - m, j + 1)
-        both_in = above in boxes and above_r in boxes
-        if not both_in:
-            if above in boxes or above_r in boxes:
-                return None
-            new = (i - m, j + 1)
-            return Diagram(d.datum, (boxes - {(i, j)}) | {new})
-        m += 1
-    return None
-
-
-def _ladder_c(d: Diagram, i: int, j: int):
+    The move walks the later boxes of facet order in column j and its
+    mirror 2n - j, skipping rungs with both the box and its right neighbour
+    filled.  The first other rung decides: the box moves to its right
+    neighbour when both are free and that neighbour is on the board, and the
+    move is inapplicable otherwise.  On the staircase board the mirror holds
+    no later box (columns beyond n are empty, and column n is the single box
+    (1, n)), so the walk stays in column j."""
     boxes = d.boxes
     if (i, j) not in boxes or (i, j + 1) in boxes:
         return None
     order = facet_ordering(d.datum)
-    pos = _facet_positions(d.datum)
-    k = pos[(i, j)]
-    n = d.datum.rank
-    cols = {j, 2 * n - j}
+    k = _facet_positions(d.datum)[(i, j)]
+    cols = {j, 2 * d.datum.rank - j}
     board = board_boxes(d.datum)
-    for ell in range(k + 1, len(order) + 1):
-        p, q = order[ell - 1]
+    for p, q in order[k:]:
         if q not in cols:
             continue
         here = (p, q) in boxes
@@ -322,13 +298,6 @@ def mitosis_chain(datum: RootDatum, letters) -> frozenset:
 def m_op(datum: RootDatum, i: int, d: Diagram) -> frozenset:
     """Remove the designated letter-i box and close under letter-i ladder
     moves; hard error when the preconditions fail."""
-    if datum.family == "A":
-        cand = mitosis_candidates(d, i)
-        if not cand:
-            raise MOpError("no removable box in column %d of %r" % (i, sorted(d.boxes)))
-        p0 = cand[0]
-        stripped = Diagram(datum, d.boxes - {(p0, i)})
-        return ladder_closure(stripped, source_cols={i})
     order = facet_ordering(datum)
     cols = set(letter_columns(datum, i))
     candidates = [
@@ -339,14 +308,10 @@ def m_op(datum: RootDatum, i: int, d: Diagram) -> frozenset:
     if not candidates:
         raise MOpError("no removable box for letter %d in %r" % (i, sorted(d.boxes)))
     r0 = max(candidates)
-    for r in range(r0, len(order) + 1):
-        p, q = order[r - 1]
-        if q not in cols:
-            continue
-        if (p, q) not in d.boxes:
+    # every later letter-i rung has its right neighbour, by the choice of r0
+    for p, q in order[r0 - 1 :]:
+        if q in cols and (p, q) not in d.boxes:
             raise MOpError("letter %d tail not filled in %r" % (i, sorted(d.boxes)))
-        if r > r0 and (p, q + 1) not in d.boxes:
-            raise MOpError("letter %d tail companion missing in %r" % (i, sorted(d.boxes)))
     stripped = Diagram(datum, d.boxes - {order[r0 - 1]})
     return ladder_closure(stripped, source_cols=cols)
 

@@ -5,10 +5,12 @@ H-representations keep integer data throughout (normal . x <= rhs).
 `interval_tower` certifies a polytope as a tower of intervals along its
 sweep order and lists its integer vertices with no elimination.
 `lattice_incidence` gives each inequality a bitmask over the lattice points
-it is tight on, so that faces and unions of faces are integer AND and OR.
-The oracles `vertices` (exact Fractions), `affine_rank`, `incidence`,
-`facet_defining` and `is_simple`, and the Ehrhart interpolation, run on the
-fraction-free integer echelon of `linalg`.
+it is tight on, so that faces and unions of faces are integer AND and OR;
+`face_polytope` turns tight rows into equations.  `vertices` (exact
+Fractions) and `is_simple`, with `incidence` and `facet_defining`, remain as
+the general-polytope oracles the tower certificate is tested against; they,
+`affine_rank` and the Ehrhart interpolation run on the fraction-free integer
+echelon of `linalg`.
 
 Every string, GT and SGT polytope is built by one builder (`_polytope`) from
 facet rows (vec, lam_vec, eps_key), read as
@@ -50,28 +52,19 @@ class Polytope:
     sweep_order: tuple = () # coordinate elimination order for lattice sweeps
 
 
-@dataclass(frozen=True)
-class Face:
-    parent: Polytope
-    tight: tuple  # sorted inequality indices turned into equalities
-
-
-def face(parent: Polytope, tight) -> Face:
-    tight = tuple(sorted(set(tight)))
+def face_polytope(p: Polytope, tight) -> Polytope:
+    """The face of p on which the inequalities indexed by `tight` (0-based)
+    are equalities."""
     for t in tight:
-        if not 0 <= t < len(parent.ineqs):
+        if not 0 <= t < len(p.ineqs):
             raise IndexError("tight index %d out of range" % t)
-    return Face(parent, tight)
-
-
-def face_polytope(f: Face) -> Polytope:
-    extra = tuple(f.parent.ineqs[t] for t in f.tight)
+    extra = tuple(p.ineqs[t] for t in sorted(set(tight)))
     return Polytope(
-        ambient_dim=f.parent.ambient_dim,
-        ineqs=f.parent.ineqs,
-        eqs=f.parent.eqs + extra,
-        labels=f.parent.labels,
-        sweep_order=f.parent.sweep_order,
+        ambient_dim=p.ambient_dim,
+        ineqs=p.ineqs,
+        eqs=p.eqs + extra,
+        labels=p.labels,
+        sweep_order=p.sweep_order,
     )
 
 
@@ -195,7 +188,6 @@ def mask_points(mask: int, points) -> tuple:
     return tuple(itertools.compress(points, bin(mask)[:1:-1].encode().translate(_FLAGS)))
 
 
-@lru_cache(maxsize=None)
 def lattice_incidence(p: Polytope) -> tuple:
     """(lattice_points(p), per inequality the bitmask over those points of
     the ones on which it is tight): a face's lattice points are the AND of

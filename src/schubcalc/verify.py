@@ -13,7 +13,6 @@ import random
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 
 from . import crystals, faces
 from .cartan import (
@@ -31,12 +30,23 @@ def dominant_weights(rank: int, max_coeff: int):
     return [tuple(t) for t in itertools.product(range(max_coeff + 1), repeat=rank)]
 
 
-def _finish(report, cells, start, partial=False):
-    report["cells"] = cells
+def _collect(report, cells, start, budget):
+    """Finish `report` over the cells that a suite's generator yields,
+    stopping once `budget` seconds have passed since `start`; the generator
+    is closed either way."""
+    listed = []
+    partial = False
+    for cell in cells:
+        listed.append(cell)
+        partial = budget is not None and time.perf_counter() - start > budget
+        if partial:
+            break
+    cells.close()
+    report["cells"] = listed
     report["elapsed_seconds"] = round(time.perf_counter() - start, 3)
     if partial:
         report["status"] = "partial"
-    elif any(c["status"] == "violation" for c in cells):
+    elif any(c["status"] == "violation" for c in listed):
         report["status"] = "violation"
     else:
         report["status"] = "pass"
@@ -92,22 +102,23 @@ def theorem_suite(kind: str, family: str, rank: int, lambda_max: int, jobs=1, bu
         for lam in dominant_weights(rank, lambda_max)
         for w in all_elements(datum)
     ]
+
+    def cells():
+        if jobs <= 1:
+            yield from map(_theorem_cell, tasks)
+            return
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            try:
+                yield from pool.map(_theorem_cell, tasks, chunksize=8)
+            finally:
+                # a spent budget waits for the running cells only
+                pool.shutdown(cancel_futures=True)
+
     report = {"theorem": kind, "type": family, "rank": rank, "lambda_max": lambda_max}
-    cells = []
-    partial = False
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        results = pool.map(_theorem_cell, tasks, chunksize=8) if pool else map(_theorem_cell, tasks)
-        for cell in results:
-            cells.append(cell)
-            partial = budget is not None and time.perf_counter() - start > budget
-            if partial:
-                break
-        if pool is not None:
-            # a spent budget waits for the running cells only
-            pool.shutdown(cancel_futures=True)
+    report = _collect(report, cells(), start, budget)
     # complete and partial reports list their cells in one order
-    cells.sort(key=lambda c: (c["lambda"], c["w"]))
-    return _finish(report, cells, start, partial)
+    report["cells"].sort(key=lambda c: (c["lambda"], c["w"]))
+    return report
 
 
 def duality_suite(family: str, rank: int, budget=None):
@@ -117,32 +128,29 @@ def duality_suite(family: str, rank: int, budget=None):
     ctx = faces.default_context(datum)
     w0 = longest_element(datum)
     big_n = datum.num_positive_roots
-    cells = []
-    report = {"theorem": "duality", "type": family, "rank": rank}
-    partial = False
-    for u, v in itertools.product(all_elements(datum), repeat=2):
-        if length(u) + length(v) != big_n:
-            continue
-        cell = {
-            "theorem": "duality",
-            "type": family,
-            "rank": rank,
-            "u": list(reduced_word(u)),
-            "v": list(reduced_word(v)),
-            "status": "pass",
-            "mismatches": [],
-        }
-        expected = 1 if v == multiply(w0, u) else 0
-        got = faces.degree_pairing(datum, u, v, ctx)
-        cell["pairing"] = got
-        if got != expected:
-            cell["status"] = "violation"
-            cell["mismatches"].append({"expected": expected, "got": got})
-        cells.append(cell)
-        partial = budget is not None and time.perf_counter() - start > budget
-        if partial:
-            break
-    return _finish(report, cells, start, partial)
+
+    def cells():
+        for u, v in itertools.product(all_elements(datum), repeat=2):
+            if length(u) + length(v) != big_n:
+                continue
+            cell = {
+                "theorem": "duality",
+                "type": family,
+                "rank": rank,
+                "u": list(reduced_word(u)),
+                "v": list(reduced_word(v)),
+                "status": "pass",
+                "mismatches": [],
+            }
+            expected = 1 if v == multiply(w0, u) else 0
+            got = faces.degree_pairing(datum, u, v, ctx)
+            cell["pairing"] = got
+            if got != expected:
+                cell["status"] = "violation"
+                cell["mismatches"].append({"expected": expected, "got": got})
+            yield cell
+
+    return _collect({"theorem": "duality", "type": family, "rank": rank}, cells(), start, budget)
 
 
 def products_suite(family: str, rank: int, budget=None):
@@ -151,10 +159,9 @@ def products_suite(family: str, rank: int, budget=None):
     datum = RootDatum(family, rank)
     start = time.perf_counter()
     ctx = faces.default_context(datum)
-    cells = []
-    report = {"theorem": "products", "type": family, "rank": rank}
-    for v in all_elements(datum):
-        for w in all_elements(datum):
+
+    def cells():
+        for v, w in itertools.product(all_elements(datum), repeat=2):
             cell = {
                 "theorem": "products",
                 "type": family,
@@ -170,16 +177,13 @@ def products_suite(family: str, rank: int, budget=None):
             except faces.TheoremViolationError as err:
                 cell["status"] = "violation"
                 cell["mismatches"].append(err.payload)
-            cells.append(cell)
-            if budget is not None and time.perf_counter() - start > budget:
-                return _finish(_product_counts(report, cells), cells, start, partial=True)
-    return _finish(_product_counts(report, cells), cells, start)
+            yield cell
 
-
-def _product_counts(report, cells):
-    """The histogram of identification methods over the products that
-    finished; a violation has no method."""
-    report["methods"] = dict(sorted(Counter(c["method"] for c in cells if "method" in c).items()))
+    report = _collect({"theorem": "products", "type": family, "rank": rank}, cells(), start, budget)
+    # the histogram of identification methods over the products that
+    # finished; a violation has no method
+    methods = Counter(c["method"] for c in report["cells"] if "method" in c)
+    report["methods"] = dict(sorted(methods.items()))
     return report
 
 
@@ -191,43 +195,43 @@ def axioms_suite(family: str, rank: int, samples: int, seed: int = 0, budget=Non
     word = crystals.standard_word(datum)
     n = datum.rank
     alphas = [crystals.simple_root_in_fundamental(datum, i) for i in range(1, n + 1)]
-    cells = []
-    report = {"theorem": "axioms", "type": family, "rank": rank, "samples": samples, "seed": seed}
     lam_pool = [None, (1,) * n, (2,) + (1,) * (n - 1)]
-    for t in range(samples):
-        lam = lam_pool[t % len(lam_pool)]
-        state = (0,) * len(word)
-        for _ in range(rng.randrange(0, 12)):
-            i = rng.randrange(1, n + 1)
-            nxt = crystals.f_op(datum, word, lam, state, i)
-            if nxt is not None:
-                state = nxt
-        cell = {"sample": t, "lambda": None if lam is None else list(lam), "status": "pass",
-                "mismatches": []}
-        for i in range(1, n + 1):
-            eps = crystals.epsilon(datum, word, lam, state, i)
-            phi = crystals.phi(datum, word, lam, state, i)
-            wt = crystals.weight_of(datum, word, lam, state)
-            checks = [("phi-eps-wt", phi == eps + wt[i - 1])]
-            down = crystals.f_op(datum, word, lam, state, i)
-            if down is not None:
-                wt2 = crystals.weight_of(datum, word, lam, down)
-                checks.extend(
-                    [
-                        ("wt-f", wt2 == tuple(a - b for a, b in zip(wt, alphas[i - 1]))),
-                        ("eps-f", crystals.epsilon(datum, word, lam, down, i) == eps + 1),
-                        ("phi-f", crystals.phi(datum, word, lam, down, i) == phi - 1),
-                        ("e-f", crystals.e_op(datum, word, lam, down, i) == state),
-                    ]
-                )
-            up = crystals.e_op(datum, word, lam, state, i)
-            if up is not None:
-                checks.append(("f-e", crystals.f_op(datum, word, lam, up, i) == state))
-            for name, ok in checks:
-                if not ok:
-                    cell["status"] = "violation"
-                    cell["mismatches"].append({"axiom": name, "letter": i, "state": list(state)})
-        cells.append(cell)
-        if budget is not None and time.perf_counter() - start > budget:
-            return _finish(report, cells, start, partial=True)
-    return _finish(report, cells, start)
+
+    def cells():
+        for t in range(samples):
+            lam = lam_pool[t % len(lam_pool)]
+            state = (0,) * len(word)
+            for _ in range(rng.randrange(0, 12)):
+                i = rng.randrange(1, n + 1)
+                nxt = crystals.f_op(datum, word, lam, state, i)
+                if nxt is not None:
+                    state = nxt
+            cell = {"sample": t, "lambda": None if lam is None else list(lam), "status": "pass",
+                    "mismatches": []}
+            for i in range(1, n + 1):
+                eps = crystals.epsilon(datum, word, lam, state, i)
+                phi = crystals.phi(datum, word, lam, state, i)
+                wt = crystals.weight_of(datum, word, lam, state)
+                checks = [("phi-eps-wt", phi == eps + wt[i - 1])]
+                down = crystals.f_op(datum, word, lam, state, i)
+                if down is not None:
+                    wt2 = crystals.weight_of(datum, word, lam, down)
+                    checks.extend(
+                        [
+                            ("wt-f", wt2 == tuple(a - b for a, b in zip(wt, alphas[i - 1]))),
+                            ("eps-f", crystals.epsilon(datum, word, lam, down, i) == eps + 1),
+                            ("phi-f", crystals.phi(datum, word, lam, down, i) == phi - 1),
+                            ("e-f", crystals.e_op(datum, word, lam, down, i) == state),
+                        ]
+                    )
+                up = crystals.e_op(datum, word, lam, state, i)
+                if up is not None:
+                    checks.append(("f-e", crystals.f_op(datum, word, lam, up, i) == state))
+                for name, ok in checks:
+                    if not ok:
+                        cell["status"] = "violation"
+                        cell["mismatches"].append({"axiom": name, "letter": i, "state": list(state)})
+            yield cell
+
+    report = {"theorem": "axioms", "type": family, "rank": rank, "samples": samples, "seed": seed}
+    return _collect(report, cells(), start, budget)

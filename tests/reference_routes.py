@@ -1,16 +1,21 @@
 """Slow reference routes that the library's table-driven code is tested
 against: the Weyl group by one-line arithmetic, the crystal read off
-`f_op`/`e_op` state by state, the Demazure folds along whole reduced words,
-the extraction sets by one search per Weyl element, and the products and
-pairings of the deformed-polytope ring by rewriting row multisets one
-repeated row at a time.  Also the weight helpers that only tests use."""
+`f_op`/`e_op` state by state, the sigma statistic by its definition, string
+coordinates by raising one state along the word, the Demazure folds along
+whole reduced words, the extraction sets by one search per Weyl element, the
+type A ladder move and box-removal operator on the staircase board, and the
+products and pairings of the deformed-polytope ring by rewriting row
+multisets one repeated row at a time.  Also the weight and diagram helpers
+that only tests use."""
 
 from collections import Counter
 
 from schubcalc import crystals as cr
 from schubcalc import faces as fc
 from schubcalc import linalg
+from schubcalc import pipedreams as pd
 from schubcalc.cartan import (
+    InvariantError,
     _inversions,
     all_reduced_words,
     bruhat_leq,
@@ -116,6 +121,44 @@ def is_reduced_word(datum, word):
 
 # ---------------------------------------------------------------------------
 # crystals
+
+
+def sigma(datum, word, coords, k):
+    """sigma_k = a_k + sum_{l>k} c_{i_k, i_l} a_l (1-based k)."""
+    c = cartan_matrix(datum)
+    ik = word[k - 1]
+    total = coords[k - 1]
+    for l in range(k + 1, len(word) + 1):
+        total += c[ik - 1][word[l - 1] - 1] * coords[l - 1]
+    return total
+
+
+def _raise_string(datum, word, lam, state, i):
+    """(count, top): raise by letter i until null.  The count must be eps_i,
+    or the state is not in the generated crystal."""
+    expected = cr.epsilon(datum, word, lam, state, i)
+    count = 0
+    while True:
+        nxt = cr.e_op(datum, word, lam, state, i)
+        if nxt is None:
+            break
+        state = nxt
+        count += 1
+    if count != expected:
+        raise InvariantError("non-normal state: not in the generated crystal")
+    return count, state
+
+
+def string_coords(datum, word, lam, state):
+    """String parametrization of one state: raise along the word, recording
+    how many raises each letter admits."""
+    out = []
+    for i in word:
+        count, state = _raise_string(datum, word, lam, state, i)
+        out.append(count)
+    if any(state):
+        raise InvariantError("string extraction did not reach the top")
+    return tuple(out)
 
 
 def bfs_states(datum, word, lam):
@@ -229,6 +272,60 @@ def other_word(datum):
 
 
 # ---------------------------------------------------------------------------
+# pipe dreams
+
+
+def word_of_diagram(d):
+    """Letters of the standard word at the k_D positions."""
+    word = standard_word(d.datum)
+    return tuple(word[k - 1] for k in pd.arrangement_kd(d))
+
+
+def is_reduced(d):
+    letters = word_of_diagram(d)
+    return length(word_to_element(d.datum, letters)) == len(letters)
+
+
+def ladder_move_a(d, i, j):
+    """The type A ladder move with source box (i, j), row by row up
+    column j; None when inapplicable."""
+    boxes = d.boxes
+    if (i, j) not in boxes or (i, j + 1) in boxes:
+        return None
+    m = 1
+    while m < i:
+        above, above_r = (i - m, j), (i - m, j + 1)
+        both_in = above in boxes and above_r in boxes
+        if not both_in:
+            if above in boxes or above_r in boxes:
+                return None
+            new = (i - m, j + 1)
+            return pd.Diagram(d.datum, (boxes - {(i, j)}) | {new})
+        m += 1
+    return None
+
+
+def m_op_a(datum, i, d):
+    """The type A box-removal operator: strip the first mitosis candidate of
+    column i and close under type A ladder moves out of column i."""
+    cand = pd.mitosis_candidates(d, i)
+    if not cand:
+        raise pd.MOpError("no removable box in column %d of %r" % (i, sorted(d.boxes)))
+    seen = {pd.Diagram(datum, d.boxes - {(cand[0], i)})}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for cur in frontier:
+            for (p, q) in sorted(b for b in cur.boxes if b[1] == i):
+                moved = ladder_move_a(cur, p, q)
+                if moved is not None and moved not in seen:
+                    seen.add(moved)
+                    new.append(moved)
+        frontier = new
+    return frozenset(seen)
+
+
+# ---------------------------------------------------------------------------
 # the deformed-polytope ring over row multisets
 
 
@@ -306,7 +403,7 @@ def product_expansion(datum, v, w, ctx):
     expansion = {}
     for t in all_elements(datum):
         if length(t) == degree:
-            c = _pairing(ctx, rel, product, fc.schubert_class(datum, t, "kogan").terms, memo)
+            c = _pairing(ctx, rel, product, fc.schubert_class(datum, t, "kogan"), memo)
             if c:
                 expansion[t] = c
     return expansion

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from schubcalc import pipedreams as pd
@@ -7,8 +9,11 @@ from schubcalc.cartan import (
     all_reduced_words,
     identity_element,
     length,
+    reduced_word,
     word_to_element,
 )
+
+import reference_routes as ref
 
 A2 = RootDatum("A", 2)
 A4 = RootDatum("A", 4)
@@ -173,14 +178,14 @@ def test_mset_subset_of_ladder_closure_type_c():
 
 
 def test_reducedness_and_sizes():
-    assert pd.is_reduced(pd.diagram(A2, []))
-    assert pd.is_reduced(pd.full_diagram(A2))
+    assert ref.is_reduced(pd.diagram(A2, []))
+    assert ref.is_reduced(pd.full_diagram(A2))
     # the extracted-word criterion characterizes the type A index sets; sizes
     # are complementary to the length in both families
     for datum in (A2, RootDatum("A", 3)):
         for w in all_elements(datum):
             for d in pd.mset(datum, w) | pd.ladder_set(datum, w):
-                assert pd.is_reduced(d)
+                assert ref.is_reduced(d)
                 assert d.size() == datum.num_positive_roots - length(w)
     for datum in (C2, C3):
         for w in all_elements(datum):
@@ -192,8 +197,8 @@ def test_word_criterion_fails_in_type_c():
     # the direct letter extraction does not stay reduced on the shifted board:
     # the bottom diagram of the second reflection already extracts (1, 1, 2)
     d = pd.bottom_diagram(C2, word_to_element(C2, (2,)))
-    assert pd.word_of_diagram(d) == (1, 1, 2)
-    assert not pd.is_reduced(d)
+    assert ref.word_of_diagram(d) == (1, 1, 2)
+    assert not ref.is_reduced(d)
 
 
 def test_shape_condition_on_mset():
@@ -210,6 +215,52 @@ def test_shape_condition_on_mset():
                     r += 1
                 if r < i and (i - r, j) not in d.boxes:
                     assert (i - r, j + 1) not in d.boxes
+
+
+def _outcome(op, *args):
+    """The operator's value, or the class of the `MOpError` it raised."""
+    try:
+        return op(*args)
+    except pd.MOpError:
+        return pd.MOpError
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_merged_moves_equal_type_a_routes_on_every_diagram(rank):
+    # on the staircase the facet-order walk over column j and its mirror is
+    # the row-by-row type A move, and the letter-i operator strips the first
+    # mitosis candidate of column i
+    datum = RootDatum("A", rank)
+    board = sorted(pd.board_boxes(datum))
+    for bits in range(1 << len(board)):
+        d = pd.diagram(datum, [b for k, b in enumerate(board) if bits >> k & 1])
+        for i, j in board:
+            assert pd.ladder_move(d, i, j) == ref.ladder_move_a(d, i, j)
+        for i in range(1, rank + 1):
+            assert _outcome(pd.m_op, datum, i, d) == _outcome(ref.m_op_a, datum, i, d)
+
+
+# sha256 of the box-order output of bottom_diagram, ladder_set, mset and, in
+# type A, mitosis_chain along reduced_word(w), for every w below
+PIPE_DREAM_SHA256 = "1bf5cf9fe297840c352231f25e320f42211c626f38abbd1733599c78bb1ff443"
+
+
+def test_pipe_dream_sets_are_pinned():
+    digest = hashlib.sha256()
+    for family, rank in (("A", 2), ("A", 3), ("A", 4), ("C", 2), ("C", 3)):
+        datum = RootDatum(family, rank)
+        for w in all_elements(datum):
+            sets = {
+                "bottom": [pd.bottom_diagram(datum, w)],
+                "ladder_set": pd.box_order(pd.ladder_set(datum, w)),
+                "mset": pd.box_order(pd.mset(datum, w)),
+            }
+            if family == "A":
+                sets["mitosis_chain"] = pd.box_order(pd.mitosis_chain(datum, reduced_word(w)))
+            for name, diagrams in sets.items():
+                entry = (family, rank, w.oneline, name, [sorted(d.boxes) for d in diagrams])
+                digest.update(repr(entry).encode())
+    assert digest.hexdigest() == PIPE_DREAM_SHA256
 
 
 def test_m_op_error_on_bad_input():
