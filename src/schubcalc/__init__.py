@@ -50,7 +50,6 @@ from .pipedreams import (
     mset,
 )
 from .polytopes import (
-    EpsilonProfile,
     Polytope,
     deformed_polytope,
     gt_polytope,

@@ -2,9 +2,10 @@
 
 Subcommands: crystal | faces | pipedreams | product | verify | volume.
 Output is JSON (optionally CSV for lattice-point tables) on stdout; --pretty
-adds ASCII diagrams.  Exit codes: 0 ok, 1 theorem violation or
-internal invariant violated (with one JSON line on stderr), 2 bad input,
-3 time budget exceeded.
+adds ASCII diagrams.  Exit codes: 0 ok, 1 theorem violation or internal
+fault (with one JSON line on stderr), 2 bad input, 3 time budget exceeded.
+Every input is validated before a command runs and only `BadInput` exits 2:
+a library error inside a validated command is an internal fault.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import crystals, faces, pipedreams, polytopes, verify
 from .cartan import (
     InvariantError,
     RootDatum,
+    bruhat_leq,
     check_word_of_longest,
     length,
     reduced_word,
@@ -37,18 +38,6 @@ class BadInput(ValueError):
     pass
 
 
-@dataclass
-class JobConfig:
-    family: str
-    rank: int
-    word: tuple          # reduced word of the longest element
-    lam: tuple
-    w: tuple             # letters, applied left to right
-    epsilon: tuple
-    fmt: str
-    pretty: bool
-
-
 def _parse_ints(text, what):
     if text is None or text == "":
         return ()
@@ -58,39 +47,35 @@ def _parse_ints(text, what):
         raise BadInput("%s must be comma-separated integers, got %r" % (what, text))
 
 
-def _build_config(args) -> JobConfig:
-    family = args.type
-    rank = args.rank
-    if family not in ("A", "C"):
+def _letters(rank, text, what) -> tuple:
+    """Simple-reflection letters, each in 1..rank."""
+    letters = _parse_ints(text, what)
+    for i in letters:
+        if not 1 <= i <= rank:
+            raise BadInput("%s letter %d out of range 1..%d" % (what, i, rank))
+    return letters
+
+
+def _build_config(args) -> tuple:
+    """The validated (datum, word, lam, w): the reduced word of the longest
+    element (the standard one by default), the weight (() when not given) and
+    the letters of --w, applied left to right."""
+    if args.type not in ("A", "C"):
         raise BadInput("--type must be A or C")
     try:
-        datum = RootDatum(family, rank)
+        datum = RootDatum(args.type, args.rank)
     except ValueError as err:
         raise BadInput(str(err))
-    word = _parse_ints(getattr(args, "word", None), "--word") or standard_word(datum)
+    word = _letters(datum.rank, getattr(args, "word", None), "--word") or standard_word(datum)
     lam = _parse_ints(getattr(args, "lam", None), "--lambda")
-    w = _parse_ints(getattr(args, "w", None), "--w")
-    eps = _parse_ints(getattr(args, "epsilon", None), "--epsilon")
-    for letters, what in ((word, "--word"), (w, "--w")):
-        for i in letters:
-            if not 1 <= i <= rank:
-                raise BadInput("%s letter %d out of range 1..%d" % (what, i, rank))
-    if lam and (len(lam) != rank or any(x < 0 for x in lam)):
-        raise BadInput("--lambda must list %d nonnegative coefficients" % rank)
+    w = _letters(datum.rank, args.w, "--w")
+    if lam and (len(lam) != datum.rank or any(x < 0 for x in lam)):
+        raise BadInput("--lambda must list %d nonnegative coefficients" % datum.rank)
     try:
         check_word_of_longest(datum, word)
     except ValueError as err:
         raise BadInput(str(err))
-    return JobConfig(
-        family=family,
-        rank=rank,
-        word=word,
-        lam=lam,
-        w=w,
-        epsilon=eps,
-        fmt=getattr(args, "format", "json"),
-        pretty=bool(getattr(args, "pretty", False)),
-    )
+    return datum, word, lam, w
 
 
 def _emit(payload, fmt="json", rows_key=None):
@@ -106,66 +91,61 @@ def _emit(payload, fmt="json", rows_key=None):
 
 
 def cmd_crystal(args) -> int:
-    cfg = _build_config(args)
-    datum = RootDatum(cfg.family, cfg.rank)
-    lam = cfg.lam or (0,) * cfg.rank
-    w = word_to_element(datum, cfg.w)
-    experimental = not crystals.is_certified_word(datum, cfg.word)
+    datum, word, lam, letters = _build_config(args)
+    lam = lam or (0,) * datum.rank
+    w = word_to_element(datum, letters)
     kind = args.kind
     if kind == "b":
-        points = crystals.generate_b_lambda(datum, cfg.word, lam, allow_experimental=experimental)
+        points = crystals.generate_b_lambda(datum, word, lam)
     elif kind == "demazure":
-        points = crystals.demazure_crystal(datum, cfg.word, w, lam, allow_experimental=experimental)
+        points = crystals.demazure_crystal(datum, word, w, lam)
     elif kind == "opposite":
-        points = crystals.opposite_demazure_crystal(
-            datum, cfg.word, w, lam, allow_experimental=experimental
-        )
+        points = crystals.opposite_demazure_crystal(datum, word, w, lam)
     elif kind == "richardson":
-        v = word_to_element(datum, _parse_ints(args.v, "--v"))
-        points = crystals.richardson_lattice_points(
-            datum, cfg.word, v, w, lam, allow_experimental=experimental
-        )
+        v = word_to_element(datum, _letters(datum.rank, args.v, "--v"))
+        if not bruhat_leq(v, w):
+            raise BadInput("richardson needs --v below --w in Bruhat order")
+        points = crystals.richardson_lattice_points(datum, word, v, w, lam)
     else:
         raise BadInput("unknown crystal kind %r" % kind)
     rows = sorted(points)
     payload = {
-        "type": cfg.family,
-        "rank": cfg.rank,
-        "word": list(cfg.word),
+        "type": datum.family,
+        "rank": datum.rank,
+        "word": list(word),
         "lambda": list(lam),
-        "w": list(cfg.w),
+        "w": list(letters),
         "kind": kind,
-        "experimental": experimental,
+        "experimental": not crystals.is_certified_word(datum, word),
         "count": len(rows),
         "rows": [list(r) for r in rows],
     }
-    _emit(payload, cfg.fmt, rows_key="rows")
+    _emit(payload, args.format, rows_key="rows")
     return EXIT_OK
 
 
 def cmd_faces(args) -> int:
-    cfg = _build_config(args)
-    datum = RootDatum(cfg.family, cfg.rank)
-    lam = cfg.lam or (1,) * cfg.rank
-    w = word_to_element(datum, cfg.w)
+    datum, word, lam, letters = _build_config(args)
+    lam = lam or (1,) * datum.rank
+    w = word_to_element(datum, letters)
     side = args.side
     payload = {
-        "type": cfg.family,
-        "rank": cfg.rank,
-        "word": list(cfg.word),
+        "type": datum.family,
+        "rank": datum.rank,
+        "word": list(word),
         "lambda": list(lam),
-        "w": list(cfg.w),
+        "w": list(letters),
         "side": side,
     }
-    if side == "schubert" and cfg.word != standard_word(datum):
+    if side == "schubert" and word != standard_word(datum):
         raise BadInput("the Demazure side is defined over the standard word only")
     if side == "opposite":
-        dec = faces.opposite_demazure_faces(datum, w, lam, word=cfg.word)
+        dec = faces.opposite_demazure_faces(datum, w, lam, word=word)
         equations = {}
         for tight in dec.tights + dec.empty:
             eqs = []
             for j in tight:
-                vec, lam_vec = polytopes.string_lambda_facet(datum, cfg.word, j)
+                vec, lam_vec = polytopes.string_lambda_facet(datum, word, j)
                 eqs.append({"coeffs": list(vec), "lambda_coeffs": list(lam_vec)})
             equations[",".join(map(str, tight))] = eqs
         payload["equations"] = equations
@@ -178,18 +158,17 @@ def cmd_faces(args) -> int:
     payload["empty_faces"] = [list(t) for t in dec.empty]
     payload["n_lattice_points"] = len(dec.union)
     payload["volume"] = str(faces.side_volume(datum, side, w, lam))
-    if cfg.pretty and side == "schubert":
+    if args.pretty and side == "schubert":
         payload["ascii"] = [
             pipedreams.ascii_diagram(d) for d in pipedreams.box_order(pipedreams.mset(datum, w))
         ]
-    _emit(payload, cfg.fmt, rows_key="faces")
+    _emit(payload, args.format, rows_key="faces")
     return EXIT_OK
 
 
 def cmd_pipedreams(args) -> int:
-    cfg = _build_config(args)
-    datum = RootDatum(cfg.family, cfg.rank)
-    w = word_to_element(datum, cfg.w)
+    datum, _, _, letters = _build_config(args)
+    w = word_to_element(datum, letters)
     op = args.op
     if op == "bottom":
         diagrams = [pipedreams.bottom_diagram(datum, w)]
@@ -198,52 +177,36 @@ def cmd_pipedreams(args) -> int:
     elif op == "mset":
         diagrams = pipedreams.box_order(pipedreams.mset(datum, w))
     elif op == "mitosis":
-        if cfg.family != "A":
+        if datum.family != "A":
             raise BadInput("mitosis chains are type A only")
-        diagrams = pipedreams.box_order(pipedreams.mitosis_chain(datum, cfg.w))
+        diagrams = pipedreams.box_order(pipedreams.mitosis_chain(datum, letters))
     else:
         raise BadInput("unknown pipedreams op %r" % op)
     payload = {
-        "type": cfg.family,
-        "rank": cfg.rank,
-        "w": list(cfg.w),
+        "type": datum.family,
+        "rank": datum.rank,
+        "w": list(letters),
         "op": op,
         "count": len(diagrams),
         "diagrams": [sorted(map(list, d.boxes)) for d in diagrams],
         "k_d": [list(pipedreams.arrangement_kd(d)) for d in diagrams],
         "k_d_prime": [list(pipedreams.arrangement_kd_prime(d)) for d in diagrams],
     }
-    if cfg.pretty:
+    if args.pretty:
         payload["ascii"] = [pipedreams.ascii_diagram(d) for d in diagrams]
-    _emit(payload, cfg.fmt, rows_key="k_d")
+    _emit(payload, args.format, rows_key="k_d")
     return EXIT_OK
 
 
-def _profile_from_config(datum, cfg):
-    if not cfg.epsilon:
-        return None
-    n = datum.rank
-    if len(cfg.epsilon) != 2 * n - 1:
-        raise BadInput("--epsilon needs %d entries for type C" % (2 * n - 1))
-    return polytopes.EpsilonProfile("C", cfg.epsilon[: n - 1], cfg.epsilon[n - 1 :])
-
-
 def cmd_product(args) -> int:
-    cfg = _build_config(args)
-    datum = RootDatum(cfg.family, cfg.rank)
-    if cfg.family != "C":
+    datum, _, _, letters = _build_config(args)
+    if datum.family != "C":
         raise BadInput("product is certified for type C only")
-    v = word_to_element(datum, _parse_ints(args.v, "--v"))
-    w = word_to_element(datum, cfg.w)
-    profile = _profile_from_config(datum, cfg)
-    try:
-        ctx = faces.DeformedContext(datum, profile=profile) if profile else None
-    except ValueError as err:
-        raise BadInput(str(err))
-    result = faces.product_c(datum, v, w, ctx)
+    v = _letters(datum.rank, args.v, "--v")
+    result = faces.product_c(datum, word_to_element(datum, v), word_to_element(datum, letters))
     payload = {
-        "v": list(_parse_ints(args.v, "--v")),
-        "w": list(cfg.w),
+        "v": list(v),
+        "w": list(letters),
         "faces": [
             {"f": list(r.f_tight), "fv": list(r.fv_tight)} for r in result.faces
         ],
@@ -252,26 +215,25 @@ def cmd_product(args) -> int:
         )},
         "method": result.method,
     }
-    _emit(payload, cfg.fmt)
+    _emit(payload)
     return EXIT_OK
 
 
 def cmd_volume(args) -> int:
-    cfg = _build_config(args)
-    datum = RootDatum(cfg.family, cfg.rank)
-    lam = cfg.lam or (1,) * cfg.rank
-    w = word_to_element(datum, cfg.w)
+    datum, _, lam, letters = _build_config(args)
+    lam = lam or (1,) * datum.rank
+    w = word_to_element(datum, letters)
     payload = {
-        "type": cfg.family,
-        "rank": cfg.rank,
+        "type": datum.family,
+        "rank": datum.rank,
         "lambda": list(lam),
-        "w": list(cfg.w),
+        "w": list(letters),
         "schubert_dimension": faces.h0_dimension(datum, "schubert", w, lam),
         "opposite_dimension": faces.h0_dimension(datum, "opposite", w, lam),
         "schubert_volume": str(faces.side_volume(datum, "schubert", w, lam)),
         "opposite_volume": str(faces.side_volume(datum, "opposite", w, lam)),
     }
-    _emit(payload, cfg.fmt)
+    _emit(payload)
     return EXIT_OK
 
 
@@ -296,6 +258,9 @@ def cmd_verify(args) -> int:
     ):
         if value < least:
             raise BadInput("%s must be at least %d, got %d" % (flag, least, value))
+    for kind, statement in (("theorem2", "A"), ("theorem3", "C")):
+        if theorem == kind and family != statement:
+            raise BadInput("%s is the type %s statement" % (kind, statement))
     if theorem in ("theorem1", "theorem2", "theorem3"):
         report = verify.theorem_suite(
             theorem, family, rank, args.lambda_max, jobs=args.jobs, budget=budget
@@ -355,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("product", help="product of two opposite Schubert classes (type C)")
     _add_common(p, lam=False, word=False, fmt=False)
     p.add_argument("--v", required=True)
-    p.add_argument("--epsilon", help="deformation profile entries")
     p.set_defaults(func=cmd_product)
 
     p = subs.add_parser("volume", help="section-space dimensions and face volumes")
@@ -383,12 +347,11 @@ def main(argv=None) -> int:
     except BadInput as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_BAD_INPUT
-    except InvariantError as err:
+    except (InvariantError, ValueError) as err:
+        # input is validated before any command runs, so a library
+        # ValueError that escapes one is a fault of the program
         fault = {"error": "internal invariant violated", "type": type(err).__name__,
                  "message": str(err)}
-    except ValueError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return EXIT_BAD_INPUT
     except faces.TheoremViolationError as err:
         fault = {"error": "theorem violation", "payload": err.payload}
     # one JSON line on stderr; stdout holds only what a command emitted

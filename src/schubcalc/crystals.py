@@ -278,19 +278,16 @@ def _string_table(datum: RootDatum, word, lam) -> tuple:
     return strings
 
 
-def generate_b_lambda(datum: RootDatum, word, lam, allow_experimental=False) -> frozenset:
+def generate_b_lambda(datum: RootDatum, word, lam) -> frozenset:
     """Phi(B(lam)) as a set of string-coordinate tuples.
 
     For the standard word the result is cross-checked against the lattice
     points of the string polytope; any other reduced word of the longest
-    element must be opted into with allow_experimental.
+    element is experimental, with no such check.
     """
     word = tuple(word)
-    certified = is_certified_word(datum, word)
-    if not certified and not allow_experimental:
-        raise ValueError("word %r is not certified; pass allow_experimental=True" % (word,))
     strings = frozenset(_string_table(datum, word, lam))
-    if certified:
+    if is_certified_word(datum, word):
         poly_points = frozenset(polytopes.lattice_points(polytopes.string_polytope(datum, lam)))
         if strings != poly_points:
             raise CrystalPolytopeMismatchError(
@@ -304,7 +301,6 @@ def highest_state(datum: RootDatum, word):
     return (0,) * len(word)
 
 
-@lru_cache(maxsize=None)
 def lowest_state(datum: RootDatum, word, lam) -> tuple:
     """The unique element every lowering operator kills."""
     table = _operator_table(datum, word, lam)
@@ -379,26 +375,22 @@ def _to_strings(datum, word, lam, indices) -> frozenset:
     return frozenset(strings[k] for k in indices)
 
 
-def demazure_crystal(datum: RootDatum, word, w, lam, allow_experimental=False) -> frozenset:
+def demazure_crystal(datum: RootDatum, word, w, lam) -> frozenset:
     word = tuple(word)
-    if not is_certified_word(datum, word) and not allow_experimental:
-        raise ValueError("word %r is not certified; pass allow_experimental=True" % (word,))
     return _to_strings(datum, word, lam, _demazure_indices(datum, word, w, lam))
 
 
-def opposite_demazure_crystal(datum: RootDatum, word, w, lam, allow_experimental=False) -> frozenset:
+def opposite_demazure_crystal(datum: RootDatum, word, w, lam) -> frozenset:
     word = tuple(word)
-    if not is_certified_word(datum, word) and not allow_experimental:
-        raise ValueError("word %r is not certified; pass allow_experimental=True" % (word,))
     return _to_strings(datum, word, lam, _opposite_indices(datum, word, w, lam))
 
 
-def richardson_lattice_points(datum: RootDatum, word, v, w, lam, allow_experimental=False) -> frozenset:
+def richardson_lattice_points(datum: RootDatum, word, v, w, lam) -> frozenset:
     """String image of the intersection of B_w(lam) with B^v(lam); requires v <= w in Bruhat order."""
     if not bruhat_leq(v, w):
         raise ValueError("need v <= w in Bruhat order")
-    lower = demazure_crystal(datum, word, w, lam, allow_experimental)
-    upper = opposite_demazure_crystal(datum, word, v, lam, allow_experimental)
+    lower = demazure_crystal(datum, word, w, lam)
+    upper = opposite_demazure_crystal(datum, word, v, lam)
     return lower & upper
 
 

@@ -76,7 +76,7 @@ def _row_table(datum: RootDatum, word: tuple, lam: tuple) -> tuple:
     points are the crystal's, sorted, and the rows the lambda-bound ones."""
     if crystals.is_certified_word(datum, word):
         return polytopes.lattice_incidence(polytopes.string_polytope(datum, lam))
-    points = tuple(sorted(crystals.generate_b_lambda(datum, word, lam, allow_experimental=True)))
+    points = tuple(sorted(crystals.generate_b_lambda(datum, word, lam)))
     rows = []
     for j in range(1, len(word) + 1):
         vec, lam_vec = polytopes.string_lambda_facet(datum, word, j)
@@ -136,10 +136,9 @@ def opposite_demazure_faces(datum: RootDatum, w: WeylElement, lam, word=None) ->
     """Lambda-bound faces indexed by the extractions of w; the lattice union
     must reproduce the opposite Demazure crystal."""
     word = tuple(word) if word is not None else standard_word(datum)
-    experimental = not crystals.is_certified_word(datum, word)
     points, masks = _row_table(datum, word, tuple(lam))
     dec = _decompose(compatible_subsets(datum, word, w), masks, points)
-    expected = crystals.opposite_demazure_crystal(datum, word, w, lam, allow_experimental=experimental)
+    expected = crystals.opposite_demazure_crystal(datum, word, w, lam)
     return _check_union("opposite-demazure-faces", datum, lam, w, dec, expected)
 
 
@@ -239,13 +238,14 @@ def schubert_class(datum: RootDatum, w: WeylElement, family: str) -> tuple:
 
 
 class DeformedContext:
-    """Face calculus on a deformation of the model polytope certified as a
-    tower of intervals (`polytopes.interval_tower`): combinatorially an
-    N-cube, whose step t (0-based along the sweep order) holds exactly one
-    row of the first facet family, f_t, and one of the second, g_t; the
-    constructor raises `InvariantError` otherwise.  A face is its pair of
-    step bitmasks (`masks`): it is nonempty exactly when they are disjoint,
-    and then its codimension is their total bit count.
+    """Face calculus on the deformed model polytope at the default weight
+    (`polytopes.deformed_polytope`), certified as a tower of intervals
+    (`polytopes.interval_tower`): combinatorially an N-cube, whose step t
+    (0-based along the sweep order) holds exactly one row of the first facet
+    family, f_t, and one of the second, g_t; the constructor raises
+    `InvariantError` otherwise.  A face is its pair of step bitmasks
+    (`masks`): it is nonempty exactly when they are disjoint, and then its
+    codimension is their total bit count.
 
     The certificate makes the polytope smooth, so its toric variety has the
     cohomology ring Z[x_row] modulo f_t * g_t = 0 for each step and one
@@ -257,17 +257,13 @@ class DeformedContext:
     otherwise.  `square[t]` holds L_t as (step, coefficient) pairs.  No
     elimination runs here."""
 
-    def __init__(self, datum: RootDatum, lam=None, profile=None):
+    def __init__(self, datum: RootDatum):
         self.datum = datum
-        self.profile = profile or polytopes.default_strict_profile(datum)
-        self.lam = tuple(lam) if lam is not None else polytopes.default_regular_lambda(
-            datum, self.profile
-        )
-        self.polytope = polytopes.deformed_polytope(datum, self.lam, self.profile)
+        self.polytope = polytopes.deformed_polytope(datum, polytopes.default_regular_lambda(datum))
         self.big_n = big_n = datum.num_positive_roots
         tower = polytopes.interval_tower(self.polytope)
         if tower is None:
-            raise ValueError("deformed polytope is not simple; enlarge lambda")
+            raise InvariantError("the deformed polytope is not a tower of intervals")
         self.step, self.verts = tower
         steps = list(range(big_n))
         if sorted(self.step[:big_n]) != steps or sorted(self.step[big_n:]) != steps:

@@ -197,7 +197,6 @@ def ladder_closure(d: Diagram, source_cols=None) -> frozenset:
 # bottom diagrams
 
 
-@lru_cache(maxsize=None)
 def bottom_diagram(datum: RootDatum, w: WeylElement) -> Diagram:
     """The diagram whose complement word-positions form the lexicographically
     minimal extraction of w from the standard word (the full board at the

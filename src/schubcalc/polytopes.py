@@ -1,5 +1,5 @@
 """Exact rational polytopes: string cones/polytopes, GT and SGT polytopes,
-their epsilon deformations, lattice points, vertices, and Ehrhart volumes.
+their deformation, lattice points, vertices, and Ehrhart volumes.
 
 H-representations keep integer data throughout (normal . x <= rhs).
 `interval_tower` certifies a polytope as a tower of intervals along its
@@ -13,9 +13,9 @@ the general-polytope oracles the tower certificate is tested against; they,
 echelon of `linalg`.
 
 Every string, GT and SGT polytope is built by one builder (`_polytope`) from
-facet rows (vec, lam_vec, eps_key), read as
-vec . x <= lam_vec . lam + eps[eps_key], and each family's row table is
-cached per root datum.  Facet indices are laid out uniformly across the model
+facet rows (vec, lam_vec, shift), read as vec . x <= lam_vec . lam, plus the
+shift on the deformed GT/SGT polytope, and each family's row table is cached
+per root datum.  Facet indices are laid out uniformly across the model
 polytopes: inequalities 0..N-1 are the "F" family (lambda bounds on the
 string side, dual Kogan equations on the GT/SGT side) and N..2N-1 are the
 "F-vee" family (string-cone facets, Kogan equations), each in the fixed
@@ -434,21 +434,21 @@ def _string_rows(datum: RootDatum) -> tuple:
     word: lambda-bound facets, then cone facets."""
     word = standard_word(datum)
     big_n = datum.num_positive_roots
-    f_rows = tuple(string_lambda_facet(datum, word, j) + (None,) for j in range(1, big_n + 1))
+    f_rows = tuple(string_lambda_facet(datum, word, j) + (0,) for j in range(1, big_n + 1))
     zero = (0,) * datum.rank
-    fv_rows = tuple((vec, zero, None) for vec in string_cone_facets(datum))
+    fv_rows = tuple((vec, zero, 0) for vec in string_cone_facets(datum))
     return f_rows, fv_rows, tuple(range(big_n - 1, -1, -1))
 
 
-def _polytope(f_rows, fv_rows, order, lam, profile=None) -> Polytope:
+def _polytope(f_rows, fv_rows, order, lam, deformed=False) -> Polytope:
     """The polytope of the facet rows F1.. then Fv1..; a row (vec, lam_vec,
-    eps_key) reads vec . x <= lam_vec . lam + eps[eps_key] under the profile.
+    shift) reads vec . x <= lam_vec . lam, plus the shift when deformed.
     The sweep order lists every coordinate once."""
     ineqs = []
     labels = []
     for fam, rows in (("F", f_rows), ("Fv", fv_rows)):
-        for k, (vec, lam_vec, eps_key) in enumerate(rows, start=1):
-            rhs = sum(u * l for u, l in zip(lam_vec, lam)) + _eps_value(profile, eps_key)
+        for k, (vec, lam_vec, shift) in enumerate(rows, start=1):
+            rhs = sum(u * l for u, l in zip(lam_vec, lam)) + (shift if deformed else 0)
             ineqs.append((vec, rhs))
             labels.append("%s%d" % (fam, k))
     return Polytope(len(order), tuple(ineqs), labels=tuple(labels), sweep_order=order)
@@ -466,75 +466,7 @@ def string_cone(datum: RootDatum) -> Polytope:
 
 
 # ---------------------------------------------------------------------------
-# epsilon profiles
-
-
-@dataclass(frozen=True)
-class EpsilonProfile:
-    """Deformation offsets.  Type A stores (eps_1, ..., eps_n) with
-    0 = eps_1 <= ... <= eps_n; type C stores (eps_2, ..., eps_n) and
-    (eps'_1, ..., eps'_n) with 0 = eps'_1 <= eps_2 <= eps'_2 <= ... <= eps'_n."""
-
-    family: str
-    eps: tuple
-    eps_prime: tuple = ()
-
-    def __post_init__(self):
-        if self.family == "A":
-            if not self.eps or self.eps[0] != 0:
-                raise ValueError("type A profile must start with eps_1 = 0")
-        elif not self.eps_prime or self.eps_prime[0] != 0:
-            raise ValueError("type C profile must have eps'_1 = 0")
-        chain = self._chain()
-        if any(a > b for a, b in zip(chain, chain[1:])):
-            raise ValueError("profile violates the chain order")
-
-    def _chain(self) -> list:
-        """The offsets in their chain order."""
-        if self.family == "A":
-            return list(self.eps)
-        chain = []
-        for k in range(len(self.eps_prime)):
-            if k > 0:
-                chain.append(self.eps[k - 1])
-            chain.append(self.eps_prime[k])
-        return chain
-
-    def is_strict(self) -> bool:
-        chain = self._chain()
-        return all(a < b for a, b in zip(chain, chain[1:]))
-
-    def max_entry(self) -> int:
-        return max(list(self.eps) + list(self.eps_prime) + [0])
-
-
-def zero_profile(datum: RootDatum) -> EpsilonProfile:
-    n = datum.rank
-    if datum.family == "A":
-        return EpsilonProfile("A", (0,) * n)
-    return EpsilonProfile("C", (0,) * (n - 1), (0,) * n)
-
-
-def default_strict_profile(datum: RootDatum) -> EpsilonProfile:
-    n = datum.rank
-    if datum.family == "A":
-        return EpsilonProfile("A", tuple(range(n)))
-    return EpsilonProfile(
-        "C",
-        tuple(2 * i - 3 for i in range(2, n + 1)),
-        tuple(2 * i - 2 for i in range(1, n + 1)),
-    )
-
-
-def default_regular_lambda(datum: RootDatum, profile: EpsilonProfile) -> tuple:
-    """Dominant regular weight coarse enough to keep the deformed polytope in
-    the generic normal-fan chamber."""
-    c = max(1, datum.num_positive_roots * profile.max_entry())
-    return (c,) * datum.rank
-
-
-# ---------------------------------------------------------------------------
-# GT and SGT polytopes (possibly deformed)
+# GT and SGT polytopes and their deformation
 
 
 def _lam_sum(n: int, lo: int, hi: int) -> tuple:
@@ -542,8 +474,8 @@ def _lam_sum(n: int, lo: int, hi: int) -> tuple:
     return tuple(int(lo <= t <= hi) for t in range(1, n + 1))
 
 
-def _row(size: int, hi, lo, eps_key=None) -> tuple:
-    """The facet row hi <= lo + eps[eps_key] between two pattern entries, each
+def _row(size: int, hi, lo, shift=0) -> tuple:
+    """The facet row hi <= lo + shift between two pattern entries, each
     (terms, lam_vec): (coordinate, coefficient) terms plus the
     lambda-coefficients of a constant part."""
     vec = [0] * size
@@ -551,7 +483,7 @@ def _row(size: int, hi, lo, eps_key=None) -> tuple:
         vec[v] += c
     for v, c in lo[0]:
         vec[v] -= c
-    return tuple(vec), tuple(b - a for a, b in zip(hi[1], lo[1])), eps_key
+    return tuple(vec), tuple(b - a for a, b in zip(hi[1], lo[1])), shift
 
 
 @lru_cache(maxsize=None)
@@ -574,8 +506,8 @@ def _gt_facet_specs(datum: RootDatum) -> tuple:
         for m in range(1, r + 1):
             # a_j^{(lvl)} >= a_{j+1}^{(lvl-1)} with j = r - m + 1
             f_rows.append(_row(big_n, avar(r - m + 2, lvl - 1), avar(r - m + 1, lvl)))
-            # a_m^{(lvl-1)} + eps_{lvl} >= a_m^{(lvl)}
-            fv_rows.append(_row(big_n, avar(m, lvl), avar(m, lvl - 1), lvl))
+            # a_m^{(lvl-1)} + eps_{lvl} >= a_m^{(lvl)}, eps_{lvl} = lvl - 1
+            fv_rows.append(_row(big_n, avar(m, lvl), avar(m, lvl - 1), lvl - 1))
     order = tuple(a_pos(datum, j, i) for i in range(1, n + 1) for j in range(1, n - i + 2))
     return tuple(f_rows), tuple(fv_rows), order
 
@@ -604,10 +536,11 @@ def _sgt_facet_specs(datum: RootDatum) -> tuple:
     for r in range(1, n + 1):
         lvl = n - r + 1
         for k in range(1, r + 1):
-            # a_k^{(lvl)} + eps_{lvl+1} >= b_k^{(lvl+1)}; for k = r the right
-            # side is the fixed zero and the facet is the plain a_r^{(lvl)} >= 0
-            eps_key = None if k == r else ("e", lvl + 1)
-            f_rows.append(_row(big_n, bvar(k, lvl + 1), avar(k, lvl), eps_key))
+            # a_k^{(lvl)} + eps_{lvl+1} >= b_k^{(lvl+1)}, eps_{lvl+1} = 2 lvl - 1;
+            # for k = r the right side is the fixed zero and the facet is the
+            # plain a_r^{(lvl)} >= 0
+            shift = 0 if k == r else 2 * lvl - 1
+            f_rows.append(_row(big_n, bvar(k, lvl + 1), avar(k, lvl), shift))
         for k in range(r, 1, -1):
             # a_{k-1}^{(lvl)} >= b_k^{(lvl)}
             f_rows.append(_row(big_n, bvar(k, lvl), avar(k - 1, lvl)))
@@ -615,8 +548,8 @@ def _sgt_facet_specs(datum: RootDatum) -> tuple:
             # b_{k-1}^{(lvl+1)} >= a_k^{(lvl)}
             fv_rows.append(_row(big_n, avar(k, lvl), bvar(k - 1, lvl + 1)))
         for k in range(r, 0, -1):
-            # b_k^{(lvl)} + eps'_{lvl} >= a_k^{(lvl)}
-            fv_rows.append(_row(big_n, avar(k, lvl), bvar(k, lvl), ("ep", lvl)))
+            # b_k^{(lvl)} + eps'_{lvl} >= a_k^{(lvl)}, eps'_{lvl} = 2 lvl - 2
+            fv_rows.append(_row(big_n, avar(k, lvl), bvar(k, lvl), 2 * lvl - 2))
     order = []
     for i in range(1, n + 1):
         order.extend(a_pos(datum, j, i) for j in range(1, n - i + 2))
@@ -625,41 +558,39 @@ def _sgt_facet_specs(datum: RootDatum) -> tuple:
     return tuple(f_rows), tuple(fv_rows), tuple(order)
 
 
-def _eps_value(profile: EpsilonProfile, key) -> int:
-    if key is None:
-        return 0
-    if profile.family == "A":
-        return profile.eps[key - 1]
-    kind, i = key
-    if kind == "e":
-        return profile.eps[i - 2]
-    return profile.eps_prime[i - 1]
+def _interlacing_specs(datum: RootDatum) -> tuple:
+    return (_gt_facet_specs if datum.family == "A" else _sgt_facet_specs)(datum)
 
 
-def _interlacing_polytope(datum: RootDatum, lam, profile: EpsilonProfile) -> Polytope:
-    specs = _gt_facet_specs if datum.family == "A" else _sgt_facet_specs
-    return _polytope(*specs(datum), lam, profile)
+def model_polytope(datum: RootDatum, lam) -> Polytope:
+    """The GT polytope in type A, the SGT polytope in type C."""
+    return _polytope(*_interlacing_specs(datum), lam)
 
 
 def gt_polytope(datum: RootDatum, lam) -> Polytope:
     if datum.family != "A":
         raise ValueError("GT polytope requires type A")
-    return _interlacing_polytope(datum, lam, zero_profile(datum))
+    return model_polytope(datum, lam)
 
 
 def sgt_polytope(datum: RootDatum, lam) -> Polytope:
     if datum.family != "C":
         raise ValueError("SGT polytope requires type C")
-    return _interlacing_polytope(datum, lam, zero_profile(datum))
+    return model_polytope(datum, lam)
 
 
-def deformed_polytope(datum: RootDatum, lam, profile: EpsilonProfile) -> Polytope:
-    """GT or SGT polytope with Kogan-side inequalities relaxed by the profile;
-    the zero profile reproduces the undeformed polytope exactly."""
-    if profile.family != datum.family:
-        raise ValueError("profile family does not match the root datum")
-    return _interlacing_polytope(datum, lam, profile)
+def deformed_polytope(datum: RootDatum, lam) -> Polytope:
+    """GT or SGT polytope with its relaxed inequalities moved by their chain
+    positions: type A eps_i = i - 1; type C, along the chain
+    eps'_1 <= eps_2 <= eps'_2 <= ... <= eps'_n, eps'_i = 2i - 2 and
+    eps_i = 2i - 3."""
+    return _polytope(*_interlacing_specs(datum), lam, deformed=True)
 
 
-def model_polytope(datum: RootDatum, lam) -> Polytope:
-    return gt_polytope(datum, lam) if datum.family == "A" else sgt_polytope(datum, lam)
+def default_regular_lambda(datum: RootDatum) -> tuple:
+    """Dominant regular weight coarse enough to keep the deformed polytope in
+    the generic normal-fan chamber: N times the largest shift, in every
+    coordinate."""
+    f_rows, fv_rows, _ = _interlacing_specs(datum)
+    c = max(1, datum.num_positive_roots * max(shift for _, _, shift in f_rows + fv_rows))
+    return (c,) * datum.rank

@@ -223,9 +223,7 @@ def test_11_simplicity():
 
     def body():
         for datum in (A2, A3, C2, C3):
-            profile = pt.default_strict_profile(datum)
-            lam = pt.default_regular_lambda(datum, profile)
-            deformed = pt.deformed_polytope(datum, lam, profile)
+            deformed = pt.deformed_polytope(datum, pt.default_regular_lambda(datum))
             assert pt.is_simple(deformed), datum
             verts = pt.vertices(deformed)
             got = (len(verts), pt.affine_rank(verts), len(pt.facet_defining(deformed)))

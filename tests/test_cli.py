@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from schubcalc import cli, crystals, faces
+from schubcalc import cli, crystals, faces, pipedreams
 from schubcalc.cartan import InvariantError
 
 
@@ -29,6 +29,15 @@ def test_crystal_zero_weight_single_row():
     proc = run_cli("crystal", "--type", "A", "--rank", "2", "--lambda", "0,0")
     payload = json.loads(proc.stdout)
     assert payload["count"] == 1
+
+
+@pytest.mark.parametrize("word, experimental", [("", False), ("2,1,2", True)], ids=["standard", "custom"])
+def test_custom_word_is_flagged_experimental(word, experimental):
+    proc = run_cli("crystal", "--type", "A", "--rank", "2", "--lambda", "1,1", "--word", word)
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["experimental"] is experimental
+    assert payload["count"] == 8
 
 
 def test_bad_letter_exits_two():
@@ -128,7 +137,10 @@ def test_determinism():
 
 
 def test_unread_flag_is_rejected():
-    # only product reads a deformation profile
+    # a flag another subcommand reads is unknown here
+    proc = run_cli("crystal", "--type", "A", "--rank", "2", "--lambda", "1,1", "--op", "mset")
+    assert proc.returncode == 2
+    # the deformation is fixed: no subcommand takes a profile
     proc = run_cli("crystal", "--type", "A", "--rank", "2", "--lambda", "1,1", "--epsilon", "1,2")
     assert proc.returncode == 2
 
@@ -168,23 +180,70 @@ def test_volume_command():
     assert payload["opposite_dimension"] > 0
 
 
-def test_product_epsilon_override():
-    proc = run_cli(
-        "product", "--type", "C", "--rank", "2", "--v", "1", "--w", "2",
-        "--epsilon", "2,0,4",
-    )
+def test_product_epsilon_is_an_unknown_flag():
+    args = ("product", "--type", "C", "--rank", "2", "--v", "1", "--w", "2")
+    proc = run_cli(*args)
     assert proc.returncode == 0
-    payload = json.loads(proc.stdout)
-    assert payload["expansion"] == {"1,2": 1, "2,1": 1}
-
-
-def test_refused_profile_exits_two():
-    # the zero profile leaves the symplectic polytope non-simple
-    proc = run_cli(
-        "product", "--type", "C", "--rank", "2", "--v", "1", "--w", "2", "--epsilon", "0,0,0"
-    )
+    assert json.loads(proc.stdout)["expansion"] == {"1,2": 1, "2,1": 1}
+    proc = run_cli(*args, "--epsilon", "2,0,4")
     assert proc.returncode == 2
-    assert "not simple" in proc.stderr
+    assert proc.stdout == ""
+    assert "unrecognized arguments: --epsilon" in proc.stderr
+
+
+def test_context_without_tower_exits_one(monkeypatch, capsys):
+    # no input reaches a context the tower certificate refuses: a refusal is
+    # an internal fault
+    monkeypatch.setattr(faces.polytopes, "interval_tower", lambda p: None)
+    monkeypatch.setattr(faces, "default_context", faces.DeformedContext)
+    code = cli.main(["product", "--type", "C", "--rank", "2", "--v", "1", "--w", "2"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_VIOLATION
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "internal invariant violated",
+        "type": "InvariantError",
+        "message": "the deformed polytope is not a tower of intervals",
+    }
+
+
+def test_library_value_error_exits_one(monkeypatch, capsys):
+    # validated input never reaches a library precondition, so a ValueError
+    # escaping a command is a fault of the program, not "bad input"
+    def broken(datum, w):
+        raise pipedreams.MOpError("planted fault")
+
+    monkeypatch.setattr(cli.pipedreams, "mset", broken)
+    code = cli.main(["pipedreams", "--type", "C", "--rank", "2", "--w", "2,1", "--op", "mset"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_VIOLATION
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "internal invariant violated", "type": "MOpError", "message": "planted fault"
+    }
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("crystal", "--type", "A", "--rank", "2", "--lambda", "1,1", "--kind", "richardson",
+         "--v", "7", "--w", "1"),
+        ("product", "--type", "C", "--rank", "2", "--v", "9", "--w", "1"),
+        ("crystal", "--type", "A", "--rank", "2", "--lambda", "1,1", "--kind", "richardson",
+         "--v", "1,2", "--w", "1"),
+        ("verify", "theorem2", "--type", "C", "--rank", "2", "--lambda-max", "0"),
+        ("verify", "theorem3", "--type", "A", "--rank", "2", "--lambda-max", "0"),
+    ],
+    ids=["crystal-v-letter", "product-v-letter", "richardson-not-below", "theorem2-C", "theorem3-A"],
+)
+def test_validation_exits_two(capsys, args):
+    # each case is refused by the validation step, before the library runs
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_budget_exit_code():

@@ -162,13 +162,22 @@ def test_word_independence_of_counts():
     for datum, lam in ((A2, (2, 1)), (C2, (1, 1))):
         expect = weyl_dimension(datum, lam)
         for word in all_reduced_words(longest_element(datum)):
-            pts = cr.generate_b_lambda(datum, word, lam, allow_experimental=True)
+            pts = cr.generate_b_lambda(datum, word, lam)
             assert len(pts) == expect
 
 
-def test_experimental_flag_required():
-    with pytest.raises(ValueError):
-        cr.generate_b_lambda(A2, (2, 1, 2), (1, 1))
+def test_custom_word_needs_no_opt_in(monkeypatch):
+    # any reduced word of w0 runs; only the standard word is cross-checked
+    # against the string polytope
+    def refuse(*args):
+        raise AssertionError("a custom word reached the string polytope")
+
+    monkeypatch.setattr(cr.polytopes, "string_polytope", refuse)
+    assert not cr.is_certified_word(A2, (2, 1, 2))
+    assert len(cr.generate_b_lambda(A2, (2, 1, 2), (1, 1))) == weyl_dimension(A2, (1, 1))
+    w = word_to_element(A2, (1,))
+    assert cr.demazure_crystal(A2, (2, 1, 2), w, (1, 1))
+    assert cr.opposite_demazure_crystal(A2, (2, 1, 2), w, (1, 1))
 
 
 def test_crystal_axioms_random():

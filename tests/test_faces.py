@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -246,20 +247,58 @@ def test_dropping_the_empty_step_rule_is_caught():
 
 
 @pytest.mark.parametrize(
-    "lam, profile",
+    "lam, deformed",
     [
-        ((1, 1), pt.zero_profile(C2)),
-        ((2, 1), pt.zero_profile(C2)),
-        ((2, 2), pt.zero_profile(C2)),
-        # lower-dimensional polytopes under the default profile
-        ((0, 1), None),
-        ((0, 0), None),
+        ((1, 1), False),
+        ((2, 1), False),
+        ((2, 2), False),
+        # lower-dimensional polytopes under the deformation
+        ((0, 1), True),
+        ((0, 0), True),
     ],
     ids=["lam0", "lam1", "lam2", "lam3", "lam4"],
 )
-def test_context_refuses_non_simple_polytope(lam, profile):
-    with pytest.raises(ValueError, match="not simple"):
-        fc.DeformedContext(C2, lam, profile)
+def test_context_refuses_non_simple_polytope(lam, deformed):
+    # the tower certificate the context requires fails on the undeformed
+    # symplectic polytope and on lower-dimensional deformed ones
+    build = pt.deformed_polytope if deformed else pt.sgt_polytope
+    assert pt.interval_tower(build(C2, lam)) is None
+
+
+def test_context_refuses_a_polytope_that_is_not_a_tower(monkeypatch):
+    monkeypatch.setattr(pt, "interval_tower", lambda p: None)
+    with pytest.raises(InvariantError, match="not a tower of intervals"):
+        fc.DeformedContext(C2)
+
+
+# sha256 of repr() of the deformed rows at the default weight and of the
+# context's squares, per datum
+DEFORMATION_PINS = {
+    "A2": ((3, 3), "a7c534793a5aa05a21c498ccd3520009414d9d91cf68a3d5420a591339401c49",
+           "e75a0fbe315a8d90d9bb43cf6fbe365b6ed73ce891abeb6caedef2a131c2f3cf"),
+    "A3": ((12, 12, 12), "945cae08de3e7af17610d81f3da452492fb58c01fc67c03ac8e670fc53cd8ea3",
+           "faff1d9b7407af676fbfe4fed2a933a5b0e989640ef4693cbca4442cb04b4776"),
+    "A4": ((30, 30, 30, 30), "48c43f3b5dbab60273f6df8fef192e47d5ea12c24676e1272285df1592ecab99",
+           "b570f1eb9fda77941a033cfad43f15f589a820be25975ab0fc276e1988703caf"),
+    "C2": ((8, 8), "9feefd46c8553245f1f5e320ffc555c5013cb2a0d7ee46764ea6471dbab8b226",
+           "bbc9c227f5dd3e33971b2c192b46032dcbe1dee089744e6053e205bcfb73ef62"),
+    "C3": ((36, 36, 36), "a6fac9e9ccf864c93e569bf514c5758902549dd9032214ce2d77ceff84f3186b",
+           "486d4e46f0746299afa9f1124c9a97d1fd6ecead0006e11f8b0ede869a3e176c"),
+    "C4": ((96, 96, 96, 96), "74d4ea41ecdc7523871a4a809f06f09f1d1beaa699f15d19eda145a1c6e3a3a8",
+           "19e26f93c33e7e184f284acde6551650bdd3ce0d5702217e8e3c10be8ab76501"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFORMATION_PINS))
+def test_deformation_pinned(name):
+    lam, rows, square = DEFORMATION_PINS[name]
+    datum = RootDatum(name[0], int(name[1:]))
+    assert pt.default_regular_lambda(datum) == lam
+    poly = pt.deformed_polytope(datum, lam)
+    assert hashlib.sha256(repr(poly.ineqs).encode()).hexdigest() == rows
+    ctx = fc.DeformedContext(datum)
+    assert ctx.polytope == poly
+    assert hashlib.sha256(repr(ctx.square).encode()).hexdigest() == square
 
 
 def test_transversality_ops():
@@ -502,7 +541,7 @@ def _string_rows_and_points(datum, word, lam):
     if cr.is_certified_word(datum, word):
         points = list(pt.lattice_points(pt.string_polytope(datum, lam)))
     else:
-        points = sorted(cr.generate_b_lambda(datum, word, lam, allow_experimental=True))
+        points = sorted(cr.generate_b_lambda(datum, word, lam))
     return rows, points
 
 

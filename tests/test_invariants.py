@@ -66,6 +66,18 @@ except InvariantError as err:
     print("InvariantError:", err)
 """
 
+# no tower certificate: the deformed context must refuse to build
+NON_TOWER = """
+from schubcalc import faces, polytopes
+from schubcalc.cartan import InvariantError, RootDatum
+
+polytopes.interval_tower = lambda p: None
+try:
+    print(faces.DeformedContext(RootDatum("C", 2)).square)
+except InvariantError as err:
+    print("InvariantError:", err)
+"""
+
 # the inversion count gives s_1 of A2 length 2: the group table must refuse
 # the edge from the identity rather than index elements by it
 WRONG_LENGTH = """
@@ -110,6 +122,11 @@ def test_table_invariant_survives_optimize_flag():
 def test_context_invariant_survives_optimize_flag():
     out = _run_optimized(REPEATED_F_STEP)
     assert out.startswith("InvariantError: a tower step does not hold one row of each"), out
+
+
+def test_tower_certificate_survives_optimize_flag():
+    out = _run_optimized(NON_TOWER)
+    assert out.startswith("InvariantError: the deformed polytope is not a tower of intervals"), out
 
 
 def test_weyl_table_invariant_survives_optimize_flag():

@@ -106,8 +106,7 @@ def test_facet_arrangement_pins():
 
 
 def _default_deformed(datum):
-    profile = pt.default_strict_profile(datum)
-    return pt.deformed_polytope(datum, pt.default_regular_lambda(datum, profile), profile)
+    return pt.deformed_polytope(datum, pt.default_regular_lambda(datum))
 
 
 @pytest.mark.parametrize(
@@ -168,36 +167,48 @@ def test_full_facet_rows_pinned(build, ineqs, labels, order):
     assert poly.eqs == () and poly.ambient_dim == len(order)
 
 
+def _shifts(datum, lam):
+    """Per row, how far the deformation moves its right-hand side."""
+    plain = pt.model_polytope(datum, lam)
+    deformed = pt.deformed_polytope(datum, lam)
+    assert [c for c, _ in deformed.ineqs] == [c for c, _ in plain.ineqs]
+    assert (deformed.labels, deformed.sweep_order) == (plain.labels, plain.sweep_order)
+    return [d - p for (_, d), (_, p) in zip(deformed.ineqs, plain.ineqs)]
+
+
 def test_zero_profile_is_identity():
+    # with no deformation the rows are the GT/SGT polytope's, and the
+    # deformation moves right-hand sides only, never those of the type A
+    # dual Kogan rows
     for datum, lam in ((A2, (2, 1)), (C2, (1, 2)), (A3, (1, 1, 1))):
         if datum.family == "A":
-            assert pt.deformed_polytope(datum, lam, pt.zero_profile(datum)) == pt.gt_polytope(
-                datum, lam
-            )
+            assert pt.model_polytope(datum, lam) == pt.gt_polytope(datum, lam)
+            assert _shifts(datum, lam)[: datum.num_positive_roots] == [0] * datum.num_positive_roots
         else:
-            assert pt.deformed_polytope(datum, lam, pt.zero_profile(datum)) == pt.sgt_polytope(
-                datum, lam
-            )
+            assert pt.model_polytope(datum, lam) == pt.sgt_polytope(datum, lam)
+        assert min(_shifts(datum, lam)) == 0
 
 
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        pt.EpsilonProfile("A", (1, 2))
-    with pytest.raises(ValueError):
-        pt.EpsilonProfile("A", (0, 2, 1))
-    with pytest.raises(ValueError):
-        pt.EpsilonProfile("C", (2,), (0, 1))
-    assert pt.default_strict_profile(A3).is_strict()
-    assert pt.default_strict_profile(C2).is_strict()
+@pytest.mark.parametrize("datum", [A2, A3, RootDatum("A", 4), C2, RootDatum("C", 3), RootDatum("C", 4)],
+                         ids=["A2", "A3", "A4", "C2", "C3", "C4"])
+def test_deformation_shifts_are_chain_positions(datum):
+    # the relaxed rows move by their positions along the strict chain:
+    # eps_1 < ... < eps_n in type A, eps'_1 < eps_2 < eps'_2 < ... < eps'_n in
+    # type C, so every position 0..(chain length - 1) occurs; the default
+    # weight is N times the last one
+    n, big_n = datum.rank, datum.num_positive_roots
+    chain = n if datum.family == "A" else 2 * n - 1
+    shifts = _shifts(datum, (1,) * n)
+    assert set(shifts) == set(range(chain))
+    assert pt.default_regular_lambda(datum) == (max(1, big_n * (chain - 1)),) * n
 
 
 def test_deformed_simplicity_and_normal_fan():
     for datum in (A2, C2):
-        profile = pt.default_strict_profile(datum)
-        lam = pt.default_regular_lambda(datum, profile)
-        deformed = pt.deformed_polytope(datum, lam, profile)
+        lam = pt.default_regular_lambda(datum)
+        deformed = pt.deformed_polytope(datum, lam)
         assert pt.is_simple(deformed)
-        undeformed = pt.deformed_polytope(datum, lam, pt.zero_profile(datum))
+        undeformed = pt.model_polytope(datum, lam)
         # the same rows define facets, with the same normals: equal normal fans
         assert pt.facet_defining(deformed) == pt.facet_defining(undeformed)
         assert [c for c, _ in deformed.ineqs] == [c for c, _ in undeformed.ineqs]
@@ -222,10 +233,9 @@ def test_minkowski_support_additivity():
         (C2, (1, 1), (2, 1)),
     ]
     for datum, lam, mu in cases:
-        profile = pt.default_strict_profile(datum)
-        big = pt.deformed_polytope(datum, lam, profile)
-        plain = pt.deformed_polytope(datum, mu, pt.zero_profile(datum))
-        total = pt.deformed_polytope(datum, tuple(a + b for a, b in zip(lam, mu)), profile)
+        big = pt.deformed_polytope(datum, lam)
+        plain = pt.model_polytope(datum, mu)
+        total = pt.deformed_polytope(datum, tuple(a + b for a, b in zip(lam, mu)))
         directions = {c for c, _ in big.ineqs}
         for xi in directions:
             assert _support(big, xi) + _support(plain, xi) == _support(total, xi)

@@ -41,7 +41,7 @@ def test_word_independence_spot():
         expect = weyl_dimension(datum, lam)
         for _ in range(3):
             word = _random_longest_word(datum, rng)
-            pts = cr.generate_b_lambda(datum, word, lam, allow_experimental=True)
+            pts = cr.generate_b_lambda(datum, word, lam)
             assert len(pts) == expect
 
 
