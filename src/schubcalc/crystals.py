@@ -14,13 +14,16 @@ each operator the sigma maximum, its argmin and argmax and <wt, h_i>.
 
 The cut crystal at one (datum, word, lam) is built once, as an operator
 table: the breadth-first closure of the highest element under lowering, with
-per letter the index of f_i of every state, its inverse e_i (e_i f_i b = b)
-and eps_i, all read off the sweeps that lowered.  Every later layer walks
-these integer indices instead of recomputing operators.  The Demazure folds
-follow Kashiwara's recursion, B_w = F_i B_{s_i w} for a left descent i and
-B^w = E_i B^{s_i w} for a left ascent i, so each fold is one closure of a
-smaller cached index set, kept as a sorted tuple: the folds of every w are
-cached, and a tuple takes a fraction of a frozenset's memory.
+per letter the index of f_i of every state, its inverse e_i (e_i f_i b = b),
+eps_i, and the lowest element.  The build sweeps no coordinates: each state
+carries its sigmas and weight pairings, and lowering at position p moves them
+by a fixed delta per (datum, word, p).  `f_op`, `e_op`, `epsilon` and `phi`
+keep the one-state sweep.  Every later layer walks these integer indices
+instead of recomputing operators.  The Demazure folds follow Kashiwara's
+recursion, B_w = F_i B_{s_i w} for a left descent i and B^w = E_i B^{s_i w}
+for a left ascent i, so each fold is one closure of a smaller cached index
+set, kept as a sorted tuple: the folds of every w are cached, and a tuple
+takes a fraction of a frozenset's memory.
 
 These coordinates are the embedding coordinates of an element's
 canonical lift, NOT its string parametrization: the two differ already in rank
@@ -35,7 +38,9 @@ Richardson intersections) is in string coordinates.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
+from operator import add
 from typing import NamedTuple
 
 from . import polytopes
@@ -167,6 +172,11 @@ def _validate(datum, word, lam):
         raise ValueError("weight %r is not dominant of rank %d" % (lam, datum.rank))
 
 
+def _weight(lam):
+    """lam as a tuple, so that a list keys the caches too."""
+    return lam if lam is INFINITY else tuple(lam)
+
+
 def is_certified_word(datum: RootDatum, word) -> bool:
     return tuple(word) == standard_word(datum)
 
@@ -177,6 +187,7 @@ class _OperatorTable(NamedTuple):
     down: tuple    # down[i - 1][k]: index of f_i states[k], or -1
     up: tuple      # up[i - 1][k]: index of e_i states[k], or -1
     eps: tuple     # eps[i - 1][k]: epsilon_i of states[k]
+    lowest: int    # index of the one state every f_i kills
 
 
 def _invert(step) -> list:
@@ -192,37 +203,88 @@ def _invert(step) -> list:
 
 
 @lru_cache(maxsize=None)
+def _statistics_layout(datum: RootDatum, word) -> tuple:
+    """(letters, where, deltas): how a state's statistics are laid out and
+    how one lowering moves them.
+
+    A state's statistics are one flat list: the letter-1 sigmas at the
+    positions of letter 1 in word order, then the letter-2 sigmas, and so on,
+    then <wt, h_j> for every letter j.  letters[i - 1] is (lo, hi, slot):
+    letter i's sigmas sit at [lo, hi) and its weight pairing at slot.
+    where[s] is the 0-based word position of the sigma at s.  Raising a_p by
+    one adds deltas[p]: c_{j, i_p} to each letter-j sigma before p, 1 to the
+    sigma at p, nothing after p, and -c_{j, i_p} to <wt, h_j>."""
+    c = cartan_matrix(datum)
+    letters, where = [], []
+    for i in range(1, datum.rank + 1):
+        lo = len(where)
+        where.extend(p for p, letter in enumerate(word) if letter == i)
+        letters.append((lo, len(where), len(word) + i - 1))
+    deltas = tuple(
+        tuple(c[word[q] - 1][word[p] - 1] if q < p else int(q == p) for q in where)
+        + tuple(-c[j][word[p] - 1] for j in range(datum.rank))
+        for p in range(len(word))
+    )
+    return tuple(letters), tuple(where), deltas
+
+
+@lru_cache(maxsize=None)
 def _operator_table(datum: RootDatum, word, lam) -> _OperatorTable:
     """The cut crystal and its operators over integer indices.
 
     The states are the breadth-first closure of the zero vector under
-    lowering.  The sweep that lowers a state by letter i also gives its
-    eps_i, and raising is lowering inverted, so every operator value comes
-    from `_lower` alone; every later crystal layer reads this table."""
+    lowering.  Each state carries its sigma statistics and weight pairings
+    (`_statistics_layout`) instead of sweeping its coordinates per letter: a
+    new state gets its parent's statistics plus the delta of the position
+    that lowered, and drops them once expanded.  Per letter, the largest
+    sigma and its first position give f_i and eps_i, with the checks of
+    `_lower`; raising is lowering inverted, and the one state every letter
+    kills is the lowest.  Every later crystal layer reads this table."""
     _validate(datum, word, lam)
-    letters = range(1, datum.rank + 1)
+    letters, where, deltas = _statistics_layout(datum, word)
     zero = (0,) * len(word)
     states = [zero]
     index = {zero: 0}
     down = [[] for _ in letters]
     eps = [[] for _ in letters]
-    for state in states:  # visits the states appended on the way
-        for i in letters:
-            nxt, best, wt_i = _lower(datum, word, lam, state, i)
-            eps[i - 1].append(max(best, -wt_i))
-            j = -1
-            if nxt is not None:
-                j = index.get(nxt)
-                if j is None:
-                    j = index[nxt] = len(states)
-                    states.append(nxt)
-            down[i - 1].append(j)
+    # the statistics of the states not yet expanded, in table order
+    pending = deque([[0] * len(where) + list(lam)])
+    lowest = []
+    for k, state in enumerate(states):  # visits the states appended on the way
+        stats = pending.popleft()
+        killed = True
+        for (lo, hi, slot), down_i, eps_i in zip(letters, down, eps):
+            top = max(stats[lo:hi])
+            best = top if top > 0 else 0
+            wt_i = stats[slot]
+            if best + wt_i < 0:
+                raise CorruptElementError("negative phi: element outside the cut crystal")
+            eps_i.append(best if best > -wt_i else -wt_i)
+            if best + wt_i == 0:
+                down_i.append(-1)
+                continue
+            if top < 0:
+                raise CorruptElementError("lowering argmin beyond stored coordinates")
+            killed = False
+            p = where[stats.index(top, lo, hi)]
+            nxt = state[:p] + (state[p] + 1,) + state[p + 1 :]
+            j = index.get(nxt)
+            if j is None:
+                j = index[nxt] = len(states)
+                states.append(nxt)
+                pending.append(list(map(add, stats, deltas[p])))
+            down_i.append(j)
+        if killed:
+            lowest.append(k)
+    if len(lowest) != 1:
+        raise InvariantError("lowest element not unique")
     return _OperatorTable(
         tuple(states),
         index,
         tuple(tuple(row) for row in down),
         tuple(tuple(_invert(row)) for row in down),
         tuple(tuple(row) for row in eps),
+        lowest[0],
     )
 
 
@@ -234,6 +296,7 @@ def crystal_states(datum: RootDatum, word, lam) -> tuple:
 def string_coords(datum: RootDatum, word, lam, state) -> tuple:
     """String parametrization of one cut-crystal element, read off
     `_string_table` at the state's table index."""
+    lam = _weight(lam)
     k = _operator_table(datum, word, lam).index.get(state)
     if k is None:
         raise InvariantError("non-normal state: not in the generated crystal")
@@ -285,7 +348,7 @@ def generate_b_lambda(datum: RootDatum, word, lam) -> frozenset:
     points of the string polytope; any other reduced word of the longest
     element is experimental, with no such check.
     """
-    word = tuple(word)
+    word, lam = tuple(word), _weight(lam)
     strings = frozenset(_string_table(datum, word, lam))
     if is_certified_word(datum, word):
         poly_points = frozenset(polytopes.lattice_points(polytopes.string_polytope(datum, lam)))
@@ -302,12 +365,10 @@ def highest_state(datum: RootDatum, word):
 
 
 def lowest_state(datum: RootDatum, word, lam) -> tuple:
-    """The unique element every lowering operator kills."""
+    """The unique element every lowering operator kills, found and checked
+    unique while the table was built."""
     table = _operator_table(datum, word, lam)
-    hits = [k for k in range(len(table.states)) if all(row[k] < 0 for row in table.down)]
-    if len(hits) != 1:
-        raise InvariantError("lowest element not unique")
-    return table.states[hits[0]]
+    return table.states[table.lowest]
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +414,7 @@ def _opposite_indices(datum: RootDatum, word, w: WeylElement, lam) -> tuple:
     table = _operator_table(datum, word, lam)
     ascents = left_ascents(w)
     if not ascents:
-        return (table.index[lowest_state(datum, word, lam)],)
+        return (table.lowest,)
     i = ascents[0]
     return _closure(table.up[i - 1], _opposite_indices(datum, word, left_mul(i, w), lam))
 
@@ -376,12 +437,12 @@ def _to_strings(datum, word, lam, indices) -> frozenset:
 
 
 def demazure_crystal(datum: RootDatum, word, w, lam) -> frozenset:
-    word = tuple(word)
+    word, lam = tuple(word), _weight(lam)
     return _to_strings(datum, word, lam, _demazure_indices(datum, word, w, lam))
 
 
 def opposite_demazure_crystal(datum: RootDatum, word, w, lam) -> frozenset:
-    word = tuple(word)
+    word, lam = tuple(word), _weight(lam)
     return _to_strings(datum, word, lam, _opposite_indices(datum, word, w, lam))
 
 

@@ -136,7 +136,8 @@ def opposite_demazure_faces(datum: RootDatum, w: WeylElement, lam, word=None) ->
     """Lambda-bound faces indexed by the extractions of w; the lattice union
     must reproduce the opposite Demazure crystal."""
     word = tuple(word) if word is not None else standard_word(datum)
-    points, masks = _row_table(datum, word, tuple(lam))
+    lam = tuple(lam)
+    points, masks = _row_table(datum, word, lam)
     dec = _decompose(compatible_subsets(datum, word, w), masks, points)
     expected = crystals.opposite_demazure_crystal(datum, word, w, lam)
     return _check_union("opposite-demazure-faces", datum, lam, w, dec, expected)
@@ -145,9 +146,9 @@ def opposite_demazure_faces(datum: RootDatum, w: WeylElement, lam, word=None) ->
 def demazure_faces(datum: RootDatum, w: WeylElement, lam) -> FaceDecomposition:
     """String-cone faces indexed by the box-removal set of w; the lattice
     union must reproduce the Demazure crystal."""
-    word = standard_word(datum)
+    word, lam = standard_word(datum), tuple(lam)
     tights = [ref.fv_tight for ref in schubert_class(datum, w, "kogan")]
-    points, masks = _row_table(datum, word, tuple(lam))
+    points, masks = _row_table(datum, word, lam)
     dec = _decompose(tights, masks[datum.num_positive_roots :], points)
     expected = crystals.demazure_crystal(datum, word, w, lam)
     return _check_union("demazure-faces", datum, lam, w, dec, expected)

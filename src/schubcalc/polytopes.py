@@ -6,6 +6,7 @@ H-representations keep integer data throughout (normal . x <= rhs).
 sweep order and lists its integer vertices with no elimination.
 `lattice_incidence` gives each inequality a bitmask over the lattice points
 it is tight on, so that faces and unions of faces are integer AND and OR;
+`tight_bits` computes the masks over packed integer columns, and
 `face_polytope` turns tight rows into equations.  `vertices` (exact
 Fractions) and `is_simple`, with `incidence` and `facet_defining`, remain as
 the general-polytope oracles the tower certificate is tested against; they,
@@ -24,12 +25,13 @@ arrangement order that the face combinatorics relies on.
 
 from __future__ import annotations
 
+import array
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from operator import add, eq, mul
+from math import gcd, lcm
 
 from . import linalg
 from .cartan import (
@@ -161,24 +163,62 @@ def lattice_points(p: Polytope) -> tuple:
     return tuple(sorted(out))
 
 
-# flag bytes 0/1 as the binary digits "0"/"1", and back
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# the binary digits "0"/"1" as flag bytes 0/1
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+# the top byte of a field after the zero test: below 0x80 exactly when the
+# slack is zero, read as the binary digit "1"
+_ZERO_TOPS = bytes.maketrans(bytes(range(256)), b"1" * 128 + b"0" * 128)
+# an unsigned array typecode per field width in bits
+_FIELDS = {array.array(code).itemsize * 8: code for code in "QLIH"}
 
 
 def tight_bits(rows, points) -> tuple:
     """Per row (coefficients, rhs), the int with bit i set when points[i]
-    lies on the row, read in base 2 off one flag string per row.  The dot
-    products run column by column over the row's support, exactly, so the
-    points may hold Fractions."""
-    columns = tuple(zip(*points[::-1]))  # the last point is the last digit, bit 0
+    lies on the row.  Points and rows hold integers only.
+
+    Each coordinate column is packed into one int, point i in the W-bit field
+    i, W the narrowest field width that holds every row's slack bound plus two
+    guard bits.  A row's offset slacks rhs + 2^(W-1) - vec . x are then one
+    exact integer combination of the columns, each field holding its point's
+    slack, never borrowing from its neighbour.  The slack is zero exactly when
+    the low W - 1 bits of its field are, so one AND with the low bits and one
+    add of them leave the field's top byte below 0x80 exactly on the row, and
+    `bytes.translate` reads the top bytes as binary digits.  Slacks past 62
+    bits raise OverflowError."""
+    if not rows or not points:
+        return (0,) * len(rows)
+    columns = tuple(zip(*points))
+    highs = [max(max(column), -min(column)) for column in columns]
+    bounds = [abs(rhs) + sum(abs(c) * h for c, h in zip(vec, highs)) for vec, rhs in rows]
+    if not all(isinstance(b, int) for b in bounds):
+        raise TypeError("tight_bits takes integer rows and points")
+    bound = max(bounds)
+    width = next((w for w in (16, 32, 64) if bound.bit_length() + 2 <= w), None)
+    if width is None:
+        raise OverflowError("row slacks of %d bits do not fit a 64-bit field" % bound.bit_length())
+    step = width // 8
+    ones = int.from_bytes(b"\x01".ljust(step, b"\x00") * len(points), "little")
+    low = ones * ((1 << (width - 1)) - 1)
+    packed = {}
+
+    def column(v):
+        """Column v packed as the int sum_i x_i 2^(W i)."""
+        if v not in packed:
+            base = min(columns[v])
+            digits = array.array(_FIELDS[width], [x - base for x in columns[v]])
+            if sys.byteorder == "big":
+                digits.byteswap()
+            packed[v] = int.from_bytes(digits.tobytes(), "little") + base * ones
+        return packed[v]
+
     out = []
     for vec, rhs in rows:
-        dots = [0] * len(points)
-        for column, c in zip(columns, vec):
+        slack = (rhs + (1 << (width - 1))) * ones
+        for v, c in enumerate(vec):
             if c:
-                dots = map(add, dots, map(mul, itertools.repeat(c), column))
-        out.append(int(bytes(map(eq, dots, itertools.repeat(rhs))).translate(_DIGITS) or b"0", 2))
+                slack -= c * column(v)
+        tops = ((slack & low) + low).to_bytes(step * len(points), "big")[::step]
+        out.append(int(tops.translate(_ZERO_TOPS), 2))
     return tuple(out)
 
 
@@ -269,8 +309,12 @@ def vertices(p: Polytope) -> tuple:
 @lru_cache(maxsize=None)
 def incidence(p: Polytope) -> tuple:
     """Per inequality, the bitmask over `vertices(p)` of the vertices on
-    which it is tight."""
-    return tight_bits(p.ineqs, vertices(p))
+    which it is tight, read by `tight_bits` off the vertices and right-hand
+    sides scaled by the vertices' common denominator."""
+    verts = vertices(p)
+    scale = lcm(*(x.denominator for v in verts for x in v))
+    points = [[int(x * scale) for x in v] for v in verts]
+    return tight_bits([(c, r * scale) for c, r in p.ineqs], points)
 
 
 def affine_rank(points) -> int:

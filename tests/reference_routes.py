@@ -5,10 +5,13 @@ coordinates by raising one state along the word, the Demazure folds along
 whole reduced words, the extraction sets by one search per Weyl element, the
 type A ladder move and box-removal operator on the staircase board, and the
 products and pairings of the deformed-polytope ring by rewriting row
-multisets one repeated row at a time.  Also the weight and diagram helpers
-that only tests use."""
+multisets one repeated row at a time, and the row incidence masks by exact
+dot products column by column.  Also the weight and diagram helpers that only
+tests use."""
 
+import itertools
 from collections import Counter
+from operator import add, eq, mul
 
 from schubcalc import crystals as cr
 from schubcalc import faces as fc
@@ -269,6 +272,28 @@ def other_word(datum):
     if word == standard_word(datum):
         raise ValueError("the standard word is the last one for %r" % (datum,))
     return word
+
+
+# ---------------------------------------------------------------------------
+# row incidence
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def column_tight_bits(rows, points):
+    """Per row (coefficients, rhs), the int with bit i set when points[i]
+    lies on the row, read in base 2 off one flag string per row.  The dot
+    products run column by column over the row's support, exactly, so the
+    points may hold Fractions."""
+    columns = tuple(zip(*points[::-1]))  # the last point is the last digit, bit 0
+    out = []
+    for vec, rhs in rows:
+        dots = [0] * len(points)
+        for column, c in zip(columns, vec):
+            if c:
+                dots = map(add, dots, map(mul, itertools.repeat(c), column))
+        out.append(int(bytes(map(eq, dots, itertools.repeat(rhs))).translate(_DIGITS) or b"0", 2))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from schubcalc.oracles import demazure_dimension, weyl_dimension
 
 import reference_routes as ref
 
+A1 = RootDatum("A", 1)
 A2 = RootDatum("A", 2)
 A3 = RootDatum("A", 3)
 A4 = RootDatum("A", 4)
@@ -312,13 +313,21 @@ TABLE_CASES = ((A2, (2, 1)), (C2, (1, 1)), (A3, (1, 1, 1)), (C3, (1, 1, 1)))
 
 
 def test_operator_table_matches_operators():
-    for datum, lam in TABLE_CASES:
-        word = standard_word(datum)
+    # regular and non-regular weights, a 4,096-state crystal, and one
+    # non-standard word
+    cases = [(datum, standard_word(datum), lam) for datum, lam in TABLE_CASES]
+    cases += [
+        (datum, standard_word(datum), lam)
+        for datum, lam in ((A1, (3,)), (A3, (3, 3, 3)), (C3, (2, 0, 1)), (A4, (1, 0, 1, 0)))
+    ]
+    cases.append((A3, ref.other_word(A3), (2, 0, 1)))
+    for datum, word, lam in cases:
         table = cr._operator_table(datum, word, lam)
         assert cr.crystal_states(datum, word, lam) == ref.bfs_states(datum, word, lam)
         assert table.states[0] == cr.highest_state(datum, word)
         assert all(table.index[s] == k for k, s in enumerate(table.states))
         assert len(table.index) == len(table.states)
+        assert cr.lowest_state(datum, word, lam) == ref.lowest(datum, word, lam)
 
         def state(k):
             return None if k < 0 else table.states[k]
@@ -328,6 +337,40 @@ def test_operator_table_matches_operators():
                 assert state(table.down[i - 1][k]) == cr.f_op(datum, word, lam, s, i)
                 assert state(table.up[i - 1][k]) == cr.e_op(datum, word, lam, s, i)
                 assert table.eps[i - 1][k] == cr.epsilon(datum, word, lam, s, i)
+    assert len(cr._operator_table(A3, standard_word(A3), (3, 3, 3)).states) == 4096
+
+
+def _planted_layout(monkeypatch, position, slot, bump):
+    """The statistics layout of A2 with one delta entry moved by bump."""
+    monkeypatch.undo()
+    letters, where, deltas = cr._statistics_layout(A2, IA2)
+    bad = list(map(list, deltas))
+    bad[position][slot] += bump
+    planted = letters, where, tuple(map(tuple, bad))
+    cr._operator_table.cache_clear()
+    monkeypatch.setattr(cr, "_statistics_layout", lambda datum, word: planted)
+
+
+def test_operator_table_rejects_corrupt_statistics(monkeypatch):
+    # lowering at word position 1 moves <wt, h_1> one too far, so the state
+    # it makes has phi_1 < 0; or it moves the letter-2 sigma of position 2,
+    # which lies after it, so that state's only letter-2 sigma is negative
+    # while its phi_2 is not
+    try:
+        _planted_layout(monkeypatch, 0, 3, -1)
+        with pytest.raises(cr.CorruptElementError, match="negative phi"):
+            cr._operator_table(A2, IA2, (1, 1))
+        _planted_layout(monkeypatch, 0, 2, -1)
+        with pytest.raises(cr.CorruptElementError, match="argmin beyond"):
+            cr._operator_table(A2, IA2, (1, 1))
+        # the first lowering leaves <wt, h_2> unchanged: two states are killed
+        # by every letter
+        _planted_layout(monkeypatch, 0, 4, -1)
+        with pytest.raises(InvariantError, match="lowest element not unique"):
+            cr._operator_table(A2, IA2, (1, 1))
+    finally:
+        monkeypatch.undo()
+        cr._operator_table.cache_clear()
 
 
 def test_invert_rejects_non_injective_lowering():
@@ -420,3 +463,20 @@ def test_sigma_profile_matches_definition():
                         last,
                         wt[i - 1],
                     )
+
+
+S1 = word_to_element(A2, (1,))
+W0 = longest_element(A2)
+LIST_WEIGHT_CALLS = {
+    "generate_b_lambda": lambda lam: cr.generate_b_lambda(A2, IA2, lam),
+    "demazure_crystal": lambda lam: cr.demazure_crystal(A2, IA2, S1, lam),
+    "opposite_demazure_crystal": lambda lam: cr.opposite_demazure_crystal(A2, IA2, S1, lam),
+    "string_coords": lambda lam: cr.string_coords(A2, IA2, lam, (1, 1, 0)),
+    "richardson_lattice_points": lambda lam: cr.richardson_lattice_points(A2, IA2, S1, W0, lam),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIST_WEIGHT_CALLS))
+def test_weight_may_be_a_list(name):
+    call = LIST_WEIGHT_CALLS[name]
+    assert call([2, 1]) == call((2, 1))

@@ -600,3 +600,17 @@ def test_model_face_union_count_rejects_rows_outside_its_block():
         for bad in ((0,), (4,), (1, 6)):
             with pytest.raises(IndexError):
                 fc.model_face_union_count(A2, (1, 1), [(1,), bad], family)
+
+
+S1 = word_to_element(A2, (1,))
+LIST_WEIGHT_CALLS = {
+    "opposite_demazure_faces": lambda lam: fc.opposite_demazure_faces(A2, S1, lam),
+    "demazure_faces": lambda lam: fc.demazure_faces(A2, S1, lam),
+    "h0_dimension": lambda lam: fc.h0_dimension(A2, "opposite", S1, lam),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIST_WEIGHT_CALLS))
+def test_weight_may_be_a_list(name):
+    call = LIST_WEIGHT_CALLS[name]
+    assert call([2, 1]) == call((2, 1))

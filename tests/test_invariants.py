@@ -45,6 +45,25 @@ except InvariantError as err:
     print("InvariantError:", err)
 """
 
+# the carried statistics go wrong: lowering at word position 1 moves
+# <wt, h_1> one too far (slot 3), or leaves <wt, h_2> unchanged (slot 4), in
+# the table build of A2 at (1, 1)
+PLANTED_STATISTIC = """
+from schubcalc import crystals
+from schubcalc.cartan import InvariantError, RootDatum, standard_word
+
+A2 = RootDatum("A", 2)
+word = standard_word(A2)
+letters, where, deltas = crystals._statistics_layout(A2, word)
+bad = [list(row) for row in deltas]
+bad[0][%d] -= 1
+crystals._statistics_layout = lambda datum, word: (letters, where, tuple(map(tuple, bad)))
+try:
+    print(len(crystals._operator_table(A2, word, (1, 1)).states))
+except InvariantError as err:
+    print(type(err).__name__ + ":", err)
+"""
+
 # a tower whose first two steps hold the F rows of one step: the deformed
 # context must refuse it rather than build a ring on it
 REPEATED_F_STEP = """
@@ -117,6 +136,16 @@ def test_invariant_survives_optimize_flag():
 def test_table_invariant_survives_optimize_flag():
     out = _run_optimized(NON_NORMAL_TABLE_ENTRY)
     assert out.startswith("InvariantError: non-normal state"), out
+
+
+def test_corrupt_statistic_survives_optimize_flag():
+    out = _run_optimized(PLANTED_STATISTIC % 3)
+    assert out.startswith("CorruptElementError: negative phi"), out
+
+
+def test_lowest_uniqueness_survives_optimize_flag():
+    out = _run_optimized(PLANTED_STATISTIC % 4)
+    assert out.startswith("InvariantError: lowest element not unique"), out
 
 
 def test_context_invariant_survives_optimize_flag():

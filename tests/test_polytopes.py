@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 from schubcalc import polytopes as pt
 from schubcalc.cartan import RootDatum
 from schubcalc.oracles import weyl_dimension
+
+import reference_routes as ref
 
 A2 = RootDatum("A", 2)
 A3 = RootDatum("A", 3)
@@ -319,27 +323,81 @@ def test_tight_bits_of_no_points_are_zero():
     assert pt.tight_bits((), [(0, 0)]) == ()
 
 
+def _dot(vec, point):
+    return sum(a * x for a, x in zip(vec, point))
+
+
 @st.composite
 def rows_and_points(draw):
+    """Rows and points at one magnitude, up to 2^40 so that every field width
+    is used, with negative coordinates, zero rows, and rows through a drawn
+    point or one off it."""
     dim = draw(st.integers(1, 4))
-    vector = st.tuples(*[st.integers(-2, 2)] * dim)
-    rows = draw(st.lists(st.tuples(vector, st.integers(-3, 3)), max_size=5))
-    return rows, draw(st.lists(vector, max_size=40))
+    scale = draw(st.sampled_from((3, 2**12, 2**28, 2**40)))
+    vector = st.tuples(*[st.integers(-scale, scale)] * dim)
+    points = draw(st.lists(vector, max_size=40))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        vec = draw(st.just((0,) * dim) | st.tuples(*[st.integers(-2, 2)] * dim))
+        if points and draw(st.booleans()):
+            rhs = _dot(vec, draw(st.sampled_from(points))) + draw(st.integers(-1, 1))
+        else:
+            rhs = draw(st.integers(-scale, scale))
+        rows.append((vec, rhs))
+    return rows, points
 
 
 @seed(20261018)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(rows_and_points())
 def test_tight_bits_matches_per_point_evaluation(case):
     rows, points = case
     bits = pt.tight_bits(rows, points)
+    assert bits == ref.column_tight_bits(rows, points)
     assert len(bits) == len(rows)
     for (vec, rhs), mask in zip(rows, bits):
         assert mask >> len(points) == 0
         for i, p in enumerate(points):
-            assert mask >> i & 1 == (sum(a * x for a, x in zip(vec, p)) == rhs)
-        on_row = [p for p in points if sum(a * x for a, x in zip(vec, p)) == rhs]
+            assert mask >> i & 1 == (_dot(vec, p) == rhs)
+        on_row = [p for p in points if _dot(vec, p) == rhs]
         assert list(pt.mask_points(mask, points)) == on_row
+
+
+def test_tight_bits_at_the_field_limits():
+    # slack bounds of 14, 30 and 62 bits take the 16-, 32- and 64-bit fields
+    # to their last guard bit; one bit more is refused, as are non-integers
+    for bits in (14, 30, 62):
+        top = (1 << bits) - 2
+        points = [(top,), (-top,), (0,), (1,), (-1,)]
+        rows = [((1,), 0), ((-1,), 0), ((1,), 1), ((0,), 0)]
+        assert pt.tight_bits(rows, points) == ref.column_tight_bits(rows, points)
+        assert pt.tight_bits([((1,), 0)], [(top,), (-top,)]) == (0,)
+        assert pt.tight_bits([((0,), top)], [(0,), (5,)]) == (0,)
+    with pytest.raises(OverflowError):
+        pt.tight_bits([((1,), 0)], [(1 << 62,)])
+    with pytest.raises(OverflowError):
+        pt.tight_bits([((1, 1), 1 << 61)], [(1 << 61, 0)])
+    with pytest.raises(TypeError):
+        pt.tight_bits([((1, 0), 0)], [(Fraction(1, 2), 0)])
+    with pytest.raises(TypeError):
+        pt.tight_bits([((1, 0), Fraction(1, 2))], [(0, 0)])
+
+
+def test_incidence_on_fractional_vertices():
+    # a simplex with vertices of denominators 2, 3 and 5, and a row through
+    # two of them: the masks are read off the scaled vertices
+    rows = (((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((2, 3, 5), 1), ((2, 3, 0), 1))
+    simplex = pt.Polytope(3, rows)
+    verts = pt.vertices(simplex)
+    half, third, fifth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)
+    assert verts == ((0, 0, 0), (0, 0, fifth), (0, third, 0), (half, 0, 0))
+    masks = pt.incidence(simplex)
+    assert masks == ref.column_tight_bits(rows, verts)
+    for (vec, rhs), mask in zip(rows, masks):
+        assert [k for k, v in enumerate(verts) if _dot(vec, v) == rhs] == [
+            k for k in range(len(verts)) if mask >> k & 1
+        ]
+    assert masks[3:] == (0b1110, 0b1100)
 
 
 def test_lattice_incidence_is_points_and_facet_masks():
