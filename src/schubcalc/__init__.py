@@ -54,7 +54,6 @@ from .polytopes import (
     deformed_polytope,
     gt_polytope,
     lattice_points,
-    normalized_volume,
     sgt_polytope,
     string_cone,
     string_polytope,

@@ -1,6 +1,7 @@
 """Face decompositions of (opposite) Demazure crystals and the Schubert
-calculus built on them: Schubert classes as face sums, and products and
-degree pairings read off those sums in the ring of a deformed polytope.
+calculus built on them: Schubert classes as face sums, and products, degree
+pairings and side volumes read off those sums in the ring of a deformed
+polytope.
 
 The two decomposition results being exercised:
 
@@ -38,6 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from . import crystals, oracles, pipedreams, polytopes
 from .cartan import (
@@ -46,6 +48,7 @@ from .cartan import (
     WeylElement,
     all_elements,
     compatible_subsets,
+    is_dominant,
     length,
     longest_element,
     multiply,
@@ -189,21 +192,45 @@ def h0_dimension(datum: RootDatum, side: str, w: WeylElement, lam) -> int:
 
 
 def side_volume(datum: RootDatum, side: str, w: WeylElement, lam) -> Fraction:
-    """Sum of lattice-normalized face volumes at the side's stated dimension
-    (l(w) on the Demazure side, N - l(w) on the opposite side)."""
-    poly = polytopes.string_polytope(datum, lam)
-    big_n = datum.num_positive_roots
-    if side == "opposite":
-        family, d = "dual-kogan", big_n - length(w)
-    elif side == "schubert":
-        family, d = "kogan", length(w)
-    else:
+    """Sum of lattice-normalized face volumes at the side's stated dimension d
+    (l(w) on the Demazure side, N - l(w) on the opposite side) over the faces
+    of the GT/SGT polytope at lambda that the (dual) Kogan face sum of w
+    indexes.  These faces have the same indices as the string-polytope faces
+    and the same volumes (`test_volume_invariance_under_model_change`).
+
+    Each volume is a degree in the ring of the deformed polytope
+    (`DeformedContext`): a dominant lambda gives support numbers h_j in the
+    closure of that polytope's type cone, so a face F of dimension d has volume
+    deg([F] * D^d) / d! for D = sum_j h_j x_j (Khovanskii-Pukhlikov; see
+    Kiritchenko-Smirnov-Timorin 2012 and Fulton, Introduction to Toric
+    Varieties, 5.3).  A dual Kogan face f^m reads the full mask of the normal
+    form of f^m * D^d, a Kogan face g^m' the complement of m' in that of
+    D^d."""
+    if side not in ("schubert", "opposite"):
         raise ValueError("side must be 'schubert' or 'opposite'")
-    total = Fraction(0)
-    for ref in schubert_class(datum, w, family):
-        face = polytopes.face_polytope(poly, _facet_indices(ref, big_n))
-        total += polytopes.volume_at_dim(face, d)
-    return total
+    lam = tuple(lam)
+    if len(lam) != datum.rank or not is_dominant(lam):
+        raise ValueError("weight %r is not dominant of rank %d" % (lam, datum.rank))
+    ctx = default_context(datum)
+    full = (1 << datum.num_positive_roots) - 1
+    if side == "opposite":
+        d = datum.num_positive_roots - length(w)
+        form = Counter(ctx.masks(ref)[0] for ref in schubert_class(datum, w, "dual-kogan"))
+        reads = [full]
+    else:
+        d = length(w)
+        form = {0: 1}
+        reads = [full ^ ctx.masks(ref)[1] for ref in schubert_class(datum, w, "kogan")]
+    divisor = ctx.divisor(lam)
+    for _ in range(d):
+        power = Counter()
+        for mask, n in form.items():
+            memo = {}  # times(mask, t) recurses on this mask alone
+            for t, h in divisor:
+                for m, c in ctx.times(mask, t, memo).items():
+                    power[m] += n * h * c
+        form = power
+    return Fraction(sum(form.get(m, 0) for m in reads), factorial(d))
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +244,6 @@ class FaceRef:
 
     f_tight: tuple
     fv_tight: tuple
-
-
-def _facet_indices(ref: FaceRef, big_n: int) -> tuple:
-    """0-based inequality indices of a face: the first family, then the second."""
-    return tuple(k - 1 for k in ref.f_tight) + tuple(big_n + k - 1 for k in ref.fv_tight)
 
 
 def schubert_class(datum: RootDatum, w: WeylElement, family: str) -> tuple:
@@ -288,6 +310,35 @@ class DeformedContext:
                             form[r] -= c * d
             square[t] = tuple((s, c) for s, c in sorted(form.items()) if c)
         self.square = tuple(square)
+
+    def times(self, mask: int, t: int, memo: dict) -> dict:
+        """Normal form of f^mask * f_t: square-free as it stands, else
+        rewritten by f_t^2 = f_t * L_t onto later steps.  `memo`, keyed by
+        (mask, t), is the caller's."""
+        got = memo.get((mask, t))
+        if got is None:
+            if not mask >> t & 1:
+                got = {mask | 1 << t: 1}
+            else:
+                got = Counter()
+                for s, c in self.square[t]:
+                    for m, n in self.times(mask, s, memo).items():
+                        got[m] += c * n
+            memo[mask, t] = got
+        return got
+
+    def divisor(self, lam) -> tuple:
+        """D = sum_j h_j x_j as (step, coefficient) pairs in the f basis, for
+        h_j the right side of row j of the undeformed model polytope at lam:
+        an F row's x_j is f_t, an Fv row's g_t = f_t - L_t."""
+        form = Counter()
+        for j, (_, h) in enumerate(polytopes.model_polytope(self.datum, lam).ineqs):
+            t = self.step[j]
+            form[t] += h
+            if j >= self.big_n:
+                for s, c in self.square[t]:
+                    form[s] -= h * c
+        return tuple((t, c) for t, c in sorted(form.items()) if c)
 
     def masks(self, ref: FaceRef) -> tuple:
         """(F-step mask, Fv-step mask) of a face: bit t set when the face is
@@ -364,22 +415,6 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
     if degree > big_n:
         return ProductResult(v, w, (), {}, "zero", (), ())
     memo = {}
-
-    def times(mask, t):
-        """Normal form of f^mask * f_t: square-free as it stands, else
-        rewritten by f_t^2 = f_t * L_t onto later steps."""
-        got = memo.get((mask, t))
-        if got is None:
-            if not mask >> t & 1:
-                got = {mask | 1 << t: 1}
-            else:
-                got = Counter()
-                for s, c in ctx.square[t]:
-                    for m, n in times(mask, s).items():
-                        got[m] += c * n
-            memo[mask, t] = got
-        return got
-
     form = Counter()
 
     def add(mask, shared, n):
@@ -388,7 +423,7 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
             form[mask] += n
             return
         t = shared.bit_length() - 1
-        for m, c in times(mask, t).items():
+        for m, c in ctx.times(mask, t, memo).items():
             add(m, shared ^ 1 << t, n * c)
 
     terms = []

@@ -1,17 +1,16 @@
 """Exact rational polytopes: string cones/polytopes, GT and SGT polytopes,
-their deformation, lattice points, vertices, and Ehrhart volumes.
+their deformation, lattice points and vertices.
 
 H-representations keep integer data throughout (normal . x <= rhs).
 `interval_tower` certifies a polytope as a tower of intervals along its
 sweep order and lists its integer vertices with no elimination.
 `lattice_incidence` gives each inequality a bitmask over the lattice points
 it is tight on, so that faces and unions of faces are integer AND and OR;
-`tight_bits` computes the masks over packed integer columns, and
-`face_polytope` turns tight rows into equations.  `vertices` (exact
-Fractions) and `is_simple`, with `incidence` and `facet_defining`, remain as
-the general-polytope oracles the tower certificate is tested against; they,
-`affine_rank` and the Ehrhart interpolation run on the fraction-free integer
-echelon of `linalg`.
+`tight_bits` computes the masks over packed integer columns.  `vertices`
+(exact Fractions) and `is_simple`, with `incidence` and `facet_defining`,
+remain as the general-polytope oracles the tower certificate is tested
+against; they and `affine_rank` run on the fraction-free integer echelon of
+`linalg`.
 
 Every string, GT and SGT polytope is built by one builder (`_polytope`) from
 facet rows (vec, lam_vec, shift), read as vec . x <= lam_vec . lam, plus the
@@ -29,7 +28,6 @@ import array
 import itertools
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -52,32 +50,6 @@ class Polytope:
     eqs: tuple = ()         # ((coeffs, rhs), ...) meaning coeffs . x == rhs
     labels: tuple = ()      # semantic tag per inequality, parallel to ineqs
     sweep_order: tuple = () # coordinate elimination order for lattice sweeps
-
-
-def face_polytope(p: Polytope, tight) -> Polytope:
-    """The face of p on which the inequalities indexed by `tight` (0-based)
-    are equalities."""
-    for t in tight:
-        if not 0 <= t < len(p.ineqs):
-            raise IndexError("tight index %d out of range" % t)
-    extra = tuple(p.ineqs[t] for t in sorted(set(tight)))
-    return Polytope(
-        ambient_dim=p.ambient_dim,
-        ineqs=p.ineqs,
-        eqs=p.eqs + extra,
-        labels=p.labels,
-        sweep_order=p.sweep_order,
-    )
-
-
-def dilate(p: Polytope, k: int) -> Polytope:
-    return Polytope(
-        p.ambient_dim,
-        tuple((c, r * k) for c, r in p.ineqs),
-        tuple((c, r * k) for c, r in p.eqs),
-        p.labels,
-        p.sweep_order,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -356,43 +328,6 @@ def is_simple(p: Polytope) -> bool:
     return all(
         sum(m >> k & 1 for m in facet_masks) == amb_dim for k in range(len(verts))
     )
-
-
-# ---------------------------------------------------------------------------
-# Ehrhart interpolation and volumes
-
-
-def ehrhart_polynomial(p: Polytope) -> tuple:
-    """Coefficients (a_0, ..., a_d) of the lattice-point count of kP as a polynomial in k,
-    with d = dim(P).  Interpolated from exact counts at k = 0..d."""
-    pts = lattice_points(p)
-    if not pts:
-        raise ValueError("Ehrhart polynomial of an empty polytope")
-    d = affine_rank(pts)
-    counts = [1] + [len(lattice_points(dilate(p, k))) for k in range(1, d + 1)]
-    # the Vandermonde system sum_e a_e k^e = count(k), k = 0..d, has one solution
-    rows = [[k ** e for e in range(d + 1)] + [c] for k, c in enumerate(counts)]
-    return linalg.solve(rows, d + 1)
-
-
-def normalized_volume(p: Polytope) -> Fraction:
-    """Lattice-normalized volume in the polytope's own dimension: the leading
-    Ehrhart coefficient.  A point has volume 1."""
-    coeffs = ehrhart_polynomial(p)
-    return coeffs[-1]
-
-
-def volume_at_dim(p: Polytope, d: int) -> Fraction:
-    """Coefficient of k^d in the Ehrhart polynomial; 0 when dim(P) < d."""
-    pts = lattice_points(p)
-    if not pts:
-        return Fraction(0)
-    actual = affine_rank(pts)
-    if actual > d:
-        raise ValueError("polytope has dimension %d > requested %d" % (actual, d))
-    if actual < d:
-        return Fraction(0)
-    return normalized_volume(p)
 
 
 # ---------------------------------------------------------------------------

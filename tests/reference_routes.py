@@ -5,18 +5,21 @@ coordinates by raising one state along the word, the Demazure folds along
 whole reduced words, the extraction sets by one search per Weyl element, the
 type A ladder move and box-removal operator on the staircase board, and the
 products and pairings of the deformed-polytope ring by rewriting row
-multisets one repeated row at a time, and the row incidence masks by exact
-dot products column by column.  Also the weight and diagram helpers that only
-tests use."""
+multisets one repeated row at a time, the row incidence masks by exact dot
+products column by column, and face volumes by Ehrhart interpolation over
+the lattice points of the dilates.  Also the weight and diagram helpers that
+only tests use."""
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 from operator import add, eq, mul
 
 from schubcalc import crystals as cr
 from schubcalc import faces as fc
 from schubcalc import linalg
 from schubcalc import pipedreams as pd
+from schubcalc import polytopes as pt
 from schubcalc.cartan import (
     InvariantError,
     _inversions,
@@ -294,6 +297,85 @@ def column_tight_bits(rows, points):
                 dots = map(add, dots, map(mul, itertools.repeat(c), column))
         out.append(int(bytes(map(eq, dots, itertools.repeat(rhs))).translate(_DIGITS) or b"0", 2))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# face volumes by Ehrhart interpolation
+
+
+def face_polytope(p, tight):
+    """The face of p on which the inequalities indexed by `tight` (0-based)
+    are equalities."""
+    for t in tight:
+        if not 0 <= t < len(p.ineqs):
+            raise IndexError("tight index %d out of range" % t)
+    extra = tuple(p.ineqs[t] for t in sorted(set(tight)))
+    return pt.Polytope(
+        ambient_dim=p.ambient_dim,
+        ineqs=p.ineqs,
+        eqs=p.eqs + extra,
+        labels=p.labels,
+        sweep_order=p.sweep_order,
+    )
+
+
+def dilate(p, k):
+    return pt.Polytope(
+        p.ambient_dim,
+        tuple((c, r * k) for c, r in p.ineqs),
+        tuple((c, r * k) for c, r in p.eqs),
+        p.labels,
+        p.sweep_order,
+    )
+
+
+def ehrhart_polynomial(p):
+    """Coefficients (a_0, ..., a_d) of the lattice-point count of kP as a polynomial in k,
+    with d = dim(P).  Interpolated from exact counts at k = 0..d."""
+    pts = pt.lattice_points(p)
+    if not pts:
+        raise ValueError("Ehrhart polynomial of an empty polytope")
+    d = pt.affine_rank(pts)
+    counts = [1] + [len(pt.lattice_points(dilate(p, k))) for k in range(1, d + 1)]
+    # the Vandermonde system sum_e a_e k^e = count(k), k = 0..d, has one solution
+    rows = [[k ** e for e in range(d + 1)] + [c] for k, c in enumerate(counts)]
+    return linalg.solve(rows, d + 1)
+
+
+def normalized_volume(p):
+    """Lattice-normalized volume in the polytope's own dimension: the leading
+    Ehrhart coefficient.  A point has volume 1."""
+    return ehrhart_polynomial(p)[-1]
+
+
+def volume_at_dim(p, d):
+    """Coefficient of k^d in the Ehrhart polynomial; 0 when dim(P) < d."""
+    pts = pt.lattice_points(p)
+    if not pts:
+        return Fraction(0)
+    actual = pt.affine_rank(pts)
+    if actual > d:
+        raise ValueError("polytope has dimension %d > requested %d" % (actual, d))
+    if actual < d:
+        return Fraction(0)
+    return normalized_volume(p)
+
+
+def side_volume(datum, side, w, lam):
+    """The side's face volumes summed on the string polytope, by Ehrhart
+    interpolation: the dual Kogan faces of w (the first facet family) at
+    dimension N - l(w), or its Kogan faces (the second) at l(w)."""
+    big_n = datum.num_positive_roots
+    poly = pt.string_polytope(datum, lam)
+    if side == "opposite":
+        family, d = "dual-kogan", big_n - length(w)
+    else:
+        family, d = "kogan", length(w)
+    total = Fraction(0)
+    for ref in fc.schubert_class(datum, w, family):
+        tight = tuple(k - 1 for k in ref.f_tight) + tuple(big_n + k - 1 for k in ref.fv_tight)
+        total += volume_at_dim(face_polytope(poly, tight), d)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from schubcalc.cartan import (
     all_elements,
     all_reduced_words,
     compatible_subsets,
+    identity_element,
     length,
     longest_element,
     multiply,
@@ -29,6 +30,8 @@ from schubcalc.cartan import (
     rho,
 )
 from schubcalc.oracles import bgg_structure_constants, demazure_dimension, weyl_dimension
+
+import reference_routes as ref
 
 A2 = RootDatum("A", 2)
 A3 = RootDatum("A", 3)
@@ -157,7 +160,9 @@ def test_07_dimension_and_volume():
                     assert len(pts) == weyl_dimension(datum, lam)
                     assert frozenset(pts) == cr.generate_b_lambda(datum, word, lam)
                     big_n = datum.num_positive_roots
-                    assert pt.volume_at_dim(poly, big_n) == _volume_formula(datum, lam)
+                    assert ref.volume_at_dim(poly, big_n) == _volume_formula(datum, lam)
+                    e = identity_element(datum)
+                    assert fc.side_volume(datum, "opposite", e, lam) == _volume_formula(datum, lam)
 
     _timed("7 dimension and volume formulas", 120.0, body)
 

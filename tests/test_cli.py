@@ -180,6 +180,16 @@ def test_volume_command():
     assert payload["opposite_dimension"] > 0
 
 
+def test_volume_command_reaches_c3_w0():
+    # the Demazure side has d = 9 here: beyond any lattice enumeration of 9P
+    proc = run_cli("volume", "--type", "C", "--rank", "3", "--w", "1,2,1,2,3,2,1,2,3")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["lambda"] == [1, 1, 1]
+    assert payload["schubert_volume"] == "1"
+    assert payload["opposite_volume"] == "1"
+
+
 def test_product_epsilon_is_an_unknown_flag():
     args = ("product", "--type", "C", "--rank", "2", "--v", "1", "--w", "2")
     proc = run_cli(*args)

@@ -122,9 +122,9 @@ def test_volume_invariance_under_model_change():
     model_poly = pt.gt_polytope(A2, lam)
     big_n = 3
     for tight in tights:
-        f1 = pt.face_polytope(string_poly, tuple(big_n + k - 1 for k in tight))
-        f2 = pt.face_polytope(model_poly, tuple(big_n + k - 1 for k in tight))
-        assert pt.volume_at_dim(f1, length(w)) == pt.volume_at_dim(f2, length(w))
+        f1 = routes.face_polytope(string_poly, tuple(big_n + k - 1 for k in tight))
+        f2 = routes.face_polytope(model_poly, tuple(big_n + k - 1 for k in tight))
+        assert routes.volume_at_dim(f1, length(w)) == routes.volume_at_dim(f2, length(w))
 
 
 def test_schubert_class_representatives():
@@ -470,7 +470,7 @@ def _leading_coefficient(values):
 def test_volume_matches_character_asymptotics():
     # the stated side volumes equal the leading coefficients of the section
     # dimension polynomials, computed through the character oracle alone
-    for datum, lam in ((A2, (1, 1)), (A2, (2, 1)), (C2, (1, 1))):
+    for datum, lam in ((A2, (1, 1)), (A2, (2, 1)), (C2, (1, 1)), (A3, (1, 1, 1))):
         w0 = longest_element(datum)
         for w in all_elements(datum):
             ell = length(w)
@@ -490,6 +490,44 @@ def test_volume_matches_character_asymptotics():
             lead, order = _leading_coefficient(vals)
             expected = fc.side_volume(datum, "opposite", w, lam)
             assert (lead if order == co_ell else 0) == expected
+
+
+def test_side_volume_matches_the_ehrhart_reference():
+    # the ring degrees on the GT/SGT faces equal the Ehrhart volumes of the
+    # string-polytope faces, non-regular weights (collapsed faces) included
+    cases = [(A2, lam) for lam in ((1, 1), (2, 1), (1, 0), (0, 2), (2, 2))]
+    cases += [(C2, lam) for lam in ((1, 1), (1, 0), (0, 1), (2, 1))]
+    cases += [(A3, (1, 1, 1)), (A3, (1, 0, 2)), (C3, (1, 1, 1))]
+    checked = zeros = 0
+    for datum, lam in cases:
+        big_n = datum.num_positive_roots
+        for w in all_elements(datum):
+            for side, d in (("schubert", length(w)), ("opposite", big_n - length(w))):
+                if datum == C3 and d > 4:
+                    continue
+                expected = routes.side_volume(datum, side, w, lam)
+                assert fc.side_volume(datum, side, w, lam) == expected, (datum, lam, w, side)
+                checked += 1
+                zeros += expected == 0
+    assert checked == 220 + 48
+    assert zeros > 0
+
+
+def test_side_volume_at_w0_is_the_leading_weyl_dimension_coefficient():
+    lam = (2, 1, 3)
+    lead, order = _leading_coefficient(
+        [weyl_dimension(C3, tuple(k * x for x in lam)) for k in range(C3.num_positive_roots + 2)]
+    )
+    assert (lead, order) == (216, 9)
+    assert fc.side_volume(C3, "schubert", longest_element(C3), lam) == 216
+
+
+def test_side_volume_rejects_a_weight_outside_the_dominant_cone():
+    e = identity_element(A2)
+    for side in ("schubert", "opposite"):
+        for lam in ((1, 2, 3), (1,), (1, -1), (-1, 2)):
+            with pytest.raises(ValueError, match="not dominant"):
+                fc.side_volume(A2, side, e, lam)
 
 
 def test_product_pipeline_is_type_c_only():
@@ -569,7 +607,7 @@ def _swept_face_union(datum, lam, tights, offset):
     poly = pt.model_polytope(datum, lam)
     union = set()
     for tight in tights:
-        union.update(pt.lattice_points(pt.face_polytope(poly, [offset + k - 1 for k in tight])))
+        union.update(pt.lattice_points(routes.face_polytope(poly, [offset + k - 1 for k in tight])))
     return len(union)
 
 
