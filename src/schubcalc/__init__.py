@@ -52,9 +52,8 @@ from .pipedreams import (
 from .polytopes import (
     Polytope,
     deformed_polytope,
-    gt_polytope,
     lattice_points,
-    sgt_polytope,
+    model_polytope,
     string_cone,
     string_polytope,
     vertices,

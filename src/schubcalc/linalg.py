@@ -1,6 +1,6 @@
 """Exact linear algebra: one fraction-free integer row echelon.
 
-Every rank, vertex and linear solve in the library goes through `Echelon`.
+Every rank and elimination vertex in the library goes through `Echelon`.
 A row is a coefficient vector followed by its right-hand side.  Rational
 input is scaled to integers once, on entry; elimination cross-multiplies
 (fraction-free, after Bareiss, "Sylvester's identity and multistep
@@ -92,13 +92,3 @@ def rank(rows) -> int:
         if echelon.rank == echelon.ncols:
             break
     return echelon.rank
-
-
-def solve(rows, ncols: int):
-    """Unique exact solution of the rows (coefficients, then right-hand
-    side) in `ncols` unknowns; None when inconsistent or underdetermined."""
-    echelon = Echelon(ncols)
-    for row in rows:
-        if echelon.push(row) == INCONSISTENT:
-            return None
-    return echelon.solve()

@@ -1,9 +1,13 @@
 """Exact rational polytopes: string cones/polytopes, GT and SGT polytopes,
 their deformation, lattice points and vertices.
 
-H-representations keep integer data throughout (normal . x <= rhs).
-`interval_tower` certifies a polytope as a tower of intervals along its
-sweep order and lists its integer vertices with no elimination.
+A `Polytope` is its integer inequality rows (coeffs . x <= rhs) and its
+sweep order, a permutation of the coordinates that is required and fixes
+the dimension; construction refuses a row of another length or an order
+that is not a permutation.  There are no equation rows: an equation is a
+row and its negation.  `interval_tower` certifies a polytope as a tower of
+intervals along its sweep order and lists its integer vertices with no
+elimination.
 `lattice_incidence` gives each inequality a bitmask over the lattice points
 it is tight on, so that faces and unions of faces are integer AND and OR;
 `tight_bits` computes the masks over packed integer columns.  `vertices`
@@ -45,11 +49,23 @@ class UnboundedRegionError(ValueError):
 
 @dataclass(frozen=True)
 class Polytope:
-    ambient_dim: int
-    ineqs: tuple            # ((coeffs, rhs), ...) meaning coeffs . x <= rhs
-    eqs: tuple = ()         # ((coeffs, rhs), ...) meaning coeffs . x == rhs
-    labels: tuple = ()      # semantic tag per inequality, parallel to ineqs
-    sweep_order: tuple = () # coordinate elimination order for lattice sweeps
+    """{x : coeffs . x <= rhs}; sweep_order permutes range(len(coeffs)) for every row."""
+
+    ineqs: tuple        # ((coeffs, rhs), ...) meaning coeffs . x <= rhs
+    sweep_order: tuple  # coordinate order of lattice sweeps and tower steps
+
+    def __post_init__(self):
+        dim = len(self.sweep_order)
+        if sorted(self.sweep_order) != list(range(dim)):
+            raise ValueError("sweep order %r is not a permutation of range(%d)"
+                             % (self.sweep_order, dim))
+        for coeffs, _ in self.ineqs:
+            if len(coeffs) != dim:
+                raise ValueError("row %r does not have %d coefficients" % (coeffs, dim))
+
+    @property
+    def ambient_dim(self) -> int:
+        return len(self.sweep_order)
 
 
 # ---------------------------------------------------------------------------
@@ -64,27 +80,25 @@ def _ceil_div(p: int, q: int) -> int:
 def _sweep_rows(p: Polytope):
     """(order, steps, by_step), or None when a row without support fails.
     A row's step is the position along the sweep order of the last coordinate
-    in its support; `steps` lists it per inequality, then per equation (None
-    without support); by_step[t] holds the rows of step t as (coefficient of
-    its coordinate, the other (coordinate, coefficient) terms, rhs, is_eq)."""
+    in its support; `steps` lists it per inequality (None without support);
+    by_step[t] holds the rows of step t as (coefficient of its coordinate, the
+    other (coordinate, coefficient) terms, rhs)."""
     dim = p.ambient_dim
-    order = p.sweep_order or tuple(range(dim - 1, -1, -1))
+    order = p.sweep_order
     pos = {v: t for t, v in enumerate(order)}
     steps = []
     by_step = [[] for _ in range(dim)]
-    for coeffs, rhs, is_eq in itertools.chain(
-        ((c, r, False) for c, r in p.ineqs), ((c, r, True) for c, r in p.eqs)
-    ):
+    for coeffs, rhs in p.ineqs:
         support = [v for v in range(dim) if coeffs[v]]
         if not support:
-            if not (rhs == 0 if is_eq else rhs >= 0):
+            if rhs < 0:
                 return None
             steps.append(None)
             continue
         step = max(pos[v] for v in support)
         var = order[step]
         rest = tuple((v, coeffs[v]) for v in support if v != var)
-        by_step[step].append((coeffs[var], rest, rhs, is_eq))
+        by_step[step].append((coeffs[var], rest, rhs))
         steps.append(step)
     return order, steps, by_step
 
@@ -107,20 +121,14 @@ def lattice_points(p: Polytope) -> tuple:
             return
         var = order[t]
         lo = hi = None
-        for a, rest, rhs, is_eq in by_step[t]:
+        for a, rest, rhs in by_step[t]:
             s = rhs - sum(c * point[v] for v, c in rest)
             if a > 0:
                 b = s // a
                 hi = b if hi is None else min(hi, b)
-                if is_eq:
-                    b2 = _ceil_div(s, a)
-                    lo = b2 if lo is None else max(lo, b2)
             else:
                 b = _ceil_div(-s, -a)
                 lo = b if lo is None else max(lo, b)
-                if is_eq:
-                    b2 = (-s) // (-a)
-                    hi = b2 if hi is None else min(hi, b2)
         if lo is None or hi is None:
             raise UnboundedRegionError(
                 "no %s bound for coordinate %d; region unbounded along sweep"
@@ -155,8 +163,11 @@ def tight_bits(rows, points) -> tuple:
     slack, never borrowing from its neighbour.  The slack is zero exactly when
     the low W - 1 bits of its field are, so one AND with the low bits and one
     add of them leave the field's top byte below 0x80 exactly on the row, and
-    `bytes.translate` reads the top bytes as binary digits.  Slacks past 62
-    bits raise OverflowError."""
+    `bytes.translate` reads the top bytes as binary digits.  Rows and points
+    of more than one length raise ValueError, slacks past 62 bits
+    OverflowError."""
+    if len({len(vec) for vec, _ in rows} | set(map(len, points))) > 1:
+        raise ValueError("tight_bits takes rows and points of one dimension")
     if not rows or not points:
         return (0,) * len(rows)
     columns = tuple(zip(*points))
@@ -212,7 +223,7 @@ def interval_tower(p: Polytope):
     """(step of each inequality, sorted integer vertices) when p is a tower of
     intervals along its sweep order, else None.
 
-    The certificate: no equations; each step t has two rows, with
+    The certificate: each step t has two rows, with
     coefficients +1 and -1 on its coordinate, reading lo_t(y) <= x_t <= hi_t(y)
     for lo_t, hi_t affine in the earlier coordinates y; and walking the sweep
     tree, fixing x_t at lo_t or hi_t, gives lo_t < hi_t at every node.  The
@@ -224,14 +235,14 @@ def interval_tower(p: Polytope):
     row set is the tight set of a nonempty face exactly when no two of its
     rows share a step, and that face has codimension their number."""
     rows = _sweep_rows(p)
-    if p.eqs or rows is None:
+    if rows is None:
         return None
     order, steps, by_step = rows
-    if None in steps or any(sorted(a for a, _, _, _ in step) != [-1, 1] for step in by_step):
+    if None in steps or any(sorted(a for a, _, _ in step) != [-1, 1] for step in by_step):
         return None
     points = [[0] * p.ambient_dim]
     for var, step in zip(order, by_step):
-        (_, lo_rest, lo_rhs, _), (_, hi_rest, hi_rhs, _) = sorted(step)  # lower bound first
+        (_, lo_rest, lo_rhs), (_, hi_rest, hi_rhs) = sorted(step)  # lower bound first
         grown = []
         for y in points:
             lo = sum(c * y[v] for v, c in lo_rest) - lo_rhs
@@ -254,9 +265,6 @@ def vertices(p: Polytope) -> tuple:
     on one shared incremental echelon."""
     dim = p.ambient_dim
     echelon = linalg.Echelon(dim)
-    for c, r in p.eqs:
-        if echelon.push(tuple(c) + (r,)) == linalg.INCONSISTENT:
-            return ()
     ineq_rows = [tuple(c) + (r,) for c, r in p.ineqs]
     found = set()
 
@@ -421,16 +429,12 @@ def _string_rows(datum: RootDatum) -> tuple:
 
 def _polytope(f_rows, fv_rows, order, lam, deformed=False) -> Polytope:
     """The polytope of the facet rows F1.. then Fv1..; a row (vec, lam_vec,
-    shift) reads vec . x <= lam_vec . lam, plus the shift when deformed.
-    The sweep order lists every coordinate once."""
-    ineqs = []
-    labels = []
-    for fam, rows in (("F", f_rows), ("Fv", fv_rows)):
-        for k, (vec, lam_vec, shift) in enumerate(rows, start=1):
-            rhs = sum(u * l for u, l in zip(lam_vec, lam)) + (shift if deformed else 0)
-            ineqs.append((vec, rhs))
-            labels.append("%s%d" % (fam, k))
-    return Polytope(len(order), tuple(ineqs), labels=tuple(labels), sweep_order=order)
+    shift) reads vec . x <= lam_vec . lam, plus the shift when deformed."""
+    ineqs = tuple(
+        (vec, sum(u * l for u, l in zip(lam_vec, lam)) + (shift if deformed else 0))
+        for vec, lam_vec, shift in f_rows + fv_rows
+    )
+    return Polytope(ineqs, order)
 
 
 def string_polytope(datum: RootDatum, lam) -> Polytope:
@@ -544,18 +548,6 @@ def _interlacing_specs(datum: RootDatum) -> tuple:
 def model_polytope(datum: RootDatum, lam) -> Polytope:
     """The GT polytope in type A, the SGT polytope in type C."""
     return _polytope(*_interlacing_specs(datum), lam)
-
-
-def gt_polytope(datum: RootDatum, lam) -> Polytope:
-    if datum.family != "A":
-        raise ValueError("GT polytope requires type A")
-    return model_polytope(datum, lam)
-
-
-def sgt_polytope(datum: RootDatum, lam) -> Polytope:
-    if datum.family != "C":
-        raise ValueError("SGT polytope requires type C")
-    return model_polytope(datum, lam)
 
 
 def deformed_polytope(datum: RootDatum, lam) -> Polytope:

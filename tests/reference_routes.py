@@ -7,8 +7,8 @@ type A ladder move and box-removal operator on the staircase board, and the
 products and pairings of the deformed-polytope ring by rewriting row
 multisets one repeated row at a time, the row incidence masks by exact dot
 products column by column, and face volumes by Ehrhart interpolation over
-the lattice points of the dilates.  Also the weight and diagram helpers that
-only tests use."""
+the lattice points of the dilates.  Also the exact linear solve and the
+weight and diagram helpers that only tests use."""
 
 import itertools
 from collections import Counter
@@ -97,6 +97,20 @@ def lifting_bruhat_leq(v, w):
 
 
 # ---------------------------------------------------------------------------
+# linear solves
+
+
+def solve(rows, ncols):
+    """Unique exact solution of the rows (coefficients, then right-hand
+    side) in `ncols` unknowns; None when inconsistent or underdetermined."""
+    echelon = linalg.Echelon(ncols)
+    for row in rows:
+        if echelon.push(row) == linalg.INCONSISTENT:
+            return None
+    return echelon.solve()
+
+
+# ---------------------------------------------------------------------------
 # weights
 
 
@@ -105,7 +119,7 @@ def weight_inner(datum, lam, mu):
     c = cartan_matrix(datum)
     n = datum.rank
     # solve C g = mu, so that mu = sum_j g_j alpha_j
-    g = linalg.solve([c[i] + (mu[i],) for i in range(n)], n)
+    g = solve([c[i] + (mu[i],) for i in range(n)], n)
     d = symmetrizer(datum)
     return sum(g[j] * d[j] * lam[j] for j in range(n))
 
@@ -305,28 +319,16 @@ def column_tight_bits(rows, points):
 
 def face_polytope(p, tight):
     """The face of p on which the inequalities indexed by `tight` (0-based)
-    are equalities."""
+    are equalities: p's rows, then the negation of each tight row."""
     for t in tight:
         if not 0 <= t < len(p.ineqs):
             raise IndexError("tight index %d out of range" % t)
-    extra = tuple(p.ineqs[t] for t in sorted(set(tight)))
-    return pt.Polytope(
-        ambient_dim=p.ambient_dim,
-        ineqs=p.ineqs,
-        eqs=p.eqs + extra,
-        labels=p.labels,
-        sweep_order=p.sweep_order,
-    )
+    negated = tuple((tuple(-x for x in c), -r) for c, r in (p.ineqs[t] for t in sorted(set(tight))))
+    return pt.Polytope(p.ineqs + negated, p.sweep_order)
 
 
 def dilate(p, k):
-    return pt.Polytope(
-        p.ambient_dim,
-        tuple((c, r * k) for c, r in p.ineqs),
-        tuple((c, r * k) for c, r in p.eqs),
-        p.labels,
-        p.sweep_order,
-    )
+    return pt.Polytope(tuple((c, r * k) for c, r in p.ineqs), p.sweep_order)
 
 
 def ehrhart_polynomial(p):
@@ -339,7 +341,7 @@ def ehrhart_polynomial(p):
     counts = [1] + [len(pt.lattice_points(dilate(p, k))) for k in range(1, d + 1)]
     # the Vandermonde system sum_e a_e k^e = count(k), k = 0..d, has one solution
     rows = [[k ** e for e in range(d + 1)] + [c] for k, c in enumerate(counts)]
-    return linalg.solve(rows, d + 1)
+    return solve(rows, d + 1)
 
 
 def normalized_volume(p):

@@ -119,7 +119,7 @@ def test_volume_invariance_under_model_change():
     w = word_to_element(A2, (2, 1))
     tights = [pd.arrangement_kd(d) for d in pd.mset(A2, w)]
     string_poly = pt.string_polytope(A2, lam)
-    model_poly = pt.gt_polytope(A2, lam)
+    model_poly = pt.model_polytope(A2, lam)
     big_n = 3
     for tight in tights:
         f1 = routes.face_polytope(string_poly, tuple(big_n + k - 1 for k in tight))
@@ -261,7 +261,7 @@ def test_dropping_the_empty_step_rule_is_caught():
 def test_context_refuses_non_simple_polytope(lam, deformed):
     # the tower certificate the context requires fails on the undeformed
     # symplectic polytope and on lower-dimensional deformed ones
-    build = pt.deformed_polytope if deformed else pt.sgt_polytope
+    build = pt.deformed_polytope if deformed else pt.model_polytope
     assert pt.interval_tower(build(C2, lam)) is None
 
 

@@ -55,7 +55,7 @@ def test_flipped_orientation_breaks_the_pin():
     # pattern counts (5 lattice points for the first fundamental weight)
     from schubcalc import polytopes as pt
 
-    sgt_count = len(pt.lattice_points(pt.sgt_polytope(C2, (1, 0))))
+    sgt_count = len(pt.lattice_points(pt.model_polytope(C2, (1, 0))))
     assert sgt_count == 5 == orc.weyl_dimension(C2, (1, 0))
     flipped = [[2, -2], [-1, 2]]
     # dimension formula evaluated by hand for the flipped matrix: the first

@@ -5,7 +5,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from schubcalc import polytopes as pt
-from schubcalc.cartan import RootDatum
+from schubcalc.cartan import RootDatum, standard_word
 from schubcalc.oracles import weyl_dimension
 
 import reference_routes as ref
@@ -22,7 +22,27 @@ def unit_cube(d):
         ne = tuple(-x for x in e)
         ineqs.append((e, 1))
         ineqs.append((ne, 0))
-    return pt.Polytope(d, tuple(ineqs))
+    return pt.Polytope(tuple(ineqs), tuple(range(d - 1, -1, -1)))
+
+
+def test_polytope_refuses_a_short_row():
+    with pytest.raises(ValueError, match="coefficients"):
+        pt.Polytope((((1, 0), 1), ((-1,), 0)), (1, 0))
+
+
+@pytest.mark.parametrize(
+    "order", [(0, 0), (0, 2), (1,)], ids=["repeated", "out-of-range", "missing"]
+)
+def test_polytope_refuses_a_sweep_order_that_is_not_a_permutation(order):
+    with pytest.raises(ValueError, match="permutation"):
+        pt.Polytope(unit_cube(2).ineqs, order)
+
+
+def test_polytope_refuses_a_long_row():
+    # the extra coefficient would otherwise be dropped, leaving the square
+    rows = unit_cube(2).ineqs[:-1] + (((1, 0, 1), 0),)
+    with pytest.raises(ValueError, match="coefficients"):
+        pt.Polytope(rows, (1, 0))
 
 
 def test_cube_basics():
@@ -38,7 +58,10 @@ def test_string_cone_facet_labels():
     cone = pt.string_cone(A2)
     # a_1^{(1)} >= 0, a_2^{(1)} >= 0, a_1^{(2)} >= a_2^{(1)}
     assert cone.ineqs == (((-1, 0, 0), 0), ((0, 0, -1), 0), ((0, -1, 1), 0))
-    assert cone.labels == ("Fv1", "Fv2", "Fv3")
+    # the cone is the Fv family alone, Fv1..Fv3 at indices 0..2, and the
+    # string polytope's rows N..2N-1
+    assert tuple(vec for vec, _ in cone.ineqs) == pt.string_cone_facets(A2)
+    assert pt.string_polytope(A2, (2, 1)).ineqs[3:] == cone.ineqs
     conec = pt.string_cone(C2)
     # a_1^{(1)} = 0, b_1^{(2)} = a_2^{(1)}, a_2^{(1)} = a_1^{(2)}, a_1^{(2)} = 0
     assert conec.ineqs == (
@@ -81,40 +104,48 @@ def test_lambda_facet_symbolic_example():
 
 
 def test_gt_and_sgt_counts():
-    assert pt.lattice_points(pt.gt_polytope(A2, (0, 0))) == ((0, 0, 0),)
-    assert len(pt.lattice_points(pt.gt_polytope(A2, (1, 0)))) == 3
-    assert len(pt.lattice_points(pt.gt_polytope(A2, (1, 1)))) == 8
-    assert len(pt.lattice_points(pt.sgt_polytope(C2, (1, 0)))) == 5
-    assert len(pt.lattice_points(pt.sgt_polytope(C2, (0, 1)))) == 4
+    assert pt.lattice_points(pt.model_polytope(A2, (0, 0))) == ((0, 0, 0),)
+    assert len(pt.lattice_points(pt.model_polytope(A2, (1, 0)))) == 3
+    assert len(pt.lattice_points(pt.model_polytope(A2, (1, 1)))) == 8
+    assert len(pt.lattice_points(pt.model_polytope(C2, (1, 0)))) == 5
+    assert len(pt.lattice_points(pt.model_polytope(C2, (0, 1)))) == 4
     for lam in [(1, 1), (2, 1)]:
-        assert len(pt.lattice_points(pt.gt_polytope(A2, lam))) == weyl_dimension(A2, lam)
-        assert len(pt.lattice_points(pt.sgt_polytope(C2, lam))) == weyl_dimension(C2, lam)
+        assert len(pt.lattice_points(pt.model_polytope(A2, lam))) == weyl_dimension(A2, lam)
+        assert len(pt.lattice_points(pt.model_polytope(C2, lam))) == weyl_dimension(C2, lam)
 
 
 def test_facet_arrangement_pins():
     # first dual equation: a_1^{(n)} = a_2^{(n-1)}
-    g = pt.gt_polytope(A3, (1, 1, 1))
+    g = pt.model_polytope(A3, (1, 1, 1))
     vec, rhs = g.ineqs[0]
     expected = [0] * 6
     expected[pt.a_pos(A3, 2, 2)] = 1
     expected[pt.a_pos(A3, 1, 3)] = -1
     assert list(vec) == expected and rhs == 0
     # first symplectic Kogan equation: b_1^{(n)} = a_1^{(n)}
-    s = pt.sgt_polytope(C2, (1, 1))
+    s = pt.model_polytope(C2, (1, 1))
     vec, rhs = s.ineqs[4]
     expected = [0] * 4
     expected[pt.a_pos(C2, 1, 2)] = 1
     expected[pt.b_pos(C2, 1, 2)] = -1
     assert list(vec) == expected and rhs == 0
-    assert s.labels[4] == "Fv1"
+    # index 4 = N opens the Fv family: Fv1
+    assert (s.ambient_dim, len(s.ineqs)) == (4, 8)
 
 
 def _default_deformed(datum):
     return pt.deformed_polytope(datum, pt.default_regular_lambda(datum))
 
 
+def _sweep_steps(poly):
+    """Per row, the position along the sweep order of the last coordinate in
+    its support."""
+    order = poly.sweep_order
+    return tuple(max(t for t, v in enumerate(order) if vec[v]) for vec, _ in poly.ineqs)
+
+
 @pytest.mark.parametrize(
-    "build, ineqs, labels, order",
+    "build, ineqs, steps, order",
     [
         (
             lambda: _default_deformed(A2),  # lambda = (3, 3), eps = (0, 1)
@@ -126,7 +157,7 @@ def _default_deformed(datum):
                 ((1, 0, 0), 6),
                 ((0, 0, 1), 3),
             ),
-            ("F1", "F2", "F3", "Fv1", "Fv2", "Fv3"),
+            (2, 1, 0, 2, 0, 1),
             (0, 2, 1),
         ),
         (
@@ -141,11 +172,11 @@ def _default_deformed(datum):
                 ((0, 0, 1, 0), 8),
                 ((1, 0, 0, 0), 16),
             ),
-            ("F1", "F2", "F3", "F4", "Fv1", "Fv2", "Fv3", "Fv4"),
+            (3, 2, 1, 0, 3, 2, 1, 0),
             (0, 2, 1, 3),
         ),
         (
-            lambda: pt.sgt_polytope(C2, (1, 1)),
+            lambda: pt.model_polytope(C2, (1, 1)),
             (
                 ((0, 0, 0, -1), 0),
                 ((-1, 1, 0, 0), 0),
@@ -156,19 +187,22 @@ def _default_deformed(datum):
                 ((0, 0, 1, 0), 1),
                 ((1, 0, 0, 0), 2),
             ),
-            ("F1", "F2", "F3", "F4", "Fv1", "Fv2", "Fv3", "Fv4"),
+            (3, 2, 1, 0, 3, 2, 1, 0),
             (0, 2, 1, 3),
         ),
     ],
     ids=["deformed-A2", "deformed-C2", "sgt-C2"],
 )
-def test_full_facet_rows_pinned(build, ineqs, labels, order):
-    # every row, right-hand side (with the offset each row carries) and label
+def test_full_facet_rows_pinned(build, ineqs, steps, order):
+    # every row, right-hand side (with the offset each row carries) and sweep
+    # step; the F rows F1..FN at indices 0..N-1 and the Fv rows at N..2N-1
+    # each hold one row per step
     poly = build()
     assert poly.ineqs == ineqs
-    assert poly.labels == labels
     assert poly.sweep_order == order
-    assert poly.eqs == () and poly.ambient_dim == len(order)
+    assert _sweep_steps(poly) == steps
+    n = poly.ambient_dim
+    assert sorted(steps[:n]) == sorted(steps[n:]) == list(range(n)) == sorted(order)
 
 
 def _shifts(datum, lam):
@@ -176,7 +210,7 @@ def _shifts(datum, lam):
     plain = pt.model_polytope(datum, lam)
     deformed = pt.deformed_polytope(datum, lam)
     assert [c for c, _ in deformed.ineqs] == [c for c, _ in plain.ineqs]
-    assert (deformed.labels, deformed.sweep_order) == (plain.labels, plain.sweep_order)
+    assert deformed.sweep_order == plain.sweep_order
     return [d - p for (_, d), (_, p) in zip(deformed.ineqs, plain.ineqs)]
 
 
@@ -186,10 +220,7 @@ def test_zero_profile_is_identity():
     # dual Kogan rows
     for datum, lam in ((A2, (2, 1)), (C2, (1, 2)), (A3, (1, 1, 1))):
         if datum.family == "A":
-            assert pt.model_polytope(datum, lam) == pt.gt_polytope(datum, lam)
             assert _shifts(datum, lam)[: datum.num_positive_roots] == [0] * datum.num_positive_roots
-        else:
-            assert pt.model_polytope(datum, lam) == pt.sgt_polytope(datum, lam)
         assert min(_shifts(datum, lam)) == 0
 
 
@@ -221,7 +252,7 @@ def test_deformed_simplicity_and_normal_fan():
 def test_undeformed_sgt_not_simple():
     # the deformation is needed: the plain symplectic polytope has a vertex on
     # too many facets already at small regular weights
-    found = any(not pt.is_simple(pt.sgt_polytope(C2, lam)) for lam in [(1, 1), (2, 1), (2, 2)])
+    found = any(not pt.is_simple(pt.model_polytope(C2, lam)) for lam in [(1, 1), (2, 1), (2, 2)])
     assert found
 
 
@@ -248,7 +279,7 @@ def test_minkowski_support_additivity():
 def test_lattice_count_minkowski_consistency():
     lam, mu = (1, 0), (0, 1)
     both = tuple(a + b for a, b in zip(lam, mu))
-    assert len(pt.lattice_points(pt.gt_polytope(A2, both))) == weyl_dimension(A2, both)
+    assert len(pt.lattice_points(pt.model_polytope(A2, both))) == weyl_dimension(A2, both)
 
 
 def test_ehrhart_and_volumes():
@@ -265,7 +296,7 @@ def test_ehrhart_and_volumes():
 
 
 def test_dilation_consistency():
-    poly = pt.gt_polytope(A2, (1, 1))
+    poly = pt.model_polytope(A2, (1, 1))
     coeffs = ref.ehrhart_polynomial(poly)
     held_out = len(pt.lattice_points(ref.dilate(poly, 2)))
     assert sum(c * 2 ** e for e, c in enumerate(coeffs)) == held_out
@@ -281,7 +312,9 @@ def test_string_polytope_rows_and_labels():
     poly = pt.string_polytope(A2, (1, 1))
     assert poly.ambient_dim == 3
     assert len(poly.ineqs) == 6
-    assert poly.labels[0] == "F1"
+    # F1 at index 0: the first lambda bound of the standard word
+    vec, lam_vec = pt.string_lambda_facet(A2, standard_word(A2), 1)
+    assert poly.ineqs[0] == (vec, sum(lam_vec))
 
 
 def test_face_intersection_and_transversality():
@@ -295,7 +328,7 @@ def test_face_intersection_and_transversality():
     assert pt.lattice_points(ref.face_polytope(cube, (top, bottom))) == ()
     assert pt.affine_rank(pt.lattice_points(ref.face_polytope(cube, (top, side)))) == 1
     # a step with a single row fails the certificate
-    assert pt.interval_tower(pt.Polytope(3, cube.ineqs[1:])) is None
+    assert pt.interval_tower(pt.Polytope(cube.ineqs[1:], cube.sweep_order)) is None
 
 
 def test_empty_face_distinct_from_point():
@@ -314,13 +347,27 @@ def test_face_polytope_rejects_rows_out_of_range():
     for bad in ((4,), (-1,), (0, 7)):
         with pytest.raises(IndexError, match="out of range"):
             ref.face_polytope(cube, bad)
-    # repeated rows are one equation each
-    assert ref.face_polytope(cube, (2, 0, 2)).eqs == (cube.ineqs[0], cube.ineqs[2])
+    # the tight rows follow the polytope's, each negated once
+    assert ref.face_polytope(cube, (2, 0, 2)).ineqs == cube.ineqs + (((-1, 0), -1), ((0, -1), -1))
 
 
 def test_tight_bits_of_no_points_are_zero():
     assert pt.tight_bits((((1, 0), 0), ((0, 1), 2)), []) == (0, 0)
     assert pt.tight_bits((), [(0, 0)]) == ()
+
+
+@pytest.mark.parametrize(
+    "rows, points",
+    [
+        ([((1, 0), 0)], [(0, 5), (1,)]),
+        ([((1,), 0)], [(0, 5), (1, 5)]),
+        ([((1, 0, 1), 0)], [(0, 5), (1, 5)]),
+    ],
+    ids=["short-point", "short-row", "long-row"],
+)
+def test_tight_bits_refuses_mismatched_lengths(rows, points):
+    with pytest.raises(ValueError, match="one dimension"):
+        pt.tight_bits(rows, points)
 
 
 def _dot(vec, point):
@@ -387,7 +434,7 @@ def test_incidence_on_fractional_vertices():
     # a simplex with vertices of denominators 2, 3 and 5, and a row through
     # two of them: the masks are read off the scaled vertices
     rows = (((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((2, 3, 5), 1), ((2, 3, 0), 1))
-    simplex = pt.Polytope(3, rows)
+    simplex = pt.Polytope(rows, (2, 1, 0))
     verts = pt.vertices(simplex)
     half, third, fifth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)
     assert verts == ((0, 0, 0), (0, 0, fifth), (0, third, 0), (half, 0, 0))

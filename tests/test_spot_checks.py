@@ -49,7 +49,7 @@ def test_counts_match_patterns_rank_three_symplectic():
     for lam in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1)]:
         crystal = cr.generate_b_lambda(C3, standard_word(C3), lam)
         assert len(crystal) == weyl_dimension(C3, lam)
-        assert len(pt.lattice_points(pt.sgt_polytope(C3, lam))) == weyl_dimension(C3, lam)
+        assert len(pt.lattice_points(pt.model_polytope(C3, lam))) == weyl_dimension(C3, lam)
 
 
 def test_theorem_cells_rank_three_symplectic():
