@@ -261,6 +261,8 @@ def cmd_verify(args) -> int:
     for kind, statement in (("theorem2", "A"), ("theorem3", "C")):
         if theorem == kind and family != statement:
             raise BadInput("%s is the type %s statement" % (kind, statement))
+    if theorem == "products" and family != "C":
+        raise BadInput("products is certified for type C only")
     if theorem in ("theorem1", "theorem2", "theorem3"):
         report = verify.theorem_suite(
             theorem, family, rank, args.lambda_max, jobs=args.jobs, budget=budget

@@ -33,7 +33,10 @@ the word.  `_string_table` memoises these tails per word position and state
 over the whole cut crystal, so each (position, state) pair is raised once,
 and `string_coords` reads one state's string off it.  Everything
 exported to the polytope side (B(lam), Demazure and opposite Demazure sets,
-Richardson intersections) is in string coordinates.
+Richardson intersections) is in string coordinates.  `string_incidence`
+holds the strings with one bitmask per string-polytope row over them, and
+certifies them as the polytope's lattice points, once per (datum, lam), by
+containment and count.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ class CorruptElementError(InvariantError):
 
 
 class CrystalPolytopeMismatchError(InvariantError):
-    """Crystal generation and string-polytope lattice points disagree."""
+    """A string lies outside the string polytope, or the crystal and the
+    polytope's lattice points differ in number."""
 
 
 INFINITY = None  # highest-weight slot for the unbounded crystal
@@ -341,23 +345,53 @@ def _string_table(datum: RootDatum, word, lam) -> tuple:
     return strings
 
 
-def generate_b_lambda(datum: RootDatum, word, lam) -> frozenset:
-    """Phi(B(lam)) as a set of string-coordinate tuples.
+@lru_cache(maxsize=None)
+def string_incidence(datum: RootDatum, word, lam) -> tuple:
+    """(points, masks): the strings of B(lam) in table order, and per row the
+    bitmask over them of the strings tight on it (`polytopes.slack_masks`).
 
-    For the standard word the result is cross-checked against the lattice
-    points of the string polytope; any other reduced word of the longest
-    element is experimental, with no such check.
-    """
-    word, lam = tuple(word), _weight(lam)
-    strings = frozenset(_string_table(datum, word, lam))
-    if is_certified_word(datum, word):
-        poly_points = frozenset(polytopes.lattice_points(polytopes.string_polytope(datum, lam)))
-        if strings != poly_points:
+    On the standard word the rows are the string polytope's, the N
+    lambda-bound rows followed by the N cone rows, and the points are
+    certified to be its lattice points (Littelmann 1998, Berenstein-Zelevinsky
+    2001): every string satisfies every row, read off the same packed slacks
+    as the masks, and an exact count of the lattice points
+    (`polytopes.lattice_count`) equals the number of strings, which
+    `_string_table` has checked distinct.  Either failure raises
+    `CrystalPolytopeMismatchError`.  On any other reduced word of the longest
+    element the rows are the lambda-bound ones alone and only the
+    containment is checked: the cone rows of that word are not built, so
+    nothing bounds the count."""
+    points = _string_table(datum, word, lam)
+    certified = is_certified_word(datum, word)
+    if certified:
+        polytope = polytopes.string_polytope(datum, lam)
+        rows = polytope.ineqs
+    else:
+        rows = []
+        for j in range(1, len(word) + 1):
+            vec, lam_vec = polytopes.string_lambda_facet(datum, word, j)
+            rows.append((vec, sum(a * b for a, b in zip(lam_vec, lam))))
+    masks, outside = polytopes.slack_masks(rows, points)
+    if outside:
+        raise CrystalPolytopeMismatchError(
+            "string %r lies outside the string polytope" % (polytopes.mask_points(outside, points)[0],)
+        )
+    if certified:
+        count = polytopes.lattice_count(polytope)
+        if count != len(points):
             raise CrystalPolytopeMismatchError(
-                "crystal generation has %d points, string polytope %d"
-                % (len(strings), len(poly_points))
+                "crystal generation has %d points, string polytope %d" % (len(points), count)
             )
-    return strings
+    return points, masks
+
+
+def generate_b_lambda(datum: RootDatum, word, lam) -> frozenset:
+    """Phi(B(lam)) as a set of string-coordinate tuples, read off
+    `string_incidence`: on the standard word certified equal to the lattice
+    points of the string polytope; on any other reduced word of the longest
+    element experimental, checked only against the lambda-bound rows."""
+    word, lam = tuple(word), _weight(lam)
+    return frozenset(string_incidence(datum, word, lam)[0])
 
 
 def highest_state(datum: RootDatum, word):

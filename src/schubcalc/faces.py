@@ -15,12 +15,14 @@ The two decomposition results being exercised:
 
 Both are checked against the crystal route on every call and raise
 TheoremViolationError on any discrepancy.  The faces are cut by set
-arithmetic: one table per (datum, word, lambda), cached, holds the ambient
-string points and one bitmask per row over them (bit i set when point i lies
-on the row), so a face is the AND of its rows' masks and a union the OR of
-its faces.  The GT/SGT side counts its face unions the same way over the
-lattice points of the model polytope (`polytopes.lattice_incidence`).  Only
-the tables are cached; the crystal comparison runs on every call.
+arithmetic over one cached table per (datum, word, lambda),
+`crystals.string_incidence`: the crystal's own strings, on the standard word
+certified once, when the table is built, to be the string polytope's lattice
+points, and one bitmask per row over them (bit i set when string i lies on
+the row), so a face is the AND of its rows' masks and a union the OR of its
+faces.  The GT/SGT side counts its face unions the same way over the lattice
+points of the model polytope (`polytopes.lattice_incidence`).  Only the
+tables are cached; the crystal comparison runs on every call.
 
 The claim the class arithmetic exercises: the (dual) Kogan face sums
 represent the Schubert classes in the polytope ring (Kiritchenko-Smirnov-
@@ -68,23 +70,6 @@ class FaceDecomposition:
     tights: tuple                 # index tuples, one per nonempty face
     union: frozenset
     empty: tuple                  # index tuples whose face is empty
-
-
-@lru_cache(maxsize=None)
-def _row_table(datum: RootDatum, word: tuple, lam: tuple) -> tuple:
-    """(ambient string points, per-row bitmasks over them) of one (datum,
-    word, lambda).  On the certified (standard) word the points are the string
-    polytope's lattice points and the rows are its inequalities, the N
-    lambda-bound rows followed by the N cone rows; on any other word the
-    points are the crystal's, sorted, and the rows the lambda-bound ones."""
-    if crystals.is_certified_word(datum, word):
-        return polytopes.lattice_incidence(polytopes.string_polytope(datum, lam))
-    points = tuple(sorted(crystals.generate_b_lambda(datum, word, lam)))
-    rows = []
-    for j in range(1, len(word) + 1):
-        vec, lam_vec = polytopes.string_lambda_facet(datum, word, j)
-        rows.append((vec, sum(a * b for a, b in zip(lam_vec, lam))))
-    return points, polytopes.tight_bits(rows, points)
 
 
 def _face_mask(masks, tight, full):
@@ -140,7 +125,7 @@ def opposite_demazure_faces(datum: RootDatum, w: WeylElement, lam, word=None) ->
     must reproduce the opposite Demazure crystal."""
     word = tuple(word) if word is not None else standard_word(datum)
     lam = tuple(lam)
-    points, masks = _row_table(datum, word, lam)
+    points, masks = crystals.string_incidence(datum, word, lam)
     dec = _decompose(compatible_subsets(datum, word, w), masks, points)
     expected = crystals.opposite_demazure_crystal(datum, word, w, lam)
     return _check_union("opposite-demazure-faces", datum, lam, w, dec, expected)
@@ -151,7 +136,7 @@ def demazure_faces(datum: RootDatum, w: WeylElement, lam) -> FaceDecomposition:
     union must reproduce the Demazure crystal."""
     word, lam = standard_word(datum), tuple(lam)
     tights = [ref.fv_tight for ref in schubert_class(datum, w, "kogan")]
-    points, masks = _row_table(datum, word, lam)
+    points, masks = crystals.string_incidence(datum, word, lam)
     dec = _decompose(tights, masks[datum.num_positive_roots :], points)
     expected = crystals.demazure_crystal(datum, word, w, lam)
     return _check_union("demazure-faces", datum, lam, w, dec, expected)

@@ -10,7 +10,11 @@ intervals along its sweep order and lists its integer vertices with no
 elimination.
 `lattice_incidence` gives each inequality a bitmask over the lattice points
 it is tight on, so that faces and unions of faces are integer AND and OR;
-`tight_bits` computes the masks over packed integer columns.  `vertices`
+`tight_bits` computes the masks over packed integer columns, and
+`slack_masks`, from the same packed slacks, also the points outside some row.
+`lattice_count` counts the lattice points by the same sweep without building
+them, so a given point set is certified to be the lattice points by
+containment and count.  `vertices`
 (exact Fractions) and `is_simple`, with `incidence` and `facet_defining`,
 remain as the general-polytope oracles the tower certificate is tested
 against; they and `affine_rank` run on the fraction-free integer echelon of
@@ -103,6 +107,26 @@ def _sweep_rows(p: Polytope):
     return order, steps, by_step
 
 
+def _interval(step_rows, point, var) -> tuple:
+    """(lo, hi) of coordinate var at one sweep step, given the earlier
+    coordinates in point; UnboundedRegionError when a side has no row."""
+    lo = hi = None
+    for a, rest, rhs in step_rows:
+        s = rhs - sum(c * point[v] for v, c in rest)
+        if a > 0:
+            b = s // a
+            hi = b if hi is None else min(hi, b)
+        else:
+            b = _ceil_div(-s, -a)
+            lo = b if lo is None else max(lo, b)
+    if lo is None or hi is None:
+        raise UnboundedRegionError(
+            "no %s bound for coordinate %d; region unbounded along sweep"
+            % ("lower" if lo is None else "upper", var)
+        )
+    return lo, hi
+
+
 @lru_cache(maxsize=None)
 def lattice_points(p: Polytope) -> tuple:
     """All integer points, sorted.  Requires bounds derivable along the sweep
@@ -120,20 +144,7 @@ def lattice_points(p: Polytope) -> tuple:
             out.append(tuple(point))
             return
         var = order[t]
-        lo = hi = None
-        for a, rest, rhs in by_step[t]:
-            s = rhs - sum(c * point[v] for v, c in rest)
-            if a > 0:
-                b = s // a
-                hi = b if hi is None else min(hi, b)
-            else:
-                b = _ceil_div(-s, -a)
-                lo = b if lo is None else max(lo, b)
-        if lo is None or hi is None:
-            raise UnboundedRegionError(
-                "no %s bound for coordinate %d; region unbounded along sweep"
-                % ("lower" if lo is None else "upper", var)
-            )
+        lo, hi = _interval(by_step[t], point, var)
         for val in range(lo, hi + 1):
             point[var] = val
             sweep(t + 1)
@@ -143,33 +154,69 @@ def lattice_points(p: Polytope) -> tuple:
     return tuple(sorted(out))
 
 
+def lattice_count(p: Polytope) -> int:
+    """The number of integer points: the sweep of `lattice_points`, with the
+    same bounds and the same UnboundedRegionError, that adds up the range of
+    the last coordinate instead of walking it, and builds no points."""
+    rows = _sweep_rows(p)
+    if rows is None:
+        return 0
+    order, _, by_step = rows
+    last = p.ambient_dim - 1
+    point = [0] * p.ambient_dim
+
+    def sweep(t):
+        var = order[t]
+        lo, hi = _interval(by_step[t], point, var)
+        if t == last:
+            return max(0, hi - lo + 1)
+        total = 0
+        for val in range(lo, hi + 1):
+            point[var] = val
+            total += sweep(t + 1)
+        return total
+
+    return sweep(0) if last >= 0 else 1
+
+
 # the binary digits "0"/"1" as flag bytes 0/1
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-# the top byte of a field after the zero test: below 0x80 exactly when the
-# slack is zero, read as the binary digit "1"
+# a field's top byte read as the binary digit "1" exactly when it is below
+# 0x80, that is when the field's top bit is clear
 _ZERO_TOPS = bytes.maketrans(bytes(range(256)), b"1" * 128 + b"0" * 128)
-# an unsigned array typecode per field width in bits
-_FIELDS = {array.array(code).itemsize * 8: code for code in "QLIH"}
+# a signed array typecode per field width in bits
+_FIELDS = {array.array(code).itemsize * 8: code for code in "qlih"}
 
 
 def tight_bits(rows, points) -> tuple:
     """Per row (coefficients, rhs), the int with bit i set when points[i]
-    lies on the row.  Points and rows hold integers only.
+    lies on the row: the tight masks of `slack_masks`."""
+    return slack_masks(rows, points)[0]
+
+
+def slack_masks(rows, points) -> tuple:
+    """(tight, outside): per row (coefficients, rhs) the int with bit i set
+    when points[i] lies on the row, and the int with bit i set when points[i]
+    violates some row.  Points and rows hold integers only.
 
     Each coordinate column is packed into one int, point i in the W-bit field
     i, W the narrowest field width that holds every row's slack bound plus two
-    guard bits.  A row's offset slacks rhs + 2^(W-1) - vec . x are then one
-    exact integer combination of the columns, each field holding its point's
-    slack, never borrowing from its neighbour.  The slack is zero exactly when
-    the low W - 1 bits of its field are, so one AND with the low bits and one
-    add of them leave the field's top byte below 0x80 exactly on the row, and
-    `bytes.translate` reads the top bytes as binary digits.  Rows and points
-    of more than one length raise ValueError, slacks past 62 bits
+    guard bits: one signed array of W-bit items gives the fields modulo 2^W,
+    and subtracting 2^W once per negative field, one shift of their top bits,
+    gives sum_i x_i 2^(W i).  A row's offset slacks rhs + 2^(W-1) - vec . x
+    are then one exact integer combination of the columns, each field holding
+    its point's slack, never borrowing from its neighbour.  The slack is zero
+    exactly when the low W - 1 bits of its field are, so one AND with the low
+    bits and one add of them leave the field's top byte below 0x80 exactly on
+    the row; the slack is nonnegative exactly when the field's top bit is
+    set, so the AND of every row's slacks has it clear exactly at the points
+    outside.  `bytes.translate` reads the top bytes as binary digits.  Rows
+    and points of more than one length raise ValueError, slacks past 62 bits
     OverflowError."""
     if len({len(vec) for vec, _ in rows} | set(map(len, points))) > 1:
         raise ValueError("tight_bits takes rows and points of one dimension")
     if not rows or not points:
-        return (0,) * len(rows)
+        return (0,) * len(rows), 0
     columns = tuple(zip(*points))
     highs = [max(max(column), -min(column)) for column in columns]
     bounds = [abs(rhs) + sum(abs(c) * h for c, h in zip(vec, highs)) for vec, rhs in rows]
@@ -180,29 +227,34 @@ def tight_bits(rows, points) -> tuple:
     if width is None:
         raise OverflowError("row slacks of %d bits do not fit a 64-bit field" % bound.bit_length())
     step = width // 8
+    size = step * len(points)
     ones = int.from_bytes(b"\x01".ljust(step, b"\x00") * len(points), "little")
-    low = ones * ((1 << (width - 1)) - 1)
+    tops = ones << (width - 1)
+    low = tops - ones
     packed = {}
 
     def column(v):
         """Column v packed as the int sum_i x_i 2^(W i)."""
         if v not in packed:
-            base = min(columns[v])
-            digits = array.array(_FIELDS[width], [x - base for x in columns[v]])
+            digits = array.array(_FIELDS[width], columns[v])
             if sys.byteorder == "big":
                 digits.byteswap()
-            packed[v] = int.from_bytes(digits.tobytes(), "little") + base * ones
+            fields = int.from_bytes(digits.tobytes(), "little")
+            packed[v] = fields - ((fields & tops) << 1)
         return packed[v]
 
-    out = []
+    tight = []
+    inside = -1
     for vec, rhs in rows:
         slack = (rhs + (1 << (width - 1))) * ones
         for v, c in enumerate(vec):
             if c:
                 slack -= c * column(v)
-        tops = ((slack & low) + low).to_bytes(step * len(points), "big")[::step]
-        out.append(int(tops.translate(_ZERO_TOPS), 2))
-    return tuple(out)
+        inside &= slack
+        zero = ((slack & low) + low).to_bytes(size, "big")[::step]
+        tight.append(int(zero.translate(_ZERO_TOPS), 2))
+    outside = int(inside.to_bytes(size, "big")[::step].translate(_ZERO_TOPS), 2)
+    return tuple(tight), outside
 
 
 def mask_points(mask: int, points) -> tuple:

@@ -5,10 +5,11 @@ coordinates by raising one state along the word, the Demazure folds along
 whole reduced words, the extraction sets by one search per Weyl element, the
 type A ladder move and box-removal operator on the staircase board, and the
 products and pairings of the deformed-polytope ring by rewriting row
-multisets one repeated row at a time, the row incidence masks by exact dot
-products column by column, and face volumes by Ehrhart interpolation over
-the lattice points of the dilates.  Also the exact linear solve and the
-weight and diagram helpers that only tests use."""
+multisets one repeated row at a time, the crystal's string table checked
+against an enumeration of the string polytope's lattice points, the row
+incidence masks by exact dot products column by column, and face volumes by
+Ehrhart interpolation over the lattice points of the dilates.  Also the
+exact linear solve and the weight and diagram helpers that only tests use."""
 
 import itertools
 from collections import Counter
@@ -289,6 +290,51 @@ def other_word(datum):
     if word == standard_word(datum):
         raise ValueError("the standard word is the last one for %r" % (datum,))
     return word
+
+
+# ---------------------------------------------------------------------------
+# the crystal's strings against the string polytope, by enumeration
+
+
+# (family, rank, lambda) of the certified tables checked against the
+# enumeration: A2-A4 and C2-C3 at every lambda in {0, 1}^n, and three
+# larger weights
+INCIDENCE_CASES = tuple(
+    (family, rank, lam)
+    for family, top in (("A", 4), ("C", 3))
+    for rank in range(2, top + 1)
+    for lam in itertools.product((0, 1), repeat=rank)
+) + (("A", 3, (3, 3, 3)), ("C", 3, (2, 2, 2)), ("C", 2, (2, 3)))
+
+
+def enumerated_string_incidence(datum, word, lam):
+    """(points, masks) of one (datum, word, lambda) by enumerating the
+    polytope.  On the standard word: the string polytope's lattice points,
+    sorted, and its row masks over them, after checking that they are the
+    crystal's strings as a set.  On any other word: the crystal's strings,
+    sorted, and the masks of the lambda-bound rows by exact dot products."""
+    strings = frozenset(cr._string_table(datum, word, lam))
+    if word == standard_word(datum):
+        points, masks = pt.lattice_incidence(pt.string_polytope(datum, lam))
+        if frozenset(points) != strings:
+            raise cr.CrystalPolytopeMismatchError(
+                "crystal generation has %d points, string polytope %d" % (len(strings), len(points))
+            )
+        return points, masks
+    points = tuple(sorted(strings))
+    rows = []
+    for j in range(1, len(word) + 1):
+        vec, lam_vec = pt.string_lambda_facet(datum, word, j)
+        rows.append((vec, sum(a * b for a, b in zip(lam_vec, lam))))
+    return points, column_tight_bits(rows, points)
+
+
+def tight_rows_by_point(points, masks):
+    """point -> the frozenset of the rows whose masks hold it."""
+    return {
+        point: frozenset(k for k, mask in enumerate(masks) if mask >> i & 1)
+        for i, point in enumerate(points)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -244,8 +244,10 @@ def test_library_value_error_exits_one(monkeypatch, capsys):
          "--v", "1,2", "--w", "1"),
         ("verify", "theorem2", "--type", "C", "--rank", "2", "--lambda-max", "0"),
         ("verify", "theorem3", "--type", "A", "--rank", "2", "--lambda-max", "0"),
+        ("verify", "products", "--type", "A", "--rank", "2"),
     ],
-    ids=["crystal-v-letter", "product-v-letter", "richardson-not-below", "theorem2-C", "theorem3-A"],
+    ids=["crystal-v-letter", "product-v-letter", "richardson-not-below", "theorem2-C", "theorem3-A",
+         "products-A"],
 )
 def test_validation_exits_two(capsys, args):
     # each case is refused by the validation step, before the library runs

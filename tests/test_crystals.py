@@ -4,6 +4,8 @@ import random
 import pytest
 
 from schubcalc import crystals as cr
+from schubcalc import faces as fc
+from schubcalc import polytopes as pt
 from schubcalc.cartan import (
     InvariantError,
     RootDatum,
@@ -299,14 +301,62 @@ def _with_planted_state(table, datum, word, lam, planted):
 def test_string_table_rejects_non_normal_state(monkeypatch):
     table = cr._operator_table(A2, IA2, (1, 0))
     planted = _with_planted_state(table, A2, IA2, (1, 0), (5, 5, 5))
-    cr._string_table.cache_clear()
+    # generate_b_lambda reads the strings through string_incidence's cache
+    caches = (cr._string_table, cr.string_incidence)
+    for cache in caches:
+        cache.cache_clear()
     monkeypatch.setattr(cr, "_operator_table", lambda datum, word, lam: planted)
     try:
         with pytest.raises(InvariantError, match="^non-normal state"):
             cr.generate_b_lambda(A2, IA2, (1, 0))
     finally:
         monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()
+
+
+def _incidence_cases():
+    cases = [
+        pytest.param(RootDatum(f, r), standard_word(RootDatum(f, r)), lam, id="%s%d-%s" % (f, r, lam))
+        for f, r, lam in ref.INCIDENCE_CASES
+    ]
+    for datum, lam in ((A3, (1, 1, 1)), (C2, (2, 1))):
+        word = ref.other_word(datum)
+        cases.append(pytest.param(datum, word, lam, id="%s%d-word-%s-%s" % (
+            datum.family, datum.rank, "".join(map(str, word)), lam)))
+    return cases
+
+
+@pytest.mark.parametrize("datum, word, lam", _incidence_cases())
+def test_string_incidence_matches_the_enumeration_route(datum, word, lam):
+    # the same points, each tight on the same rows, as the lattice-point
+    # enumeration (or, off the standard word, the sorted strings)
+    points, masks = cr.string_incidence(datum, word, lam)
+    expected_points, expected_masks = ref.enumerated_string_incidence(datum, word, lam)
+    assert len(points) == len(expected_points)
+    assert len(masks) == len(expected_masks)
+    assert ref.tight_rows_by_point(points, masks) == ref.tight_rows_by_point(expected_points, expected_masks)
+
+
+def test_certified_path_never_enumerates_a_string_polytope(monkeypatch):
+    enumerated = []
+    lattice_points = pt.lattice_points
+
+    def recording(p):
+        enumerated.append(p)
+        return lattice_points(p)
+
+    monkeypatch.setattr(pt, "lattice_points", recording)
+    for datum, lam in ((A3, (1, 1, 1)), (C2, (2, 1))):
+        word = standard_word(datum)
+        cr.string_incidence.cache_clear()
         cr._string_table.cache_clear()
+        assert len(cr.generate_b_lambda(datum, word, lam)) == weyl_dimension(datum, lam)
+        cr.string_incidence.cache_clear()
+        for w in all_elements(datum):
+            fc.opposite_demazure_faces(datum, w, lam)
+            fc.demazure_faces(datum, w, lam)
+        assert pt.string_polytope(datum, lam) not in enumerated
 
 
 TABLE_CASES = ((A2, (2, 1)), (C2, (1, 1)), (A3, (1, 1, 1)), (C3, (1, 1, 1)))

@@ -45,6 +45,22 @@ except InvariantError as err:
     print("InvariantError:", err)
 """
 
+# the string table goes wrong at A2 (1, 0), whose strings are (0, 0, 0),
+# (1, 0, 0) and (0, 1, 1): its last string moved outside the string
+# polytope, past the bound a_3 <= 1, or dropped
+PLANTED_STRINGS = """
+from schubcalc import crystals
+from schubcalc.cartan import InvariantError, RootDatum, standard_word
+
+A2 = RootDatum("A", 2)
+strings = crystals._string_table(A2, standard_word(A2), (1, 0))
+crystals._string_table = lambda datum, word, lam: %s
+try:
+    print(sorted(crystals.generate_b_lambda(A2, standard_word(A2), (1, 0))))
+except InvariantError as err:
+    print(type(err).__name__ + ":", err)
+"""
+
 # the carried statistics go wrong: lowering at word position 1 moves
 # <wt, h_1> one too far (slot 3), or leaves <wt, h_2> unchanged (slot 4), in
 # the table build of A2 at (1, 1)
@@ -136,6 +152,18 @@ def test_invariant_survives_optimize_flag():
 def test_table_invariant_survives_optimize_flag():
     out = _run_optimized(NON_NORMAL_TABLE_ENTRY)
     assert out.startswith("InvariantError: non-normal state"), out
+
+
+def test_string_outside_the_polytope_survives_optimize_flag():
+    out = _run_optimized(PLANTED_STRINGS % "strings[:2] + ((0, 1, 2),)")
+    expected = "CrystalPolytopeMismatchError: string (0, 1, 2) lies outside the string polytope"
+    assert out.startswith(expected), out
+
+
+def test_dropped_string_survives_optimize_flag():
+    out = _run_optimized(PLANTED_STRINGS % "strings[:2]")
+    expected = "CrystalPolytopeMismatchError: crystal generation has 2 points, string polytope 3"
+    assert out.startswith(expected), out
 
 
 def test_corrupt_statistic_survives_optimize_flag():

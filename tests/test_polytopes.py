@@ -401,6 +401,11 @@ def test_tight_bits_matches_per_point_evaluation(case):
     rows, points = case
     bits = pt.tight_bits(rows, points)
     assert bits == ref.column_tight_bits(rows, points)
+    tight, outside = pt.slack_masks(rows, points)
+    assert tight == bits
+    assert list(pt.mask_points(outside, points)) == [
+        p for p in points if any(_dot(vec, p) > rhs for vec, rhs in rows)
+    ]
     assert len(bits) == len(rows)
     for (vec, rhs), mask in zip(rows, bits):
         assert mask >> len(points) == 0
@@ -420,6 +425,23 @@ def test_tight_bits_at_the_field_limits():
         assert pt.tight_bits(rows, points) == ref.column_tight_bits(rows, points)
         assert pt.tight_bits([((1,), 0)], [(top,), (-top,)]) == (0,)
         assert pt.tight_bits([((0,), top)], [(0,), (5,)]) == (0,)
+        # the most negative coordinate the width admits: x <= 0 holds there
+        # and -x <= 0 fails, as it does at 1 for x <= 0
+        bottom = -((1 << bits) - 1)
+        points = [(bottom,), (0,), (1,)]
+        rows = [((1,), 0), ((-1,), 0), ((0,), 0)]
+        assert pt.tight_bits(rows, points) == ref.column_tight_bits(rows, points) == (0b10, 0b10, 0b111)
+        assert pt.slack_masks(rows, points)[1] == 0b101
+        # one column of both signs, each row's tight and outside points
+        # checked against the slacks
+        half = 1 << (bits - 2)
+        points = [(half,), (-half,), (1,), (-1,), (0,), (1 - half,), (half - 1,)]
+        rows = [((1,), 0), ((-1,), 0), ((1,), 1), ((-1,), half - 1), ((1,), half - 1), ((2,), 0)]
+        tight, outside = pt.slack_masks(rows, points)
+        assert tight == ref.column_tight_bits(rows, points)
+        assert list(pt.mask_points(outside, points)) == [
+            p for p in points if any(_dot(vec, p) > rhs for vec, rhs in rows)
+        ]
     with pytest.raises(OverflowError):
         pt.tight_bits([((1,), 0)], [(1 << 62,)])
     with pytest.raises(OverflowError):
@@ -445,6 +467,31 @@ def test_incidence_on_fractional_vertices():
             k for k in range(len(verts)) if mask >> k & 1
         ]
     assert masks[3:] == (0b1110, 0b1100)
+
+
+def _count_cases():
+    for family, rank, lam in ref.INCIDENCE_CASES:
+        datum = RootDatum(family, rank)
+        for build in (pt.string_polytope, pt.model_polytope):
+            yield pytest.param(build(datum, lam), id="%s-%s%d-%s" % (build.__name__, family, rank, lam))
+    # empty: two rows that cross, and a row without support that fails
+    yield pytest.param(pt.Polytope((((1, 0), -1), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)), (1, 0)), id="empty")
+    yield pytest.param(pt.Polytope((((0, 0), -1),), (0, 1)), id="empty-zero-row")
+    yield pytest.param(pt.Polytope((), ()), id="point")
+
+
+@pytest.mark.parametrize("poly", _count_cases())
+def test_lattice_count_is_the_number_of_lattice_points(poly):
+    assert pt.lattice_count(poly) == len(pt.lattice_points(poly))
+
+
+def test_lattice_count_and_points_refuse_an_unbounded_polytope():
+    for datum in (A2, C2):
+        cone = pt.string_cone(datum)
+        with pytest.raises(pt.UnboundedRegionError):
+            pt.lattice_points(cone)
+        with pytest.raises(pt.UnboundedRegionError):
+            pt.lattice_count(cone)
 
 
 def test_lattice_incidence_is_points_and_facet_masks():
