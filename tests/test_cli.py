@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from schubcalc import cli, crystals, faces, pipedreams
-from schubcalc.cartan import InvariantError
+from schubcalc.cartan import InvariantError, RootDatum, all_elements, reduced_word
 
 
 def run_cli(*args):
@@ -91,6 +92,20 @@ def test_product_command():
         (2, 3),
         (3, 4),
     ]
+
+
+def test_product_outputs_over_all_c2_pairs_are_pinned(capsys):
+    # sha256 of the concatenated stdout of `product` over every pair of
+    # C2 elements, both in all_elements order
+    words = [",".join(map(str, reduced_word(u))) for u in all_elements(RootDatum("C", 2))]
+    out = []
+    for v in words:
+        for w in words:
+            assert cli.main(["product", "--type", "C", "--rank", "2", "--v", v, "--w", w]) == 0
+            out.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == (
+        "fe8f6dba254f3f6f8b8891843b3aec385bec217726adf89e4171170f2fad29fa"
+    )
 
 
 def test_verify_axioms_zero_samples():

@@ -1,6 +1,7 @@
 """The scripts under `scripts/` run against the library as it stands: a
 script that names a symbol the library no longer has fails here."""
 
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -30,6 +31,18 @@ def test_product_table_script_prints_rank_two_table():
     lines = proc.stdout.splitlines()
     assert len(lines) == 64  # |W(C2)|^2 products
     assert all(line.startswith("[X^") for line in lines)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "d64fefdac16f294d8e37d02e53f441fb21bcea38792323d65c99311ec7d2ed7a"
+    )
+
+
+def test_product_table_script_prints_rank_three_table():
+    proc = _run_script("run_product_table.py", "--rank", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 48 * 48  # |W(C3)|^2 products
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "63cc60199fd5886ec2f854b9c3644ff46524001437a9057ca2d1dce4b5ef5878"
+    )
 
 
 def test_verification_matrix_script_passes(tmp_path):
