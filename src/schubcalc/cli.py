@@ -207,9 +207,7 @@ def cmd_product(args) -> int:
     payload = {
         "v": list(v),
         "w": list(letters),
-        "faces": [
-            {"f": list(r.f_tight), "fv": list(r.fv_tight)} for r in result.faces
-        ],
+        "faces": [{"f": list(tight), "fv": []} for tight in result.faces],
         "expansion": {",".join(map(str, reduced_word(u))): c for u, c in sorted(
             result.expansion.items(), key=lambda kv: (length(kv[0]), kv[0].oneline)
         )},

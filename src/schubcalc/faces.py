@@ -27,12 +27,13 @@ tables are cached; the crystal comparison runs on every call.
 The claim the class arithmetic exercises: the (dual) Kogan face sums
 represent the Schubert classes in the polytope ring (Kiritchenko-Smirnov-
 Timorin for Gelfand-Zetlin polytopes, the paper's result for the symplectic
-ones).  The arithmetic runs on a deformed model polytope certified as a tower
-of intervals, whose toric cohomology ring is that of a Bott tower: a face is a
-pair of step bitmasks, every class has one square-free normal form, and a
-pairing or a product coefficient is read off by complement
-(`DeformedContext`).  Every product is checked against the
-divided-difference oracle.
+ones).  A class is the tuple of its faces' tight sets, 1-based rows of one
+facet family.  The arithmetic runs on a deformed model polytope certified as a
+tower of intervals, whose toric cohomology ring is that of a Bott tower: a
+tight set maps to a step bitmask, every class has one square-free normal form,
+and a pairing or a product coefficient is read off by complement
+(`DeformedContext`).  Every product is checked against the divided-difference
+oracle.
 """
 
 from __future__ import annotations
@@ -135,9 +136,8 @@ def demazure_faces(datum: RootDatum, w: WeylElement, lam) -> FaceDecomposition:
     """String-cone faces indexed by the box-removal set of w; the lattice
     union must reproduce the Demazure crystal."""
     word, lam = standard_word(datum), tuple(lam)
-    tights = [ref.fv_tight for ref in schubert_class(datum, w, "kogan")]
     points, masks = crystals.string_incidence(datum, word, lam)
-    dec = _decompose(tights, masks[datum.num_positive_roots :], points)
+    dec = _decompose(schubert_class(datum, w, "kogan"), masks[datum.num_positive_roots :], points)
     expected = crystals.demazure_crystal(datum, word, w, lam)
     return _check_union("demazure-faces", datum, lam, w, dec, expected)
 
@@ -200,12 +200,12 @@ def side_volume(datum: RootDatum, side: str, w: WeylElement, lam) -> Fraction:
     full = (1 << datum.num_positive_roots) - 1
     if side == "opposite":
         d = datum.num_positive_roots - length(w)
-        form = Counter(ctx.masks(ref)[0] for ref in schubert_class(datum, w, "dual-kogan"))
+        form = Counter(ctx.f_mask(tight) for tight in schubert_class(datum, w, "dual-kogan"))
         reads = [full]
     else:
         d = length(w)
         form = {0: 1}
-        reads = [full ^ ctx.masks(ref)[1] for ref in schubert_class(datum, w, "kogan")]
+        reads = [full ^ ctx.g_mask(tight) for tight in schubert_class(datum, w, "kogan")]
     divisor = ctx.divisor(lam)
     for _ in range(d):
         power = Counter()
@@ -222,26 +222,18 @@ def side_volume(datum: RootDatum, side: str, w: WeylElement, lam) -> Fraction:
 # class representatives
 
 
-@dataclass(frozen=True)
-class FaceRef:
-    """A face of the deformed model polytope by its defining tight sets:
-    1-based indices into the first facet family and the second."""
-
-    f_tight: tuple
-    fv_tight: tuple
-
-
 def schubert_class(datum: RootDatum, w: WeylElement, family: str) -> tuple:
     """Formal face sum representing a Schubert class on the model polytope,
-    as its tuple of `FaceRef` terms: family "dual-kogan" gives the opposite
-    class of w (codimension l(w)), family "kogan" gives the class of the
-    Schubert variety of w."""
+    as the tuple of its faces' tight sets, 1-based into one facet block:
+    "dual-kogan" gives the opposite class of w (codimension l(w)) as the
+    extractions of w from the standard word, rows of the first block;
+    "kogan" gives the class of the Schubert variety of w as the k_D of its
+    box diagrams, rows of the second."""
     if family == "dual-kogan":
-        tights = compatible_subsets(datum, standard_word(datum), w)
-        return tuple(FaceRef(t, ()) for t in tights)
+        return compatible_subsets(datum, standard_word(datum), w)
     if family == "kogan":
         diagrams = pipedreams.box_order(pipedreams.mset(datum, w))
-        return tuple(FaceRef((), pipedreams.arrangement_kd(d)) for d in diagrams)
+        return tuple(pipedreams.arrangement_kd(d) for d in diagrams)
     raise ValueError("family must be 'dual-kogan' or 'kogan'")
 
 
@@ -251,9 +243,10 @@ class DeformedContext:
     (`polytopes.interval_tower`): combinatorially an N-cube, whose step t
     (0-based along the sweep order) holds exactly one row of the first facet
     family, f_t, and one of the second, g_t; the constructor raises
-    `InvariantError` otherwise.  A face is its pair of step bitmasks
-    (`masks`): it is nonempty exactly when they are disjoint, and then its
-    codimension is their total bit count.
+    `InvariantError` otherwise.  A tight set maps to its step bitmask in its
+    family (`f_mask`, `g_mask`); a face with a mask in each is nonempty
+    exactly when they are disjoint, and then of codimension their total bit
+    count.
 
     The certificate makes the polytope smooth, so its toric variety has the
     cohomology ring Z[x_row] modulo f_t * g_t = 0 for each step and one
@@ -325,15 +318,15 @@ class DeformedContext:
                     form[s] -= h * c
         return tuple((t, c) for t, c in sorted(form.items()) if c)
 
-    def masks(self, ref: FaceRef) -> tuple:
-        """(F-step mask, Fv-step mask) of a face: bit t set when the face is
-        tight on the row of step t in that family."""
-        f = g = 0
-        for k in ref.f_tight:
-            f |= 1 << self.step[k - 1]
-        for k in ref.fv_tight:
-            g |= 1 << self.step[self.big_n + k - 1]
-        return f, g
+    def f_mask(self, tight) -> int:
+        """Step mask of a tight set of the first facet family, 1-based: bit t
+        set when the face is tight on the F row of step t.  The steps of one
+        family are distinct, so the bits add without carry."""
+        return sum(1 << self.step[k - 1] for k in tight)
+
+    def g_mask(self, tight) -> int:
+        """Step mask of a tight set of the second facet family, likewise."""
+        return sum(1 << self.step[self.big_n + k - 1] for k in tight)
 
 
 @lru_cache(maxsize=None)
@@ -341,40 +334,33 @@ def default_context(datum: RootDatum) -> DeformedContext:
     return DeformedContext(datum)
 
 
-def class_face_refs(datum: RootDatum, u: WeylElement, family: str):
-    """Face references representing the opposite class of u in the chosen
-    facet family: its extraction tuples in the first family, the box-diagram
-    indices of the longest-complement in the second."""
-    if family == "F":
-        return schubert_class(datum, u, "dual-kogan")
-    return schubert_class(datum, multiply(longest_element(datum), u), "kogan")
-
-
 def degree_pairing(datum: RootDatum, u: WeylElement, v: WeylElement, ctx=None) -> int:
     """Intersection number of the opposite classes of u and v in complementary
     codimensions: the degree of F_u * Fv_v in the ring of the deformed
     polytope, the number of face pairs (a, b) whose F-step mask of a is the
-    complement of the Fv-step mask of b."""
+    complement of the Fv-step mask of b.  Fv_v is the Kogan face sum of the
+    Schubert variety of w0 v."""
     if length(u) + length(v) != datum.num_positive_roots:
         raise ValueError("lengths must be complementary")
     ctx = ctx or default_context(datum)
     full = (1 << datum.num_positive_roots) - 1
-    duals = Counter(full ^ ctx.masks(ref)[1] for ref in class_face_refs(datum, v, "Fv"))
-    return sum(duals[ctx.masks(ref)[0]] for ref in class_face_refs(datum, u, "F"))
+    kogan = schubert_class(datum, multiply(longest_element(datum), v), "kogan")
+    duals = Counter(full ^ ctx.g_mask(tight) for tight in kogan)
+    return sum(duals[ctx.f_mask(tight)] for tight in schubert_class(datum, u, "dual-kogan"))
 
 
 @dataclass
 class ProductResult:
-    """`dropped_empty` is always (): the F rows lie on distinct steps, so two
-    F faces never complete a step and always meet."""
+    """Faces are F tight sets.  `dropped_empty` is always (): the F rows lie
+    on distinct steps, so two F faces never complete a step and always meet."""
 
     v: WeylElement
     w: WeylElement
-    faces: tuple            # transversal meets of the (F, F) face sums
+    faces: tuple            # sorted F tight sets of the transversal meets
     expansion: dict         # WeylElement -> coefficient
     method: str
-    dropped_empty: tuple    # (F, F) face pairs that do not meet
-    nontransversal: tuple   # (F, F) face pairs that share a row
+    dropped_empty: tuple    # (F, F) tight-set pairs that do not meet
+    nontransversal: tuple   # (F, F) tight-set pairs that share a row
 
 
 def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> ProductResult:
@@ -394,6 +380,8 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
     """
     if datum.family != "C":
         raise ValueError("the product pipeline is certified for type C only")
+    if v.datum != datum or w.datum != datum:
+        raise ValueError("elements from different groups")
     ctx = ctx or default_context(datum)
     big_n = datum.num_positive_roots
     degree = length(v) + length(w)
@@ -413,21 +401,21 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
 
     terms = []
     bad = []
-    right = [(fb, ctx.masks(fb)[0]) for fb in class_face_refs(datum, w, "F")]
-    for fa in class_face_refs(datum, v, "F"):
-        a = ctx.masks(fa)[0]
+    right = [(fb, ctx.f_mask(fb)) for fb in schubert_class(datum, w, "dual-kogan")]
+    for fa in schubert_class(datum, v, "dual-kogan"):
+        a = ctx.f_mask(fa)
         for fb, b in right:
             if a & b:
                 bad.append((fa, fb))
             else:
-                terms.append(FaceRef(tuple(sorted(fa.f_tight + fb.f_tight)), ()))
+                terms.append(tuple(sorted(fa + fb)))
             add(a | b, a & b, 1)
     full = (1 << big_n) - 1
     expansion = {}
     for t in all_elements(datum):
         if length(t) == degree:
             kogan = schubert_class(datum, t, "kogan")
-            c = sum(form[full ^ ctx.masks(ref)[1]] for ref in kogan)
+            c = sum(form[full ^ ctx.g_mask(tight)] for tight in kogan)
             if c:
                 expansion[t] = c
     oracle = dict(oracles.bgg_structure_constants(datum, v, w))

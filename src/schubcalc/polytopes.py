@@ -481,10 +481,14 @@ def _string_rows(datum: RootDatum) -> tuple:
 
 def _polytope(f_rows, fv_rows, order, lam, deformed=False) -> Polytope:
     """The polytope of the facet rows F1.. then Fv1..; a row (vec, lam_vec,
-    shift) reads vec . x <= lam_vec . lam, plus the shift when deformed."""
+    shift) reads vec . x <= lam_vec . lam, plus the shift when deformed; a
+    weight with more or fewer entries than lam_vec raises ValueError."""
+    rows = f_rows + fv_rows
+    if any(len(lam_vec) != len(lam) for _, lam_vec, _ in rows):
+        raise ValueError("weight %r does not have one entry per fundamental weight" % (lam,))
     ineqs = tuple(
         (vec, sum(u * l for u, l in zip(lam_vec, lam)) + (shift if deformed else 0))
-        for vec, lam_vec, shift in f_rows + fv_rows
+        for vec, lam_vec, shift in rows
     )
     return Polytope(ineqs, order)
 

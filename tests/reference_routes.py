@@ -416,13 +416,12 @@ def side_volume(datum, side, w, lam):
     big_n = datum.num_positive_roots
     poly = pt.string_polytope(datum, lam)
     if side == "opposite":
-        family, d = "dual-kogan", big_n - length(w)
+        family, d, offset = "dual-kogan", big_n - length(w), 0
     else:
-        family, d = "kogan", length(w)
+        family, d, offset = "kogan", length(w), big_n
     total = Fraction(0)
-    for ref in fc.schubert_class(datum, w, family):
-        tight = tuple(k - 1 for k in ref.f_tight) + tuple(big_n + k - 1 for k in ref.fv_tight)
-        total += volume_at_dim(face_polytope(poly, tight), d)
+    for tight in fc.schubert_class(datum, w, family):
+        total += volume_at_dim(face_polytope(poly, [offset + k - 1 for k in tight]), d)
     return total
 
 
@@ -519,18 +518,15 @@ def row_degree(ctx, rel, rows, memo):
     return got
 
 
-def _monomial(ctx, *refs):
-    """The product of the faces' classes as its sorted row multiset."""
-    return tuple(sorted(
-        k - 1 if family == 0 else ctx.big_n + k - 1
-        for ref in refs
-        for family, tight in enumerate((ref.f_tight, ref.fv_tight))
-        for k in tight
-    ))
+def _monomial(offset, *tights):
+    """The product of the faces' classes as its sorted row multiset: each
+    tight set 1-based into the facet block whose first row is `offset`."""
+    return tuple(sorted(offset + k - 1 for tight in tights for k in tight))
 
 
-def _pairing(ctx, rel, product, refs, memo):
-    duals = [_monomial(ctx, ref) for ref in refs]
+def _pairing(ctx, rel, product, kogan, memo):
+    """deg(product * the Kogan face sum `kogan`), by row-multiset rewriting."""
+    duals = [_monomial(ctx.big_n, tight) for tight in kogan]
     return sum(
         n * row_degree(ctx, rel, tuple(sorted(m + d)), memo) for m, n in product.items() for d in duals
     )
@@ -538,8 +534,9 @@ def _pairing(ctx, rel, product, refs, memo):
 
 def degree_pairing(datum, u, v, ctx):
     """deg(F_u * Fv_v) by row-multiset rewriting."""
-    product = Counter(_monomial(ctx, ref) for ref in fc.class_face_refs(datum, u, "F"))
-    return _pairing(ctx, relation(ctx), product, fc.class_face_refs(datum, v, "Fv"), {})
+    product = Counter(_monomial(0, tight) for tight in fc.schubert_class(datum, u, "dual-kogan"))
+    kogan = fc.schubert_class(datum, multiply(longest_element(datum), v), "kogan")
+    return _pairing(ctx, relation(ctx), product, kogan, {})
 
 
 def product_expansion(datum, v, w, ctx):
@@ -550,9 +547,9 @@ def product_expansion(datum, v, w, ctx):
         return {}
     rel = relation(ctx)
     product = Counter(
-        _monomial(ctx, fa, fb)
-        for fa in fc.class_face_refs(datum, v, "F")
-        for fb in fc.class_face_refs(datum, w, "F")
+        _monomial(0, fa, fb)
+        for fa in fc.schubert_class(datum, v, "dual-kogan")
+        for fb in fc.schubert_class(datum, w, "dual-kogan")
     )
     memo = {}
     expansion = {}

@@ -130,10 +130,10 @@ def test_volume_invariance_under_model_change():
 def test_schubert_class_representatives():
     s1 = word_to_element(C2, (1,))
     s2 = word_to_element(C2, (2,))
-    assert [t.f_tight for t in fc.schubert_class(C2, s1, "dual-kogan")] == [(1,), (3,)]
-    assert [t.f_tight for t in fc.schubert_class(C2, s2, "dual-kogan")] == [(2,), (4,)]
+    assert fc.schubert_class(C2, s1, "dual-kogan") == ((1,), (3,))
+    assert fc.schubert_class(C2, s2, "dual-kogan") == ((2,), (4,))
     e = identity_element(C2)
-    assert fc.schubert_class(C2, e, "dual-kogan") == (fc.FaceRef((), ()),)
+    assert fc.schubert_class(C2, e, "dual-kogan") == ((),)
     w0 = longest_element(C2)
     three = multiply(w0, s2)  # length three
     assert len(fc.schubert_class(C2, three, "kogan")) == 1
@@ -149,23 +149,22 @@ def test_class_codims_in_deformed_polytope(datum, nonempty):
     ctx = fc.default_context(datum)
     seen = 0
     for w in all_elements(datum):
-        for ref in fc.schubert_class(datum, w, "dual-kogan"):
-            f, g = ctx.masks(ref)
-            if not f & g:
-                assert (f | g).bit_count() == length(w) == len(ref.f_tight)
-                seen += 1
-        for ref in fc.schubert_class(datum, w, "kogan"):
-            f, g = ctx.masks(ref)
-            if not f & g:
-                assert (f | g).bit_count() == datum.num_positive_roots - length(w) == len(ref.fv_tight)
-                seen += 1
+        for tight in fc.schubert_class(datum, w, "dual-kogan"):
+            assert ctx.f_mask(tight).bit_count() == length(w) == len(tight)
+            seen += 1
+        for tight in fc.schubert_class(datum, w, "kogan"):
+            assert ctx.g_mask(tight).bit_count() == datum.num_positive_roots - length(w) == len(tight)
+            seen += 1
     assert seen == nonempty
 
 
-def _ref(rows, big_n):
-    """The FaceRef of 0-based row indices: the first family, then the second."""
-    return fc.FaceRef(
-        tuple(k + 1 for k in rows if k < big_n), tuple(k - big_n + 1 for k in rows if k >= big_n)
+def _masks(ctx, rows):
+    """The (F-step, Fv-step) masks of the face on 0-based rows: the first
+    family, then the second."""
+    big_n = ctx.big_n
+    return (
+        ctx.f_mask([k + 1 for k in rows if k < big_n]),
+        ctx.g_mask([k - big_n + 1 for k in rows if k >= big_n]),
     )
 
 
@@ -182,7 +181,7 @@ def test_tight_set_rule_matches_vertex_oracle(datum):
     for bits in range(1 << 2 * big_n):
         rows = [k for k in range(2 * big_n) if bits >> k & 1]
         tight = [v for i, v in enumerate(verts) if all(masks[k] >> i & 1 for k in rows)]
-        f, g = ctx.masks(_ref(rows, big_n))
+        f, g = _masks(ctx, rows)
         assert (not f & g) == bool(tight), bits
         if tight:
             assert (f | g).bit_count() == len(rows) == big_n - pt.affine_rank(tight), bits
@@ -199,7 +198,7 @@ def test_square_free_degree_matches_vertex_count(datum):
     n_verts = len(pt.vertices(ctx.polytope))
     for rows in itertools.combinations(range(2 * big_n), big_n):
         tight = sum(1 for i in range(n_verts) if all(masks[k] >> i & 1 for k in rows))
-        f, g = ctx.masks(_ref(rows, big_n))
+        f, g = _masks(ctx, rows)
         assert tight == (g == full ^ f), rows
 
 
@@ -310,23 +309,23 @@ def test_transversality_ops():
     # equal facets as non-transversal and the others as their meets
     s1 = word_to_element(C2, (1,))
     res = fc.product_c(C2, s1, s1, ctx)
-    f1, f3 = fc.FaceRef((1,), ()), fc.FaceRef((3,), ())
+    f1, f3 = (1,), (3,)
     assert res.nontransversal == ((f1, f1), (f3, f3))
-    assert res.faces == (fc.FaceRef((1, 3), ()),) * 2
+    assert res.faces == ((1, 3),) * 2
     assert res.dropped_empty == ()
     # the two rows of one step meet empty, rows of two steps transversally
     pairs = [(i, j) for i in range(2 * big_n) for j in range(i + 1, 2 * big_n)]
     same = [(i, j) for i, j in pairs if ctx.step[i] == ctx.step[j]]
     assert len(same) == big_n
     for i, j in pairs:
-        f, g = ctx.masks(_ref([i, j], big_n))
+        f, g = _masks(ctx, [i, j])
         assert bool(f & g) == ((i, j) in same)
         assert (f | g).bit_count() == (1 if (i, j) in same else 2)
     # the whole polytope has no rows and is not empty
-    assert ctx.masks(fc.FaceRef((), ())) == (0, 0)
+    assert _masks(ctx, []) == (0, 0)
     # the first two dual-family facets of the deformed symplectic polytope
     # meet transversally
-    assert ctx.masks(fc.FaceRef((1, 2), ())) == (1 << ctx.step[0] | 1 << ctx.step[1], 0)
+    assert _masks(ctx, [0, 1]) == (1 << ctx.step[0] | 1 << ctx.step[1], 0)
 
 
 def test_normal_form_matches_row_multiset_route():
@@ -403,12 +402,20 @@ def test_product_example():
     s1 = word_to_element(C2, (1,))
     s2 = word_to_element(C2, (2,))
     res = fc.product_c(C2, s1, s2)
-    assert sorted(r.f_tight for r in res.faces) == [(1, 2), (1, 4), (2, 3), (3, 4)]
+    assert sorted(res.faces) == [(1, 2), (1, 4), (2, 3), (3, 4)]
     assert res.method == "degree-pairing"
     assert {tuple(reduced_word(u)): c for u, c in res.expansion.items()} == {
         (1, 2): 1,
         (2, 1): 1,
     }
+
+
+def test_product_refuses_elements_of_another_group():
+    # above the top degree of C2 (9 + 9 > 4) as well as below it
+    s1 = word_to_element(C3, (1,))
+    for v, w in ((longest_element(C3), longest_element(C3)), (s1, s1), (identity_element(C2), s1)):
+        with pytest.raises(ValueError, match="different groups"):
+            fc.product_c(C2, v, w)
 
 
 def test_product_identity():
@@ -598,7 +605,7 @@ def test_mask_face_cut_matches_dot_product_filter():
             dec = fc.opposite_demazure_faces(datum, w, lam, word=word)
             assert dec == _dot_product_decompose(compatible_subsets(datum, word, w), rows, points)
             if word == standard_word(datum):
-                tights = [ref.fv_tight for ref in fc.schubert_class(datum, w, "kogan")]
+                tights = fc.schubert_class(datum, w, "kogan")
                 assert fc.demazure_faces(datum, w, lam) == _dot_product_decompose(tights, cone, points)
 
 
@@ -617,7 +624,7 @@ def test_model_face_union_count_matches_face_sweeps():
         for lam in itertools.product((0, 1), repeat=datum.rank):
             for w in all_elements(datum):
                 f_tights = compatible_subsets(datum, standard_word(datum), w)
-                fv_tights = [ref.fv_tight for ref in fc.schubert_class(datum, w, "kogan")]
+                fv_tights = fc.schubert_class(datum, w, "kogan")
                 assert fc.model_face_union_count(datum, lam, f_tights, "F") == _swept_face_union(
                     datum, lam, f_tights, 0
                 )
@@ -630,6 +637,12 @@ def test_model_face_union_count_rejects_unknown_family():
     for family in ("kogan", "G", "f"):
         with pytest.raises(ValueError):
             fc.model_face_union_count(A2, (1, 1), [(1,)], family)
+
+
+def test_model_face_union_count_refuses_a_weight_of_the_wrong_length():
+    for lam in ((1,), (1, 1, 5)):
+        with pytest.raises(ValueError, match="one entry per fundamental weight"):
+            fc.model_face_union_count(C2, lam, [(1,)], "F")
 
 
 def test_model_face_union_count_rejects_rows_outside_its_block():

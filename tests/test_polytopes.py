@@ -45,6 +45,15 @@ def test_polytope_refuses_a_long_row():
         pt.Polytope(rows, (1, 0))
 
 
+@pytest.mark.parametrize("build", [pt.string_polytope, pt.model_polytope, pt.deformed_polytope],
+                         ids=["string", "model", "deformed"])
+@pytest.mark.parametrize("lam", [(1,), (1, 1, 5)], ids=["short", "long"])
+def test_builders_refuse_a_weight_of_the_wrong_length(build, lam):
+    # a row's lambda part has one coefficient per fundamental weight of C2
+    with pytest.raises(ValueError, match="one entry per fundamental weight"):
+        build(C2, lam)
+
+
 def test_cube_basics():
     cube = unit_cube(2)
     assert len(pt.lattice_points(cube)) == 4
