@@ -316,7 +316,7 @@ def _string_table(datum: RootDatum, word, lam) -> tuple:
     string of the raised element from position 2 on.  Each distinct state
     reaching position p is raised there once, along the table's raising
     indices, so the work is the sum of the level sizes rather than N times
-    the crystal; the levels are dropped once the tails are assembled."""
+    the crystal; a level keeps each state's top, its count being its epsilon."""
     table = _operator_table(datum, word, lam)
     levels = []
     frontier = range(len(table.states))
@@ -330,15 +330,15 @@ def _string_table(datum: RootDatum, word, lam) -> tuple:
                 count += 1
             if count != eps[b]:
                 raise InvariantError("non-normal state: not in the generated crystal")
-            step[b] = (count, top)
-        levels.append(step)
-        frontier = {top for _, top in step.values()}
+            step[b] = top
+        levels.append((eps, step))
+        frontier = set(step.values())
     highest = table.index[highest_state(datum, word)]
     if frontier != {highest}:
         raise InvariantError("string extraction did not reach the top")
     tails = {highest: ()}
-    for step in reversed(levels):
-        tails = {b: (count,) + tails[top] for b, (count, top) in step.items()}
+    for eps, step in reversed(levels):
+        tails = {b: (eps[b],) + tails[top] for b, top in step.items()}
     strings = tuple(tails[k] for k in range(len(table.states)))
     if len(set(strings)) != len(strings):
         raise InvariantError("string parametrization not injective")

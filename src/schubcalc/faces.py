@@ -21,8 +21,8 @@ certified once, when the table is built, to be the string polytope's lattice
 points, and one bitmask per row over them (bit i set when string i lies on
 the row), so a face is the AND of its rows' masks and a union the OR of its
 faces.  The GT/SGT side counts its face unions the same way over the lattice
-points of the model polytope (`polytopes.lattice_incidence`).  Only the
-tables are cached; the crystal comparison runs on every call.
+points of the model polytope, in sweep order (`polytopes.lattice_incidence`).
+Only the tables are cached; the crystal comparison runs on every call.
 
 The claim the class arithmetic exercises: the (dual) Kogan face sums
 represent the Schubert classes in the polytope ring (Kiritchenko-Smirnov-
@@ -144,8 +144,8 @@ def demazure_faces(datum: RootDatum, w: WeylElement, lam) -> FaceDecomposition:
 
 @lru_cache(maxsize=None)
 def _model_table(datum: RootDatum, lam: tuple) -> tuple:
-    """(lattice points, per-row bitmasks over them) of the GT/SGT model
-    polytope at lambda: the dual Kogan rows, then the Kogan rows."""
+    """(number of lattice points, per-row bitmasks over them) of the GT/SGT
+    model polytope at lambda: the dual Kogan rows, then the Kogan rows."""
     return polytopes.lattice_incidence(polytopes.model_polytope(datum, lam))
 
 
@@ -158,9 +158,9 @@ def model_face_union_count(datum: RootDatum, lam, tights, family: str) -> int:
     big_n = datum.num_positive_roots
     if any(not 1 <= k <= big_n for tight in tights for k in tight):
         raise IndexError("tight indices run from 1 to %d" % big_n)
-    points, masks = _model_table(datum, tuple(lam))
+    count, masks = _model_table(datum, tuple(lam))
     masks = masks[big_n:] if family == "Fv" else masks[:big_n]
-    full = (1 << len(points)) - 1
+    full = (1 << count) - 1
     union = 0
     for tight in tights:
         union |= _face_mask(masks, tight, full)

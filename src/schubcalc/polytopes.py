@@ -7,14 +7,12 @@ the dimension; construction refuses a row of another length or an order
 that is not a permutation.  There are no equation rows: an equation is a
 row and its negation.  `interval_tower` certifies a polytope as a tower of
 intervals along its sweep order and lists its integer vertices with no
-elimination.
-`lattice_incidence` gives each inequality a bitmask over the lattice points
-it is tight on, so that faces and unions of faces are integer AND and OR;
-`tight_bits` computes the masks over packed integer columns, and
-`slack_masks`, from the same packed slacks, also the points outside some row.
-`lattice_count` counts the lattice points by the same sweep without building
-them, so a given point set is certified to be the lattice points by
-containment and count.  `vertices`
+elimination.  One level-by-level sweep along that order with a slack column
+per row (`_sweep`) gives `lattice_count`, `lattice_points` and the point
+columns of `lattice_incidence`, which the packed kernel of `slack_masks` (and
+`tight_bits`) turns into one bitmask per inequality over the points tight on
+it: faces and their unions are integer AND and OR, and a point set is
+certified to be the lattice points by containment and count.  `vertices`
 (exact Fractions) and `is_simple`, with `incidence` and `facet_defining`,
 remain as the general-polytope oracles the tower certificate is tested
 against; they and `affine_rank` run on the fraction-free integer echelon of
@@ -33,11 +31,12 @@ arrangement order that the face combinatorics relies on.
 from __future__ import annotations
 
 import array
-import itertools
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, chain, compress, repeat
 from math import gcd, lcm
+from operator import floordiv, mul, neg, sub
 
 from . import linalg
 from .cartan import (
@@ -76,11 +75,6 @@ class Polytope:
 # lattice point enumeration
 
 
-def _ceil_div(p: int, q: int) -> int:
-    # q > 0
-    return -((-p) // q)
-
-
 def _sweep_rows(p: Polytope):
     """(order, steps, by_step), or None when a row without support fails.
     A row's step is the position along the sweep order of the last coordinate
@@ -93,13 +87,13 @@ def _sweep_rows(p: Polytope):
     steps = []
     by_step = [[] for _ in range(dim)]
     for coeffs, rhs in p.ineqs:
-        support = [v for v in range(dim) if coeffs[v]]
+        support = list(compress(range(dim), coeffs))
         if not support:
             if rhs < 0:
                 return None
             steps.append(None)
             continue
-        step = max(pos[v] for v in support)
+        step = max(map(pos.__getitem__, support))
         var = order[step]
         rest = tuple((v, coeffs[v]) for v in support if v != var)
         by_step[step].append((coeffs[var], rest, rhs))
@@ -107,76 +101,78 @@ def _sweep_rows(p: Polytope):
     return order, steps, by_step
 
 
-def _interval(step_rows, point, var) -> tuple:
-    """(lo, hi) of coordinate var at one sweep step, given the earlier
-    coordinates in point; UnboundedRegionError when a side has no row."""
-    lo = hi = None
-    for a, rest, rhs in step_rows:
-        s = rhs - sum(c * point[v] for v, c in rest)
-        if a > 0:
-            b = s // a
-            hi = b if hi is None else min(hi, b)
-        else:
-            b = _ceil_div(-s, -a)
-            lo = b if lo is None else max(lo, b)
-    if lo is None or hi is None:
-        raise UnboundedRegionError(
-            "no %s bound for coordinate %d; region unbounded along sweep"
-            % ("lower" if lo is None else "upper", var)
-        )
-    return lo, hi
+def _sweep(p: Polytope, leaves: bool = False):
+    """(number of lattice points of p, columns): with `leaves` one column per
+    coordinate over the points sorted by their coordinates read along the
+    sweep order, else none.  Level t lists the sweep tree's nodes of
+    depth t.  A row with a term in an earlier coordinate keeps a slack column,
+    its rhs minus those terms at each node: started by its first coordinate,
+    copied down each level where a node has other than one child (once per
+    child), updated by one map at each of its coordinates and read at its
+    step, bounding x <= s // a for a > 0, x >= -(s // -a) for a < 0.  A
+    level with a node that reaches a step with no lower or no upper row
+    raises UnboundedRegionError; an empty level ends the sweep first.  A
+    leaf column repeats its level's values by the leaf counts under them."""
+    rows = _sweep_rows(p)
+    if rows is None:
+        return 0, []
+    order, _, by_step = rows
+    enters = {v: [] for v in order}  # per coordinate: (row key, coefficient, rhs)
+    for t, step in enumerate(by_step):
+        for j, (_, rest, rhs) in enumerate(step):
+            for v, c in rest:
+                enters[v].append(((t, j), c, rhs))
+    slacks, levels, size = {}, [], 1
+    for t, var in enumerate(order):
+        los, his = [], []
+        for j, (a, rest, rhs) in enumerate(by_step[t]):
+            s = slacks.pop((t, j)) if rest else repeat(rhs, size)
+            if a > 0:
+                his.append(s if a == 1 else map(floordiv, s, repeat(a)))
+            else:
+                los.append(map(neg, s if a == -1 else map(floordiv, s, repeat(-a))))
+        if not los or not his:
+            raise UnboundedRegionError("no %s bound for coordinate %d; region unbounded along sweep"
+                                       % ("upper" if los else "lower", var))
+        lo = map(max, *los) if len(los) > 1 else los[0]
+        hi = map(min, *his) if len(his) > 1 else his[0]
+        ranges = list(map(range, lo, map((1).__add__, hi)))
+        counts = list(map(len, ranges))
+        size = sum(counts)
+        if not size or not leaves and t == len(order) - 1:
+            break
+        vals = list(chain.from_iterable(ranges))
+        if leaves:
+            levels.append((var, vals, counts))
+        if counts.count(1) < len(counts):
+            for key, s in slacks.items():
+                slacks[key] = list(chain.from_iterable(map(repeat, s, counts)))
+        for key, c, rhs in enters[var]:
+            s = slacks.get(key) or repeat(rhs)
+            slacks[key] = list(map(sub, s, vals if c == 1 else map(mul, vals, repeat(c))))
+    if not leaves or not size:
+        return size, []
+    columns, sizes = [None] * len(order), None  # sizes: leaf counts under the level below
+    for var, vals, counts in reversed(levels):
+        columns[var] = list(chain.from_iterable(map(repeat, vals, sizes))) if sizes else vals
+        at = list(accumulate(sizes, initial=0)) if sizes else range(len(vals) + 1)
+        at = list(map(at.__getitem__, accumulate(counts, initial=0)))
+        sizes = list(map(sub, at[1:], at))
+    return size, columns
 
 
 @lru_cache(maxsize=None)
 def lattice_points(p: Polytope) -> tuple:
     """All integer points, sorted.  Requires bounds derivable along the sweep
     order (true for every polytope built here and their faces)."""
-    rows = _sweep_rows(p)
-    if rows is None:
-        return ()
-    order, _, by_step = rows
-    dim = p.ambient_dim
-    point = [0] * dim
-    out = []
-
-    def sweep(t):
-        if t == dim:
-            out.append(tuple(point))
-            return
-        var = order[t]
-        lo, hi = _interval(by_step[t], point, var)
-        for val in range(lo, hi + 1):
-            point[var] = val
-            sweep(t + 1)
-        point[var] = 0
-
-    sweep(0)
-    return tuple(sorted(out))
+    count, columns = _sweep(p, True)
+    return tuple(sorted(zip(*columns))) if columns else ((),) * count
 
 
 def lattice_count(p: Polytope) -> int:
-    """The number of integer points: the sweep of `lattice_points`, with the
-    same bounds and the same UnboundedRegionError, that adds up the range of
-    the last coordinate instead of walking it, and builds no points."""
-    rows = _sweep_rows(p)
-    if rows is None:
-        return 0
-    order, _, by_step = rows
-    last = p.ambient_dim - 1
-    point = [0] * p.ambient_dim
-
-    def sweep(t):
-        var = order[t]
-        lo, hi = _interval(by_step[t], point, var)
-        if t == last:
-            return max(0, hi - lo + 1)
-        total = 0
-        for val in range(lo, hi + 1):
-            point[var] = val
-            total += sweep(t + 1)
-        return total
-
-    return sweep(0) if last >= 0 else 1
+    """The number of integer points: the last level's size in the sweep of
+    `lattice_points`, with the same UnboundedRegionError, and no points."""
+    return _sweep(p)[0]
 
 
 # the binary digits "0"/"1" as flag bytes 0/1
@@ -215,9 +211,13 @@ def slack_masks(rows, points) -> tuple:
     OverflowError."""
     if len({len(vec) for vec, _ in rows} | set(map(len, points))) > 1:
         raise ValueError("tight_bits takes rows and points of one dimension")
-    if not rows or not points:
+    return _column_masks(rows, tuple(zip(*points)), len(points))
+
+
+def _column_masks(rows, columns, n) -> tuple:
+    """`slack_masks` over n points given as one column per coordinate."""
+    if not rows or not n:
         return (0,) * len(rows), 0
-    columns = tuple(zip(*points))
     highs = [max(max(column), -min(column)) for column in columns]
     bounds = [abs(rhs) + sum(abs(c) * h for c, h in zip(vec, highs)) for vec, rhs in rows]
     if not all(isinstance(b, int) for b in bounds):
@@ -227,8 +227,8 @@ def slack_masks(rows, points) -> tuple:
     if width is None:
         raise OverflowError("row slacks of %d bits do not fit a 64-bit field" % bound.bit_length())
     step = width // 8
-    size = step * len(points)
-    ones = int.from_bytes(b"\x01".ljust(step, b"\x00") * len(points), "little")
+    size = step * n
+    ones = int.from_bytes(b"\x01".ljust(step, b"\x00") * n, "little")
     tops = ones << (width - 1)
     low = tops - ones
     packed = {}
@@ -260,15 +260,15 @@ def slack_masks(rows, points) -> tuple:
 def mask_points(mask: int, points) -> tuple:
     """The points whose bits are set in `mask`, in point order: the inverse
     of `tight_bits`, with bit 0 the last binary digit."""
-    return tuple(itertools.compress(points, bin(mask)[:1:-1].encode().translate(_FLAGS)))
+    return tuple(compress(points, bin(mask)[:1:-1].encode().translate(_FLAGS)))
 
 
 def lattice_incidence(p: Polytope) -> tuple:
-    """(lattice_points(p), per inequality the bitmask over those points of
-    the ones on which it is tight): a face's lattice points are the AND of
-    its rows' masks."""
-    points = lattice_points(p)
-    return points, tight_bits(p.ineqs, points)
+    """(number of lattice points, per inequality the bitmask of the points
+    tight on it) over the points in sweep order (`_sweep`), whose columns go
+    to the packed kernel of `slack_masks` as they are, building no point."""
+    count, columns = _sweep(p, True)
+    return count, _column_masks(p.ineqs, columns, count)[0]
 
 
 def interval_tower(p: Polytope):

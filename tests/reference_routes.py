@@ -6,7 +6,8 @@ whole reduced words, the extraction sets by one search per Weyl element, the
 type A ladder move and box-removal operator on the staircase board, and the
 products and pairings of the deformed-polytope ring by rewriting row
 multisets one repeated row at a time, the crystal's string table checked
-against an enumeration of the string polytope's lattice points, the row
+against an enumeration of the string polytope's lattice points, lattice
+points and counts by the recursive sweep with one call per node, the row
 incidence masks by exact dot products column by column, and face volumes by
 Ehrhart interpolation over the lattice points of the dilates.  Also the
 exact linear solve and the weight and diagram helpers that only tests use."""
@@ -309,16 +310,19 @@ INCIDENCE_CASES = tuple(
 
 def enumerated_string_incidence(datum, word, lam):
     """(points, masks) of one (datum, word, lambda) by enumerating the
-    polytope.  On the standard word: the string polytope's lattice points,
-    sorted, and its row masks over them, after checking that they are the
-    crystal's strings as a set.  On any other word: the crystal's strings,
-    sorted, and the masks of the lambda-bound rows by exact dot products."""
+    polytope.  On the standard word: the string polytope's lattice points in
+    sweep order and its row masks over them (`lattice_incidence`), after
+    checking that they are the crystal's strings as a set.  On any other
+    word: the crystal's strings, sorted, and the masks of the lambda-bound
+    rows by exact dot products."""
     strings = frozenset(cr._string_table(datum, word, lam))
     if word == standard_word(datum):
-        points, masks = pt.lattice_incidence(pt.string_polytope(datum, lam))
-        if frozenset(points) != strings:
+        poly = pt.string_polytope(datum, lam)
+        count, masks = pt.lattice_incidence(poly)
+        points = in_sweep_order(poly, pt.lattice_points(poly))
+        if count != len(points) or frozenset(points) != strings:
             raise cr.CrystalPolytopeMismatchError(
-                "crystal generation has %d points, string polytope %d" % (len(strings), len(points))
+                "crystal generation has %d points, string polytope %d" % (len(strings), count)
             )
         return points, masks
     points = tuple(sorted(strings))
@@ -335,6 +339,91 @@ def tight_rows_by_point(points, masks):
         point: frozenset(k for k, mask in enumerate(masks) if mask >> i & 1)
         for i, point in enumerate(points)
     }
+
+
+# ---------------------------------------------------------------------------
+# lattice points by the recursive sweep
+
+
+def _ceil_div(p, q):
+    # q > 0
+    return -((-p) // q)
+
+
+def _interval(step_rows, point, var):
+    """(lo, hi) of coordinate var at one sweep step, given the earlier
+    coordinates in point; UnboundedRegionError when a side has no row."""
+    lo = hi = None
+    for a, rest, rhs in step_rows:
+        s = rhs - sum(c * point[v] for v, c in rest)
+        if a > 0:
+            b = s // a
+            hi = b if hi is None else min(hi, b)
+        else:
+            b = _ceil_div(-s, -a)
+            lo = b if lo is None else max(lo, b)
+    if lo is None or hi is None:
+        raise pt.UnboundedRegionError(
+            "no %s bound for coordinate %d; region unbounded along sweep"
+            % ("lower" if lo is None else "upper", var)
+        )
+    return lo, hi
+
+
+def recursive_lattice_points(p):
+    """All integer points, sorted, by one Python call per node of the sweep
+    tree, each interval read off the rows of its step at the node's point."""
+    rows = pt._sweep_rows(p)
+    if rows is None:
+        return ()
+    order, _, by_step = rows
+    dim = p.ambient_dim
+    point = [0] * dim
+    out = []
+
+    def sweep(t):
+        if t == dim:
+            out.append(tuple(point))
+            return
+        var = order[t]
+        lo, hi = _interval(by_step[t], point, var)
+        for val in range(lo, hi + 1):
+            point[var] = val
+            sweep(t + 1)
+        point[var] = 0
+
+    sweep(0)
+    return tuple(sorted(out))
+
+
+def recursive_lattice_count(p):
+    """The number of integer points by the recursive sweep, adding up the
+    range of the last coordinate instead of walking it."""
+    rows = pt._sweep_rows(p)
+    if rows is None:
+        return 0
+    order, _, by_step = rows
+    last = p.ambient_dim - 1
+    point = [0] * p.ambient_dim
+
+    def sweep(t):
+        var = order[t]
+        lo, hi = _interval(by_step[t], point, var)
+        if t == last:
+            return max(0, hi - lo + 1)
+        total = 0
+        for val in range(lo, hi + 1):
+            point[var] = val
+            total += sweep(t + 1)
+        return total
+
+    return sweep(0) if last >= 0 else 1
+
+
+def in_sweep_order(p, points):
+    """The points sorted by their coordinates read along p's sweep order: the
+    order of `lattice_incidence`'s masks."""
+    return tuple(sorted(points, key=lambda x: [x[v] for v in p.sweep_order]))
 
 
 # ---------------------------------------------------------------------------

@@ -494,19 +494,111 @@ def test_lattice_count_is_the_number_of_lattice_points(poly):
     assert pt.lattice_count(poly) == len(pt.lattice_points(poly))
 
 
+def _check_against_the_recursive_sweep(poly):
+    """Equal counts, equal sorted points, and, over the points in sweep
+    order, per row the same tight points as exact dot products give: equal
+    masks over one point order decode to equal tight sets."""
+    points = ref.recursive_lattice_points(poly)
+    assert pt.lattice_count(poly) == ref.recursive_lattice_count(poly) == len(points)
+    assert pt.lattice_points(poly) == points
+    count, masks = pt.lattice_incidence(poly)
+    assert count == len(points)
+    assert masks == ref.column_tight_bits(poly.ineqs, ref.in_sweep_order(poly, points))
+
+
+def _sweep_cases():
+    yield from _count_cases()
+    for family, rank, lam in (("A", 2, (0, 0)), ("A", 2, (1, 1)), ("A", 3, (0, 0, 0)),
+                              ("A", 3, (1, 1, 1)), ("A", 4, (0, 0, 0, 0)), ("C", 2, (0, 0)),
+                              ("C", 2, (1, 1)), ("C", 3, (0, 0, 0))):
+        poly = pt.deformed_polytope(RootDatum(family, rank), lam)
+        yield pytest.param(poly, id="deformed-%s%d-%s" % (family, rank, lam))
+    # the deformed C4 polytope has 16,514,412 points at lambda = 0: its face
+    # on the Fv rows of the last four steps, 3,944 points
+    poly = pt.deformed_polytope(RootDatum("C", 4), (0, 0, 0, 0))
+    _, steps, _ = pt._sweep_rows(poly)
+    yield pytest.param(ref.face_polytope(poly, [j for j in range(16, 32) if steps[j] >= 12]),
+                       id="deformed-C4-face")
+
+
+@pytest.mark.parametrize("poly", _sweep_cases())
+def test_sweep_matches_the_recursive_reference(poly):
+    _check_against_the_recursive_sweep(poly)
+
+
+@pytest.mark.parametrize("build", [pt.string_polytope, pt.model_polytope], ids=["string", "model"])
+def test_sweep_count_matches_the_recursive_reference_at_c4(build):
+    poly = build(RootDatum("C", 4), (1, 1, 1, 1))
+    assert pt.lattice_count(poly) == ref.recursive_lattice_count(poly) == 65536
+
+
+@st.composite
+def bounded_polytopes(draw):
+    """A box |x_v| <= 4 written with coefficients 1..3, then up to five rows
+    with coefficients in -3..3 (some without support), in a drawn row order
+    and sweep order, in dimension 0 to 4."""
+    dim = draw(st.integers(0, 4))
+    rows = []
+    for v in range(dim):
+        for sign in (1, -1):
+            a = draw(st.integers(1, 3))
+            vec = tuple(sign * a if u == v else 0 for u in range(dim))
+            rows.append((vec, 4 * a + draw(st.integers(0, a - 1))))
+    vector = st.just((0,) * dim) | st.tuples(*[st.integers(-3, 3)] * dim)
+    rows += draw(st.lists(st.tuples(vector, st.integers(-8, 8)), max_size=5))
+    return pt.Polytope(tuple(draw(st.permutations(rows))), tuple(draw(st.permutations(range(dim)))))
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None)
+@given(bounded_polytopes())
+def test_sweep_matches_the_recursive_reference_on_random_polytopes(poly):
+    _check_against_the_recursive_sweep(poly)
+
+
+@pytest.mark.parametrize("poly", [
+    pt.Polytope((), ()),
+    pt.Polytope((((), 0), ((), 3)), ()),
+    pt.Polytope((((), -1),), ()),
+    pt.Polytope((((2,), 5), ((-3,), 4)), (0,)),
+    pt.Polytope((((3,), -7), ((-2,), 3), ((0,), 2)), (0,)),
+    # x1 <= (x0 - 5) // 2 < 0 <= x1: the second level is empty, the third
+    # bounded
+    pt.Polytope((((1, 0, 0), 2), ((-1, 0, 0), 0), ((-1, 2, 0), -5), ((0, -1, 0), 0),
+                 ((0, 0, 1), 1), ((0, 0, -1), 1)), (0, 1, 2)),
+], ids=["point", "point-zero-rows", "empty-zero-row", "interval", "empty-interval", "empty-level"])
+def test_sweep_matches_the_recursive_reference_at_the_edges(poly):
+    _check_against_the_recursive_sweep(poly)
+
+
+def test_a_polytope_empty_before_an_unbounded_step_has_no_points():
+    # as above, with no row on x2: the sweep ends at the empty second level
+    # before it reaches the step of x2
+    rows = (((1, 0, 0), 2), ((-1, 0, 0), 0), ((-1, 2, 0), -5), ((0, -1, 0), 0))
+    poly = pt.Polytope(rows, (0, 1, 2))
+    assert pt.lattice_points(poly) == ref.recursive_lattice_points(poly) == ()
+    assert pt.lattice_count(poly) == ref.recursive_lattice_count(poly) == 0
+    assert pt.lattice_incidence(poly) == (0, (0, 0, 0, 0))
+
+
 def test_lattice_count_and_points_refuse_an_unbounded_polytope():
     for datum in (A2, C2):
         cone = pt.string_cone(datum)
-        with pytest.raises(pt.UnboundedRegionError):
-            pt.lattice_points(cone)
-        with pytest.raises(pt.UnboundedRegionError):
-            pt.lattice_count(cone)
+        with pytest.raises(pt.UnboundedRegionError) as expected:
+            ref.recursive_lattice_points(cone)
+        for route in (pt.lattice_points, pt.lattice_count, pt.lattice_incidence):
+            with pytest.raises(pt.UnboundedRegionError) as err:
+                route(cone)
+            assert str(err.value) == str(expected.value)
 
 
 def test_lattice_incidence_is_points_and_facet_masks():
+    # the masks run over the points in sweep order, and each row's bits are
+    # the lattice points of its face
     poly = pt.string_polytope(A2, (2, 1))
-    points, masks = pt.lattice_incidence(poly)
-    assert points == pt.lattice_points(poly)
+    count, masks = pt.lattice_incidence(poly)
+    points = ref.in_sweep_order(poly, pt.lattice_points(poly))
+    assert count == len(points) == weyl_dimension(A2, (2, 1)) == 15
     for k, mask in enumerate(masks):
         on_row = pt.lattice_points(ref.face_polytope(poly, (k,)))
-        assert [p for i, p in enumerate(points) if mask >> i & 1] == list(on_row)
+        assert sorted(pt.mask_points(mask, points)) == list(on_row)
