@@ -18,7 +18,6 @@ from schubcalc import verify
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--lambda-max", type=int, default=2)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--output", default="verification_matrix.json")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
@@ -33,7 +32,7 @@ def main():
         ("theorem2", "A", 3),
         ("theorem3", "C", 2),
     ]:
-        rep = verify.theorem_suite(kind, family, rank, args.lambda_max, jobs=args.jobs)
+        rep = verify.theorem_suite(kind, family, rank, args.lambda_max)
         print("%-9s %s%d: %s (%d cells, %.1fs)" % (
             kind, family, rank, rep["status"], len(rep["cells"]), rep["elapsed_seconds"]))
         reports.append(rep)

@@ -16,13 +16,11 @@ from .cartan import (
     reduced_word,
     simple_element,
     standard_word,
-    star_index,
     word_to_element,
 )
 from .crystals import (
     demazure_crystal,
     generate_b_lambda,
-    lusztig_transform,
     opposite_demazure_crystal,
     richardson_lattice_points,
 )
@@ -54,7 +52,6 @@ from .polytopes import (
     deformed_polytope,
     lattice_points,
     model_polytope,
-    string_cone,
     string_polytope,
     vertices,
 )

@@ -389,30 +389,6 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
     return True
 
 
-def act_on_root(w: WeylElement, root) -> tuple:
-    """Image of a root (simple-root basis) under w."""
-    c = cartan_matrix(w.datum)
-    n = w.datum.rank
-    vec = tuple(root)
-    for i in reversed(reduced_word(w)):
-        pairing = sum(vec[j] * c[i - 1][j] for j in range(n))
-        vec = tuple(vec[j] - (pairing if j == i - 1 else 0) for j in range(n))
-    return vec
-
-
-@lru_cache(maxsize=None)
-def star_index(datum: RootDatum, i: int) -> int:
-    """The involution i* with w_0(alpha_i) = -alpha_{i*}."""
-    check_letter(datum, i)
-    alpha = tuple(1 if j == i - 1 else 0 for j in range(datum.rank))
-    image = act_on_root(longest_element(datum), alpha)
-    neg = tuple(-x for x in image)
-    for j in range(datum.rank):
-        if neg == tuple(1 if k == j else 0 for k in range(datum.rank)):
-            return j + 1
-    raise InvariantError("w_0 does not permute the negated simple roots")
-
-
 @lru_cache(maxsize=None)
 def standard_word(datum: RootDatum) -> tuple:
     """The block reduced word of w_0 used throughout: (1, 21, 321, ...) for A,

@@ -247,24 +247,20 @@ def cmd_verify(args) -> int:
         raise BadInput(
             "verify supports ranks 2..%d for type %s" % (_VERIFY_RANK_LIMITS[family], family)
         )
-    # a suite over no cells would report "pass" having checked nothing, and
-    # fewer than one worker would silently run in this process
-    for value, flag, least in (
-        (args.lambda_max, "--lambda-max", 0),
-        (args.samples, "--samples", 1),
-        (args.jobs, "--jobs", 1),
-    ):
+    # a suite over no cells would report "pass" having checked nothing
+    for value, flag, least in ((args.lambda_max, "--lambda-max", 0), (args.samples, "--samples", 1)):
         if value < least:
             raise BadInput("%s must be at least %d, got %d" % (flag, least, value))
+    # a NaN budget compares false with every elapsed time and never runs out
+    if budget is not None and not budget >= 0:
+        raise BadInput("--budget must be a nonnegative number of seconds, got %r" % budget)
     for kind, statement in (("theorem2", "A"), ("theorem3", "C")):
         if theorem == kind and family != statement:
             raise BadInput("%s is the type %s statement" % (kind, statement))
     if theorem == "products" and family != "C":
         raise BadInput("products is certified for type C only")
     if theorem in ("theorem1", "theorem2", "theorem3"):
-        report = verify.theorem_suite(
-            theorem, family, rank, args.lambda_max, jobs=args.jobs, budget=budget
-        )
+        report = verify.theorem_suite(theorem, family, rank, args.lambda_max, budget=budget)
     elif theorem == "duality":
         report = verify.duality_suite(family, rank, budget=budget)
     elif theorem == "products":
@@ -333,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-max", dest="lambda_max", type=int, default=2)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget", type=float, default=None, help="seconds before a partial report")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -487,41 +487,3 @@ def richardson_lattice_points(datum: RootDatum, word, v, w, lam) -> frozenset:
     lower = demazure_crystal(datum, word, w, lam)
     upper = opposite_demazure_crystal(datum, word, v, lam)
     return lower & upper
-
-
-def lusztig_transform(datum: RootDatum, word, lam, string_point) -> tuple:
-    """Unimodular affine map t -> t' with
-    t'_k = <lam, h_{i_k}> - t_k - sum_{j>k} c_{i_k, i_j} t_j; on string data it
-    lands in the nonnegative orthant."""
-    c = cartan_matrix(datum)
-    big_n = len(word)
-    out = []
-    for k in range(1, big_n + 1):
-        ik = word[k - 1]
-        val = lam[ik - 1] - string_point[k - 1]
-        for j in range(k + 1, big_n + 1):
-            val -= c[ik - 1][word[j - 1] - 1] * string_point[j - 1]
-        out.append(val)
-    return tuple(out)
-
-
-def i_strings(datum: RootDatum, word, lam, i: int):
-    """Partition of the cut crystal into i-strings, each listed top to bottom,
-    in the order of their smallest states."""
-    check_letter(datum, i)
-    table = _operator_table(datum, word, lam)
-    up, down = table.up[i - 1], table.down[i - 1]
-    seen = set()
-    out = []
-    for k in sorted(range(len(table.states)), key=table.states.__getitem__):
-        if k in seen:
-            continue
-        top = k
-        while up[top] >= 0:
-            top = up[top]
-        chain = [top]
-        while down[chain[-1]] >= 0:
-            chain.append(down[chain[-1]])
-        seen.update(chain)
-        out.append(tuple(table.states[j] for j in chain))
-    return tuple(out)

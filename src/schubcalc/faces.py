@@ -334,6 +334,15 @@ def default_context(datum: RootDatum) -> DeformedContext:
     return DeformedContext(datum)
 
 
+def _context(datum: RootDatum, ctx) -> DeformedContext:
+    """`ctx`, or the default context of `datum`; a context built for another
+    root datum raises ValueError."""
+    ctx = ctx or default_context(datum)
+    if ctx.datum != datum:
+        raise ValueError("a context built for %r cannot compute in %r" % (ctx.datum, datum))
+    return ctx
+
+
 def degree_pairing(datum: RootDatum, u: WeylElement, v: WeylElement, ctx=None) -> int:
     """Intersection number of the opposite classes of u and v in complementary
     codimensions: the degree of F_u * Fv_v in the ring of the deformed
@@ -342,7 +351,7 @@ def degree_pairing(datum: RootDatum, u: WeylElement, v: WeylElement, ctx=None) -
     Schubert variety of w0 v."""
     if length(u) + length(v) != datum.num_positive_roots:
         raise ValueError("lengths must be complementary")
-    ctx = ctx or default_context(datum)
+    ctx = _context(datum, ctx)
     full = (1 << datum.num_positive_roots) - 1
     kogan = schubert_class(datum, multiply(longest_element(datum), v), "kogan")
     duals = Counter(full ^ ctx.g_mask(tight) for tight in kogan)
@@ -382,7 +391,7 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
         raise ValueError("the product pipeline is certified for type C only")
     if v.datum != datum or w.datum != datum:
         raise ValueError("elements from different groups")
-    ctx = ctx or default_context(datum)
+    ctx = _context(datum, ctx)
     big_n = datum.num_positive_roots
     degree = length(v) + length(w)
     if degree > big_n:

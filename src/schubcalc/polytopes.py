@@ -1,4 +1,4 @@
-"""Exact rational polytopes: string cones/polytopes, GT and SGT polytopes,
+"""Exact rational polytopes: string polytopes, GT and SGT polytopes,
 their deformation, lattice points and vertices.
 
 A `Polytope` is its integer inequality rows (coeffs . x <= rhs) and its
@@ -9,9 +9,8 @@ row and its negation.  `interval_tower` certifies a polytope as a tower of
 intervals along its sweep order and lists its integer vertices with no
 elimination.  One level-by-level sweep along that order with a slack column
 per row (`_sweep`) gives `lattice_count`, `lattice_points` and the point
-columns of `lattice_incidence`, which the packed kernel of `slack_masks` (and
-`tight_bits`) turns into one bitmask per inequality over the points tight on
-it: faces and their unions are integer AND and OR, and a point set is
+columns of `lattice_incidence`, which the packed kernel of `slack_masks`
+turns into one bitmask per inequality over the points tight on it: faces and their unions are integer AND and OR, and a point set is
 certified to be the lattice points by containment and count.  `vertices`
 (exact Fractions) and `is_simple`, with `incidence` and `facet_defining`,
 remain as the general-polytope oracles the tower certificate is tested
@@ -184,12 +183,6 @@ _ZERO_TOPS = bytes.maketrans(bytes(range(256)), b"1" * 128 + b"0" * 128)
 _FIELDS = {array.array(code).itemsize * 8: code for code in "qlih"}
 
 
-def tight_bits(rows, points) -> tuple:
-    """Per row (coefficients, rhs), the int with bit i set when points[i]
-    lies on the row: the tight masks of `slack_masks`."""
-    return slack_masks(rows, points)[0]
-
-
 def slack_masks(rows, points) -> tuple:
     """(tight, outside): per row (coefficients, rhs) the int with bit i set
     when points[i] lies on the row, and the int with bit i set when points[i]
@@ -210,7 +203,7 @@ def slack_masks(rows, points) -> tuple:
     and points of more than one length raise ValueError, slacks past 62 bits
     OverflowError."""
     if len({len(vec) for vec, _ in rows} | set(map(len, points))) > 1:
-        raise ValueError("tight_bits takes rows and points of one dimension")
+        raise ValueError("slack_masks takes rows and points of one dimension")
     return _column_masks(rows, tuple(zip(*points)), len(points))
 
 
@@ -221,7 +214,7 @@ def _column_masks(rows, columns, n) -> tuple:
     highs = [max(max(column), -min(column)) for column in columns]
     bounds = [abs(rhs) + sum(abs(c) * h for c, h in zip(vec, highs)) for vec, rhs in rows]
     if not all(isinstance(b, int) for b in bounds):
-        raise TypeError("tight_bits takes integer rows and points")
+        raise TypeError("slack_masks takes integer rows and points")
     bound = max(bounds)
     width = next((w for w in (16, 32, 64) if bound.bit_length() + 2 <= w), None)
     if width is None:
@@ -259,7 +252,7 @@ def _column_masks(rows, columns, n) -> tuple:
 
 def mask_points(mask: int, points) -> tuple:
     """The points whose bits are set in `mask`, in point order: the inverse
-    of `tight_bits`, with bit 0 the last binary digit."""
+    of the masks of `slack_masks`, with bit 0 the last binary digit."""
     return tuple(compress(points, bin(mask)[:1:-1].encode().translate(_FLAGS)))
 
 
@@ -341,12 +334,12 @@ def vertices(p: Polytope) -> tuple:
 @lru_cache(maxsize=None)
 def incidence(p: Polytope) -> tuple:
     """Per inequality, the bitmask over `vertices(p)` of the vertices on
-    which it is tight, read by `tight_bits` off the vertices and right-hand
+    which it is tight, read by `slack_masks` off the vertices and right-hand
     sides scaled by the vertices' common denominator."""
     verts = vertices(p)
     scale = lcm(*(x.denominator for v in verts for x in v))
     points = [[int(x * scale) for x in v] for v in verts]
-    return tight_bits([(c, r * scale) for c, r in p.ineqs], points)
+    return slack_masks([(c, r * scale) for c, r in p.ineqs], points)[0]
 
 
 def affine_rank(points) -> int:
@@ -497,11 +490,6 @@ def string_polytope(datum: RootDatum, lam) -> Polytope:
     """String polytope for the standard word: lambda-bound facets F_1..F_N
     first, cone facets Fv_1..Fv_N after."""
     return _polytope(*_string_rows(datum), lam)
-
-
-def string_cone(datum: RootDatum) -> Polytope:
-    _, fv_rows, order = _string_rows(datum)
-    return _polytope((), fv_rows, order, (0,) * datum.rank)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import itertools
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 from . import crystals, faces
 from .cartan import (
@@ -88,7 +87,7 @@ def _theorem_cell(args):
     return cell
 
 
-def theorem_suite(kind: str, family: str, rank: int, lambda_max: int, jobs=1, budget=None):
+def theorem_suite(kind: str, family: str, rank: int, lambda_max: int, budget=None):
     """kind is "theorem1" (opposite side), "theorem2" (type A Demazure side),
     or "theorem3" (type C Demazure side)."""
     if kind == "theorem2" and family != "A":
@@ -97,25 +96,13 @@ def theorem_suite(kind: str, family: str, rank: int, lambda_max: int, jobs=1, bu
         raise ValueError("theorem3 is the type C statement")
     datum = RootDatum(family, rank)
     start = time.perf_counter()
-    tasks = [
-        (kind, family, rank, lam, tuple(reduced_word(w)))
+    cells = (
+        _theorem_cell((kind, family, rank, lam, tuple(reduced_word(w))))
         for lam in dominant_weights(rank, lambda_max)
         for w in all_elements(datum)
-    ]
-
-    def cells():
-        if jobs <= 1:
-            yield from map(_theorem_cell, tasks)
-            return
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            try:
-                yield from pool.map(_theorem_cell, tasks, chunksize=8)
-            finally:
-                # a spent budget waits for the running cells only
-                pool.shutdown(cancel_futures=True)
-
+    )
     report = {"theorem": kind, "type": family, "rank": rank, "lambda_max": lambda_max}
-    report = _collect(report, cells(), start, budget)
+    report = _collect(report, cells, start, budget)
     # complete and partial reports list their cells in one order
     report["cells"].sort(key=lambda c: (c["lambda"], c["w"]))
     return report

@@ -1,5 +1,6 @@
 """Slow reference routes that the library's table-driven code is tested
-against: the Weyl group by one-line arithmetic, the crystal read off
+against: the Weyl group by one-line arithmetic, the length by the root
+action, the crystal read off
 `f_op`/`e_op` state by state, the sigma statistic by its definition, string
 coordinates by raising one state along the word, the Demazure folds along
 whole reduced words, the extraction sets by one search per Weyl element, the
@@ -45,6 +46,18 @@ from schubcalc.cartan import (
 
 # ---------------------------------------------------------------------------
 # the Weyl group by one-line arithmetic
+
+
+def act_on_root(w, root):
+    """Image of a root (simple-root basis) under w, one simple reflection of
+    its reduced word at a time."""
+    c = cartan_matrix(w.datum)
+    n = w.datum.rank
+    vec = tuple(root)
+    for i in reversed(reduced_word(w)):
+        pairing = sum(vec[j] * c[i - 1][j] for j in range(n))
+        vec = tuple(vec[j] - (pairing if j == i - 1 else 0) for j in range(n))
+    return vec
 
 
 def oneline_left_mul(i, w):

@@ -121,10 +121,8 @@ def test_verify_axioms_zero_samples():
     [
         ("theorem1", "--lambda-max", "-1"),
         ("axioms", "--samples", "-5"),
-        ("theorem1", "--lambda-max", "0", "--jobs", "0"),
-        ("theorem1", "--lambda-max", "0", "--jobs", "-4"),
     ],
-    ids=["lambda-max", "samples", "jobs-zero", "jobs-negative"],
+    ids=["lambda-max", "samples"],
 )
 def test_verify_rejects_counts_that_check_nothing(args):
     theorem, flag = args[0], args[-2]
@@ -169,12 +167,12 @@ def test_csv_output():
     assert len(rows) == 3
 
 
-def test_jobs_flag_parallel_merge():
-    base = ("verify", "theorem1", "--type", "A", "--rank", "2", "--lambda-max", "1")
-    serial = json.loads(run_cli(*base).stdout)
-    parallel = json.loads(run_cli(*base, "--jobs", "2").stdout)
-    assert serial["cells"] == parallel["cells"]
-    assert parallel["status"] == "pass"
+def test_verify_jobs_is_an_unknown_flag():
+    # the theorem matrices run in one process; no flag asks for workers
+    proc = run_cli("verify", "theorem1", "--type", "A", "--rank", "2", "--lambda-max", "0", "--jobs", "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unrecognized arguments: --jobs 2" in proc.stderr
 
 
 def test_faces_schubert_side_with_volume():
@@ -271,6 +269,18 @@ def test_validation_exits_two(capsys, args):
     assert code == cli.EXIT_BAD_INPUT
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("budget", ["nan", "-1", "-0.5"])
+def test_verify_refuses_a_budget_that_is_not_a_nonnegative_number(capsys, budget):
+    # a NaN budget never runs out: the whole suite would run unbudgeted
+    code = cli.main(
+        ["verify", "theorem1", "--type", "A", "--rank", "2", "--lambda-max", "0", "--budget", budget]
+    )
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error: --budget must be a nonnegative number") and err.count("\n") == 1
 
 
 def test_verify_budget_exit_code():

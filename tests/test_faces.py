@@ -418,6 +418,52 @@ def test_product_refuses_elements_of_another_group():
             fc.product_c(C2, v, w)
 
 
+def test_product_refuses_an_oracle_coefficient_off_by_one(monkeypatch):
+    # the oracle's first coefficient of s_1 * s_2 in C2 one too high: the
+    # expansion has the oracle's terms, so only the coefficients differ
+    s1 = word_to_element(C2, (1,))
+    s2 = word_to_element(C2, (2,))
+    true = bgg_structure_constants(C2, s1, s2)
+    planted = tuple((t, c + (k == 0)) for k, (t, c) in enumerate(true))
+    monkeypatch.setattr(fc.oracles, "bgg_structure_constants", lambda datum, v, w: planted)
+    with pytest.raises(fc.TheoremViolationError) as err:
+        fc.product_c(C2, s1, s2)
+    assert err.value.payload["expansion"] == {str(t): c for t, c in true}
+    assert err.value.payload["oracle"] == {str(t): c for t, c in planted}
+
+
+def test_pairing_and_product_refuse_a_context_of_another_datum():
+    # the steps of a C3 context misread the C2 classes: most pairings come
+    # out wrong, and a product reads as a theorem violation
+    ctx = fc.default_context(C3)
+    s1 = word_to_element(C2, (1,))
+    with pytest.raises(ValueError, match="context built for"):
+        fc.degree_pairing(C2, s1, multiply(longest_element(C2), s1), ctx)
+    with pytest.raises(ValueError, match="context built for"):
+        fc.product_c(C2, s1, s1, ctx)
+    assert fc.degree_pairing(C2, s1, multiply(longest_element(C2), s1), fc.default_context(C2)) == 1
+
+
+@pytest.mark.parametrize(
+    "crystal, decompose",
+    [
+        ("opposite_demazure_crystal", fc.opposite_demazure_faces),
+        ("demazure_crystal", fc.demazure_faces),
+    ],
+    ids=["opposite", "demazure"],
+)
+def test_face_union_refuses_a_crystal_side_with_one_wrong_string(monkeypatch, crystal, decompose):
+    # the crystal side has the face union's size, but one of its strings is
+    # replaced by one outside B(lambda): comparing sizes alone would pass it
+    w = word_to_element(A2, (1,))
+    true = getattr(cr, crystal)(A2, standard_word(A2), w, (1, 1))
+    planted = (true - {max(true)}) | {(9, 9, 9)}
+    monkeypatch.setattr(fc.crystals, crystal, lambda *args: planted)
+    with pytest.raises(fc.TheoremViolationError) as err:
+        decompose(A2, w, (1, 1))
+    assert err.value.payload["face_union"] == err.value.payload["crystal"] == len(true)
+
+
 def test_product_identity():
     e = identity_element(C2)
     for w in all_elements(C2):

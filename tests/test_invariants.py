@@ -61,6 +61,23 @@ except InvariantError as err:
     print(type(err).__name__ + ":", err)
 """
 
+# on the word (2, 1, 2) the strings of A2 at (1, 0) are (0, 0, 0), (0, 1, 0)
+# and (1, 1, 0), and the lambda rows alone bound them: the last string moved
+# past the row a_2 - a_3 <= 1
+PLANTED_OTHER_WORD_STRING = """
+from schubcalc import crystals
+from schubcalc.cartan import InvariantError, RootDatum
+
+A2 = RootDatum("A", 2)
+word = (2, 1, 2)
+strings = crystals._string_table(A2, word, (1, 0))
+crystals._string_table = lambda datum, word, lam: strings[:2] + ((1, 2, 0),)
+try:
+    print(sorted(crystals.generate_b_lambda(A2, word, (1, 0))))
+except InvariantError as err:
+    print(type(err).__name__ + ":", err)
+"""
+
 # the carried statistics go wrong: lowering at word position 1 moves
 # <wt, h_1> one too far (slot 3), or leaves <wt, h_2> unchanged (slot 4), in
 # the table build of A2 at (1, 1)
@@ -80,9 +97,9 @@ except InvariantError as err:
     print(type(err).__name__ + ":", err)
 """
 
-# a tower whose first two steps hold the F rows of one step: the deformed
+# a tower with two rows of one facet family on one step: the deformed
 # context must refuse it rather than build a ring on it
-REPEATED_F_STEP = """
+REPEATED_STEP = """
 from schubcalc import faces, polytopes
 from schubcalc.cartan import InvariantError, RootDatum
 
@@ -91,12 +108,38 @@ tower = polytopes.interval_tower
 
 def planted(p):
     step, verts = tower(p)
-    return (step[1],) + step[1:], verts
+    return %s, verts
 
 
 polytopes.interval_tower = planted
 try:
     print(faces.DeformedContext(RootDatum("C", 2)).square)
+except InvariantError as err:
+    print("InvariantError:", err)
+"""
+
+# the representative of s_1 of C2 gains the monomial x_1, so |W| no longer
+# divides it: the structure constants must refuse the remainder rather than
+# round it away
+NON_DIVISIBLE_REPRESENTATIVE = """
+from schubcalc import oracles
+from schubcalc.cartan import InvariantError, RootDatum, simple_element
+
+C2 = RootDatum("C", 2)
+s1 = simple_element(C2, 1)
+true = oracles.schubert_representative
+
+
+def planted(datum, w):
+    rep = dict(true(datum, w))
+    if w == s1:
+        rep[(1, 0)] += 1
+    return tuple(sorted(rep.items()))
+
+
+oracles.schubert_representative = planted
+try:
+    print(oracles.bgg_structure_constants(C2, s1, s1))
 except InvariantError as err:
     print("InvariantError:", err)
 """
@@ -177,8 +220,27 @@ def test_lowest_uniqueness_survives_optimize_flag():
 
 
 def test_context_invariant_survives_optimize_flag():
-    out = _run_optimized(REPEATED_F_STEP)
+    # the F rows of the first two steps on one step
+    out = _run_optimized(REPEATED_STEP % "(step[1],) + step[1:]")
     assert out.startswith("InvariantError: a tower step does not hold one row of each"), out
+
+
+def test_context_refuses_two_fv_rows_on_one_step_under_optimize_flag():
+    # the F steps stay a permutation; the Fv rows of the first two steps of
+    # C2 (rows 4 and 5) on one step
+    out = _run_optimized(REPEATED_STEP % "step[:4] + (step[5],) + step[5:]")
+    assert out.startswith("InvariantError: a tower step does not hold one row of each"), out
+
+
+def test_string_outside_the_rows_of_another_word_survives_optimize_flag():
+    out = _run_optimized(PLANTED_OTHER_WORD_STRING)
+    expected = "CrystalPolytopeMismatchError: string (1, 2, 0) lies outside the string polytope"
+    assert out.startswith(expected), out
+
+
+def test_non_divisible_representative_survives_optimize_flag():
+    out = _run_optimized(NON_DIVISIBLE_REPRESENTATIVE)
+    assert out.startswith("InvariantError: structure constant is not an integer"), out
 
 
 def test_tower_certificate_survives_optimize_flag():

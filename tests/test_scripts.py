@@ -51,3 +51,11 @@ def test_verification_matrix_script_passes(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith("total: pass")
     assert output.exists()
+
+
+def test_verification_matrix_script_has_no_jobs_flag(tmp_path):
+    output = tmp_path / "matrix.json"
+    proc = _run_script("run_verification_matrix.py", "--jobs", "2", "--output", str(output))
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --jobs 2" in proc.stderr
+    assert not output.exists()

@@ -50,6 +50,20 @@ def test_partial_report_is_sorted(monkeypatch):
     assert [c["w"] for c in report["cells"]] == [[], [1], [2]]
 
 
+@pytest.mark.parametrize("off", [1, -1], ids=["high", "low"])
+@pytest.mark.parametrize("kind, family", [("theorem1", "A"), ("theorem3", "C")])
+def test_cell_flags_a_model_count_off_by_one(monkeypatch, kind, family, off):
+    true = faces.model_face_union_count
+    monkeypatch.setattr(faces, "model_face_union_count", lambda *args: true(*args) + off)
+    cell = verify._theorem_cell((kind, family, 2, (1, 1), (1,)))
+    assert cell["status"] == "violation"
+    count = cell["n_lattice_points"]
+    assert count > 0
+    assert cell["mismatches"] == [
+        {"kind": "model-face-union-count", "model": count + off, "string": count}
+    ]
+
+
 def test_products_suite():
     report = verify.products_suite("C", 2)
     assert report["status"] == "pass"
