@@ -1,0 +1,172 @@
+#!/usr/bin/env python3
+"""Plant one-line faults in a copy of the library, one at a time, and check
+that the test named for each fault fails (mutation analysis; DeMillo, Lipton
+and Sayward, "Hints on test data selection", IEEE Computer 1978).
+
+Each row of PLANTS is (module, anchor, planted, test).  The anchor is one
+line of src/schubcalc/<module>.py, compared without its indentation, and it
+occurs exactly once in src/; the planted line replaces it at the same
+indentation; the test is a pytest node id under tests/.  For each row the
+script copies src/ into a temporary directory, plants the fault there and
+runs that one test against the copy in a subprocess, one row after another.
+The plant is killed when the test fails and survives when it passes; any
+other pytest outcome (no such test, a collection error) is an error.
+
+    python scripts/run_fault_plants.py
+
+It prints one line per plant, then the killed, survived and error counts,
+and exits 1 unless every plant is killed.  Each row costs one pytest start
+and one test run (the 13 rows took 18 s on a 2-core host), so the script
+is not part of the test suite, which checks only that every anchor occurs
+once.
+"""
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+PLANTS = (
+    # the guards of verify cells, products, the string table and the tower
+    (
+        "faces",
+        "if dec.union != expected:",
+        "if len(dec.union) != len(expected):",
+        "tests/test_faces.py::test_face_union_refuses_a_crystal_side_with_one_wrong_string",
+    ),
+    (
+        "verify",
+        "if model_count != len(dec.union):",
+        "if model_count > len(dec.union):",
+        "tests/test_verify.py::test_cell_flags_a_model_count_off_by_one",
+    ),
+    (
+        "faces",
+        "if expansion != oracle:",
+        "if set(expansion) != set(oracle):",
+        "tests/test_faces.py::test_product_refuses_an_oracle_coefficient_off_by_one",
+    ),
+    (
+        "crystals",
+        "if outside:",
+        "if outside and certified:",
+        "tests/test_invariants.py::test_string_outside_the_rows_of_another_word_survives_optimize_flag",
+    ),
+    (
+        "faces",
+        "if sorted(self.step[:big_n]) != steps or sorted(self.step[big_n:]) != steps:",
+        "if sorted(self.step[:big_n]) != steps:",
+        "tests/test_invariants.py::test_context_refuses_two_fv_rows_on_one_step_under_optimize_flag",
+    ),
+    (
+        "oracles",
+        "if rem:",
+        "if False:",
+        "tests/test_invariants.py::test_non_divisible_representative_survives_optimize_flag",
+    ),
+    # the packed slack kernel and the crystal table
+    (
+        "polytopes",
+        "width = next((w for w in (16, 32, 64) if bound.bit_length() + 2 <= w), None)",
+        "width = next((w for w in (16, 32, 64) if bound.bit_length() <= w), None)",
+        "tests/test_polytopes.py::test_tight_bits_at_the_field_limits",
+    ),
+    (
+        "polytopes",
+        "packed[v] = fields - ((fields & tops) << 1)",
+        "packed[v] = fields",
+        "tests/test_polytopes.py::test_tight_bits_at_the_field_limits",
+    ),
+    (
+        "crystals",
+        "+ tuple(-c[j][word[p] - 1] for j in range(datum.rank))",
+        "+ tuple(c[j][word[p] - 1] for j in range(datum.rank))",
+        "tests/test_crystals.py::test_operator_table_matches_operators",
+    ),
+    (
+        "crystals",
+        "if outside:",
+        "if False:",
+        "tests/test_invariants.py::test_string_outside_the_polytope_survives_optimize_flag",
+    ),
+    (
+        "crystals",
+        "if count != len(points):",
+        "if False:",
+        "tests/test_invariants.py::test_dropped_string_survives_optimize_flag",
+    ),
+    # the layouts read off the pipe-dream board
+    (
+        "pipedreams",
+        'return _rows_up(datum, 1 if datum.family == "A" else -1)',
+        "return _rows_up(datum, -1)",
+        "tests/test_pipedreams.py::test_arrangements_type_a",
+    ),
+    (
+        "polytopes",
+        "left = pos.get((i, j - 1))",
+        "left = pos.get((i, j + 1))",
+        "tests/test_polytopes.py::test_string_cone_facet_labels",
+    ),
+)
+
+
+def anchor_counts(src=SRC) -> dict:
+    """{anchor: the number of lines under src that equal it, indentation
+    aside} over the anchors of PLANTS."""
+    counts = dict.fromkeys((row[1] for row in PLANTS), 0)
+    for path in sorted(src.rglob("*.py")):
+        for line in path.read_text().splitlines():
+            if line.strip() in counts:
+                counts[line.strip()] += 1
+    return counts
+
+
+def plant(src, module, anchor, planted):
+    """Replace the one anchor line of module under src by the planted line."""
+    path = src / "schubcalc" / (module + ".py")
+    lines = path.read_text().splitlines(keepends=True)
+    hits = [k for k, line in enumerate(lines) if line.strip() == anchor]
+    if len(hits) != 1:
+        raise ValueError("anchor %r occurs %d times in %s" % (anchor, len(hits), path))
+    line = lines[hits[0]]
+    lines[hits[0]] = line[: len(line) - len(line.lstrip())] + planted + "\n"
+    path.write_text("".join(lines))
+
+
+def run_plant(module, anchor, planted, test) -> str:
+    """"killed", "survived" or "error": the named test run against a copy
+    of src/ holding the planted line."""
+    with tempfile.TemporaryDirectory(prefix="fault-plant-") as tmp:
+        copy = pathlib.Path(tmp) / "src"
+        shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        plant(copy, module, anchor, planted)
+        env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+    # pytest exits 1 when a test failed and 0 when every test passed
+    return {0: "survived", 1: "killed"}.get(proc.returncode, "error")
+
+
+def main() -> int:
+    tally = dict.fromkeys(("killed", "survived", "error"), 0)
+    for module, anchor, planted, test in PLANTS:
+        outcome = run_plant(module, anchor, planted, test)
+        tally[outcome] += 1
+        print("%-8s %s: %s  [%s]" % (outcome, module, planted, test), flush=True)
+    print("killed %(killed)d, survived %(survived)d, error %(error)d" % tally)
+    return 0 if tally["killed"] == len(PLANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

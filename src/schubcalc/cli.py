@@ -151,17 +151,14 @@ def cmd_faces(args) -> int:
         payload["equations"] = equations
     else:
         dec = faces.demazure_faces(datum, w, lam)
-        payload["diagrams"] = [
-            sorted(map(list, d.boxes)) for d in pipedreams.box_order(pipedreams.mset(datum, w))
-        ]
+        diagrams = pipedreams.box_order(pipedreams.mset(datum, w))
+        payload["diagrams"] = [sorted(map(list, d.boxes)) for d in diagrams]
     payload["faces"] = [list(t) for t in dec.tights]
     payload["empty_faces"] = [list(t) for t in dec.empty]
     payload["n_lattice_points"] = len(dec.union)
     payload["volume"] = str(faces.side_volume(datum, side, w, lam))
     if args.pretty and side == "schubert":
-        payload["ascii"] = [
-            pipedreams.ascii_diagram(d) for d in pipedreams.box_order(pipedreams.mset(datum, w))
-        ]
+        payload["ascii"] = [pipedreams.ascii_diagram(d) for d in diagrams]
     _emit(payload, args.format, rows_key="faces")
     return EXIT_OK
 

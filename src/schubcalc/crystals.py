@@ -236,8 +236,8 @@ def _statistics_layout(datum: RootDatum, word) -> tuple:
 def _operator_table(datum: RootDatum, word, lam) -> _OperatorTable:
     """The cut crystal and its operators over integer indices.
 
-    The states are the breadth-first closure of the zero vector under
-    lowering.  Each state carries its sigma statistics and weight pairings
+    The states are the breadth-first closure of the zero vector, state 0,
+    under lowering.  Each state carries its sigma statistics and weight pairings
     (`_statistics_layout`) instead of sweeping its coordinates per letter: a
     new state gets its parent's statistics plus the delta of the position
     that lowered, and drops them once expanded.  Per letter, the largest
@@ -333,10 +333,9 @@ def _string_table(datum: RootDatum, word, lam) -> tuple:
             step[b] = top
         levels.append((eps, step))
         frontier = set(step.values())
-    highest = table.index[highest_state(datum, word)]
-    if frontier != {highest}:
+    if frontier != {0}:
         raise InvariantError("string extraction did not reach the top")
-    tails = {highest: ()}
+    tails = {0: ()}
     for eps, step in reversed(levels):
         tails = {b: (eps[b],) + tails[top] for b, top in step.items()}
     strings = tuple(tails[k] for k in range(len(table.states)))
@@ -394,10 +393,6 @@ def generate_b_lambda(datum: RootDatum, word, lam) -> frozenset:
     return frozenset(string_incidence(datum, word, lam)[0])
 
 
-def highest_state(datum: RootDatum, word):
-    return (0,) * len(word)
-
-
 def lowest_state(datum: RootDatum, word, lam) -> tuple:
     """The unique element every lowering operator kills, found and checked
     unique while the table was built."""
@@ -429,13 +424,13 @@ def _check_group(datum, w):
 @lru_cache(maxsize=None)
 def _demazure_indices(datum: RootDatum, word, w: WeylElement, lam) -> tuple:
     """Sorted table indices of B_w(lam) by Kashiwara's recursion: B_e is the
-    highest element and B_w = F_i B_{s_i w} for the smallest left descent i
+    highest element, table state 0, and B_w = F_i B_{s_i w} for the smallest left descent i
     of w."""
     _check_group(datum, w)
     table = _operator_table(datum, word, lam)
     descents = left_descents(w)
     if not descents:
-        return (table.index[highest_state(datum, word)],)
+        return (0,)
     i = descents[0]
     return _closure(table.down[i - 1], _demazure_indices(datum, word, left_mul(i, w), lam))
 

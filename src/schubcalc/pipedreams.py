@@ -3,12 +3,15 @@ staircase, with ladder moves, bottom diagrams, ladder closures, transposed
 mitosis, and the box-removal operators that build the Demazure face index
 sets.
 
-Boards are stored as (row, column) pairs: the type A board has rows
-1..n with row i holding columns 1..n-i+1; the shifted type C board has row i
-holding columns i..2n-i.  Two position orderings matter and both are fixed
-once and for all: the facet ordering (used by k_D, matching the string-cone
-facet arrangement) and the word ordering (used by k'_D, matching the standard
-reduced word); in type C a single ordering plays both roles.
+Boards are stored as (row, column) pairs, and the board is stated once
+(`_row_columns`): the type A board has rows 1..n with row i holding columns
+1..n-i+1; the shifted type C board has row i holding columns i..2n-i.  Every
+layout is read off it: `board_boxes`, `ascii_diagram` and the two position
+orderings, word order (used by k'_D: rows bottom to top, columns right to
+left, the letter of a box given by `letter_columns`, so that reading the
+board spells the standard reduced word) and facet order (used by k_D: word
+order with the type A rows read left to right).  The string cone facets and
+the GT/SGT pattern coordinates of `polytopes` are read off the same board.
 """
 
 from __future__ import annotations
@@ -53,12 +56,15 @@ def box_order(diagrams) -> list:
     return sorted(diagrams, key=lambda d: sorted(d.boxes))
 
 
+def _row_columns(datum: RootDatum, i: int) -> range:
+    """The columns of board row i, left to right."""
+    n = datum.rank
+    return range(1, n - i + 2) if datum.family == "A" else range(i, 2 * n - i + 1)
+
+
 @lru_cache(maxsize=None)
 def board_boxes(datum: RootDatum) -> frozenset:
-    n = datum.rank
-    if datum.family == "A":
-        return frozenset((i, j) for i in range(1, n + 1) for j in range(1, n - i + 2))
-    return frozenset((i, j) for i in range(1, n + 1) for j in range(i, 2 * n - i + 1))
+    return frozenset(word_ordering(datum))
 
 
 def full_diagram(datum: RootDatum) -> Diagram:
@@ -69,38 +75,25 @@ def diagram(datum: RootDatum, boxes) -> Diagram:
     return Diagram(datum, frozenset(boxes))
 
 
+def _rows_up(datum: RootDatum, step: int) -> tuple:
+    """The board's boxes, rows bottom to top, each row's columns left to
+    right (step 1) or right to left (step -1)."""
+    return tuple((i, j) for i in range(datum.rank, 0, -1) for j in _row_columns(datum, i)[::step])
+
+
 @lru_cache(maxsize=None)
 def facet_ordering(datum: RootDatum) -> tuple:
-    """Board positions in facet order (drives k_D).
-
-    Type A: rows bottom to top, columns left to right.  Type C: rows bottom to
-    top, columns right to left (the single ordering of the shifted board)."""
-    n = datum.rank
-    out = []
-    if datum.family == "A":
-        for i in range(n, 0, -1):
-            for j in range(1, n - i + 2):
-                out.append((i, j))
-    else:
-        for i in range(n, 0, -1):
-            for j in range(2 * n - i, i - 1, -1):
-                out.append((i, j))
-    return tuple(out)
+    """Board positions in facet order (drives k_D): word order with the type
+    A rows read left to right."""
+    return _rows_up(datum, 1 if datum.family == "A" else -1)
 
 
 @lru_cache(maxsize=None)
 def word_ordering(datum: RootDatum) -> tuple:
-    """Board positions in word order (drives k'_D): position k sits in the row
-    prescribed by the standard word's block and the column equal to its letter
-    (type A) or determined by it (type C, where this is facet order)."""
-    n = datum.rank
-    if datum.family == "C":
-        return facet_ordering(datum)
-    out = []
-    for r in range(1, n + 1):
-        for j in range(r, 0, -1):
-            out.append((n - r + 1, j))
-    return tuple(out)
+    """Board positions in word order (drives k'_D): rows bottom to top,
+    columns right to left; position k holds letter k of the standard word
+    (`letter_columns`)."""
+    return _rows_up(datum, -1)
 
 
 @lru_cache(maxsize=None)
@@ -229,10 +222,9 @@ def _bottom_closed_form_a(datum: RootDatum, w: WeylElement):
 
 
 def _check_staircase_shape(d: Diagram):
-    n = d.datum.rank
-    for i in range(1, n + 1):
+    for i in range(1, d.datum.rank + 1):
         row = sorted(j for (r, j) in d.boxes if r == i)
-        if row != list(range(i, i + len(row))):
+        if row != list(_row_columns(d.datum, i)[: len(row)]):
             raise InvariantError("bottom diagram is not left-justified")
 
 
@@ -333,16 +325,11 @@ def mset(datum: RootDatum, w: WeylElement) -> frozenset:
 
 
 def ascii_diagram(d: Diagram) -> str:
-    """Plus marks on the board, dots for empty boxes."""
-    n = d.datum.rank
+    """Plus marks on the board, dots for empty boxes; each row is indented
+    to its first column."""
     lines = []
-    if d.datum.family == "A":
-        for i in range(1, n + 1):
-            row = ["+" if (i, j) in d.boxes else "." for j in range(1, n - i + 2)]
-            lines.append("".join(row))
-    else:
-        for i in range(1, n + 1):
-            pad = " " * (i - 1)
-            row = ["+" if (i, j) in d.boxes else "." for j in range(i, 2 * n - i + 1)]
-            lines.append(pad + "".join(row))
+    for i in range(1, d.datum.rank + 1):
+        cols = _row_columns(d.datum, i)
+        row = "".join("+" if (i, j) in d.boxes else "." for j in cols)
+        lines.append(" " * (cols[0] - 1) + row)
     return "\n".join(lines)

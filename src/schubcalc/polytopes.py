@@ -24,7 +24,9 @@ per root datum.  Facet indices are laid out uniformly across the model
 polytopes: inequalities 0..N-1 are the "F" family (lambda bounds on the
 string side, dual Kogan equations on the GT/SGT side) and N..2N-1 are the
 "F-vee" family (string-cone facets, Kogan equations), each in the fixed
-arrangement order that the face combinatorics relies on.
+arrangement order that the face combinatorics relies on.  The cone facets
+and the pattern coordinates (`a_pos`, `b_pos`) are read off the pipe-dream
+board of `pipedreams`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from itertools import accumulate, chain, compress, repeat
 from math import gcd, lcm
 from operator import floordiv, mul, neg, sub
 
-from . import linalg
+from . import linalg, pipedreams
 from .cartan import (
     RootDatum,
     cartan_matrix,
@@ -384,64 +386,24 @@ def is_simple(p: Polytope) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# coordinate layouts
-
-
-def _tri(k: int) -> int:
-    return k * (k + 1) // 2
-
-
-def a_pos(datum: RootDatum, j: int, i: int) -> int:
-    """0-based coordinate index of a_j^{(i)}."""
-    r = i + j - 1
-    if datum.family == "A":
-        return _tri(r - 1) + j - 1
-    return (r - 1) * (r - 1) + 2 * r - j - 1
-
-
-def b_pos(datum: RootDatum, j: int, i: int) -> int:
-    """0-based coordinate index of b_j^{(i)} (type C, 2 <= i)."""
-    r = i + j - 1
-    return (r - 1) * (r - 1) + j - 1
-
-
-# ---------------------------------------------------------------------------
 # string cone and string polytope
 
 
 @lru_cache(maxsize=None)
 def string_cone_facets(datum: RootDatum) -> tuple:
-    """String cone facets for the standard word, in arrangement order.
-
-    Each entry is an integer coefficient vector v with the facet inequality
-    v . x <= 0 and facet equality v . x = 0.
-    """
-    n = datum.rank
-    big_n = datum.num_positive_roots
+    """String cone facets v . x <= 0 for the standard word, one per box in
+    facet order (`pipedreams.facet_ordering`): the box's coordinate, taken at
+    its word position, is at least its left neighbour's, or at least 0 for
+    the first box of its row.  Each entry is the integer vector v."""
+    pos = {box: k for k, box in enumerate(pipedreams.word_ordering(datum))}
     out = []
-    if datum.family == "A":
-        for r in range(1, n + 1):
-            base = _tri(r - 1)
-            for m in range(1, r + 1):
-                vec = [0] * big_n
-                if m == 1:
-                    vec[base + r - 1] = -1          # a_r^{(1)} >= 0
-                else:
-                    vec[base + r - m + 1] = 1       # a_{r-m+2}^{(m-1)}
-                    vec[base + r - m] = -1          # <= a_{r-m+1}^{(m)}
-                out.append(tuple(vec))
-    else:
-        for r in range(1, n + 1):
-            base = (r - 1) * (r - 1)
-            size = 2 * r - 1
-            for m in range(1, size + 1):
-                vec = [0] * big_n
-                if m == size:
-                    vec[base + size - 1] = -1       # last chain entry >= 0
-                else:
-                    vec[base + m] = 1               # next chain entry
-                    vec[base + m - 1] = -1          # <= previous
-                out.append(tuple(vec))
+    for i, j in pipedreams.facet_ordering(datum):
+        vec = [0] * len(pos)
+        vec[pos[i, j]] = -1
+        left = pos.get((i, j - 1))
+        if left is not None:
+            vec[left] = 1
+        out.append(tuple(vec))
     return tuple(out)
 
 
@@ -494,6 +456,24 @@ def string_polytope(datum: RootDatum, lam) -> Polytope:
 
 # ---------------------------------------------------------------------------
 # GT and SGT polytopes and their deformation
+
+
+def _box_pos(datum: RootDatum, j: int, i: int, column: int) -> int:
+    """0-based word position of box (n + 2 - i - j, the given column of letter i)."""
+    box = (datum.rank + 2 - i - j, pipedreams.letter_columns(datum, i)[column])
+    return pipedreams.word_ordering(datum).index(box)
+
+
+def a_pos(datum: RootDatum, j: int, i: int) -> int:
+    """0-based coordinate index of a_j^{(i)}: the word position of box
+    (n + 2 - i - j, first column of letter i)."""
+    return _box_pos(datum, j, i, 0)
+
+
+def b_pos(datum: RootDatum, j: int, i: int) -> int:
+    """0-based coordinate index of b_j^{(i)} (type C, 2 <= i): the word
+    position of box (n + 2 - i - j, second column of letter i)."""
+    return _box_pos(datum, j, i, 1)
 
 
 def _lam_sum(n: int, lo: int, hi: int) -> tuple:
@@ -580,8 +560,7 @@ def _sgt_facet_specs(datum: RootDatum) -> tuple:
     order = []
     for i in range(1, n + 1):
         order.extend(a_pos(datum, j, i) for j in range(1, n - i + 2))
-        if i < n:
-            order.extend(b_pos(datum, j, i + 1) for j in range(1, n - i + 1))
+        order.extend(b_pos(datum, j, i + 1) for j in range(1, n - i + 1))
     return tuple(f_rows), tuple(fv_rows), tuple(order)
 
 

@@ -29,6 +29,12 @@ def dominant_weights(rank: int, max_coeff: int):
     return [tuple(t) for t in itertools.product(range(max_coeff + 1), repeat=rank)]
 
 
+def _check_budget(budget):
+    """Refuse a NaN budget, which never runs out, and a negative one."""
+    if budget is not None and not budget >= 0:
+        raise ValueError("budget must be a nonnegative number of seconds, got %r" % (budget,))
+
+
 def _collect(report, cells, start, budget):
     """Finish `report` over the cells that a suite's generator yields,
     stopping once `budget` seconds have passed since `start`; the generator
@@ -94,6 +100,10 @@ def theorem_suite(kind: str, family: str, rank: int, lambda_max: int, budget=Non
         raise ValueError("theorem2 is the type A statement")
     if kind == "theorem3" and family != "C":
         raise ValueError("theorem3 is the type C statement")
+    # a suite over no cells would report "pass" having checked nothing
+    if lambda_max < 0:
+        raise ValueError("lambda_max must be at least 0, got %d" % lambda_max)
+    _check_budget(budget)
     datum = RootDatum(family, rank)
     start = time.perf_counter()
     cells = (
@@ -110,6 +120,7 @@ def theorem_suite(kind: str, family: str, rank: int, lambda_max: int, budget=Non
 
 def duality_suite(family: str, rank: int, budget=None):
     """Complementary-length pairings: 1 exactly on Poincare-dual pairs."""
+    _check_budget(budget)
     datum = RootDatum(family, rank)
     start = time.perf_counter()
     ctx = faces.default_context(datum)
@@ -143,6 +154,7 @@ def duality_suite(family: str, rank: int, budget=None):
 def products_suite(family: str, rank: int, budget=None):
     """Every product of two opposite classes against the divided-difference
     oracle."""
+    _check_budget(budget)
     datum = RootDatum(family, rank)
     start = time.perf_counter()
     ctx = faces.default_context(datum)
@@ -176,6 +188,9 @@ def products_suite(family: str, rank: int, budget=None):
 
 def axioms_suite(family: str, rank: int, samples: int, seed: int = 0, budget=None):
     """Randomized crystal-axiom checks on elements sampled by lowering walks."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1, got %d" % samples)
+    _check_budget(budget)
     datum = RootDatum(family, rank)
     rng = random.Random(seed)
     start = time.perf_counter()

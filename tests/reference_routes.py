@@ -9,8 +9,10 @@ products and pairings of the deformed-polytope ring by rewriting row
 multisets one repeated row at a time, the crystal's string table checked
 against an enumeration of the string polytope's lattice points, lattice
 points and counts by the recursive sweep with one call per node, the row
-incidence masks by exact dot products column by column, and face volumes by
-Ehrhart interpolation over the lattice points of the dilates.  Also the
+incidence masks by exact dot products column by column, face volumes by
+Ehrhart interpolation over the lattice points of the dilates, and the board
+layouts, string cone facets and pattern coordinates by hand-indexed
+formulas with one branch per type.  Also the
 exact linear solve and the weight and diagram helpers that only tests use."""
 
 import itertools
@@ -525,6 +527,113 @@ def side_volume(datum, side, w, lam):
     for tight in fc.schubert_class(datum, w, family):
         total += volume_at_dim(face_polytope(poly, [offset + k - 1 for k in tight]), d)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the board layouts by hand-indexed formulas, one branch per type
+
+
+def per_type_board_boxes(datum):
+    n = datum.rank
+    if datum.family == "A":
+        return frozenset((i, j) for i in range(1, n + 1) for j in range(1, n - i + 2))
+    return frozenset((i, j) for i in range(1, n + 1) for j in range(i, 2 * n - i + 1))
+
+
+def per_type_facet_ordering(datum):
+    """Type A: rows bottom to top, columns left to right.  Type C: rows
+    bottom to top, columns right to left."""
+    n = datum.rank
+    out = []
+    if datum.family == "A":
+        for i in range(n, 0, -1):
+            for j in range(1, n - i + 2):
+                out.append((i, j))
+    else:
+        for i in range(n, 0, -1):
+            for j in range(2 * n - i, i - 1, -1):
+                out.append((i, j))
+    return tuple(out)
+
+
+def per_type_word_ordering(datum):
+    """Type A: block r of the standard word in row n - r + 1, the column of
+    each position its letter.  Type C: the facet ordering."""
+    n = datum.rank
+    if datum.family == "C":
+        return per_type_facet_ordering(datum)
+    out = []
+    for r in range(1, n + 1):
+        for j in range(r, 0, -1):
+            out.append((n - r + 1, j))
+    return tuple(out)
+
+
+def per_type_ascii_diagram(d):
+    n = d.datum.rank
+    lines = []
+    if d.datum.family == "A":
+        for i in range(1, n + 1):
+            row = ["+" if (i, j) in d.boxes else "." for j in range(1, n - i + 2)]
+            lines.append("".join(row))
+    else:
+        for i in range(1, n + 1):
+            pad = " " * (i - 1)
+            row = ["+" if (i, j) in d.boxes else "." for j in range(i, 2 * n - i + 1)]
+            lines.append(pad + "".join(row))
+    return "\n".join(lines)
+
+
+def _tri(k):
+    return k * (k + 1) // 2
+
+
+def block_a_pos(datum, j, i):
+    """0-based coordinate index of a_j^{(i)} by its block of the standard
+    word: block r = i + j - 1 starts at _tri(r - 1) in type A, (r - 1)^2 in
+    type C."""
+    r = i + j - 1
+    if datum.family == "A":
+        return _tri(r - 1) + j - 1
+    return (r - 1) * (r - 1) + 2 * r - j - 1
+
+
+def block_b_pos(datum, j, i):
+    """0-based coordinate index of b_j^{(i)} (type C, 2 <= i)."""
+    r = i + j - 1
+    return (r - 1) * (r - 1) + j - 1
+
+
+def block_string_cone_facets(datum):
+    """The string cone facets for the standard word, block by block: each
+    chain entry is at most the one before it, and the last is at least 0."""
+    n = datum.rank
+    big_n = datum.num_positive_roots
+    out = []
+    if datum.family == "A":
+        for r in range(1, n + 1):
+            base = _tri(r - 1)
+            for m in range(1, r + 1):
+                vec = [0] * big_n
+                if m == 1:
+                    vec[base + r - 1] = -1          # a_r^{(1)} >= 0
+                else:
+                    vec[base + r - m + 1] = 1       # a_{r-m+2}^{(m-1)}
+                    vec[base + r - m] = -1          # <= a_{r-m+1}^{(m)}
+                out.append(tuple(vec))
+    else:
+        for r in range(1, n + 1):
+            base = (r - 1) * (r - 1)
+            size = 2 * r - 1
+            for m in range(1, size + 1):
+                vec = [0] * big_n
+                if m == size:
+                    vec[base + size - 1] = -1       # last chain entry >= 0
+                else:
+                    vec[base + m] = 1               # next chain entry
+                    vec[base + m - 1] = -1          # <= previous
+                out.append(tuple(vec))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

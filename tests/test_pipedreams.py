@@ -10,6 +10,7 @@ from schubcalc.cartan import (
     identity_element,
     length,
     reduced_word,
+    standard_word,
     word_to_element,
 )
 
@@ -19,6 +20,10 @@ A2 = RootDatum("A", 2)
 A4 = RootDatum("A", 4)
 C2 = RootDatum("C", 2)
 C3 = RootDatum("C", 3)
+
+# every board the layout tests read: A1-A6 and C2-C5
+BOARDS = [RootDatum("A", n) for n in range(1, 7)] + [RootDatum("C", n) for n in range(2, 6)]
+BOARD_IDS = ["%s%d" % (d.family, d.rank) for d in BOARDS]
 
 
 def test_arrangements_type_a():
@@ -271,3 +276,20 @@ def test_m_op_error_on_bad_input():
 def test_ascii_render():
     d = pd.diagram(C2, [(1, 1), (2, 2)])
     assert pd.ascii_diagram(d) == "+..\n +"
+
+
+@pytest.mark.parametrize("datum", BOARDS, ids=BOARD_IDS)
+def test_board_layouts_match_the_per_type_formulas(datum):
+    assert pd.board_boxes(datum) == ref.per_type_board_boxes(datum)
+    assert pd.facet_ordering(datum) == ref.per_type_facet_ordering(datum)
+    assert pd.word_ordering(datum) == ref.per_type_word_ordering(datum)
+    board = sorted(pd.board_boxes(datum))
+    for boxes in (board, [], board[::2], board[1::3]):
+        d = pd.diagram(datum, boxes)
+        assert pd.ascii_diagram(d) == ref.per_type_ascii_diagram(d)
+
+
+@pytest.mark.parametrize("datum", BOARDS, ids=BOARD_IDS)
+def test_word_order_spells_the_standard_word(datum):
+    letter = {j: i for i in range(1, datum.rank + 1) for j in pd.letter_columns(datum, i)}
+    assert tuple(letter[j] for _, j in pd.word_ordering(datum)) == standard_word(datum)

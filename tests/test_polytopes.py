@@ -14,6 +14,9 @@ A2 = RootDatum("A", 2)
 A3 = RootDatum("A", 3)
 C2 = RootDatum("C", 2)
 
+# every board the layout tests read: A1-A6 and C2-C5
+BOARDS = [RootDatum("A", n) for n in range(1, 7)] + [RootDatum("C", n) for n in range(2, 6)]
+
 
 def unit_cube(d):
     ineqs = []
@@ -90,6 +93,17 @@ def test_string_cone_facet_labels():
     for cone_poly in (cone, conec):
         zero = (0,) * cone_poly.ambient_dim
         assert all(sum(c * x for c, x in zip(vec, zero)) <= rhs for vec, rhs in cone_poly.ineqs)
+
+
+@pytest.mark.parametrize("datum", BOARDS, ids=lambda d: "%s%d" % (d.family, d.rank))
+def test_board_read_layouts_match_the_block_formulas(datum):
+    assert pt.string_cone_facets(datum) == ref.block_string_cone_facets(datum)
+    n = datum.rank
+    for i in range(1, n + 1):
+        for j in range(1, n - i + 2):
+            assert pt.a_pos(datum, j, i) == ref.block_a_pos(datum, j, i)
+            if datum.family == "C" and i > 1:
+                assert pt.b_pos(datum, j, i) == ref.block_b_pos(datum, j, i)
 
 
 def test_cone_is_unbounded():

@@ -2,6 +2,7 @@
 script that names a symbol the library no longer has fails here."""
 
 import hashlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -59,3 +60,16 @@ def test_verification_matrix_script_has_no_jobs_flag(tmp_path):
     assert proc.returncode == 2
     assert "unrecognized arguments: --jobs 2" in proc.stderr
     assert not output.exists()
+
+
+def test_fault_plant_anchors_occur_once_in_the_library():
+    # the table of run_fault_plants.py cannot rot: every anchor is one line
+    # of src/ and every test it names is defined in its file
+    spec = importlib.util.spec_from_file_location("run_fault_plants", SCRIPTS / "run_fault_plants.py")
+    plants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(plants)
+    assert plants.anchor_counts(PACKAGE.parent) == dict.fromkeys((row[1] for row in plants.PLANTS), 1)
+    for module, anchor, _, test in plants.PLANTS:
+        assert anchor in (PACKAGE / (module + ".py")).read_text()
+        path, name = test.split("::")
+        assert "\ndef %s(" % name in (SCRIPTS.parent / path).read_text()

@@ -1,8 +1,11 @@
 import itertools
+import math
+import random
 
 import pytest
 
-from schubcalc import faces, verify
+from schubcalc import faces, oracles, verify
+from schubcalc.cartan import RootDatum, all_elements, length, longest_element, multiply, reduced_word
 
 
 def test_theorem_suites_rank_two():
@@ -93,3 +96,79 @@ def test_higher_rank_spot_checks():
     for family, rank in (("A", 4), ("C", 3)):
         report = verify.axioms_suite(family, rank, 30, seed=11)
         assert report["status"] == "pass"
+
+
+# a suite over no cells reports "pass" having checked nothing, and a NaN
+# budget never runs out: each suite refuses these before any cell runs or any
+# context is built
+REFUSED_SUITES = {
+    "theorem1": lambda budget: verify.theorem_suite("theorem1", "A", 2, 1, budget=budget),
+    "duality": lambda budget: verify.duality_suite("C", 2, budget=budget),
+    "products": lambda budget: verify.products_suite("C", 2, budget=budget),
+    "axioms": lambda budget: verify.axioms_suite("A", 2, 5, budget=budget),
+}
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make building a context or running a theorem cell fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite ran work before refusing its arguments")
+
+    monkeypatch.setattr(faces, "default_context", refuse)
+    monkeypatch.setattr(verify, "_theorem_cell", refuse)
+    monkeypatch.setattr(verify.crystals, "f_op", refuse)
+
+
+def test_theorem_suite_refuses_a_negative_lambda_max(no_work):
+    with pytest.raises(ValueError, match="lambda_max must be at least 0, got -1"):
+        verify.theorem_suite("theorem1", "A", 2, -1)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_axioms_suite_refuses_fewer_than_one_sample(no_work, samples):
+    with pytest.raises(ValueError, match="samples must be at least 1, got %d" % samples):
+        verify.axioms_suite("A", 2, samples)
+
+
+@pytest.mark.parametrize("suite", sorted(REFUSED_SUITES))
+def test_suites_refuse_a_nan_budget(no_work, suite):
+    with pytest.raises(ValueError, match="budget must be a nonnegative number of seconds, got nan"):
+        REFUSED_SUITES[suite](math.nan)
+
+
+@pytest.mark.parametrize("suite", sorted(REFUSED_SUITES))
+def test_suites_refuse_a_negative_budget(no_work, suite):
+    with pytest.raises(ValueError, match="budget must be a nonnegative number of seconds, got -1"):
+        REFUSED_SUITES[suite](-1)
+
+
+def _rank_four_cells(seed):
+    """A seeded sample of rank-4 theorem cells, stratified by the length of
+    w: per family one nonzero weight drawn from {0,1}^4, and C4 (1,1,1,1); per
+    weight and statement, one w of each length."""
+    rng = random.Random(seed)
+    weights = [lam for lam in itertools.product((0, 1), repeat=4) if any(lam)]
+    cells = []
+    for family, kinds in (("A", ("theorem1", "theorem2")), ("C", ("theorem1", "theorem3"))):
+        datum = RootDatum(family, 4)
+        by_length = {}
+        for w in all_elements(datum):
+            by_length.setdefault(length(w), []).append(w)
+        lams = [rng.choice(weights)] + ([(1, 1, 1, 1)] if family == "C" else [])
+        for lam, kind in itertools.product(lams, kinds):
+            cells.extend((kind, datum, lam, rng.choice(by_length[ell])) for ell in sorted(by_length))
+    return cells
+
+
+def test_rank_four_cell_counts_are_demazure_dimensions():
+    # the opposite side B^w(lam) has dim V_{w0 w}(lam) elements, the
+    # Demazure side B_w(lam) dim V_w(lam)
+    cells = _rank_four_cells(seed=0)
+    assert len(cells) == 2 * 11 + 4 * 17
+    for kind, datum, lam, w in cells:
+        cell = verify._theorem_cell((kind, datum.family, 4, lam, tuple(reduced_word(w))))
+        assert cell["status"] == "pass", cell
+        u = multiply(longest_element(datum), w) if kind == "theorem1" else w
+        assert cell["n_lattice_points"] == oracles.demazure_dimension(datum, u, lam), cell
