@@ -60,8 +60,6 @@ def _build_config(args) -> tuple:
     """The validated (datum, word, lam, w): the reduced word of the longest
     element (the standard one by default), the weight (() when not given) and
     the letters of --w, applied left to right."""
-    if args.type not in ("A", "C"):
-        raise BadInput("--type must be A or C")
     try:
         datum = RootDatum(args.type, args.rank)
     except ValueError as err:
@@ -101,13 +99,11 @@ def cmd_crystal(args) -> int:
         points = crystals.demazure_crystal(datum, word, w, lam)
     elif kind == "opposite":
         points = crystals.opposite_demazure_crystal(datum, word, w, lam)
-    elif kind == "richardson":
+    else:  # richardson
         v = word_to_element(datum, _letters(datum.rank, args.v, "--v"))
         if not bruhat_leq(v, w):
             raise BadInput("richardson needs --v below --w in Bruhat order")
         points = crystals.richardson_lattice_points(datum, word, v, w, lam)
-    else:
-        raise BadInput("unknown crystal kind %r" % kind)
     rows = sorted(points)
     payload = {
         "type": datum.family,
@@ -173,12 +169,10 @@ def cmd_pipedreams(args) -> int:
         diagrams = pipedreams.box_order(pipedreams.ladder_set(datum, w))
     elif op == "mset":
         diagrams = pipedreams.box_order(pipedreams.mset(datum, w))
-    elif op == "mitosis":
+    else:  # mitosis
         if datum.family != "A":
             raise BadInput("mitosis chains are type A only")
         diagrams = pipedreams.box_order(pipedreams.mitosis_chain(datum, letters))
-    else:
-        raise BadInput("unknown pipedreams op %r" % op)
     payload = {
         "type": datum.family,
         "rank": datum.rank,
@@ -236,36 +230,30 @@ _VERIFY_RANK_LIMITS = {"A": 4, "C": 3}
 
 
 def cmd_verify(args) -> int:
-    theorem = args.theorem
-    family = args.type
-    rank = args.rank
-    budget = args.budget
-    if rank < 2 or rank > _VERIFY_RANK_LIMITS.get(family, 0):
+    theorem, family, rank, budget = args.theorem, args.type, args.rank, args.budget
+    if rank < 2 or rank > _VERIFY_RANK_LIMITS[family]:
         raise BadInput(
             "verify supports ranks 2..%d for type %s" % (_VERIFY_RANK_LIMITS[family], family)
         )
+    families = verify.STATEMENTS[theorem]
+    if family not in families:
+        raise BadInput("%s is stated for type %s only" % (theorem, " or ".join(families)))
     # a suite over no cells would report "pass" having checked nothing
-    for value, flag, least in ((args.lambda_max, "--lambda-max", 0), (args.samples, "--samples", 1)):
-        if value < least:
-            raise BadInput("%s must be at least %d, got %d" % (flag, least, value))
+    if theorem in verify.THEOREMS and args.lambda_max < 0:
+        raise BadInput("--lambda-max must be at least 0, got %d" % args.lambda_max)
+    if theorem == "axioms" and args.samples < 1:
+        raise BadInput("--samples must be at least 1, got %d" % args.samples)
     # a NaN budget compares false with every elapsed time and never runs out
     if budget is not None and not budget >= 0:
         raise BadInput("--budget must be a nonnegative number of seconds, got %r" % budget)
-    for kind, statement in (("theorem2", "A"), ("theorem3", "C")):
-        if theorem == kind and family != statement:
-            raise BadInput("%s is the type %s statement" % (kind, statement))
-    if theorem == "products" and family != "C":
-        raise BadInput("products is certified for type C only")
-    if theorem in ("theorem1", "theorem2", "theorem3"):
+    if theorem in verify.THEOREMS:
         report = verify.theorem_suite(theorem, family, rank, args.lambda_max, budget=budget)
-    elif theorem == "duality":
-        report = verify.duality_suite(family, rank, budget=budget)
-    elif theorem == "products":
-        report = verify.products_suite(family, rank, budget=budget)
     elif theorem == "axioms":
         report = verify.axioms_suite(family, rank, args.samples, seed=args.seed, budget=budget)
+    elif theorem == "duality":
+        report = verify.duality_suite(family, rank, budget=budget)
     else:
-        raise BadInput("unknown theorem %r" % theorem)
+        report = verify.products_suite(family, rank, budget=budget)
     _emit(report)
     if report["status"] == "partial":
         return EXIT_BUDGET
@@ -320,14 +308,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_volume)
 
     p = subs.add_parser("verify", help="run a verification suite")
-    p.add_argument("theorem", choices=["theorem1", "theorem2", "theorem3", "duality", "products", "axioms"])
-    p.add_argument("--type", required=True, choices=["A", "C"])
-    p.add_argument("--rank", required=True, type=int)
-    p.add_argument("--lambda-max", dest="lambda_max", type=int, default=2)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=float, default=None, help="seconds before a partial report")
-    p.set_defaults(func=cmd_verify)
+    statements = p.add_subparsers(dest="theorem", required=True, metavar="statement")
+    # each statement takes only the flags its suite reads
+    for theorem, families in verify.STATEMENTS.items():
+        s = statements.add_parser(theorem, help="stated for type %s" % " and ".join(families))
+        s.add_argument("--type", required=True, choices=["A", "C"])
+        s.add_argument("--rank", required=True, type=int)
+        if theorem in verify.THEOREMS:
+            s.add_argument("--lambda-max", dest="lambda_max", type=int, default=2)
+        if theorem == "axioms":
+            s.add_argument("--samples", type=int, default=200)
+            s.add_argument("--seed", type=int, default=0)
+        s.add_argument("--budget", type=float, default=None, help="seconds before a partial report")
+        s.set_defaults(func=cmd_verify)
     return parser
 
 

@@ -127,27 +127,22 @@ def phi(datum: RootDatum, word, lam, coords, i: int) -> int:
     return (best if lam is INFINITY else max(best, -wt_i)) + wt_i
 
 
-def _lower(datum, word, lam, coords, i):
-    """(f_i coords or None, best, wt_i) from one sweep, the letter unchecked."""
+def f_op(datum: RootDatum, word, lam, coords, i: int):
+    """Lower by alpha_i; None at the cutoff, never None at infinity."""
+    check_letter(datum, i)
     best, first, _, wt_i = _sigma_profile(datum, word, lam, coords, i)
     if lam is not INFINITY:
         naive_phi = best + wt_i
         if naive_phi < 0:
             raise CorruptElementError("negative phi: element outside the cut crystal")
         if naive_phi == 0:
-            return None, best, wt_i
+            return None
     if first is None:
         # all stored letter-i sigmas are negative while the tail is zero
         raise CorruptElementError("lowering argmin beyond stored coordinates")
     out = list(coords)
     out[first - 1] += 1
-    return tuple(out), best, wt_i
-
-
-def f_op(datum: RootDatum, word, lam, coords, i: int):
-    """Lower by alpha_i; None at the cutoff, never None at infinity."""
-    check_letter(datum, i)
-    return _lower(datum, word, lam, coords, i)[0]
+    return tuple(out)
 
 
 def e_op(datum: RootDatum, word, lam, coords, i: int):
@@ -242,7 +237,7 @@ def _operator_table(datum: RootDatum, word, lam) -> _OperatorTable:
     new state gets its parent's statistics plus the delta of the position
     that lowered, and drops them once expanded.  Per letter, the largest
     sigma and its first position give f_i and eps_i, with the checks of
-    `_lower`; raising is lowering inverted, and the one state every letter
+    `f_op`; raising is lowering inverted, and the one state every letter
     kills is the lowest.  Every later crystal layer reads this table."""
     _validate(datum, word, lam)
     letters, where, deltas = _statistics_layout(datum, word)

@@ -3,7 +3,9 @@
 Each runner returns a JSON-ready report: one cell per matrix entry with a
 pass/violation status, plus a top-level status that is "violation" exactly
 when some cell is a violation, else "pass" ("partial" when a time budget ran
-out, with the remaining cells unlisted).
+out, with the remaining cells unlisted).  A runner checks one statement of
+STATEMENTS, and refuses a statement or a family that the table does not list
+before any cell runs.
 """
 
 from __future__ import annotations
@@ -29,8 +31,19 @@ def dominant_weights(rank: int, max_coeff: int):
     return [tuple(t) for t in itertools.product(range(max_coeff + 1), repeat=rank)]
 
 
-def _check_budget(budget):
-    """Refuse a NaN budget, which never runs out, and a negative one."""
+# each statement that verify checks, with the families it is stated for
+STATEMENTS = {"theorem1": ("A", "C"), "theorem2": ("A",), "theorem3": ("C",),
+              "duality": ("A", "C"), "products": ("C",), "axioms": ("A", "C")}
+THEOREMS = {kind: STATEMENTS[kind] for kind in ("theorem1", "theorem2", "theorem3")}
+
+
+def _check_statement(kind, family, budget, table=STATEMENTS):
+    """Refuse a statement missing from `table`, a family it is not stated
+    for, and a NaN budget, which never runs out, or a negative one."""
+    if kind not in table:
+        raise ValueError("%r is not one of the statements %s" % (kind, ", ".join(table)))
+    if family not in table[kind]:
+        raise ValueError("%s is stated for type %s, not %r" % (kind, " or ".join(table[kind]), family))
     if budget is not None and not budget >= 0:
         raise ValueError("budget must be a nonnegative number of seconds, got %r" % (budget,))
 
@@ -94,16 +107,12 @@ def _theorem_cell(args):
 
 
 def theorem_suite(kind: str, family: str, rank: int, lambda_max: int, budget=None):
-    """kind is "theorem1" (opposite side), "theorem2" (type A Demazure side),
-    or "theorem3" (type C Demazure side)."""
-    if kind == "theorem2" and family != "A":
-        raise ValueError("theorem2 is the type A statement")
-    if kind == "theorem3" and family != "C":
-        raise ValueError("theorem3 is the type C statement")
+    """kind is one of THEOREMS: "theorem1" (opposite side), "theorem2" (type
+    A Demazure side) or "theorem3" (type C Demazure side)."""
+    _check_statement(kind, family, budget, THEOREMS)
     # a suite over no cells would report "pass" having checked nothing
     if lambda_max < 0:
         raise ValueError("lambda_max must be at least 0, got %d" % lambda_max)
-    _check_budget(budget)
     datum = RootDatum(family, rank)
     start = time.perf_counter()
     cells = (
@@ -120,7 +129,7 @@ def theorem_suite(kind: str, family: str, rank: int, lambda_max: int, budget=Non
 
 def duality_suite(family: str, rank: int, budget=None):
     """Complementary-length pairings: 1 exactly on Poincare-dual pairs."""
-    _check_budget(budget)
+    _check_statement("duality", family, budget)
     datum = RootDatum(family, rank)
     start = time.perf_counter()
     ctx = faces.default_context(datum)
@@ -154,7 +163,7 @@ def duality_suite(family: str, rank: int, budget=None):
 def products_suite(family: str, rank: int, budget=None):
     """Every product of two opposite classes against the divided-difference
     oracle."""
-    _check_budget(budget)
+    _check_statement("products", family, budget)
     datum = RootDatum(family, rank)
     start = time.perf_counter()
     ctx = faces.default_context(datum)
@@ -188,9 +197,9 @@ def products_suite(family: str, rank: int, budget=None):
 
 def axioms_suite(family: str, rank: int, samples: int, seed: int = 0, budget=None):
     """Randomized crystal-axiom checks on elements sampled by lowering walks."""
+    _check_statement("axioms", family, budget)
     if samples < 1:
         raise ValueError("samples must be at least 1, got %d" % samples)
-    _check_budget(budget)
     datum = RootDatum(family, rank)
     rng = random.Random(seed)
     start = time.perf_counter()

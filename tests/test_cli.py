@@ -132,6 +132,43 @@ def test_verify_rejects_counts_that_check_nothing(args):
     assert flag in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("duality", "--type", "C", "--rank", "2", "--samples", "0"),
+        ("theorem1", "--type", "A", "--rank", "2", "--seed", "3"),
+        ("axioms", "--type", "A", "--rank", "2", "--lambda-max", "1"),
+        # the theorem matrices run in one process; no flag asks for workers
+        ("theorem1", "--type", "A", "--rank", "2", "--lambda-max", "0", "--jobs", "2"),
+    ],
+    ids=["duality-samples", "theorem1-seed", "axioms-lambda-max", "theorem1-jobs"],
+)
+def test_verify_statement_refuses_a_flag_its_suite_does_not_read(args):
+    proc = run_cli("verify", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unrecognized arguments: %s %s" % args[-2:] in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, value",
+    [
+        (("crystal", "--type", "B", "--rank", "2"), "B"),
+        (("crystal", "--type", "A", "--rank", "2", "--kind", "x"), "x"),
+        (("pipedreams", "--type", "A", "--rank", "2", "--op", "x"), "x"),
+    ],
+    ids=["type", "kind", "op"],
+)
+def test_value_outside_the_choices_exits_two(capsys, args, value):
+    # argparse refuses it before any command runs
+    with pytest.raises(SystemExit) as stop:
+        cli.main(list(args))
+    out, err = capsys.readouterr()
+    assert stop.value.code == cli.EXIT_BAD_INPUT
+    assert out == ""
+    assert "invalid choice: %r" % value in err
+
+
 def test_verify_theorem1_small():
     proc = run_cli(
         "verify", "theorem1", "--type", "A", "--rank", "2", "--lambda-max", "1"
@@ -165,14 +202,6 @@ def test_csv_output():
     assert proc.returncode == 0
     rows = [line for line in proc.stdout.strip().splitlines() if line]
     assert len(rows) == 3
-
-
-def test_verify_jobs_is_an_unknown_flag():
-    # the theorem matrices run in one process; no flag asks for workers
-    proc = run_cli("verify", "theorem1", "--type", "A", "--rank", "2", "--lambda-max", "0", "--jobs", "2")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "unrecognized arguments: --jobs 2" in proc.stderr
 
 
 def test_faces_schubert_side_with_volume():

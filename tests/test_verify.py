@@ -121,6 +121,34 @@ def no_work(monkeypatch):
     monkeypatch.setattr(verify.crystals, "f_op", refuse)
 
 
+@pytest.mark.parametrize("kind, family", [("theorem4", "A"), ("duality", "C")])
+def test_theorem_suite_refuses_a_statement_outside_theorems(no_work, kind, family):
+    # any kind but "theorem1" would run the Demazure side under its own label
+    message = "%r is not one of the statements theorem1, theorem2, theorem3$" % kind
+    with pytest.raises(ValueError, match=message):
+        verify.theorem_suite(kind, family, 2, 0)
+
+
+# (suite, statement, family, the families the statement is stated for); the
+# families are a tuple, so "" and "AC" match none of them
+WRONG_FAMILIES = {
+    "products-A": (lambda: verify.products_suite("A", 2), "products", "A", "C"),
+    "theorem2-C": (lambda: verify.theorem_suite("theorem2", "C", 2, 1), "theorem2", "C", "A"),
+    "theorem3-A": (lambda: verify.theorem_suite("theorem3", "A", 2, 1), "theorem3", "A", "C"),
+    "theorem1-AC": (lambda: verify.theorem_suite("theorem1", "AC", 2, 1), "theorem1", "AC", "A or C"),
+    "duality-empty": (lambda: verify.duality_suite("", 2), "duality", "", "A or C"),
+    "axioms-B": (lambda: verify.axioms_suite("B", 2, 5), "axioms", "B", "A or C"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_FAMILIES))
+def test_suites_refuse_a_family_the_statement_is_not_stated_for(no_work, case):
+    suite, kind, family, families = WRONG_FAMILIES[case]
+    message = "^%s is stated for type %s, not %r$" % (kind, families, family)
+    with pytest.raises(ValueError, match=message):
+        suite()
+
+
 def test_theorem_suite_refuses_a_negative_lambda_max(no_work):
     with pytest.raises(ValueError, match="lambda_max must be at least 0, got -1"):
         verify.theorem_suite("theorem1", "A", 2, -1)
