@@ -137,8 +137,10 @@ def simple_root_in_fundamental(datum: RootDatum, i: int) -> tuple:
     return tuple(c[j][i - 1] for j in range(datum.rank))
 
 
-def is_dominant(lam) -> bool:
-    return all(x >= 0 for x in lam)
+def check_weight(datum: RootDatum, lam):
+    """Raise ValueError unless lam is a dominant weight of the rank of datum."""
+    if len(lam) != datum.rank or any(x < 0 for x in lam):
+        raise ValueError("weight %r is not dominant of rank %d" % (lam, datum.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +188,15 @@ def check_letter(datum: RootDatum, i: int):
         raise ValueError("letter %r out of range 1..%d" % (i, datum.rank))
 
 
+def check_group(datum: RootDatum, *elements):
+    """Raise ValueError unless every element is of the Weyl group of datum."""
+    if any(w.datum != datum for w in elements):
+        raise ValueError("elements from different groups")
+
+
 def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
     """Composition u o v, with v applied first."""
-    if u.datum != v.datum:
-        raise ValueError("elements from different groups")
+    check_group(u.datum, v)
     uw = u.oneline
     out = []
     for x in v.oneline:
@@ -374,8 +381,7 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
     """Bruhat order by the lifting property, on table indices: for a left
     descent s of w, v <= w iff sv <= sw when s is a left descent of v, and
     iff v <= sw otherwise."""
-    if v.datum != w.datum:
-        raise ValueError("elements from different groups")
+    check_group(v.datum, w)
     table, a = _locate(v)
     _, b = _locate(w)
     length, left = table.length, table.left

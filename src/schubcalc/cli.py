@@ -138,7 +138,7 @@ def cmd_faces(args) -> int:
     if side == "opposite":
         dec = faces.opposite_demazure_faces(datum, w, lam, word=word)
         equations = {}
-        for tight in dec.tights + dec.empty:
+        for tight in dec.tights:
             eqs = []
             for j in tight:
                 vec, lam_vec = polytopes.string_lambda_facet(datum, word, j)
@@ -150,7 +150,7 @@ def cmd_faces(args) -> int:
         diagrams = pipedreams.box_order(pipedreams.mset(datum, w))
         payload["diagrams"] = [sorted(map(list, d.boxes)) for d in diagrams]
     payload["faces"] = [list(t) for t in dec.tights]
-    payload["empty_faces"] = [list(t) for t in dec.empty]
+    payload["empty_faces"] = []  # kept for readers of the output; faces are never empty
     payload["n_lattice_points"] = len(dec.union)
     payload["volume"] = str(faces.side_volume(datum, side, w, lam))
     if args.pretty and side == "schubert":

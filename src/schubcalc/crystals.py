@@ -53,9 +53,10 @@ from .cartan import (
     WeylElement,
     bruhat_leq,
     cartan_matrix,
+    check_group,
     check_letter,
+    check_weight,
     check_word_of_longest,
-    is_dominant,
     left_ascents,
     left_descents,
     left_mul,
@@ -167,8 +168,7 @@ def _validate(datum, word, lam):
     check_word_of_longest(datum, word)
     if lam is INFINITY:
         raise ValueError("the crystal at infinity is infinite; pass a dominant weight")
-    if len(lam) != datum.rank or not is_dominant(lam):
-        raise ValueError("weight %r is not dominant of rank %d" % (lam, datum.rank))
+    check_weight(datum, lam)
 
 
 def _weight(lam):
@@ -354,7 +354,10 @@ def string_incidence(datum: RootDatum, word, lam) -> tuple:
     `CrystalPolytopeMismatchError`.  On any other reduced word of the longest
     element the rows are the lambda-bound ones alone and only the
     containment is checked: the cone rows of that word are not built, so
-    nothing bounds the count."""
+    nothing bounds the count.  Then each facet block, the lambda rows and
+    (on the standard word) the cone rows, must have a string on all its rows
+    (`polytopes.check_blocks_meet`), so that no face the tables cut is
+    empty."""
     points = _string_table(datum, word, lam)
     certified = is_certified_word(datum, word)
     if certified:
@@ -376,6 +379,7 @@ def string_incidence(datum: RootDatum, word, lam) -> tuple:
             raise CrystalPolytopeMismatchError(
                 "crystal generation has %d points, string polytope %d" % (len(points), count)
             )
+    polytopes.check_blocks_meet(masks, len(word))
     return points, masks
 
 
@@ -386,13 +390,6 @@ def generate_b_lambda(datum: RootDatum, word, lam) -> frozenset:
     element experimental, checked only against the lambda-bound rows."""
     word, lam = tuple(word), _weight(lam)
     return frozenset(string_incidence(datum, word, lam)[0])
-
-
-def lowest_state(datum: RootDatum, word, lam) -> tuple:
-    """The unique element every lowering operator kills, found and checked
-    unique while the table was built."""
-    table = _operator_table(datum, word, lam)
-    return table.states[table.lowest]
 
 
 # ---------------------------------------------------------------------------
@@ -411,17 +408,12 @@ def _closure(step, members) -> tuple:
     return tuple(sorted(out))
 
 
-def _check_group(datum, w):
-    if w.datum != datum:
-        raise ValueError("elements from different groups")
-
-
 @lru_cache(maxsize=None)
 def _demazure_indices(datum: RootDatum, word, w: WeylElement, lam) -> tuple:
     """Sorted table indices of B_w(lam) by Kashiwara's recursion: B_e is the
     highest element, table state 0, and B_w = F_i B_{s_i w} for the smallest left descent i
     of w."""
-    _check_group(datum, w)
+    check_group(datum, w)
     table = _operator_table(datum, word, lam)
     descents = left_descents(w)
     if not descents:
@@ -434,25 +426,13 @@ def _demazure_indices(datum: RootDatum, word, w: WeylElement, lam) -> tuple:
 def _opposite_indices(datum: RootDatum, word, w: WeylElement, lam) -> tuple:
     """Sorted table indices of B^w(lam): B^{w_0} is the lowest element and
     B^w = E_i B^{s_i w} for the smallest left ascent i of w."""
-    _check_group(datum, w)
+    check_group(datum, w)
     table = _operator_table(datum, word, lam)
     ascents = left_ascents(w)
     if not ascents:
         return (table.lowest,)
     i = ascents[0]
     return _closure(table.up[i - 1], _opposite_indices(datum, word, left_mul(i, w), lam))
-
-
-def demazure_states(datum: RootDatum, word, w: WeylElement, lam) -> frozenset:
-    """B_w(lam) in ladder coordinates."""
-    states = _operator_table(datum, word, lam).states
-    return frozenset(states[k] for k in _demazure_indices(datum, word, w, lam))
-
-
-def opposite_demazure_states(datum: RootDatum, word, w: WeylElement, lam) -> frozenset:
-    """B^w(lam) in ladder coordinates."""
-    states = _operator_table(datum, word, lam).states
-    return frozenset(states[k] for k in _opposite_indices(datum, word, w, lam))
 
 
 def _to_strings(datum, word, lam, indices) -> frozenset:

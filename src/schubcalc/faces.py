@@ -22,7 +22,9 @@ points, and one bitmask per row over them (bit i set when string i lies on
 the row), so a face is the AND of its rows' masks and a union the OR of its
 faces.  The GT/SGT side counts its face unions the same way over the lattice
 points of the model polytope, in sweep order (`polytopes.lattice_incidence`).
-Only the tables are cached; the crystal comparison runs on every call.
+Each facet block of a table has a point on all its rows, certified when the
+table is built, so no face is empty.  Only the tables are cached; the crystal
+comparison runs on every call.
 
 The claim the class arithmetic exercises: the (dual) Kogan face sums
 represent the Schubert classes in the polytope ring (Kiritchenko-Smirnov-
@@ -31,9 +33,9 @@ ones).  A class is the tuple of its faces' tight sets, 1-based rows of one
 facet family.  The arithmetic runs on a deformed model polytope certified as a
 tower of intervals, whose toric cohomology ring is that of a Bott tower: a
 tight set maps to a step bitmask, every class has one square-free normal form,
-and a pairing or a product coefficient is read off by complement
-(`DeformedContext`).  Every product is checked against the divided-difference
-oracle.
+and every pairing, product coefficient and side volume is one degree, read
+off by complement (`DeformedContext.class_form`, `DeformedContext.degree`).
+Every product is checked against the divided-difference oracle.
 """
 
 from __future__ import annotations
@@ -50,8 +52,10 @@ from .cartan import (
     RootDatum,
     WeylElement,
     all_elements,
+    check_group,
+    check_weight,
     compatible_subsets,
-    is_dominant,
+    identity_element,
     length,
     longest_element,
     multiply,
@@ -68,40 +72,32 @@ class TheoremViolationError(AssertionError):
 
 @dataclass(frozen=True)
 class FaceDecomposition:
-    tights: tuple                 # index tuples, one per nonempty face
+    """`empty` is always (): the block certificate puts a point on every face."""
+
+    tights: tuple                 # index tuples, one per face
     union: frozenset
-    empty: tuple                  # index tuples whose face is empty
+    empty: tuple = ()             # index tuples whose face is empty
 
 
-def _face_mask(masks, tight, full):
-    """The AND of the masks that a tight set indexes, 1-based; `full` for the
-    empty tight set."""
-    for k in tight:
-        full &= masks[k - 1]
-    return full
+def _face_union(tights, masks, count: int) -> int:
+    """The bitmask over `count` points of the union of the faces that the
+    tight sets index, 1-based into `masks` (per row, bit i set when point i
+    lies on it): the OR over the faces of the AND of their rows' masks, all
+    points for the empty tight set."""
+    full = (1 << count) - 1
+    union = 0
+    for tight in tights:
+        face = full
+        for k in tight:
+            face &= masks[k - 1]
+        union |= face
+    return union
 
 
 def _decompose(tights, masks, points):
-    """Faces cut out of `points` by the rows that each tight set indexes,
-    1-based into `masks` (per row, bit i set when points[i] lies on it);
-    empty faces are reported apart.  A face is the AND of its rows' masks and
-    the union the OR of the faces; only the union's points are decoded."""
-    full = (1 << len(points)) - 1
-    faces = []
-    empty = []
-    union = 0
-    for tight in tights:
-        mask = _face_mask(masks, tight, full)
-        if mask:
-            faces.append(tight)
-            union |= mask
-        else:
-            empty.append(tight)
-    return FaceDecomposition(
-        tights=tuple(faces),
-        union=frozenset(polytopes.mask_points(union, points)),
-        empty=tuple(empty),
-    )
+    """The faces of `points` that the tight sets index, the union decoded."""
+    union = _face_union(tights, masks, len(points))
+    return FaceDecomposition(tights, frozenset(polytopes.mask_points(union, points)))
 
 
 def _check_union(theorem, datum, lam, w, dec, expected):
@@ -145,8 +141,11 @@ def demazure_faces(datum: RootDatum, w: WeylElement, lam) -> FaceDecomposition:
 @lru_cache(maxsize=None)
 def _model_table(datum: RootDatum, lam: tuple) -> tuple:
     """(number of lattice points, per-row bitmasks over them) of the GT/SGT
-    model polytope at lambda: the dual Kogan rows, then the Kogan rows."""
-    return polytopes.lattice_incidence(polytopes.model_polytope(datum, lam))
+    model polytope at lambda: the dual Kogan rows, then the Kogan rows, each
+    block certified to have a point on all its rows."""
+    count, masks = polytopes.lattice_incidence(polytopes.model_polytope(datum, lam))
+    polytopes.check_blocks_meet(masks, datum.num_positive_roots)
+    return count, masks
 
 
 def model_face_union_count(datum: RootDatum, lam, tights, family: str) -> int:
@@ -160,11 +159,7 @@ def model_face_union_count(datum: RootDatum, lam, tights, family: str) -> int:
         raise IndexError("tight indices run from 1 to %d" % big_n)
     count, masks = _model_table(datum, tuple(lam))
     masks = masks[big_n:] if family == "Fv" else masks[:big_n]
-    full = (1 << count) - 1
-    union = 0
-    for tight in tights:
-        union |= _face_mask(masks, tight, full)
-    return union.bit_count()
+    return _face_union(tights, masks, count).bit_count()
 
 
 def h0_dimension(datum: RootDatum, side: str, w: WeylElement, lam) -> int:
@@ -188,24 +183,19 @@ def side_volume(datum: RootDatum, side: str, w: WeylElement, lam) -> Fraction:
     closure of that polytope's type cone, so a face F of dimension d has volume
     deg([F] * D^d) / d! for D = sum_j h_j x_j (Khovanskii-Pukhlikov; see
     Kiritchenko-Smirnov-Timorin 2012 and Fulton, Introduction to Toric
-    Varieties, 5.3).  A dual Kogan face f^m reads the full mask of the normal
-    form of f^m * D^d, a Kogan face g^m' the complement of m' in that of
-    D^d."""
+    Varieties, 5.3).  Both sides are one formula, deg([X^low] * D^d *
+    [X_high]) / d! with d = l(high) - l(low): (low, high) is (w, w0) on the
+    opposite side and (e, w) on the Demazure side, since the Kogan class of
+    w0 and the dual Kogan class of e are each the whole polytope, ((),)."""
     if side not in ("schubert", "opposite"):
         raise ValueError("side must be 'schubert' or 'opposite'")
     lam = tuple(lam)
-    if len(lam) != datum.rank or not is_dominant(lam):
-        raise ValueError("weight %r is not dominant of rank %d" % (lam, datum.rank))
+    check_weight(datum, lam)
     ctx = default_context(datum)
-    full = (1 << datum.num_positive_roots) - 1
-    if side == "opposite":
-        d = datum.num_positive_roots - length(w)
-        form = Counter(ctx.f_mask(tight) for tight in schubert_class(datum, w, "dual-kogan"))
-        reads = [full]
-    else:
-        d = length(w)
-        form = {0: 1}
-        reads = [full ^ ctx.g_mask(tight) for tight in schubert_class(datum, w, "kogan")]
+    w0, e = longest_element(datum), identity_element(datum)
+    low, high = (w, w0) if side == "opposite" else (e, w)
+    d = length(high) - length(low)
+    form = ctx.class_form(low)
     divisor = ctx.divisor(lam)
     for _ in range(d):
         power = Counter()
@@ -215,7 +205,7 @@ def side_volume(datum: RootDatum, side: str, w: WeylElement, lam) -> Fraction:
                 for m, c in ctx.times(mask, t, memo).items():
                     power[m] += n * h * c
         form = power
-    return Fraction(sum(form.get(m, 0) for m in reads), factorial(d))
+    return Fraction(ctx.degree(form, high), factorial(d))
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +318,19 @@ class DeformedContext:
         """Step mask of a tight set of the second facet family, likewise."""
         return sum(1 << self.step[self.big_n + k - 1] for k in tight)
 
+    def class_form(self, w: WeylElement) -> Counter:
+        """The opposite class of w in normal form: the F-step masks of its
+        dual Kogan faces, counted."""
+        return Counter(self.f_mask(tight) for tight in schubert_class(self.datum, w, "dual-kogan"))
+
+    def degree(self, form, w: WeylElement) -> int:
+        """deg(form * [X_w]): the normal form read at the complements of the
+        Fv-step masks of the Kogan faces of w, since f^m * g^m' has degree 1
+        exactly when m' is the complement of m."""
+        full = (1 << self.big_n) - 1
+        kogan = schubert_class(self.datum, w, "kogan")
+        return sum(form.get(full ^ self.g_mask(tight), 0) for tight in kogan)
+
 
 @lru_cache(maxsize=None)
 def default_context(datum: RootDatum) -> DeformedContext:
@@ -346,16 +349,12 @@ def _context(datum: RootDatum, ctx) -> DeformedContext:
 def degree_pairing(datum: RootDatum, u: WeylElement, v: WeylElement, ctx=None) -> int:
     """Intersection number of the opposite classes of u and v in complementary
     codimensions: the degree of F_u * Fv_v in the ring of the deformed
-    polytope, the number of face pairs (a, b) whose F-step mask of a is the
-    complement of the Fv-step mask of b.  Fv_v is the Kogan face sum of the
+    polytope (`DeformedContext.degree`), for Fv_v the Kogan face sum of the
     Schubert variety of w0 v."""
     if length(u) + length(v) != datum.num_positive_roots:
         raise ValueError("lengths must be complementary")
     ctx = _context(datum, ctx)
-    full = (1 << datum.num_positive_roots) - 1
-    kogan = schubert_class(datum, multiply(longest_element(datum), v), "kogan")
-    duals = Counter(full ^ ctx.g_mask(tight) for tight in kogan)
-    return sum(duals[ctx.f_mask(tight)] for tight in schubert_class(datum, u, "dual-kogan"))
+    return ctx.degree(ctx.class_form(u), multiply(longest_element(datum), v))
 
 
 @dataclass
@@ -379,8 +378,7 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
     Timorin in type A, the paper's symplectic result in type C), so the
     coefficient of t is the degree of F_v * F_w * Fv_{w0 t} in the ring of the
     deformed polytope, where Fv_{w0 t} is the Kogan face sum of the Schubert
-    variety of t: the normal form of F_v * F_w read at the complements of the
-    Fv-step masks of those Kogan faces.  The (F, F) face sum, with its
+    variety of t (`DeformedContext.degree`).  The (F, F) face sum, with its
     non-transversal pairs, is the printed certificate; a pair that shares a
     row enters the normal form through the square rule.
 
@@ -389,12 +387,10 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
     """
     if datum.family != "C":
         raise ValueError("the product pipeline is certified for type C only")
-    if v.datum != datum or w.datum != datum:
-        raise ValueError("elements from different groups")
+    check_group(datum, v, w)
     ctx = _context(datum, ctx)
-    big_n = datum.num_positive_roots
     degree = length(v) + length(w)
-    if degree > big_n:
+    if degree > datum.num_positive_roots:
         return ProductResult(v, w, (), {}, "zero", (), ())
     memo = {}
     form = Counter()
@@ -419,12 +415,10 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
             else:
                 terms.append(tuple(sorted(fa + fb)))
             add(a | b, a & b, 1)
-    full = (1 << big_n) - 1
     expansion = {}
     for t in all_elements(datum):
         if length(t) == degree:
-            kogan = schubert_class(datum, t, "kogan")
-            c = sum(form[full ^ ctx.g_mask(tight)] for tight in kogan)
+            c = ctx.degree(form, t)
             if c:
                 expansion[t] = c
     oracle = dict(oracles.bgg_structure_constants(datum, v, w))

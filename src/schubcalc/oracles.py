@@ -35,6 +35,8 @@ from .cartan import (
     RootDatum,
     WeylElement,
     all_elements,
+    check_group,
+    check_weight,
     identity_element,
     inverse,
     length,
@@ -50,6 +52,7 @@ from .cartan import (
 
 def weyl_dimension(datum: RootDatum, lam) -> int:
     """prod over positive roots of (lam+rho, alpha)/(rho, alpha)."""
+    check_weight(datum, lam)
     lam_rho = tuple(x + 1 for x in lam)
     num = Fraction(1)
     for alpha in positive_roots(datum):
@@ -94,6 +97,7 @@ def demazure_operator(datum: RootDatum, i: int, char: dict) -> dict:
 
 def demazure_character(datum: RootDatum, w: WeylElement, lam) -> dict:
     """Character of the Demazure module for w at lam, via any reduced word."""
+    check_group(datum, w)
     char = {tuple(lam): 1}
     for i in reversed(reduced_word(w)):
         char = demazure_operator(datum, i, char)

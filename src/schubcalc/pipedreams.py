@@ -23,8 +23,8 @@ from .cartan import (
     InvariantError,
     RootDatum,
     WeylElement,
+    check_letter,
     inverse,
-    length,
     longest_element,
     multiply,
     standard_word,
@@ -45,9 +45,6 @@ class Diagram:
         board = board_boxes(self.datum)
         if not self.boxes <= board:
             raise ValueError("boxes %r leave the board" % (sorted(self.boxes - board),))
-
-    def size(self) -> int:
-        return len(self.boxes)
 
 
 def box_order(diagrams) -> list:
@@ -193,9 +190,7 @@ def ladder_closure(d: Diagram, source_cols=None) -> frozenset:
 def bottom_diagram(datum: RootDatum, w: WeylElement) -> Diagram:
     """The diagram whose complement word-positions form the lexicographically
     minimal extraction of w from the standard word (the full board at the
-    identity)."""
-    if length(w) == 0:
-        return full_diagram(datum)
+    identity, whose one extraction is empty)."""
     word = standard_word(datum)
     subsets = compatible_subsets(datum, word, w)
     kprime = min(subsets)
@@ -275,6 +270,7 @@ def mitosis_chain(datum: RootDatum, letters) -> frozenset:
     """Fold transposed mitosis over a word, starting from the full board."""
     current = {full_diagram(datum)}
     for j in letters:
+        check_letter(datum, j)
         nxt = set()
         for d in current:
             nxt |= mitosis_top(j, d)

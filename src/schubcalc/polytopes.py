@@ -34,13 +34,14 @@ from __future__ import annotations
 import array
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, compress, repeat
 from math import gcd, lcm
-from operator import floordiv, mul, neg, sub
+from operator import and_, floordiv, mul, neg, sub
 
 from . import linalg, pipedreams
 from .cartan import (
+    InvariantError,
     RootDatum,
     cartan_matrix,
     standard_word,
@@ -49,6 +50,10 @@ from .cartan import (
 
 class UnboundedRegionError(ValueError):
     pass
+
+
+class EmptyFaceError(InvariantError):
+    """The rows of one facet block share no point of a face table."""
 
 
 @dataclass(frozen=True)
@@ -266,6 +271,16 @@ def lattice_incidence(p: Polytope) -> tuple:
     return count, _column_masks(p.ineqs, columns, count)[0]
 
 
+def check_blocks_meet(masks, size: int):
+    """Raise EmptyFaceError unless each block of `size` consecutive row masks
+    has a point on all its rows, their AND nonzero.  Every face cut by rows
+    of one block then holds that point: its mask is the AND of some of the
+    block's masks."""
+    for lo in range(0, len(masks), size):
+        if not reduce(and_, masks[lo : lo + size]):
+            raise EmptyFaceError("the rows of facet block %d share no point" % (lo // size + 1))
+
+
 def interval_tower(p: Polytope):
     """(step of each inequality, sorted integer vertices) when p is a tower of
     intervals along its sweep order, else None.
@@ -410,9 +425,12 @@ def string_cone_facets(datum: RootDatum) -> tuple:
 def string_lambda_facet(datum: RootDatum, word, j: int):
     """Facet j (1-based) of the string polytope for any reduced word of w_0:
     coefficient vector v and weight-coefficient vector u with the inequality
-    v . x <= u . lam and facet equality v . x = u . lam."""
+    v . x <= u . lam and facet equality v . x = u . lam.  An index outside
+    1..len(word) raises IndexError."""
     c = cartan_matrix(datum)
     big_n = len(word)
+    if not 1 <= j <= big_n:
+        raise IndexError("facet indices run from 1 to %d" % big_n)
     vec = [0] * big_n
     vec[j - 1] = 1
     ij = word[j - 1]

@@ -89,10 +89,10 @@ def _theorem_cell(args):
     try:
         if kind == "theorem1":
             dec = faces.opposite_demazure_faces(datum, w, lam)
-            model_count = faces.model_face_union_count(datum, lam, dec.tights + dec.empty, "F")
+            model_count = faces.model_face_union_count(datum, lam, dec.tights, "F")
         else:
             dec = faces.demazure_faces(datum, w, lam)
-            model_count = faces.model_face_union_count(datum, lam, dec.tights + dec.empty, "Fv")
+            model_count = faces.model_face_union_count(datum, lam, dec.tights, "Fv")
         cell["n_faces"] = len(dec.tights)
         cell["n_lattice_points"] = len(dec.union)
         if model_count != len(dec.union):

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import operator
+from functools import reduce
 
 import pytest
 from hypothesis import given, seed, settings
@@ -393,6 +395,36 @@ def test_degree_pairing_duality():
         assert seen == cells
 
 
+def test_degree_against_a_schubert_variety_is_poincare_duality():
+    # deg([X^u] * [X_w]) is 1 when u = w and 0 otherwise, for l(u) = l(w)
+    for datum in (A2, C2, A3, C3):
+        ctx = fc.default_context(datum)
+        elements = all_elements(datum)
+        for u in elements:
+            form = ctx.class_form(u)
+            assert sum(form.values()) == len(fc.schubert_class(datum, u, "dual-kogan"))
+            for w in elements:
+                if length(w) == length(u):
+                    assert ctx.degree(form, w) == (u == w), (u, w)
+
+
+def test_the_end_classes_are_the_whole_polytope():
+    # what makes side_volume one formula: [X_{w0}] and [X^e] are the face
+    # of the empty tight set
+    for datum in (A2, A3, RootDatum("A", 4), C2, C3, RootDatum("C", 4)):
+        assert fc.schubert_class(datum, longest_element(datum), "kogan") == ((),)
+        assert fc.schubert_class(datum, identity_element(datum), "dual-kogan") == ((),)
+
+
+def test_kogan_class_and_volume_refuse_the_identity_of_another_group():
+    e3 = identity_element(C3)
+    with pytest.raises(ValueError, match="not an element of the Weyl group"):
+        fc.schubert_class(C2, e3, "kogan")
+    for side in ("schubert", "opposite"):
+        with pytest.raises(ValueError, match="not an element of the Weyl group"):
+            fc.side_volume(C2, side, e3, (1, 1))
+
+
 def test_degree_pairing_validates_lengths():
     with pytest.raises(ValueError):
         fc.degree_pairing(C2, identity_element(C2), identity_element(C2))
@@ -496,12 +528,30 @@ def test_c3_face_sum_products_commute(v, w):
 
 
 def test_empty_faces_are_reported_not_silent():
-    # small weights legitimately kill faces; they land in dec.empty
+    # no face is empty, not even at a weight with a zero entry: the string
+    # table's block certificate puts a point on every face, so every
+    # extraction is a face and `empty` stays ()
     s2 = word_to_element(C2, (2,))
     dec = fc.opposite_demazure_faces(C2, s2, (1, 0))
     assert set(dec.tights) | set(dec.empty) == set(
         fc.compatible_subsets(C2, standard_word(C2), s2)
     )
+    assert dec.empty == ()
+
+
+def test_model_table_refuses_a_facet_block_without_a_common_point(monkeypatch):
+    # the Kogan rows of the C2 table at (1, 1) cleared of their common point
+    count, masks = pt.lattice_incidence(pt.model_polytope(C2, (1, 1)))
+    common = reduce(operator.and_, masks[4:])
+    planted = masks[:4] + tuple(m & ~common for m in masks[4:])
+    monkeypatch.setattr(fc.polytopes, "lattice_incidence", lambda p: (count, planted))
+    fc._model_table.cache_clear()
+    try:
+        with pytest.raises(pt.EmptyFaceError, match="facet block 2 share no point"):
+            fc.model_face_union_count(C2, (1, 1), ((),), "F")
+    finally:
+        monkeypatch.undo()
+        fc._model_table.cache_clear()
 
 
 def _leading_coefficient(values):

@@ -63,15 +63,17 @@ except InvariantError as err:
 
 # on the word (2, 1, 2) the strings of A2 at (1, 0) are (0, 0, 0), (0, 1, 0)
 # and (1, 1, 0), and the lambda rows alone bound them: the last string moved
-# past the row a_2 - a_3 <= 1
-PLANTED_OTHER_WORD_STRING = """
+# past the row a_2 - a_3 <= 1, or dropped, which leaves no string on all
+# three rows (the first is off a_2 - a_3 <= 1, the second off
+# a_1 - a_2 + 2 a_3 <= 0)
+PLANTED_OTHER_WORD_STRINGS = """
 from schubcalc import crystals
 from schubcalc.cartan import InvariantError, RootDatum
 
 A2 = RootDatum("A", 2)
 word = (2, 1, 2)
 strings = crystals._string_table(A2, word, (1, 0))
-crystals._string_table = lambda datum, word, lam: strings[:2] + ((1, 2, 0),)
+crystals._string_table = lambda datum, word, lam: %s
 try:
     print(sorted(crystals.generate_b_lambda(A2, word, (1, 0))))
 except InvariantError as err:
@@ -233,9 +235,14 @@ def test_context_refuses_two_fv_rows_on_one_step_under_optimize_flag():
 
 
 def test_string_outside_the_rows_of_another_word_survives_optimize_flag():
-    out = _run_optimized(PLANTED_OTHER_WORD_STRING)
+    out = _run_optimized(PLANTED_OTHER_WORD_STRINGS % "strings[:2] + ((1, 2, 0),)")
     expected = "CrystalPolytopeMismatchError: string (1, 2, 0) lies outside the string polytope"
     assert out.startswith(expected), out
+
+
+def test_facet_block_without_a_common_string_survives_optimize_flag():
+    out = _run_optimized(PLANTED_OTHER_WORD_STRINGS % "strings[:2]")
+    assert out.startswith("EmptyFaceError: the rows of facet block 1 share no point"), out
 
 
 def test_non_divisible_representative_survives_optimize_flag():

@@ -72,6 +72,18 @@ def test_flipped_orientation_breaks_the_pin():
     assert dim((1, 0)) == 4 != sgt_count
 
 
+def test_weyl_dimension_refuses_a_weight_of_the_wrong_length_or_sign():
+    for lam in ((1, 1, 5), (-3, 0), (1,)):
+        with pytest.raises(ValueError, match="not dominant of rank 2"):
+            orc.weyl_dimension(C2, lam)
+
+
+def test_demazure_character_refuses_an_element_of_another_group():
+    # s_1 of C2 read as a C3 letter would give a dimension
+    with pytest.raises(ValueError, match="elements from different groups"):
+        orc.demazure_dimension(C3, simple_element(C2, 1), (1, 1, 1))
+
+
 def test_demazure_operator_basics():
     lam = (1, 1)
     char = {lam: 1}

@@ -26,6 +26,20 @@ BOARDS = [RootDatum("A", n) for n in range(1, 7)] + [RootDatum("C", n) for n in 
 BOARD_IDS = ["%s%d" % (d.family, d.rank) for d in BOARDS]
 
 
+def test_index_sets_refuse_the_identity_of_another_group():
+    # the identity of C3 is no element of W(C2), so it has no full board there
+    e3 = identity_element(C3)
+    for build in (pd.bottom_diagram, pd.mset, pd.ladder_set):
+        with pytest.raises(ValueError, match="not an element of the Weyl group"):
+            build(C2, e3)
+
+
+def test_mitosis_chain_refuses_a_letter_out_of_range():
+    for letters in ((0,), (5,), (1, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            pd.mitosis_chain(A2, letters)
+
+
 def test_arrangements_type_a():
     d = pd.diagram(A4, [(1, 3), (2, 1), (3, 1), (4, 1)])
     assert pd.arrangement_kd(d) == (1, 2, 4, 9)
@@ -191,11 +205,11 @@ def test_reducedness_and_sizes():
         for w in all_elements(datum):
             for d in pd.mset(datum, w) | pd.ladder_set(datum, w):
                 assert ref.is_reduced(d)
-                assert d.size() == datum.num_positive_roots - length(w)
+                assert len(d.boxes) == datum.num_positive_roots - length(w)
     for datum in (C2, C3):
         for w in all_elements(datum):
             for d in pd.mset(datum, w) | pd.ladder_set(datum, w):
-                assert d.size() == datum.num_positive_roots - length(w)
+                assert len(d.boxes) == datum.num_positive_roots - length(w)
 
 
 def test_word_criterion_fails_in_type_c():

@@ -381,6 +381,13 @@ def test_face_polytope_rejects_rows_out_of_range():
     assert ref.face_polytope(cube, (2, 0, 2)).ineqs == cube.ineqs + (((-1, 0), -1), ((0, -1), -1))
 
 
+def test_string_lambda_facet_refuses_an_index_out_of_range():
+    word = standard_word(C2)
+    for j in (0, -1, 5):
+        with pytest.raises(IndexError, match="facet indices run from 1 to 4"):
+            pt.string_lambda_facet(C2, word, j)
+
+
 def test_tight_bits_of_no_points_are_zero():
     assert pt.slack_masks((((1, 0), 0), ((0, 1), 2)), [])[0] == (0, 0)
     assert pt.slack_masks((), [(0, 0)])[0] == ()
