@@ -16,7 +16,7 @@ other pytest outcome (no such test, a collection error) is an error.
 
 It prints one line per plant, then the killed, survived and error counts,
 and exits 1 unless every plant is killed.  Each row costs one pytest start
-and one test run (the 18 rows took 30 s on a 2-core host), so the script
+and one test run (the 19 rows took 35 s on a 2-core host), so the script
 is not part of the test suite, which checks only that every anchor occurs
 once.
 """
@@ -130,6 +130,13 @@ PLANTS = (
         "if count != len(points):",
         "if False:",
         "tests/test_invariants.py::test_dropped_string_survives_optimize_flag",
+    ),
+    # each index set is one step from its cached neighbour
+    (
+        "pipedreams",
+        "if min(compatible_subsets(datum, word, v)) != kprime[:-1]:",
+        "if False:",
+        "tests/test_invariants.py::test_prefix_mismatch_survives_optimize_flag",
     ),
     # the layouts read off the pipe-dream board
     (

@@ -45,6 +45,7 @@ from .cartan import (
     positive_roots,
     reduced_word,
     rho,
+    simple_element,
     simple_root_in_fundamental,
     weight_root_pairing,
 )
@@ -98,6 +99,7 @@ def demazure_operator(datum: RootDatum, i: int, char: dict) -> dict:
 def demazure_character(datum: RootDatum, w: WeylElement, lam) -> dict:
     """Character of the Demazure module for w at lam, via any reduced word."""
     check_group(datum, w)
+    check_weight(datum, lam)
     char = {tuple(lam): 1}
     for i in reversed(reduced_word(w)):
         char = demazure_operator(datum, i, char)
@@ -157,14 +159,6 @@ def divided_difference(datum: RootDatum, i: int, f: dict) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
-def apply_divided_differences(datum: RootDatum, word, f: dict) -> dict:
-    for i in reversed(word):
-        f = divided_difference(datum, i, f)
-        if not f:
-            return {}
-    return f
-
-
 def orthogonal_root(datum: RootDatum, root) -> tuple:
     """A root given in the simple-root basis, in orthogonal coordinates."""
     out = [0] * _num_variables(datum)
@@ -193,10 +187,21 @@ def top_class_polynomial(datum: RootDatum) -> tuple:
 @lru_cache(maxsize=None)
 def schubert_representative(datum: RootDatum, w: WeylElement) -> tuple:
     """|W| times the Schubert polynomial of w, as a sorted item tuple: divided
-    differences along w^{-1} w_0 applied to the top class."""
-    f = dict(top_class_polynomial(datum))
+    differences along w^{-1} w_0 applied to the top class.
+
+    With i the first letter of `reduced_word(w^{-1} w_0)`, the rest of that
+    word is the one of (w s_i)^{-1} w_0, so the representative is d_i of the
+    cached one of w s_i: the same divided differences in the same order."""
     word = reduced_word(multiply(inverse(w), longest_element(datum)))
-    return tuple(sorted(apply_divided_differences(datum, word, f).items()))
+    if not word:
+        return top_class_polynomial(datum)
+    # the cached function under a private name, so that a patch of the
+    # public one reaches no other representative
+    rep = _representative(datum, multiply(w, simple_element(datum, word[0])))
+    return tuple(sorted(divided_difference(datum, word[0], dict(rep)).items()))
+
+
+_representative = schubert_representative
 
 
 def check_normalization(datum: RootDatum):
@@ -232,9 +237,17 @@ def bgg_structure_constants(datum: RootDatum, u: WeylElement, v: WeylElement) ->
     product = poly_mul(dict(schubert_representative(datum, u)), dict(schubert_representative(datum, v)))
     zero = (0,) * _num_variables(datum)
     scale = group_order(datum) ** 2
+    # word suffix -> its divided differences applied to the product; the
+    # suffixes of a reduced word are the reduced words of shorter elements
+    # (reduced_word(s_i t) is reduced_word(t)[1:]), so each runs once
+    chains = {(): product}
     out = []
     for w, word in _reduced_words_by_length(datum)[deg]:
-        val, rem = divmod(apply_divided_differences(datum, word, product).get(zero, 0), scale)
+        k = next(k for k in range(len(word) + 1) if word[k:] in chains)
+        f = chains[word[k:]]
+        for j in range(k - 1, -1, -1):
+            f = chains[word[j:]] = divided_difference(datum, word[j], f)
+        val, rem = divmod(f.get(zero, 0), scale)
         if rem:
             raise InvariantError("structure constant is not an integer; convention error")
         if val:

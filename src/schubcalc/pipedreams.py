@@ -27,6 +27,7 @@ from .cartan import (
     inverse,
     longest_element,
     multiply,
+    simple_element,
     standard_word,
     compatible_subsets,
 )
@@ -251,6 +252,7 @@ def mitosis_top(j: int, d: Diagram) -> frozenset:
     forced chain of column-j ladder moves after removing the topmost box."""
     if d.datum.family != "A":
         raise ValueError("transposed mitosis is a type A operator")
+    check_letter(d.datum, j)
     cand = mitosis_candidates(d, j)
     out = set()
     for i in cand:
@@ -305,19 +307,26 @@ def m_op(datum: RootDatum, i: int, d: Diagram) -> frozenset:
 
 @lru_cache(maxsize=None)
 def mset(datum: RootDatum, w: WeylElement) -> frozenset:
-    """The Demazure index set of diagrams: fold M over the letters extracted
-    by the bottom diagram's complement positions, starting from the full
-    board."""
+    """The Demazure index set of diagrams: M folded over the letters of the
+    standard word at the lexicographically minimal extraction of w (the
+    bottom diagram's complement positions), starting from the full board.
+
+    Each set is one step from a cached one.  With i the last fold letter,
+    the lex-min extraction of w s_i is that of w without its last position,
+    so M(w) is the union of M_i over M(w s_i); a lex-min extraction of w s_i
+    that is not that prefix raises `InvariantError`."""
     word = standard_word(datum)
-    kprime = arrangement_kd_prime(bottom_diagram(datum, w))
-    current = frozenset([full_diagram(datum)])
-    for k in kprime:
-        i = word[k - 1]
-        nxt = set()
-        for d in current:
-            nxt |= m_op(datum, i, d)
-        current = frozenset(nxt)
-    return current
+    kprime = min(compatible_subsets(datum, word, w))
+    if not kprime:
+        return frozenset([full_diagram(datum)])
+    i = word[kprime[-1] - 1]
+    v = multiply(w, simple_element(datum, i))
+    if min(compatible_subsets(datum, word, v)) != kprime[:-1]:
+        raise InvariantError("the lex-min extraction of %r does not extend that of %r" % (w, v))
+    out = set()
+    for d in mset(datum, v):
+        out |= m_op(datum, i, d)
+    return frozenset(out)
 
 
 def ascii_diagram(d: Diagram) -> str:

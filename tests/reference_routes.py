@@ -4,7 +4,10 @@ action, the crystal read off
 `f_op`/`e_op` state by state, the sigma statistic by its definition, string
 coordinates by raising one state along the word, the Demazure folds along
 whole reduced words, the extraction sets by one search per Weyl element, the
-type A ladder move and box-removal operator on the staircase board, and the
+type A ladder move and box-removal operator on the staircase board, the
+Demazure index sets by one whole box-removal fold per element, Schubert
+representatives and structure constants by one whole divided-difference
+chain per element, and the
 products and pairings of the deformed-polytope ring by rewriting row
 multisets one repeated row at a time, the crystal's string table checked
 against an enumeration of the string polytope's lattice points, lattice
@@ -23,6 +26,7 @@ from operator import add, eq, mul
 from schubcalc import crystals as cr
 from schubcalc import faces as fc
 from schubcalc import linalg
+from schubcalc import oracles as orc
 from schubcalc import pipedreams as pd
 from schubcalc import polytopes as pt
 from schubcalc.cartan import (
@@ -688,6 +692,62 @@ def m_op_a(datum, i, d):
                     new.append(moved)
         frontier = new
     return frozenset(seen)
+
+
+def fold_mset(datum, w):
+    """M(w) folded from the full board over every letter of the lex-min
+    extraction of w, one whole chain per element."""
+    word = standard_word(datum)
+    kprime = pd.arrangement_kd_prime(pd.bottom_diagram(datum, w))
+    current = frozenset([pd.full_diagram(datum)])
+    for k in kprime:
+        i = word[k - 1]
+        nxt = set()
+        for d in current:
+            nxt |= pd.m_op(datum, i, d)
+        current = frozenset(nxt)
+    return current
+
+
+# ---------------------------------------------------------------------------
+# divided-difference chains along whole reduced words
+
+
+def apply_divided_differences(datum, word, f):
+    """d_{j_1} ... d_{j_m} f for word (j_1, ..., j_m), last letter first."""
+    for i in reversed(word):
+        f = orc.divided_difference(datum, i, f)
+        if not f:
+            return {}
+    return f
+
+
+def chain_representative(datum, w):
+    """|W| times the Schubert polynomial of w: the whole chain along
+    reduced_word(w^{-1} w_0) applied to the top class."""
+    word = reduced_word(multiply(inverse(w), longest_element(datum)))
+    f = apply_divided_differences(datum, word, dict(orc.top_class_polynomial(datum)))
+    return tuple(sorted(f.items()))
+
+
+def chain_structure_constants(datum, u, v):
+    """The expansion of the product of the classes of u and v: one whole
+    chain along reduced_word(t) per target t of degree l(u) + l(v)."""
+    deg = length(u) + length(v)
+    if deg > datum.num_positive_roots:
+        return ()
+    product = orc.poly_mul(dict(chain_representative(datum, u)), dict(chain_representative(datum, v)))
+    zero = (0,) * orc._num_variables(datum)
+    scale = orc.group_order(datum) ** 2
+    out = []
+    for t in all_elements(datum):
+        if length(t) == deg:
+            val, rem = divmod(apply_divided_differences(datum, reduced_word(t), product).get(zero, 0), scale)
+            if rem:
+                raise InvariantError("structure constant is not an integer")
+            if val:
+                out.append((t, val))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,23 @@ except InvariantError as err:
     print("InvariantError:", err)
 """
 
+# the extractions of s_1 of A2 from the word (1, 2, 1) are (1,) and (3,);
+# planted to (3,) alone, the lex-min extraction (1, 2) of s_1 s_2 no longer
+# extends that of s_1, and M(s_1 s_2) must refuse to fold on from M(s_1)
+PREFIX_MISMATCH = """
+from schubcalc import pipedreams
+from schubcalc.cartan import InvariantError, RootDatum, word_to_element
+
+A2 = RootDatum("A", 2)
+s1 = word_to_element(A2, (1,))
+true = pipedreams.compatible_subsets
+pipedreams.compatible_subsets = lambda datum, word, w: ((3,),) if w == s1 else true(datum, word, w)
+try:
+    print(sorted(sorted(d.boxes) for d in pipedreams.mset(A2, word_to_element(A2, (1, 2)))))
+except InvariantError as err:
+    print("InvariantError:", err)
+"""
+
 # no tower certificate: the deformed context must refuse to build
 NON_TOWER = """
 from schubcalc import faces, polytopes
@@ -248,6 +265,12 @@ def test_facet_block_without_a_common_string_survives_optimize_flag():
 def test_non_divisible_representative_survives_optimize_flag():
     out = _run_optimized(NON_DIVISIBLE_REPRESENTATIVE)
     assert out.startswith("InvariantError: structure constant is not an integer"), out
+
+
+def test_prefix_mismatch_survives_optimize_flag():
+    out = _run_optimized(PREFIX_MISMATCH)
+    expected = "InvariantError: the lex-min extraction of WA2[2, 3, 1] does not extend that of WA2[2, 1, 3]"
+    assert out.startswith(expected), out
 
 
 def test_tower_certificate_survives_optimize_flag():

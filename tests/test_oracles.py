@@ -19,6 +19,7 @@ from schubcalc.cartan import (
     word_to_element,
 )
 
+import reference_routes as ref
 from reference_routes import act_on_weight
 
 A2 = RootDatum("A", 2)
@@ -117,6 +118,13 @@ def test_demazure_character_word_independence_and_top():
             assert reflected == top
 
 
+def test_demazure_character_refuses_a_weight_that_is_not_dominant():
+    e, w0 = identity_element(C2), longest_element(C2)
+    for w, lam in ((w0, (1, 1, 5)), (e, (-3, 0)), (w0, (1, -1))):
+        with pytest.raises(ValueError, match="not dominant"):
+            orc.demazure_dimension(C2, w, lam)
+
+
 def test_demazure_dimension_example():
     s1 = word_to_element(A2, (1,))
     assert orc.demazure_dimension(A2, s1, (1, 1)) == 2
@@ -142,7 +150,7 @@ def test_divided_difference_nilpotent_and_braid(datum, data):
             m = coxeter_order(datum, i, j)
             word1 = ([i, j] * m)[:m]
             word2 = ([j, i] * m)[:m]
-            assert orc.apply_divided_differences(datum, word1, poly) == orc.apply_divided_differences(
+            assert ref.apply_divided_differences(datum, word1, poly) == ref.apply_divided_differences(
                 datum, word2, poly
             )
 
@@ -173,7 +181,7 @@ def test_word_independence_of_divided_difference_chains():
         for w in all_elements(datum):
             images = set()
             for word in all_reduced_words(w):
-                images.add(tuple(sorted(orc.apply_divided_differences(datum, word, f).items())))
+                images.add(tuple(sorted(ref.apply_divided_differences(datum, word, f).items())))
             assert len(images) == 1
 
 
@@ -194,6 +202,19 @@ def test_top_class_is_the_integer_product_of_positive_roots():
         assert dict(orc.schubert_representative(datum, e)) == {
             (0,) * num_variables(datum): orc.group_order(datum)
         }
+
+
+@pytest.mark.parametrize("datum", [A2, A3, C2, C3], ids=["A2", "A3", "C2", "C3"])
+def test_one_step_routes_match_the_whole_chains(datum):
+    # each representative is one divided difference of a cached one, and one
+    # structure-constant call shares its word suffixes; the whole chains per
+    # element give the same tables
+    elems = all_elements(datum)
+    for w in elems:
+        assert orc.schubert_representative(datum, w) == ref.chain_representative(datum, w)
+    for u in elems:
+        for v in elems:
+            assert orc.bgg_structure_constants(datum, u, v) == ref.chain_structure_constants(datum, u, v)
 
 
 def table_digest(datum):

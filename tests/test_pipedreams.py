@@ -17,9 +17,11 @@ from schubcalc.cartan import (
 import reference_routes as ref
 
 A2 = RootDatum("A", 2)
+A3 = RootDatum("A", 3)
 A4 = RootDatum("A", 4)
 C2 = RootDatum("C", 2)
 C3 = RootDatum("C", 3)
+C4 = RootDatum("C", 4)
 
 # every board the layout tests read: A1-A6 and C2-C5
 BOARDS = [RootDatum("A", n) for n in range(1, 7)] + [RootDatum("C", n) for n in range(2, 6)]
@@ -38,6 +40,12 @@ def test_mitosis_chain_refuses_a_letter_out_of_range():
     for letters in ((0,), (5,), (1, 3)):
         with pytest.raises(ValueError, match="out of range"):
             pd.mitosis_chain(A2, letters)
+
+
+def test_mitosis_top_refuses_a_letter_out_of_range():
+    for j in (0, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            pd.mitosis_top(j, pd.full_diagram(A2))
 
 
 def test_arrangements_type_a():
@@ -188,6 +196,14 @@ def test_mitosis_equals_ladder_closure_everywhere():
         assert pd.mset(datum, w) == expected
         for word in all_reduced_words(w):
             assert pd.mitosis_chain(datum, word) == expected
+
+
+@pytest.mark.parametrize("datum", [A2, A3, A4, C2, C3, C4], ids=["A2", "A3", "A4", "C2", "C3", "C4"])
+def test_mset_steps_match_the_whole_fold_on_every_element(datum):
+    # each M(w) is one box-removal step from the cached M(w s_i); the whole
+    # fold from the full board gives the same set
+    for w in all_elements(datum):
+        assert pd.mset(datum, w) == ref.fold_mset(datum, w)
 
 
 def test_mset_subset_of_ladder_closure_type_c():
