@@ -16,7 +16,7 @@ other pytest outcome (no such test, a collection error) is an error.
 
 It prints one line per plant, then the killed, survived and error counts,
 and exits 1 unless every plant is killed.  Each row costs one pytest start
-and one test run (the 19 rows took 35 s on a 2-core host), so the script
+and one test run (the 23 rows took 46 to 54 s on a 2-core host), so the script
 is not part of the test suite, which checks only that every anchor occurs
 once.
 """
@@ -137,6 +137,32 @@ PLANTS = (
         "if min(compatible_subsets(datum, word, v)) != kprime[:-1]:",
         "if False:",
         "tests/test_invariants.py::test_prefix_mismatch_survives_optimize_flag",
+    ),
+    # one path to each verdict: a status read off the mismatches, and the
+    # exported strings read off the certified table
+    (
+        "verify",
+        'cell["status"] = "violation" if mismatches else "pass"',
+        'cell["status"] = "pass"',
+        "tests/test_verify.py::test_theorem1_suite_reports_a_crystal_side_with_one_wrong_string",
+    ),
+    (
+        "verify",
+        'elif any(c["status"] == "violation" for c in listed):',
+        "elif False:",
+        "tests/test_verify.py::test_duality_suite_reports_a_pairing_off_by_one",
+    ),
+    (
+        "cli",
+        'return EXIT_OK if report["status"] == "pass" else EXIT_VIOLATION',
+        "return EXIT_OK",
+        "tests/test_verify.py::test_verify_command_exits_one_and_prints_the_violation_report",
+    ),
+    (
+        "crystals",
+        "strings = string_incidence(datum, word, lam)[0]",
+        "strings = _string_table(datum, word, lam)",
+        "tests/test_crystals.py::test_exported_strings_are_certified",
     ),
     # the layouts read off the pipe-dream board
     (

@@ -29,14 +29,14 @@ These coordinates are the embedding coordinates of an element's
 canonical lift, NOT its string parametrization: the two differ already in rank
 two.  The string of b is (a_1, tail(e_{i_1}^{a_1} b)): the number of raises
 by the first letter, then the string of the raised element along the rest of
-the word.  `_string_table` memoises these tails per word position and state
-over the whole cut crystal, so each (position, state) pair is raised once,
-and `string_coords` reads one state's string off it.  Everything
-exported to the polytope side (B(lam), Demazure and opposite Demazure sets,
-Richardson intersections) is in string coordinates.  `string_incidence`
-holds the strings with one bitmask per string-polytope row over them, and
-certifies them as the polytope's lattice points, once per (datum, lam), by
-containment and count.
+the word.  `_string_table` computes these tails per word position and state
+over the whole cut crystal, so each (position, state) pair is raised once.
+`string_incidence`, its one caller, holds the strings with one bitmask per
+string-polytope row over them, and certifies them as the polytope's lattice
+points, once per (datum, word, lam), by containment and count.  Every
+string set exported to the polytope side (B(lam), Demazure and opposite
+Demazure sets, Richardson intersections, one state's `string_coords`) is
+read off these certified strings, so none escapes the certificate.
 """
 
 from __future__ import annotations
@@ -293,19 +293,18 @@ def crystal_states(datum: RootDatum, word, lam) -> tuple:
 
 
 def string_coords(datum: RootDatum, word, lam, state) -> tuple:
-    """String parametrization of one cut-crystal element, read off
-    `_string_table` at the state's table index."""
+    """String parametrization of one cut-crystal element, read off the
+    certified strings of `string_incidence` at the state's table index."""
     lam = _weight(lam)
     k = _operator_table(datum, word, lam).index.get(state)
     if k is None:
         raise InvariantError("non-normal state: not in the generated crystal")
-    return _string_table(datum, word, lam)[k]
+    return string_incidence(datum, word, lam)[0][k]
 
 
-@lru_cache(maxsize=None)
 def _string_table(datum: RootDatum, word, lam) -> tuple:
     """The string coords of every table state, in table order, by suffix
-    table.
+    table; `string_incidence` is its one caller, and holds the result.
 
     The string of b is (a_1, tail(e_{i_1}^{a_1} b)), where the tail is the
     string of the raised element from position 2 on.  Each distinct state
@@ -436,7 +435,7 @@ def _opposite_indices(datum: RootDatum, word, w: WeylElement, lam) -> tuple:
 
 
 def _to_strings(datum, word, lam, indices) -> frozenset:
-    strings = _string_table(datum, word, lam)
+    strings = string_incidence(datum, word, lam)[0]
     return frozenset(strings[k] for k in indices)
 
 

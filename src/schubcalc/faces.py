@@ -143,7 +143,9 @@ def _model_table(datum: RootDatum, lam: tuple) -> tuple:
     """(number of lattice points, per-row bitmasks over them) of the GT/SGT
     model polytope at lambda: the dual Kogan rows, then the Kogan rows, each
     block certified to have a point on all its rows."""
-    count, masks = polytopes.lattice_incidence(polytopes.model_polytope(datum, lam))
+    polytope = polytopes.model_polytope(datum, lam)
+    check_weight(datum, lam)
+    count, masks = polytopes.lattice_incidence(polytope)
     polytopes.check_blocks_meet(masks, datum.num_positive_roots)
     return count, masks
 
@@ -260,24 +262,27 @@ class DeformedContext:
         if sorted(self.step[:big_n]) != steps or sorted(self.step[big_n:]) != steps:
             raise InvariantError("a tower step does not hold one row of each facet family")
         coeffs = [vec for vec, _ in self.polytope.ineqs]
-        square = [()] * big_n
+        self.square = [()] * big_n
         for t in reversed(steps):
             # L_t = -a[var] * sum_j b[var] x_j over the rows j of later steps,
-            # each g_s among them rewritten as f_s - L_s; f_t is the first
-            # row of step t
+            # whose L_s are already known; f_t is the first row of step t
             var = self.polytope.sweep_order[t]
             a = coeffs[self.step.index(t)][var]
             form = Counter()
             for j, b in enumerate(coeffs):
-                s = self.step[j]
-                if s > t and b[var]:
-                    c = -a * b[var]
-                    form[s] += c
-                    if j >= big_n:
-                        for r, d in square[s]:
-                            form[r] -= c * d
-            square[t] = tuple((s, c) for s, c in sorted(form.items()) if c)
-        self.square = tuple(square)
+                if self.step[j] > t and b[var]:
+                    self._add_row(form, j, -a * b[var])
+            self.square[t] = tuple((s, c) for s, c in sorted(form.items()) if c)
+        self.square = tuple(self.square)
+
+    def _add_row(self, form, j: int, h: int):
+        """form += h * x_j in the f basis, t being row j's step: an F row's
+        x_j is f_t, an Fv row's g_t = f_t - L_t, once `square[t]` holds L_t."""
+        t = self.step[j]
+        form[t] += h
+        if j >= self.big_n:
+            for s, c in self.square[t]:
+                form[s] -= h * c
 
     def times(self, mask: int, t: int, memo: dict) -> dict:
         """Normal form of f^mask * f_t: square-free as it stands, else
@@ -297,15 +302,10 @@ class DeformedContext:
 
     def divisor(self, lam) -> tuple:
         """D = sum_j h_j x_j as (step, coefficient) pairs in the f basis, for
-        h_j the right side of row j of the undeformed model polytope at lam:
-        an F row's x_j is f_t, an Fv row's g_t = f_t - L_t."""
+        h_j the right side of row j of the undeformed model polytope at lam."""
         form = Counter()
         for j, (_, h) in enumerate(polytopes.model_polytope(self.datum, lam).ineqs):
-            t = self.step[j]
-            form[t] += h
-            if j >= self.big_n:
-                for s, c in self.square[t]:
-                    form[s] -= h * c
+            self._add_row(form, j, h)
         return tuple((t, c) for t, c in sorted(form.items()) if c)
 
     def f_mask(self, tight) -> int:

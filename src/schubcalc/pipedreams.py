@@ -270,6 +270,8 @@ def mitosis_top(j: int, d: Diagram) -> frozenset:
 
 def mitosis_chain(datum: RootDatum, letters) -> frozenset:
     """Fold transposed mitosis over a word, starting from the full board."""
+    if datum.family != "A":
+        raise ValueError("transposed mitosis is a type A operator")
     current = {full_diagram(datum)}
     for j in letters:
         check_letter(datum, j)

@@ -1,11 +1,11 @@
 """Batch verification suites over (type, rank, lambda, w) matrices.
 
-Each runner returns a JSON-ready report: one cell per matrix entry with a
-pass/violation status, plus a top-level status that is "violation" exactly
-when some cell is a violation, else "pass" ("partial" when a time budget ran
-out, with the remaining cells unlisted).  A runner checks one statement of
-STATEMENTS, and refuses a statement or a family that the table does not list
-before any cell runs.
+Each runner returns a JSON-ready report: one cell per matrix entry, with
+its mismatches and a status read off them (`_verdict`), plus a top-level
+status that is a violation exactly when some cell is one, else a pass
+("partial" when a time budget ran out, with the remaining cells unlisted).
+A runner checks one statement of STATEMENTS, and refuses a statement or a
+family that the table does not list before any cell runs.
 """
 
 from __future__ import annotations
@@ -71,6 +71,13 @@ def _collect(report, cells, start, budget):
     return report
 
 
+def _verdict(cell, mismatches):
+    """`cell` with its mismatches, a violation exactly when there are any."""
+    cell["mismatches"] = mismatches
+    cell["status"] = "violation" if mismatches else "pass"
+    return cell
+
+
 def _theorem_cell(args):
     kind, family, rank, lam, word = args
     datum = RootDatum(family, rank)
@@ -81,11 +88,10 @@ def _theorem_cell(args):
         "rank": rank,
         "lambda": list(lam),
         "w": list(word),
-        "status": "pass",
         "n_faces": 0,
         "n_lattice_points": 0,
-        "mismatches": [],
     }
+    mismatches = []
     try:
         if kind == "theorem1":
             dec = faces.opposite_demazure_faces(datum, w, lam)
@@ -96,14 +102,12 @@ def _theorem_cell(args):
         cell["n_faces"] = len(dec.tights)
         cell["n_lattice_points"] = len(dec.union)
         if model_count != len(dec.union):
-            cell["status"] = "violation"
-            cell["mismatches"].append(
+            mismatches.append(
                 {"kind": "model-face-union-count", "model": model_count, "string": len(dec.union)}
             )
     except faces.TheoremViolationError as err:
-        cell["status"] = "violation"
-        cell["mismatches"].append(err.payload)
-    return cell
+        mismatches.append(err.payload)
+    return _verdict(cell, mismatches)
 
 
 def theorem_suite(kind: str, family: str, rank: int, lambda_max: int, budget=None):
@@ -146,16 +150,11 @@ def duality_suite(family: str, rank: int, budget=None):
                 "rank": rank,
                 "u": list(reduced_word(u)),
                 "v": list(reduced_word(v)),
-                "status": "pass",
-                "mismatches": [],
             }
             expected = 1 if v == multiply(w0, u) else 0
             got = faces.degree_pairing(datum, u, v, ctx)
             cell["pairing"] = got
-            if got != expected:
-                cell["status"] = "violation"
-                cell["mismatches"].append({"expected": expected, "got": got})
-            yield cell
+            yield _verdict(cell, [] if got == expected else [{"expected": expected, "got": got}])
 
     return _collect({"theorem": "duality", "type": family, "rank": rank}, cells(), start, budget)
 
@@ -176,16 +175,14 @@ def products_suite(family: str, rank: int, budget=None):
                 "rank": rank,
                 "v": list(reduced_word(v)),
                 "w": list(reduced_word(w)),
-                "status": "pass",
-                "mismatches": [],
             }
+            mismatches = []
             try:
                 result = faces.product_c(datum, v, w, ctx)
                 cell["method"] = result.method
             except faces.TheoremViolationError as err:
-                cell["status"] = "violation"
-                cell["mismatches"].append(err.payload)
-            yield cell
+                mismatches.append(err.payload)
+            yield _verdict(cell, mismatches)
 
     report = _collect({"theorem": "products", "type": family, "rank": rank}, cells(), start, budget)
     # the histogram of identification methods over the products that
@@ -217,8 +214,8 @@ def axioms_suite(family: str, rank: int, samples: int, seed: int = 0, budget=Non
                 nxt = crystals.f_op(datum, word, lam, state, i)
                 if nxt is not None:
                     state = nxt
-            cell = {"sample": t, "lambda": None if lam is None else list(lam), "status": "pass",
-                    "mismatches": []}
+            cell = {"sample": t, "lambda": None if lam is None else list(lam)}
+            mismatches = []
             for i in range(1, n + 1):
                 eps = crystals.epsilon(datum, word, lam, state, i)
                 phi = crystals.phi(datum, word, lam, state, i)
@@ -240,9 +237,8 @@ def axioms_suite(family: str, rank: int, samples: int, seed: int = 0, budget=Non
                     checks.append(("f-e", crystals.f_op(datum, word, lam, up, i) == state))
                 for name, ok in checks:
                     if not ok:
-                        cell["status"] = "violation"
-                        cell["mismatches"].append({"axiom": name, "letter": i, "state": list(state)})
-            yield cell
+                        mismatches.append({"axiom": name, "letter": i, "state": list(state)})
+            yield _verdict(cell, mismatches)
 
     report = {"theorem": "axioms", "type": family, "rank": rank, "samples": samples, "seed": seed}
     return _collect(report, cells(), start, budget)

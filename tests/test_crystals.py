@@ -293,17 +293,42 @@ def test_string_table_rejects_non_normal_state(monkeypatch):
     table = cr._operator_table(A2, IA2, (1, 0))
     planted = _with_planted_state(table, A2, IA2, (1, 0), (5, 5, 5))
     # generate_b_lambda reads the strings through string_incidence's cache
-    caches = (cr._string_table, cr.string_incidence)
-    for cache in caches:
-        cache.cache_clear()
+    cr.string_incidence.cache_clear()
     monkeypatch.setattr(cr, "_operator_table", lambda datum, word, lam: planted)
     try:
         with pytest.raises(InvariantError, match="^non-normal state"):
             cr.generate_b_lambda(A2, IA2, (1, 0))
     finally:
         monkeypatch.undo()
-        for cache in caches:
-            cache.cache_clear()
+        cr.string_incidence.cache_clear()
+
+
+# the exported string sets besides B(lambda), as the CLI `crystal --kind`
+# reads them, at A2 (1, 0)
+EXPORTED_STRINGS = {
+    "demazure_crystal": lambda: cr.demazure_crystal(A2, IA2, longest_element(A2), (1, 0)),
+    "opposite_demazure_crystal": lambda: cr.opposite_demazure_crystal(
+        A2, IA2, identity_element(A2), (1, 0)),
+    "richardson_lattice_points": lambda: cr.richardson_lattice_points(
+        A2, IA2, identity_element(A2), longest_element(A2), (1, 0)),
+    "string_coords": lambda: cr.string_coords(A2, IA2, (1, 0), (0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTED_STRINGS))
+def test_exported_strings_are_certified(monkeypatch, name):
+    # the strings of A2 at (1, 0) are (0, 0, 0), (1, 0, 0) and (0, 1, 1);
+    # the last one moved past the lambda row a_3 <= 1 reaches no caller
+    strings = cr._string_table(A2, IA2, (1, 0))
+    assert strings[2] == (0, 1, 1)
+    cr.string_incidence.cache_clear()
+    monkeypatch.setattr(cr, "_string_table", lambda datum, word, lam: strings[:2] + ((0, 1, 2),))
+    try:
+        with pytest.raises(cr.CrystalPolytopeMismatchError, match=r"string \(0, 1, 2\) lies outside"):
+            EXPORTED_STRINGS[name]()
+    finally:
+        monkeypatch.undo()
+        cr.string_incidence.cache_clear()
 
 
 def _incidence_cases():
@@ -357,7 +382,6 @@ def test_certified_path_never_enumerates_a_string_polytope(monkeypatch):
     for datum, lam in ((A3, (1, 1, 1)), (C2, (2, 1))):
         word = standard_word(datum)
         cr.string_incidence.cache_clear()
-        cr._string_table.cache_clear()
         assert len(cr.generate_b_lambda(datum, word, lam)) == weyl_dimension(datum, lam)
         cr.string_incidence.cache_clear()
         for w in all_elements(datum):

@@ -741,6 +741,15 @@ def test_model_face_union_count_refuses_a_weight_of_the_wrong_length():
             fc.model_face_union_count(C2, lam, [(1,)], "F")
 
 
+def test_model_face_union_count_refuses_a_weight_that_is_not_dominant():
+    # a ValueError, as at every other face and crystal entry point, and not
+    # the InvariantError of a model table block with no common point
+    for datum, lam in ((A2, (-1, 0)), (C2, (1, -2))):
+        for family in ("F", "Fv"):
+            with pytest.raises(ValueError, match="is not dominant"):
+                fc.model_face_union_count(datum, lam, ((1,),), family)
+
+
 def test_model_face_union_count_rejects_rows_outside_its_block():
     # A2 has N = 3 rows per block
     for family in ("F", "Fv"):

@@ -42,6 +42,14 @@ def test_mitosis_chain_refuses_a_letter_out_of_range():
             pd.mitosis_chain(A2, letters)
 
 
+def test_mitosis_chain_refuses_type_c_on_every_word():
+    # the fold refuses type C itself: the empty word runs no mitosis step
+    # and would return the full shifted board
+    for letters in ((), (1,), (2, 1)):
+        with pytest.raises(ValueError, match="type A operator"):
+            pd.mitosis_chain(C2, letters)
+
+
 def test_mitosis_top_refuses_a_letter_out_of_range():
     for j in (0, 5):
         with pytest.raises(ValueError, match="out of range"):

@@ -1,11 +1,21 @@
 import itertools
+import json
 import math
 import random
 
 import pytest
 
-from schubcalc import faces, oracles, verify
-from schubcalc.cartan import RootDatum, all_elements, length, longest_element, multiply, reduced_word
+from schubcalc import cli, crystals, faces, oracles, verify
+from schubcalc.cartan import (
+    RootDatum,
+    all_elements,
+    length,
+    longest_element,
+    multiply,
+    reduced_word,
+    standard_word,
+    word_to_element,
+)
 
 
 def test_theorem_suites_rank_two():
@@ -65,6 +75,107 @@ def test_cell_flags_a_model_count_off_by_one(monkeypatch, kind, family, off):
     assert cell["mismatches"] == [
         {"kind": "model-face-union-count", "model": count + off, "string": count}
     ]
+
+
+# each suite with one planted failure: the failing cells, and only they, are
+# violations listing what failed, and so is the report
+
+
+@pytest.fixture
+def one_wrong_crystal_string(monkeypatch):
+    """The opposite Demazure crystal of s_1 at A2 (1, 1) with one string
+    replaced by one outside B(lambda), as `faces` reads it; every other
+    crystal stays true."""
+    A2 = RootDatum("A", 2)
+    s1 = word_to_element(A2, (1,))
+    true = crystals.opposite_demazure_crystal
+
+    def planted(datum, word, w, lam):
+        out = true(datum, word, w, lam)
+        if (datum, w, tuple(lam)) == (A2, s1, (1, 1)):
+            out = (out - {max(out)}) | {(9, 9, 9)}
+        return out
+
+    monkeypatch.setattr(faces.crystals, "opposite_demazure_crystal", planted)
+    return len(true(A2, standard_word(A2), s1, (1, 1)))
+
+
+def test_theorem1_suite_reports_a_crystal_side_with_one_wrong_string(one_wrong_crystal_string):
+    report = verify.theorem_suite("theorem1", "A", 2, 1)
+    assert report["status"] == "violation"
+    bad = [c for c in report["cells"] if c["status"] != "pass"]
+    assert [(c["lambda"], c["w"], c["status"]) for c in bad] == [([1, 1], [1], "violation")]
+    n = one_wrong_crystal_string
+    assert bad[0]["mismatches"] == [{
+        "theorem": "opposite-demazure-faces", "type": "A", "rank": 2, "lambda": [1, 1],
+        "w": [1], "face_union": n, "crystal": n,
+    }]
+    assert all(c["mismatches"] == [] for c in report["cells"] if c["status"] == "pass")
+
+
+def test_verify_command_exits_one_and_prints_the_violation_report(one_wrong_crystal_string, capsys):
+    code = cli.main(["verify", "theorem1", "--type", "A", "--rank", "2", "--lambda-max", "1"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_VIOLATION
+    assert err == ""
+    printed = json.loads(out)
+    report = json.loads(json.dumps(verify.theorem_suite("theorem1", "A", 2, 1)))
+    printed.pop("elapsed_seconds")
+    report.pop("elapsed_seconds")
+    assert printed == report
+    assert printed["status"] == "violation"
+
+
+def test_duality_suite_reports_a_pairing_off_by_one(monkeypatch):
+    true = faces.degree_pairing
+    monkeypatch.setattr(faces, "degree_pairing", lambda *args: true(*args) + 1)
+    report = verify.duality_suite("C", 2)
+    assert report["status"] == "violation"
+    assert len(report["cells"]) == 14
+    for cell in report["cells"]:
+        assert cell["status"] == "violation"
+        assert cell["pairing"] in (1, 2)
+        assert cell["mismatches"] == [{"expected": cell["pairing"] - 1, "got": cell["pairing"]}]
+
+
+def test_products_suite_reports_an_oracle_coefficient_off_by_one(monkeypatch):
+    # the oracle's first coefficient of s_1 * s_2 in C2 one too high
+    C2 = RootDatum("C", 2)
+    s1, s2 = word_to_element(C2, (1,)), word_to_element(C2, (2,))
+    true = oracles.bgg_structure_constants
+    good = true(C2, s1, s2)
+    wrong = tuple((t, c + (k == 0)) for k, (t, c) in enumerate(good))
+    monkeypatch.setattr(
+        faces.oracles, "bgg_structure_constants",
+        lambda datum, v, w: wrong if (v, w) == (s1, s2) else true(datum, v, w),
+    )
+    report = verify.products_suite("C", 2)
+    assert report["status"] == "violation"
+    bad = [c for c in report["cells"] if c["status"] != "pass"]
+    assert [(c["v"], c["w"], c["status"]) for c in bad] == [([1], [2], "violation")]
+    # a product that failed has no method
+    assert "method" not in bad[0]
+    assert bad[0]["mismatches"] == [{
+        "theorem": "product", "v": [1], "w": [2],
+        "expansion": {str(t): c for t, c in good}, "oracle": {str(t): c for t, c in wrong},
+    }]
+    assert report["methods"] == {"degree-pairing": 38, "zero": 25}
+
+
+def test_axioms_suite_reports_an_epsilon_off_by_one(monkeypatch):
+    # phi = eps + <wt, h_i> fails at every letter of every sample; the
+    # checks along f_i compare two shifted epsilons and still hold
+    true = crystals.epsilon
+    monkeypatch.setattr(crystals, "epsilon", lambda *args: true(*args) + 1)
+    report = verify.axioms_suite("A", 2, 6, seed=7)
+    assert report["status"] == "violation"
+    assert len(report["cells"]) == 6
+    for cell in report["cells"]:
+        assert cell["status"] == "violation"
+        assert [(m["axiom"], m["letter"]) for m in cell["mismatches"]] == [
+            ("phi-eps-wt", 1), ("phi-eps-wt", 2)
+        ]
+        assert cell["mismatches"][0]["state"] == cell["mismatches"][1]["state"]
 
 
 def test_products_suite():
