@@ -22,8 +22,8 @@ keep the one-state sweep.  Every later layer walks these integer indices
 instead of recomputing operators.  The Demazure folds follow Kashiwara's
 recursion, B_w = F_i B_{s_i w} for a left descent i and B^w = E_i B^{s_i w}
 for a left ascent i, so each fold is one closure of a smaller cached index
-set, kept as a sorted tuple: the folds of every w are cached, and a tuple
-takes a fraction of a frozenset's memory.
+set.  An index set is an int mask over the table order: the folds of every w
+are cached as masks, and a closure walks its chains on flag bytes.
 
 These coordinates are the embedding coordinates of an element's
 canonical lift, NOT its string parametrization: the two differ already in rank
@@ -36,13 +36,18 @@ string-polytope row over them, and certifies them as the polytope's lattice
 points, once per (datum, word, lam), by containment and count.  Every
 string set exported to the polytope side (B(lam), Demazure and opposite
 Demazure sets, Richardson intersections, one state's `string_coords`) is
-read off these certified strings, so none escapes the certificate.
+read off these certified strings, so none escapes the certificate.  The
+Demazure, opposite Demazure and Richardson sets are fold masks over the
+string order, which is the table order, as `polytopes.PointSet` views: a
+view's size is its bit count, two views over the strings compare their
+masks, and a Richardson set is the AND of two folds.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
+from itertools import compress, filterfalse
 from operator import add
 from typing import NamedTuple
 
@@ -289,14 +294,14 @@ def _operator_table(datum: RootDatum, word, lam) -> _OperatorTable:
 
 def crystal_states(datum: RootDatum, word, lam) -> tuple:
     """All elements of the cut crystal in ladder coordinates, sorted."""
-    return tuple(sorted(_operator_table(datum, word, lam).states))
+    return tuple(sorted(_operator_table(datum, tuple(word), _weight(lam)).states))
 
 
 def string_coords(datum: RootDatum, word, lam, state) -> tuple:
     """String parametrization of one cut-crystal element, read off the
     certified strings of `string_incidence` at the state's table index."""
-    lam = _weight(lam)
-    k = _operator_table(datum, word, lam).index.get(state)
+    word, lam = tuple(word), _weight(lam)
+    k = _operator_table(datum, word, lam).index.get(tuple(state))
     if k is None:
         raise InvariantError("non-normal state: not in the generated crystal")
     return string_incidence(datum, word, lam)[0][k]
@@ -395,64 +400,72 @@ def generate_b_lambda(datum: RootDatum, word, lam) -> frozenset:
 # Demazure folds
 
 
-def _closure(step, members) -> tuple:
-    """The closure of an index set under one letter's operator indices, as a
-    sorted tuple; each chain is walked only until it meets a member."""
-    out = set(members)
-    for k in members:
-        j = step[k]
-        while j >= 0 and j not in out:
-            out.add(j)
-            j = step[j]
-    return tuple(sorted(out))
+def _closure(step, members: int) -> int:
+    """The closure of an index set under one letter's operator indices, both
+    as int masks over the table order.  The members become flag bytes, with
+    one more set flag at the end for the index -1 that ends every chain
+    (`polytopes.mask_flags`); every chain then advances one step per round
+    until it meets a flagged index, the indices it reaches are flagged, and
+    the flags are packed back (`polytopes.flags_mask`)."""
+    flags = polytopes.mask_flags(members, len(step))
+    flags.append(1)
+    fresh = list(filterfalse(flags.__getitem__, compress(step, flags)))
+    while fresh:
+        for j in fresh:
+            flags[j] = 1
+        fresh = list(filterfalse(flags.__getitem__, map(step.__getitem__, fresh)))
+    del flags[-1]
+    return polytopes.flags_mask(flags)
 
 
 @lru_cache(maxsize=None)
-def _demazure_indices(datum: RootDatum, word, w: WeylElement, lam) -> tuple:
-    """Sorted table indices of B_w(lam) by Kashiwara's recursion: B_e is the
-    highest element, table state 0, and B_w = F_i B_{s_i w} for the smallest left descent i
-    of w."""
+def _demazure_indices(datum: RootDatum, word, w: WeylElement, lam) -> int:
+    """The mask over the table order of B_w(lam), by Kashiwara's recursion:
+    B_e is the highest element, table state 0, and B_w = F_i B_{s_i w} for
+    the smallest left descent i of w."""
     check_group(datum, w)
     table = _operator_table(datum, word, lam)
     descents = left_descents(w)
     if not descents:
-        return (0,)
+        return 1
     i = descents[0]
     return _closure(table.down[i - 1], _demazure_indices(datum, word, left_mul(i, w), lam))
 
 
 @lru_cache(maxsize=None)
-def _opposite_indices(datum: RootDatum, word, w: WeylElement, lam) -> tuple:
-    """Sorted table indices of B^w(lam): B^{w_0} is the lowest element and
-    B^w = E_i B^{s_i w} for the smallest left ascent i of w."""
+def _opposite_indices(datum: RootDatum, word, w: WeylElement, lam) -> int:
+    """The mask over the table order of B^w(lam): B^{w_0} is the lowest
+    element and B^w = E_i B^{s_i w} for the smallest left ascent i of w."""
     check_group(datum, w)
     table = _operator_table(datum, word, lam)
     ascents = left_ascents(w)
     if not ascents:
-        return (table.lowest,)
+        return 1 << table.lowest
     i = ascents[0]
     return _closure(table.up[i - 1], _opposite_indices(datum, word, left_mul(i, w), lam))
 
 
-def _to_strings(datum, word, lam, indices) -> frozenset:
-    strings = string_incidence(datum, word, lam)[0]
-    return frozenset(strings[k] for k in indices)
+def _strings(datum, word, lam, mask) -> polytopes.PointSet:
+    """The certified strings of B(lam) at the bits of a mask over the table
+    order, as a view over `string_incidence`'s strings."""
+    return polytopes.PointSet(mask, string_incidence(datum, word, lam)[0])
 
 
-def demazure_crystal(datum: RootDatum, word, w, lam) -> frozenset:
+def demazure_crystal(datum: RootDatum, word, w, lam) -> polytopes.PointSet:
     word, lam = tuple(word), _weight(lam)
-    return _to_strings(datum, word, lam, _demazure_indices(datum, word, w, lam))
+    return _strings(datum, word, lam, _demazure_indices(datum, word, w, lam))
 
 
-def opposite_demazure_crystal(datum: RootDatum, word, w, lam) -> frozenset:
+def opposite_demazure_crystal(datum: RootDatum, word, w, lam) -> polytopes.PointSet:
     word, lam = tuple(word), _weight(lam)
-    return _to_strings(datum, word, lam, _opposite_indices(datum, word, w, lam))
+    return _strings(datum, word, lam, _opposite_indices(datum, word, w, lam))
 
 
-def richardson_lattice_points(datum: RootDatum, word, v, w, lam) -> frozenset:
-    """String image of the intersection of B_w(lam) with B^v(lam); requires v <= w in Bruhat order."""
+def richardson_lattice_points(datum: RootDatum, word, v, w, lam) -> polytopes.PointSet:
+    """String image of the intersection of B_w(lam) with B^v(lam), the AND
+    of their masks; requires v <= w in Bruhat order."""
     if not bruhat_leq(v, w):
         raise ValueError("need v <= w in Bruhat order")
-    lower = demazure_crystal(datum, word, w, lam)
-    upper = opposite_demazure_crystal(datum, word, v, lam)
-    return lower & upper
+    word, lam = tuple(word), _weight(lam)
+    mask = _demazure_indices(datum, word, w, lam) & _opposite_indices(datum, word, v, lam)
+    return _strings(datum, word, lam, mask)

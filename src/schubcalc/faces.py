@@ -20,8 +20,12 @@ arithmetic over one cached table per (datum, word, lambda),
 certified once, when the table is built, to be the string polytope's lattice
 points, and one bitmask per row over them (bit i set when string i lies on
 the row), so a face is the AND of its rows' masks and a union the OR of its
-faces.  The GT/SGT side counts its face unions the same way over the lattice
-points of the model polytope, in sweep order (`polytopes.lattice_incidence`).
+faces.  A union stays that mask, a `polytopes.PointSet` view over the
+table's strings; the (opposite) Demazure crystal is a view over the same
+strings, so the check compares two ints, a count is a bit count, and the
+strings are decoded only where they are read.  The GT/SGT side counts its
+face unions the same way over the lattice points of the model polytope, in
+sweep order (`polytopes.lattice_incidence`).
 Each facet block of a table has a point on all its rows, certified when the
 table is built, so no face is empty.  Only the tables are cached; the crystal
 comparison runs on every call.
@@ -72,10 +76,13 @@ class TheoremViolationError(AssertionError):
 
 @dataclass(frozen=True)
 class FaceDecomposition:
-    """`empty` is always (): the block certificate puts a point on every face."""
+    """`union` is a view over the table's certified strings
+    (`polytopes.PointSet`): its mask is the OR of the faces' masks, its size
+    their bit count, and it decodes its strings only when they are read.
+    `empty` is always (): the block certificate puts a point on every face."""
 
     tights: tuple                 # index tuples, one per face
-    union: frozenset
+    union: polytopes.PointSet
     empty: tuple = ()             # index tuples whose face is empty
 
 
@@ -95,13 +102,15 @@ def _face_union(tights, masks, count: int) -> int:
 
 
 def _decompose(tights, masks, points):
-    """The faces of `points` that the tight sets index, the union decoded."""
+    """The faces of `points` that the tight sets index, the union a view
+    over `points`."""
     union = _face_union(tights, masks, len(points))
-    return FaceDecomposition(tights, frozenset(polytopes.mask_points(union, points)))
+    return FaceDecomposition(tights, polytopes.PointSet(union, points))
 
 
 def _check_union(theorem, datum, lam, w, dec, expected):
-    """The decomposition, once its lattice union equals the crystal's."""
+    """The decomposition, once its lattice union equals the crystal's: two
+    views over one table compare their masks, anything else by content."""
     if dec.union != expected:
         raise TheoremViolationError(
             {

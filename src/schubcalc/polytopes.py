@@ -11,7 +11,8 @@ elimination.  One level-by-level sweep along that order with a slack column
 per row (`_sweep`) gives `lattice_count`, `lattice_points` and the point
 columns of `lattice_incidence`, which the packed kernel of `slack_masks`
 turns into one bitmask per inequality over the points tight on it: faces and their unions are integer AND and OR, and a point set is
-certified to be the lattice points by containment and count.  `vertices`
+certified to be the lattice points by containment and count.  A `PointSet`
+is a read-only set view of such a mask over its points.  `vertices`
 (exact Fractions) and `is_simple`, with `incidence` and `facet_defining`,
 remain as the general-polytope oracles the tower certificate is tested
 against; they and `affine_rank` run on the fraction-free integer echelon of
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import array
 import sys
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, compress, repeat
@@ -181,8 +183,9 @@ def lattice_count(p: Polytope) -> int:
     return _sweep(p)[0]
 
 
-# the binary digits "0"/"1" as flag bytes 0/1
+# the binary digits "0"/"1" as flag bytes 0/1, and back
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 # a field's top byte read as the binary digit "1" exactly when it is below
 # 0x80, that is when the field's top bit is clear
 _ZERO_TOPS = bytes.maketrans(bytes(range(256)), b"1" * 128 + b"0" * 128)
@@ -259,8 +262,66 @@ def _column_masks(rows, columns, n) -> tuple:
 
 def mask_points(mask: int, points) -> tuple:
     """The points whose bits are set in `mask`, in point order: the inverse
-    of the masks of `slack_masks`, with bit 0 the last binary digit."""
-    return tuple(compress(points, bin(mask)[:1:-1].encode().translate(_FLAGS)))
+    of the masks of `slack_masks`."""
+    return tuple(compress(points, mask_flags(mask, len(points))))
+
+
+def mask_flags(mask: int, size: int) -> bytearray:
+    """The bits of `mask` as flag bytes, byte i 1 when bit i is set and 0
+    when it is clear, read off the binary digits with bit 0 the last one,
+    and padded with 0 to `size` bytes."""
+    return bytearray(bin(mask)[:1:-1].encode().translate(_FLAGS).ljust(size, b"\x00"))
+
+
+def flags_mask(flags) -> int:
+    """The int with bit i set when flag byte i is 1: the inverse of
+    `mask_flags`, the flags read backwards as binary digits, as `slack_masks`
+    reads its top bytes."""
+    return int(flags[::-1].translate(_DIGITS), 2)
+
+
+class PointSet(Set):
+    """A read-only set view: the points whose bits are set in `mask`, bit i
+    for points[i], the points distinct.  Its size is the bit count, and it
+    decodes its points (`mask_points`) only to iterate or to test membership;
+    the first membership test keeps them as a frozenset, so that a subset
+    test or a set operation does not decode once per member.  Two views over
+    the same points tuple are equal exactly when their masks are, which the
+    distinct points make set equality; any other comparison is by content.
+    Set operations return frozensets."""
+
+    __slots__ = ("mask", "points", "_members")
+
+    def __init__(self, mask: int, points: tuple):
+        self.mask = mask
+        self.points = points
+        self._members = None
+
+    def __len__(self):
+        return self.mask.bit_count()
+
+    def __iter__(self):
+        return iter(mask_points(self.mask, self.points))
+
+    def __contains__(self, point):
+        if self._members is None:
+            self._members = frozenset(self)
+        return point in self._members
+
+    def __eq__(self, other):
+        if isinstance(other, PointSet) and other.points is self.points:
+            return self.mask == other.mask
+        return Set.__eq__(self, other)
+
+    # the hash of the equal frozenset
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, iterable):
+        return frozenset(iterable)
+
+    def __repr__(self):
+        return "PointSet(%r)" % (sorted(self),)
 
 
 def lattice_incidence(p: Polytope) -> tuple:

@@ -3,11 +3,11 @@ against: the Weyl group by one-line arithmetic, the length by the root
 action, the crystal read off
 `f_op`/`e_op` state by state, the sigma statistic by its definition, string
 coordinates by raising one state along the word, the Demazure folds along
-whole reduced words, the extraction sets by one search per Weyl element, the
-type A ladder move and box-removal operator on the staircase board, the
-Demazure index sets by one whole box-removal fold per element, Schubert
-representatives and structure constants by one whole divided-difference
-chain per element, and the
+whole reduced words and as frozensets of table indices, the extraction sets
+by one search per Weyl element, the type A ladder move and box-removal
+operator on the staircase board, the Demazure index sets by one whole
+box-removal fold per element, Schubert representatives and structure
+constants by one whole divided-difference chain per element, and the
 products and pairings of the deformed-polytope ring by rewriting row
 multisets one repeated row at a time, the crystal's string table checked
 against an enumeration of the string polytope's lattice points, lattice
@@ -39,6 +39,9 @@ from schubcalc.cartan import (
     all_elements,
     identity_element,
     inverse,
+    left_ascents,
+    left_descents,
+    left_mul,
     length,
     longest_element,
     multiply,
@@ -258,6 +261,39 @@ def fold_opposite(datum, word, lam, w):
     for i in reduced_word(multiply(longest_element(datum), inverse(w))):
         states = _closure(cr.e_op, datum, word, lam, i, states)
     return states
+
+
+def _index_closure(step, members):
+    out = set(members)
+    for k in members:
+        j = step[k]
+        while j >= 0 and j not in out:
+            out.add(j)
+            j = step[j]
+    return frozenset(out)
+
+
+def index_folds(datum, word, lam):
+    """({w: B_w(lam)}, {w: B^w(lam)}) over all w, as frozensets of states:
+    the folds' recursion (smallest left descent, smallest left ascent) run
+    on frozensets of table indices, as the library ran it before its folds
+    became masks."""
+    table = cr._operator_table(datum, word, lam)
+    elements = sorted(all_elements(datum), key=length)
+    low, high = {}, {}
+    for w in elements:
+        descents = left_descents(w)
+        low[w] = (_index_closure(table.down[descents[0] - 1], low[left_mul(descents[0], w)])
+                  if descents else frozenset([0]))
+    for w in reversed(elements):
+        ascents = left_ascents(w)
+        high[w] = (_index_closure(table.up[ascents[0] - 1], high[left_mul(ascents[0], w)])
+                   if ascents else frozenset([table.lowest]))
+
+    def states(folds):
+        return {w: frozenset(table.states[k] for k in s) for w, s in folds.items()}
+
+    return states(low), states(high)
 
 
 def i_strings(datum, word, lam, i):

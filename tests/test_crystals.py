@@ -13,6 +13,7 @@ from schubcalc.cartan import (
     RootDatum,
     all_elements,
     all_reduced_words,
+    bruhat_leq,
     identity_element,
     left_mul,
     length,
@@ -37,10 +38,10 @@ IC2 = standard_word(C2)
 
 
 def _fold_states(datum, word, w, lam, fold):
-    """The ladder states of a Demazure fold's table indices, `fold` being
-    `cr._demazure_indices` or `cr._opposite_indices`."""
+    """The ladder states of a Demazure fold's mask over the table order,
+    `fold` being `cr._demazure_indices` or `cr._opposite_indices`."""
     states = cr._operator_table(datum, word, lam).states
-    return frozenset(states[k] for k in fold(datum, word, w, lam))
+    return frozenset(pt.mask_points(fold(datum, word, w, lam), states))
 
 
 def _lowest(datum, word, lam):
@@ -237,8 +238,6 @@ def test_lowest_state_unique():
 def test_bruhat_agrees_with_opposite_containment():
     # cross-module property: the order is detected by containment of the
     # raising-closed subsets at a regular weight
-    from schubcalc.cartan import bruhat_leq
-
     for datum, word in ((A2, IA2), (C2, IC2)):
         lam = (1, 1)
         sets = {
@@ -544,6 +543,7 @@ def test_sigma_profile_matches_definition():
 S1 = word_to_element(A2, (1,))
 W0 = longest_element(A2)
 LIST_WEIGHT_CALLS = {
+    "crystal_states": lambda lam: cr.crystal_states(A2, IA2, lam),
     "generate_b_lambda": lambda lam: cr.generate_b_lambda(A2, IA2, lam),
     "demazure_crystal": lambda lam: cr.demazure_crystal(A2, IA2, S1, lam),
     "opposite_demazure_crystal": lambda lam: cr.opposite_demazure_crystal(A2, IA2, S1, lam),
@@ -556,3 +556,53 @@ LIST_WEIGHT_CALLS = {
 def test_weight_may_be_a_list(name):
     call = LIST_WEIGHT_CALLS[name]
     assert call([2, 1]) == call((2, 1))
+
+
+LIST_WORD_CALLS = {
+    "crystal_states": lambda word: cr.crystal_states(A2, word, (2, 1)),
+    "generate_b_lambda": lambda word: cr.generate_b_lambda(A2, word, (2, 1)),
+    "demazure_crystal": lambda word: cr.demazure_crystal(A2, word, S1, (2, 1)),
+    "opposite_demazure_crystal": lambda word: cr.opposite_demazure_crystal(A2, word, S1, (2, 1)),
+    "string_coords": lambda word: cr.string_coords(A2, word, (2, 1), (1, 1, 0)),
+    "richardson_lattice_points": lambda word: cr.richardson_lattice_points(A2, word, S1, W0, (2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIST_WORD_CALLS))
+def test_word_may_be_a_list(name):
+    call = LIST_WORD_CALLS[name]
+    assert call(list(IA2)) == call(IA2)
+
+
+def test_state_may_be_a_list():
+    assert cr.string_coords(A2, IA2, (2, 1), [1, 1, 0]) == cr.string_coords(A2, IA2, (2, 1), (1, 1, 0))
+
+
+def _weights(datum, lambda_max):
+    return list(itertools.product(range(lambda_max + 1), repeat=datum.rank))
+
+
+@pytest.mark.parametrize(
+    "datum, lambda_max", [(A2, 2), (A3, 2), (C2, 2), (A4, 1), (C3, 1)], ids=["A2", "A3", "C2", "A4", "C3"]
+)
+def test_fold_masks_match_the_frozenset_route(datum, lambda_max):
+    # every fold mask, decoded, is the set the folds built on frozensets of
+    # table indices
+    word = standard_word(datum)
+    for lam in _weights(datum, lambda_max):
+        low, high = ref.index_folds(datum, word, lam)
+        for w in all_elements(datum):
+            assert _fold_states(datum, word, w, lam, cr._demazure_indices) == low[w]
+            assert _fold_states(datum, word, w, lam, cr._opposite_indices) == high[w]
+
+
+@pytest.mark.parametrize("datum", [A2, A3, C2], ids=["A2", "A3", "C2"])
+def test_richardson_is_the_intersection_of_the_two_sides(datum):
+    word = standard_word(datum)
+    for lam in _weights(datum, 1):
+        for w in all_elements(datum):
+            lower = frozenset(cr.demazure_crystal(datum, word, w, lam))
+            for v in all_elements(datum):
+                if bruhat_leq(v, w):
+                    upper = frozenset(cr.opposite_demazure_crystal(datum, word, v, lam))
+                    assert cr.richardson_lattice_points(datum, word, v, w, lam) == lower & upper

@@ -496,6 +496,32 @@ def test_face_union_refuses_a_crystal_side_with_one_wrong_string(monkeypatch, cr
     assert err.value.payload["face_union"] == err.value.payload["crystal"] == len(true)
 
 
+@pytest.mark.parametrize(
+    "crystal, decompose",
+    [
+        ("opposite_demazure_crystal", fc.opposite_demazure_faces),
+        ("demazure_crystal", fc.demazure_faces),
+    ],
+    ids=["opposite", "demazure"],
+)
+def test_face_union_refuses_a_view_over_the_same_strings_with_one_bit_moved(
+    monkeypatch, crystal, decompose
+):
+    # the crystal side is a view over the table's own strings with the face
+    # union's bit count, one of its strings swapped for another string of
+    # B(lambda): comparing bit counts alone would pass it
+    w = word_to_element(A2, (1,))
+    true = getattr(cr, crystal)(A2, standard_word(A2), w, (1, 1))
+    assert true.points is cr.string_incidence(A2, standard_word(A2), (1, 1))[0]
+    free = next(k for k in range(len(true.points)) if not true.mask >> k & 1)
+    planted = pt.PointSet(true.mask & (true.mask - 1) | 1 << free, true.points)
+    assert len(planted) == len(true) and planted != true
+    monkeypatch.setattr(fc.crystals, crystal, lambda *args: planted)
+    with pytest.raises(fc.TheoremViolationError) as err:
+        decompose(A2, w, (1, 1))
+    assert err.value.payload["face_union"] == err.value.payload["crystal"] == len(true)
+
+
 def test_product_identity():
     e = identity_element(C2)
     for w in all_elements(C2):

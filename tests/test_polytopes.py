@@ -487,6 +487,81 @@ def test_tight_bits_at_the_field_limits():
         pt.slack_masks([((1, 0), Fraction(1, 2))], [(0, 0)])[0]
 
 
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 80).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_mask_flags_and_flags_mask_are_inverse(case):
+    size, mask = case
+    flags = pt.mask_flags(mask, size)
+    assert list(flags) == [mask >> i & 1 for i in range(size)]
+    assert pt.flags_mask(flags) == mask
+
+
+POINTS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0))
+
+
+def test_point_set_is_a_view_of_its_mask():
+    view = pt.PointSet(0b10110, POINTS)
+    assert len(view) == 3
+    assert list(view) == [(1, 0), (0, 1), (2, 0)]
+    assert (0, 1) in view and (0, 0) not in view and (7, 7) not in view
+    assert hash(view) == hash(frozenset(view))
+    assert len(pt.PointSet(0, POINTS)) == 0 and list(pt.PointSet(0, POINTS)) == []
+
+
+def test_point_sets_over_one_table_compare_their_masks():
+    # a mask of the same size with one bit moved is another set
+    view = pt.PointSet(0b10110, POINTS)
+    assert view == pt.PointSet(0b10110, POINTS)
+    assert view != pt.PointSet(0b10101, POINTS)
+    assert not view == pt.PointSet(0b01110, POINTS)
+
+
+def test_point_sets_compare_by_content_otherwise():
+    # over another table (the same points in another order, or other points)
+    # and against a frozenset, equality is set equality
+    view = pt.PointSet(0b10110, POINTS)
+    moved = tuple(reversed(POINTS))
+    assert view == pt.PointSet(0b01101, moved) == frozenset(view)
+    assert frozenset(view) == view
+    assert view != pt.PointSet(0b01110, moved)
+    assert view != frozenset({(1, 0), (0, 1), (9, 9)})
+    assert frozenset({(1, 0), (0, 1), (9, 9)}) != view
+    other = ((1, 0), (0, 1), (2, 0), (5, 5))
+    assert view == pt.PointSet(0b0111, other)
+    assert view != pt.PointSet(0b1011, other)
+    assert view != [(1, 0), (0, 1), (2, 0)]
+
+
+def test_point_set_operations_do_not_decode_once_per_member(monkeypatch):
+    decoded = []
+    mask_points = pt.mask_points
+
+    def counting(mask, points):
+        decoded.append(mask)
+        return mask_points(mask, points)
+
+    monkeypatch.setattr(pt, "mask_points", counting)
+    points = tuple((k,) for k in range(64))
+    a, b = pt.PointSet((1 << 40) - 1, points), pt.PointSet((1 << 50) - 1, points)
+    assert a <= b and not b <= a and len(a & b) == 40 and len(b - a) == 10
+    # a membership test keeps its view's points: 5 decodes, not about 100
+    assert len(decoded) == 5
+
+
+def test_point_set_operations_are_frozenset_operations():
+    a, b = pt.PointSet(0b10110, POINTS), pt.PointSet(0b01011, POINTS)
+    c = pt.PointSet(0b110, tuple(reversed(POINTS)))
+    for x in (a, b, c):
+        for y in (a, b, c, frozenset(b), frozenset({(9, 9), (0, 0)})):
+            fx, fy = frozenset(x), frozenset(y)
+            for op, expected in ((x & y, fx & fy), (x | y, fx | fy), (x - y, fx - fy)):
+                assert type(op) is frozenset
+                assert op == expected
+            assert (x <= y) == (fx <= fy)
+            assert (fy - x) == fy - fx
+
+
 def test_incidence_on_fractional_vertices():
     # a simplex with vertices of denominators 2, 3 and 5, and a row through
     # two of them: the masks are read off the scaled vertices

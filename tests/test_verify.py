@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from schubcalc import cli, crystals, faces, oracles, verify
+from schubcalc import cli, crystals, faces, oracles, polytopes, verify
 from schubcalc.cartan import (
     RootDatum,
     all_elements,
@@ -75,6 +75,29 @@ def test_cell_flags_a_model_count_off_by_one(monkeypatch, kind, family, off):
     assert cell["mismatches"] == [
         {"kind": "model-face-union-count", "model": count + off, "string": count}
     ]
+
+
+def test_verify_path_decodes_no_point(monkeypatch):
+    # a union's size, h0_dimension and a passing theorem cell are bit counts
+    # and mask comparisons over one table: they run with the decoder refusing
+    def refuse(mask, points):
+        raise RuntimeError("a point set was decoded")
+
+    A3 = RootDatum("A", 3)
+    lam, letters = (1, 0, 1), (1, 2, 3)
+    w = word_to_element(A3, letters)
+    schubert = oracles.demazure_dimension(A3, w, lam)
+    opposite = oracles.demazure_dimension(A3, multiply(longest_element(A3), w), lam)
+    monkeypatch.setattr(polytopes, "mask_points", refuse)
+    dec = faces.opposite_demazure_faces(A3, w, lam)
+    assert len(dec.union) == opposite
+    assert faces.h0_dimension(A3, "opposite", w, lam) == opposite
+    assert faces.h0_dimension(A3, "schubert", w, lam) == schubert
+    for kind, count in (("theorem1", opposite), ("theorem2", schubert)):
+        cell = verify._theorem_cell((kind, "A", 3, lam, letters))
+        assert (cell["status"], cell["n_lattice_points"]) == ("pass", count)
+    with pytest.raises(RuntimeError, match="decoded"):
+        list(dec.union)
 
 
 # each suite with one planted failure: the failing cells, and only they, are
