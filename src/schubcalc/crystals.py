@@ -15,15 +15,23 @@ each operator the sigma maximum, its argmin and argmax and <wt, h_i>.
 The cut crystal at one (datum, word, lam) is built once, as an operator
 table: the breadth-first closure of the highest element under lowering, with
 per letter the index of f_i of every state, its inverse e_i (e_i f_i b = b),
-eps_i, and the lowest element.  The build sweeps no coordinates: each state
-carries its sigmas and weight pairings, and lowering at position p moves them
-by a fixed delta per (datum, word, p).  `f_op`, `e_op`, `epsilon` and `phi`
-keep the one-state sweep.  Every later layer walks these integer indices
-instead of recomputing operators.  The Demazure folds follow Kashiwara's
-recursion, B_w = F_i B_{s_i w} for a left descent i and B^w = E_i B^{s_i w}
-for a left ascent i, so each fold is one closure of a smaller cached index
-set.  An index set is an int mask over the table order: the folds of every w
-are cached as masks, and a closure walks its chains on flag bytes.
+eps_i, and the lowest element.  The table keys each state by one int:
+coordinate p sits in bit field p, and lowering at position p adds the unit
+of field p (Nakashima-Zelevinsky 1997: every lowering in the embedding adds 1
+to one coordinate).  The fields are sized from the crystal's depth
+D = <lam, 2 rho^vee>, the coordinate sum of the lowest state, which no
+coordinate passes, so no field carries into the next; the build checks that
+the lowest state's coordinates sum to D.  Past that check only
+`crystal_states` decodes the keys, and `string_coords` packs the state it is
+given.  The build sweeps no coordinates: each state carries its sigmas and
+weight pairings, and lowering at position p moves them by a fixed delta per
+(datum, word, p).  `f_op`, `e_op`, `epsilon` and `phi` keep the one-state
+sweep.  Every later layer walks these integer indices instead of recomputing
+operators.  The Demazure folds follow Kashiwara's recursion,
+B_w = F_i B_{s_i w} for a left descent i and B^w = E_i B^{s_i w} for a left
+ascent i, so each fold is one closure of a smaller cached index set.  An
+index set is an int mask over the table order: the folds of every w are
+cached as masks, and a closure walks its chains on flag bytes.
 
 These coordinates are the embedding coordinates of an element's
 canonical lift, NOT its string parametrization: the two differ already in rank
@@ -36,11 +44,12 @@ string-polytope row over them, and certifies them as the polytope's lattice
 points, once per (datum, word, lam), by containment and count.  Every
 string set exported to the polytope side (B(lam), Demazure and opposite
 Demazure sets, Richardson intersections, one state's `string_coords`) is
-read off these certified strings, so none escapes the certificate.  The
-Demazure, opposite Demazure and Richardson sets are fold masks over the
-string order, which is the table order, as `polytopes.PointSet` views: a
-view's size is its bit count, two views over the strings compare their
-masks, and a Richardson set is the AND of two folds.
+read off these certified strings, so none escapes the certificate.  B(lam)
+is the full mask over them, and the Demazure, opposite Demazure and
+Richardson sets are fold masks over the string order, which is the table
+order, all as `polytopes.PointSet` views: a view's size is its bit count,
+two views over the strings compare their masks, and a Richardson set is the
+AND of two folds.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 from itertools import compress, filterfalse
-from operator import add
+from operator import add, mul
 from typing import NamedTuple
 
 from . import polytopes
@@ -65,8 +74,10 @@ from .cartan import (
     left_ascents,
     left_descents,
     left_mul,
+    positive_roots,
     simple_root_in_fundamental,
     standard_word,
+    symmetrizer,
 )
 
 
@@ -186,12 +197,40 @@ def is_certified_word(datum: RootDatum, word) -> bool:
 
 
 class _OperatorTable(NamedTuple):
-    states: tuple  # the cut crystal in breadth-first order, the highest first
-    index: dict    # state -> index
-    down: tuple    # down[i - 1][k]: index of f_i states[k], or -1
-    up: tuple      # up[i - 1][k]: index of e_i states[k], or -1
-    eps: tuple     # eps[i - 1][k]: epsilon_i of states[k]
+    keys: tuple    # the cut crystal in breadth-first order, the highest first,
+                   # each state packed into one int, coordinate p in bit field p
+    index: dict    # key -> index
+    width: int     # bits per field: those of depth, and at least 1
+    depth: int     # <lam, 2 rho^vee>, the coordinate sum of the lowest state,
+                   # which no coordinate passes
+    down: tuple    # down[i - 1][k]: index of f_i of state k, or -1
+    up: tuple      # up[i - 1][k]: index of e_i of state k, or -1
+    eps: tuple     # eps[i - 1][k]: epsilon_i of state k
     lowest: int    # index of the one state every f_i kills
+
+
+def _depth(datum: RootDatum, lam) -> int:
+    """<lam, 2 rho^vee> = sum over the positive roots beta of <lam, beta^vee>
+    = 2 (lam, beta) / (beta, beta): the height of lam - w_0 lam, so the
+    coordinate sum of the lowest state.  Every state's coordinate sum is the
+    height of lam - wt, and every weight of B(lam) lies above w_0 lam in the
+    dominance order, so no coordinate of any state passes it."""
+    c, d = cartan_matrix(datum), symmetrizer(datum)
+    total = 0
+    for beta in positive_roots(datum):
+        # (x, beta) = sum_j d_j beta_j <x, h_j>, and <beta, h_j> is row j of c times beta
+        weighted = list(map(mul, d, beta))
+        norm = sum(w * sum(map(mul, row, beta)) for w, row in zip(weighted, c))
+        total += 2 * sum(map(mul, weighted, lam)) // norm
+    return total
+
+
+def _coords(table: _OperatorTable, key: int, length: int) -> tuple:
+    """The coordinates of a packed key: its `length` fields of `table.width`
+    bits, field p being coordinate p."""
+    width = table.width
+    field = (1 << width) - 1
+    return tuple((key >> (width * p)) & field for p in range(length))
 
 
 def _invert(step) -> list:
@@ -237,24 +276,30 @@ def _operator_table(datum: RootDatum, word, lam) -> _OperatorTable:
     """The cut crystal and its operators over integer indices.
 
     The states are the breadth-first closure of the zero vector, state 0,
-    under lowering.  Each state carries its sigma statistics and weight pairings
-    (`_statistics_layout`) instead of sweeping its coordinates per letter: a
-    new state gets its parent's statistics plus the delta of the position
-    that lowered, and drops them once expanded.  Per letter, the largest
-    sigma and its first position give f_i and eps_i, with the checks of
-    `f_op`; raising is lowering inverted, and the one state every letter
-    kills is the lowest.  Every later crystal layer reads this table."""
+    under lowering, each packed into one int key: coordinate p sits in bit
+    field p, and lowering at position p adds the unit of field p.  The field
+    width holds the depth (`_depth`), which no coordinate passes, so no field
+    carries into the next.  Each state carries its sigma statistics and
+    weight pairings (`_statistics_layout`) instead of sweeping its
+    coordinates per letter: a new state gets its parent's statistics plus the
+    delta of the position that lowered, and drops them once expanded.  Per
+    letter, the largest sigma and its first position give f_i and eps_i,
+    with the checks of `f_op`; raising is lowering inverted, and the one
+    state every letter kills is the lowest, whose decoded coordinates must
+    sum to the depth.  Every later crystal layer reads this table."""
     _validate(datum, word, lam)
     letters, where, deltas = _statistics_layout(datum, word)
-    zero = (0,) * len(word)
-    states = [zero]
-    index = {zero: 0}
+    depth = _depth(datum, lam)
+    width = depth.bit_length() or 1
+    unit = [1 << (width * p) for p in range(len(word))]
+    keys = [0]
+    index = {0: 0}
     down = [[] for _ in letters]
     eps = [[] for _ in letters]
     # the statistics of the states not yet expanded, in table order
     pending = deque([[0] * len(where) + list(lam)])
     lowest = []
-    for k, state in enumerate(states):  # visits the states appended on the way
+    for k, key in enumerate(keys):  # visits the states appended on the way
         stats = pending.popleft()
         killed = True
         for (lo, hi, slot), down_i, eps_i in zip(letters, down, eps):
@@ -271,37 +316,48 @@ def _operator_table(datum: RootDatum, word, lam) -> _OperatorTable:
                 raise CorruptElementError("lowering argmin beyond stored coordinates")
             killed = False
             p = where[stats.index(top, lo, hi)]
-            nxt = state[:p] + (state[p] + 1,) + state[p + 1 :]
+            nxt = key + unit[p]
             j = index.get(nxt)
             if j is None:
-                j = index[nxt] = len(states)
-                states.append(nxt)
+                j = index[nxt] = len(keys)
+                keys.append(nxt)
                 pending.append(list(map(add, stats, deltas[p])))
             down_i.append(j)
         if killed:
             lowest.append(k)
     if len(lowest) != 1:
         raise InvariantError("lowest element not unique")
-    return _OperatorTable(
-        tuple(states),
+    table = _OperatorTable(
+        tuple(keys),
         index,
+        width,
+        depth,
         tuple(tuple(row) for row in down),
         tuple(tuple(_invert(row)) for row in down),
         tuple(tuple(row) for row in eps),
         lowest[0],
     )
+    if sum(_coords(table, table.keys[table.lowest], len(word))) != table.depth:
+        raise InvariantError("the lowest state's coordinates do not sum to the depth %d" % depth)
+    return table
 
 
 def crystal_states(datum: RootDatum, word, lam) -> tuple:
-    """All elements of the cut crystal in ladder coordinates, sorted."""
-    return tuple(sorted(_operator_table(datum, tuple(word), _weight(lam)).states))
+    """All elements of the cut crystal in ladder coordinates, sorted: the
+    table's keys decoded."""
+    word = tuple(word)
+    table = _operator_table(datum, word, _weight(lam))
+    return tuple(sorted(_coords(table, key, len(word)) for key in table.keys))
 
 
 def string_coords(datum: RootDatum, word, lam, state) -> tuple:
     """String parametrization of one cut-crystal element, read off the
     certified strings of `string_incidence` at the state's table index."""
-    word, lam = tuple(word), _weight(lam)
-    k = _operator_table(datum, word, lam).index.get(tuple(state))
+    word, lam, state = tuple(word), _weight(lam), tuple(state)
+    table = _operator_table(datum, word, lam)
+    k = None
+    if len(state) == len(word) and all(0 <= a <= table.depth for a in state):
+        k = table.index.get(sum(a << (table.width * p) for p, a in enumerate(state)))
     if k is None:
         raise InvariantError("non-normal state: not in the generated crystal")
     return string_incidence(datum, word, lam)[0][k]
@@ -318,7 +374,7 @@ def _string_table(datum: RootDatum, word, lam) -> tuple:
     the crystal; a level keeps each state's top, its count being its epsilon."""
     table = _operator_table(datum, word, lam)
     levels = []
-    frontier = range(len(table.states))
+    frontier = range(len(table.keys))
     for i in word:
         up, eps = table.up[i - 1], table.eps[i - 1]
         step = {}
@@ -337,7 +393,7 @@ def _string_table(datum: RootDatum, word, lam) -> tuple:
     tails = {0: ()}
     for eps, step in reversed(levels):
         tails = {b: (eps[b],) + tails[top] for b, top in step.items()}
-    strings = tuple(tails[k] for k in range(len(table.states)))
+    strings = tuple(tails[k] for k in range(len(table.keys)))
     if len(set(strings)) != len(strings):
         raise InvariantError("string parametrization not injective")
     return strings
@@ -387,13 +443,14 @@ def string_incidence(datum: RootDatum, word, lam) -> tuple:
     return points, masks
 
 
-def generate_b_lambda(datum: RootDatum, word, lam) -> frozenset:
-    """Phi(B(lam)) as a set of string-coordinate tuples, read off
-    `string_incidence`: on the standard word certified equal to the lattice
-    points of the string polytope; on any other reduced word of the longest
-    element experimental, checked only against the lambda-bound rows."""
+def generate_b_lambda(datum: RootDatum, word, lam) -> polytopes.PointSet:
+    """Phi(B(lam)) as a view of every string of `string_incidence`, the full
+    mask: on the standard word certified equal to the lattice points of the
+    string polytope; on any other reduced word of the longest element
+    experimental, checked only against the lambda-bound rows."""
     word, lam = tuple(word), _weight(lam)
-    return frozenset(string_incidence(datum, word, lam)[0])
+    size = len(_operator_table(datum, word, lam).keys)
+    return _strings(datum, word, lam, (1 << size) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import factorial
 
 from . import crystals, oracles, pipedreams, polytopes
@@ -166,7 +167,8 @@ def model_face_union_count(datum: RootDatum, lam, tights, family: str) -> int:
     if family not in ("F", "Fv"):
         raise ValueError("family must be 'F' or 'Fv'")
     big_n = datum.num_positive_roots
-    if any(not 1 <= k <= big_n for tight in tights for k in tight):
+    indices = tuple(chain.from_iterable(tights))
+    if indices and not 1 <= min(indices) <= max(indices) <= big_n:
         raise IndexError("tight indices run from 1 to %d" % big_n)
     count, masks = _model_table(datum, tuple(lam))
     masks = masks[big_n:] if family == "Fv" else masks[:big_n]

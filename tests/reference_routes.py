@@ -1,7 +1,8 @@
 """Slow reference routes that the library's table-driven code is tested
 against: the Weyl group by one-line arithmetic, the length by the root
 action, the crystal read off
-`f_op`/`e_op` state by state, the sigma statistic by its definition, string
+`f_op`/`e_op` state by state, the operator table's packed keys decoded field
+by field, the sigma statistic by its definition, string
 coordinates by raising one state along the word, the Demazure folds along
 whole reduced words and as frozensets of table indices, the extraction sets
 by one search per Weyl element, the type A ladder move and box-removal
@@ -205,6 +206,22 @@ def string_coords(datum, word, lam, state):
     return tuple(out)
 
 
+def table_states(datum, word, lam):
+    """The states of the operator table in table order, each key decoded
+    field by field: coordinate p is the width bits from bit width * p."""
+    table = cr._operator_table(datum, word, lam)
+    field = (1 << table.width) - 1
+    return tuple(
+        tuple((key >> (table.width * p)) & field for p in range(len(word))) for key in table.keys
+    )
+
+
+def table_key(table, state):
+    """The key of a state packed into the table's fields: coordinate p times
+    the unit of field p.  A coordinate past the field carries."""
+    return sum(a << (table.width * p) for p, a in enumerate(state))
+
+
 def bfs_states(datum, word, lam):
     """The cut crystal as the breadth-first closure of the zero vector under
     `f_op`, sorted."""
@@ -223,11 +240,12 @@ def bfs_states(datum, word, lam):
     return tuple(sorted(seen))
 
 
-def lowest(datum, word, lam):
-    """The state that every `f_op` kills."""
+def lowest(datum, word, lam, states=None):
+    """The state that every `f_op` kills, among `states` when given, else
+    among `bfs_states`."""
     (low,) = [
         s
-        for s in bfs_states(datum, word, lam)
+        for s in (bfs_states(datum, word, lam) if states is None else states)
         if all(cr.f_op(datum, word, lam, s, i) is None for i in range(1, datum.rank + 1))
     ]
     return low
@@ -290,8 +308,10 @@ def index_folds(datum, word, lam):
         high[w] = (_index_closure(table.up[ascents[0] - 1], high[left_mul(ascents[0], w)])
                    if ascents else frozenset([table.lowest]))
 
+    decoded = table_states(datum, word, lam)
+
     def states(folds):
-        return {w: frozenset(table.states[k] for k in s) for w, s in folds.items()}
+        return {w: frozenset(decoded[k] for k in s) for w, s in folds.items()}
 
     return states(low), states(high)
 

@@ -40,13 +40,12 @@ IC2 = standard_word(C2)
 def _fold_states(datum, word, w, lam, fold):
     """The ladder states of a Demazure fold's mask over the table order,
     `fold` being `cr._demazure_indices` or `cr._opposite_indices`."""
-    states = cr._operator_table(datum, word, lam).states
+    states = ref.table_states(datum, word, lam)
     return frozenset(pt.mask_points(fold(datum, word, w, lam), states))
 
 
 def _lowest(datum, word, lam):
-    table = cr._operator_table(datum, word, lam)
-    return table.states[table.lowest]
+    return ref.table_states(datum, word, lam)[cr._operator_table(datum, word, lam).lowest]
 
 
 def test_sigma_values():
@@ -79,6 +78,29 @@ def test_b_lambda_counts_and_polytope_crosscheck():
     for lam in [(1, 0), (0, 1), (1, 1), (2, 1)]:
         pts = cr.generate_b_lambda(C2, IC2, lam)
         assert len(pts) == weyl_dimension(C2, lam)
+
+
+def test_b_lambda_size_decodes_no_string(monkeypatch):
+    # B(lambda) is a view of the full mask over the certified strings: its
+    # size is a bit count, and it equals every view of the whole crystal
+    def refuse(mask, points):
+        raise AssertionError("decoded a mask")
+
+    cases = [
+        (A2, IA2, (0, 0)),
+        (A2, (2, 1, 2), (2, 1)),
+        (C2, IC2, (2, 1)),
+        (C3, standard_word(C3), (1, 1, 1)),
+    ]
+    for datum, word, lam in cases:
+        cr.string_incidence(datum, word, lam)
+    monkeypatch.setattr(pt, "mask_points", refuse)
+    for datum, word, lam in cases:
+        points = cr.generate_b_lambda(datum, word, lam)
+        assert isinstance(points, pt.PointSet)
+        assert points.points is cr.string_incidence(datum, word, lam)[0]
+        assert len(points) == weyl_dimension(datum, lam)
+        assert points == cr.demazure_crystal(datum, word, longest_element(datum), lam)
 
 
 def test_string_coordinates_of_small_module():
@@ -266,7 +288,7 @@ def test_demazure_word_independence_rank_three():
 def test_string_table_matches_per_state_route():
     for datum, lam in ((C2, (2, 2)), (C3, (1, 1, 1)), (A4, (1, 1, 1, 1))):
         word = standard_word(datum)
-        states = cr._operator_table(datum, word, lam).states
+        states = ref.table_states(datum, word, lam)
         table = cr._string_table(datum, word, lam)
         expected = {s: ref.string_coords(datum, word, lam, s) for s in states}
         assert dict(zip(states, table)) == expected
@@ -275,10 +297,12 @@ def test_string_table_matches_per_state_route():
 
 def _with_planted_state(table, datum, word, lam, planted):
     """The table with one more state, unreached by any operator, whose eps
-    are its true ones."""
+    are its true ones, under the key it packs to."""
+    key = ref.table_key(table, planted)
+    assert key not in table.index
     return table._replace(
-        states=table.states + (planted,),
-        index={**table.index, planted: len(table.states)},
+        keys=table.keys + (key,),
+        index={**table.index, key: len(table.keys)},
         down=tuple(row + (-1,) for row in table.down),
         up=tuple(row + (-1,) for row in table.up),
         eps=tuple(
@@ -390,34 +414,79 @@ def test_certified_path_never_enumerates_a_string_polytope(monkeypatch):
 
 
 TABLE_CASES = ((A2, (2, 1)), (C2, (1, 1)), (A3, (1, 1, 1)), (C3, (1, 1, 1)))
-
-
-def test_operator_table_matches_operators():
-    # regular and non-regular weights, a 4,096-state crystal, and one
-    # non-standard word
-    cases = [(datum, standard_word(datum), lam) for datum, lam in TABLE_CASES]
-    cases += [
+# regular and non-regular weights, a 4,096-state crystal, and one
+# non-standard word
+OPERATOR_CASES = (
+    [(datum, standard_word(datum), lam) for datum, lam in TABLE_CASES]
+    + [
         (datum, standard_word(datum), lam)
         for datum, lam in ((A1, (3,)), (A3, (3, 3, 3)), (C3, (2, 0, 1)), (A4, (1, 0, 1, 0)))
     ]
-    cases.append((A3, ref.other_word(A3), (2, 0, 1)))
-    for datum, word, lam in cases:
+    + [(A3, ref.other_word(A3), (2, 0, 1))]
+)
+
+
+def test_operator_table_matches_operators():
+    for datum, word, lam in OPERATOR_CASES:
         table = cr._operator_table(datum, word, lam)
+        states = ref.table_states(datum, word, lam)
         assert cr.crystal_states(datum, word, lam) == ref.bfs_states(datum, word, lam)
-        assert table.states[0] == (0,) * len(word)
-        assert all(table.index[s] == k for k, s in enumerate(table.states))
-        assert len(table.index) == len(table.states)
+        assert states[0] == (0,) * len(word)
+        assert all(table.index[ref.table_key(table, s)] == k for k, s in enumerate(states))
+        assert len(table.index) == len(states)
         assert _lowest(datum, word, lam) == ref.lowest(datum, word, lam)
 
         def state(k):
-            return None if k < 0 else table.states[k]
+            return None if k < 0 else states[k]
 
         for i in range(1, datum.rank + 1):
-            for k, s in enumerate(table.states):
+            for k, s in enumerate(states):
                 assert state(table.down[i - 1][k]) == cr.f_op(datum, word, lam, s, i)
                 assert state(table.up[i - 1][k]) == cr.e_op(datum, word, lam, s, i)
                 assert table.eps[i - 1][k] == cr.epsilon(datum, word, lam, s, i)
-    assert len(cr._operator_table(A3, standard_word(A3), (3, 3, 3)).states) == 4096
+    assert len(cr._operator_table(A3, standard_word(A3), (3, 3, 3)).keys) == 4096
+
+
+def _check_packed_table(datum, word, lam) -> tuple:
+    """Check the packed table of (datum, word, lam) against the tuple BFS of
+    `f_op`, and return the BFS states."""
+    table = cr._operator_table(datum, word, lam)
+    states = ref.table_states(datum, word, lam)
+    expected = ref.bfs_states(datum, word, lam)
+    assert tuple(sorted(states)) == expected
+    assert cr.crystal_states(datum, word, lam) == expected
+    assert states[0] == (0,) * len(word)
+    assert [table.index[key] for key in table.keys] == list(range(len(expected)))
+    assert states[table.lowest] == ref.lowest(datum, word, lam, expected)
+    assert sum(states[table.lowest]) == table.depth
+    assert table.depth < 1 << table.width
+    return expected
+
+
+def test_packed_table_matches_tuple_bfs():
+    for datum, word, lam in OPERATOR_CASES:
+        _check_packed_table(datum, word, lam)
+    # the zero weight, of depth 0: one state in fields of one bit
+    for datum in (A1, A2, C3):
+        assert _check_packed_table(datum, standard_word(datum), (0,) * datum.rank) == (
+            (0,) * datum.num_positive_roots,
+        )
+    # a coordinate past one byte (45,451 states), and past two (70,001)
+    for datum, lam, past in ((A2, (300, 0), 255), (A1, (70000,), 65535)):
+        expected = _check_packed_table(datum, standard_word(datum), lam)
+        assert max(map(max, expected)) > past
+        assert len(expected) == weyl_dimension(datum, lam)
+
+
+def test_string_coords_refuses_a_state_that_packs_onto_another():
+    # A2 at (1, 0) has depth 2 and fields of two bits, and the state
+    # (1, 1, 0) has key 1 + 4 = 5: a coordinate past the depth, a negative
+    # one or a trailing zero packs each of these onto 5, and (1,) onto the
+    # key 1 of (1, 0, 0)
+    assert cr.string_coords(A2, IA2, (1, 0), (1, 1, 0)) == (0, 1, 1)
+    for state in ((5, 0, 0), (-3, 2, 0), (1, -3, 1), (1, 1, 0, 0), (1,)):
+        with pytest.raises(InvariantError, match="^non-normal state"):
+            cr.string_coords(A2, IA2, (1, 0), state)
 
 
 def _planted_layout(monkeypatch, position, slot, bump):

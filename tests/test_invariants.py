@@ -23,7 +23,8 @@ except InvariantError as err:
 """
 
 # the suffix table meets a state planted in the operator table: no operator
-# reaches it, and its eps are its true ones
+# reaches it, its eps are its true ones, and its key, packed into fields too
+# narrow for it, is no table state's
 NON_NORMAL_TABLE_ENTRY = """
 from schubcalc import crystals
 from schubcalc.cartan import InvariantError, RootDatum, standard_word
@@ -31,9 +32,10 @@ from schubcalc.cartan import InvariantError, RootDatum, standard_word
 A2 = RootDatum("A", 2)
 word, lam, state = standard_word(A2), (1, 0), (5, 5, 5)
 table = crystals._operator_table(A2, word, lam)
+key = sum(a << (table.width * p) for p, a in enumerate(state))
 planted = table._replace(
-    states=table.states + (state,),
-    index={**table.index, state: len(table.states)},
+    keys=table.keys + (key,),
+    index={**table.index, key: len(table.keys)},
     down=tuple(row + (-1,) for row in table.down),
     up=tuple(row + (-1,) for row in table.up),
     eps=tuple(row + (crystals.epsilon(A2, word, lam, state, i),) for i, row in enumerate(table.eps, 1)),
@@ -94,9 +96,27 @@ bad = [list(row) for row in deltas]
 bad[0][%d] -= 1
 crystals._statistics_layout = lambda datum, word: (letters, where, tuple(map(tuple, bad)))
 try:
-    print(len(crystals._operator_table(A2, word, (1, 1)).states))
+    print(len(crystals._operator_table(A2, word, (1, 1)).keys))
 except InvariantError as err:
     print(type(err).__name__ + ":", err)
+"""
+
+# A2 at (1, 1) has depth <rho, 2 rho^vee> = 4, the coordinate sum of its
+# lowest state (1, 2, 1): the table build is given a depth one off, which
+# keeps every coordinate in its field, or builds its table with the lowest
+# index moved one state up the breadth-first order, whose sum is 3
+PLANTED_DEPTH = """
+from schubcalc import crystals
+from schubcalc.cartan import InvariantError, RootDatum, standard_word
+
+A2 = RootDatum("A", 2)
+true, Table = crystals._depth, crystals._OperatorTable
+crystals._depth = lambda datum, lam: true(datum, lam) + %d
+crystals._OperatorTable = lambda *fields: Table(*fields[:-1], fields[-1] - %d)
+try:
+    print(len(crystals._operator_table(A2, standard_word(A2), (1, 1)).keys))
+except InvariantError as err:
+    print("InvariantError:", err)
 """
 
 # a tower with two rows of one facet family on one step: the deformed
@@ -236,6 +256,15 @@ def test_corrupt_statistic_survives_optimize_flag():
 def test_lowest_uniqueness_survives_optimize_flag():
     out = _run_optimized(PLANTED_STATISTIC % 4)
     assert out.startswith("InvariantError: lowest element not unique"), out
+
+
+def test_depth_witness_survives_optimize_flag():
+    assert _run_optimized(PLANTED_DEPTH % (0, 0)).startswith("8\n")
+    for bump, expected in ((1, 5), (-1, 3), (0, 4)):
+        out = _run_optimized(PLANTED_DEPTH % (bump, int(bump == 0)))
+        assert out.startswith(
+            "InvariantError: the lowest state's coordinates do not sum to the depth %d" % expected
+        ), out
 
 
 def test_context_invariant_survives_optimize_flag():

@@ -83,7 +83,7 @@ def test_string_property_spot_rank_three():
     rng = random.Random(13)
     ws = rng.sample(list(all_elements(C3)), 4)
     for w in ws:
-        states = cr._operator_table(C3, word, lam).states
+        states = ref.table_states(C3, word, lam)
         opp = set(pt.mask_points(cr._opposite_indices(C3, word, w, lam), states))
         for i in (1, 2, 3):
             for chain in ref.i_strings(C3, word, lam, i):
