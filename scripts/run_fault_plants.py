@@ -16,7 +16,7 @@ other pytest outcome (no such test, a collection error) is an error.
 
 It prints one line per plant, then the killed, survived and error counts,
 and exits 1 unless every plant is killed.  Each row costs one pytest start
-and one test run (the 27 rows took 55 s on a 2-core host), so the script
+and one test run (the 29 rows took 42 s on a 2-core host), so the script
 is not part of the test suite, which checks only that every anchor occurs
 once.
 """
@@ -74,6 +74,18 @@ PLANTS = (
         "if rem:",
         "if False:",
         "tests/test_invariants.py::test_non_divisible_representative_survives_optimize_flag",
+    ),
+    (
+        "oracles",
+        "if num % den:",
+        "if False:",
+        "tests/test_invariants.py::test_non_integral_weyl_dimension_survives_optimize_flag",
+    ),
+    (
+        "cartan",
+        "return _reflection_closure(tuple(zip(*cartan_matrix(datum))), datum.num_positive_roots)",
+        "return _reflection_closure(cartan_matrix(datum), datum.num_positive_roots)",
+        "tests/test_cartan.py::test_positive_coroots_of_c2",
     ),
     (
         "polytopes",

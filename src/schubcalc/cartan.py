@@ -1,10 +1,11 @@
 """Root data and Weyl group combinatorics for types A_n and C_n.
 
 Weights are integer tuples of fundamental-weight coefficients, roots are
-integer tuples in the simple-root basis, and every pairing goes through the
-Cartan matrix.  Type C is labelled with the double edge between nodes 1 and 2
-and node 1 long, so c_{1,2} = -1 and c_{2,1} = -2; tests pin this orientation
-against the symplectic Weyl dimensions.
+integer tuples in the simple-root basis and coroots in the simple-coroot
+basis, so a weight pairs with a coroot by an integer dot product.  Type C is
+labelled with the double edge between nodes 1 and 2 and node 1 long, so
+c_{1,2} = -1 and c_{2,1} = -2; tests pin this orientation against the
+symplectic Weyl dimensions.
 
 Weyl elements are stored in one-line form: a permutation of 1..n+1 for type A,
 a signed permutation of 1..n for type C (entry j is the signed image of the
@@ -20,17 +21,17 @@ lengths, |W| * (2 * rank + 1) integers in all.  `length`, `left_mul`,
 `left_descents`, `left_ascents`, `word_to_element`, `reduced_word`,
 `bruhat_leq` and the subword search of `_extraction_table` walk these integer
 indices and return the table's own elements; a lookup of a non-member raises
-`ValueError`.  The build raises `InvariantError` unless |W| is (n+1)! (type
-A) or 2^n n! (type C), the identity and w_0 sit at the two ends, and every
-product by a simple reflection changes the length by exactly one.
+`ValueError`.  The build raises `InvariantError` unless |W| is
+`group_order`, the identity and w_0 sit at the two ends, and every product
+by a simple reflection changes the length by exactly one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial
+from operator import mul
 from typing import NamedTuple
 
 
@@ -76,63 +77,47 @@ def cartan_matrix(datum: RootDatum) -> tuple:
     return tuple(tuple(r) for r in rows)
 
 
-@lru_cache(maxsize=None)
-def symmetrizer(datum: RootDatum) -> tuple:
-    """Integers d_i with d_i c_{i,j} = d_j c_{j,i}, short roots having d = 1."""
-    c = cartan_matrix(datum)
-    n = datum.rank
-    d = [Fraction(0)] * n
-    d[0] = Fraction(1)
-    for i in range(1, n):
-        # chain graph: propagate along the edge (i-1, i)
-        d[i] = d[i - 1] * c[i - 1][i] / c[i][i - 1]
-    scale = lcm(*(x.denominator for x in d))
-    ints = [int(x * scale) for x in d]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
+def _reflection_closure(matrix: tuple, count: int) -> tuple:
+    """The positive vectors of the closure of the unit vectors under the
+    reflections x -> x - (row i of matrix . x) e_i, sorted.  Raises
+    `InvariantError` unless there are `count` of them."""
+    n = len(matrix)
+    found = set()
+    frontier = {tuple(int(j == i) for j in range(n)) for i in range(n)}
+    while frontier:
+        found |= frontier
+        # s_i keeps every positive root positive but alpha_i, which it negates
+        images = {
+            alpha[:i] + (alpha[i] - sum(map(mul, row, alpha)),) + alpha[i + 1 :]
+            for alpha in frontier
+            for i, row in enumerate(matrix)
+        }
+        frontier = {beta for beta in images if min(beta) >= 0} - found
+    result = tuple(sorted(found))
+    if len(result) != count:
+        raise InvariantError("reflection closure found %d vectors, expected %d" % (len(result), count))
+    return result
 
 
 @lru_cache(maxsize=None)
 def positive_roots(datum: RootDatum) -> tuple:
     """All positive roots in the simple-root basis, via reflection closure."""
-    c = cartan_matrix(datum)
-    n = datum.rank
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    roots = set(simple)
-    frontier = set(simple)
-    while frontier:
-        new = set()
-        for alpha in frontier:
-            for i in range(n):
-                pairing = sum(alpha[j] * c[i][j] for j in range(n))
-                beta = list(alpha)
-                beta[i] -= pairing
-                beta = tuple(beta)
-                if all(x >= 0 for x in beta) and any(x > 0 for x in beta) and beta not in roots:
-                    new.add(beta)
-        roots |= new
-        frontier = new
-    result = tuple(sorted(roots))
-    if len(result) != datum.num_positive_roots:
-        raise InvariantError(
-            "reflection closure found %d positive roots, expected %d"
-            % (len(result), datum.num_positive_roots)
-        )
-    return result
+    return _reflection_closure(cartan_matrix(datum), datum.num_positive_roots)
 
 
-def rho(datum: RootDatum) -> tuple:
-    return (1,) * datum.rank
-
-
-def weight_root_pairing(datum: RootDatum, lam, root) -> Fraction:
-    """W-invariant inner product (lam, root) for root in the simple-root basis."""
-    d = symmetrizer(datum)
-    return Fraction(sum(root[j] * d[j] * lam[j] for j in range(datum.rank)))
+@lru_cache(maxsize=None)
+def positive_coroots(datum: RootDatum) -> tuple:
+    """All positive coroots beta^vee = 2 beta / (beta, beta) in the
+    simple-coroot basis h_1, ..., h_n, sorted: the reflection closure of the
+    transposed Cartan matrix.  For a weight lam in fundamental-weight
+    coordinates, <lam, beta^vee> is k . lam for the coefficients k of
+    beta^vee, so every pairing of a weight with a coroot is an integer."""
+    return _reflection_closure(tuple(zip(*cartan_matrix(datum))), datum.num_positive_roots)
 
 
 def simple_root_in_fundamental(datum: RootDatum, i: int) -> tuple:
     """alpha_i written in fundamental-weight coordinates (column i of Cartan)."""
+    check_letter(datum, i)
     c = cartan_matrix(datum)
     return tuple(c[j][i - 1] for j in range(datum.rank))
 
@@ -164,6 +149,12 @@ class WeylElement:
 
     def __repr__(self):
         return "W%s%d%r" % (self.datum.family, self.datum.rank, list(self.oneline))
+
+
+def group_order(datum: RootDatum) -> int:
+    """|W|: (n+1)! for type A_n and 2^n n! for type C_n."""
+    n = datum.rank
+    return factorial(n + 1) if datum.family == "A" else 2**n * factorial(n)
 
 
 def identity_element(datum: RootDatum) -> WeylElement:
@@ -255,10 +246,10 @@ def _weyl_table(datum: RootDatum) -> _WeylTable:
     with per letter the indices of the right products and of the left ones,
     read off the right products of the inverses.
 
-    Raises `InvariantError` unless the group has (n+1)! elements (type A) or
-    2^n n! (type C), the identity and w_0 sit at the two ends, and every left
-    or right product by a simple reflection changes the length by exactly one
-    (the Coxeter property)."""
+    Raises `InvariantError` unless the group has `group_order` elements, the
+    identity and w_0 sit at the two ends, and every left or right product by
+    a simple reflection changes the length by exactly one (the Coxeter
+    property)."""
     n = datum.rank
     simple = [simple_element(datum, i) for i in range(1, n + 1)]
     products = {}  # element -> its right products by s_1, ..., s_n
@@ -267,7 +258,7 @@ def _weyl_table(datum: RootDatum) -> _WeylTable:
         for w in frontier:
             products[w] = [multiply(w, s) for s in simple]
         frontier = {x for w in frontier for x in products[w]} - products.keys()
-    expected = factorial(n + 1) if datum.family == "A" else 2**n * factorial(n)
+    expected = group_order(datum)
     if len(products) != expected:
         raise InvariantError(
             "found %d elements of W(%s%d), expected %d" % (len(products), datum.family, n, expected)

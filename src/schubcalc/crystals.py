@@ -19,9 +19,10 @@ eps_i, and the lowest element.  The table keys each state by one int:
 coordinate p sits in bit field p, and lowering at position p adds the unit
 of field p (Nakashima-Zelevinsky 1997: every lowering in the embedding adds 1
 to one coordinate).  The fields are sized from the crystal's depth
-D = <lam, 2 rho^vee>, the coordinate sum of the lowest state, which no
-coordinate passes, so no field carries into the next; the build checks that
-the lowest state's coordinates sum to D.  Past that check only
+D = <lam, 2 rho^vee> (`_depth`, one integer dot product per positive
+coroot), the coordinate sum of the lowest state, which no coordinate
+passes, so no field carries into the next; the build checks that the lowest
+state's coordinates sum to D.  Past that check only
 `crystal_states` decodes the keys, and `string_coords` packs the state it is
 given.  The build sweeps no coordinates: each state carries its sigmas and
 weight pairings, and lowering at position p moves them by a fixed delta per
@@ -74,10 +75,9 @@ from .cartan import (
     left_ascents,
     left_descents,
     left_mul,
-    positive_roots,
+    positive_coroots,
     simple_root_in_fundamental,
     standard_word,
-    symmetrizer,
 )
 
 
@@ -210,19 +210,13 @@ class _OperatorTable(NamedTuple):
 
 
 def _depth(datum: RootDatum, lam) -> int:
-    """<lam, 2 rho^vee> = sum over the positive roots beta of <lam, beta^vee>
-    = 2 (lam, beta) / (beta, beta): the height of lam - w_0 lam, so the
+    """<lam, 2 rho^vee> = sum over the positive coroots beta^vee of
+    <lam, beta^vee>, which is k . lam for the simple-coroot coefficients k of
+    beta^vee (`positive_coroots`): the height of lam - w_0 lam, so the
     coordinate sum of the lowest state.  Every state's coordinate sum is the
     height of lam - wt, and every weight of B(lam) lies above w_0 lam in the
     dominance order, so no coordinate of any state passes it."""
-    c, d = cartan_matrix(datum), symmetrizer(datum)
-    total = 0
-    for beta in positive_roots(datum):
-        # (x, beta) = sum_j d_j beta_j <x, h_j>, and <beta, h_j> is row j of c times beta
-        weighted = list(map(mul, d, beta))
-        norm = sum(w * sum(map(mul, row, beta)) for w, row in zip(weighted, c))
-        total += 2 * sum(map(mul, weighted, lam)) // norm
-    return total
+    return sum(sum(map(mul, k, lam)) for k in positive_coroots(datum))
 
 
 def _coords(table: _OperatorTable, key: int, length: int) -> tuple:

@@ -2,7 +2,8 @@
 
 Three routes that never touch the polytope, crystal or pipe-dream machinery:
 
-* the Weyl dimension formula, evaluated exactly over rationals;
+* the Weyl dimension formula, one integer quotient over the positive
+  coroots;
 * isobaric Demazure operators on formal characters, for Demazure module
   dimensions;
 * divided differences on the coinvariant algebra, for Schubert-basis
@@ -26,9 +27,8 @@ slip and raises `InvariantError`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from operator import mul
 
 from .cartan import (
     InvariantError,
@@ -36,38 +36,35 @@ from .cartan import (
     WeylElement,
     all_elements,
     check_group,
+    check_letter,
     check_weight,
+    group_order,
     identity_element,
     inverse,
     length,
     longest_element,
     multiply,
+    positive_coroots,
     positive_roots,
     reduced_word,
-    rho,
     simple_element,
     simple_root_in_fundamental,
-    weight_root_pairing,
 )
 
 
 def weyl_dimension(datum: RootDatum, lam) -> int:
-    """prod over positive roots of (lam+rho, alpha)/(rho, alpha)."""
+    """prod over the positive coroots beta^vee of <lam + rho, beta^vee> /
+    <rho, beta^vee>.  With k the simple-coroot coefficients of beta^vee,
+    <rho, beta^vee> is sum(k) and <lam, beta^vee> is k . lam, so the product
+    is one integer quotient, and a remainder is a convention slip."""
     check_weight(datum, lam)
-    lam_rho = tuple(x + 1 for x in lam)
-    num = Fraction(1)
-    for alpha in positive_roots(datum):
-        num *= weight_root_pairing(datum, lam_rho, alpha) / weight_root_pairing(
-            datum, rho(datum), alpha
-        )
-    if num.denominator != 1:
+    num = den = 1
+    for k in positive_coroots(datum):
+        num *= sum(k) + sum(map(mul, k, lam))
+        den *= sum(k)
+    if num % den:
         raise InvariantError("Weyl dimension is not an integer: Cartan convention error")
-    return int(num)
-
-
-def group_order(datum: RootDatum) -> int:
-    n = datum.rank
-    return factorial(n + 1) if datum.family == "A" else (2 ** n) * factorial(n)
+    return num // den
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +131,7 @@ def _swapped_variables(datum: RootDatum, i: int) -> tuple:
 
 def divided_difference(datum: RootDatum, i: int, f: dict) -> dict:
     """(f - s_i f) / alpha_i, one monomial at a time."""
+    check_letter(datum, i)
     if datum.family == "C" and i == 1:
         # (x^p - (-x)^p) / 2x is x^(p-1) for odd p and 0 for even p
         return {(m[0] - 1,) + m[1:]: c for m, c in f.items() if m[0] % 2}

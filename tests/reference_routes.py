@@ -1,6 +1,7 @@
 """Slow reference routes that the library's table-driven code is tested
 against: the Weyl group by one-line arithmetic, the length by the root
-action, the crystal read off
+action, the coroots, the crystal's depth and the Weyl dimension by the
+symmetrized Cartan matrix and root norms over Fractions, the crystal read off
 `f_op`/`e_op` state by state, the operator table's packed keys decoded field
 by field, the sigma statistic by its definition, string
 coordinates by raising one state along the word, the Demazure folds along
@@ -22,6 +23,7 @@ exact linear solve and the weight and diagram helpers that only tests use."""
 import itertools
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, eq, mul
 
 from schubcalc import crystals as cr
@@ -48,8 +50,8 @@ from schubcalc.cartan import (
     multiply,
     reduced_word,
     simple_element,
+    positive_roots,
     standard_word,
-    symmetrizer,
     word_to_element,
 )
 
@@ -137,6 +139,70 @@ def solve(rows, ncols):
 
 # ---------------------------------------------------------------------------
 # weights
+
+
+def symmetrizer(datum):
+    """Integers d_i with d_i c_{i,j} = d_j c_{j,i}, short roots having d = 1:
+    propagated along the Dynkin chain in Fractions, then scaled to coprime
+    integers, so that (alpha_i, alpha_i) = 2 d_i."""
+    c = cartan_matrix(datum)
+    n = datum.rank
+    d = [Fraction(0)] * n
+    d[0] = Fraction(1)
+    for i in range(1, n):
+        # chain graph: propagate along the edge (i-1, i)
+        d[i] = d[i - 1] * c[i - 1][i] / c[i][i - 1]
+    scale = lcm(*(x.denominator for x in d))
+    ints = [int(x * scale) for x in d]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def weight_root_pairing(datum, lam, root):
+    """W-invariant inner product (lam, root) for lam in fundamental
+    coordinates and root in the simple-root basis, as a Fraction."""
+    d = symmetrizer(datum)
+    return Fraction(sum(root[j] * d[j] * lam[j] for j in range(datum.rank)))
+
+
+def root_norm(datum, beta):
+    """(beta, beta) for a root in the simple-root basis: (alpha_i, alpha_j)
+    is d_i c_{i,j}."""
+    c, d = cartan_matrix(datum), symmetrizer(datum)
+    n = datum.rank
+    return sum(beta[i] * d[i] * c[i][j] * beta[j] for i in range(n) for j in range(n))
+
+
+def coroot(datum, beta):
+    """2 beta / (beta, beta) in the simple-coroot basis: alpha_i is d_i
+    alpha_i^vee."""
+    norm = root_norm(datum, beta)
+    return tuple(Fraction(2 * b * di, norm) for b, di in zip(beta, symmetrizer(datum)))
+
+
+def depth(datum, lam):
+    """<lam, 2 rho^vee> as the sum over the positive roots beta of
+    2 (lam, beta) / (beta, beta), the norms read off the symmetrized Cartan
+    matrix."""
+    c, d = cartan_matrix(datum), symmetrizer(datum)
+    total = 0
+    for beta in positive_roots(datum):
+        # (x, beta) = sum_j d_j beta_j <x, h_j>, and <beta, h_j> is row j of c times beta
+        weighted = list(map(mul, d, beta))
+        norm = sum(w * sum(map(mul, row, beta)) for w, row in zip(weighted, c))
+        total += 2 * sum(map(mul, weighted, lam)) // norm
+    return total
+
+
+def weyl_dimension(datum, lam):
+    """prod over the positive roots alpha of (lam + rho, alpha) / (rho, alpha)
+    over Fractions, rho = (1, ..., 1)."""
+    rho = (1,) * datum.rank
+    lam_rho = tuple(x + 1 for x in lam)
+    num = Fraction(1)
+    for alpha in positive_roots(datum):
+        num *= weight_root_pairing(datum, lam_rho, alpha) / weight_root_pairing(datum, rho, alpha)
+    return num
 
 
 def weight_inner(datum, lam, mu):

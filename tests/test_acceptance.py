@@ -7,6 +7,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the timing lines.
 
 import time
 from fractions import Fraction
+from operator import mul
 
 from schubcalc import crystals as cr
 from schubcalc import faces as fc
@@ -22,12 +23,10 @@ from schubcalc.cartan import (
     length,
     longest_element,
     multiply,
+    positive_coroots,
     reduced_word,
     standard_word,
-    weight_root_pairing,
     word_to_element,
-    positive_roots,
-    rho,
 )
 from schubcalc.oracles import bgg_structure_constants, demazure_dimension, weyl_dimension
 
@@ -140,12 +139,12 @@ def test_06_mitosis_equivalence_s4():
 
 
 def _volume_formula(datum, lam):
-    value = Fraction(1)
-    for alpha in positive_roots(datum):
-        value *= weight_root_pairing(datum, lam, alpha) / weight_root_pairing(
-            datum, rho(datum), alpha
-        )
-    return value
+    """prod over the positive coroots beta^vee of <lam, beta^vee> / <rho, beta^vee>."""
+    num = den = 1
+    for k in positive_coroots(datum):
+        num *= sum(map(mul, k, lam))
+        den *= sum(k)
+    return Fraction(num, den)
 
 
 def test_07_dimension_and_volume():

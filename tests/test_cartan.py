@@ -1,10 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubcalc import cartan
+from schubcalc import cartan, crystals
 from schubcalc.cartan import (
     InvariantError,
     RootDatum,
@@ -22,13 +23,16 @@ from schubcalc.cartan import (
     length,
     longest_element,
     multiply,
+    positive_coroots,
     positive_roots,
     reduced_word,
     simple_element,
+    simple_root_in_fundamental,
     standard_word,
     word_to_element,
 )
 from schubcalc.crystals import demazure_crystal
+from schubcalc.oracles import weyl_dimension
 
 import reference_routes as ref
 
@@ -244,6 +248,43 @@ def test_table_matches_oneline_arithmetic(datum):
             assert table.elements[table.right[i - 1][k]] == multiply(w, s)
         assert reduced_word(w) == ref.oneline_reduced_word(w)
         assert word_to_element(datum, reduced_word(w)) == w
+
+
+ROOT_DATA = tuple(RootDatum("A", n) for n in range(1, 7)) + tuple(RootDatum("C", n) for n in range(2, 6))
+
+
+@pytest.mark.parametrize("datum", ROOT_DATA, ids=repr)
+def test_positive_coroots_are_two_beta_over_its_norm(datum):
+    coroots = positive_coroots(datum)
+    assert coroots == tuple(sorted(coroots))
+    assert set(coroots) == {ref.coroot(datum, beta) for beta in positive_roots(datum)}
+
+
+@pytest.mark.parametrize("datum", ROOT_DATA, ids=repr)
+def test_depth_and_weyl_dimension_match_the_norm_routes(datum):
+    for lam in itertools.product(range(3), repeat=datum.rank):
+        assert crystals._depth(datum, lam) == ref.depth(datum, lam)
+        assert weyl_dimension(datum, lam) == ref.weyl_dimension(datum, lam)
+
+
+def test_positive_coroots_of_c2():
+    # the long simple root alpha_1 and the long root alpha_1 + 2 alpha_2 have
+    # the short coroots h_1 and h_1 + h_2; the short roots alpha_2 and
+    # alpha_1 + alpha_2 have the long coroots h_2 and 2 h_1 + h_2
+    assert positive_roots(C2) == ((0, 1), (1, 0), (1, 1), (1, 2))
+    assert positive_coroots(C2) == ((0, 1), (1, 0), (1, 1), (2, 1))
+    assert positive_coroots(A3) == positive_roots(A3)
+
+
+def test_reflection_closure_refuses_a_wrong_count():
+    with pytest.raises(InvariantError, match="reflection closure found 4 vectors, expected 5"):
+        cartan._reflection_closure(cartan_matrix(C2), 5)
+
+
+@pytest.mark.parametrize("i", (0, -1, 3))
+def test_simple_root_refuses_a_letter_out_of_range(i):
+    with pytest.raises(ValueError, match="letter %d out of range 1..2" % i):
+        simple_root_in_fundamental(A2, i)
 
 
 @pytest.mark.parametrize("datum", (A1, A2, A3, A4, C2, C3), ids=repr)

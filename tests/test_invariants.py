@@ -166,6 +166,20 @@ except InvariantError as err:
     print("InvariantError:", err)
 """
 
+# the coroot h_1 + h_2 of A2 planted as h_1 + 2 h_2: at (1, 0) the Weyl
+# product is (1 * 2 * 4) / (1 * 1 * 3), which the dimension must refuse
+# rather than round
+PLANTED_COROOT = """
+from schubcalc import oracles
+from schubcalc.cartan import InvariantError, RootDatum
+
+oracles.positive_coroots = lambda datum: ((0, 1), (1, 0), (1, 2))
+try:
+    print(oracles.weyl_dimension(RootDatum("A", 2), (1, 0)))
+except InvariantError as err:
+    print("InvariantError:", err)
+"""
+
 # the extractions of s_1 of A2 from the word (1, 2, 1) are (1,) and (3,);
 # planted to (3,) alone, the lex-min extraction (1, 2) of s_1 s_2 no longer
 # extends that of s_1, and M(s_1 s_2) must refuse to fold on from M(s_1)
@@ -294,6 +308,12 @@ def test_facet_block_without_a_common_string_survives_optimize_flag():
 def test_non_divisible_representative_survives_optimize_flag():
     out = _run_optimized(NON_DIVISIBLE_REPRESENTATIVE)
     assert out.startswith("InvariantError: structure constant is not an integer"), out
+
+
+def test_non_integral_weyl_dimension_survives_optimize_flag():
+    out = _run_optimized(PLANTED_COROOT)
+    assert out.startswith("InvariantError: Weyl dimension is not an integer"), out
+    assert _run_optimized(PLANTED_COROOT.replace("(1, 2))", "(1, 1))")) == "3\n"
 
 
 def test_prefix_mismatch_survives_optimize_flag():

@@ -79,6 +79,17 @@ def test_weyl_dimension_refuses_a_weight_of_the_wrong_length_or_sign():
             orc.weyl_dimension(C2, lam)
 
 
+@pytest.mark.parametrize("datum, i", [(A2, 0), (A2, 3), (A2, -1), (C2, 0), (C2, 3)])
+def test_operators_refuse_a_letter_out_of_range(datum, i):
+    # unchecked, letter 0 reads alpha_n or the last variables through index
+    # -1, and a letter past the rank raises IndexError
+    message = "letter %d out of range 1..2" % i
+    with pytest.raises(ValueError, match=message):
+        orc.demazure_operator(datum, i, {(1, 0): 1})
+    with pytest.raises(ValueError, match=message):
+        orc.divided_difference(datum, i, {(1,) + (0,) * (num_variables(datum) - 1): 1})
+
+
 def test_demazure_character_refuses_an_element_of_another_group():
     # s_1 of C2 read as a C3 letter would give a dimension
     with pytest.raises(ValueError, match="elements from different groups"):
