@@ -36,9 +36,9 @@ Timorin for Gelfand-Zetlin polytopes, the paper's result for the symplectic
 ones).  A class is the tuple of its faces' tight sets, 1-based rows of one
 facet family.  The arithmetic runs on a deformed model polytope certified as a
 tower of intervals, whose toric cohomology ring is that of a Bott tower: a
-tight set maps to a step bitmask, every class has one square-free normal form,
-and every pairing, product coefficient and side volume is one degree, read
-off by complement (`DeformedContext.class_form`, `DeformedContext.degree`).
+tight set maps to a step bitmask, every class has one square-free normal form
+with one product (`DeformedContext.multiply`), and every pairing, product
+coefficient and side volume is one degree, read off by complement.
 Every product is checked against the divided-difference oracle.
 """
 
@@ -50,6 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import factorial
+from types import MappingProxyType
 
 from . import crystals, oracles, pipedreams, polytopes
 from .cartan import (
@@ -188,18 +189,18 @@ def side_volume(datum: RootDatum, side: str, w: WeylElement, lam) -> Fraction:
     """Sum of lattice-normalized face volumes at the side's stated dimension d
     (l(w) on the Demazure side, N - l(w) on the opposite side) over the faces
     of the GT/SGT polytope at lambda that the (dual) Kogan face sum of w
-    indexes.  These faces have the same indices as the string-polytope faces
-    and the same volumes (`test_volume_invariance_under_model_change`).
+    indexes, which have the indices and the volumes of the string-polytope
+    faces (`test_volume_invariance_under_model_change`).
 
-    Each volume is a degree in the ring of the deformed polytope
-    (`DeformedContext`): a dominant lambda gives support numbers h_j in the
-    closure of that polytope's type cone, so a face F of dimension d has volume
-    deg([F] * D^d) / d! for D = sum_j h_j x_j (Khovanskii-Pukhlikov; see
-    Kiritchenko-Smirnov-Timorin 2012 and Fulton, Introduction to Toric
-    Varieties, 5.3).  Both sides are one formula, deg([X^low] * D^d *
-    [X_high]) / d! with d = l(high) - l(low): (low, high) is (w, w0) on the
-    opposite side and (e, w) on the Demazure side, since the Kogan class of
-    w0 and the dual Kogan class of e are each the whole polytope, ((),)."""
+    Each volume is a degree in the ring of the deformed polytope: a dominant
+    lambda gives support numbers h_j in the closure of its type cone, so a
+    face F of dimension d has volume deg([F] * D^d) / d! for the divisor D =
+    sum_j h_j x_j (Khovanskii-Pukhlikov; see Kiritchenko-Smirnov-Timorin 2012
+    and Fulton, Introduction to Toric Varieties, 5.3), D^d being d calls of
+    `DeformedContext.multiply`.  Both sides are deg([X^low] * D^d * [X_high])
+    / d! with d = l(high) - l(low), (low, high) being (w, w0) on the opposite
+    side and (e, w) on the Demazure side: the Kogan class of w0 and the dual
+    Kogan class of e are each the whole polytope, ((),)."""
     if side not in ("schubert", "opposite"):
         raise ValueError("side must be 'schubert' or 'opposite'")
     lam = tuple(lam)
@@ -208,16 +209,9 @@ def side_volume(datum: RootDatum, side: str, w: WeylElement, lam) -> Fraction:
     w0, e = longest_element(datum), identity_element(datum)
     low, high = (w, w0) if side == "opposite" else (e, w)
     d = length(high) - length(low)
-    form = ctx.class_form(low)
-    divisor = ctx.divisor(lam)
+    form, divisor = ctx.class_form(low), ctx.divisor(lam)
     for _ in range(d):
-        power = Counter()
-        for mask, n in form.items():
-            memo = {}  # times(mask, t) recurses on this mask alone
-            for t, h in divisor:
-                for m, c in ctx.times(mask, t, memo).items():
-                    power[m] += n * h * c
-        form = power
+        form = ctx.multiply(form, divisor)
     return Fraction(ctx.degree(form, high), factorial(d))
 
 
@@ -258,8 +252,9 @@ class DeformedContext:
     for L_t a linear form in the f of later steps, so f_t^2 = f_t * L_t:
     every class has one square-free normal form {F-step mask: coefficient},
     and a top-degree f^m * g^m' has degree 1 when m' = full ^ m and 0
-    otherwise.  `square[t]` holds L_t as (step, coefficient) pairs.  No
-    elimination runs here."""
+    otherwise.  `square[t]` holds L_t as (step, coefficient) pairs; `multiply`
+    is the one product.  The classes of each element (`class_form`, `degree`)
+    are built on first read and held read-only.  No elimination runs here."""
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
@@ -285,6 +280,7 @@ class DeformedContext:
                     self._add_row(form, j, -a * b[var])
             self.square[t] = tuple((s, c) for s, c in sorted(form.items()) if c)
         self.square = tuple(self.square)
+        self._forms, self._complements = {}, {}  # per element, built on first read
 
     def _add_row(self, form, j: int, h: int):
         """form += h * x_j in the f basis, t being row j's step: an F row's
@@ -295,29 +291,38 @@ class DeformedContext:
             for s, c in self.square[t]:
                 form[s] -= h * c
 
-    def times(self, mask: int, t: int, memo: dict) -> dict:
-        """Normal form of f^mask * f_t: square-free as it stands, else
-        rewritten by f_t^2 = f_t * L_t onto later steps.  `memo`, keyed by
-        (mask, t), is the caller's."""
-        got = memo.get((mask, t))
+    def multiply(self, form, other) -> Counter:
+        """The normal form of form * other, both normal forms: the sum over
+        their term pairs of f^(a|b) * f^(a&b), one memo per call."""
+        memo, out = {}, Counter()
+        for a, m in form.items():
+            for b, n in other.items():
+                for mask, c in self._times(a | b, a & b, memo).items():
+                    out[mask] += m * n * c
+        return out
+
+    def _times(self, mask: int, shared: int, memo: dict) -> dict:
+        """Normal form of f^mask * f^shared, shared within mask: f^mask * f_t
+        = f^mask * L_t for t the top step of shared, each step s of L_t joins
+        mask, or shared when mask holds it; s > t, so the recursion ends."""
+        if not shared:
+            return {mask: 1}
+        got = memo.get((mask, shared))
         if got is None:
-            if not mask >> t & 1:
-                got = {mask | 1 << t: 1}
-            else:
-                got = Counter()
-                for s, c in self.square[t]:
-                    for m, n in self.times(mask, s, memo).items():
-                        got[m] += c * n
-            memo[mask, t] = got
+            t = shared.bit_length() - 1
+            got = memo[mask, shared] = Counter()  # no call recurs on its own key
+            for s, c in self.square[t]:
+                for m, n in self._times(mask | 1 << s, shared ^ 1 << t | mask & 1 << s, memo).items():
+                    got[m] += c * n
         return got
 
-    def divisor(self, lam) -> tuple:
-        """D = sum_j h_j x_j as (step, coefficient) pairs in the f basis, for
-        h_j the right side of row j of the undeformed model polytope at lam."""
+    def divisor(self, lam) -> dict:
+        """D = sum_j h_j x_j in normal form {1 << t: coefficient}, for h_j the
+        right side of row j of the undeformed model polytope at lam."""
         form = Counter()
         for j, (_, h) in enumerate(polytopes.model_polytope(self.datum, lam).ineqs):
             self._add_row(form, j, h)
-        return tuple((t, c) for t, c in sorted(form.items()) if c)
+        return {1 << t: c for t, c in sorted(form.items()) if c}
 
     def f_mask(self, tight) -> int:
         """Step mask of a tight set of the first facet family, 1-based: bit t
@@ -329,18 +334,25 @@ class DeformedContext:
         """Step mask of a tight set of the second facet family, likewise."""
         return sum(1 << self.step[self.big_n + k - 1] for k in tight)
 
-    def class_form(self, w: WeylElement) -> Counter:
-        """The opposite class of w in normal form: the F-step masks of its
-        dual Kogan faces, counted."""
-        return Counter(self.f_mask(tight) for tight in schubert_class(self.datum, w, "dual-kogan"))
+    def class_form(self, w: WeylElement) -> MappingProxyType:
+        """The opposite class of w in normal form, read-only: the F-step
+        masks of its dual Kogan faces, counted; built on first read."""
+        form = self._forms.get(w)
+        if form is None:
+            tights = schubert_class(self.datum, w, "dual-kogan")
+            form = self._forms[w] = MappingProxyType(Counter(map(self.f_mask, tights)))
+        return form
 
     def degree(self, form, w: WeylElement) -> int:
         """deg(form * [X_w]): the normal form read at the complements of the
         Fv-step masks of the Kogan faces of w, since f^m * g^m' has degree 1
         exactly when m' is the complement of m."""
-        full = (1 << self.big_n) - 1
-        kogan = schubert_class(self.datum, w, "kogan")
-        return sum(form.get(full ^ self.g_mask(tight), 0) for tight in kogan)
+        complements = self._complements.get(w)
+        if complements is None:
+            full = (1 << self.big_n) - 1
+            kogan = schubert_class(self.datum, w, "kogan")
+            complements = self._complements[w] = tuple(full ^ self.g_mask(tight) for tight in kogan)
+        return sum(form.get(m, 0) for m in complements)
 
 
 @lru_cache(maxsize=None)
@@ -389,7 +401,7 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
     Timorin in type A, the paper's symplectic result in type C), so the
     coefficient of t is the degree of F_v * F_w * Fv_{w0 t} in the ring of the
     deformed polytope, where Fv_{w0 t} is the Kogan face sum of the Schubert
-    variety of t (`DeformedContext.degree`).  The (F, F) face sum, with its
+    variety of t (`multiply`, then `degree`).  The (F, F) face sum, with its
     non-transversal pairs, is the printed certificate; a pair that shares a
     row enters the normal form through the square rule.
 
@@ -403,18 +415,6 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
     degree = length(v) + length(w)
     if degree > datum.num_positive_roots:
         return ProductResult(v, w, (), {}, "zero", (), ())
-    memo = {}
-    form = Counter()
-
-    def add(mask, shared, n):
-        """form += n * f^mask * f^shared, one shared step at a time."""
-        if not shared:
-            form[mask] += n
-            return
-        t = shared.bit_length() - 1
-        for m, c in ctx.times(mask, t, memo).items():
-            add(m, shared ^ 1 << t, n * c)
-
     terms = []
     bad = []
     right = [(fb, ctx.f_mask(fb)) for fb in schubert_class(datum, w, "dual-kogan")]
@@ -425,13 +425,9 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
                 bad.append((fa, fb))
             else:
                 terms.append(tuple(sorted(fa + fb)))
-            add(a | b, a & b, 1)
-    expansion = {}
-    for t in all_elements(datum):
-        if length(t) == degree:
-            c = ctx.degree(form, t)
-            if c:
-                expansion[t] = c
+    form = ctx.multiply(ctx.class_form(v), ctx.class_form(w))
+    expansion = {t: ctx.degree(form, t) for t in all_elements(datum) if length(t) == degree}
+    expansion = {t: c for t, c in expansion.items() if c}
     oracle = dict(oracles.bgg_structure_constants(datum, v, w))
     if expansion != oracle:
         raise TheoremViolationError(

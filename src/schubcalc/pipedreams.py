@@ -119,6 +119,7 @@ def arrangement_kd_prime(d: Diagram) -> tuple:
 def letter_columns(datum: RootDatum, i: int) -> tuple:
     """The board columns of letter i: column i in type A, the mirrored pair
     n - i + 1, n + i - 1 (one column for i = 1) in type C."""
+    check_letter(datum, i)
     if datum.family == "A":
         return (i,)
     n = datum.rank

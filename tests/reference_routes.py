@@ -11,7 +11,8 @@ operator on the staircase board, the Demazure index sets by one whole
 box-removal fold per element, Schubert representatives and structure
 constants by one whole divided-difference chain per element, and the
 products and pairings of the deformed-polytope ring by rewriting row
-multisets one repeated row at a time, the crystal's string table checked
+multisets one repeated row at a time and its products and divisor powers
+one shared step at a time, the crystal's string table checked
 against an enumeration of the string polytope's lattice points, lattice
 points and counts by the recursive sweep with one call per node, the row
 incidence masks by exact dot products column by column, face volumes by
@@ -952,3 +953,52 @@ def product_expansion(datum, v, w, ctx):
             if c:
                 expansion[t] = c
     return expansion
+
+
+def times(ctx, mask, t, memo):
+    """Normal form of f^mask * f_t: square-free as it stands, else rewritten
+    by f_t^2 = f_t * L_t onto later steps.  `memo`, keyed by (mask, t), is
+    the caller's."""
+    got = memo.get((mask, t))
+    if got is None:
+        if not mask >> t & 1:
+            got = {mask | 1 << t: 1}
+        else:
+            got = Counter()
+            for s, c in ctx.square[t]:
+                for m, n in times(ctx, mask, s, memo).items():
+                    got[m] += c * n
+        memo[mask, t] = got
+    return got
+
+
+def product_form(ctx, form, other):
+    """form * other, both normal forms, pair by pair: f^a * f^b is f^(a|b)
+    times the steps of a & b, one shared step at a time, top step first."""
+    memo = {}
+    out = Counter()
+
+    def add(mask, shared, n):
+        if not shared:
+            out[mask] += n
+            return
+        t = shared.bit_length() - 1
+        for m, c in times(ctx, mask, t, memo).items():
+            add(m, shared ^ 1 << t, n * c)
+
+    for a, m in form.items():
+        for b, n in other.items():
+            add(a | b, a & b, m * n)
+    return out
+
+
+def divisor_times(ctx, form, divisor):
+    """form * D for D a normal form {1 << t: h}, one mask of form at a time,
+    each with its own memo."""
+    power = Counter()
+    for mask, n in form.items():
+        memo = {}
+        for step, h in divisor.items():
+            for m, c in times(ctx, mask, step.bit_length() - 1, memo).items():
+                power[m] += n * h * c
+    return power

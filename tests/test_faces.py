@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import operator
+from collections import Counter
 from functools import reduce
 
 import pytest
@@ -11,6 +12,7 @@ from schubcalc import crystals as cr
 from schubcalc import faces as fc
 from schubcalc import pipedreams as pd
 from schubcalc import polytopes as pt
+from schubcalc import verify
 from schubcalc.cartan import (
     InvariantError,
     RootDatum,
@@ -232,9 +234,11 @@ def test_square_sign_flip_is_caught(step, at):
 
 
 def test_dropping_the_empty_step_rule_is_caught():
-    # one step per row: no F-step mask is the complement of an Fv-step mask
+    # one step per row: no F-step mask is the complement of an Fv-step mask.
+    # A context holds the classes it has read, so the fault is planted on a
+    # fresh context before its first read, the sanity table run on another
+    _c2_product_table(fc.DeformedContext(C2))
     ctx = fc.DeformedContext(C2)
-    _c2_product_table(ctx)
     ctx.step = tuple(range(2 * C2.num_positive_roots))
     with pytest.raises(fc.TheoremViolationError):
         _c2_product_table(ctx)
@@ -345,6 +349,64 @@ def test_normal_form_matches_row_multiset_route():
             for w in all_elements(datum):
                 got = fc.product_c(datum, v, w, ctx).expansion
                 assert got == routes.product_expansion(datum, v, w, ctx), (v, w)
+
+
+def _nonzero(form):
+    return {m: c for m, c in form.items() if c}
+
+
+def test_multiply_matches_the_per_pair_route():
+    # every product of two classes of C2 and C3 against the per-pair route
+    # it replaced
+    for datum in (C2, C3):
+        ctx = fc.DeformedContext(datum)
+        for v in all_elements(datum):
+            for w in all_elements(datum):
+                left, right = ctx.class_form(v), ctx.class_form(w)
+                got = ctx.multiply(left, right)
+                assert _nonzero(got) == _nonzero(routes.product_form(ctx, left, right)), (v, w)
+
+
+def test_divisor_powers_match_the_power_loop():
+    # every power D^k * [X^low] of every C3 side volume at lambda = (1, 1, 1)
+    # against the per-mask power loop it replaced: the opposite side starts
+    # at [X^w] and takes N - l(w) powers, and at w = e it takes the N powers
+    # of [X^e] that the Demazure side starts from
+    ctx = fc.DeformedContext(C3)
+    divisor = ctx.divisor((1, 1, 1))
+    assert all(step.bit_count() == 1 for step in divisor)
+    for w in all_elements(C3):
+        form = ref = ctx.class_form(w)
+        for k in range(C3.num_positive_roots - length(w)):
+            form, ref = ctx.multiply(form, divisor), routes.divisor_times(ctx, ref, divisor)
+            assert _nonzero(form) == _nonzero(ref), (w, k)
+
+
+def test_classes_are_built_once_per_context(monkeypatch):
+    # the C3 duality suite on a fresh default context requests each class,
+    # one per element and family, once
+    fc.default_context.cache_clear()
+    calls = Counter()
+    build = fc.schubert_class
+
+    def counted(datum, w, family):
+        calls[w, family] += 1
+        return build(datum, w, family)
+
+    monkeypatch.setattr(fc, "schubert_class", counted)
+    assert verify.duality_suite("C", 3)["status"] == "pass"
+    assert set(calls) == {(w, f) for w in all_elements(C3) for f in ("dual-kogan", "kogan")}
+    assert max(calls.values()) == 1
+    # a held class is read-only, and an element of another group is refused
+    # before anything is held for it
+    ctx = fc.default_context(C3)
+    form = ctx.class_form(identity_element(C3))
+    with pytest.raises(TypeError):
+        form[0] = 2
+    held = dict(ctx._forms), dict(ctx._complements)
+    with pytest.raises(ValueError, match="not an element of the Weyl group"):
+        ctx.degree(form, identity_element(C2))
+    assert (ctx._forms, ctx._complements) == held
 
 
 def test_context_refuses_a_step_without_one_row_of_each_family(monkeypatch):

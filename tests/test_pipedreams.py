@@ -42,6 +42,16 @@ def test_mitosis_chain_refuses_a_letter_out_of_range():
             pd.mitosis_chain(A2, letters)
 
 
+def test_letter_columns_and_m_op_refuse_a_letter_out_of_range():
+    # a type C letter past the rank would read columns off the board's edge
+    for datum in (A3, C3):
+        for i in (0, -1, datum.rank + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                pd.letter_columns(datum, i)
+            with pytest.raises(ValueError, match="out of range"):
+                pd.m_op(datum, i, pd.full_diagram(datum))
+
+
 def test_mitosis_chain_refuses_type_c_on_every_word():
     # the fold refuses type C itself: the empty word runs no mitosis step
     # and would return the full shifted board
