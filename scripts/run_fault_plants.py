@@ -16,7 +16,7 @@ other pytest outcome (no such test, a collection error) is an error.
 
 It prints one line per plant, then the killed, survived and error counts,
 and exits 1 unless every plant is killed.  Each row costs one pytest start
-and one test run (the 30 rows took 54 s on a 2-core host), so the script
+and one test run (the 32 rows took 47 s on a 2-core host), so the script
 is not part of the test suite, which checks only that every anchor occurs
 once.
 """
@@ -44,6 +44,19 @@ PLANTS = (
         "if family not in table[kind]:",
         "if False:",
         "tests/test_verify.py::test_suites_refuse_a_family_the_statement_is_not_stated_for",
+    ),
+    (
+        "verify",
+        "if budget is not None and not budget >= 0:",
+        "if budget is not None and budget < 0:",
+        "tests/test_verify.py::test_suites_refuse_a_nan_budget",
+    ),
+    # the CLI refuses bad input through the library's checks
+    (
+        "cli",
+        "raise BadInput(str(err)) from err",
+        "raise",
+        "tests/test_cli.py::test_validation_exits_two",
     ),
     (
         "verify",

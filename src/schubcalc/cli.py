@@ -4,7 +4,9 @@ Subcommands: crystal | faces | pipedreams | product | verify | volume.
 Output is JSON (optionally CSV for lattice-point tables) on stdout; --pretty
 adds ASCII diagrams.  Exit codes: 0 ok, 1 theorem violation or internal
 fault (with one JSON line on stderr), 2 bad input, 3 time budget exceeded.
-Every input is validated before a command runs and only `BadInput` exits 2:
+Every input is validated before a command runs, and only `BadInput` exits 2.
+Apart from integer parsing, the verify ranks and the Demazure side's one
+word, each refusal is a library check run then, with the library's message;
 a library error inside a validated command is an internal fault.
 """
 
@@ -20,7 +22,7 @@ from . import crystals, faces, pipedreams, polytopes, verify
 from .cartan import (
     InvariantError,
     RootDatum,
-    bruhat_leq,
+    check_weight,
     check_word_of_longest,
     length,
     reduced_word,
@@ -47,33 +49,24 @@ def _parse_ints(text, what):
         raise BadInput("%s must be comma-separated integers, got %r" % (what, text))
 
 
-def _letters(rank, text, what) -> tuple:
-    """Simple-reflection letters, each in 1..rank."""
-    letters = _parse_ints(text, what)
-    for i in letters:
-        if not 1 <= i <= rank:
-            raise BadInput("%s letter %d out of range 1..%d" % (what, i, rank))
-    return letters
+def _check(check, *args):
+    """Run a library check during validation, its ValueError being bad input."""
+    try:
+        return check(*args)
+    except ValueError as err:
+        raise BadInput(str(err)) from err
 
 
 def _build_config(args) -> tuple:
-    """The validated (datum, word, lam, w): the reduced word of the longest
-    element (the standard one by default), the weight (() when not given) and
-    the letters of --w, applied left to right."""
-    try:
-        datum = RootDatum(args.type, args.rank)
-    except ValueError as err:
-        raise BadInput(str(err))
-    word = _letters(datum.rank, getattr(args, "word", None), "--word") or standard_word(datum)
+    """The validated (datum, word of w_0 or the standard one, lam or (), letters of --w, w)."""
+    datum = _check(RootDatum, args.type, args.rank)
+    word = _parse_ints(getattr(args, "word", None), "--word") or standard_word(datum)
     lam = _parse_ints(getattr(args, "lam", None), "--lambda")
-    w = _letters(datum.rank, args.w, "--w")
-    if lam and (len(lam) != datum.rank or any(x < 0 for x in lam)):
-        raise BadInput("--lambda must list %d nonnegative coefficients" % datum.rank)
-    try:
-        check_word_of_longest(datum, word)
-    except ValueError as err:
-        raise BadInput(str(err))
-    return datum, word, lam, w
+    letters = _parse_ints(args.w, "--w")
+    if lam:
+        _check(check_weight, datum, lam)
+    _check(check_word_of_longest, datum, word)
+    return datum, word, lam, letters, _check(word_to_element, datum, letters)
 
 
 def _emit(payload, fmt="json", rows_key=None):
@@ -89,10 +82,12 @@ def _emit(payload, fmt="json", rows_key=None):
 
 
 def cmd_crystal(args) -> int:
-    datum, word, lam, letters = _build_config(args)
+    datum, word, lam, letters, w = _build_config(args)
     lam = lam or (0,) * datum.rank
-    w = word_to_element(datum, letters)
     kind = args.kind
+    if kind == "richardson":
+        v = _check(word_to_element, datum, _parse_ints(args.v, "--v"))
+        _check(crystals.check_richardson, v, w)
     if kind == "b":
         points = crystals.generate_b_lambda(datum, word, lam)
     elif kind == "demazure":
@@ -100,9 +95,6 @@ def cmd_crystal(args) -> int:
     elif kind == "opposite":
         points = crystals.opposite_demazure_crystal(datum, word, w, lam)
     else:  # richardson
-        v = word_to_element(datum, _letters(datum.rank, args.v, "--v"))
-        if not bruhat_leq(v, w):
-            raise BadInput("richardson needs --v below --w in Bruhat order")
         points = crystals.richardson_lattice_points(datum, word, v, w, lam)
     rows = sorted(points)
     payload = {
@@ -121,10 +113,11 @@ def cmd_crystal(args) -> int:
 
 
 def cmd_faces(args) -> int:
-    datum, word, lam, letters = _build_config(args)
+    datum, word, lam, letters, w = _build_config(args)
     lam = lam or (1,) * datum.rank
-    w = word_to_element(datum, letters)
     side = args.side
+    if side == "schubert" and word != standard_word(datum):
+        raise BadInput("the Demazure side is defined over the standard word only")
     payload = {
         "type": datum.family,
         "rank": datum.rank,
@@ -133,8 +126,6 @@ def cmd_faces(args) -> int:
         "w": list(letters),
         "side": side,
     }
-    if side == "schubert" and word != standard_word(datum):
-        raise BadInput("the Demazure side is defined over the standard word only")
     if side == "opposite":
         dec = faces.opposite_demazure_faces(datum, w, lam, word=word)
         equations = {}
@@ -160,9 +151,10 @@ def cmd_faces(args) -> int:
 
 
 def cmd_pipedreams(args) -> int:
-    datum, _, _, letters = _build_config(args)
-    w = word_to_element(datum, letters)
+    datum, _, _, letters, w = _build_config(args)
     op = args.op
+    if op == "mitosis":
+        _check(pipedreams.check_mitosis, datum)
     if op == "bottom":
         diagrams = [pipedreams.bottom_diagram(datum, w)]
     elif op == "closure":
@@ -170,8 +162,6 @@ def cmd_pipedreams(args) -> int:
     elif op == "mset":
         diagrams = pipedreams.box_order(pipedreams.mset(datum, w))
     else:  # mitosis
-        if datum.family != "A":
-            raise BadInput("mitosis chains are type A only")
         diagrams = pipedreams.box_order(pipedreams.mitosis_chain(datum, letters))
     payload = {
         "type": datum.family,
@@ -190,11 +180,10 @@ def cmd_pipedreams(args) -> int:
 
 
 def cmd_product(args) -> int:
-    datum, _, _, letters = _build_config(args)
-    if datum.family != "C":
-        raise BadInput("product is certified for type C only")
-    v = _letters(datum.rank, args.v, "--v")
-    result = faces.product_c(datum, word_to_element(datum, v), word_to_element(datum, letters))
+    datum, _, _, letters, w = _build_config(args)
+    _check(faces.check_product, datum)
+    v = _parse_ints(args.v, "--v")
+    result = faces.product_c(datum, _check(word_to_element, datum, v), w)
     payload = {
         "v": list(v),
         "w": list(letters),
@@ -209,9 +198,8 @@ def cmd_product(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    datum, _, lam, letters = _build_config(args)
+    datum, _, lam, letters, w = _build_config(args)
     lam = lam or (1,) * datum.rank
-    w = word_to_element(datum, letters)
     payload = {
         "type": datum.family,
         "rank": datum.rank,
@@ -231,21 +219,11 @@ _VERIFY_RANK_LIMITS = {"A": 4, "C": 3}
 
 def cmd_verify(args) -> int:
     theorem, family, rank, budget = args.theorem, args.type, args.rank, args.budget
-    if rank < 2 or rank > _VERIFY_RANK_LIMITS[family]:
-        raise BadInput(
-            "verify supports ranks 2..%d for type %s" % (_VERIFY_RANK_LIMITS[family], family)
-        )
-    families = verify.STATEMENTS[theorem]
-    if family not in families:
-        raise BadInput("%s is stated for type %s only" % (theorem, " or ".join(families)))
-    # a suite over no cells would report "pass" having checked nothing
-    if theorem in verify.THEOREMS and args.lambda_max < 0:
-        raise BadInput("--lambda-max must be at least 0, got %d" % args.lambda_max)
-    if theorem == "axioms" and args.samples < 1:
-        raise BadInput("--samples must be at least 1, got %d" % args.samples)
-    # a NaN budget compares false with every elapsed time and never runs out
-    if budget is not None and not budget >= 0:
-        raise BadInput("--budget must be a nonnegative number of seconds, got %r" % budget)
+    if not 2 <= rank <= _VERIFY_RANK_LIMITS[family]:
+        raise BadInput("verify supports ranks 2..%d for type %s" % (_VERIFY_RANK_LIMITS[family], family))
+    # each statement's parser sets only the counts its suite reads
+    _check(verify.check_request, theorem, family, budget,
+           getattr(args, "lambda_max", None), getattr(args, "samples", None))
     if theorem in verify.THEOREMS:
         report = verify.theorem_suite(theorem, family, rank, args.lambda_max, budget=budget)
     elif theorem == "axioms":

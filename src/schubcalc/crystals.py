@@ -94,11 +94,17 @@ class CrystalPolytopeMismatchError(InvariantError):
 INFINITY = None  # highest-weight slot for the unbounded crystal
 
 
+def _check_state(word, coords):
+    if len(coords) != len(word):
+        raise ValueError("state %r does not have the %d coordinates of word %r" % (coords, len(word), word))
+
+
 def _sigma_profile(datum, word, lam, coords, i):
     """(best, first, last, wt_i) from one backward sweep: best is the max of 0
     and the letter-i sigmas, first/last the smallest/largest position attaining
     it (None when none does), wt_i = <wt, h_i>.  The suffix sum left after
     position 1 is <sum a_k alpha_{i_k}, h_i>, so wt_i is lam_i minus it."""
+    _check_state(word, coords)
     row = cartan_matrix(datum)[i - 1]
     best = 0
     first = last = None
@@ -122,6 +128,7 @@ def _sigma_profile(datum, word, lam, coords, i):
 def weight_of(datum: RootDatum, word, lam, coords):
     """Fundamental coordinates of the weight: lam - sum a_k alpha_{i_k}
     (just the negative sum at infinity)."""
+    _check_state(word, coords)
     n = datum.rank
     out = [0] * n if lam is INFINITY else list(lam)
     for k, a in enumerate(coords):
@@ -512,11 +519,15 @@ def opposite_demazure_crystal(datum: RootDatum, word, w, lam) -> polytopes.Point
     return _strings(datum, word, lam, _opposite_indices(datum, word, w, lam))
 
 
+def check_richardson(v, w):
+    if not bruhat_leq(v, w):
+        raise ValueError("need v <= w in Bruhat order")
+
+
 def richardson_lattice_points(datum: RootDatum, word, v, w, lam) -> polytopes.PointSet:
     """String image of the intersection of B_w(lam) with B^v(lam), the AND
     of their masks; requires v <= w in Bruhat order."""
-    if not bruhat_leq(v, w):
-        raise ValueError("need v <= w in Bruhat order")
+    check_richardson(v, w)
     word, lam = tuple(word), _weight(lam)
     mask = _demazure_indices(datum, word, w, lam) & _opposite_indices(datum, word, v, lam)
     return _strings(datum, word, lam, mask)

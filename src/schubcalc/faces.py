@@ -394,6 +394,11 @@ class ProductResult:
     nontransversal: tuple   # (F, F) tight-set pairs that share a row
 
 
+def check_product(datum: RootDatum):
+    if datum.family != "C":
+        raise ValueError("the product pipeline is certified for type C only")
+
+
 def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> ProductResult:
     """Product of the opposite Schubert classes of v and w, read off their
     dual Kogan face sums.  The claim exercised: the class face sums represent
@@ -408,8 +413,7 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
     The expansion is checked against the divided-difference oracle;
     disagreement is a hard error.
     """
-    if datum.family != "C":
-        raise ValueError("the product pipeline is certified for type C only")
+    check_product(datum)
     check_group(datum, v, w)
     ctx = _context(datum, ctx)
     degree = length(v) + length(w)

@@ -228,6 +228,7 @@ def bgg_structure_constants(datum: RootDatum, u: WeylElement, v: WeylElement) ->
     chain for w applied to any representative of the product, here
     |W|^2 times the product.
     """
+    check_group(datum, u, v)
     check_normalization(datum)
     deg = length(u) + length(v)
     if deg > datum.num_positive_roots:

@@ -248,11 +248,15 @@ def mitosis_candidates(d: Diagram, j: int) -> tuple:
     return tuple(i for i in range(1, start) if (i, j + 1) not in d.boxes)
 
 
+def check_mitosis(datum: RootDatum):
+    if datum.family != "A":
+        raise ValueError("transposed mitosis is a type A operator")
+
+
 def mitosis_top(j: int, d: Diagram) -> frozenset:
     """Transposed mitosis: one offspring per candidate row, produced by a
     forced chain of column-j ladder moves after removing the topmost box."""
-    if d.datum.family != "A":
-        raise ValueError("transposed mitosis is a type A operator")
+    check_mitosis(d.datum)
     check_letter(d.datum, j)
     cand = mitosis_candidates(d, j)
     out = set()
@@ -271,8 +275,7 @@ def mitosis_top(j: int, d: Diagram) -> frozenset:
 
 def mitosis_chain(datum: RootDatum, letters) -> frozenset:
     """Fold transposed mitosis over a word, starting from the full board."""
-    if datum.family != "A":
-        raise ValueError("transposed mitosis is a type A operator")
+    check_mitosis(datum)
     current = {full_diagram(datum)}
     for j in letters:
         check_letter(datum, j)

@@ -4,8 +4,8 @@ Each runner returns a JSON-ready report: one cell per matrix entry, with
 its mismatches and a status read off them (`_verdict`), plus a top-level
 status that is a violation exactly when some cell is one, else a pass
 ("partial" when a time budget ran out, with the remaining cells unlisted).
-A runner checks one statement of STATEMENTS, and refuses a statement or a
-family that the table does not list before any cell runs.
+A runner checks one statement of STATEMENTS, and refuses a bad request
+through `check_request`, the one check of a request, before any cell runs.
 """
 
 from __future__ import annotations
@@ -37,13 +37,18 @@ STATEMENTS = {"theorem1": ("A", "C"), "theorem2": ("A",), "theorem3": ("C",),
 THEOREMS = {kind: STATEMENTS[kind] for kind in ("theorem1", "theorem2", "theorem3")}
 
 
-def _check_statement(kind, family, budget, table=STATEMENTS):
-    """Refuse a statement missing from `table`, a family it is not stated
-    for, and a NaN budget, which never runs out, or a negative one."""
+def check_request(kind, family, budget=None, lambda_max=None, samples=None, table=STATEMENTS):
+    """Refuse a statement missing from `table`, a family it is not stated for,
+    counts that leave no cells, which would pass having checked nothing, and
+    a NaN budget, which never runs out, or a negative one."""
     if kind not in table:
         raise ValueError("%r is not one of the statements %s" % (kind, ", ".join(table)))
     if family not in table[kind]:
         raise ValueError("%s is stated for type %s, not %r" % (kind, " or ".join(table[kind]), family))
+    if lambda_max is not None and lambda_max < 0:
+        raise ValueError("lambda_max must be at least 0, got %d" % lambda_max)
+    if samples is not None and samples < 1:
+        raise ValueError("samples must be at least 1, got %d" % samples)
     if budget is not None and not budget >= 0:
         raise ValueError("budget must be a nonnegative number of seconds, got %r" % (budget,))
 
@@ -113,10 +118,7 @@ def _theorem_cell(args):
 def theorem_suite(kind: str, family: str, rank: int, lambda_max: int, budget=None):
     """kind is one of THEOREMS: "theorem1" (opposite side), "theorem2" (type
     A Demazure side) or "theorem3" (type C Demazure side)."""
-    _check_statement(kind, family, budget, THEOREMS)
-    # a suite over no cells would report "pass" having checked nothing
-    if lambda_max < 0:
-        raise ValueError("lambda_max must be at least 0, got %d" % lambda_max)
+    check_request(kind, family, budget, lambda_max=lambda_max, table=THEOREMS)
     datum = RootDatum(family, rank)
     start = time.perf_counter()
     cells = (
@@ -133,7 +135,7 @@ def theorem_suite(kind: str, family: str, rank: int, lambda_max: int, budget=Non
 
 def duality_suite(family: str, rank: int, budget=None):
     """Complementary-length pairings: 1 exactly on Poincare-dual pairs."""
-    _check_statement("duality", family, budget)
+    check_request("duality", family, budget)
     datum = RootDatum(family, rank)
     start = time.perf_counter()
     ctx = faces.default_context(datum)
@@ -162,7 +164,7 @@ def duality_suite(family: str, rank: int, budget=None):
 def products_suite(family: str, rank: int, budget=None):
     """Every product of two opposite classes against the divided-difference
     oracle."""
-    _check_statement("products", family, budget)
+    check_request("products", family, budget)
     datum = RootDatum(family, rank)
     start = time.perf_counter()
     ctx = faces.default_context(datum)
@@ -194,9 +196,7 @@ def products_suite(family: str, rank: int, budget=None):
 
 def axioms_suite(family: str, rank: int, samples: int, seed: int = 0, budget=None):
     """Randomized crystal-axiom checks on elements sampled by lowering walks."""
-    _check_statement("axioms", family, budget)
-    if samples < 1:
-        raise ValueError("samples must be at least 1, got %d" % samples)
+    check_request("axioms", family, budget, samples=samples)
     datum = RootDatum(family, rank)
     rng = random.Random(seed)
     start = time.perf_counter()

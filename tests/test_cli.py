@@ -5,8 +5,15 @@ import sys
 
 import pytest
 
-from schubcalc import cli, crystals, faces, pipedreams
-from schubcalc.cartan import InvariantError, RootDatum, all_elements, reduced_word
+from schubcalc import cli, crystals, faces, pipedreams, verify
+from schubcalc.cartan import (
+    InvariantError,
+    RootDatum,
+    all_elements,
+    reduced_word,
+    standard_word,
+    word_to_element,
+)
 
 
 def run_cli(*args):
@@ -113,23 +120,22 @@ def test_verify_axioms_zero_samples():
     proc = run_cli("verify", "axioms", "--type", "A", "--rank", "2", "--samples", "0")
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "--samples" in proc.stderr
+    assert proc.stderr == "error: samples must be at least 1, got 0\n"
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, message",
     [
-        ("theorem1", "--lambda-max", "-1"),
-        ("axioms", "--samples", "-5"),
+        (("theorem1", "--lambda-max", "-1"), "lambda_max must be at least 0, got -1"),
+        (("axioms", "--samples", "-5"), "samples must be at least 1, got -5"),
     ],
     ids=["lambda-max", "samples"],
 )
-def test_verify_rejects_counts_that_check_nothing(args):
-    theorem, flag = args[0], args[-2]
-    proc = run_cli("verify", theorem, "--type", "A", "--rank", "2", *args[1:])
+def test_verify_rejects_counts_that_check_nothing(args, message):
+    proc = run_cli("verify", args[0], "--type", "A", "--rank", "2", *args[1:])
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert flag in proc.stderr
+    assert proc.stderr == "error: %s\n" % message
 
 
 @pytest.mark.parametrize(
@@ -300,8 +306,10 @@ def test_validation_exits_two(capsys, args):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("budget", ["nan", "-1", "-0.5"])
-def test_verify_refuses_a_budget_that_is_not_a_nonnegative_number(capsys, budget):
+@pytest.mark.parametrize(
+    "budget, shown", [("nan", "nan"), ("-1", "-1.0"), ("-0.5", "-0.5")], ids=["nan", "-1", "-0.5"]
+)
+def test_verify_refuses_a_budget_that_is_not_a_nonnegative_number(capsys, budget, shown):
     # a NaN budget never runs out: the whole suite would run unbudgeted
     code = cli.main(
         ["verify", "theorem1", "--type", "A", "--rank", "2", "--lambda-max", "0", "--budget", budget]
@@ -309,7 +317,66 @@ def test_verify_refuses_a_budget_that_is_not_a_nonnegative_number(capsys, budget
     out, err = capsys.readouterr()
     assert code == cli.EXIT_BAD_INPUT
     assert out == ""
-    assert err.startswith("error: --budget must be a nonnegative number") and err.count("\n") == 1
+    assert err == "error: budget must be a nonnegative number of seconds, got %s\n" % shown
+
+
+A2, C2 = RootDatum("A", 2), RootDatum("C", 2)
+
+# one bad input per rule the library states, with the library call that
+# refuses the same input; the CLI refuses it through that check
+LIBRARY_REFUSALS = {
+    "letter": (
+        ("crystal", "--type", "A", "--rank", "2", "--lambda", "1,1", "--w", "7"),
+        lambda: word_to_element(A2, (7,)),
+    ),
+    "weight": (
+        ("crystal", "--type", "A", "--rank", "2", "--lambda", "1"),
+        lambda: crystals.generate_b_lambda(A2, standard_word(A2), (1,)),
+    ),
+    "richardson": (
+        ("crystal", "--type", "A", "--rank", "2", "--lambda", "1,1", "--kind", "richardson",
+         "--v", "1,2", "--w", "1"),
+        lambda: crystals.richardson_lattice_points(
+            A2, standard_word(A2), word_to_element(A2, (1, 2)), word_to_element(A2, (1,)), (1, 1)
+        ),
+    ),
+    "mitosis": (
+        ("pipedreams", "--type", "C", "--rank", "2", "--w", "1", "--op", "mitosis"),
+        lambda: pipedreams.mitosis_chain(C2, (1,)),
+    ),
+    "product": (
+        ("product", "--type", "A", "--rank", "2", "--v", "1", "--w", "2"),
+        lambda: faces.product_c(A2, word_to_element(A2, (1,)), word_to_element(A2, (2,))),
+    ),
+    "statement": (
+        ("verify", "theorem3", "--type", "A", "--rank", "2"),
+        lambda: verify.theorem_suite("theorem3", "A", 2, 2),
+    ),
+    "lambda-max": (
+        ("verify", "theorem1", "--type", "A", "--rank", "2", "--lambda-max", "-1"),
+        lambda: verify.theorem_suite("theorem1", "A", 2, -1),
+    ),
+    "samples": (
+        ("verify", "axioms", "--type", "C", "--rank", "2", "--samples", "0"),
+        lambda: verify.axioms_suite("C", 2, 0),
+    ),
+    "budget": (
+        ("verify", "duality", "--type", "C", "--rank", "2", "--budget", "nan"),
+        lambda: verify.duality_suite("C", 2, budget=float("nan")),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_REFUSALS))
+def test_refusals_carry_the_library_message(capsys, case):
+    args, library_call = LIBRARY_REFUSALS[case]
+    with pytest.raises(ValueError) as refused:
+        library_call()
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_INPUT
+    assert out == ""
+    assert err == "error: " + str(refused.value) + "\n"
 
 
 def test_verify_budget_exit_code():

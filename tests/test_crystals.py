@@ -70,6 +70,18 @@ def test_f_null_at_cutoff():
     assert cr.f_op(A2, IA2, (0, 1), (0, 0, 0), 2) is not None
 
 
+@pytest.mark.parametrize("state", [(0, 0), (0, 0, 0, 9), (1,)], ids=["short", "long", "one"])
+def test_operators_refuse_a_state_of_the_wrong_length(state):
+    # a longer state would be read on its first three coordinates, and a
+    # shorter one fail by IndexError or give a weight
+    message = "does not have the 3 coordinates of word"
+    for op in (cr.f_op, cr.e_op, cr.epsilon, cr.phi):
+        with pytest.raises(ValueError, match=message):
+            op(A2, IA2, (1, 1), state, 1)
+    with pytest.raises(ValueError, match=message):
+        cr.weight_of(A2, IA2, (1, 1), state)
+
+
 def test_b_lambda_counts_and_polytope_crosscheck():
     assert cr.generate_b_lambda(A2, IA2, (0, 0)) == frozenset([(0, 0, 0)])
     for lam in [(1, 0), (0, 1), (1, 1), (2, 1), (2, 2), (3, 3)]:

@@ -96,6 +96,14 @@ def test_demazure_character_refuses_an_element_of_another_group():
         orc.demazure_dimension(C3, simple_element(C2, 1), (1, 1, 1))
 
 
+def test_structure_constants_refuse_an_element_of_another_group():
+    # l(u) + l(v) = 4 exceeds the top degree 3 of A2, where the call would
+    # answer () for a C2 element without looking at its group
+    u, v = word_to_element(C2, (1, 2)), word_to_element(A2, (1, 2))
+    with pytest.raises(ValueError, match="elements from different groups"):
+        orc.bgg_structure_constants(A2, u, v)
+
+
 def test_demazure_operator_basics():
     lam = (1, 1)
     char = {lam: 1}
