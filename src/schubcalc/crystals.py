@@ -27,7 +27,9 @@ state's coordinates sum to D.  Past that check only
 given.  The build sweeps no coordinates: each state carries its sigmas and
 weight pairings, and lowering at position p moves them by a fixed delta per
 (datum, word, p).  `f_op`, `e_op`, `epsilon` and `phi` keep the one-state
-sweep.  Every later layer walks these integer indices instead of recomputing
+sweep; they and `weight_of` refuse a word, weight or state outside their
+domain with ValueError, through `_validate`, the check the table makes.
+Every later layer walks these integer indices instead of recomputing
 operators.  The Demazure folds follow Kashiwara's recursion,
 B_w = F_i B_{s_i w} for a left descent i and B^w = E_i B^{s_i w} for a left
 ascent i, so each fold is one closure of a smaller cached index set.  An
@@ -94,9 +96,18 @@ class CrystalPolytopeMismatchError(InvariantError):
 INFINITY = None  # highest-weight slot for the unbounded crystal
 
 
+def _validate(datum, word, lam):
+    """The word and weight rules of both crystal routes, the table and one state."""
+    check_word_of_longest(datum, word)
+    if lam is not INFINITY:
+        check_weight(datum, lam)
+
+
 def _check_state(word, coords):
     if len(coords) != len(word):
         raise ValueError("state %r does not have the %d coordinates of word %r" % (coords, len(word), word))
+    if any(a < 0 for a in coords):
+        raise ValueError("state %r has a negative coordinate" % (coords,))
 
 
 def _sigma_profile(datum, word, lam, coords, i):
@@ -104,7 +115,9 @@ def _sigma_profile(datum, word, lam, coords, i):
     and the letter-i sigmas, first/last the smallest/largest position attaining
     it (None when none does), wt_i = <wt, h_i>.  The suffix sum left after
     position 1 is <sum a_k alpha_{i_k}, h_i>, so wt_i is lam_i minus it."""
+    _validate(datum, word, lam)
     _check_state(word, coords)
+    check_letter(datum, i)
     row = cartan_matrix(datum)[i - 1]
     best = 0
     first = last = None
@@ -128,6 +141,7 @@ def _sigma_profile(datum, word, lam, coords, i):
 def weight_of(datum: RootDatum, word, lam, coords):
     """Fundamental coordinates of the weight: lam - sum a_k alpha_{i_k}
     (just the negative sum at infinity)."""
+    _validate(datum, word, lam)
     _check_state(word, coords)
     n = datum.rank
     out = [0] * n if lam is INFINITY else list(lam)
@@ -140,27 +154,22 @@ def weight_of(datum: RootDatum, word, lam, coords):
 
 
 def epsilon(datum: RootDatum, word, lam, coords, i: int) -> int:
-    check_letter(datum, i)
     best, _, _, wt_i = _sigma_profile(datum, word, lam, coords, i)
     return best if lam is INFINITY else max(best, -wt_i)
 
 
 def phi(datum: RootDatum, word, lam, coords, i: int) -> int:
-    check_letter(datum, i)
     best, _, _, wt_i = _sigma_profile(datum, word, lam, coords, i)
     return (best if lam is INFINITY else max(best, -wt_i)) + wt_i
 
 
 def f_op(datum: RootDatum, word, lam, coords, i: int):
     """Lower by alpha_i; None at the cutoff, never None at infinity."""
-    check_letter(datum, i)
     best, first, _, wt_i = _sigma_profile(datum, word, lam, coords, i)
-    if lam is not INFINITY:
-        naive_phi = best + wt_i
-        if naive_phi < 0:
+    if lam is not INFINITY and best + wt_i <= 0:
+        if best + wt_i < 0:
             raise CorruptElementError("negative phi: element outside the cut crystal")
-        if naive_phi == 0:
-            return None
+        return None
     if first is None:
         # all stored letter-i sigmas are negative while the tail is zero
         raise CorruptElementError("lowering argmin beyond stored coordinates")
@@ -171,7 +180,6 @@ def f_op(datum: RootDatum, word, lam, coords, i: int):
 
 def e_op(datum: RootDatum, word, lam, coords, i: int):
     """Raise by alpha_i; None when no raise is possible."""
-    check_letter(datum, i)
     best, _, last, wt_i = _sigma_profile(datum, word, lam, coords, i)
     if best == 0:
         return None
@@ -185,13 +193,6 @@ def e_op(datum: RootDatum, word, lam, coords, i: int):
 
 # ---------------------------------------------------------------------------
 # the operator table
-
-
-def _validate(datum, word, lam):
-    check_word_of_longest(datum, word)
-    if lam is INFINITY:
-        raise ValueError("the crystal at infinity is infinite; pass a dominant weight")
-    check_weight(datum, lam)
 
 
 def _weight(lam):
@@ -289,6 +290,8 @@ def _operator_table(datum: RootDatum, word, lam) -> _OperatorTable:
     state every letter kills is the lowest, whose decoded coordinates must
     sum to the depth.  Every later crystal layer reads this table."""
     _validate(datum, word, lam)
+    if lam is INFINITY:
+        raise ValueError("the crystal at infinity is infinite; pass a dominant weight")
     letters, where, deltas = _statistics_layout(datum, word)
     depth = _depth(datum, lam)
     width = depth.bit_length() or 1

@@ -293,6 +293,8 @@ def mitosis_chain(datum: RootDatum, letters) -> frozenset:
 def m_op(datum: RootDatum, i: int, d: Diagram) -> frozenset:
     """Remove the designated letter-i box and close under letter-i ladder
     moves; hard error when the preconditions fail."""
+    if d.datum != datum:
+        raise ValueError("a diagram of %r cannot take M_%d in %r" % (d.datum, i, datum))
     order = facet_ordering(datum)
     cols = set(letter_columns(datum, i))
     candidates = [

@@ -23,6 +23,8 @@ from .cartan import (
     longest_element,
     multiply,
     reduced_word,
+    simple_root_in_fundamental,
+    standard_word,
     word_to_element,
 )
 
@@ -200,9 +202,9 @@ def axioms_suite(family: str, rank: int, samples: int, seed: int = 0, budget=Non
     datum = RootDatum(family, rank)
     rng = random.Random(seed)
     start = time.perf_counter()
-    word = crystals.standard_word(datum)
+    word = standard_word(datum)
     n = datum.rank
-    alphas = [crystals.simple_root_in_fundamental(datum, i) for i in range(1, n + 1)]
+    alphas = [simple_root_in_fundamental(datum, i) for i in range(1, n + 1)]
     lam_pool = [None, (1,) * n, (2,) + (1,) * (n - 1)]
 
     def cells():

@@ -82,6 +82,26 @@ def test_operators_refuse_a_state_of_the_wrong_length(state):
         cr.weight_of(A2, IA2, (1, 1), state)
 
 
+@pytest.mark.parametrize(
+    "word, lam, state, message",
+    [
+        ((1, 1, 1), (1, 1), (0, 0, 0), "not a reduced word of the longest element"),
+        (IA2, (1,), (0, 0, 0), "not dominant of rank 2"),
+        (IA2, (-1, 0), (0, 0, 0), "not dominant of rank 2"),
+        (IA2, (1, 1), (-1, 0, 0), "has a negative coordinate"),
+    ],
+    ids=["unreduced-word", "short-weight", "negative-weight", "negative-state"],
+)
+def test_operators_refuse_input_outside_their_domain(word, lam, state, message):
+    # the word and weight rules of the table build, and nonnegative
+    # coordinates; none of these is a state of an embedded crystal
+    for op in (cr.f_op, cr.e_op, cr.epsilon, cr.phi):
+        with pytest.raises(ValueError, match=message):
+            op(A2, word, lam, state, 1)
+    with pytest.raises(ValueError, match=message):
+        cr.weight_of(A2, word, lam, state)
+
+
 def test_b_lambda_counts_and_polytope_crosscheck():
     assert cr.generate_b_lambda(A2, IA2, (0, 0)) == frozenset([(0, 0, 0)])
     for lam in [(1, 0), (0, 1), (1, 1), (2, 1), (2, 2), (3, 3)]:

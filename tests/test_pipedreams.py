@@ -321,6 +321,13 @@ def test_m_op_error_on_bad_input():
         pd.m_op(A2, 1, pd.diagram(A2, [(1, 2)]))
 
 
+def test_m_op_refuses_a_diagram_of_another_datum():
+    # an A2 diagram would be read on the A3 board and give an A3 diagram
+    for datum, other in ((A3, A2), (A2, A3), (C2, A2)):
+        with pytest.raises(ValueError, match="cannot take M_1 in"):
+            pd.m_op(datum, 1, pd.full_diagram(other))
+
+
 def test_ascii_render():
     d = pd.diagram(C2, [(1, 1), (2, 2)])
     assert pd.ascii_diagram(d) == "+..\n +"
