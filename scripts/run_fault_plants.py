@@ -16,7 +16,7 @@ other pytest outcome (no such test, a collection error) is an error.
 
 It prints one line per plant, then the killed, survived and error counts,
 and exits 1 unless every plant is killed.  Each row costs one pytest start
-and one test run (the 35 rows took 61 s on a 2-core host), so the script
+and one test run (the 39 rows took about 70 s on a 2-core host), so the script
 is not part of the test suite, which checks only that every anchor occurs
 once.
 """
@@ -224,8 +224,8 @@ PLANTS = (
     # the layouts read off the pipe-dream board
     (
         "pipedreams",
-        'return _rows_up(datum, 1 if datum.family == "A" else -1)',
-        "return _rows_up(datum, -1)",
+        'facet_order = _rows_up(datum, 1 if datum.family == "A" else -1)',
+        "facet_order = _rows_up(datum, -1)",
         "tests/test_pipedreams.py::test_arrangements_type_a",
     ),
     (
@@ -233,6 +233,26 @@ PLANTS = (
         "left = pos.get((i, j - 1))",
         "left = pos.get((i, j + 1))",
         "tests/test_polytopes.py::test_string_cone_facet_labels",
+    ),
+    (
+        "pipedreams",
+        "{box: k for k, box in enumerate(word_order, start=1)},",
+        "{box: k for k, box in enumerate(word_order)},",
+        "tests/test_pipedreams.py::test_arrangements_type_a",
+    ),
+    # a reduced word of w_0 is a word of its length that walks to the
+    # group table's last element
+    (
+        "cartan",
+        "if len(word) != datum.num_positive_roots or w is not _weyl_table(datum).elements[-1]:",
+        "if len(word) != datum.num_positive_roots:",
+        "tests/test_cartan.py::test_compatible_subsets_rejects_bad_input",
+    ),
+    (
+        "cartan",
+        "if len(word) != datum.num_positive_roots or w is not _weyl_table(datum).elements[-1]:",
+        "if w is not _weyl_table(datum).elements[-1]:",
+        "tests/test_cartan.py::test_compatible_subsets_rejects_bad_input",
     ),
     # the one-state operators and M_i refuse input outside their domain
     (
@@ -252,6 +272,12 @@ PLANTS = (
         "if d.datum != datum:",
         "if False:",
         "tests/test_pipedreams.py::test_m_op_refuses_a_diagram_of_another_datum",
+    ),
+    (
+        "crystals",
+        "if not coords[last - 1]:",
+        "if False:",
+        "tests/test_crystals.py::test_raise_onto_a_zero_coordinate_is_detected",
     ),
 )
 

@@ -53,6 +53,12 @@ class RootDatum:
             raise ValueError("rank %d too small for type %s" % (self.rank, self.family))
 
     @property
+    def num_coordinates(self) -> int:
+        """The entries of a one-line form, which are the orthogonal
+        coordinates x_1, x_2, ...: n + 1 for A_n, n for C_n."""
+        return self.rank + 1 if self.family == "A" else self.rank
+
+    @property
     def num_positive_roots(self) -> int:
         n = self.rank
         return n * (n + 1) // 2 if self.family == "A" else n * n
@@ -139,7 +145,7 @@ class WeylElement:
 
     def __post_init__(self):
         signed = self.datum.family == "C"
-        size = self.datum.rank if signed else self.datum.rank + 1
+        size = self.datum.num_coordinates
         line = self.oneline
         entries = map(abs, line) if signed else line
         if not isinstance(line, tuple) or sorted(entries) != list(range(1, size + 1)):
@@ -158,8 +164,7 @@ def group_order(datum: RootDatum) -> int:
 
 
 def identity_element(datum: RootDatum) -> WeylElement:
-    size = datum.rank + 1 if datum.family == "A" else datum.rank
-    return WeylElement(datum, tuple(range(1, size + 1)))
+    return WeylElement(datum, tuple(range(1, datum.num_coordinates + 1)))
 
 
 def simple_element(datum: RootDatum, i: int) -> WeylElement:
@@ -401,9 +406,11 @@ def standard_word(datum: RootDatum) -> tuple:
 
 
 def check_word_of_longest(datum: RootDatum, word):
-    """Raise unless word is a reduced word of w_0."""
+    """Raise unless word is a reduced word of w_0: a word of the length of
+    w_0 whose walk ends at the table's last element, which `_weyl_table`
+    certifies to be w_0."""
     w = word_to_element(datum, word)
-    if w != longest_element(datum) or len(word) != datum.num_positive_roots:
+    if len(word) != datum.num_positive_roots or w is not _weyl_table(datum).elements[-1]:
         raise ValueError("word %r is not a reduced word of the longest element" % (word,))
 
 
@@ -432,13 +439,13 @@ def _extraction_table(datum: RootDatum, word: tuple) -> dict:
     return {table.elements[k]: tuple(sorted(positions)) for k, positions in found.items()}
 
 
-def compatible_subsets(datum: RootDatum, word: tuple, w: WeylElement) -> tuple:
+def compatible_subsets(datum: RootDatum, word, w: WeylElement) -> tuple:
     """All strictly increasing position tuples extracting a reduced word of w.
 
-    Positions are 1-based into `word`, a tuple that must be a reduced word of
-    w_0; w must be an element of the Weyl group of `datum`.
+    Positions are 1-based into `word`, a tuple or list that must be a reduced
+    word of w_0; w must be an element of the Weyl group of `datum`.
     """
-    table = _extraction_table(datum, word)
+    table = _extraction_table(datum, tuple(word))
     if w not in table:
         raise ValueError("%r is not an element of the Weyl group of %r" % (w, datum))
     return table[w]

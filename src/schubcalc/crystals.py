@@ -84,8 +84,9 @@ from .cartan import (
 
 
 class CorruptElementError(InvariantError):
-    """The lowering argmin fell beyond the stored coordinates, which cannot
-    happen for elements of the embedded crystal."""
+    """The lowering argmin fell beyond the stored coordinates, or a raise
+    landed on a zero coordinate, which cannot happen for elements of the
+    embedded crystal."""
 
 
 class CrystalPolytopeMismatchError(InvariantError):
@@ -186,6 +187,8 @@ def e_op(datum: RootDatum, word, lam, coords, i: int):
     if lam is not INFINITY and best + wt_i < 0:
         # the raise would act on the cutoff factor
         return None
+    if not coords[last - 1]:
+        raise CorruptElementError("raising argmax on a zero coordinate: element outside the crystal")
     out = list(coords)
     out[last - 1] -= 1
     return tuple(out)
@@ -207,7 +210,6 @@ def is_certified_word(datum: RootDatum, word) -> bool:
 class _OperatorTable(NamedTuple):
     keys: tuple    # the cut crystal in breadth-first order, the highest first,
                    # each state packed into one int, coordinate p in bit field p
-    index: dict    # key -> index
     width: int     # bits per field: those of depth, and at least 1
     depth: int     # <lam, 2 rho^vee>, the coordinate sum of the lowest state,
                    # which no coordinate passes
@@ -333,7 +335,6 @@ def _operator_table(datum: RootDatum, word, lam) -> _OperatorTable:
         raise InvariantError("lowest element not unique")
     table = _OperatorTable(
         tuple(keys),
-        index,
         width,
         depth,
         tuple(tuple(row) for row in down),
@@ -356,15 +357,15 @@ def crystal_states(datum: RootDatum, word, lam) -> tuple:
 
 def string_coords(datum: RootDatum, word, lam, state) -> tuple:
     """String parametrization of one cut-crystal element, read off the
-    certified strings of `string_incidence` at the state's table index."""
+    certified strings of `string_incidence` at the state's place in the
+    table's keys."""
     word, lam, state = tuple(word), _weight(lam), tuple(state)
     table = _operator_table(datum, word, lam)
-    k = None
-    if len(state) == len(word) and all(0 <= a <= table.depth for a in state):
-        k = table.index.get(sum(a << (table.width * p) for p, a in enumerate(state)))
-    if k is None:
+    key = sum(a << (table.width * p) for p, a in enumerate(state))
+    packed = len(state) == len(word) and all(0 <= a <= table.depth for a in state)
+    if not packed or key not in table.keys:
         raise InvariantError("non-normal state: not in the generated crystal")
-    return string_incidence(datum, word, lam)[0][k]
+    return string_incidence(datum, word, lam)[0][table.keys.index(key)]
 
 
 def _string_table(datum: RootDatum, word, lam) -> tuple:

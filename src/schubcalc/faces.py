@@ -85,7 +85,7 @@ class FaceDecomposition:
 
     tights: tuple                 # index tuples, one per face
     union: polytopes.PointSet
-    empty: tuple = ()             # index tuples whose face is empty
+    empty = ()                    # index tuples whose face is empty
 
 
 def _face_union(tights, masks, count: int) -> int:
@@ -389,9 +389,14 @@ class ProductResult:
     w: WeylElement
     faces: tuple            # sorted F tight sets of the transversal meets
     expansion: dict         # WeylElement -> coefficient
-    method: str
-    dropped_empty: tuple    # (F, F) tight-set pairs that do not meet
     nontransversal: tuple   # (F, F) tight-set pairs that share a row
+    dropped_empty = ()      # (F, F) tight-set pairs that do not meet
+
+    @property
+    def method(self) -> str:
+        """The identification: "zero" above the top degree, else "degree-pairing"."""
+        top = self.v.datum.num_positive_roots
+        return "zero" if length(self.v) + length(self.w) > top else "degree-pairing"
 
 
 def check_product(datum: RootDatum):
@@ -418,7 +423,7 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
     ctx = _context(datum, ctx)
     degree = length(v) + length(w)
     if degree > datum.num_positive_roots:
-        return ProductResult(v, w, (), {}, "zero", (), ())
+        return ProductResult(v, w, (), {}, ())
     terms = []
     bad = []
     right = [(fb, ctx.f_mask(fb)) for fb in schubert_class(datum, w, "dual-kogan")]
@@ -443,12 +448,4 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
                 "oracle": {str(k): c for k, c in oracle.items()},
             }
         )
-    return ProductResult(
-        v=v,
-        w=w,
-        faces=tuple(terms),
-        expansion=expansion,
-        method="degree-pairing",
-        dropped_empty=(),
-        nontransversal=tuple(bad),
-    )
+    return ProductResult(v, w, tuple(terms), expansion, tuple(bad))

@@ -120,10 +120,6 @@ def poly_mul(f: dict, g: dict) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
-def _num_variables(datum: RootDatum) -> int:
-    return datum.rank + 1 if datum.family == "A" else datum.rank
-
-
 def _swapped_variables(datum: RootDatum, i: int) -> tuple:
     """Indices (a, b) with alpha_i = x_a - x_b, 0-based; s_i swaps them."""
     return (i - 1, i) if datum.family == "A" else (i - 1, i - 2)
@@ -159,7 +155,7 @@ def divided_difference(datum: RootDatum, i: int, f: dict) -> dict:
 
 def orthogonal_root(datum: RootDatum, root) -> tuple:
     """A root given in the simple-root basis, in orthogonal coordinates."""
-    out = [0] * _num_variables(datum)
+    out = [0] * datum.num_coordinates
     for j, m in enumerate(root, start=1):
         if datum.family == "C" and j == 1:
             out[0] += 2 * m
@@ -174,7 +170,7 @@ def orthogonal_root(datum: RootDatum, root) -> tuple:
 def top_class_polynomial(datum: RootDatum) -> tuple:
     """The product of the positive roots, |W| times the class of a point, as
     a sorted item tuple."""
-    size = _num_variables(datum)
+    size = datum.num_coordinates
     f = {(0,) * size: 1}
     for alpha in positive_roots(datum):
         vec = orthogonal_root(datum, alpha)
@@ -205,7 +201,7 @@ _representative = schubert_representative
 def check_normalization(datum: RootDatum):
     """The identity representative must be the constant |W|."""
     f = dict(schubert_representative(datum, identity_element(datum)))
-    if f != {(0,) * _num_variables(datum): group_order(datum)}:
+    if f != {(0,) * datum.num_coordinates: group_order(datum)}:
         raise InvariantError("top-class normalization failed; convention error")
 
 
@@ -234,7 +230,7 @@ def bgg_structure_constants(datum: RootDatum, u: WeylElement, v: WeylElement) ->
     if deg > datum.num_positive_roots:
         return ()
     product = poly_mul(dict(schubert_representative(datum, u)), dict(schubert_representative(datum, v)))
-    zero = (0,) * _num_variables(datum)
+    zero = (0,) * datum.num_coordinates
     scale = group_order(datum) ** 2
     # word suffix -> its divided differences applied to the product; the
     # suffixes of a reduced word are the reduced words of shorter elements

@@ -6,18 +6,17 @@ sets.
 Boards are stored as (row, column) pairs, and the board is stated once
 (`_row_columns`): the type A board has rows 1..n with row i holding columns
 1..n-i+1; the shifted type C board has row i holding columns i..2n-i.  Every
-layout is read off it: `board_boxes`, `ascii_diagram` and the two position
-orderings, word order (used by k'_D: rows bottom to top, columns right to
-left, the letter of a box given by `letter_columns`, so that reading the
-board spells the standard reduced word) and facet order (used by k_D: word
-order with the type A rows read left to right).  The string cone facets and
-the GT/SGT pattern coordinates of `polytopes` are read off the same board.
+layout is read off it: `ascii_diagram` and one cached table per datum
+(`board`) of the box set, word order (used by k'_D), facet order (used by
+k_D) and each box's position in both.  The string cone facets and the
+GT/SGT pattern coordinates of `polytopes` are read off the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cartan import (
     InvariantError,
@@ -43,9 +42,9 @@ class Diagram:
     boxes: frozenset
 
     def __post_init__(self):
-        board = board_boxes(self.datum)
-        if not self.boxes <= board:
-            raise ValueError("boxes %r leave the board" % (sorted(self.boxes - board),))
+        boxes = board(self.datum).boxes
+        if not self.boxes <= boxes:
+            raise ValueError("boxes %r leave the board" % (sorted(self.boxes - boxes),))
 
 
 def box_order(diagrams) -> list:
@@ -60,13 +59,8 @@ def _row_columns(datum: RootDatum, i: int) -> range:
     return range(1, n - i + 2) if datum.family == "A" else range(i, 2 * n - i + 1)
 
 
-@lru_cache(maxsize=None)
-def board_boxes(datum: RootDatum) -> frozenset:
-    return frozenset(word_ordering(datum))
-
-
 def full_diagram(datum: RootDatum) -> Diagram:
-    return Diagram(datum, board_boxes(datum))
+    return Diagram(datum, board(datum).boxes)
 
 
 def diagram(datum: RootDatum, boxes) -> Diagram:
@@ -79,41 +73,41 @@ def _rows_up(datum: RootDatum, step: int) -> tuple:
     return tuple((i, j) for i in range(datum.rank, 0, -1) for j in _row_columns(datum, i)[::step])
 
 
-@lru_cache(maxsize=None)
-def facet_ordering(datum: RootDatum) -> tuple:
-    """Board positions in facet order (drives k_D): word order with the type
-    A rows read left to right."""
-    return _rows_up(datum, 1 if datum.family == "A" else -1)
+class Board(NamedTuple):
+    boxes: frozenset
+    word_order: tuple   # the boxes in word order (drives k'_D)
+    facet_order: tuple  # the boxes in facet order (drives k_D)
+    word_pos: dict      # box -> its 1-based position in word order
+    facet_pos: dict     # box -> its 1-based position in facet order
 
 
 @lru_cache(maxsize=None)
-def word_ordering(datum: RootDatum) -> tuple:
-    """Board positions in word order (drives k'_D): rows bottom to top,
-    columns right to left; position k holds letter k of the standard word
-    (`letter_columns`)."""
-    return _rows_up(datum, -1)
-
-
-@lru_cache(maxsize=None)
-def _facet_positions(datum: RootDatum) -> dict:
-    return {box: k for k, box in enumerate(facet_ordering(datum), start=1)}
-
-
-@lru_cache(maxsize=None)
-def _word_positions(datum: RootDatum) -> dict:
-    return {box: k for k, box in enumerate(word_ordering(datum), start=1)}
+def board(datum: RootDatum) -> Board:
+    """The board's layouts, read off `_row_columns` once per datum: word
+    order runs rows bottom to top, columns right to left, so that position k
+    holds letter k of the standard word (`letter_columns`); facet order is
+    word order with the type A rows read left to right."""
+    word_order = _rows_up(datum, -1)
+    facet_order = _rows_up(datum, 1 if datum.family == "A" else -1)
+    return Board(
+        frozenset(word_order),
+        word_order,
+        facet_order,
+        {box: k for k, box in enumerate(word_order, start=1)},
+        {box: k for k, box in enumerate(facet_order, start=1)},
+    )
 
 
 def arrangement_kd(d: Diagram) -> tuple:
     """Positions of the diagram's boxes in facet order, increasing."""
-    pos = _facet_positions(d.datum)
+    pos = board(d.datum).facet_pos
     return tuple(sorted(pos[b] for b in d.boxes))
 
 
 def arrangement_kd_prime(d: Diagram) -> tuple:
     """Positions of the complement's boxes in word order, increasing."""
-    pos = _word_positions(d.datum)
-    return tuple(sorted(pos[b] for b in board_boxes(d.datum) - d.boxes))
+    layout = board(d.datum)
+    return tuple(sorted(layout.word_pos[b] for b in layout.boxes - d.boxes))
 
 
 def letter_columns(datum: RootDatum, i: int) -> tuple:
@@ -143,11 +137,9 @@ def ladder_move(d: Diagram, i: int, j: int):
     boxes = d.boxes
     if (i, j) not in boxes or (i, j + 1) in boxes:
         return None
-    order = facet_ordering(d.datum)
-    k = _facet_positions(d.datum)[(i, j)]
+    layout = board(d.datum)
     cols = {j, 2 * d.datum.rank - j}
-    board = board_boxes(d.datum)
-    for p, q in order[k:]:
+    for p, q in layout.facet_order[layout.facet_pos[i, j] :]:
         if q not in cols:
             continue
         here = (p, q) in boxes
@@ -156,7 +148,7 @@ def ladder_move(d: Diagram, i: int, j: int):
             continue
         if here or right:
             return None
-        if (p, q + 1) not in board:
+        if (p, q + 1) not in layout.boxes:
             return None
         return Diagram(d.datum, (boxes - {(i, j)}) | {(p, q + 1)})
     return None
@@ -196,9 +188,9 @@ def bottom_diagram(datum: RootDatum, w: WeylElement) -> Diagram:
     word = standard_word(datum)
     subsets = compatible_subsets(datum, word, w)
     kprime = min(subsets)
-    order = word_ordering(datum)
-    complement = {order[k - 1] for k in kprime}
-    out = Diagram(datum, board_boxes(datum) - complement)
+    layout = board(datum)
+    complement = {layout.word_order[k - 1] for k in kprime}
+    out = Diagram(datum, layout.boxes - complement)
     if datum.family == "A":
         closed = _bottom_closed_form_a(datum, w)
         if out.boxes != closed:
@@ -295,7 +287,7 @@ def m_op(datum: RootDatum, i: int, d: Diagram) -> frozenset:
     moves; hard error when the preconditions fail."""
     if d.datum != datum:
         raise ValueError("a diagram of %r cannot take M_%d in %r" % (d.datum, i, datum))
-    order = facet_ordering(datum)
+    order = board(datum).facet_order
     cols = set(letter_columns(datum, i))
     candidates = [
         r

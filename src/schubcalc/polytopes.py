@@ -468,17 +468,17 @@ def is_simple(p: Polytope) -> bool:
 @lru_cache(maxsize=None)
 def string_cone_facets(datum: RootDatum) -> tuple:
     """String cone facets v . x <= 0 for the standard word, one per box in
-    facet order (`pipedreams.facet_ordering`): the box's coordinate, taken at
-    its word position, is at least its left neighbour's, or at least 0 for
-    the first box of its row.  Each entry is the integer vector v."""
-    pos = {box: k for k, box in enumerate(pipedreams.word_ordering(datum))}
+    facet order (`pipedreams.board`): the box's coordinate, taken at its
+    word position, is at least its left neighbour's, or at least 0 for the
+    first box of its row.  Each entry is the integer vector v."""
+    pos = pipedreams.board(datum).word_pos
     out = []
-    for i, j in pipedreams.facet_ordering(datum):
+    for i, j in pipedreams.board(datum).facet_order:
         vec = [0] * len(pos)
-        vec[pos[i, j]] = -1
+        vec[pos[i, j] - 1] = -1
         left = pos.get((i, j - 1))
         if left is not None:
-            vec[left] = 1
+            vec[left - 1] = 1
         out.append(tuple(vec))
     return tuple(out)
 
@@ -540,7 +540,7 @@ def string_polytope(datum: RootDatum, lam) -> Polytope:
 def _box_pos(datum: RootDatum, j: int, i: int, column: int) -> int:
     """0-based word position of box (n + 2 - i - j, the given column of letter i)."""
     box = (datum.rank + 2 - i - j, pipedreams.letter_columns(datum, i)[column])
-    return pipedreams.word_ordering(datum).index(box)
+    return pipedreams.board(datum).word_pos[box] - 1
 
 
 def a_pos(datum: RootDatum, j: int, i: int) -> int:

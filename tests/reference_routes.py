@@ -860,7 +860,7 @@ def chain_structure_constants(datum, u, v):
     if deg > datum.num_positive_roots:
         return ()
     product = orc.poly_mul(dict(chain_representative(datum, u)), dict(chain_representative(datum, v)))
-    zero = (0,) * orc._num_variables(datum)
+    zero = (0,) * datum.num_coordinates
     scale = orc.group_order(datum) ** 2
     out = []
     for t in all_elements(datum):

@@ -177,6 +177,9 @@ def test_compatible_subsets_rejects_bad_input():
         compatible_subsets(A2, (1, 2), identity_element(A2))
     with pytest.raises(ValueError, match="not a reduced word"):
         compatible_subsets(A2, (1, 2, 2), identity_element(A2))
+    # a word whose walk ends at w_0 but is not reduced
+    with pytest.raises(ValueError, match="not a reduced word"):
+        compatible_subsets(A2, (1, 1, 1, 2, 1), identity_element(A2))
     for w in (identity_element(A3), longest_element(C2), simple_element(A3, 3)):
         with pytest.raises(ValueError, match="not an element"):
             compatible_subsets(A2, standard_word(A2), w)

@@ -14,6 +14,7 @@ from schubcalc.cartan import (
     all_elements,
     all_reduced_words,
     bruhat_leq,
+    compatible_subsets,
     identity_element,
     left_mul,
     length,
@@ -307,6 +308,21 @@ def test_corrupt_element_detected():
         cr.f_op(C2, IC2, None, (0, 0, 0, 5), 1)
 
 
+@pytest.mark.parametrize(
+    "datum, word, lam, state, i",
+    [
+        (A2, IA2, (1, 0), (0, 0, 2), 1),
+        (A2, IA2, cr.INFINITY, (0, 0, 2), 1),
+        (C2, IC2, cr.INFINITY, (0, 0, 0, 1), 2),
+    ],
+)
+def test_raise_onto_a_zero_coordinate_is_detected(datum, word, lam, state, i):
+    # states outside the crystal whose raising argmax is a zero coordinate:
+    # the raise would hand back a negative one
+    with pytest.raises(cr.CorruptElementError, match="zero coordinate"):
+        cr.e_op(datum, word, lam, state, i)
+
+
 def test_demazure_word_independence_rank_three():
     word = standard_word(A3)
     lam = (1, 0, 1)
@@ -331,10 +347,9 @@ def _with_planted_state(table, datum, word, lam, planted):
     """The table with one more state, unreached by any operator, whose eps
     are its true ones, under the key it packs to."""
     key = ref.table_key(table, planted)
-    assert key not in table.index
+    assert key not in table.keys
     return table._replace(
         keys=table.keys + (key,),
-        index={**table.index, key: len(table.keys)},
         down=tuple(row + (-1,) for row in table.down),
         up=tuple(row + (-1,) for row in table.up),
         eps=tuple(
@@ -464,8 +479,9 @@ def test_operator_table_matches_operators():
         states = ref.table_states(datum, word, lam)
         assert cr.crystal_states(datum, word, lam) == ref.bfs_states(datum, word, lam)
         assert states[0] == (0,) * len(word)
-        assert all(table.index[ref.table_key(table, s)] == k for k, s in enumerate(states))
-        assert len(table.index) == len(states)
+        index = {key: k for k, key in enumerate(table.keys)}
+        assert all(index[ref.table_key(table, s)] == k for k, s in enumerate(states))
+        assert len(index) == len(states)
         assert _lowest(datum, word, lam) == ref.lowest(datum, word, lam)
 
         def state(k):
@@ -488,7 +504,8 @@ def _check_packed_table(datum, word, lam) -> tuple:
     assert tuple(sorted(states)) == expected
     assert cr.crystal_states(datum, word, lam) == expected
     assert states[0] == (0,) * len(word)
-    assert [table.index[key] for key in table.keys] == list(range(len(expected)))
+    index = {key: k for k, key in enumerate(table.keys)}
+    assert [index[key] for key in table.keys] == list(range(len(expected)))
     assert states[table.lowest] == ref.lowest(datum, word, lam, expected)
     assert sum(states[table.lowest]) == table.depth
     assert table.depth < 1 << table.width
@@ -666,6 +683,7 @@ LIST_WORD_CALLS = {
     "opposite_demazure_crystal": lambda word: cr.opposite_demazure_crystal(A2, word, S1, (2, 1)),
     "string_coords": lambda word: cr.string_coords(A2, word, (2, 1), (1, 1, 0)),
     "richardson_lattice_points": lambda word: cr.richardson_lattice_points(A2, word, S1, W0, (2, 1)),
+    "compatible_subsets": lambda word: compatible_subsets(A2, word, S1),
 }
 
 

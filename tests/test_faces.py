@@ -478,6 +478,23 @@ def test_the_end_classes_are_the_whole_polytope():
         assert fc.schubert_class(datum, identity_element(datum), "dual-kogan") == ((),)
 
 
+def test_type_a_kogan_class_is_the_extraction_set_of_w_w0():
+    # the box-removal route (`mset`) and the subword-complex route agree in
+    # type A: the Kogan class of w is the set of extractions of w w0 from the
+    # standard word; in type C they part ways, which is where the symplectic
+    # face sums are new
+    for datum in (RootDatum("A", 1), A2, A3, RootDatum("A", 4)):
+        word, w0 = standard_word(datum), longest_element(datum)
+        for w in all_elements(datum):
+            expected = list(compatible_subsets(datum, word, multiply(w, w0)))
+            assert sorted(fc.schubert_class(datum, w, "kogan")) == expected, w
+    word, w0 = standard_word(C2), longest_element(C2)
+    assert any(
+        sorted(fc.schubert_class(C2, w, "kogan")) != list(compatible_subsets(C2, word, multiply(w, w0)))
+        for w in all_elements(C2)
+    )
+
+
 def test_kogan_class_and_volume_refuse_the_identity_of_another_group():
     e3 = identity_element(C3)
     with pytest.raises(ValueError, match="not an element of the Weyl group"):
@@ -740,7 +757,8 @@ def test_opposite_faces_hold_for_every_ambient_word():
 
 
 def _dot_product_decompose(tights, rows, points):
-    """The reference face cut: every tight row's dot product, per point."""
+    """The reference face cut: every tight row's dot product, per point; the
+    decomposition and the tight sets whose face is empty."""
     faces = []
     empty = []
     for tight in tights:
@@ -752,11 +770,11 @@ def _dot_product_decompose(tights, rows, points):
             faces.append((tight, pts))
         else:
             empty.append(tight)
-    return fc.FaceDecomposition(
+    decomposition = fc.FaceDecomposition(
         tights=tuple(t for t, _ in faces),
         union=frozenset(p for _, pts in faces for p in pts),
-        empty=tuple(empty),
     )
+    return decomposition, tuple(empty)
 
 
 def _string_rows_and_points(datum, word, lam):
@@ -787,10 +805,10 @@ def test_mask_face_cut_matches_dot_product_filter():
         cone = [(vec, 0) for vec in pt.string_cone_facets(datum)]
         for w in all_elements(datum):
             dec = fc.opposite_demazure_faces(datum, w, lam, word=word)
-            assert dec == _dot_product_decompose(compatible_subsets(datum, word, w), rows, points)
+            assert (dec, ()) == _dot_product_decompose(compatible_subsets(datum, word, w), rows, points)
             if word == standard_word(datum):
                 tights = fc.schubert_class(datum, w, "kogan")
-                assert fc.demazure_faces(datum, w, lam) == _dot_product_decompose(tights, cone, points)
+                assert (fc.demazure_faces(datum, w, lam), ()) == _dot_product_decompose(tights, cone, points)
 
 
 def _swept_face_union(datum, lam, tights, offset):

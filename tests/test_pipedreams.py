@@ -130,7 +130,7 @@ def test_bottom_diagrams():
         n = datum.rank
         for i in range(1, n + 1):
             d = pd.bottom_diagram(datum, word_to_element(datum, (i,)))
-            missing = pd.board_boxes(datum) - d.boxes
+            missing = pd.board(datum).boxes - d.boxes
             expected = (n - i + 1, i) if datum.family == "A" else (n - i + 1, n + i - 1)
             assert missing == {expected}
             assert pd.ladder_set(datum, word_to_element(datum, (i,))) == frozenset([d])
@@ -284,7 +284,7 @@ def test_merged_moves_equal_type_a_routes_on_every_diagram(rank):
     # the row-by-row type A move, and the letter-i operator strips the first
     # mitosis candidate of column i
     datum = RootDatum("A", rank)
-    board = sorted(pd.board_boxes(datum))
+    board = sorted(pd.board(datum).boxes)
     for bits in range(1 << len(board)):
         d = pd.diagram(datum, [b for k, b in enumerate(board) if bits >> k & 1])
         for i, j in board:
@@ -335,10 +335,14 @@ def test_ascii_render():
 
 @pytest.mark.parametrize("datum", BOARDS, ids=BOARD_IDS)
 def test_board_layouts_match_the_per_type_formulas(datum):
-    assert pd.board_boxes(datum) == ref.per_type_board_boxes(datum)
-    assert pd.facet_ordering(datum) == ref.per_type_facet_ordering(datum)
-    assert pd.word_ordering(datum) == ref.per_type_word_ordering(datum)
-    board = sorted(pd.board_boxes(datum))
+    layout = pd.board(datum)
+    assert layout.boxes == ref.per_type_board_boxes(datum)
+    assert layout.facet_order == ref.per_type_facet_ordering(datum)
+    assert layout.word_order == ref.per_type_word_ordering(datum)
+    # each position map is its order read backwards, 1-based
+    assert layout.facet_pos == {box: k for k, box in enumerate(layout.facet_order, start=1)}
+    assert layout.word_pos == {box: k for k, box in enumerate(layout.word_order, start=1)}
+    board = sorted(layout.boxes)
     for boxes in (board, [], board[::2], board[1::3]):
         d = pd.diagram(datum, boxes)
         assert pd.ascii_diagram(d) == ref.per_type_ascii_diagram(d)
@@ -347,4 +351,4 @@ def test_board_layouts_match_the_per_type_formulas(datum):
 @pytest.mark.parametrize("datum", BOARDS, ids=BOARD_IDS)
 def test_word_order_spells_the_standard_word(datum):
     letter = {j: i for i in range(1, datum.rank + 1) for j in pd.letter_columns(datum, i)}
-    assert tuple(letter[j] for _, j in pd.word_ordering(datum)) == standard_word(datum)
+    assert tuple(letter[j] for _, j in pd.board(datum).word_order) == standard_word(datum)
