@@ -14,7 +14,8 @@ j-th coordinate vector).  Products compose right-to-left, so the word
 any other one-line form with `ValueError`.
 
 The group arithmetic runs on one table per datum (`_weyl_table`), built once
-from `multiply`, `inverse`, `simple_element` and the inversion count: every
+on one-line tuples by `_compose`, the composition that `multiply` also
+runs, with one `WeylElement` per element and the inversion count: every
 element in `all_elements` order, an index from one-line form to position,
 per letter the positions of the left and right products by s_i, and the
 lengths, |W| * (2 * rank + 1) integers in all.  `length`, `left_mul`,
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
 from operator import mul
 from typing import NamedTuple
@@ -190,15 +192,15 @@ def check_group(datum: RootDatum, *elements):
         raise ValueError("elements from different groups")
 
 
+def _compose(u: tuple, v: tuple) -> tuple:
+    """The one-line form of u o v from those of u and v, v applied first."""
+    return tuple([u[x - 1] if x > 0 else -u[-x - 1] for x in v])
+
+
 def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
     """Composition u o v, with v applied first."""
     check_group(u.datum, v)
-    uw = u.oneline
-    out = []
-    for x in v.oneline:
-        y = uw[abs(x) - 1]
-        out.append(y if x > 0 else -y)
-    return WeylElement(u.datum, tuple(out))
+    return WeylElement(u.datum, _compose(u.oneline, v.oneline))
 
 
 def inverse(w: WeylElement) -> WeylElement:
@@ -215,19 +217,14 @@ def longest_element(datum: RootDatum) -> WeylElement:
 
 
 def _inversions(w: WeylElement) -> int:
-    """Number of positive roots sent to negative roots (= inversion count)."""
-    line = w.oneline
-    n = len(line)
-    if w.datum.family == "A":
-        return sum(1 for i in range(n) for j in range(i + 1, n) if line[i] > line[j])
-    total = sum(1 for x in line if x < 0)  # roots 2e_i
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = line[i], line[j]
-            # image of e_j - e_i: the sign on the larger coordinate index decides
-            total += (b if abs(b) > abs(a) else -a) < 0
-            # image of e_j + e_i
-            total += (b if abs(b) > abs(a) else a) < 0
+    """Number of positive roots sent to negative roots: over the pairs a, b
+    of entries, a before b, the roots e_j - e_i that go negative exactly
+    when a > b, and in type C also the e_j + e_i when a + b < 0 and the
+    2 e_i when the entry is negative."""
+    pairs = list(combinations(w.oneline, 2))
+    total = sum(a > b for a, b in pairs)
+    if w.datum.family == "C":
+        total += sum(a + b < 0 for a, b in pairs) + sum(x < 0 for x in w.oneline)
     return total
 
 
@@ -245,39 +242,32 @@ class _WeylTable(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _weyl_table(datum: RootDatum) -> _WeylTable:
-    """The Weyl group of `datum` as integer arrays, built once from `multiply`,
-    `inverse`, `simple_element` and the inversion count: the closure of the
-    identity under right multiplication by the simple reflections, sorted,
-    with per letter the indices of the right products and of the left ones,
-    read off the right products of the inverses.
-
-    Raises `InvariantError` unless the group has `group_order` elements, the
-    identity and w_0 sit at the two ends, and every left or right product by
-    a simple reflection changes the length by exactly one (the Coxeter
+    """The Weyl group of `datum` as integer arrays: the closure of the
+    identity under right products by the simple reflections, on one-line
+    tuples, sorted, with per letter the indices of the right and the left
+    products, each checked to change the length by one (the Coxeter
     property)."""
     n = datum.rank
-    simple = [simple_element(datum, i) for i in range(1, n + 1)]
-    products = {}  # element -> its right products by s_1, ..., s_n
-    frontier = {identity_element(datum)}
+    simple = [simple_element(datum, i).oneline for i in range(1, n + 1)]
+    products = {}  # one-line form -> its right products by s_1, ..., s_n
+    frontier = {identity_element(datum).oneline}
     while frontier:
-        for w in frontier:
-            products[w] = [multiply(w, s) for s in simple]
-        frontier = {x for w in frontier for x in products[w]} - products.keys()
+        for line in frontier:
+            products[line] = [_compose(line, s) for s in simple]
+        frontier = {x for line in frontier for x in products[line]} - products.keys()
     expected = group_order(datum)
     if len(products) != expected:
         raise InvariantError(
             "found %d elements of W(%s%d), expected %d" % (len(products), datum.family, n, expected)
         )
-    inversions = {w: _inversions(w) for w in products}
-    elements = tuple(sorted(products, key=lambda w: (inversions[w], w.oneline)))
+    inversions = {w: _inversions(w) for w in (WeylElement(datum, line) for line in products)}
+    elements = tuple(sorted(inversions, key=lambda w: (inversions[w], w.oneline)))
     if elements[0] != identity_element(datum) or elements[-1] != longest_element(datum):
         raise InvariantError("the identity and w_0 are not the ends of W(%s%d)" % (datum.family, n))
     index = {w.oneline: k for k, w in enumerate(elements)}
     length = tuple(inversions[w] for w in elements)
-    right = tuple(tuple(index[products[w][i].oneline] for w in elements) for i in range(n))
-    # s_i w = (w^-1 s_i)^-1
-    inv = [index[inverse(w).oneline] for w in elements]
-    left = tuple(tuple(inv[step[j]] for j in inv) for step in right)
+    right = tuple(tuple(index[products[w.oneline][i]] for w in elements) for i in range(n))
+    left = tuple(tuple(index[_compose(s, w.oneline)] for w in elements) for s in simple)
     for side, steps in (("left", left), ("right", right)):
         for i, step in enumerate(steps, 1):
             for k, j in enumerate(step):

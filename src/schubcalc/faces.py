@@ -57,7 +57,6 @@ from .cartan import (
     InvariantError,
     RootDatum,
     WeylElement,
-    all_elements,
     check_group,
     check_weight,
     compatible_subsets,
@@ -291,30 +290,45 @@ class DeformedContext:
             for s, c in self.square[t]:
                 form[s] -= h * c
 
-    def multiply(self, form, other) -> Counter:
+    def multiply(self, form, other) -> dict:
         """The normal form of form * other, both normal forms: the sum over
-        their term pairs of f^(a|b) * f^(a&b), one memo per call."""
-        memo, out = {}, Counter()
+        their term pairs of f^(a|b) * f^(a&b).  A pair with no shared step is
+        a term; the others wait in `pending`, summed per (mask, shared) under
+        the sum of N - t over the shared steps t.  With t the top one, f_t^2
+        = f_t * L_t, and each step s > t of L_t joins mask, or takes t's place
+        in shared when mask holds it: each rewrite lowers that weight, so the
+        heaviest go first and each (mask, shared) is rewritten once."""
+        big, square = self.big_n, self.square
+        out, pending = {}, {}
         for a, m in form.items():
             for b, n in other.items():
-                for mask, c in self._times(a | b, a & b, memo).items():
-                    out[mask] += m * n * c
+                shared = a & b
+                if not shared:
+                    out[a | b] = out.get(a | b, 0) + m * n
+                    continue
+                weight, rest = 0, shared
+                while rest:
+                    weight += big + 1 - (rest & -rest).bit_length()
+                    rest &= rest - 1
+                level = pending.setdefault(weight, {})
+                level[a | b, shared] = level.get((a | b, shared), 0) + m * n
+        while pending:
+            weight = max(pending)
+            for (mask, shared), n in pending.pop(weight).items():
+                t = shared.bit_length() - 1
+                rest = shared ^ 1 << t
+                for s, c in square[t]:
+                    bit = 1 << s
+                    if mask & bit:
+                        key, lower = (mask, rest | bit), weight - s + t
+                    elif rest:
+                        key, lower = (mask | bit, rest), weight - big + t
+                    else:
+                        out[mask | bit] = out.get(mask | bit, 0) + n * c
+                        continue
+                    level = pending.setdefault(lower, {})
+                    level[key] = level.get(key, 0) + n * c
         return out
-
-    def _times(self, mask: int, shared: int, memo: dict) -> dict:
-        """Normal form of f^mask * f^shared, shared within mask: f^mask * f_t
-        = f^mask * L_t for t the top step of shared, each step s of L_t joins
-        mask, or shared when mask holds it; s > t, so the recursion ends."""
-        if not shared:
-            return {mask: 1}
-        got = memo.get((mask, shared))
-        if got is None:
-            t = shared.bit_length() - 1
-            got = memo[mask, shared] = Counter()  # no call recurs on its own key
-            for s, c in self.square[t]:
-                for m, n in self._times(mask | 1 << s, shared ^ 1 << t | mask & 1 << s, memo).items():
-                    got[m] += c * n
-        return got
 
     def divisor(self, lam) -> dict:
         """D = sum_j h_j x_j in normal form {1 << t: coefficient}, for h_j the
@@ -374,6 +388,7 @@ def degree_pairing(datum: RootDatum, u: WeylElement, v: WeylElement, ctx=None) -
     codimensions: the degree of F_u * Fv_v in the ring of the deformed
     polytope (`DeformedContext.degree`), for Fv_v the Kogan face sum of the
     Schubert variety of w0 v."""
+    check_group(datum, u, v)
     if length(u) + length(v) != datum.num_positive_roots:
         raise ValueError("lengths must be complementary")
     ctx = _context(datum, ctx)
@@ -435,7 +450,7 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
             else:
                 terms.append(tuple(sorted(fa + fb)))
     form = ctx.multiply(ctx.class_form(v), ctx.class_form(w))
-    expansion = {t: ctx.degree(form, t) for t in all_elements(datum) if length(t) == degree}
+    expansion = {t: ctx.degree(form, t) for t, _ in oracles.reduced_words_by_length(datum)[degree]}
     expansion = {t: c for t, c in expansion.items() if c}
     oracle = dict(oracles.bgg_structure_constants(datum, v, w))
     if expansion != oracle:

@@ -11,9 +11,13 @@ Three routes that never touch the polytope, crystal or pipe-dream machinery:
 
 The divided differences act on integer polynomials in orthogonal coordinates,
 the classical realization of Billey-Haiman ("Schubert polynomials for the
-classical groups", J. AMS 1995).  A polynomial is a dict {exponent tuple: int}
-in x_1..x_n for type C and x_1..x_{n+1} for type A.  With node 1 long, as in
-`cartan`, type C has alpha_1 = 2x_1, with s_1 negating x_1, and
+classical groups", J. AMS 1995), in x_1..x_n for type C and x_1..x_{n+1} for
+type A.  A polynomial is a dict {key: int}, the key one int holding the
+exponent of x_j in bit field j (`pack`, `unpack`).  No exponent of a
+polynomial of degree at most N, the number of positive roots, passes N, so a
+field holds N.bit_length() bits, and `poly_mul` refuses a product of a higher
+degree with `InvariantError`, since its fields could carry.  With node 1
+long, as in `cartan`, type C has alpha_1 = 2x_1, with s_1 negating x_1, and
 alpha_i = x_i - x_{i-1} for i >= 2; type A has alpha_i = x_i - x_{i+1}.  Every
 other s_i swaps the two variables of alpha_i, so each divided difference is a
 closed form per monomial, with no multiplication and no division.
@@ -41,13 +45,12 @@ from .cartan import (
     group_order,
     identity_element,
     inverse,
+    left_ascents,
+    left_mul,
     length,
-    longest_element,
-    multiply,
     positive_coroots,
     positive_roots,
     reduced_word,
-    simple_element,
     simple_root_in_fundamental,
 )
 
@@ -72,25 +75,20 @@ def weyl_dimension(datum: RootDatum, lam) -> int:
 
 
 def demazure_operator(datum: RootDatum, i: int, char: dict) -> dict:
-    """pi_i on an integer combination of formal exponentials e^mu."""
+    """pi_i on an integer combination of formal exponentials e^mu: with
+    m = <mu, h_i>, e^mu goes to the e^(mu - k alpha_i) for 0 <= k <= m, and
+    to minus those for m < k < 0."""
     alpha = simple_root_in_fundamental(datum, i)
     out = {}
-
-    def bump(mu, coeff):
-        if coeff:
-            out[mu] = out.get(mu, 0) + coeff
-            if out[mu] == 0:
-                del out[mu]
-
     for mu, coeff in char.items():
+        if len(mu) != datum.rank:
+            raise ValueError("weight %r is not of rank %d" % (mu, datum.rank))
         m = mu[i - 1]
-        if m >= 0:
-            for k in range(m + 1):
-                bump(tuple(x - k * a for x, a in zip(mu, alpha)), coeff)
-        elif m <= -2:
-            for k in range(1, -m):
-                bump(tuple(x + k * a for x, a in zip(mu, alpha)), -coeff)
-    return out
+        ks, c = (range(m + 1), coeff) if m >= 0 else (range(-1, m, -1), -coeff)
+        for k in ks:
+            image = tuple(x - k * a for x, a in zip(mu, alpha))
+            out[image] = out.get(image, 0) + c
+    return {mu: c for mu, c in out.items() if c}
 
 
 def demazure_character(datum: RootDatum, w: WeylElement, lam) -> dict:
@@ -111,12 +109,40 @@ def demazure_dimension(datum: RootDatum, w: WeylElement, lam) -> int:
 # integer polynomials in orthogonal coordinates and divided differences
 
 
-def poly_mul(f: dict, g: dict) -> dict:
+def _fields(datum: RootDatum) -> range:
+    """The lowest bit of each exponent field, x_1 first; its step is the
+    field width."""
+    width = datum.num_positive_roots.bit_length()
+    return range(0, datum.num_coordinates * width, width)
+
+
+def pack(datum: RootDatum, poly: dict) -> dict:
+    """{exponent tuple: c} keyed by one int, exponent j in field j.  Raises
+    ValueError for a tuple of another length than the coordinates or an
+    exponent outside 0..N."""
+    fields, top = _fields(datum), datum.num_positive_roots
+    for mono in poly:
+        if len(mono) != len(fields) or not all(0 <= e <= top for e in mono):
+            raise ValueError("monomial %r is not %d exponents in 0..%d" % (mono, len(fields), top))
+    return {sum(e << at for at, e in zip(fields, mono)): c for mono, c in poly.items()}
+
+
+def unpack(datum: RootDatum, poly: dict) -> dict:
+    """{key: c} keyed by exponent tuples, the inverse of `pack`."""
+    fields = _fields(datum)
+    return {tuple(key >> at & (1 << fields.step) - 1 for at in fields): c for key, c in poly.items()}
+
+
+def poly_mul(datum: RootDatum, f: dict, g: dict) -> dict:
+    """f * g: exponents add field by field, with no carry while the degrees
+    add up to at most N."""
+    degrees = [max(map(sum, unpack(datum, h)), default=0) for h in (f, g)]
+    if sum(degrees) > datum.num_positive_roots:
+        raise InvariantError("degrees %d + %d overflow the exponent fields" % tuple(degrees))
     out = {}
     for m1, c1 in f.items():
         for m2, c2 in g.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            out[m] = out.get(m, 0) + c1 * c2
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
     return {m: c for m, c in out.items() if c}
 
 
@@ -126,30 +152,28 @@ def _swapped_variables(datum: RootDatum, i: int) -> tuple:
 
 
 def divided_difference(datum: RootDatum, i: int, f: dict) -> dict:
-    """(f - s_i f) / alpha_i, one monomial at a time."""
+    """(f - s_i f) / alpha_i, one packed monomial at a time."""
     check_letter(datum, i)
     if datum.family == "C" and i == 1:
         # (x^p - (-x)^p) / 2x is x^(p-1) for odd p and 0 for even p
-        return {(m[0] - 1,) + m[1:]: c for m, c in f.items() if m[0] % 2}
-    a, b = _swapped_variables(datum, i)
+        return {m - 1: c for m, c in f.items() if m & 1}
+    fields = _fields(datum)
+    field = (1 << fields.step) - 1
+    a, b = (fields[j] for j in _swapped_variables(datum, i))
+    step = (1 << a) - (1 << b)
     out = {}
     for mono, c in f.items():
-        p, q = mono[a], mono[b]
-        if p == q:
-            continue
+        p, q = mono >> a & field, mono >> b & field
         # (x_a^p x_b^q - x_a^q x_b^p) / (x_a - x_b)
         #   = sign * sum of x_a^e x_b^(p+q-1-e) over min(p,q) <= e < max(p,q)
+        # from e = min(p, q), one `step` per e
         if p < q:
-            c = -c
-            lo, hi = p, q
+            c, key = -c, mono - (1 << b)
         else:
-            lo, hi = q, p
-        term = list(mono)
-        for e in range(lo, hi):
-            term[a] = e
-            term[b] = p + q - 1 - e
-            key = tuple(term)
+            key = mono + (q - p << a) + (p - 1 - q << b)
+        for _ in range(abs(p - q)):
             out[key] = out.get(key, 0) + c
+            key += step
     return {m: c for m, c in out.items() if c}
 
 
@@ -169,12 +193,11 @@ def orthogonal_root(datum: RootDatum, root) -> tuple:
 @lru_cache(maxsize=None)
 def top_class_polynomial(datum: RootDatum) -> tuple:
     """The product of the positive roots, |W| times the class of a point, as
-    a sorted item tuple."""
-    size = datum.num_coordinates
-    f = {(0,) * size: 1}
+    a sorted item tuple, packed."""
+    f = {0: 1}
     for alpha in positive_roots(datum):
         vec = orthogonal_root(datum, alpha)
-        f = poly_mul(f, {tuple(int(t == j) for t in range(size)): c for j, c in enumerate(vec) if c})
+        f = poly_mul(datum, f, {1 << at: c for at, c in zip(_fields(datum), vec) if c})
     return tuple(sorted(f.items()))
 
 
@@ -183,16 +206,18 @@ def schubert_representative(datum: RootDatum, w: WeylElement) -> tuple:
     """|W| times the Schubert polynomial of w, as a sorted item tuple: divided
     differences along w^{-1} w_0 applied to the top class.
 
-    With i the first letter of `reduced_word(w^{-1} w_0)`, the rest of that
-    word is the one of (w s_i)^{-1} w_0, so the representative is d_i of the
-    cached one of w s_i: the same divided differences in the same order."""
-    word = reduced_word(multiply(inverse(w), longest_element(datum)))
-    if not word:
+    With i the first letter of `reduced_word(w^{-1} w_0)`, its least left
+    descent, which is the least right ascent of w, the rest of that word is
+    the one of (w s_i)^{-1} w_0, so the representative is d_i of the cached
+    one of w s_i: the same divided differences in the same order."""
+    inv = inverse(w)
+    ascents = left_ascents(inv)  # the letters i with l(w s_i) > l(w)
+    if not ascents:
         return top_class_polynomial(datum)
     # the cached function under a private name, so that a patch of the
     # public one reaches no other representative
-    rep = _representative(datum, multiply(w, simple_element(datum, word[0])))
-    return tuple(sorted(divided_difference(datum, word[0], dict(rep)).items()))
+    rep = _representative(datum, inverse(left_mul(ascents[0], inv)))
+    return tuple(sorted(divided_difference(datum, ascents[0], dict(rep)).items()))
 
 
 _representative = schubert_representative
@@ -200,19 +225,17 @@ _representative = schubert_representative
 
 def check_normalization(datum: RootDatum):
     """The identity representative must be the constant |W|."""
-    f = dict(schubert_representative(datum, identity_element(datum)))
-    if f != {(0,) * datum.num_coordinates: group_order(datum)}:
+    if dict(schubert_representative(datum, identity_element(datum))) != {0: group_order(datum)}:
         raise InvariantError("top-class normalization failed; convention error")
 
 
 @lru_cache(maxsize=None)
-def _reduced_words_by_length(datum: RootDatum) -> tuple:
-    """Entry d: every (w, reduced word of w) with l(w) = d."""
-    elems = all_elements(datum)
-    return tuple(
-        tuple((w, reduced_word(w)) for w in elems if length(w) == d)
-        for d in range(datum.num_positive_roots + 1)
-    )
+def reduced_words_by_length(datum: RootDatum) -> tuple:
+    """Entry d: every (w, reduced word of w) with l(w) = d, in table order."""
+    out = [[] for _ in range(datum.num_positive_roots + 1)]
+    for w in all_elements(datum):
+        out[length(w)].append((w, reduced_word(w)))
+    return tuple(map(tuple, out))
 
 
 @lru_cache(maxsize=None)
@@ -222,29 +245,35 @@ def bgg_structure_constants(datum: RootDatum, u: WeylElement, v: WeylElement) ->
 
     Coefficient extraction: c_w is the constant term of the divided-difference
     chain for w applied to any representative of the product, here
-    |W|^2 times the product.
+    |W|^2 times the product.  The pair is taken in group-table order, so
+    (v, u) is one cache hit on (u, v), computed once.
     """
     check_group(datum, u, v)
+    lu, lv = length(u), length(v)
+    if (lv, v.oneline) < (lu, u.oneline):
+        return _structure_constants(datum, v, u)
     check_normalization(datum)
-    deg = length(u) + length(v)
+    deg = lu + lv
     if deg > datum.num_positive_roots:
         return ()
-    product = poly_mul(dict(schubert_representative(datum, u)), dict(schubert_representative(datum, v)))
-    zero = (0,) * datum.num_coordinates
+    product = poly_mul(datum, dict(schubert_representative(datum, u)), dict(schubert_representative(datum, v)))
     scale = group_order(datum) ** 2
     # word suffix -> its divided differences applied to the product; the
     # suffixes of a reduced word are the reduced words of shorter elements
     # (reduced_word(s_i t) is reduced_word(t)[1:]), so each runs once
     chains = {(): product}
     out = []
-    for w, word in _reduced_words_by_length(datum)[deg]:
+    for w, word in reduced_words_by_length(datum)[deg]:
         k = next(k for k in range(len(word) + 1) if word[k:] in chains)
         f = chains[word[k:]]
         for j in range(k - 1, -1, -1):
             f = chains[word[j:]] = divided_difference(datum, word[j], f)
-        val, rem = divmod(f.get(zero, 0), scale)
+        val, rem = divmod(f.get(0, 0), scale)
         if rem:
             raise InvariantError("structure constant is not an integer; convention error")
         if val:
             out.append((w, val))
     return tuple(out)
+
+
+_structure_constants = bgg_structure_constants

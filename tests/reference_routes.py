@@ -9,7 +9,8 @@ whole reduced words and as frozensets of table indices, the extraction sets
 by one search per Weyl element, the type A ladder move and box-removal
 operator on the staircase board, the Demazure index sets by one whole
 box-removal fold per element, Schubert representatives and structure
-constants by one whole divided-difference chain per element, and the
+constants by one whole divided-difference chain per element on polynomials
+keyed by exponent tuples, and the
 products and pairings of the deformed-polytope ring by rewriting row
 multisets one repeated row at a time and its products and divisor powers
 one shared step at a time, the crystal's string table checked
@@ -833,23 +834,71 @@ def fold_mset(datum, w):
 
 
 # ---------------------------------------------------------------------------
-# divided-difference chains along whole reduced words
+# the oracle's polynomials keyed by exponent tuples, and divided-difference
+# chains along whole reduced words
+
+
+def poly_mul(f, g):
+    """f * g for polynomials {exponent tuple: c}."""
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def divided_difference(datum, i, f):
+    """(f - s_i f) / alpha_i on {exponent tuple: c}, one monomial at a time."""
+    if datum.family == "C" and i == 1:
+        # (x^p - (-x)^p) / 2x is x^(p-1) for odd p and 0 for even p
+        return {(m[0] - 1,) + m[1:]: c for m, c in f.items() if m[0] % 2}
+    a, b = (i - 1, i) if datum.family == "A" else (i - 1, i - 2)
+    out = {}
+    for mono, c in f.items():
+        p, q = mono[a], mono[b]
+        if p == q:
+            continue
+        # (x_a^p x_b^q - x_a^q x_b^p) / (x_a - x_b)
+        #   = sign * sum of x_a^e x_b^(p+q-1-e) over min(p,q) <= e < max(p,q)
+        if p < q:
+            c = -c
+            lo, hi = p, q
+        else:
+            lo, hi = q, p
+        term = list(mono)
+        for e in range(lo, hi):
+            term[a] = e
+            term[b] = p + q - 1 - e
+            key = tuple(term)
+            out[key] = out.get(key, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def top_class_polynomial(datum):
+    """The product of the positive roots in orthogonal coordinates."""
+    size = datum.num_coordinates
+    f = {(0,) * size: 1}
+    for alpha in positive_roots(datum):
+        vec = orc.orthogonal_root(datum, alpha)
+        f = poly_mul(f, {tuple(int(t == j) for t in range(size)): c for j, c in enumerate(vec) if c})
+    return f
 
 
 def apply_divided_differences(datum, word, f):
     """d_{j_1} ... d_{j_m} f for word (j_1, ..., j_m), last letter first."""
     for i in reversed(word):
-        f = orc.divided_difference(datum, i, f)
+        f = divided_difference(datum, i, f)
         if not f:
             return {}
     return f
 
 
 def chain_representative(datum, w):
-    """|W| times the Schubert polynomial of w: the whole chain along
-    reduced_word(w^{-1} w_0) applied to the top class."""
+    """|W| times the Schubert polynomial of w, keyed by exponent tuples: the
+    whole chain along reduced_word(w^{-1} w_0) applied to the top class."""
     word = reduced_word(multiply(inverse(w), longest_element(datum)))
-    f = apply_divided_differences(datum, word, dict(orc.top_class_polynomial(datum)))
+    f = apply_divided_differences(datum, word, top_class_polynomial(datum))
     return tuple(sorted(f.items()))
 
 
@@ -859,7 +908,7 @@ def chain_structure_constants(datum, u, v):
     deg = length(u) + length(v)
     if deg > datum.num_positive_roots:
         return ()
-    product = orc.poly_mul(dict(chain_representative(datum, u)), dict(chain_representative(datum, v)))
+    product = poly_mul(dict(chain_representative(datum, u)), dict(chain_representative(datum, v)))
     zero = (0,) * datum.num_coordinates
     scale = orc.group_order(datum) ** 2
     out = []

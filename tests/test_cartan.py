@@ -10,6 +10,7 @@ from schubcalc.cartan import (
     InvariantError,
     RootDatum,
     WeylElement,
+    _compose,
     _inversions,
     _weyl_table,
     all_elements,
@@ -298,6 +299,28 @@ def test_length_counts_positive_roots_sent_negative(datum):
         assert length(w) == negative
 
 
+def _signed_matrix(w):
+    """Rows of the signed permutation matrix of w: column j holds the image
+    of e_j, sign(x) e_|x| for the j-th entry x of the one-line form."""
+    line = w.oneline
+    return tuple(tuple((x > 0) - (x < 0) if abs(x) == r else 0 for x in line) for r in range(1, len(line) + 1))
+
+
+@pytest.mark.parametrize("datum", (A2, A3, C2, C3), ids=repr)
+def test_multiply_is_the_signed_matrix_product(datum):
+    # the one composition of one-line forms against matrix arithmetic
+    elems = all_elements(datum)
+    size = datum.num_coordinates
+    for u in elems:
+        a = _signed_matrix(u)
+        for v in elems:
+            b = _signed_matrix(v)
+            product = tuple(
+                tuple(sum(a[r][k] * b[k][j] for k in range(size)) for j in range(size)) for r in range(size)
+            )
+            assert _signed_matrix(multiply(u, v)) == product, (u, v)
+
+
 @pytest.mark.parametrize("datum", (A3, C3), ids=repr)
 def test_bruhat_matches_lifting_property_on_all_pairs(datum):
     elems = all_elements(datum)
@@ -312,16 +335,16 @@ def _plant_wrong_length(monkeypatch, datum):
 
 
 def _plant_broken_edge(monkeypatch, datum):
-    s1, s2 = simple_element(datum, 1), simple_element(datum, 2)
+    s1, s2 = simple_element(datum, 1).oneline, simple_element(datum, 2).oneline
     monkeypatch.setattr(
-        cartan, "multiply", lambda u, v, true=multiply: u if (u, v) == (s2, s1) else true(u, v)
+        cartan, "_compose", lambda u, v, true=_compose: u if (u, v) == (s2, s1) else true(u, v)
     )
 
 
 def _plant_lost_element(monkeypatch, datum):
-    w0 = longest_element(datum)
+    w0 = longest_element(datum).oneline
     monkeypatch.setattr(
-        cartan, "multiply", lambda u, v, true=multiply: u if true(u, v) == w0 else true(u, v)
+        cartan, "_compose", lambda u, v, true=_compose: u if true(u, v) == w0 else true(u, v)
     )
 
 

@@ -509,6 +509,13 @@ def test_degree_pairing_validates_lengths():
         fc.degree_pairing(C2, identity_element(C2), identity_element(C2))
 
 
+def test_degree_pairing_refuses_elements_of_another_group():
+    # e and w0 of C3 have lengths 0 + 9, not complementary in C2, so the
+    # length rule would answer first if the group check did not
+    with pytest.raises(ValueError, match="elements from different groups"):
+        fc.degree_pairing(C2, identity_element(C3), longest_element(C3))
+
+
 def test_product_example():
     s1 = word_to_element(C2, (1,))
     s2 = word_to_element(C2, (2,))

@@ -154,7 +154,7 @@ true = oracles.schubert_representative
 def planted(datum, w):
     rep = dict(true(datum, w))
     if w == s1:
-        rep[(1, 0)] += 1
+        rep[1] += 1  # x_1: exponent 1 in the first field
     return tuple(sorted(rep.items()))
 
 
@@ -220,6 +220,21 @@ true = cartan._inversions
 cartan._inversions = lambda w: true(w) + (w == s1)
 try:
     print(cartan.all_elements(A2))
+except InvariantError as err:
+    print("InvariantError:", err)
+"""
+
+
+# x_1^4 * x_1^4 in C2, whose fields are 3 bits since N = 4: the product has
+# degree 8 > N, and x_1^8 would carry into x_2, so it must be refused
+FIELD_OVERFLOW = """
+from schubcalc import oracles
+from schubcalc.cartan import InvariantError, RootDatum
+
+C2 = RootDatum("C", 2)
+f = oracles.pack(C2, {(4, 0): 1})
+try:
+    print(oracles.unpack(C2, oracles.poly_mul(C2, f, f)))
 except InvariantError as err:
     print("InvariantError:", err)
 """
@@ -330,6 +345,11 @@ def test_weyl_table_invariant_survives_optimize_flag():
     out = _run_optimized(WRONG_LENGTH)
     expected = "InvariantError: the left product of WA2[1, 2, 3] by s_1 changes the length by 2"
     assert out.startswith(expected), out
+
+
+def test_field_width_witness_survives_optimize_flag():
+    out = _run_optimized(FIELD_OVERFLOW)
+    assert out.startswith("InvariantError: degrees 4 + 4 overflow the exponent fields"), out
 
 
 def test_library_has_no_assert_statements():

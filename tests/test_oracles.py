@@ -87,7 +87,7 @@ def test_operators_refuse_a_letter_out_of_range(datum, i):
     with pytest.raises(ValueError, match=message):
         orc.demazure_operator(datum, i, {(1, 0): 1})
     with pytest.raises(ValueError, match=message):
-        orc.divided_difference(datum, i, {(1,) + (0,) * (num_variables(datum) - 1): 1})
+        orc.divided_difference(datum, i, {1: 1})
 
 
 def test_demazure_character_refuses_an_element_of_another_group():
@@ -102,6 +102,48 @@ def test_structure_constants_refuse_an_element_of_another_group():
     u, v = word_to_element(C2, (1, 2)), word_to_element(A2, (1, 2))
     with pytest.raises(ValueError, match="elements from different groups"):
         orc.bgg_structure_constants(A2, u, v)
+
+
+def test_demazure_operator_refuses_a_weight_of_the_wrong_length():
+    # unchecked, zip cut the weight (1, 0, 0) of A2 to (1, 0)
+    with pytest.raises(ValueError, match="weight \\(1, 0, 0\\) is not of rank 2"):
+        orc.demazure_operator(A2, 1, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="weight \\(1,\\) is not of rank 2"):
+        orc.demazure_operator(C2, 2, {(1, 0): 1, (1,): 1})
+
+
+@pytest.mark.parametrize(
+    "datum, mono",
+    [(A2, (1, 0)), (A2, (1, 0, 0, 0)), (C2, (1, 0, 0)), (C2, (5, 0)), (C2, (0, -1))],
+)
+def test_pack_refuses_exponents_outside_the_coordinates(datum, mono):
+    # a tuple of another length was cut or padded by zip; an exponent outside
+    # 0..N does not fit its field
+    size, top = num_variables(datum), datum.num_positive_roots
+    with pytest.raises(ValueError, match="is not %d exponents in 0..%d" % (size, top)):
+        orc.pack(datum, {(0,) * size: 1, mono: 1})
+
+
+def test_packed_kernels_refuse_polynomials_keyed_by_tuples():
+    # the calls that zip used to cut now fail: the packed kernels read ints
+    with pytest.raises(TypeError):
+        orc.poly_mul(A2, {(1, 0, 0): 1}, {(1, 0): 1})
+    with pytest.raises(TypeError):
+        orc.divided_difference(C2, 1, {(1, 0, 0): 1})
+    with pytest.raises(TypeError):
+        orc.divided_difference(A2, 2, {(1, 0, 0): 1})
+
+
+def test_field_width_witness_refuses_a_carry():
+    # N = 4 gives C2 3-bit fields: x_1^4 * x_1^4 would carry into x_2
+    f = orc.pack(C2, {(4, 0): 1})
+    with pytest.raises(InvariantError, match="degrees 4 \\+ 4 overflow the exponent fields"):
+        orc.poly_mul(C2, f, f)
+    assert orc.unpack(C2, orc.poly_mul(C2, f, orc.pack(C2, {(0, 0): 3}))) == {(4, 0): 3}
+    assert orc.unpack(C2, orc.poly_mul(C2, orc.pack(C2, {(1, 1): 2}), orc.pack(C2, {(0, 2): 1, (2, 0): -1}))) == {
+        (1, 3): 2,
+        (3, 1): -2,
+    }
 
 
 def test_demazure_operator_basics():
@@ -149,6 +191,18 @@ def test_demazure_dimension_example():
     assert orc.demazure_dimension(A2, s1, (1, 1)) == 2
 
 
+def packed_chain(datum, word, f):
+    """The library's d_{j_1} ... d_{j_m} f on a packed f, last letter first."""
+    for i in reversed(word):
+        f = orc.divided_difference(datum, i, f)
+    return f
+
+
+def dd(datum, i, poly):
+    """The library's divided difference on {exponent tuple: c}."""
+    return orc.unpack(datum, orc.divided_difference(datum, i, orc.pack(datum, poly)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([A2, C2, A3, C3]), st.data())
 def test_divided_difference_nilpotent_and_braid(datum, data):
@@ -158,17 +212,21 @@ def test_divided_difference_nilpotent_and_braid(datum, data):
     for _ in range(data.draw(st.integers(1, 4))):
         poly[data.draw(monos)] = data.draw(st.integers(-3, 3))
     poly = {m: c for m, c in poly.items() if c}
+    packed = orc.pack(datum, poly)
+    assert orc.unpack(datum, packed) == poly
     for i in range(1, n + 1):
-        once = orc.divided_difference(datum, i, poly)
+        once = orc.divided_difference(datum, i, packed)
         assert all(isinstance(c, int) and c for c in once.values())
+        assert orc.unpack(datum, once) == ref.divided_difference(datum, i, poly)
         assert orc.divided_difference(datum, i, once) == {}
     # braid relations: for every pair of letters, the two alternating words
-    # of their Coxeter order agree
+    # of their Coxeter order agree, on the packed kernel and on the tuple one
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             m = coxeter_order(datum, i, j)
             word1 = ([i, j] * m)[:m]
             word2 = ([j, i] * m)[:m]
+            assert packed_chain(datum, word1, packed) == packed_chain(datum, word2, packed)
             assert ref.apply_divided_differences(datum, word1, poly) == ref.apply_divided_differences(
                 datum, word2, poly
             )
@@ -176,13 +234,13 @@ def test_divided_difference_nilpotent_and_braid(datum, data):
 
 def test_divided_difference_closed_forms():
     # type C, s_1 negates x_1 and alpha_1 = 2 x_1
-    assert orc.divided_difference(C2, 1, {(3, 1): 5, (2, 0): 7}) == {(2, 1): 5}
+    assert dd(C2, 1, {(3, 1): 5, (2, 0): 7}) == {(2, 1): 5}
     # type C, alpha_2 = x_2 - x_1
-    assert orc.divided_difference(C2, 2, {(0, 1): 1}) == {(0, 0): 1}
-    assert orc.divided_difference(C2, 2, {(2, 0): 1}) == {(1, 0): -1, (0, 1): -1}
+    assert dd(C2, 2, {(0, 1): 1}) == {(0, 0): 1}
+    assert dd(C2, 2, {(2, 0): 1}) == {(1, 0): -1, (0, 1): -1}
     # type A, alpha_1 = x_1 - x_2
-    assert orc.divided_difference(A2, 1, {(1, 0, 0): 1}) == {(0, 0, 0): 1}
-    assert orc.divided_difference(A2, 2, {(0, 0, 3): 1}) == {(0, 2, 0): -1, (0, 1, 1): -1, (0, 0, 2): -1}
+    assert dd(A2, 1, {(1, 0, 0): 1}) == {(0, 0, 0): 1}
+    assert dd(A2, 2, {(0, 0, 3): 1}) == {(0, 2, 0): -1, (0, 1, 1): -1, (0, 0, 2): -1}
 
 
 @pytest.mark.parametrize("datum", [A2, C2, A3, C3], ids=["A2", "C2", "A3", "C3"])
@@ -200,7 +258,7 @@ def test_word_independence_of_divided_difference_chains():
         for w in all_elements(datum):
             images = set()
             for word in all_reduced_words(w):
-                images.add(tuple(sorted(ref.apply_divided_differences(datum, word, f).items())))
+                images.add(tuple(sorted(packed_chain(datum, word, f).items())))
             assert len(images) == 1
 
 
@@ -213,24 +271,28 @@ def test_normalization_gate():
 
 def test_top_class_is_the_integer_product_of_positive_roots():
     # A2: (x1 - x2)(x2 - x3)(x1 - x3); C2: (2 x1)(x2 - x1)(x2 + x1)(2 x2)
-    a2 = dict(orc.top_class_polynomial(A2))
+    a2 = orc.unpack(A2, dict(orc.top_class_polynomial(A2)))
     assert a2[(2, 1, 0)] == 1 and a2[(0, 1, 2)] == -1 and len(a2) == 6
-    assert dict(orc.top_class_polynomial(C2)) == {(1, 3): 4, (3, 1): -4}
+    assert orc.unpack(C2, dict(orc.top_class_polynomial(C2))) == {(1, 3): 4, (3, 1): -4}
     for datum in (A2, C2, A3, C3):
         e = identity_element(datum)
-        assert dict(orc.schubert_representative(datum, e)) == {
+        assert orc.unpack(datum, dict(orc.schubert_representative(datum, e))) == {
             (0,) * num_variables(datum): orc.group_order(datum)
         }
+        assert orc.unpack(datum, dict(orc.top_class_polynomial(datum))) == ref.top_class_polynomial(datum)
 
 
 @pytest.mark.parametrize("datum", [A2, A3, C2, C3], ids=["A2", "A3", "C2", "C3"])
 def test_one_step_routes_match_the_whole_chains(datum):
-    # each representative is one divided difference of a cached one, and one
-    # structure-constant call shares its word suffixes; the whole chains per
-    # element give the same tables
+    # each representative is one packed divided difference of a cached one,
+    # and one structure-constant call shares its word suffixes; the whole
+    # chains per element on exponent tuples give the same tables, each pair
+    # in both orders
     elems = all_elements(datum)
     for w in elems:
-        assert orc.schubert_representative(datum, w) == ref.chain_representative(datum, w)
+        assert orc.unpack(datum, dict(orc.schubert_representative(datum, w))) == dict(
+            ref.chain_representative(datum, w)
+        )
     for u in elems:
         for v in elems:
             assert orc.bgg_structure_constants(datum, u, v) == ref.chain_structure_constants(datum, u, v)

@@ -201,6 +201,25 @@ def test_axioms_suite_reports_an_epsilon_off_by_one(monkeypatch):
         assert cell["mismatches"][0]["state"] == cell["mismatches"][1]["state"]
 
 
+def test_products_suite_computes_each_unordered_pair_once(monkeypatch):
+    # the oracle takes each pair in group-table order, so product_c(v, w) and
+    # product_c(w, v) share one computation: one normalization check per
+    # unordered pair of degree at most N, and one result for both orders
+    datum = RootDatum("C", 2)
+    oracles.bgg_structure_constants.cache_clear()
+    calls = []
+    true = oracles.check_normalization
+    monkeypatch.setattr(oracles, "check_normalization", lambda d: calls.append(d) or true(d))
+    assert verify.products_suite("C", 2)["status"] == "pass"
+    elems = all_elements(datum)
+    unordered = [
+        (u, v) for k, u in enumerate(elems) for v in elems[k:] if length(u) + length(v) <= datum.num_positive_roots
+    ]
+    assert len(calls) == len(unordered) == 22
+    for u, v in unordered:
+        assert oracles.bgg_structure_constants(datum, u, v) is oracles.bgg_structure_constants(datum, v, u)
+
+
 def test_products_suite():
     report = verify.products_suite("C", 2)
     assert report["status"] == "pass"
