@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import factorial
 from operator import mul
 from typing import NamedTuple
@@ -131,8 +131,10 @@ def simple_root_in_fundamental(datum: RootDatum, i: int) -> tuple:
 
 
 def check_weight(datum: RootDatum, lam):
-    """Raise ValueError unless lam is a dominant weight of the rank of datum."""
-    if len(lam) != datum.rank or any(x < 0 for x in lam):
+    """Raise ValueError unless lam is a dominant weight of int entries of the rank of datum."""
+    if not all(map(isinstance, lam, repeat(int))):
+        raise ValueError("weight %r has an entry that is not an integer" % (lam,))
+    if len(lam) != datum.rank or min(lam) < 0:
         raise ValueError("weight %r is not dominant of rank %d" % (lam, datum.rank))
 
 

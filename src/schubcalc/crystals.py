@@ -13,28 +13,19 @@ when eps_i + <lam + wt, h_i> = 0.  One backward sweep of the coordinates gives
 each operator the sigma maximum, its argmin and argmax and <wt, h_i>.
 
 The cut crystal at one (datum, word, lam) is built once, as an operator
-table: the breadth-first closure of the highest element under lowering, with
-per letter the index of f_i of every state, its inverse e_i (e_i f_i b = b),
-eps_i, and the lowest element.  The table keys each state by one int:
-coordinate p sits in bit field p, and lowering at position p adds the unit
-of field p (Nakashima-Zelevinsky 1997: every lowering in the embedding adds 1
-to one coordinate).  The fields are sized from the crystal's depth
-D = <lam, 2 rho^vee> (`_depth`, one integer dot product per positive
-coroot), the coordinate sum of the lowest state, which no coordinate
-passes, so no field carries into the next; the build checks that the lowest
-state's coordinates sum to D.  Past that check only
-`crystal_states` decodes the keys, and `string_coords` packs the state it is
-given.  The build sweeps no coordinates: each state carries its sigmas and
-weight pairings, and lowering at position p moves them by a fixed delta per
-(datum, word, p).  `f_op`, `e_op`, `epsilon` and `phi` keep the one-state
-sweep; they and `weight_of` refuse a word, weight or state outside their
-domain with ValueError, through `_validate`, the check the table makes.
-Every later layer walks these integer indices instead of recomputing
-operators.  The Demazure folds follow Kashiwara's recursion,
-B_w = F_i B_{s_i w} for a left descent i and B^w = E_i B^{s_i w} for a left
-ascent i, so each fold is one closure of a smaller cached index set.  An
-index set is an int mask over the table order: the folds of every w are
-cached as masks, and a closure walks its chains on flag bytes.
+table (`_operator_table`): the breadth-first closure of the highest element
+under lowering, with per letter the index of f_i of every state, its
+inverse e_i (e_i f_i b = b), eps_i, and the lowest element.  Each state is
+one int key, and its sigmas and weight pairings ride along as one more int,
+so the build sweeps no coordinates and decides each letter's lowering once
+per distinct group of that letter's statistics.  Only `crystal_states`
+decodes the keys, and `string_coords` packs the state it is given.  `f_op`,
+`e_op`, `epsilon` and `phi` keep the one-state sweep; they and `weight_of`
+refuse a word, weight or state outside their domain with ValueError,
+through `_validate`, the check the table makes.  The Demazure folds follow
+Kashiwara's recursion, B_w = F_i B_{s_i w} for a left descent i and
+B^w = E_i B^{s_i w} for a left ascent i: each is one closure, walked on
+flag bytes, of a smaller cached int mask over the table order.
 
 These coordinates are the embedding coordinates of an element's
 canonical lift, NOT its string parametrization: the two differ already in rank
@@ -57,10 +48,12 @@ AND of two folds.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import deque
 from functools import lru_cache
-from itertools import compress, filterfalse
-from operator import add, mul
+from itertools import chain, compress, filterfalse
+from operator import itemgetter, lshift, mul
 from typing import NamedTuple
 
 from . import polytopes
@@ -111,14 +104,16 @@ def _check_state(word, coords):
         raise ValueError("state %r has a negative coordinate" % (coords,))
 
 
-def _sigma_profile(datum, word, lam, coords, i):
+def _sigma_profile(datum, word, lam, coords, i, check=True):
     """(best, first, last, wt_i) from one backward sweep: best is the max of 0
     and the letter-i sigmas, first/last the smallest/largest position attaining
     it (None when none does), wt_i = <wt, h_i>.  The suffix sum left after
-    position 1 is <sum a_k alpha_{i_k}, h_i>, so wt_i is lam_i minus it."""
-    _validate(datum, word, lam)
-    _check_state(word, coords)
-    check_letter(datum, i)
+    position 1 is <sum a_k alpha_{i_k}, h_i>, so wt_i is lam_i minus it.  The
+    word, weight, state and letter are checked first unless check is False."""
+    if check:
+        _validate(datum, word, lam)
+        _check_state(word, coords)
+        check_letter(datum, i)
     row = cartan_matrix(datum)[i - 1]
     best = 0
     first = last = None
@@ -198,9 +193,13 @@ def e_op(datum: RootDatum, word, lam, coords, i: int):
 # the operator table
 
 
-def _weight(lam):
-    """lam as a tuple, so that a list keys the caches too."""
-    return lam if lam is INFINITY else tuple(lam)
+def _weight(datum, lam):
+    """lam as a tuple, so that a list keys the caches too, and checked first,
+    so that no entry that only equals an int (1.0 == 1) finds a cached table."""
+    if lam is INFINITY:
+        return lam
+    check_weight(datum, lam)
+    return tuple(lam)
 
 
 def is_certified_word(datum: RootDatum, word) -> bool:
@@ -232,8 +231,7 @@ def _depth(datum: RootDatum, lam) -> int:
 def _coords(table: _OperatorTable, key: int, length: int) -> tuple:
     """The coordinates of a packed key: its `length` fields of `table.width`
     bits, field p being coordinate p."""
-    width = table.width
-    field = (1 << width) - 1
+    width, field = table.width, (1 << table.width) - 1
     return tuple((key >> (width * p)) & field for p in range(length))
 
 
@@ -250,100 +248,130 @@ def _invert(step) -> list:
 
 
 @lru_cache(maxsize=None)
-def _statistics_layout(datum: RootDatum, word) -> tuple:
-    """(letters, where, deltas): how a state's statistics are laid out and
-    how one lowering moves them.
-
-    A state's statistics are one flat list: the letter-1 sigmas at the
-    positions of letter 1 in word order, then the letter-2 sigmas, and so on,
-    then <wt, h_j> for every letter j.  letters[i - 1] is (lo, hi, slot):
-    letter i's sigmas sit at [lo, hi) and its weight pairing at slot.
-    where[s] is the 0-based word position of the sigma at s.  Raising a_p by
-    one adds deltas[p]: c_{j, i_p} to each letter-j sigma before p, 1 to the
-    sigma at p, nothing after p, and -c_{j, i_p} to <wt, h_j>."""
-    c = cartan_matrix(datum)
-    letters, where = [], []
+def _statistics_layout(datum: RootDatum, word, bits: int) -> tuple:
+    """(letters, moves): a state's statistics in fields of `bits` bits, v
+    stored as v + 2^(bits - 1), letter by letter its sigmas in word order and
+    then <wt, h_i>.  letters[i - 1] is (shift, mask, tops, where): letter i's
+    group is stats >> shift & mask, tops the top bit of each of its fields,
+    where the 0-based word positions of its sigmas.  Raising a_p adds
+    moves[p]: c_{i, i_p} to each letter-i sigma before p, 1 to the sigma at
+    p, nothing after p, and -c_{i, i_p} to <wt, h_i>."""
+    letters, shift = [], 0
     for i in range(1, datum.rank + 1):
-        lo = len(where)
-        where.extend(p for p, letter in enumerate(word) if letter == i)
-        letters.append((lo, len(where), len(word) + i - 1))
-    deltas = tuple(
-        tuple(c[word[q] - 1][word[p] - 1] if q < p else int(q == p) for q in where)
-        + tuple(-c[j][word[p] - 1] for j in range(datum.rank))
-        for p in range(len(word))
-    )
-    return tuple(letters), tuple(where), deltas
+        where = tuple(p for p, letter in enumerate(word) if letter == i)
+        mask = (1 << bits * (len(where) + 1)) - 1
+        letters.append((shift, mask, mask // ((1 << bits) - 1) << bits - 1, where))
+        shift += bits * (len(where) + 1)
+    moves = []
+    for p, letter in enumerate(word):
+        row = []
+        for (*_, where), c_row in zip(letters, cartan_matrix(datum)):
+            pull = c_row[letter - 1]
+            row.extend(pull if q < p else int(q == p) for q in where)
+            row.append(-pull)
+        moves.append(sum(map(lshift, row, range(0, bits * len(row), bits))))
+    return tuple(letters), tuple(moves)
+
+
+_FIELDS = {array(code).itemsize * 8: code for code in "qlihb"}  # array codes by width
+
+
+def _field_bits(bound: int) -> int:
+    """The narrowest of 8, 16, 32 and 64 bits past the bit length of bound."""
+    bits = max(8, 1 << bound.bit_length().bit_length())
+    if bits not in _FIELDS:
+        raise OverflowError("crystal statistics of %d bits do not fit a 64-bit field" % bound.bit_length())
+    return bits
+
+
+def _fields(group: int, tops: int, bits: int) -> array:
+    """The values in a group of fields, tops holding their top bits: v +
+    2^(bits - 1) with its top bit flipped is v in two's complement."""
+    return array(_FIELDS[bits], (group ^ tops).to_bytes(tops.bit_length() + 7 >> 3, sys.byteorder))
+
+
+def _decide(group, tops, where, bits, unit, moves) -> tuple:
+    """(key step, statistics step, eps_i) at a letter's group, checked as in `f_op`; 0 steps kill."""
+    *values, wt = _fields(group, tops, bits)
+    top = max(values)
+    best = top if top > 0 else 0
+    if best + wt < 0:
+        raise CorruptElementError("negative phi: element outside the cut crystal")
+    eps = best if best > -wt else -wt
+    if best + wt == 0:
+        return 0, 0, eps
+    if top < 0:
+        raise CorruptElementError("lowering argmin beyond stored coordinates")
+    p = where[values.index(top)]
+    return unit[p], moves[p], eps
 
 
 @lru_cache(maxsize=None)
 def _operator_table(datum: RootDatum, word, lam) -> _OperatorTable:
-    """The cut crystal and its operators over integer indices.
-
-    The states are the breadth-first closure of the zero vector, state 0,
-    under lowering, each packed into one int key: coordinate p sits in bit
-    field p, and lowering at position p adds the unit of field p.  The field
-    width holds the depth (`_depth`), which no coordinate passes, so no field
-    carries into the next.  Each state carries its sigma statistics and
-    weight pairings (`_statistics_layout`) instead of sweeping its
-    coordinates per letter: a new state gets its parent's statistics plus the
-    delta of the position that lowered, and drops them once expanded.  Per
-    letter, the largest sigma and its first position give f_i and eps_i,
-    with the checks of `f_op`; raising is lowering inverted, and the one
-    state every letter kills is the lowest, whose decoded coordinates must
-    sum to the depth.  Every later crystal layer reads this table."""
+    """The cut crystal and its operators over integer indices: the
+    breadth-first closure of the zero vector, state 0, under lowering.  Each
+    state is one int key, coordinate p in bit field p, as wide as the depth,
+    which no coordinate passes, and its statistics ride along as one more
+    int (`_statistics_layout`), each lam_i plus a combination, with Cartan
+    entries, 1 and 0 for coefficients, of coordinates >= 0 summing to at
+    most the depth, which bounds the field width.  Lowering at p adds the
+    unit of field p to the key and the move of p to the statistics.  Letter
+    i's lowering reads only its own group of fields (Nakashima-Zelevinsky
+    1997), so it is decided once per distinct group (`_decide`).  Raising is
+    lowering inverted, eps is read off the decisions, and the state every
+    letter kills is the lowest: its coordinates must sum to the depth, and
+    a sweep of them (`_sigma_profile`) must give the statistics it carries."""
     _validate(datum, word, lam)
     if lam is INFINITY:
         raise ValueError("the crystal at infinity is infinite; pass a dominant weight")
-    letters, where, deltas = _statistics_layout(datum, word)
     depth = _depth(datum, lam)
     width = depth.bit_length() or 1
     unit = [1 << (width * p) for p in range(len(word))]
-    keys = [0]
-    index = {0: 0}
-    down = [[] for _ in letters]
-    eps = [[] for _ in letters]
-    # the statistics of the states not yet expanded, in table order
-    pending = deque([[0] * len(where) + list(lam)])
+    bits = _field_bits(max(map(abs, chain.from_iterable(cartan_matrix(datum)))) * depth + max(lam))
+    letters, moves = _statistics_layout(datum, word, bits)
+    keys, index = [0], {0: 0}
+    highest = sum((tops + (x << bits * len(where))) << shift for (shift, _, tops, where), x in zip(letters, lam))
+    pending = deque([highest])  # the statistics of the states not yet expanded
+    down, decided = [[] for _ in letters], [[] for _ in letters]
+    steps = [(*letter, {}, decided_i, down_i) for letter, decided_i, down_i in zip(letters, decided, down)]
     lowest = []
-    for k, key in enumerate(keys):  # visits the states appended on the way
-        stats = pending.popleft()
+    for key in keys:  # visits the states appended on the way
+        s = pending.popleft()
         killed = True
-        for (lo, hi, slot), down_i, eps_i in zip(letters, down, eps):
-            top = max(stats[lo:hi])
-            best = top if top > 0 else 0
-            wt_i = stats[slot]
-            if best + wt_i < 0:
-                raise CorruptElementError("negative phi: element outside the cut crystal")
-            eps_i.append(best if best > -wt_i else -wt_i)
-            if best + wt_i == 0:
+        for shift, mask, tops, where, seen, decided_i, down_i in steps:
+            group = s >> shift & mask
+            d = seen.get(group)
+            if d is None:
+                d = seen[group] = _decide(group, tops, where, bits, unit, moves)
+            decided_i.append(d)
+            if not d[0]:
                 down_i.append(-1)
                 continue
-            if top < 0:
-                raise CorruptElementError("lowering argmin beyond stored coordinates")
             killed = False
-            p = where[stats.index(top, lo, hi)]
-            nxt = key + unit[p]
+            nxt = key + d[0]
             j = index.get(nxt)
             if j is None:
                 j = index[nxt] = len(keys)
                 keys.append(nxt)
-                pending.append(list(map(add, stats, deltas[p])))
+                pending.append(s + d[1])
             down_i.append(j)
         if killed:
-            lowest.append(k)
+            lowest.append((key, s))
     if len(lowest) != 1:
         raise InvariantError("lowest element not unique")
-    table = _OperatorTable(
-        tuple(keys),
-        width,
-        depth,
-        tuple(tuple(row) for row in down),
-        tuple(tuple(_invert(row)) for row in down),
-        tuple(tuple(row) for row in eps),
-        lowest[0],
-    )
-    if sum(_coords(table, table.keys[table.lowest], len(word))) != table.depth:
+    (low, low_stats), = lowest
+    up = tuple(tuple(_invert(row)) for row in down)
+    eps = tuple(tuple(map(itemgetter(2), row)) for row in decided)
+    table = _OperatorTable(tuple(keys), width, depth, tuple(map(tuple, down)), up, eps, index[low])
+    coords = _coords(table, table.keys[table.lowest], len(word))
+    if sum(coords) != table.depth:
         raise InvariantError("the lowest state's coordinates do not sum to the depth %d" % depth)
+    for i, (shift, mask, tops, where) in enumerate(letters, 1):
+        *sigmas, wt = _fields(low_stats >> shift & mask, tops, bits)
+        best = max(0, *sigmas)
+        hits = [p + 1 for p, sigma in zip(where, sigmas) if sigma == best] or [None]
+        if (best, hits[0], hits[-1], wt) != _sigma_profile(datum, word, lam, coords, i, check=False):
+            raise InvariantError("the lowest state's statistics in %d-bit fields do not match its coordinates" % bits)
     return table
 
 
@@ -351,7 +379,7 @@ def crystal_states(datum: RootDatum, word, lam) -> tuple:
     """All elements of the cut crystal in ladder coordinates, sorted: the
     table's keys decoded."""
     word = tuple(word)
-    table = _operator_table(datum, word, _weight(lam))
+    table = _operator_table(datum, word, _weight(datum, lam))
     return tuple(sorted(_coords(table, key, len(word)) for key in table.keys))
 
 
@@ -359,7 +387,7 @@ def string_coords(datum: RootDatum, word, lam, state) -> tuple:
     """String parametrization of one cut-crystal element, read off the
     certified strings of `string_incidence` at the state's place in the
     table's keys."""
-    word, lam, state = tuple(word), _weight(lam), tuple(state)
+    word, lam, state = tuple(word), _weight(datum, lam), tuple(state)
     table = _operator_table(datum, word, lam)
     key = sum(a << (table.width * p) for p, a in enumerate(state))
     packed = len(state) == len(word) and all(0 <= a <= table.depth for a in state)
@@ -453,7 +481,7 @@ def generate_b_lambda(datum: RootDatum, word, lam) -> polytopes.PointSet:
     mask: on the standard word certified equal to the lattice points of the
     string polytope; on any other reduced word of the longest element
     experimental, checked only against the lambda-bound rows."""
-    word, lam = tuple(word), _weight(lam)
+    word, lam = tuple(word), _weight(datum, lam)
     size = len(_operator_table(datum, word, lam).keys)
     return _strings(datum, word, lam, (1 << size) - 1)
 
@@ -514,12 +542,12 @@ def _strings(datum, word, lam, mask) -> polytopes.PointSet:
 
 
 def demazure_crystal(datum: RootDatum, word, w, lam) -> polytopes.PointSet:
-    word, lam = tuple(word), _weight(lam)
+    word, lam = tuple(word), _weight(datum, lam)
     return _strings(datum, word, lam, _demazure_indices(datum, word, w, lam))
 
 
 def opposite_demazure_crystal(datum: RootDatum, word, w, lam) -> polytopes.PointSet:
-    word, lam = tuple(word), _weight(lam)
+    word, lam = tuple(word), _weight(datum, lam)
     return _strings(datum, word, lam, _opposite_indices(datum, word, w, lam))
 
 
@@ -532,6 +560,6 @@ def richardson_lattice_points(datum: RootDatum, word, v, w, lam) -> polytopes.Po
     """String image of the intersection of B_w(lam) with B^v(lam), the AND
     of their masks; requires v <= w in Bruhat order."""
     check_richardson(v, w)
-    word, lam = tuple(word), _weight(lam)
+    word, lam = tuple(word), _weight(datum, lam)
     mask = _demazure_indices(datum, word, w, lam) & _opposite_indices(datum, word, v, lam)
     return _strings(datum, word, lam, mask)

@@ -290,6 +290,90 @@ def table_key(table, state):
     return sum(a << (table.width * p) for p, a in enumerate(state))
 
 
+def list_statistics_layout(datum, word):
+    """(letters, where, deltas) of the flat list statistics: the letter-1
+    sigmas at the positions of letter 1 in word order, then the letter-2
+    sigmas, and so on, then <wt, h_j> for every letter j.  letters[i - 1]
+    is (lo, hi, slot): letter i's sigmas sit at [lo, hi) and its weight
+    pairing at slot.  where[s] is the 0-based word position of the sigma at
+    s.  Raising a_p by one adds deltas[p]: c_{j, i_p} to each letter-j sigma
+    before p, 1 to the sigma at p, nothing after p, and -c_{j, i_p} to
+    <wt, h_j>."""
+    c = cartan_matrix(datum)
+    letters, where = [], []
+    for i in range(1, datum.rank + 1):
+        lo = len(where)
+        where.extend(p for p, letter in enumerate(word) if letter == i)
+        letters.append((lo, len(where), len(word) + i - 1))
+    deltas = tuple(
+        tuple(c[word[q] - 1][word[p] - 1] if q < p else int(q == p) for q in where)
+        + tuple(-c[j][word[p] - 1] for j in range(datum.rank))
+        for p in range(len(word))
+    )
+    return tuple(letters), tuple(where), deltas
+
+
+def list_statistics_table(datum, word, lam):
+    """The operator table by the breadth-first build on list statistics:
+    every state carries its flat list of sigmas and weight pairings
+    (`list_statistics_layout`), and every (state, letter) pair takes the
+    max of the letter's sigmas and its first position afresh, as the
+    library did before it decided each letter once per distinct group of
+    packed statistics.  The keys, their width, the depth witness and the
+    checks are the library's."""
+    cr._validate(datum, word, lam)
+    letters, where, deltas = list_statistics_layout(datum, word)
+    depth = cr._depth(datum, lam)
+    width = depth.bit_length() or 1
+    unit = [1 << (width * p) for p in range(len(word))]
+    keys = [0]
+    index = {0: 0}
+    down = [[] for _ in letters]
+    eps = [[] for _ in letters]
+    pending = [[0] * len(where) + list(lam)]
+    lowest = []
+    for k, key in enumerate(keys):
+        stats = pending[k]
+        killed = True
+        for (lo, hi, slot), down_i, eps_i in zip(letters, down, eps):
+            top = max(stats[lo:hi])
+            best = top if top > 0 else 0
+            wt_i = stats[slot]
+            if best + wt_i < 0:
+                raise cr.CorruptElementError("negative phi: element outside the cut crystal")
+            eps_i.append(best if best > -wt_i else -wt_i)
+            if best + wt_i == 0:
+                down_i.append(-1)
+                continue
+            if top < 0:
+                raise cr.CorruptElementError("lowering argmin beyond stored coordinates")
+            killed = False
+            p = where[stats.index(top, lo, hi)]
+            nxt = key + unit[p]
+            j = index.get(nxt)
+            if j is None:
+                j = index[nxt] = len(keys)
+                keys.append(nxt)
+                pending.append(list(map(add, stats, deltas[p])))
+            down_i.append(j)
+        if killed:
+            lowest.append(k)
+    if len(lowest) != 1:
+        raise InvariantError("lowest element not unique")
+    table = cr._OperatorTable(
+        tuple(keys),
+        width,
+        depth,
+        tuple(tuple(row) for row in down),
+        tuple(tuple(cr._invert(row)) for row in down),
+        tuple(tuple(row) for row in eps),
+        lowest[0],
+    )
+    if sum(cr._coords(table, table.keys[table.lowest], len(word))) != table.depth:
+        raise InvariantError("the lowest state's coordinates do not sum to the depth %d" % depth)
+    return table
+
+
 def bfs_states(datum, word, lam):
     """The cut crystal as the breadth-first closure of the zero vector under
     `f_op`, sorted."""

@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -24,7 +25,7 @@ from schubcalc.cartan import (
     standard_word,
     word_to_element,
 )
-from schubcalc.oracles import demazure_dimension, weyl_dimension
+from schubcalc.oracles import demazure_character, demazure_dimension, weyl_dimension
 
 import reference_routes as ref
 
@@ -101,6 +102,23 @@ def test_operators_refuse_input_outside_their_domain(word, lam, state, message):
             op(A2, word, lam, state, 1)
     with pytest.raises(ValueError, match=message):
         cr.weight_of(A2, word, lam, state)
+
+
+@pytest.mark.parametrize(
+    "lam", [(1.5, 0), (1.0, 1), (0, Fraction(1)), ("1", 0)], ids=["float", "whole-float", "fraction", "str"]
+)
+def test_weights_must_be_integers(lam):
+    # a float weight once reached the packed statistics as AttributeError,
+    # the Weyl dimension as a Cartan convention error, and f_op as a state
+    calls = (
+        lambda: cr.generate_b_lambda(A2, IA2, lam),
+        lambda: weyl_dimension(A2, lam),
+        lambda: cr.f_op(A2, IA2, lam, (0, 0, 0), 1),
+        lambda: demazure_character(A2, longest_element(A2), lam),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="has an entry that is not an integer"):
+            call()
 
 
 def test_b_lambda_counts_and_polytope_crosscheck():
@@ -527,6 +545,31 @@ def test_packed_table_matches_tuple_bfs():
         assert len(expected) == weyl_dimension(datum, lam)
 
 
+def test_packed_statistics_table_matches_the_list_statistics_reference():
+    # every field of the table, against the build that carries each state's
+    # statistics as a list and takes every (state, letter) decision afresh:
+    # every weight in a box per datum, both words of A3 and C2, two deep
+    # crystals, and a coordinate past one byte
+    cases = [
+        (datum, word, lam)
+        for datum, top, words in (
+            (A1, 4, ()),
+            (A2, 3, ()),
+            (A3, 2, (ref.other_word(A3),)),
+            (A4, 1, ()),
+            (C2, 3, (ref.other_word(C2),)),
+            (C3, 1, ()),
+        )
+        for word in (standard_word(datum), *words)
+        for lam in itertools.product(range(top + 1), repeat=datum.rank)
+    ]
+    cases += [(datum, standard_word(datum), lam) for datum, lam in ((A3, (3, 3, 3)), (C3, (2, 2, 2)), (A2, (300, 0)))]
+    for datum, word, lam in cases:
+        table = cr._operator_table(datum, word, lam)
+        assert table == ref.list_statistics_table(datum, word, lam), (datum, word, lam)
+    assert max(map(max, ref.table_states(A2, IA2, (300, 0)))) > 255
+
+
 def test_string_coords_refuses_a_state_that_packs_onto_another():
     # A2 at (1, 0) has depth 2 and fields of two bits, and the state
     # (1, 1, 0) has key 1 + 4 = 5: a coordinate past the depth, a negative
@@ -538,15 +581,22 @@ def test_string_coords_refuses_a_state_that_packs_onto_another():
             cr.string_coords(A2, IA2, (1, 0), state)
 
 
-def _planted_layout(monkeypatch, position, slot, bump):
-    """The statistics layout of A2 with one delta entry moved by bump."""
+def _planted_layout(monkeypatch, position, field, bump):
+    """The statistics layout with the move of one word position changed by
+    bump in one field.  On the word (1, 2, 1) of A2 the fields are the
+    letter-1 sigmas of positions 1 and 3, <wt, h_1>, the letter-2 sigma of
+    position 2 and <wt, h_2>."""
     monkeypatch.undo()
-    letters, where, deltas = cr._statistics_layout(A2, IA2)
-    bad = list(map(list, deltas))
-    bad[position][slot] += bump
-    planted = letters, where, tuple(map(tuple, bad))
+    true = cr._statistics_layout
+
+    def planted(datum, word, bits):
+        letters, moves = true(datum, word, bits)
+        bad = list(moves)
+        bad[position] += bump << bits * field
+        return letters, tuple(bad)
+
     cr._operator_table.cache_clear()
-    monkeypatch.setattr(cr, "_statistics_layout", lambda datum, word: planted)
+    monkeypatch.setattr(cr, "_statistics_layout", planted)
 
 
 def test_operator_table_rejects_corrupt_statistics(monkeypatch):
@@ -555,10 +605,10 @@ def test_operator_table_rejects_corrupt_statistics(monkeypatch):
     # which lies after it, so that state's only letter-2 sigma is negative
     # while its phi_2 is not
     try:
-        _planted_layout(monkeypatch, 0, 3, -1)
+        _planted_layout(monkeypatch, 0, 2, -1)
         with pytest.raises(cr.CorruptElementError, match="negative phi"):
             cr._operator_table(A2, IA2, (1, 1))
-        _planted_layout(monkeypatch, 0, 2, -1)
+        _planted_layout(monkeypatch, 0, 3, -1)
         with pytest.raises(cr.CorruptElementError, match="argmin beyond"):
             cr._operator_table(A2, IA2, (1, 1))
         # the first lowering leaves <wt, h_2> unchanged: two states are killed

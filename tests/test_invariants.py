@@ -82,18 +82,24 @@ except InvariantError as err:
 """
 
 # the carried statistics go wrong: lowering at word position 1 moves
-# <wt, h_1> one too far (slot 3), or leaves <wt, h_2> unchanged (slot 4), in
-# the table build of A2 at (1, 1)
+# <wt, h_1> one too far (field 2), or leaves <wt, h_2> unchanged (field 4),
+# in the table build of A2 at (1, 1), whose fields on the word (1, 2, 1) are
+# the letter-1 sigmas, <wt, h_1>, the letter-2 sigma and <wt, h_2>
 PLANTED_STATISTIC = """
 from schubcalc import crystals
 from schubcalc.cartan import InvariantError, RootDatum, standard_word
 
 A2 = RootDatum("A", 2)
 word = standard_word(A2)
-letters, where, deltas = crystals._statistics_layout(A2, word)
-bad = [list(row) for row in deltas]
-bad[0][%d] -= 1
-crystals._statistics_layout = lambda datum, word: (letters, where, tuple(map(tuple, bad)))
+true = crystals._statistics_layout
+
+
+def planted(datum, word, bits):
+    letters, moves = true(datum, word, bits)
+    return letters, (moves[0] - (1 << bits * %d),) + moves[1:]
+
+
+crystals._statistics_layout = planted
 try:
     print(len(crystals._operator_table(A2, word, (1, 1)).keys))
 except InvariantError as err:
@@ -114,6 +120,46 @@ crystals._depth = lambda datum, lam: true(datum, lam) + %d
 crystals._OperatorTable = lambda *fields: Table(*fields[:-1], fields[-1] - %d)
 try:
     print(len(crystals._operator_table(A2, standard_word(A2), (1, 1)).keys))
+except InvariantError as err:
+    print("InvariantError:", err)
+"""
+
+# the statistic fields at a planted width of 8 bits: A2 at (126, 0) asks for
+# 16, its bound being 2 * 252 + 126, but every statistic of its crystal fits
+# 8 bits, so the table is the true one, of 8,128 states; at (130, 0) a
+# statistic passes 127 and wraps, which a lowering decision refuses
+PLANTED_WIDTH = """
+from schubcalc import crystals
+from schubcalc.cartan import InvariantError, RootDatum, standard_word
+
+A2 = RootDatum("A", 2)
+crystals._field_bits = lambda bound: 8
+try:
+    print(len(crystals._operator_table(A2, standard_word(A2), %s).keys))
+except InvariantError as err:
+    print(type(err).__name__ + ":", err)
+"""
+
+# lowering at the one position of A1 moves its sigma by 2 and <wt, h_1> by
+# -3: every phi, so every lowering decision, stays the true one, and only
+# the width witness sees that the lowest state's statistics are not those of
+# its coordinates
+PLANTED_MOVE = """
+from schubcalc import crystals
+from schubcalc.cartan import InvariantError, RootDatum, standard_word
+
+A1 = RootDatum("A", 1)
+true = crystals._statistics_layout
+
+
+def planted(datum, word, bits):
+    letters, (move,) = true(datum, word, bits)
+    return letters, (move + 1 - (1 << bits),)
+
+
+crystals._statistics_layout = planted
+try:
+    print(len(crystals._operator_table(A1, standard_word(A1), (3,)).keys))
 except InvariantError as err:
     print("InvariantError:", err)
 """
@@ -277,7 +323,7 @@ def test_dropped_string_survives_optimize_flag():
 
 
 def test_corrupt_statistic_survives_optimize_flag():
-    out = _run_optimized(PLANTED_STATISTIC % 3)
+    out = _run_optimized(PLANTED_STATISTIC % 2)
     assert out.startswith("CorruptElementError: negative phi"), out
 
 
@@ -293,6 +339,16 @@ def test_depth_witness_survives_optimize_flag():
         assert out.startswith(
             "InvariantError: the lowest state's coordinates do not sum to the depth %d" % expected
         ), out
+
+
+def test_width_witness_survives_optimize_flag():
+    assert _run_optimized(PLANTED_WIDTH % "(126, 0)") == "8128\n"
+    out = _run_optimized(PLANTED_WIDTH % "(130, 0)")
+    assert out.startswith("CorruptElementError: negative phi"), out
+    out = _run_optimized(PLANTED_MOVE)
+    assert out.startswith(
+        "InvariantError: the lowest state's statistics in 8-bit fields do not match its coordinates"
+    ), out
 
 
 def test_context_invariant_survives_optimize_flag():
