@@ -107,7 +107,6 @@ def _reflection_closure(matrix: tuple, count: int) -> tuple:
     return result
 
 
-@lru_cache(maxsize=None)
 def positive_roots(datum: RootDatum) -> tuple:
     """All positive roots in the simple-root basis, via reflection closure."""
     return _reflection_closure(cartan_matrix(datum), datum.num_positive_roots)
@@ -130,10 +129,15 @@ def simple_root_in_fundamental(datum: RootDatum, i: int) -> tuple:
     return tuple(c[j][i - 1] for j in range(datum.rank))
 
 
+def check_integers(kind: str, values):
+    """Raise ValueError unless every entry of values, a weight or a state, is an int."""
+    if not all(map(isinstance, values, repeat(int))):
+        raise ValueError("%s %r has an entry that is not an integer" % (kind, values))
+
+
 def check_weight(datum: RootDatum, lam):
     """Raise ValueError unless lam is a dominant weight of int entries of the rank of datum."""
-    if not all(map(isinstance, lam, repeat(int))):
-        raise ValueError("weight %r has an entry that is not an integer" % (lam,))
+    check_integers("weight", lam)
     if len(lam) != datum.rank or min(lam) < 0:
         raise ValueError("weight %r is not dominant of rank %d" % (lam, datum.rank))
 

@@ -12,20 +12,20 @@ infinite crystal down via the tensor cutoff: lowering returns null exactly
 when eps_i + <lam + wt, h_i> = 0.  One backward sweep of the coordinates gives
 each operator the sigma maximum, its argmin and argmax and <wt, h_i>.
 
-The cut crystal at one (datum, word, lam) is built once, as an operator
-table (`_operator_table`): the breadth-first closure of the highest element
-under lowering, with per letter the index of f_i of every state, its
-inverse e_i (e_i f_i b = b), eps_i, and the lowest element.  Each state is
-one int key, and its sigmas and weight pairings ride along as one more int,
-so the build sweeps no coordinates and decides each letter's lowering once
-per distinct group of that letter's statistics.  Only `crystal_states`
-decodes the keys, and `string_coords` packs the state it is given.  `f_op`,
-`e_op`, `epsilon` and `phi` keep the one-state sweep; they and `weight_of`
-refuse a word, weight or state outside their domain with ValueError,
-through `_validate`, the check the table makes.  The Demazure folds follow
+The cut crystal at one (datum, word, lam) has one cached record
+(`_crystal`).  Its operator table (`_operator_table`) is the breadth-first
+closure of the highest element under lowering, with per letter the index of
+f_i of every state, its inverse e_i (e_i f_i b = b), eps_i, and the lowest
+element.  Each state is one int key, and its sigmas and weight pairings ride
+along as one more int, so the build sweeps no coordinates and decides each
+letter's lowering once per distinct group of that letter's statistics.  Only
+`crystal_states` decodes the keys, and `string_coords` packs the state it is
+given.  `f_op`, `e_op`, `epsilon` and `phi` keep the one-state sweep; they
+and `weight_of` refuse a word, weight or state outside their domain with
+ValueError, through `_validate` and `_check_state`.  The Demazure folds follow
 Kashiwara's recursion, B_w = F_i B_{s_i w} for a left descent i and
-B^w = E_i B^{s_i w} for a left ascent i: each is one closure, walked on
-flag bytes, of a smaller cached int mask over the table order.
+B^w = E_i B^{s_i w} for a left ascent i: `_fold` walks both, each fold one
+closure, on flag bytes, of a smaller int mask filed in the record.
 
 These coordinates are the embedding coordinates of an element's
 canonical lift, NOT its string parametrization: the two differ already in rank
@@ -33,9 +33,9 @@ two.  The string of b is (a_1, tail(e_{i_1}^{a_1} b)): the number of raises
 by the first letter, then the string of the raised element along the rest of
 the word.  `_string_table` computes these tails per word position and state
 over the whole cut crystal, so each (position, state) pair is raised once.
-`string_incidence`, its one caller, holds the strings with one bitmask per
-string-polytope row over them, and certifies them as the polytope's lattice
-points, once per (datum, word, lam), by containment and count.  Every
+The record holds the strings with one bitmask per string-polytope row over
+them, certified as the polytope's lattice points by containment and count
+when it is built; `string_incidence` reads both off it.  Every
 string set exported to the polytope side (B(lam), Demazure and opposite
 Demazure sets, Richardson intersections, one state's `string_coords`) is
 read off these certified strings, so none escapes the certificate.  B(lam)
@@ -64,6 +64,7 @@ from .cartan import (
     bruhat_leq,
     cartan_matrix,
     check_group,
+    check_integers,
     check_letter,
     check_weight,
     check_word_of_longest,
@@ -98,6 +99,7 @@ def _validate(datum, word, lam):
 
 
 def _check_state(word, coords):
+    check_integers("state", coords)
     if len(coords) != len(word):
         raise ValueError("state %r does not have the %d coordinates of word %r" % (coords, len(word), word))
     if any(a < 0 for a in coords):
@@ -306,7 +308,6 @@ def _decide(group, tops, where, bits, unit, moves) -> tuple:
     return unit[p], moves[p], eps
 
 
-@lru_cache(maxsize=None)
 def _operator_table(datum: RootDatum, word, lam) -> _OperatorTable:
     """The cut crystal and its operators over integer indices: the
     breadth-first closure of the zero vector, state 0, under lowering.  Each
@@ -377,35 +378,33 @@ def _operator_table(datum: RootDatum, word, lam) -> _OperatorTable:
 
 def crystal_states(datum: RootDatum, word, lam) -> tuple:
     """All elements of the cut crystal in ladder coordinates, sorted: the
-    table's keys decoded."""
-    word = tuple(word)
-    table = _operator_table(datum, word, _weight(datum, lam))
+    keys of a table built afresh, which needs no strings, decoded."""
+    table = _operator_table(datum, tuple(word), _weight(datum, lam))
     return tuple(sorted(_coords(table, key, len(word)) for key in table.keys))
 
 
 def string_coords(datum: RootDatum, word, lam, state) -> tuple:
     """String parametrization of one cut-crystal element, read off the
-    certified strings of `string_incidence` at the state's place in the
-    table's keys."""
+    record's certified strings at the state's place in the table's keys."""
     word, lam, state = tuple(word), _weight(datum, lam), tuple(state)
-    table = _operator_table(datum, word, lam)
+    check_integers("state", state)
+    table, strings, *_ = _crystal(datum, word, lam)
     key = sum(a << (table.width * p) for p, a in enumerate(state))
     packed = len(state) == len(word) and all(0 <= a <= table.depth for a in state)
     if not packed or key not in table.keys:
         raise InvariantError("non-normal state: not in the generated crystal")
-    return string_incidence(datum, word, lam)[0][table.keys.index(key)]
+    return strings[table.keys.index(key)]
 
 
-def _string_table(datum: RootDatum, word, lam) -> tuple:
+def _string_table(table: _OperatorTable, word) -> tuple:
     """The string coords of every table state, in table order, by suffix
-    table; `string_incidence` is its one caller, and holds the result.
+    table; the record's builder `_crystal` is its one caller.
 
     The string of b is (a_1, tail(e_{i_1}^{a_1} b)), where the tail is the
     string of the raised element from position 2 on.  Each distinct state
     reaching position p is raised there once, along the table's raising
     indices, so the work is the sum of the level sizes rather than N times
     the crystal; a level keeps each state's top, its count being its epsilon."""
-    table = _operator_table(datum, word, lam)
     levels = []
     frontier = range(len(table.keys))
     for i in word:
@@ -432,13 +431,21 @@ def _string_table(datum: RootDatum, word, lam) -> tuple:
     return strings
 
 
+class _Crystal(NamedTuple):
+    table: _OperatorTable  # the operators over the table order
+    strings: tuple         # the certified strings, in table order
+    masks: tuple           # per row, the bitmask over the strings tight on it
+    folds: dict            # (opposite, w) -> the mask of B^w or B_w, filled on first read
+    datum: RootDatum       # the group of every w in folds
+
+
 @lru_cache(maxsize=None)
-def string_incidence(datum: RootDatum, word, lam) -> tuple:
-    """(points, masks): the strings of B(lam) in table order, and per row the
-    bitmask over them of the strings tight on it (`polytopes.slack_masks`).
+def _crystal(datum: RootDatum, word, lam) -> _Crystal:
+    """The record at (datum, word, lam): its operator table, its strings,
+    per row the mask over them of the strings tight on it, and its folds.
 
     On the standard word the rows are the string polytope's, the N
-    lambda-bound rows followed by the N cone rows, and the points are
+    lambda-bound rows followed by the N cone rows, and the strings are
     certified to be its lattice points (Littelmann 1998, Berenstein-Zelevinsky
     2001): every string satisfies every row, read off the same packed slacks
     as the masks, and an exact count of the lattice points
@@ -449,18 +456,16 @@ def string_incidence(datum: RootDatum, word, lam) -> tuple:
     containment is checked: the cone rows of that word are not built, so
     nothing bounds the count.  Then each facet block, the lambda rows and
     (on the standard word) the cone rows, must have a string on all its rows
-    (`polytopes.check_blocks_meet`), so that no face the tables cut is
-    empty."""
-    points = _string_table(datum, word, lam)
+    (`polytopes.check_blocks_meet`), so that no face is empty."""
+    table = _operator_table(datum, word, lam)
+    points = _string_table(table, word)
     certified = is_certified_word(datum, word)
     if certified:
         polytope = polytopes.string_polytope(datum, lam)
         rows = polytope.ineqs
     else:
-        rows = []
-        for j in range(1, len(word) + 1):
-            vec, lam_vec = polytopes.string_lambda_facet(datum, word, j)
-            rows.append((vec, sum(a * b for a, b in zip(lam_vec, lam))))
+        facets = (polytopes.string_lambda_facet(datum, word, j) for j in range(1, len(word) + 1))
+        rows = [(vec, sum(map(mul, lam_vec, lam))) for vec, lam_vec in facets]
     masks, outside = polytopes.slack_masks(rows, points)
     if outside:
         raise CrystalPolytopeMismatchError(
@@ -473,17 +478,29 @@ def string_incidence(datum: RootDatum, word, lam) -> tuple:
                 "crystal generation has %d points, string polytope %d" % (len(points), count)
             )
     polytopes.check_blocks_meet(masks, len(word))
-    return points, masks
+    return _Crystal(table, points, masks, {}, datum)
+
+
+def string_incidence(datum: RootDatum, word, lam) -> tuple:
+    """(strings, masks) of the record at (datum, word, lam)."""
+    return _crystal(datum, tuple(word), _weight(datum, lam))[1:3]
+
+
+def _view(datum, word, lam, *folds) -> polytopes.PointSet:
+    """The record's strings in the AND of the (w, opposite) folds, or all."""
+    record = _crystal(datum, tuple(word), _weight(datum, lam))
+    mask = (1 << len(record.strings)) - 1
+    for w, opposite in folds:
+        mask &= _fold(record, w, opposite)
+    return polytopes.PointSet(mask, record.strings)
 
 
 def generate_b_lambda(datum: RootDatum, word, lam) -> polytopes.PointSet:
-    """Phi(B(lam)) as a view of every string of `string_incidence`, the full
-    mask: on the standard word certified equal to the lattice points of the
-    string polytope; on any other reduced word of the longest element
+    """Phi(B(lam)) as a view of every certified string, the full mask: on
+    the standard word certified equal to the lattice points of the string
+    polytope; on any other reduced word of the longest element
     experimental, checked only against the lambda-bound rows."""
-    word, lam = tuple(word), _weight(datum, lam)
-    size = len(_operator_table(datum, word, lam).keys)
-    return _strings(datum, word, lam, (1 << size) - 1)
+    return _view(datum, word, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -508,47 +525,29 @@ def _closure(step, members: int) -> int:
     return polytopes.flags_mask(flags)
 
 
-@lru_cache(maxsize=None)
-def _demazure_indices(datum: RootDatum, word, w: WeylElement, lam) -> int:
-    """The mask over the table order of B_w(lam), by Kashiwara's recursion:
-    B_e is the highest element, table state 0, and B_w = F_i B_{s_i w} for
-    the smallest left descent i of w."""
-    check_group(datum, w)
-    table = _operator_table(datum, word, lam)
-    descents = left_descents(w)
-    if not descents:
-        return 1
-    i = descents[0]
-    return _closure(table.down[i - 1], _demazure_indices(datum, word, left_mul(i, w), lam))
-
-
-@lru_cache(maxsize=None)
-def _opposite_indices(datum: RootDatum, word, w: WeylElement, lam) -> int:
-    """The mask over the table order of B^w(lam): B^{w_0} is the lowest
-    element and B^w = E_i B^{s_i w} for the smallest left ascent i of w."""
-    check_group(datum, w)
-    table = _operator_table(datum, word, lam)
-    ascents = left_ascents(w)
-    if not ascents:
-        return 1 << table.lowest
-    i = ascents[0]
-    return _closure(table.up[i - 1], _opposite_indices(datum, word, left_mul(i, w), lam))
-
-
-def _strings(datum, word, lam, mask) -> polytopes.PointSet:
-    """The certified strings of B(lam) at the bits of a mask over the table
-    order, as a view over `string_incidence`'s strings."""
-    return polytopes.PointSet(mask, string_incidence(datum, word, lam)[0])
+def _fold(record: _Crystal, w: WeylElement, opposite: bool) -> int:
+    """The mask of B_w(lam), or of B^w(lam) when opposite, filed in the
+    record: B_e is state 0, B_w = F_i B_{s_i w} for the least left descent i
+    of w, B^{w_0} the lowest state, B^w = E_i B^{s_i w} for the least ascent."""
+    mask = record.folds.get((opposite, w))
+    if mask is None:
+        check_group(record.datum, w)
+        letters, table = left_ascents(w) if opposite else left_descents(w), record.table
+        if not letters:
+            mask = 1 << table.lowest if opposite else 1
+        else:
+            step = (table.up if opposite else table.down)[letters[0] - 1]
+            mask = _closure(step, _fold(record, left_mul(letters[0], w), opposite))
+        record.folds[opposite, w] = mask
+    return mask
 
 
 def demazure_crystal(datum: RootDatum, word, w, lam) -> polytopes.PointSet:
-    word, lam = tuple(word), _weight(datum, lam)
-    return _strings(datum, word, lam, _demazure_indices(datum, word, w, lam))
+    return _view(datum, word, lam, (w, False))
 
 
 def opposite_demazure_crystal(datum: RootDatum, word, w, lam) -> polytopes.PointSet:
-    word, lam = tuple(word), _weight(datum, lam)
-    return _strings(datum, word, lam, _opposite_indices(datum, word, w, lam))
+    return _view(datum, word, lam, (w, True))
 
 
 def check_richardson(v, w):
@@ -560,6 +559,4 @@ def richardson_lattice_points(datum: RootDatum, word, v, w, lam) -> polytopes.Po
     """String image of the intersection of B_w(lam) with B^v(lam), the AND
     of their masks; requires v <= w in Bruhat order."""
     check_richardson(v, w)
-    word, lam = tuple(word), _weight(datum, lam)
-    mask = _demazure_indices(datum, word, w, lam) & _opposite_indices(datum, word, v, lam)
-    return _strings(datum, word, lam, mask)
+    return _view(datum, word, lam, (w, False), (v, True))

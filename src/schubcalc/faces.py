@@ -15,20 +15,19 @@ The two decomposition results being exercised:
 
 Both are checked against the crystal route on every call and raise
 TheoremViolationError on any discrepancy.  The faces are cut by set
-arithmetic over one cached table per (datum, word, lambda),
-`crystals.string_incidence`: the crystal's own strings, on the standard word
-certified once, when the table is built, to be the string polytope's lattice
-points, and one bitmask per row over them (bit i set when string i lies on
-the row), so a face is the AND of its rows' masks and a union the OR of its
-faces.  A union stays that mask, a `polytopes.PointSet` view over the
-table's strings; the (opposite) Demazure crystal is a view over the same
+arithmetic over the crystal's one cached record per (datum, word, lambda),
+read by `crystals.string_incidence`: its strings, on the standard word
+certified once, when the record is built, to be the string polytope's
+lattice points, and one bitmask per row over them (bit i set when string i
+lies on the row), so a face is the AND of its rows' masks and a union the OR
+of its faces.  A union stays that mask, a `polytopes.PointSet` view over the
+record's strings; the (opposite) Demazure crystal is a view over the same
 strings, so the check compares two ints, a count is a bit count, and the
 strings are decoded only where they are read.  The GT/SGT side counts its
 face unions the same way over the lattice points of the model polytope, in
-sweep order (`polytopes.lattice_incidence`).
-Each facet block of a table has a point on all its rows, certified when the
-table is built, so no face is empty.  Only the tables are cached; the crystal
-comparison runs on every call.
+sweep order (`polytopes.lattice_incidence`).  Each facet block of a record
+or table has a point on all its rows, certified when it is built, so no face
+is empty.  Only these are cached; the crystal comparison runs on every call.
 
 The claim the class arithmetic exercises: the (dual) Kogan face sums
 represent the Schubert classes in the polytope ring (Kiritchenko-Smirnov-
@@ -58,6 +57,7 @@ from .cartan import (
     RootDatum,
     WeylElement,
     check_group,
+    check_integers,
     check_weight,
     compatible_subsets,
     identity_element,
@@ -131,7 +131,6 @@ def opposite_demazure_faces(datum: RootDatum, w: WeylElement, lam, word=None) ->
     """Lambda-bound faces indexed by the extractions of w; the lattice union
     must reproduce the opposite Demazure crystal."""
     word = tuple(word) if word is not None else standard_word(datum)
-    lam = tuple(lam)
     points, masks = crystals.string_incidence(datum, word, lam)
     dec = _decompose(compatible_subsets(datum, word, w), masks, points)
     expected = crystals.opposite_demazure_crystal(datum, word, w, lam)
@@ -141,7 +140,7 @@ def opposite_demazure_faces(datum: RootDatum, w: WeylElement, lam, word=None) ->
 def demazure_faces(datum: RootDatum, w: WeylElement, lam) -> FaceDecomposition:
     """String-cone faces indexed by the box-removal set of w; the lattice
     union must reproduce the Demazure crystal."""
-    word, lam = standard_word(datum), tuple(lam)
+    word = standard_word(datum)
     points, masks = crystals.string_incidence(datum, word, lam)
     dec = _decompose(schubert_class(datum, w, "kogan"), masks[datum.num_positive_roots :], points)
     expected = crystals.demazure_crystal(datum, word, w, lam)
@@ -170,6 +169,7 @@ def model_face_union_count(datum: RootDatum, lam, tights, family: str) -> int:
     indices = tuple(chain.from_iterable(tights))
     if indices and not 1 <= min(indices) <= max(indices) <= big_n:
         raise IndexError("tight indices run from 1 to %d" % big_n)
+    check_integers("weight", lam)  # before the cache, so that no 1.0 finds the table of 1
     count, masks = _model_table(datum, tuple(lam))
     masks = masks[big_n:] if family == "Fv" else masks[:big_n]
     return _face_union(tights, masks, count).bit_count()

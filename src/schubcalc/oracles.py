@@ -190,7 +190,6 @@ def orthogonal_root(datum: RootDatum, root) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def top_class_polynomial(datum: RootDatum) -> tuple:
     """The product of the positive roots, |W| times the class of a point, as
     a sorted item tuple, packed."""

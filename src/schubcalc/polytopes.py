@@ -465,7 +465,6 @@ def is_simple(p: Polytope) -> bool:
 # string cone and string polytope
 
 
-@lru_cache(maxsize=None)
 def string_cone_facets(datum: RootDatum) -> tuple:
     """String cone facets v . x <= 0 for the standard word, one per box in
     facet order (`pipedreams.board`): the box's coordinate, taken at its

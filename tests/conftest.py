@@ -14,7 +14,7 @@ def wrong_signed_root(monkeypatch):
         vec = original(datum, root)
         return tuple(-x for x in vec) if root == oracles.positive_roots(datum)[0] else vec
 
-    caches = (oracles.top_class_polynomial, oracles.schubert_representative, oracles.bgg_structure_constants)
+    caches = (oracles.schubert_representative, oracles.bgg_structure_constants)
     for f in caches:
         f.cache_clear()
     monkeypatch.setattr(oracles, "orthogonal_root", flipped)

@@ -274,10 +274,11 @@ def string_coords(datum, word, lam, state):
     return tuple(out)
 
 
-def table_states(datum, word, lam):
+def table_states(datum, word, lam, table=None):
     """The states of the operator table in table order, each key decoded
-    field by field: coordinate p is the width bits from bit width * p."""
-    table = cr._operator_table(datum, word, lam)
+    field by field: coordinate p is the width bits from bit width * p.  The
+    table is the record's unless one is given."""
+    table = table or cr._crystal(datum, word, lam).table
     field = (1 << table.width) - 1
     return tuple(
         tuple((key >> (table.width * p)) & field for p in range(len(word))) for key in table.keys
@@ -448,7 +449,7 @@ def index_folds(datum, word, lam):
     the folds' recursion (smallest left descent, smallest left ascent) run
     on frozensets of table indices, as the library ran it before its folds
     became masks."""
-    table = cr._operator_table(datum, word, lam)
+    table = cr._crystal(datum, word, lam).table
     elements = sorted(all_elements(datum), key=length)
     low, high = {}, {}
     for w in elements:
@@ -542,7 +543,7 @@ def enumerated_string_incidence(datum, word, lam):
     checking that they are the crystal's strings as a set.  On any other
     word: the crystal's strings, sorted, and the masks of the lambda-bound
     rows by exact dot products."""
-    strings = frozenset(cr._string_table(datum, word, lam))
+    strings = frozenset(cr._string_table(cr._operator_table(datum, word, lam), word))
     if word == standard_word(datum):
         poly = pt.string_polytope(datum, lam)
         count, masks = pt.lattice_incidence(poly)

@@ -39,15 +39,15 @@ IA2 = standard_word(A2)
 IC2 = standard_word(C2)
 
 
-def _fold_states(datum, word, w, lam, fold):
-    """The ladder states of a Demazure fold's mask over the table order,
-    `fold` being `cr._demazure_indices` or `cr._opposite_indices`."""
+def _fold_states(datum, word, w, lam, opposite):
+    """The ladder states of the record's fold mask of B_w(lam), or of B^w(lam)
+    when opposite, over the table order."""
     states = ref.table_states(datum, word, lam)
-    return frozenset(pt.mask_points(fold(datum, word, w, lam), states))
+    return frozenset(pt.mask_points(cr._fold(cr._crystal(datum, word, lam), w, opposite), states))
 
 
 def _lowest(datum, word, lam):
-    return ref.table_states(datum, word, lam)[cr._operator_table(datum, word, lam).lowest]
+    return ref.table_states(datum, word, lam)[cr._crystal(datum, word, lam).table.lowest]
 
 
 def test_sigma_values():
@@ -193,8 +193,8 @@ def test_demazure_word_independence():
 def test_demazure_closedness():
     for datum, word, lam in ((A2, IA2, (2, 1)), (C2, IC2, (1, 1))):
         for w in all_elements(datum):
-            dem = _fold_states(datum, word, w, lam, cr._demazure_indices)
-            opp = _fold_states(datum, word, w, lam, cr._opposite_indices)
+            dem = _fold_states(datum, word, w, lam, False)
+            opp = _fold_states(datum, word, w, lam, True)
             for i in (1, 2):
                 for s in dem:
                     up = cr.e_op(datum, word, lam, s, i)
@@ -241,7 +241,7 @@ def test_string_property():
     for datum, word in ((A2, IA2), (C2, IC2)):
         lam = (1, 1)
         for w in all_elements(datum):
-            opp = _fold_states(datum, word, w, lam, cr._opposite_indices)
+            opp = _fold_states(datum, word, w, lam, True)
             for i in range(1, datum.rank + 1):
                 for chain in ref.i_strings(datum, word, lam, i):
                     inter = [s for s in chain if s in opp]
@@ -355,7 +355,7 @@ def test_string_table_matches_per_state_route():
     for datum, lam in ((C2, (2, 2)), (C3, (1, 1, 1)), (A4, (1, 1, 1, 1))):
         word = standard_word(datum)
         states = ref.table_states(datum, word, lam)
-        table = cr._string_table(datum, word, lam)
+        table = cr._string_table(cr._operator_table(datum, word, lam), word)
         expected = {s: ref.string_coords(datum, word, lam, s) for s in states}
         assert dict(zip(states, table)) == expected
         assert {s: cr.string_coords(datum, word, lam, s) for s in states} == expected
@@ -380,15 +380,15 @@ def _with_planted_state(table, datum, word, lam, planted):
 def test_string_table_rejects_non_normal_state(monkeypatch):
     table = cr._operator_table(A2, IA2, (1, 0))
     planted = _with_planted_state(table, A2, IA2, (1, 0), (5, 5, 5))
-    # generate_b_lambda reads the strings through string_incidence's cache
-    cr.string_incidence.cache_clear()
+    # generate_b_lambda reads the strings off the cached record
+    cr._crystal.cache_clear()
     monkeypatch.setattr(cr, "_operator_table", lambda datum, word, lam: planted)
     try:
         with pytest.raises(InvariantError, match="^non-normal state"):
             cr.generate_b_lambda(A2, IA2, (1, 0))
     finally:
         monkeypatch.undo()
-        cr.string_incidence.cache_clear()
+        cr._crystal.cache_clear()
 
 
 # the exported string sets besides B(lambda), as the CLI `crystal --kind`
@@ -407,16 +407,16 @@ EXPORTED_STRINGS = {
 def test_exported_strings_are_certified(monkeypatch, name):
     # the strings of A2 at (1, 0) are (0, 0, 0), (1, 0, 0) and (0, 1, 1);
     # the last one moved past the lambda row a_3 <= 1 reaches no caller
-    strings = cr._string_table(A2, IA2, (1, 0))
+    strings = cr._crystal(A2, IA2, (1, 0)).strings
     assert strings[2] == (0, 1, 1)
-    cr.string_incidence.cache_clear()
-    monkeypatch.setattr(cr, "_string_table", lambda datum, word, lam: strings[:2] + ((0, 1, 2),))
+    cr._crystal.cache_clear()
+    monkeypatch.setattr(cr, "_string_table", lambda table, word: strings[:2] + ((0, 1, 2),))
     try:
         with pytest.raises(cr.CrystalPolytopeMismatchError, match=r"string \(0, 1, 2\) lies outside"):
             EXPORTED_STRINGS[name]()
     finally:
         monkeypatch.undo()
-        cr.string_incidence.cache_clear()
+        cr._crystal.cache_clear()
 
 
 def _incidence_cases():
@@ -469,9 +469,9 @@ def test_certified_path_never_enumerates_a_string_polytope(monkeypatch):
     monkeypatch.setattr(pt, "lattice_points", recording)
     for datum, lam in ((A3, (1, 1, 1)), (C2, (2, 1))):
         word = standard_word(datum)
-        cr.string_incidence.cache_clear()
+        cr._crystal.cache_clear()
         assert len(cr.generate_b_lambda(datum, word, lam)) == weyl_dimension(datum, lam)
-        cr.string_incidence.cache_clear()
+        cr._crystal.cache_clear()
         for w in all_elements(datum):
             fc.opposite_demazure_faces(datum, w, lam)
             fc.demazure_faces(datum, w, lam)
@@ -517,7 +517,7 @@ def _check_packed_table(datum, word, lam) -> tuple:
     """Check the packed table of (datum, word, lam) against the tuple BFS of
     `f_op`, and return the BFS states."""
     table = cr._operator_table(datum, word, lam)
-    states = ref.table_states(datum, word, lam)
+    states = ref.table_states(datum, word, lam, table)
     expected = ref.bfs_states(datum, word, lam)
     assert tuple(sorted(states)) == expected
     assert cr.crystal_states(datum, word, lam) == expected
@@ -567,7 +567,8 @@ def test_packed_statistics_table_matches_the_list_statistics_reference():
     for datum, word, lam in cases:
         table = cr._operator_table(datum, word, lam)
         assert table == ref.list_statistics_table(datum, word, lam), (datum, word, lam)
-    assert max(map(max, ref.table_states(A2, IA2, (300, 0)))) > 255
+    # the last case's table, A2 at (300, 0)
+    assert max(map(max, ref.table_states(A2, IA2, (300, 0), table))) > 255
 
 
 def test_string_coords_refuses_a_state_that_packs_onto_another():
@@ -595,7 +596,6 @@ def _planted_layout(monkeypatch, position, field, bump):
         bad[position] += bump << bits * field
         return letters, tuple(bad)
 
-    cr._operator_table.cache_clear()
     monkeypatch.setattr(cr, "_statistics_layout", planted)
 
 
@@ -618,7 +618,6 @@ def test_operator_table_rejects_corrupt_statistics(monkeypatch):
             cr._operator_table(A2, IA2, (1, 1))
     finally:
         monkeypatch.undo()
-        cr._operator_table.cache_clear()
 
 
 def test_invert_rejects_non_injective_lowering():
@@ -634,10 +633,10 @@ def test_table_readers_match_reference_routes():
     for datum, word, lam in cases:
         assert _lowest(datum, word, lam) == ref.lowest(datum, word, lam)
         for w in all_elements(datum):
-            assert _fold_states(datum, word, w, lam, cr._demazure_indices) == ref.fold_demazure(
+            assert _fold_states(datum, word, w, lam, False) == ref.fold_demazure(
                 datum, word, lam, reduced_word(w)
             )
-            assert _fold_states(datum, word, w, lam, cr._opposite_indices) == ref.fold_opposite(
+            assert _fold_states(datum, word, w, lam, True) == ref.fold_opposite(
                 datum, word, lam, w
             )
 
@@ -647,18 +646,13 @@ def test_folds_through_every_descent_and_ascent():
     # ascent (B^w), not only at the one the folds choose
     word = standard_word(A3)
     for lam in ((1, 1, 1), (2, 0, 1)):
-        table = cr._operator_table(A3, word, lam)
+        record = cr._crystal(A3, word, lam)
         for w in all_elements(A3):
             for i in range(1, A3.rank + 1):
                 v = left_mul(i, w)
-                if length(v) < length(w):
-                    assert cr._closure(
-                        table.down[i - 1], cr._demazure_indices(A3, word, v, lam)
-                    ) == cr._demazure_indices(A3, word, w, lam)
-                else:
-                    assert cr._closure(
-                        table.up[i - 1], cr._opposite_indices(A3, word, v, lam)
-                    ) == cr._opposite_indices(A3, word, w, lam)
+                opposite = length(v) > length(w)
+                step = (record.table.up if opposite else record.table.down)[i - 1]
+                assert cr._closure(step, cr._fold(record, v, opposite)) == cr._fold(record, w, opposite)
 
 
 def test_folds_reject_other_group():
@@ -666,6 +660,78 @@ def test_folds_reject_other_group():
         cr.demazure_crystal(A2, IA2, longest_element(A3), (1, 1))
     with pytest.raises(ValueError, match="different groups"):
         cr.opposite_demazure_crystal(A2, IA2, identity_element(A3), (1, 1))
+
+
+def test_one_crystal_costs_one_record_miss():
+    # every reader of one (datum, word, lam), weight and word given as tuples
+    # or lists, reads the one record: its table, strings, masks and folds
+    lam, s1, w0 = (2, 1), word_to_element(A2, (1,)), longest_element(A2)
+    cr._crystal.cache_clear()
+    cr.generate_b_lambda(A2, IA2, lam)
+    cr.demazure_crystal(A2, list(IA2), s1, lam)
+    cr.opposite_demazure_crystal(A2, IA2, s1, list(lam))
+    cr.richardson_lattice_points(A2, IA2, s1, w0, lam)
+    cr.string_coords(A2, IA2, lam, (1, 1, 0))
+    fc.opposite_demazure_faces(A2, s1, lam)
+    fc.demazure_faces(A2, s1, lam)
+    info = cr._crystal.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_folds_are_filed_in_the_record_and_built_again_after_a_clear(monkeypatch):
+    # a fold walks Kashiwara's recursion once, filing each mask on its way
+    # under its own side; a cleared cache drops the record and its folds
+    lam, w = (1, 1), word_to_element(A2, (2, 1))
+    chain = [w, word_to_element(A2, (1,)), identity_element(A2)]
+    closures = []
+    closure = cr._closure
+    monkeypatch.setattr(cr, "_closure", lambda step, members: closures.append(step) or closure(step, members))
+    for _ in range(2):
+        cr._crystal.cache_clear()
+        expected = ref.fold_demazure(A2, IA2, lam, reduced_word(w))
+        assert _fold_states(A2, IA2, w, lam, False) == expected
+        assert len(closures) == 2
+        assert set(cr._crystal(A2, IA2, lam).folds) == {(False, u) for u in chain}
+        assert _fold_states(A2, IA2, w, lam, False) == expected
+        assert len(closures) == 2
+        closures.clear()
+    # the other side of the same w is its own fold: B^w for w = s_2 s_1
+    assert _fold_states(A2, IA2, w, lam, True) == ref.fold_opposite(A2, IA2, lam, w)
+    assert (True, w) in cr._crystal(A2, IA2, lam).folds
+
+
+def test_the_record_holds_the_strings_it_certified(monkeypatch):
+    # one string table per record: the strings the record hands out are the
+    # very tuple the rows' containment was read off
+    built, read = [], []
+    string_table, slack_masks = cr._string_table, pt.slack_masks
+    monkeypatch.setattr(cr, "_string_table", lambda table, word: built.append(string_table(table, word)) or built[-1])
+    monkeypatch.setattr(pt, "slack_masks", lambda rows, points: read.append(points) or slack_masks(rows, points))
+    for word in (IA2, (2, 1, 2)):
+        cr._crystal.cache_clear()
+        built.clear()
+        read.clear()
+        record = cr._crystal(A2, word, (1, 1))
+        assert len(built) == len(read) == 1
+        assert record.strings is built[0] is read[0]
+    cr._crystal.cache_clear()
+
+
+NON_INTEGER_STATES = ((0.0, 0, 0), (0.5, 0, 0), (1, Fraction(1), 0))
+
+
+@pytest.mark.parametrize("state", NON_INTEGER_STATES, ids=str)
+def test_one_state_operators_refuse_a_non_integer_state(state):
+    # as weights are refused: 0.0 is not lowered to (1.0, 0, 0), 0.5 gets no
+    # weight, and string_coords refuses before it packs
+    for lam in ((1, 1), cr.INFINITY):
+        for op in (cr.f_op, cr.e_op, cr.epsilon, cr.phi):
+            with pytest.raises(ValueError, match="not an integer"):
+                op(A2, IA2, lam, state, 1)
+        with pytest.raises(ValueError, match="not an integer"):
+            cr.weight_of(A2, IA2, lam, state)
+    with pytest.raises(ValueError, match="not an integer"):
+        cr.string_coords(A2, IA2, (1, 1), state)
 
 
 def test_letters_out_of_range_rejected():
@@ -761,8 +827,8 @@ def test_fold_masks_match_the_frozenset_route(datum, lambda_max):
     for lam in _weights(datum, lambda_max):
         low, high = ref.index_folds(datum, word, lam)
         for w in all_elements(datum):
-            assert _fold_states(datum, word, w, lam, cr._demazure_indices) == low[w]
-            assert _fold_states(datum, word, w, lam, cr._opposite_indices) == high[w]
+            assert _fold_states(datum, word, w, lam, False) == low[w]
+            assert _fold_states(datum, word, w, lam, True) == high[w]
 
 
 @pytest.mark.parametrize("datum", [A2, A3, C2], ids=["A2", "A3", "C2"])

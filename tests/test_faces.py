@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import operator
 from collections import Counter
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -861,6 +862,15 @@ def test_model_face_union_count_refuses_a_weight_that_is_not_dominant():
         for family in ("F", "Fv"):
             with pytest.raises(ValueError, match="is not dominant"):
                 fc.model_face_union_count(datum, lam, ((1,),), family)
+
+
+def test_model_face_union_count_checks_the_weight_before_its_table():
+    # (1.0, 1) == (1, 1) as a cache key: the entries are checked first, so
+    # no float finds the cached table of an int weight
+    assert fc.model_face_union_count(A2, (1, 1), [(1,)], "F") == 4
+    for lam in ((1.0, 1), (1.5, 1), (1, Fraction(1))):
+        with pytest.raises(ValueError, match="not an integer"):
+            fc.model_face_union_count(A2, lam, [(1,)], "F")
 
 
 def test_model_face_union_count_rejects_rows_outside_its_block():
