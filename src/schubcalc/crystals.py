@@ -13,18 +13,20 @@ when eps_i + <lam + wt, h_i> = 0.  One backward sweep of the coordinates gives
 each operator the sigma maximum, its argmin and argmax and <wt, h_i>.
 
 The cut crystal at one (datum, word, lam) has one cached record
-(`_crystal`).  Its operator table (`_operator_table`) is the breadth-first
-closure of the highest element under lowering, with per letter the index of
-f_i of every state, its inverse e_i (e_i f_i b = b), eps_i, and the lowest
-element.  Each state is one int key, and its sigmas and weight pairings ride
-along as one more int, so the build sweeps no coordinates and decides each
-letter's lowering once per distinct group of that letter's statistics.  Only
-`crystal_states` decodes the keys, and `string_coords` packs the state it is
-given.  `f_op`, `e_op`, `epsilon` and `phi` keep the one-state sweep; they
-and `weight_of` refuse a word, weight or state outside their domain with
+(`_crystal`) behind one checked door (`record`), which every crystal reader
+and both face decompositions take once per call.  Its operator table
+(`_operator_table`) is the breadth-first closure of the highest element
+under lowering, with per letter the index of f_i of every state, its inverse
+e_i (e_i f_i b = b), eps_i, and the lowest element.  Each state is one int
+key, and its sigmas and weight pairings ride along as one more int, so the
+build sweeps no coordinates and decides each letter's lowering once per
+distinct group of that letter's statistics.  Only `crystal_states` decodes
+the keys, and `string_coords` packs the state it is given.  `f_op`, `e_op`,
+`epsilon` and `phi` keep the one-state sweep; they, `weight_of` and
+`string_coords` refuse a word, weight or state outside their domain with
 ValueError, through `_validate` and `_check_state`.  The Demazure folds follow
 Kashiwara's recursion, B_w = F_i B_{s_i w} for a left descent i and
-B^w = E_i B^{s_i w} for a left ascent i: `_fold` walks both, each fold one
+B^w = E_i B^{s_i w} for a left ascent i: `fold` walks both, each fold one
 closure, on flag bytes, of a smaller int mask filed in the record.
 
 These coordinates are the embedding coordinates of an element's
@@ -32,10 +34,10 @@ canonical lift, NOT its string parametrization: the two differ already in rank
 two.  The string of b is (a_1, tail(e_{i_1}^{a_1} b)): the number of raises
 by the first letter, then the string of the raised element along the rest of
 the word.  `_string_table` computes these tails per word position and state
-over the whole cut crystal, so each (position, state) pair is raised once.
-The record holds the strings with one bitmask per string-polytope row over
-them, certified as the polytope's lattice points by containment and count
-when it is built; `string_incidence` reads both off it.  Every
+over the whole cut crystal, each state's top read off its parent's, so the
+table costs the sum of the level sizes.  The record holds the strings with
+one bitmask per string-polytope row over them, certified as the polytope's
+lattice points by containment and count when it is built.  Every
 string set exported to the polytope side (B(lam), Demazure and opposite
 Demazure sets, Richardson intersections, one state's `string_coords`) is
 read off these certified strings, so none escapes the certificate.  B(lam)
@@ -106,16 +108,11 @@ def _check_state(word, coords):
         raise ValueError("state %r has a negative coordinate" % (coords,))
 
 
-def _sigma_profile(datum, word, lam, coords, i, check=True):
+def _sigma_profile(datum, word, lam, coords, i):
     """(best, first, last, wt_i) from one backward sweep: best is the max of 0
     and the letter-i sigmas, first/last the smallest/largest position attaining
     it (None when none does), wt_i = <wt, h_i>.  The suffix sum left after
-    position 1 is <sum a_k alpha_{i_k}, h_i>, so wt_i is lam_i minus it.  The
-    word, weight, state and letter are checked first unless check is False."""
-    if check:
-        _validate(datum, word, lam)
-        _check_state(word, coords)
-        check_letter(datum, i)
+    position 1 is <sum a_k alpha_{i_k}, h_i>, so wt_i is lam_i minus it."""
     row = cartan_matrix(datum)[i - 1]
     best = 0
     first = last = None
@@ -136,6 +133,15 @@ def _sigma_profile(datum, word, lam, coords, i, check=True):
     return best, first, last, (0 if lam is INFINITY else lam[i - 1]) - suffix
 
 
+def _checked_profile(datum, word, lam, coords, i):
+    """`_sigma_profile` of the one-state readers, once the word, weight,
+    state and letter are checked."""
+    _validate(datum, word, lam)
+    _check_state(word, coords)
+    check_letter(datum, i)
+    return _sigma_profile(datum, word, lam, coords, i)
+
+
 def weight_of(datum: RootDatum, word, lam, coords):
     """Fundamental coordinates of the weight: lam - sum a_k alpha_{i_k}
     (just the negative sum at infinity)."""
@@ -152,18 +158,18 @@ def weight_of(datum: RootDatum, word, lam, coords):
 
 
 def epsilon(datum: RootDatum, word, lam, coords, i: int) -> int:
-    best, _, _, wt_i = _sigma_profile(datum, word, lam, coords, i)
+    best, _, _, wt_i = _checked_profile(datum, word, lam, coords, i)
     return best if lam is INFINITY else max(best, -wt_i)
 
 
 def phi(datum: RootDatum, word, lam, coords, i: int) -> int:
-    best, _, _, wt_i = _sigma_profile(datum, word, lam, coords, i)
+    best, _, _, wt_i = _checked_profile(datum, word, lam, coords, i)
     return (best if lam is INFINITY else max(best, -wt_i)) + wt_i
 
 
 def f_op(datum: RootDatum, word, lam, coords, i: int):
     """Lower by alpha_i; None at the cutoff, never None at infinity."""
-    best, first, _, wt_i = _sigma_profile(datum, word, lam, coords, i)
+    best, first, _, wt_i = _checked_profile(datum, word, lam, coords, i)
     if lam is not INFINITY and best + wt_i <= 0:
         if best + wt_i < 0:
             raise CorruptElementError("negative phi: element outside the cut crystal")
@@ -178,7 +184,7 @@ def f_op(datum: RootDatum, word, lam, coords, i: int):
 
 def e_op(datum: RootDatum, word, lam, coords, i: int):
     """Raise by alpha_i; None when no raise is possible."""
-    best, _, last, wt_i = _sigma_profile(datum, word, lam, coords, i)
+    best, _, last, wt_i = _checked_profile(datum, word, lam, coords, i)
     if best == 0:
         return None
     if lam is not INFINITY and best + wt_i < 0:
@@ -193,15 +199,6 @@ def e_op(datum: RootDatum, word, lam, coords, i: int):
 
 # ---------------------------------------------------------------------------
 # the operator table
-
-
-def _weight(datum, lam):
-    """lam as a tuple, so that a list keys the caches too, and checked first,
-    so that no entry that only equals an int (1.0 == 1) finds a cached table."""
-    if lam is INFINITY:
-        return lam
-    check_weight(datum, lam)
-    return tuple(lam)
 
 
 def is_certified_word(datum: RootDatum, word) -> bool:
@@ -321,10 +318,9 @@ def _operator_table(datum: RootDatum, word, lam) -> _OperatorTable:
     1997), so it is decided once per distinct group (`_decide`).  Raising is
     lowering inverted, eps is read off the decisions, and the state every
     letter kills is the lowest: its coordinates must sum to the depth, and
-    a sweep of them (`_sigma_profile`) must give the statistics it carries."""
-    _validate(datum, word, lam)
-    if lam is INFINITY:
-        raise ValueError("the crystal at infinity is infinite; pass a dominant weight")
+    a sweep of them (`_sigma_profile`) must give the statistics it carries.
+    The weight is checked by `record`, the one way to the table's builder."""
+    check_word_of_longest(datum, word)
     depth = _depth(datum, lam)
     width = depth.bit_length() or 1
     unit = [1 << (width * p) for p in range(len(word))]
@@ -371,27 +367,27 @@ def _operator_table(datum: RootDatum, word, lam) -> _OperatorTable:
         *sigmas, wt = _fields(low_stats >> shift & mask, tops, bits)
         best = max(0, *sigmas)
         hits = [p + 1 for p, sigma in zip(where, sigmas) if sigma == best] or [None]
-        if (best, hits[0], hits[-1], wt) != _sigma_profile(datum, word, lam, coords, i, check=False):
+        if (best, hits[0], hits[-1], wt) != _sigma_profile(datum, word, lam, coords, i):
             raise InvariantError("the lowest state's statistics in %d-bit fields do not match its coordinates" % bits)
     return table
 
 
 def crystal_states(datum: RootDatum, word, lam) -> tuple:
     """All elements of the cut crystal in ladder coordinates, sorted: the
-    keys of a table built afresh, which needs no strings, decoded."""
-    table = _operator_table(datum, tuple(word), _weight(datum, lam))
+    record's keys decoded."""
+    table = record(datum, word, lam).table
     return tuple(sorted(_coords(table, key, len(word)) for key in table.keys))
 
 
 def string_coords(datum: RootDatum, word, lam, state) -> tuple:
     """String parametrization of one cut-crystal element, read off the
-    record's certified strings at the state's place in the table's keys."""
-    word, lam, state = tuple(word), _weight(datum, lam), tuple(state)
-    check_integers("state", state)
-    table, strings, *_ = _crystal(datum, word, lam)
+    record's certified strings at the state's place in the table's keys; a
+    well-formed state outside the table raises InvariantError."""
+    table, strings, *_ = record(datum, word, lam)
+    state = tuple(state)
+    _check_state(word, state)
     key = sum(a << (table.width * p) for p, a in enumerate(state))
-    packed = len(state) == len(word) and all(0 <= a <= table.depth for a in state)
-    if not packed or key not in table.keys:
+    if max(state) > table.depth or key not in table.keys:
         raise InvariantError("non-normal state: not in the generated crystal")
     return strings[table.keys.index(key)]
 
@@ -404,17 +400,23 @@ def _string_table(table: _OperatorTable, word) -> tuple:
     string of the raised element from position 2 on.  Each distinct state
     reaching position p is raised there once, along the table's raising
     indices, so the work is the sum of the level sizes rather than N times
-    the crystal; a level keeps each state's top, its count being its epsilon."""
+    the crystal; a level keeps each state's top, its count being its epsilon.
+    In table order e_i b comes before b (a state's depth is its coordinate
+    sum), so b takes the top of e_i b when e_i b is in the level."""
     levels = []
     frontier = range(len(table.keys))
     for i in word:
         up, eps = table.up[i - 1], table.eps[i - 1]
         step = {}
-        for b in frontier:
-            top, count = b, 0
-            while up[top] >= 0:
-                top = up[top]
-                count += 1
+        for b in sorted(frontier):
+            parent = up[b]
+            if parent in step:
+                count, top = eps[parent] + 1, step[parent]
+            else:
+                top, count = b, 0
+                while up[top] >= 0:
+                    top = up[top]
+                    count += 1
             if count != eps[b]:
                 raise InvariantError("non-normal state: not in the generated crystal")
             step[b] = top
@@ -481,18 +483,22 @@ def _crystal(datum: RootDatum, word, lam) -> _Crystal:
     return _Crystal(table, points, masks, {}, datum)
 
 
-def string_incidence(datum: RootDatum, word, lam) -> tuple:
-    """(strings, masks) of the record at (datum, word, lam)."""
-    return _crystal(datum, tuple(word), _weight(datum, lam))[1:3]
+def record(datum: RootDatum, word, lam) -> _Crystal:
+    """The record at (datum, word, lam), word and lam as tuples so that lists
+    key the cache too; lam is checked here, the word when its record is built."""
+    if lam is INFINITY:
+        raise ValueError("the crystal at infinity is infinite; pass a dominant weight")
+    check_weight(datum, lam)  # before the cache: no 1.0 finds the record of 1
+    return _crystal(datum, tuple(word), tuple(lam))
 
 
 def _view(datum, word, lam, *folds) -> polytopes.PointSet:
     """The record's strings in the AND of the (w, opposite) folds, or all."""
-    record = _crystal(datum, tuple(word), _weight(datum, lam))
-    mask = (1 << len(record.strings)) - 1
+    rec = record(datum, word, lam)
+    mask = (1 << len(rec.strings)) - 1
     for w, opposite in folds:
-        mask &= _fold(record, w, opposite)
-    return polytopes.PointSet(mask, record.strings)
+        mask &= fold(rec, w, opposite)
+    return polytopes.PointSet(mask, rec.strings)
 
 
 def generate_b_lambda(datum: RootDatum, word, lam) -> polytopes.PointSet:
@@ -525,7 +531,7 @@ def _closure(step, members: int) -> int:
     return polytopes.flags_mask(flags)
 
 
-def _fold(record: _Crystal, w: WeylElement, opposite: bool) -> int:
+def fold(record: _Crystal, w: WeylElement, opposite: bool) -> int:
     """The mask of B_w(lam), or of B^w(lam) when opposite, filed in the
     record: B_e is state 0, B_w = F_i B_{s_i w} for the least left descent i
     of w, B^{w_0} the lowest state, B^w = E_i B^{s_i w} for the least ascent."""
@@ -537,7 +543,7 @@ def _fold(record: _Crystal, w: WeylElement, opposite: bool) -> int:
             mask = 1 << table.lowest if opposite else 1
         else:
             step = (table.up if opposite else table.down)[letters[0] - 1]
-            mask = _closure(step, _fold(record, left_mul(letters[0], w), opposite))
+            mask = _closure(step, fold(record, left_mul(letters[0], w), opposite))
         record.folds[opposite, w] = mask
     return mask
 

@@ -16,16 +16,16 @@ The two decomposition results being exercised:
 Both are checked against the crystal route on every call and raise
 TheoremViolationError on any discrepancy.  The faces are cut by set
 arithmetic over the crystal's one cached record per (datum, word, lambda),
-read by `crystals.string_incidence`: its strings, on the standard word
-certified once, when the record is built, to be the string polytope's
+looked up once per call (`crystals.record`): its strings, on the standard
+word certified once, when the record is built, to be the string polytope's
 lattice points, and one bitmask per row over them (bit i set when string i
 lies on the row), so a face is the AND of its rows' masks and a union the OR
-of its faces.  A union stays that mask, a `polytopes.PointSet` view over the
-record's strings; the (opposite) Demazure crystal is a view over the same
-strings, so the check compares two ints, a count is a bit count, and the
-strings are decoded only where they are read.  The GT/SGT side counts its
-face unions the same way over the lattice points of the model polytope, in
-sweep order (`polytopes.lattice_incidence`).  Each facet block of a record
+of its faces.  The (opposite) Demazure crystal is the record's fold mask over
+the same strings (`crystals.fold`), so the check compares two ints, a count
+is a bit count, and the union, a `polytopes.PointSet` view, decodes its
+strings only where they are read.  The GT/SGT side counts its face unions
+the same way over the lattice points of the model polytope, in sweep order
+(`polytopes.lattice_incidence`).  Each facet block of a record
 or table has a point on all its rows, certified when it is built, so no face
 is empty.  Only these are cached; the crystal comparison runs on every call.
 
@@ -102,17 +102,13 @@ def _face_union(tights, masks, count: int) -> int:
     return union
 
 
-def _decompose(tights, masks, points):
-    """The faces of `points` that the tight sets index, the union a view
-    over `points`."""
-    union = _face_union(tights, masks, len(points))
-    return FaceDecomposition(tights, polytopes.PointSet(union, points))
-
-
-def _check_union(theorem, datum, lam, w, dec, expected):
-    """The decomposition, once its lattice union equals the crystal's: two
-    views over one table compare their masks, anything else by content."""
-    if dec.union != expected:
+def _decompose(theorem, datum, word, w, lam, tights, block: int, opposite: bool) -> FaceDecomposition:
+    """The faces that the tight sets index, 1-based into the record's rows
+    from `block` on, once the OR of their masks is the fold of w on its side."""
+    record = crystals.record(datum, word, lam)
+    union = _face_union(tights, record.masks[block:], len(record.strings))
+    crystal = crystals.fold(record, w, opposite)
+    if union != crystal:
         raise TheoremViolationError(
             {
                 "theorem": theorem,
@@ -120,31 +116,26 @@ def _check_union(theorem, datum, lam, w, dec, expected):
                 "rank": datum.rank,
                 "lambda": list(lam),
                 "w": list(reduced_word(w)),
-                "face_union": len(dec.union),
-                "crystal": len(expected),
+                "face_union": union.bit_count(),
+                "crystal": crystal.bit_count(),
             }
         )
-    return dec
+    return FaceDecomposition(tights, polytopes.PointSet(union, record.strings))
 
 
 def opposite_demazure_faces(datum: RootDatum, w: WeylElement, lam, word=None) -> FaceDecomposition:
     """Lambda-bound faces indexed by the extractions of w; the lattice union
     must reproduce the opposite Demazure crystal."""
     word = tuple(word) if word is not None else standard_word(datum)
-    points, masks = crystals.string_incidence(datum, word, lam)
-    dec = _decompose(compatible_subsets(datum, word, w), masks, points)
-    expected = crystals.opposite_demazure_crystal(datum, word, w, lam)
-    return _check_union("opposite-demazure-faces", datum, lam, w, dec, expected)
+    tights = compatible_subsets(datum, word, w)
+    return _decompose("opposite-demazure-faces", datum, word, w, lam, tights, 0, True)
 
 
 def demazure_faces(datum: RootDatum, w: WeylElement, lam) -> FaceDecomposition:
     """String-cone faces indexed by the box-removal set of w; the lattice
     union must reproduce the Demazure crystal."""
-    word = standard_word(datum)
-    points, masks = crystals.string_incidence(datum, word, lam)
-    dec = _decompose(schubert_class(datum, w, "kogan"), masks[datum.num_positive_roots :], points)
-    expected = crystals.demazure_crystal(datum, word, w, lam)
-    return _check_union("demazure-faces", datum, lam, w, dec, expected)
+    tights = schubert_class(datum, w, "kogan")
+    return _decompose("demazure-faces", datum, standard_word(datum), w, lam, tights, datum.num_positive_roots, False)
 
 
 @lru_cache(maxsize=None)
@@ -202,8 +193,6 @@ def side_volume(datum: RootDatum, side: str, w: WeylElement, lam) -> Fraction:
     Kogan class of e are each the whole polytope, ((),)."""
     if side not in ("schubert", "opposite"):
         raise ValueError("side must be 'schubert' or 'opposite'")
-    lam = tuple(lam)
-    check_weight(datum, lam)
     ctx = default_context(datum)
     w0, e = longest_element(datum), identity_element(datum)
     low, high = (w, w0) if side == "opposite" else (e, w)
@@ -332,7 +321,9 @@ class DeformedContext:
 
     def divisor(self, lam) -> dict:
         """D = sum_j h_j x_j in normal form {1 << t: coefficient}, for h_j the
-        right side of row j of the undeformed model polytope at lam."""
+        right side of row j of the undeformed model polytope at lam, which
+        must be dominant with int entries: D in the type cone, exactly."""
+        check_weight(self.datum, lam)
         form = Counter()
         for j, (_, h) in enumerate(polytopes.model_polytope(self.datum, lam).ineqs):
             self._add_row(form, j, h)

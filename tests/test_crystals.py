@@ -43,7 +43,7 @@ def _fold_states(datum, word, w, lam, opposite):
     """The ladder states of the record's fold mask of B_w(lam), or of B^w(lam)
     when opposite, over the table order."""
     states = ref.table_states(datum, word, lam)
-    return frozenset(pt.mask_points(cr._fold(cr._crystal(datum, word, lam), w, opposite), states))
+    return frozenset(pt.mask_points(cr.fold(cr._crystal(datum, word, lam), w, opposite), states))
 
 
 def _lowest(datum, word, lam):
@@ -144,12 +144,12 @@ def test_b_lambda_size_decodes_no_string(monkeypatch):
         (C3, standard_word(C3), (1, 1, 1)),
     ]
     for datum, word, lam in cases:
-        cr.string_incidence(datum, word, lam)
+        cr.record(datum, word, lam)
     monkeypatch.setattr(pt, "mask_points", refuse)
     for datum, word, lam in cases:
         points = cr.generate_b_lambda(datum, word, lam)
         assert isinstance(points, pt.PointSet)
-        assert points.points is cr.string_incidence(datum, word, lam)[0]
+        assert points.points is cr.record(datum, word, lam).strings
         assert len(points) == weyl_dimension(datum, lam)
         assert points == cr.demazure_crystal(datum, word, longest_element(datum), lam)
 
@@ -435,7 +435,7 @@ def _incidence_cases():
 def test_string_incidence_matches_the_enumeration_route(datum, word, lam):
     # the same points, each tight on the same rows, as the lattice-point
     # enumeration (or, off the standard word, the sorted strings)
-    points, masks = cr.string_incidence(datum, word, lam)
+    _, points, masks, *_ = cr.record(datum, word, lam)
     expected_points, expected_masks = ref.enumerated_string_incidence(datum, word, lam)
     assert len(points) == len(expected_points)
     assert len(masks) == len(expected_masks)
@@ -443,7 +443,7 @@ def test_string_incidence_matches_the_enumeration_route(datum, word, lam):
 
 
 def test_every_facet_block_has_a_common_string_on_every_reduced_word():
-    # the block certificate of `string_incidence` holds on all 16 reduced
+    # the block certificate of the record holds on all 16 reduced
     # words of w0 in A3 and all 42 in C3: one block (the lambda rows) off the
     # standard word, two (the lambda rows, the cone rows) on it
     for datum, words in ((A3, 16), (C3, 42)):
@@ -452,7 +452,7 @@ def test_every_facet_block_has_a_common_string_on_every_reduced_word():
         found = all_reduced_words(longest_element(datum))
         assert len(found) == words
         for word in found:
-            _, masks = cr.string_incidence(datum, word, lam)
+            masks = cr.record(datum, word, lam).masks
             blocks = [masks[lo : lo + size] for lo in range(0, len(masks), size)]
             assert len(blocks) == (2 if word == standard_word(datum) else 1)
             assert all(reduce(operator.and_, block) for block in blocks), word
@@ -575,10 +575,19 @@ def test_string_coords_refuses_a_state_that_packs_onto_another():
     # A2 at (1, 0) has depth 2 and fields of two bits, and the state
     # (1, 1, 0) has key 1 + 4 = 5: a coordinate past the depth, a negative
     # one or a trailing zero packs each of these onto 5, and (1,) onto the
-    # key 1 of (1, 0, 0)
+    # key 1 of (1, 0, 0).  A malformed state is refused as `f_op` refuses
+    # it, with ValueError; a well-formed one past the depth is not in the
+    # table, an internal fault
     assert cr.string_coords(A2, IA2, (1, 0), (1, 1, 0)) == (0, 1, 1)
-    for state in ((5, 0, 0), (-3, 2, 0), (1, -3, 1), (1, 1, 0, 0), (1,)):
-        with pytest.raises(InvariantError, match="^non-normal state"):
+    with pytest.raises(InvariantError, match="^non-normal state"):
+        cr.string_coords(A2, IA2, (1, 0), (5, 0, 0))
+    for state, message in (
+        ((-3, 2, 0), "negative coordinate"),
+        ((1, -3, 1), "negative coordinate"),
+        ((1, 1, 0, 0), "does not have the 3 coordinates"),
+        ((1,), "does not have the 3 coordinates"),
+    ):
+        with pytest.raises(ValueError, match=message):
             cr.string_coords(A2, IA2, (1, 0), state)
 
 
@@ -652,7 +661,7 @@ def test_folds_through_every_descent_and_ascent():
                 v = left_mul(i, w)
                 opposite = length(v) > length(w)
                 step = (record.table.up if opposite else record.table.down)[i - 1]
-                assert cr._closure(step, cr._fold(record, v, opposite)) == cr._fold(record, w, opposite)
+                assert cr._closure(step, cr.fold(record, v, opposite)) == cr.fold(record, w, opposite)
 
 
 def test_folds_reject_other_group():
@@ -672,10 +681,32 @@ def test_one_crystal_costs_one_record_miss():
     cr.opposite_demazure_crystal(A2, IA2, s1, list(lam))
     cr.richardson_lattice_points(A2, IA2, s1, w0, lam)
     cr.string_coords(A2, IA2, lam, (1, 1, 0))
+    cr.crystal_states(A2, IA2, lam)
     fc.opposite_demazure_faces(A2, s1, lam)
     fc.demazure_faces(A2, s1, lam)
     info = cr._crystal.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
+
+
+class _CountingRow(tuple):
+    """A table row that counts the reads of its entries."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        _CountingRow.reads += 1
+        return tuple.__getitem__(self, k)
+
+
+def test_string_table_reads_each_raise_about_once():
+    # A1 at (2000,) is one string of 2001 states: each state's top is read
+    # off its parent's, not walked to afresh (about n^2 / 2 = 2,000,000 reads)
+    table = cr._operator_table(A1, standard_word(A1), (2000,))
+    counting = table._replace(up=(_CountingRow(table.up[0]),))
+    _CountingRow.reads = 0
+    strings = cr._string_table(counting, standard_word(A1))
+    assert strings == tuple((k,) for k in range(2001))
+    assert _CountingRow.reads <= 2 * len(table.keys)
 
 
 def test_folds_are_filed_in_the_record_and_built_again_after_a_clear(monkeypatch):
@@ -790,6 +821,18 @@ LIST_WEIGHT_CALLS = {
 def test_weight_may_be_a_list(name):
     call = LIST_WEIGHT_CALLS[name]
     assert call([2, 1]) == call((2, 1))
+
+
+@pytest.mark.parametrize("name", sorted(LIST_WEIGHT_CALLS))
+def test_record_checks_the_weight_before_its_cache(name):
+    # (1.0, 1) == (1, 1) as a cache key: every reader goes through `record`,
+    # which refuses the float entry even when the record of (1, 1) is warm
+    call = LIST_WEIGHT_CALLS[name]
+    call((1, 1))
+    with pytest.raises(ValueError, match="not an integer"):
+        call((1.0, 1))
+    with pytest.raises(ValueError, match="not an integer"):
+        cr.record(A2, IA2, (1.0, 1))
 
 
 LIST_WORD_CALLS = {

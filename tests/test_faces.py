@@ -383,6 +383,14 @@ def test_divisor_powers_match_the_power_loop():
             assert _nonzero(form) == _nonzero(ref), (w, k)
 
 
+@pytest.mark.parametrize("lam", [(1.5, 1, 1), (1, -1, 1), (1, 1)], ids=["float", "negative", "length"])
+def test_divisor_refuses_a_weight_that_is_not_dominant_with_int_entries(lam):
+    # (1.5, 1, 1) once gave float coefficients, and (1, -1, 1) a divisor
+    # outside the type cone
+    with pytest.raises(ValueError, match="not an integer|not dominant"):
+        fc.default_context(C3).divisor(lam)
+
+
 def test_classes_are_built_once_per_context(monkeypatch):
     # the C3 duality suite on a fresh default context requests each class,
     # one per element and family, once
@@ -563,50 +571,80 @@ def test_pairing_and_product_refuse_a_context_of_another_datum():
     assert fc.degree_pairing(C2, s1, multiply(longest_element(C2), s1), fc.default_context(C2)) == 1
 
 
+def _plant_fold(monkeypatch, w, opposite, planted):
+    """`crystals.fold` with the mask of w on the given side replaced."""
+    fold = cr.fold
+    monkeypatch.setattr(
+        fc.crystals, "fold", lambda record, u, side: planted if (u, side) == (w, opposite) else fold(record, u, side)
+    )
+
+
 @pytest.mark.parametrize(
-    "crystal, decompose",
+    "opposite, decompose",
     [
-        ("opposite_demazure_crystal", fc.opposite_demazure_faces),
-        ("demazure_crystal", fc.demazure_faces),
+        (True, fc.opposite_demazure_faces),
+        (False, fc.demazure_faces),
     ],
     ids=["opposite", "demazure"],
 )
-def test_face_union_refuses_a_crystal_side_with_one_wrong_string(monkeypatch, crystal, decompose):
+def test_face_union_refuses_a_crystal_side_with_one_wrong_string(monkeypatch, opposite, decompose):
     # the crystal side has the face union's size, but one of its strings is
-    # replaced by one outside B(lambda): comparing sizes alone would pass it
+    # replaced by one outside B(lambda), a bit past the record's strings:
+    # comparing sizes alone would pass it
     w = word_to_element(A2, (1,))
-    true = getattr(cr, crystal)(A2, standard_word(A2), w, (1, 1))
-    planted = (true - {max(true)}) | {(9, 9, 9)}
-    monkeypatch.setattr(fc.crystals, crystal, lambda *args: planted)
+    record = cr.record(A2, standard_word(A2), (1, 1))
+    true = cr.fold(record, w, opposite)
+    planted = true ^ 1 << true.bit_length() - 1 | 1 << len(record.strings)
+    _plant_fold(monkeypatch, w, opposite, planted)
     with pytest.raises(fc.TheoremViolationError) as err:
         decompose(A2, w, (1, 1))
-    assert err.value.payload["face_union"] == err.value.payload["crystal"] == len(true)
+    assert err.value.payload["face_union"] == err.value.payload["crystal"] == true.bit_count()
 
 
 @pytest.mark.parametrize(
-    "crystal, decompose",
+    "opposite, decompose",
     [
-        ("opposite_demazure_crystal", fc.opposite_demazure_faces),
-        ("demazure_crystal", fc.demazure_faces),
+        (True, fc.opposite_demazure_faces),
+        (False, fc.demazure_faces),
     ],
     ids=["opposite", "demazure"],
 )
 def test_face_union_refuses_a_view_over_the_same_strings_with_one_bit_moved(
-    monkeypatch, crystal, decompose
+    monkeypatch, opposite, decompose
 ):
-    # the crystal side is a view over the table's own strings with the face
-    # union's bit count, one of its strings swapped for another string of
-    # B(lambda): comparing bit counts alone would pass it
+    # the crystal side is a fold mask over the record's own strings with the
+    # face union's bit count, one of its strings swapped for another string
+    # of B(lambda): comparing bit counts alone would pass it
     w = word_to_element(A2, (1,))
-    true = getattr(cr, crystal)(A2, standard_word(A2), w, (1, 1))
-    assert true.points is cr.string_incidence(A2, standard_word(A2), (1, 1))[0]
-    free = next(k for k in range(len(true.points)) if not true.mask >> k & 1)
-    planted = pt.PointSet(true.mask & (true.mask - 1) | 1 << free, true.points)
-    assert len(planted) == len(true) and planted != true
-    monkeypatch.setattr(fc.crystals, crystal, lambda *args: planted)
+    record = cr.record(A2, standard_word(A2), (1, 1))
+    true = cr.fold(record, w, opposite)
+    crystal = cr.opposite_demazure_crystal if opposite else cr.demazure_crystal
+    assert crystal(A2, standard_word(A2), w, (1, 1)) == pt.PointSet(true, record.strings)
+    free = next(k for k in range(len(record.strings)) if not true >> k & 1)
+    planted = true & (true - 1) | 1 << free
+    assert planted.bit_count() == true.bit_count() and planted != true
+    _plant_fold(monkeypatch, w, opposite, planted)
     with pytest.raises(fc.TheoremViolationError) as err:
         decompose(A2, w, (1, 1))
-    assert err.value.payload["face_union"] == err.value.payload["crystal"] == len(true)
+    assert err.value.payload["face_union"] == err.value.payload["crystal"] == true.bit_count()
+
+
+def test_each_face_decomposition_takes_one_record_lookup_and_one_weight_check(monkeypatch):
+    # one lookup of the record and one check of the weight per call, on a
+    # cold record and on a warm one
+    checks = []
+    check_weight = cr.check_weight
+    for module in (cr, fc):
+        monkeypatch.setattr(module, "check_weight", lambda datum, lam: checks.append(lam) or check_weight(datum, lam))
+    w = word_to_element(A3, (2, 1))
+    cr._crystal.cache_clear()
+    for decompose in (fc.opposite_demazure_faces, fc.demazure_faces) * 2:
+        before, checks[:] = cr._crystal.cache_info(), []
+        decompose(A3, w, (1, 0, 1))
+        after = cr._crystal.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + 1
+        assert checks == [(1, 0, 1)]
+    assert cr._crystal.cache_info().misses == 1
 
 
 def test_product_identity():

@@ -84,7 +84,7 @@ def test_string_property_spot_rank_three():
     ws = rng.sample(list(all_elements(C3)), 4)
     for w in ws:
         states = ref.table_states(C3, word, lam)
-        opp = set(pt.mask_points(cr._fold(cr._crystal(C3, word, lam), w, True), states))
+        opp = set(pt.mask_points(cr.fold(cr._crystal(C3, word, lam), w, True), states))
         for i in (1, 2, 3):
             for chain in ref.i_strings(C3, word, lam, i):
                 inter = [s for s in chain if s in opp]

@@ -106,21 +106,22 @@ def test_verify_path_decodes_no_point(monkeypatch):
 
 @pytest.fixture
 def one_wrong_crystal_string(monkeypatch):
-    """The opposite Demazure crystal of s_1 at A2 (1, 1) with one string
-    replaced by one outside B(lambda), as `faces` reads it; every other
-    crystal stays true."""
+    """The opposite Demazure fold of s_1 at A2 (1, 1) with one string
+    replaced by one outside B(lambda), a bit past the record's strings, as
+    `faces` reads it; every other fold stays true."""
     A2 = RootDatum("A", 2)
     s1 = word_to_element(A2, (1,))
-    true = crystals.opposite_demazure_crystal
+    true = crystals.fold
+    target = crystals.record(A2, standard_word(A2), (1, 1))
 
-    def planted(datum, word, w, lam):
-        out = true(datum, word, w, lam)
-        if (datum, w, tuple(lam)) == (A2, s1, (1, 1)):
-            out = (out - {max(out)}) | {(9, 9, 9)}
+    def planted(record, w, opposite):
+        out = true(record, w, opposite)
+        if record is target and (w, opposite) == (s1, True):
+            out = out ^ 1 << out.bit_length() - 1 | 1 << len(record.strings)
         return out
 
-    monkeypatch.setattr(faces.crystals, "opposite_demazure_crystal", planted)
-    return len(true(A2, standard_word(A2), s1, (1, 1)))
+    monkeypatch.setattr(faces.crystals, "fold", planted)
+    return true(target, s1, True).bit_count()
 
 
 def test_theorem1_suite_reports_a_crystal_side_with_one_wrong_string(one_wrong_crystal_string):
