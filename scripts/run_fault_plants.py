@@ -16,7 +16,7 @@ other pytest outcome (no such test, a collection error) is an error.
 
 It prints one line per plant, then the killed, survived and error counts,
 and exits 1 unless every plant is killed.  Each row costs one pytest start
-and one test run (the 55 rows took about a minute and a half on a 2-core
+and one test run (the 60 rows took about a minute and a half on a 2-core
 host), so the script is not part of the test suite, which checks only that
 every anchor occurs once.
 """
@@ -382,6 +382,38 @@ PLANTS = (
         "_check_state(word, state)",
         "pass",
         "tests/test_crystals.py::test_string_coords_refuses_a_state_that_packs_onto_another",
+    ),
+    # the group table's inverse and word columns, the left products read off
+    # the inverses, and the oracle's degree read field by field
+    (
+        "cartan",
+        "if inverse[j] != k or length[j] != length[k]:",
+        "if False:",
+        "tests/test_invariants.py::test_inverse_witness_survives_optimize_flag",
+    ),
+    (
+        "cartan",
+        "if inverse[j] != k or length[j] != length[k]:",
+        "if inverse[j] != k:",
+        "tests/test_cartan.py::test_planted_table_fault_is_caught",
+    ),
+    (
+        "cartan",
+        "words.append((i,) + words[left[i - 1][k]])",
+        "words.append((i + 1,) + words[left[i - 1][k]])",
+        "tests/test_cartan.py::test_word_column_matches_the_descent_walk",
+    ),
+    (
+        "cartan",
+        "left = tuple(tuple(inverse[step[j]] for j in inverse) for step in right)",
+        "left = right",
+        "tests/test_cartan.py::test_left_column_matches_the_composition",
+    ),
+    (
+        "oracles",
+        "total += key >> at & field",
+        "total += key & field",
+        "tests/test_oracles.py::test_field_sum_degree_matches_the_unpacked_degree",
     ),
 )
 

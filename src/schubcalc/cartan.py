@@ -17,14 +17,16 @@ The group arithmetic runs on one table per datum (`_weyl_table`), built once
 on one-line tuples by `_compose`, the composition that `multiply` also
 runs, with one `WeylElement` per element and the inversion count: every
 element in `all_elements` order, an index from one-line form to position,
-per letter the positions of the left and right products by s_i, and the
-lengths, |W| * (2 * rank + 1) integers in all.  `length`, `left_mul`,
-`left_descents`, `left_ascents`, `word_to_element`, `reduced_word`,
-`bruhat_leq` and the subword search of `_extraction_table` walk these integer
-indices and return the table's own elements; a lookup of a non-member raises
-`ValueError`.  The build raises `InvariantError` unless |W| is
-`group_order`, the identity and w_0 sit at the two ends, and every product
-by a simple reflection changes the length by exactly one.
+the position of each inverse, per letter the positions of the left and
+right products by s_i, the lengths, |W| * (2 * rank + 2) integers in all, and
+one reduced word per element.  `length`, `inverse`, `reduced_word`,
+`left_mul`, `left_descents`, `left_ascents`, `word_to_element`,
+`bruhat_leq` and the subword search of `_extraction_table` read these
+integer columns and return the table's own elements; a lookup of a
+non-member raises `ValueError`.  The build raises `InvariantError` unless |W|
+is `group_order`, the identity and w_0 sit at the two ends, the inverse
+column is an involution that keeps the length, and every product by a
+simple reflection changes the length by exactly one.
 """
 
 from __future__ import annotations
@@ -209,11 +211,12 @@ def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
     return WeylElement(u.datum, _compose(u.oneline, v.oneline))
 
 
-def inverse(w: WeylElement) -> WeylElement:
-    out = [0] * len(w.oneline)
-    for j, x in enumerate(w.oneline, start=1):
+def _invert(line: tuple) -> tuple:
+    """The one-line form of the inverse: entry j at x sends x back to j."""
+    out = [0] * len(line)
+    for j, x in enumerate(line, start=1):
         out[abs(x) - 1] = j if x > 0 else -j
-    return WeylElement(w.datum, tuple(out))
+    return tuple(out)
 
 
 def longest_element(datum: RootDatum) -> WeylElement:
@@ -241,18 +244,23 @@ def _inversions(w: WeylElement) -> int:
 class _WeylTable(NamedTuple):
     elements: tuple  # every element, sorted by (length, one-line form)
     index: dict      # one-line form -> its position in `elements`
+    inverse: tuple   # inverse[k]: index of elements[k]^{-1}
     left: tuple      # left[i - 1][k]: index of s_i * elements[k]
     right: tuple     # right[i - 1][k]: index of elements[k] * s_i
     length: tuple    # length[k]: length of elements[k]
+    words: tuple     # words[k]: the reduced word of elements[k] by least left descents
 
 
 @lru_cache(maxsize=None)
 def _weyl_table(datum: RootDatum) -> _WeylTable:
     """The Weyl group of `datum` as integer arrays: the closure of the
     identity under right products by the simple reflections, on one-line
-    tuples, sorted, with per letter the indices of the right and the left
-    products, each checked to change the length by one (the Coxeter
-    property)."""
+    tuples, sorted, with the index of each inverse, checked to be an
+    involution that keeps the length (l(w^{-1}) = l(w)), per letter the
+    indices of the right products and of the left ones, read as
+    s_i w = (w^{-1} s_i)^{-1}, each checked to change the length by one (the
+    Coxeter property), and per element the word that takes its least left
+    descent first and goes on with the word of s_i w."""
     n = datum.rank
     simple = [simple_element(datum, i).oneline for i in range(1, n + 1)]
     products = {}  # one-line form -> its right products by s_1, ..., s_n
@@ -266,14 +274,22 @@ def _weyl_table(datum: RootDatum) -> _WeylTable:
         raise InvariantError(
             "found %d elements of W(%s%d), expected %d" % (len(products), datum.family, n, expected)
         )
-    inversions = {w: _inversions(w) for w in (WeylElement(datum, line) for line in products)}
-    elements = tuple(sorted(inversions, key=lambda w: (inversions[w], w.oneline)))
+    # sorted by (length, one-line form), which are unique, so no element is
+    # compared or hashed
+    ranked = sorted((_inversions(w), w.oneline, w) for w in map(WeylElement, repeat(datum), products))
+    length, _, elements = zip(*ranked)
     if elements[0] != identity_element(datum) or elements[-1] != longest_element(datum):
         raise InvariantError("the identity and w_0 are not the ends of W(%s%d)" % (datum.family, n))
     index = {w.oneline: k for k, w in enumerate(elements)}
-    length = tuple(inversions[w] for w in elements)
+    inverse = tuple(index[_invert(w.oneline)] for w in elements)
+    for k, j in enumerate(inverse):
+        if inverse[j] != k or length[j] != length[k]:
+            raise InvariantError(
+                "the inverse of %r is %r, whose inverse is %r and length %d, not %d"
+                % (elements[k], elements[j], elements[inverse[j]], length[j], length[k])
+            )
     right = tuple(tuple(index[products[w.oneline][i]] for w in elements) for i in range(n))
-    left = tuple(tuple(index[_compose(s, w.oneline)] for w in elements) for s in simple)
+    left = tuple(tuple(inverse[step[j]] for j in inverse) for step in right)
     for side, steps in (("left", left), ("right", right)):
         for i, step in enumerate(steps, 1):
             for k, j in enumerate(step):
@@ -282,7 +298,12 @@ def _weyl_table(datum: RootDatum) -> _WeylTable:
                         "the %s product of %r by s_%d changes the length by %d"
                         % (side, elements[k], i, length[j] - length[k])
                     )
-    return _WeylTable(elements, index, left, right, length)
+    # s_i w has one letter less and sits earlier in the length order
+    words = [()]
+    for k in range(1, len(elements)):
+        i = next(i for i, step in enumerate(left, 1) if length[step[k]] < length[k])
+        words.append((i,) + words[left[i - 1][k]])
+    return _WeylTable(elements, index, inverse, left, right, length, tuple(words))
 
 
 def _non_member(w: WeylElement) -> ValueError:
@@ -324,6 +345,12 @@ def word_to_element(datum: RootDatum, word) -> WeylElement:
     return table.elements[k]
 
 
+def inverse(w: WeylElement) -> WeylElement:
+    """w^{-1}, read off the group table."""
+    table, k = _locate(w)
+    return table.elements[table.inverse[k]]
+
+
 def left_mul(i: int, w: WeylElement) -> WeylElement:
     check_letter(w.datum, i)
     table, k = _locate(w)
@@ -344,17 +371,11 @@ def left_ascents(w: WeylElement) -> list:
     return [i for i, step in enumerate(table.left, 1) if table.length[step[k]] > lw]
 
 
-@lru_cache(maxsize=None)
 def reduced_word(w: WeylElement) -> tuple:
-    """One reduced word, deterministic (smallest left descent first)."""
+    """One reduced word, deterministic (smallest left descent first), read
+    off the group table."""
     table, k = _locate(w)
-    length, left = table.length, table.left
-    word = []
-    while length[k]:
-        i = next(i for i, step in enumerate(left, 1) if length[step[k]] < length[k])
-        word.append(i)
-        k = left[i - 1][k]
-    return tuple(word)
+    return table.words[k]
 
 
 @lru_cache(maxsize=None)

@@ -386,10 +386,14 @@ def string_coords(datum: RootDatum, word, lam, state) -> tuple:
     table, strings, *_ = record(datum, word, lam)
     state = tuple(state)
     _check_state(word, state)
-    key = sum(a << (table.width * p) for p, a in enumerate(state))
-    if max(state) > table.depth or key not in table.keys:
-        raise InvariantError("non-normal state: not in the generated crystal")
-    return strings[table.keys.index(key)]
+    # a coordinate past the depth could pack onto another state's key
+    if max(state) <= table.depth:
+        key = sum(a << (table.width * p) for p, a in enumerate(state))
+        try:
+            return strings[table.keys.index(key)]
+        except ValueError:
+            pass
+    raise InvariantError("non-normal state: not in the generated crystal")
 
 
 def _string_table(table: _OperatorTable, word) -> tuple:

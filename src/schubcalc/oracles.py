@@ -16,7 +16,8 @@ type A.  A polynomial is a dict {key: int}, the key one int holding the
 exponent of x_j in bit field j (`pack`, `unpack`).  No exponent of a
 polynomial of degree at most N, the number of positive roots, passes N, so a
 field holds N.bit_length() bits, and `poly_mul` refuses a product of a higher
-degree with `InvariantError`, since its fields could carry.  With node 1
+degree with `InvariantError`, since its fields could carry; it reads each
+degree as the sum of a key's fields, with no exponent tuple built.  With node 1
 long, as in `cartan`, type C has alpha_1 = 2x_1, with s_1 negating x_1, and
 alpha_i = x_i - x_{i-1} for i >= 2; type A has alpha_i = x_i - x_{i+1}.  Every
 other s_i swaps the two variables of alpha_i, so each divided difference is a
@@ -43,7 +44,6 @@ from .cartan import (
     check_letter,
     check_weight,
     group_order,
-    identity_element,
     inverse,
     left_ascents,
     left_mul,
@@ -133,10 +133,27 @@ def unpack(datum: RootDatum, poly: dict) -> dict:
     return {tuple(key >> at & (1 << fields.step) - 1 for at in fields): c for key, c in poly.items()}
 
 
+def _degree(datum: RootDatum, poly: dict) -> int:
+    """The highest total degree of a packed polynomial: per key the sum of
+    its bit fields, each shifted down and masked, so a total past N is read
+    exactly and no exponent tuple is built."""
+    fields = _fields(datum)
+    field = (1 << fields.step) - 1
+    top = 0
+    for key in poly:
+        total = 0
+        for at in fields:
+            total += key >> at & field
+        if total > top:
+            top = total
+    return top
+
+
 def poly_mul(datum: RootDatum, f: dict, g: dict) -> dict:
     """f * g: exponents add field by field, with no carry while the degrees
-    add up to at most N."""
-    degrees = [max(map(sum, unpack(datum, h)), default=0) for h in (f, g)]
+    add up to at most N.  Each degree is the largest sum of a key's bit
+    fields (`_degree`), so the guard decodes no monomial to a tuple."""
+    degrees = [_degree(datum, h) for h in (f, g)]
     if sum(degrees) > datum.num_positive_roots:
         raise InvariantError("degrees %d + %d overflow the exponent fields" % tuple(degrees))
     out = {}
@@ -224,7 +241,7 @@ _representative = schubert_representative
 
 def check_normalization(datum: RootDatum):
     """The identity representative must be the constant |W|."""
-    if dict(schubert_representative(datum, identity_element(datum))) != {0: group_order(datum)}:
+    if dict(schubert_representative(datum, all_elements(datum)[0])) != {0: group_order(datum)}:
         raise InvariantError("top-class normalization failed; convention error")
 
 

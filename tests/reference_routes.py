@@ -1,5 +1,6 @@
 """Slow reference routes that the library's table-driven code is tested
-against: the Weyl group by one-line arithmetic, the length by the root
+against: the Weyl group and its inverses by one-line arithmetic, reduced
+words by the descent walk on the group table, the length by the root
 action, the coroots, the crystal's depth and the Weyl dimension by the
 symmetrized Cartan matrix and root norms over Fractions, the crystal read off
 `f_op`/`e_op` state by state, the operator table's packed keys decoded field
@@ -36,7 +37,9 @@ from schubcalc import pipedreams as pd
 from schubcalc import polytopes as pt
 from schubcalc.cartan import (
     InvariantError,
+    WeylElement,
     _inversions,
+    _weyl_table,
     all_reduced_words,
     bruhat_leq,
     cartan_matrix,
@@ -109,6 +112,28 @@ def oneline_reduced_word(w):
         i = _first_left_descent(w)
         word.append(i)
         w = oneline_left_mul(i, w)
+    return tuple(word)
+
+
+def oneline_inverse(w):
+    """w^{-1} by one-line arithmetic: entry j at x sends x back to j."""
+    out = [0] * len(w.oneline)
+    for j, x in enumerate(w.oneline, start=1):
+        out[abs(x) - 1] = j if x > 0 else -j
+    return WeylElement(w.datum, tuple(out))
+
+
+def table_reduced_word(w):
+    """The reduced word that takes the smallest left descent first, by the
+    descent walk on the group table's left and length columns."""
+    table = _weyl_table(w.datum)
+    k = table.index[w.oneline]
+    length, left = table.length, table.left
+    word = []
+    while length[k]:
+        i = next(i for i, step in enumerate(left, 1) if length[step[k]] < length[k])
+        word.append(i)
+        k = left[i - 1][k]
     return tuple(word)
 
 

@@ -19,6 +19,7 @@ from schubcalc.cartan import (
     cartan_matrix,
     compatible_subsets,
     identity_element,
+    inverse,
     left_descents,
     left_mul,
     length,
@@ -254,6 +255,35 @@ def test_table_matches_oneline_arithmetic(datum):
         assert word_to_element(datum, reduced_word(w)) == w
 
 
+@pytest.mark.parametrize("datum", TABLE_DATA, ids=repr)
+def test_inverse_column_matches_the_oneline_loop(datum):
+    table = _weyl_table(datum)
+    e = identity_element(datum)
+    for k, w in enumerate(table.elements):
+        assert table.elements[table.inverse[k]] == ref.oneline_inverse(w)
+        assert inverse(w) is table.elements[table.inverse[k]]
+        assert multiply(w, inverse(w)) == e
+
+
+@pytest.mark.parametrize("datum", TABLE_DATA, ids=repr)
+def test_word_column_matches_the_descent_walk(datum):
+    table = _weyl_table(datum)
+    for k, w in enumerate(table.elements):
+        assert table.words[k] == ref.table_reduced_word(w)
+        assert reduced_word(w) is table.words[k]
+
+
+@pytest.mark.parametrize("datum", TABLE_DATA, ids=repr)
+def test_left_column_matches_the_composition(datum):
+    # the column is read off the inverses and the right products; the
+    # composition is the route it replaced
+    table = _weyl_table(datum)
+    lines = [w.oneline for w in table.elements]
+    for i, step in enumerate(table.left, 1):
+        s = simple_element(datum, i).oneline
+        assert [lines[j] for j in step] == [_compose(s, line) for line in lines]
+
+
 ROOT_DATA = tuple(RootDatum("A", n) for n in range(1, 7)) + tuple(RootDatum("C", n) for n in range(2, 6))
 
 
@@ -341,6 +371,21 @@ def _plant_broken_edge(monkeypatch, datum):
     )
 
 
+def _plant_inverse(monkeypatch, planted):
+    monkeypatch.setattr(cartan, "_invert", lambda line, true=cartan._invert: planted.get(line) or true(line))
+
+
+def _plant_non_involution(monkeypatch, datum):
+    # s_1 inverts to the identity, which inverts to itself
+    _plant_inverse(monkeypatch, {simple_element(datum, 1).oneline: identity_element(datum).oneline})
+
+
+def _plant_length_changing_inverse(monkeypatch, datum):
+    # the identity and s_1 trade inverses: an involution that moves the length
+    e, s1 = identity_element(datum).oneline, simple_element(datum, 1).oneline
+    _plant_inverse(monkeypatch, {e: s1, s1: e})
+
+
 def _plant_lost_element(monkeypatch, datum):
     w0 = longest_element(datum).oneline
     monkeypatch.setattr(
@@ -354,8 +399,17 @@ def _plant_lost_element(monkeypatch, datum):
         (_plant_wrong_length, "changes the length by 2"),
         (_plant_broken_edge, "changes the length by 0"),
         (_plant_lost_element, "found 5 elements of W\\(A2\\), expected 6"),
+        (
+            _plant_non_involution,
+            "the inverse of WA2\\[2, 1, 3\\] is WA2\\[1, 2, 3\\], whose inverse is WA2\\[1, 2, 3\\]",
+        ),
+        (
+            _plant_length_changing_inverse,
+            "the inverse of WA2\\[1, 2, 3\\] is WA2\\[2, 1, 3\\], whose inverse is WA2\\[1, 2, 3\\] "
+            "and length 1, not 0",
+        ),
     ],
-    ids=["wrong-length", "broken-edge", "lost-element"],
+    ids=["wrong-length", "broken-edge", "lost-element", "non-involution", "length-changing-inverse"],
 )
 def test_planted_table_fault_is_caught(monkeypatch, plant, message):
     _weyl_table.cache_clear()
@@ -409,6 +463,7 @@ def test_table_lookup_of_a_non_member_raises_value_error():
             lambda: left_mul(1, bad),
             lambda: left_descents(bad),
             lambda: reduced_word(bad),
+            lambda: inverse(bad),
             lambda: bruhat_leq(bad, e),
             lambda: bruhat_leq(e, bad),
             lambda: demazure_crystal(A2, standard_word(A2), bad, (1, 1)),

@@ -591,6 +591,20 @@ def test_string_coords_refuses_a_state_that_packs_onto_another():
             cr.string_coords(A2, IA2, (1, 0), state)
 
 
+def test_string_coords_of_every_state_are_the_record_strings_in_table_order():
+    # each state is found by one scan of the table's keys; a well-formed
+    # state within the depth that the crystal lacks is still refused
+    word, lam = standard_word(A3), (3, 3, 3)
+    rec = cr.record(A3, word, lam)
+    states = ref.table_states(A3, word, lam)
+    assert len(states) == 4096
+    assert tuple(cr.string_coords(A3, word, lam, state) for state in states) == rec.strings
+    members = set(states)
+    outside = next(s for s in itertools.product(range(rec.table.depth + 1), repeat=len(word)) if s not in members)
+    with pytest.raises(InvariantError, match="^non-normal state"):
+        cr.string_coords(A3, word, lam, outside)
+
+
 def _planted_layout(monkeypatch, position, field, bump):
     """The statistics layout with the move of one word position changed by
     bump in one field.  On the word (1, 2, 1) of A2 the fields are the

@@ -272,6 +272,25 @@ except InvariantError as err:
 """
 
 
+# the one-line inverse planted on the group table's build: s_1 inverting to
+# the identity breaks the involution, and the identity and s_1 trading
+# inverses keeps it but moves the length, which l(w^{-1}) = l(w) refuses
+PLANTED_INVERSE = """
+from schubcalc import cartan
+from schubcalc.cartan import InvariantError, RootDatum
+
+A2 = RootDatum("A", 2)
+e, s1 = (1, 2, 3), (2, 1, 3)
+planted = %s
+true = cartan._invert
+cartan._invert = lambda line: planted.get(line) or true(line)
+try:
+    print(len(cartan.all_elements(A2)))
+except InvariantError as err:
+    print("InvariantError:", err)
+"""
+
+
 # x_1^4 * x_1^4 in C2, whose fields are 3 bits since N = 4: the product has
 # degree 8 > N, and x_1^8 would carry into x_2, so it must be refused
 FIELD_OVERFLOW = """
@@ -404,6 +423,19 @@ def test_weyl_table_invariant_survives_optimize_flag():
     assert out.startswith(expected), out
 
 
+def test_inverse_witness_survives_optimize_flag():
+    assert _run_optimized(PLANTED_INVERSE % "{}") == "6\n"
+    out = _run_optimized(PLANTED_INVERSE % "{s1: e}")
+    expected = "InvariantError: the inverse of WA2[2, 1, 3] is WA2[1, 2, 3], whose inverse is WA2[1, 2, 3]"
+    assert out.startswith(expected), out
+    out = _run_optimized(PLANTED_INVERSE % "{e: s1, s1: e}")
+    expected = (
+        "InvariantError: the inverse of WA2[1, 2, 3] is WA2[2, 1, 3], whose inverse is WA2[1, 2, 3] "
+        "and length 1, not 0"
+    )
+    assert out.startswith(expected), out
+
+
 def test_field_width_witness_survives_optimize_flag():
     out = _run_optimized(FIELD_OVERFLOW)
     assert out.startswith("InvariantError: degrees 4 + 4 overflow the exponent fields"), out
@@ -419,7 +451,7 @@ def test_library_has_no_assert_statements():
     assert not found, found
 
 
-def test_library_holds_23_lru_caches():
+def test_library_holds_22_lru_caches():
     # every cache is one more thing to clear, size and keep in step: a new
     # one moves this count on purpose
     count = sum(
@@ -427,7 +459,7 @@ def test_library_holds_23_lru_caches():
         for path in sorted(PACKAGE.glob("*.py"))
         for line in path.read_text().splitlines()
     )
-    assert count == 23
+    assert count == 22
 
 
 def test_oracles_import_no_validated_module():

@@ -146,6 +146,20 @@ def test_field_width_witness_refuses_a_carry():
     }
 
 
+@seed(SEED)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([A2, C2, A3, C3]), st.data())
+def test_field_sum_degree_matches_the_unpacked_degree(datum, data):
+    # exponents 0..N in each variable: the totals run past N, where the guard
+    # must still read them exactly, one field at a time
+    top, size = datum.num_positive_roots, num_variables(datum)
+    monos = st.tuples(*[st.integers(0, top) for _ in range(size)])
+    packed = orc.pack(datum, dict.fromkeys(data.draw(st.lists(monos, min_size=1, max_size=6)), 1))
+    assert orc._degree(datum, packed) == max(map(sum, orc.unpack(datum, packed)))
+    assert orc._degree(datum, orc.pack(datum, {(top,) * size: 1})) == top * size
+    assert orc._degree(datum, {}) == 0
+
+
 def test_demazure_operator_basics():
     lam = (1, 1)
     char = {lam: 1}
