@@ -16,7 +16,7 @@ other pytest outcome (no such test, a collection error) is an error.
 
 It prints one line per plant, then the killed, survived and error counts,
 and exits 1 unless every plant is killed.  Each row costs one pytest start
-and one test run (the 60 rows took about a minute and a half on a 2-core
+and one test run (the 64 rows took about a minute and a half on a 2-core
 host), so the script is not part of the test suite, which checks only that
 every anchor occurs once.
 """
@@ -414,6 +414,31 @@ PLANTS = (
         "total += key >> at & field",
         "total += key & field",
         "tests/test_oracles.py::test_field_sum_degree_matches_the_unpacked_degree",
+    ),
+    # the length slices of the table and the refusals of a non-int count
+    (
+        "cartan",
+        "return table.elements[bisect_left(table.length, d) : bisect_right(table.length, d)]",
+        "return table.elements[bisect_left(table.length, d) : bisect_left(table.length, d)]",
+        "tests/test_cartan.py::test_elements_of_length_are_the_length_filter",
+    ),
+    (
+        "verify",
+        "for v in elements_of_length(datum, big_n - length(u)):",
+        "for v in elements_of_length(datum, big_n - length(u) - 1):",
+        "tests/test_verify.py::test_duality_suite_matches_the_all_pairs_filter",
+    ),
+    (
+        "cartan",
+        "if not isinstance(self.rank, int):",
+        "if False:",
+        "tests/test_cartan.py::test_a_rank_that_is_not_an_int_is_refused_cold_and_warm",
+    ),
+    (
+        "verify",
+        "if count is not None and not isinstance(count, int):",
+        "if False:",
+        "tests/test_verify.py::test_theorem_suite_refuses_a_lambda_max_that_is_not_an_int",
     ),
 )
 

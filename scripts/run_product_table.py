@@ -7,7 +7,7 @@ import argparse
 import sys
 
 from schubcalc import faces
-from schubcalc.cartan import RootDatum, all_elements, length, reduced_word
+from schubcalc.cartan import RootDatum, all_elements, reduced_word
 
 
 def fmt(w):
@@ -21,7 +21,7 @@ def main():
     args = parser.parse_args()
     datum = RootDatum("C", args.rank)
     ctx = faces.default_context(datum)
-    elems = sorted(all_elements(datum), key=lambda w: (length(w), w.oneline))
+    elems = all_elements(datum)  # sorted by (length, one-line form)
     for v in elems:
         for w in elems:
             res = faces.product_c(datum, v, w, ctx)

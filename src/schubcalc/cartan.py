@@ -5,7 +5,9 @@ integer tuples in the simple-root basis and coroots in the simple-coroot
 basis, so a weight pairs with a coroot by an integer dot product.  Type C is
 labelled with the double edge between nodes 1 and 2 and node 1 long, so
 c_{1,2} = -1 and c_{2,1} = -2; tests pin this orientation against the
-symplectic Weyl dimensions.
+symplectic Weyl dimensions.  A `RootDatum` refuses a family other than A
+or C, a rank that is not an int and a rank too small for its family with
+`ValueError`, so no float rank equals an int one in a cache key.
 
 Weyl elements are stored in one-line form: a permutation of 1..n+1 for type A,
 a signed permutation of 1..n for type C (entry j is the signed image of the
@@ -14,23 +16,24 @@ j-th coordinate vector).  Products compose right-to-left, so the word
 any other one-line form with `ValueError`.
 
 The group arithmetic runs on one table per datum (`_weyl_table`), built once
-on one-line tuples by `_compose`, the composition that `multiply` also
-runs, with one `WeylElement` per element and the inversion count: every
-element in `all_elements` order, an index from one-line form to position,
-the position of each inverse, per letter the positions of the left and
-right products by s_i, the lengths, |W| * (2 * rank + 2) integers in all, and
-one reduced word per element.  `length`, `inverse`, `reduced_word`,
-`left_mul`, `left_descents`, `left_ascents`, `word_to_element`,
-`bruhat_leq` and the subword search of `_extraction_table` read these
-integer columns and return the table's own elements; a lookup of a
+on one-line tuples by `_compose`, the composition that `multiply` also runs,
+with one `WeylElement` per element and the inversion count: every element in
+`all_elements` order, an index from one-line form to position, the position of
+each inverse, per letter the positions of the left and right products by s_i,
+the lengths, |W| * (2 * rank + 2) integers in all, and one reduced word per
+element.  `length`, `inverse`, `reduced_word`, `left_mul`, `left_descents`,
+`left_ascents`, `word_to_element`, `bruhat_leq`, `elements_of_length` (a slice
+bisected off the sorted lengths) and the subword search of `_extraction_table`
+read these integer columns and return the table's own elements; a lookup of a
 non-member raises `ValueError`.  The build raises `InvariantError` unless |W|
-is `group_order`, the identity and w_0 sit at the two ends, the inverse
-column is an involution that keeps the length, and every product by a
-simple reflection changes the length by exactly one.
+is `group_order`, the identity and w_0 sit at the two ends, the inverse column
+is an involution that keeps the length, and every product by a simple
+reflection changes the length by exactly one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, repeat
@@ -52,6 +55,8 @@ class RootDatum:
     def __post_init__(self):
         if self.family not in ("A", "C"):
             raise ValueError("family must be 'A' or 'C', got %r" % (self.family,))
+        if not isinstance(self.rank, int):
+            raise ValueError("rank %r is not an integer" % (self.rank,))
         minimum = 1 if self.family == "A" else 2
         if self.rank < minimum:
             raise ValueError("rank %d too small for type %s" % (self.rank, self.family))
@@ -324,6 +329,12 @@ def all_elements(datum: RootDatum) -> tuple:
     return _weyl_table(datum).elements
 
 
+def elements_of_length(datum: RootDatum, d: int) -> tuple:
+    """The elements of length d in table order, bisected off the lengths."""
+    table = _weyl_table(datum)
+    return table.elements[bisect_left(table.length, d) : bisect_right(table.length, d)]
+
+
 def length(w: WeylElement) -> int:
     """Number of positive roots sent to negative roots (= inversion count).
     `_locate` is inlined: callers sum lengths over all pairs of elements."""
@@ -378,7 +389,6 @@ def reduced_word(w: WeylElement) -> tuple:
     return table.words[k]
 
 
-@lru_cache(maxsize=None)
 def all_reduced_words(w: WeylElement) -> tuple:
     """Every reduced word of w, sorted."""
     if length(w) == 0:

@@ -60,6 +60,7 @@ from .cartan import (
     check_integers,
     check_weight,
     compatible_subsets,
+    elements_of_length,
     identity_element,
     length,
     longest_element,
@@ -441,7 +442,7 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
             else:
                 terms.append(tuple(sorted(fa + fb)))
     form = ctx.multiply(ctx.class_form(v), ctx.class_form(w))
-    expansion = {t: ctx.degree(form, t) for t, _ in oracles.reduced_words_by_length(datum)[degree]}
+    expansion = {t: ctx.degree(form, t) for t in elements_of_length(datum, degree)}
     expansion = {t: c for t, c in expansion.items() if c}
     oracle = dict(oracles.bgg_structure_constants(datum, v, w))
     if expansion != oracle:

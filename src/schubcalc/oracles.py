@@ -27,7 +27,8 @@ The top class is the integer product of the positive roots, so the
 representative of w is |W| times its Schubert polynomial and a structure
 constant is a constant term divided by |W|^2.  An identity representative
 other than the constant |W|, or a remainder in that division, is a convention
-slip and raises `InvariantError`.
+slip and raises `InvariantError`.  A product of degree d runs over the table's
+slice of length d, and `faces` reads nothing here but `bgg_structure_constants`.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .cartan import (
     check_group,
     check_letter,
     check_weight,
+    elements_of_length,
     group_order,
     inverse,
     left_ascents,
@@ -246,23 +248,14 @@ def check_normalization(datum: RootDatum):
 
 
 @lru_cache(maxsize=None)
-def reduced_words_by_length(datum: RootDatum) -> tuple:
-    """Entry d: every (w, reduced word of w) with l(w) = d, in table order."""
-    out = [[] for _ in range(datum.num_positive_roots + 1)]
-    for w in all_elements(datum):
-        out[length(w)].append((w, reduced_word(w)))
-    return tuple(map(tuple, out))
-
-
-@lru_cache(maxsize=None)
 def bgg_structure_constants(datum: RootDatum, u: WeylElement, v: WeylElement) -> tuple:
     """Expansion coefficients of the product of two Schubert classes, as a
     sorted tuple of (w, c) with c > 0 and l(w) = l(u) + l(v).
 
     Coefficient extraction: c_w is the constant term of the divided-difference
     chain for w applied to any representative of the product, here
-    |W|^2 times the product.  The pair is taken in group-table order, so
-    (v, u) is one cache hit on (u, v), computed once.
+    |W|^2 times the product, for each w of its degree.  The pair is taken in
+    group-table order, so (v, u) is one cache hit on (u, v), computed once.
     """
     check_group(datum, u, v)
     lu, lv = length(u), length(v)
@@ -279,7 +272,8 @@ def bgg_structure_constants(datum: RootDatum, u: WeylElement, v: WeylElement) ->
     # (reduced_word(s_i t) is reduced_word(t)[1:]), so each runs once
     chains = {(): product}
     out = []
-    for w, word in reduced_words_by_length(datum)[deg]:
+    for w in elements_of_length(datum, deg):
+        word = reduced_word(w)
         k = next(k for k in range(len(word) + 1) if word[k:] in chains)
         f = chains[word[k:]]
         for j in range(k - 1, -1, -1):

@@ -169,7 +169,6 @@ def _sweep(p: Polytope, leaves: bool = False):
     return size, columns
 
 
-@lru_cache(maxsize=None)
 def lattice_points(p: Polytope) -> tuple:
     """All integer points, sorted.  Requires bounds derivable along the sweep
     order (true for every polytope built here and their faces)."""
@@ -409,7 +408,6 @@ def vertices(p: Polytope) -> tuple:
     return tuple(sorted(found))
 
 
-@lru_cache(maxsize=None)
 def incidence(p: Polytope) -> tuple:
     """Per inequality, the bitmask over `vertices(p)` of the vertices on
     which it is tight, read by `slack_masks` off the vertices and right-hand
@@ -431,7 +429,6 @@ def _normalized_halfspace(coeffs, rhs):
     return tuple(x // g for x in coeffs), rhs // g
 
 
-@lru_cache(maxsize=None)
 def facet_defining(p: Polytope) -> tuple:
     """Indices of inequalities whose tight vertex set has rank dim(P) - 1;
     of several inequalities defining the same halfspace, the first."""

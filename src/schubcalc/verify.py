@@ -6,6 +6,7 @@ status that is a violation exactly when some cell is one, else a pass
 ("partial" when a time budget ran out, with the remaining cells unlisted).
 A runner checks one statement of STATEMENTS, and refuses a bad request
 through `check_request`, the one check of a request, before any cell runs.
+The duality suite pairs each u with the table's slice of length N - l(u).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from . import crystals, faces
 from .cartan import (
     RootDatum,
     all_elements,
+    elements_of_length,
     length,
     longest_element,
     multiply,
@@ -41,12 +43,16 @@ THEOREMS = {kind: STATEMENTS[kind] for kind in ("theorem1", "theorem2", "theorem
 
 def check_request(kind, family, budget=None, lambda_max=None, samples=None, table=STATEMENTS):
     """Refuse a statement missing from `table`, a family it is not stated for,
-    counts that leave no cells, which would pass having checked nothing, and
-    a NaN budget, which never runs out, or a negative one."""
+    counts that are not ints, counts that leave no cells, which would pass
+    having checked nothing, and a NaN budget, which never runs out, or a
+    negative one."""
     if kind not in table:
         raise ValueError("%r is not one of the statements %s" % (kind, ", ".join(table)))
     if family not in table[kind]:
         raise ValueError("%s is stated for type %s, not %r" % (kind, " or ".join(table[kind]), family))
+    for name, count in (("lambda_max", lambda_max), ("samples", samples)):
+        if count is not None and not isinstance(count, int):
+            raise ValueError("%s must be an integer, got %r" % (name, count))
     if lambda_max is not None and lambda_max < 0:
         raise ValueError("lambda_max must be at least 0, got %d" % lambda_max)
     if samples is not None and samples < 1:
@@ -145,20 +151,20 @@ def duality_suite(family: str, rank: int, budget=None):
     big_n = datum.num_positive_roots
 
     def cells():
-        for u, v in itertools.product(all_elements(datum), repeat=2):
-            if length(u) + length(v) != big_n:
-                continue
-            cell = {
-                "theorem": "duality",
-                "type": family,
-                "rank": rank,
-                "u": list(reduced_word(u)),
-                "v": list(reduced_word(v)),
-            }
-            expected = 1 if v == multiply(w0, u) else 0
-            got = faces.degree_pairing(datum, u, v, ctx)
-            cell["pairing"] = got
-            yield _verdict(cell, [] if got == expected else [{"expected": expected, "got": got}])
+        for u in all_elements(datum):
+            dual = multiply(w0, u)
+            for v in elements_of_length(datum, big_n - length(u)):
+                cell = {
+                    "theorem": "duality",
+                    "type": family,
+                    "rank": rank,
+                    "u": list(reduced_word(u)),
+                    "v": list(reduced_word(v)),
+                }
+                expected = 1 if v == dual else 0
+                got = faces.degree_pairing(datum, u, v, ctx)
+                cell["pairing"] = got
+                yield _verdict(cell, [] if got == expected else [{"expected": expected, "got": got}])
 
     return _collect({"theorem": "duality", "type": family, "rank": rank}, cells(), start, budget)
 
@@ -218,10 +224,10 @@ def axioms_suite(family: str, rank: int, samples: int, seed: int = 0, budget=Non
                     state = nxt
             cell = {"sample": t, "lambda": None if lam is None else list(lam)}
             mismatches = []
+            wt = crystals.weight_of(datum, word, lam, state)
             for i in range(1, n + 1):
                 eps = crystals.epsilon(datum, word, lam, state, i)
                 phi = crystals.phi(datum, word, lam, state, i)
-                wt = crystals.weight_of(datum, word, lam, state)
                 checks = [("phi-eps-wt", phi == eps + wt[i - 1])]
                 down = crystals.f_op(datum, word, lam, state, i)
                 if down is not None:

@@ -14,7 +14,8 @@ constants by one whole divided-difference chain per element on polynomials
 keyed by exponent tuples, and the
 products and pairings of the deformed-polytope ring by rewriting row
 multisets one repeated row at a time and its products and divisor powers
-one shared step at a time, the crystal's string table checked
+one shared step at a time, the duality suite by filtering all pairs of
+elements for complementary lengths, the crystal's string table checked
 against an enumeration of the string polytope's lattice points, lattice
 points and counts by the recursive sweep with one call per node, the row
 incidence masks by exact dot products column by column, face volumes by
@@ -35,8 +36,10 @@ from schubcalc import linalg
 from schubcalc import oracles as orc
 from schubcalc import pipedreams as pd
 from schubcalc import polytopes as pt
+from schubcalc import verify
 from schubcalc.cartan import (
     InvariantError,
+    RootDatum,
     WeylElement,
     _inversions,
     _weyl_table,
@@ -1090,6 +1093,26 @@ def degree_pairing(datum, u, v, ctx):
     product = Counter(_monomial(0, tight) for tight in fc.schubert_class(datum, u, "dual-kogan"))
     kogan = fc.schubert_class(datum, multiply(longest_element(datum), v), "kogan")
     return _pairing(ctx, relation(ctx), product, kogan, {})
+
+
+def all_pairs_duality_report(family, rank):
+    """The duality suite's report by filtering all |W|^2 pairs for
+    complementary lengths, the route `verify.duality_suite` replaced."""
+    datum = RootDatum(family, rank)
+    ctx = fc.default_context(datum)
+    w0 = longest_element(datum)
+
+    def cells():
+        for u, v in itertools.product(all_elements(datum), repeat=2):
+            if length(u) + length(v) != datum.num_positive_roots:
+                continue
+            cell = {"theorem": "duality", "type": family, "rank": rank,
+                    "u": list(reduced_word(u)), "v": list(reduced_word(v))}
+            expected = 1 if v == multiply(w0, u) else 0
+            got = cell["pairing"] = fc.degree_pairing(datum, u, v, ctx)
+            yield verify._verdict(cell, [] if got == expected else [{"expected": expected, "got": got}])
+
+    return verify._collect({"theorem": "duality", "type": family, "rank": rank}, cells(), 0.0, None)
 
 
 def product_expansion(datum, v, w, ctx):

@@ -1,11 +1,12 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubcalc import cartan, crystals
+from schubcalc import cartan, crystals, verify
 from schubcalc.cartan import (
     InvariantError,
     RootDatum,
@@ -18,6 +19,7 @@ from schubcalc.cartan import (
     bruhat_leq,
     cartan_matrix,
     compatible_subsets,
+    elements_of_length,
     identity_element,
     inverse,
     left_descents,
@@ -284,6 +286,15 @@ def test_left_column_matches_the_composition(datum):
         assert [lines[j] for j in step] == [_compose(s, line) for line in lines]
 
 
+@pytest.mark.parametrize("datum", TABLE_DATA, ids=repr)
+def test_elements_of_length_are_the_length_filter(datum):
+    lengths = range(-1, datum.num_positive_roots + 2)
+    slices = [elements_of_length(datum, d) for d in lengths]
+    for d, part in zip(lengths, slices):
+        assert list(part) == [w for w in all_elements(datum) if length(w) == d]
+    assert sum(slices, ()) == all_elements(datum)
+
+
 ROOT_DATA = tuple(RootDatum("A", n) for n in range(1, 7)) + tuple(RootDatum("C", n) for n in range(2, 6))
 
 
@@ -439,6 +450,23 @@ def test_planted_table_fault_is_caught(monkeypatch, plant, message):
 def test_malformed_elements_are_refused(datum, line):
     with pytest.raises(ValueError, match="permutation of 1"):
         WeylElement(datum, line)
+
+
+@pytest.mark.parametrize("rank", [2.0, 2.5, Fraction(2), "2"], ids=["whole-float", "float", "fraction", "str"])
+def test_a_rank_that_is_not_an_int_is_refused_cold_and_warm(rank):
+    # RootDatum("A", 2.0) once equalled A2: a cold cache raised TypeError
+    # and a warm one returned the six elements of A2
+    message = r"^rank %s is not an integer$" % re.escape(repr(rank))
+    _weyl_table.cache_clear()
+    for _ in range(2):  # cold, then with the table of A2 cached
+        for call in (
+            lambda: RootDatum("A", rank),
+            lambda: all_elements(RootDatum("A", rank)),
+            lambda: verify.duality_suite("A", rank),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+        assert len(all_elements(A2)) == 6
 
 
 def test_signed_permutations_are_elements():

@@ -451,7 +451,7 @@ def test_library_has_no_assert_statements():
     assert not found, found
 
 
-def test_library_holds_22_lru_caches():
+def test_library_holds_17_lru_caches():
     # every cache is one more thing to clear, size and keep in step: a new
     # one moves this count on purpose
     count = sum(
@@ -459,7 +459,7 @@ def test_library_holds_22_lru_caches():
         for path in sorted(PACKAGE.glob("*.py"))
         for line in path.read_text().splitlines()
     )
-    assert count == 22
+    assert count == 17
 
 
 def test_oracles_import_no_validated_module():
@@ -477,3 +477,15 @@ def test_oracles_import_no_validated_module():
                 imported |= {alias.name for alias in node.names}
     assert "cartan" in imported
     assert not imported & forbidden, imported & forbidden
+
+
+def test_faces_reads_only_the_cross_check_from_oracles():
+    # the product route checks itself against the oracle, so it must take
+    # nothing else from it
+    taken = set()
+    for node in ast.walk(ast.parse((PACKAGE / "faces.py").read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "oracles":
+            taken.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "oracles":
+            taken |= {alias.name for alias in node.names}
+    assert taken == {"bgg_structure_constants"}, taken

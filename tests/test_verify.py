@@ -17,6 +17,8 @@ from schubcalc.cartan import (
     word_to_element,
 )
 
+import reference_routes as ref
+
 
 def test_theorem_suites_rank_two():
     for kind, family in (("theorem1", "A"), ("theorem1", "C"), ("theorem2", "A"), ("theorem3", "C")):
@@ -44,6 +46,16 @@ def test_duality_suite_rank_three(family, cells, order):
     # every cell is numbered and scored; each element pairs to 1 with its dual only
     assert all(c["status"] == "pass" and c["pairing"] in (0, 1) for c in report["cells"])
     assert sum(c["pairing"] for c in report["cells"]) == order
+
+
+@pytest.mark.parametrize("family, rank", [("A", 2), ("A", 3), ("C", 2), ("C", 3)], ids=["A2", "A3", "C2", "C3"])
+def test_duality_suite_matches_the_all_pairs_filter(family, rank):
+    # each u meets the slice of length N - l(u): the cells of the all-pairs
+    # filter, in its order
+    reports = [verify.duality_suite(family, rank), ref.all_pairs_duality_report(family, rank)]
+    for report in reports:
+        del report["elapsed_seconds"]
+    assert json.dumps(reports[0]) == json.dumps(reports[1])
 
 
 def test_partial_duality_report_numbers_its_cells():
@@ -306,6 +318,17 @@ def test_suites_refuse_a_family_the_statement_is_not_stated_for(no_work, case):
 def test_theorem_suite_refuses_a_negative_lambda_max(no_work):
     with pytest.raises(ValueError, match="lambda_max must be at least 0, got -1"):
         verify.theorem_suite("theorem1", "A", 2, -1)
+
+
+def test_theorem_suite_refuses_a_lambda_max_that_is_not_an_int(no_work):
+    # 1.5 once passed the request check and failed in `range`
+    with pytest.raises(ValueError, match=r"^lambda_max must be an integer, got 1\.5$"):
+        verify.theorem_suite("theorem1", "A", 2, 1.5)
+
+
+def test_axioms_suite_refuses_samples_that_are_not_an_int(no_work):
+    with pytest.raises(ValueError, match=r"^samples must be an integer, got 2\.5$"):
+        verify.axioms_suite("A", 2, 2.5)
 
 
 @pytest.mark.parametrize("samples", [0, -3])
