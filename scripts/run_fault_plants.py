@@ -16,7 +16,7 @@ other pytest outcome (no such test, a collection error) is an error.
 
 It prints one line per plant, then the killed, survived and error counts,
 and exits 1 unless every plant is killed.  Each row costs one pytest start
-and one test run (the 64 rows took about a minute and a half on a 2-core
+and one test run (the 69 rows took about two minutes on a 2-core
 host), so the script is not part of the test suite, which checks only that
 every anchor occurs once.
 """
@@ -439,6 +439,38 @@ PLANTS = (
         "if count is not None and not isinstance(count, int):",
         "if False:",
         "tests/test_verify.py::test_theorem_suite_refuses_a_lambda_max_that_is_not_an_int",
+    ),
+    # int entries of one-line forms, letters and words before their caches,
+    # and the group of a cached representative
+    (
+        "cartan",
+        'check_integers("one-line form", line)  # so that no 2.0 equals 2 in a cache key',
+        "pass",
+        "tests/test_cartan.py::test_a_one_line_entry_that_is_not_an_int_is_refused_cold_and_warm",
+    ),
+    (
+        "cartan",
+        "if not isinstance(i, int) or not 1 <= i <= datum.rank:",
+        "if not 1 <= i <= datum.rank:",
+        "tests/test_cartan.py::test_a_letter_that_is_not_an_int_is_refused",
+    ),
+    (
+        "cartan",
+        'check_integers("word", word)  # before the cache: no 1.0 finds the table of 1',
+        "pass",
+        "tests/test_crystals.py::test_a_word_with_a_letter_that_is_not_an_int_is_refused_cold_and_warm",
+    ),
+    (
+        "crystals",
+        'check_integers("word", word)  # likewise, no letter 1.0 finds the record of 1',
+        "pass",
+        "tests/test_crystals.py::test_a_word_with_a_letter_that_is_not_an_int_is_refused_cold_and_warm",
+    ),
+    (
+        "oracles",
+        "check_group(datum, w)  # this public cache holds no element of another group",
+        "pass",
+        "tests/test_oracles.py::test_schubert_representative_refuses_an_element_of_another_group",
     ),
 )
 

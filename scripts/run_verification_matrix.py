@@ -40,8 +40,7 @@ def main():
     print("duality   C2: %s (%d cells)" % (rep["status"], len(rep["cells"])))
     reports.append(rep)
     rep = verify.products_suite("C", 2)
-    print("products  C2: %s (%d cells, methods %s)" % (
-        rep["status"], len(rep["cells"]), json.dumps(rep["methods"], sort_keys=True)))
+    print("products  C2: %s (%d cells)" % (rep["status"], len(rep["cells"])))
     reports.append(rep)
     rep = verify.axioms_suite("A", 4, 120, seed=args.seed)
     print("axioms    A4: %s" % rep["status"])

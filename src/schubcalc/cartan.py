@@ -13,7 +13,7 @@ Weyl elements are stored in one-line form: a permutation of 1..n+1 for type A,
 a signed permutation of 1..n for type C (entry j is the signed image of the
 j-th coordinate vector).  Products compose right-to-left, so the word
 (j_1, ..., j_m) denotes s_{j_1} s_{j_2} ... s_{j_m}.  A `WeylElement` refuses
-any other one-line form with `ValueError`.
+any other one-line form, or an entry that is not an int, with `ValueError`.
 
 The group arithmetic runs on one table per datum (`_weyl_table`), built once
 on one-line tuples by `_compose`, the composition that `multiply` also runs,
@@ -137,7 +137,7 @@ def simple_root_in_fundamental(datum: RootDatum, i: int) -> tuple:
 
 
 def check_integers(kind: str, values):
-    """Raise ValueError unless every entry of values, a weight or a state, is an int."""
+    """Raise ValueError unless every entry of a weight, state, word or one-line form is an int."""
     if not all(map(isinstance, values, repeat(int))):
         raise ValueError("%s %r has an entry that is not an integer" % (kind, values))
 
@@ -167,6 +167,7 @@ class WeylElement:
             raise ValueError(
                 "%r is not a %spermutation of 1..%d" % (line, "signed " if signed else "", size)
             )
+        check_integers("one-line form", line)  # so that no 2.0 equals 2 in a cache key
 
     def __repr__(self):
         return "W%s%d%r" % (self.datum.family, self.datum.rank, list(self.oneline))
@@ -195,7 +196,7 @@ def simple_element(datum: RootDatum, i: int) -> WeylElement:
 
 
 def check_letter(datum: RootDatum, i: int):
-    if not 1 <= i <= datum.rank:
+    if not isinstance(i, int) or not 1 <= i <= datum.rank:
         raise ValueError("letter %r out of range 1..%d" % (i, datum.rank))
 
 
@@ -472,7 +473,9 @@ def compatible_subsets(datum: RootDatum, word, w: WeylElement) -> tuple:
     Positions are 1-based into `word`, a tuple or list that must be a reduced
     word of w_0; w must be an element of the Weyl group of `datum`.
     """
-    table = _extraction_table(datum, tuple(word))
+    word = tuple(word)
+    check_integers("word", word)  # before the cache: no 1.0 finds the table of 1
+    table = _extraction_table(datum, word)
     if w not in table:
         raise ValueError("%r is not an element of the Weyl group of %r" % (w, datum))
     return table[w]

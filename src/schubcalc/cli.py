@@ -141,7 +141,6 @@ def cmd_faces(args) -> int:
         diagrams = pipedreams.box_order(pipedreams.mset(datum, w))
         payload["diagrams"] = [sorted(map(list, d.boxes)) for d in diagrams]
     payload["faces"] = [list(t) for t in dec.tights]
-    payload["empty_faces"] = []  # kept for readers of the output; faces are never empty
     payload["n_lattice_points"] = len(dec.union)
     payload["volume"] = str(faces.side_volume(datum, side, w, lam))
     if args.pretty and side == "schubert":
@@ -187,11 +186,10 @@ def cmd_product(args) -> int:
     payload = {
         "v": list(v),
         "w": list(letters),
-        "faces": [{"f": list(tight), "fv": []} for tight in result.faces],
+        "faces": [list(tight) for tight in result.faces],
         "expansion": {",".join(map(str, reduced_word(u))): c for u, c in sorted(
             result.expansion.items(), key=lambda kv: (length(kv[0]), kv[0].oneline)
         )},
-        "method": result.method,
     }
     _emit(payload)
     return EXIT_OK

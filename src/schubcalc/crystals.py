@@ -489,11 +489,13 @@ def _crystal(datum: RootDatum, word, lam) -> _Crystal:
 
 def record(datum: RootDatum, word, lam) -> _Crystal:
     """The record at (datum, word, lam), word and lam as tuples so that lists
-    key the cache too; lam is checked here, the word when its record is built."""
+    key the cache too; their entries are checked here, the word when it is built."""
     if lam is INFINITY:
         raise ValueError("the crystal at infinity is infinite; pass a dominant weight")
     check_weight(datum, lam)  # before the cache: no 1.0 finds the record of 1
-    return _crystal(datum, tuple(word), tuple(lam))
+    word = tuple(word)
+    check_integers("word", word)  # likewise, no letter 1.0 finds the record of 1
+    return _crystal(datum, word, tuple(lam))
 
 
 def _view(datum, word, lam, *folds) -> polytopes.PointSet:

@@ -81,11 +81,12 @@ class FaceDecomposition:
     """`union` is a view over the table's certified strings
     (`polytopes.PointSet`): its mask is the OR of the faces' masks, its size
     their bit count, and it decodes its strings only when they are read.
-    `empty` is always (): the block certificate puts a point on every face."""
+    `empty`, always () by the block certificate, is kept for
+    `perfbench/workloads.py` until ROADMAP item 1."""
 
     tights: tuple                 # index tuples, one per face
     union: polytopes.PointSet
-    empty = ()                    # index tuples whose face is empty
+    empty = ()
 
 
 def _face_union(tights, masks, count: int) -> int:
@@ -389,19 +390,21 @@ def degree_pairing(datum: RootDatum, u: WeylElement, v: WeylElement, ctx=None) -
 
 @dataclass
 class ProductResult:
-    """Faces are F tight sets.  `dropped_empty` is always (): the F rows lie
-    on distinct steps, so two F faces never complete a step and always meet."""
+    """Faces are F tight sets.  The F rows lie on distinct steps, so two F
+    faces never complete a step and always meet.  `dropped_empty`, always
+    (), and `method` are kept for `perfbench/workloads.py` until ROADMAP
+    item 1; no output prints them."""
 
     v: WeylElement
     w: WeylElement
     faces: tuple            # sorted F tight sets of the transversal meets
     expansion: dict         # WeylElement -> coefficient
     nontransversal: tuple   # (F, F) tight-set pairs that share a row
-    dropped_empty = ()      # (F, F) tight-set pairs that do not meet
+    dropped_empty = ()
 
     @property
     def method(self) -> str:
-        """The identification: "zero" above the top degree, else "degree-pairing"."""
+        """Read off the degrees: "zero" above the top degree, else "degree-pairing"."""
         top = self.v.datum.num_positive_roots
         return "zero" if length(self.v) + length(self.w) > top else "degree-pairing"
 
@@ -423,7 +426,8 @@ def product_c(datum: RootDatum, v: WeylElement, w: WeylElement, ctx=None) -> Pro
     row enters the normal form through the square rule.
 
     The expansion is checked against the divided-difference oracle;
-    disagreement is a hard error.
+    disagreement is a hard error.  `ctx`, the default context when None, is
+    kept for `perfbench/workloads.py` until ROADMAP item 1.
     """
     check_product(datum)
     check_group(datum, v, w)

@@ -228,6 +228,7 @@ def schubert_representative(datum: RootDatum, w: WeylElement) -> tuple:
     descent, which is the least right ascent of w, the rest of that word is
     the one of (w s_i)^{-1} w_0, so the representative is d_i of the cached
     one of w s_i: the same divided differences in the same order."""
+    check_group(datum, w)  # this public cache holds no element of another group
     inv = inverse(w)
     ascents = left_ascents(inv)  # the letters i with l(w s_i) > l(w)
     if not ascents:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from collections import Counter
 
 from . import crystals, faces
 from .cartan import (
@@ -146,7 +145,6 @@ def duality_suite(family: str, rank: int, budget=None):
     check_request("duality", family, budget)
     datum = RootDatum(family, rank)
     start = time.perf_counter()
-    ctx = faces.default_context(datum)
     w0 = longest_element(datum)
     big_n = datum.num_positive_roots
 
@@ -162,7 +160,7 @@ def duality_suite(family: str, rank: int, budget=None):
                     "v": list(reduced_word(v)),
                 }
                 expected = 1 if v == dual else 0
-                got = faces.degree_pairing(datum, u, v, ctx)
+                got = faces.degree_pairing(datum, u, v)
                 cell["pairing"] = got
                 yield _verdict(cell, [] if got == expected else [{"expected": expected, "got": got}])
 
@@ -175,7 +173,6 @@ def products_suite(family: str, rank: int, budget=None):
     check_request("products", family, budget)
     datum = RootDatum(family, rank)
     start = time.perf_counter()
-    ctx = faces.default_context(datum)
 
     def cells():
         for v, w in itertools.product(all_elements(datum), repeat=2):
@@ -188,18 +185,12 @@ def products_suite(family: str, rank: int, budget=None):
             }
             mismatches = []
             try:
-                result = faces.product_c(datum, v, w, ctx)
-                cell["method"] = result.method
+                faces.product_c(datum, v, w)
             except faces.TheoremViolationError as err:
                 mismatches.append(err.payload)
             yield _verdict(cell, mismatches)
 
-    report = _collect({"theorem": "products", "type": family, "rank": rank}, cells(), start, budget)
-    # the histogram of identification methods over the products that
-    # finished; a violation has no method
-    methods = Counter(c["method"] for c in report["cells"] if "method" in c)
-    report["methods"] = dict(sorted(methods.items()))
-    return report
+    return _collect({"theorem": "products", "type": family, "rank": rank}, cells(), start, budget)
 
 
 def axioms_suite(family: str, rank: int, samples: int, seed: int = 0, budget=None):

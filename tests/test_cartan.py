@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubcalc import cartan, crystals, verify
+from schubcalc import cartan, crystals, oracles, pipedreams, verify
 from schubcalc.cartan import (
     InvariantError,
     RootDatum,
@@ -467,6 +467,43 @@ def test_a_rank_that_is_not_an_int_is_refused_cold_and_warm(rank):
             with pytest.raises(ValueError, match=message):
                 call()
         assert len(all_elements(A2)) == 6
+
+
+@pytest.mark.parametrize("entry", [2.0, Fraction(2)], ids=["float", "fraction"])
+def test_a_one_line_entry_that_is_not_an_int_is_refused_cold_and_warm(entry):
+    # WeylElement(A2, (2.0, 1, 3)) once equalled s_1: the element-keyed caches
+    # returned the entries of s_1 for it, and multiply(s_2, it) raised TypeError
+    line = (entry, 1, 3)
+    message = r"^one-line form %s has an entry that is not an integer$" % re.escape(repr(line))
+    s1, s2 = simple_element(A2, 1), simple_element(A2, 2)
+    for cache in (_weyl_table, pipedreams.mset, oracles.bgg_structure_constants):
+        cache.cache_clear()
+    for _ in range(2):  # cold, then with the entries of s_1 cached
+        for call in (
+            lambda: WeylElement(A2, line),
+            lambda: pipedreams.mset(A2, WeylElement(A2, line)),
+            lambda: oracles.bgg_structure_constants(A2, s2, WeylElement(A2, line)),
+            lambda: multiply(s2, WeylElement(A2, line)),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+        assert len(pipedreams.mset(A2, s1)) == 1
+        assert [c for _, c in oracles.bgg_structure_constants(A2, s2, s1)] == [1, 1]
+        assert multiply(s2, s1) == word_to_element(A2, (2, 1))
+
+
+@pytest.mark.parametrize("letter", [1.0, Fraction(1), "1"], ids=["float", "fraction", "str"])
+def test_a_letter_that_is_not_an_int_is_refused(letter):
+    # a letter 1.0 once passed the range check and raised TypeError on the table
+    message = r"^letter %s out of range 1..2$" % re.escape(repr(letter))
+    for call in (
+        lambda: word_to_element(A2, (letter, 2)),
+        lambda: simple_element(A2, letter),
+        lambda: left_mul(letter, identity_element(A2)),
+        lambda: simple_root_in_fundamental(A2, letter),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_signed_permutations_are_elements():

@@ -76,8 +76,7 @@ def test_faces_example_custom_word():
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
-    got = sorted(tuple(t) for t in payload["faces"] + payload["empty_faces"])
-    assert got == [(1, 2, 3), (1, 2, 5), (2, 3, 6), (2, 5, 6)]
+    assert sorted(payload["faces"]) == [[1, 2, 3], [1, 2, 5], [2, 3, 6], [2, 5, 6]]
 
 
 def test_pipedreams_mset_c2():
@@ -91,14 +90,8 @@ def test_product_command():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["expansion"] == {"1,2": 1, "2,1": 1}
-    assert payload["method"] == "degree-pairing"
     assert "certified" not in payload and "corollary_faces" not in payload
-    assert sorted(tuple(f["f"]) for f in payload["faces"]) == [
-        (1, 2),
-        (1, 4),
-        (2, 3),
-        (3, 4),
-    ]
+    assert sorted(payload["faces"]) == [[1, 2], [1, 4], [2, 3], [3, 4]]
 
 
 def test_product_outputs_over_all_c2_pairs_are_pinned(capsys):
@@ -111,8 +104,31 @@ def test_product_outputs_over_all_c2_pairs_are_pinned(capsys):
             assert cli.main(["product", "--type", "C", "--rank", "2", "--v", v, "--w", w]) == 0
             out.append(capsys.readouterr().out)
     assert hashlib.sha256("".join(out).encode()).hexdigest() == (
-        "fe8f6dba254f3f6f8b8891843b3aec385bec217726adf89e4171170f2fad29fa"
+        "97b053a57a32e73ed714a313cf30e3bad816133c053cd52861d9091a931812cc"
     )
+
+
+@pytest.mark.parametrize("v, w", [("1", "2"), ("1,2", "2,1,2"), ("", "")], ids=["s1-s2", "above-top", "e-e"])
+def test_product_payload_is_the_four_documented_keys(capsys, v, w):
+    # no identification method and no empty "fv" halves: they read one value
+    assert cli.main(["product", "--type", "C", "--rank", "2", "--v", v, "--w", w]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"v", "w", "faces", "expansion"}
+    assert all(isinstance(t, list) and all(isinstance(k, int) for k in t) for t in payload["faces"])
+
+
+FACES_KEYS = {"type", "rank", "word", "lambda", "w", "side", "faces", "n_lattice_points", "volume"}
+
+
+@pytest.mark.parametrize("pretty", [False, True], ids=["plain", "pretty"])
+@pytest.mark.parametrize("side, extra", [("opposite", {"equations"}), ("schubert", {"diagrams"})])
+def test_faces_payload_is_the_documented_key_set(capsys, side, extra, pretty):
+    # no "empty_faces": the block certificate puts a point on every face
+    args = ["faces", "--type", "C", "--rank", "2", "--lambda", "1,1", "--w", "2,1", "--side", side]
+    assert cli.main(args + ["--pretty"] * pretty) == 0
+    payload = json.loads(capsys.readouterr().out)
+    ascii_key = {"ascii"} if pretty and side == "schubert" else set()
+    assert set(payload) == FACES_KEYS | extra | ascii_key
 
 
 def test_verify_axioms_zero_samples():
@@ -216,7 +232,7 @@ def test_faces_schubert_side_with_volume():
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
-    assert len(payload["faces"]) + len(payload["empty_faces"]) == 2
+    assert len(payload["faces"]) == 2
     assert "volume" in payload
 
 

@@ -6,6 +6,7 @@ from functools import reduce
 
 import pytest
 
+from schubcalc import cartan
 from schubcalc import crystals as cr
 from schubcalc import faces as fc
 from schubcalc import polytopes as pt
@@ -847,6 +848,27 @@ def test_record_checks_the_weight_before_its_cache(name):
         call((1.0, 1))
     with pytest.raises(ValueError, match="not an integer"):
         cr.record(A2, IA2, (1.0, 1))
+
+
+FLOAT_WORD_CALLS = {
+    "compatible_subsets": lambda word: compatible_subsets(A2, word, S1),
+    "record": lambda word: cr.record(A2, word, (1, 1)),
+    "opposite_demazure_faces": lambda word: fc.opposite_demazure_faces(A2, S1, (1, 1), word=word),
+    "f_op": lambda word: cr.f_op(A2, word, (1, 1), (0, 0, 0), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_WORD_CALLS))
+def test_a_word_with_a_letter_that_is_not_an_int_is_refused_cold_and_warm(name):
+    # (1.0, 2, 1) == (1, 2, 1) as a cache key: a cold cache raised TypeError
+    # and a warm one returned the tables of (1, 2, 1)
+    call = FLOAT_WORD_CALLS[name]
+    cartan._extraction_table.cache_clear()
+    cr._crystal.cache_clear()
+    for _ in range(2):  # cold, then with the tables of (1, 2, 1) cached
+        with pytest.raises(ValueError, match="not an integer|out of range"):
+            call((1.0, 2, 1))
+        call((1, 2, 1))
 
 
 LIST_WORD_CALLS = {

@@ -96,6 +96,18 @@ def test_demazure_character_refuses_an_element_of_another_group():
         orc.demazure_dimension(C3, simple_element(C2, 1), (1, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "datum, other", [(A2, C2), (C2, A2), (A3, A2)], ids=["C2-in-A2", "A2-in-C2", "A2-in-A3"]
+)
+def test_schubert_representative_refuses_an_element_of_another_group(datum, other):
+    # the identity of C2 in A2 once gave (), the zero polynomial, and the
+    # other elements wrong polynomials, all without an error
+    for w in all_elements(other):
+        with pytest.raises(ValueError, match="^elements from different groups$"):
+            orc.schubert_representative(datum, w)
+    assert dict(orc.schubert_representative(datum, identity_element(datum))) == {0: len(all_elements(datum))}
+
+
 def test_structure_constants_refuse_an_element_of_another_group():
     # l(u) + l(v) = 4 exceeds the top degree 3 of A2, where the call would
     # answer () for a C2 element without looking at its group

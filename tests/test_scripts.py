@@ -33,7 +33,7 @@ def test_product_table_script_prints_rank_two_table():
     assert len(lines) == 64  # |W(C2)|^2 products
     assert all(line.startswith("[X^") for line in lines)
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
-        "d64fefdac16f294d8e37d02e53f441fb21bcea38792323d65c99311ec7d2ed7a"
+        "b19455a6301040e64ec044536d31aeb254573cfc7aa8f439c7b6b329d9568026"
     )
 
 
@@ -42,7 +42,7 @@ def test_product_table_script_prints_rank_three_table():
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 48 * 48  # |W(C3)|^2 products
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
-        "63cc60199fd5886ec2f854b9c3644ff46524001437a9057ca2d1dce4b5ef5878"
+        "436a69ce16c08a61a31b0a82e1f033463f02eda246a929e41dd9083441e3806d"
     )
 
 
