@@ -16,7 +16,7 @@ other pytest outcome (no such test, a collection error) is an error.
 
 It prints one line per plant, then the killed, survived and error counts,
 and exits 1 unless every plant is killed.  Each row costs one pytest start
-and one test run (the 69 rows took about two minutes on a 2-core
+and one test run (the 73 rows took about two and a quarter minutes on a 2-core
 host), so the script is not part of the test suite, which checks only that
 every anchor occurs once.
 """
@@ -158,7 +158,7 @@ PLANTS = (
     ),
     (
         "crystals",
-        "if count != len(points):",
+        "if count != len(strings):",
         "if False:",
         "tests/test_invariants.py::test_dropped_string_survives_optimize_flag",
     ),
@@ -206,14 +206,14 @@ PLANTS = (
     # the strings it hands out the ones its certificate read
     (
         "crystals",
-        "record.folds[opposite, w] = mask",
-        "record.folds[not opposite, w] = mask",
+        "filed[w] = mask",
+        "record.folds[not opposite][w] = mask",
         "tests/test_crystals.py::test_folds_are_filed_in_the_record_and_built_again_after_a_clear",
     ),
     (
         "crystals",
-        "return _Crystal(table, points, masks, {}, datum)",
-        "return _Crystal(table, _string_table(table, word), masks, {}, datum)",
+        "return _Crystal(table, strings, masks, ({}, {}), datum)",
+        "return _Crystal(table, _string_table(table, word), masks, ({}, {}), datum)",
         "tests/test_crystals.py::test_the_record_holds_the_strings_it_certified",
     ),
     (
@@ -382,6 +382,32 @@ PLANTS = (
         "_check_state(word, state)",
         "pass",
         "tests/test_crystals.py::test_string_coords_refuses_a_state_that_packs_onto_another",
+    ),
+    # the compact record: the first level of the string table read in table
+    # order, the packed strings distinct, and fields that hold the depth
+    (
+        "crystals",
+        "if eps[b] != (eps[parent] + 1 if parent >= 0 else 0):",
+        "if False:",
+        "tests/test_crystals.py::test_string_table_refuses_a_first_level_state_off_its_parent_string",
+    ),
+    (
+        "crystals",
+        "if len(set(packed)) != len(packed):",
+        "if False:",
+        "tests/test_crystals.py::test_string_table_refuses_two_states_with_one_string",
+    ),
+    (
+        "crystals",
+        "if table.depth >> shift:",
+        "if False:",
+        "tests/test_crystals.py::test_string_table_refuses_fields_narrower_than_the_depth",
+    ),
+    (
+        "crystals",
+        "if parent in step:",
+        "if False:",
+        "tests/test_crystals.py::test_string_table_reads_each_raise_about_once",
     ),
     # the group table's inverse and word columns, the left products read off
     # the inverses, and the oracle's degree read field by field

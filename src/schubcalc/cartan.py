@@ -162,12 +162,12 @@ class WeylElement:
         signed = self.datum.family == "C"
         size = self.datum.num_coordinates
         line = self.oneline
-        entries = map(abs, line) if signed else line
-        if not isinstance(line, tuple) or sorted(entries) != list(range(1, size + 1)):
+        if isinstance(line, tuple):  # its entries before abs or sorted reads them
+            check_integers("one-line form", line)  # so that no 2.0 equals 2 in a cache key
+        if not isinstance(line, tuple) or sorted(map(abs, line) if signed else line) != list(range(1, size + 1)):
             raise ValueError(
                 "%r is not a %spermutation of 1..%d" % (line, "signed " if signed else "", size)
             )
-        check_integers("one-line form", line)  # so that no 2.0 equals 2 in a cache key
 
     def __repr__(self):
         return "W%s%d%r" % (self.datum.family, self.datum.rank, list(self.oneline))
@@ -369,6 +369,13 @@ def left_mul(i: int, w: WeylElement) -> WeylElement:
     return table.elements[table.left[i - 1][k]]
 
 
+def right_mul(w: WeylElement, i: int) -> WeylElement:
+    """w s_i, read off the group table's right column."""
+    check_letter(w.datum, i)
+    table, k = _locate(w)
+    return table.elements[table.right[i - 1][k]]
+
+
 def left_descents(w: WeylElement) -> list:
     """The letters i with l(s_i w) < l(w), increasing."""
     table, k = _locate(w)
@@ -381,6 +388,13 @@ def left_ascents(w: WeylElement) -> list:
     table, k = _locate(w)
     lw = table.length[k]
     return [i for i, step in enumerate(table.left, 1) if table.length[step[k]] > lw]
+
+
+def right_ascents(w: WeylElement) -> list:
+    """The letters i with l(w s_i) > l(w), increasing."""
+    table, k = _locate(w)
+    lw = table.length[k]
+    return [i for i, step in enumerate(table.right, 1) if table.length[step[k]] > lw]
 
 
 def reduced_word(w: WeylElement) -> tuple:

@@ -17,7 +17,9 @@ The cut crystal at one (datum, word, lam) has one cached record
 and both face decompositions take once per call.  Its operator table
 (`_operator_table`) is the breadth-first closure of the highest element
 under lowering, with per letter the index of f_i of every state, its inverse
-e_i (e_i f_i b = b), eps_i, and the lowest element.  Each state is one int
+e_i (e_i f_i b = b), eps_i, and the lowest element: `down` and `up` are
+tuples of index ints, `up` sharing the int objects of `down`, and eps is one
+unsigned array per letter whose items hold the depth.  Each state is one int
 key, and its sigmas and weight pairings ride along as one more int, so the
 build sweeps no coordinates and decides each letter's lowering once per
 distinct group of that letter's statistics.  Only `crystal_states` decodes
@@ -35,9 +37,13 @@ two.  The string of b is (a_1, tail(e_{i_1}^{a_1} b)): the number of raises
 by the first letter, then the string of the raised element along the rest of
 the word.  `_string_table` computes these tails per word position and state
 over the whole cut crystal, each state's top read off its parent's, so the
-table costs the sum of the level sizes.  The record holds the strings with
+table costs the sum of the level sizes.  A tail is one int, coordinate p in
+byte field p, as wide as the eps items, so a string is one packed int, and
+the record's strings (`_Strings`) are a read-only sequence that decodes a
+string to its tuple on index and on iteration.  The record holds them with
 one bitmask per string-polytope row over them, certified as the polytope's
-lattice points by containment and count when it is built.  Every
+lattice points by containment and count when it is built, the containment
+reading each coordinate column as a strided slice of the packed bytes.  Every
 string set exported to the polytope side (B(lam), Demazure and opposite
 Demazure sets, Richardson intersections, one state's `string_coords`) is
 read off these certified strings, so none escapes the certificate.  B(lam)
@@ -53,9 +59,10 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import deque
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain, compress, filterfalse
-from operator import itemgetter, lshift, mul
+from operator import lshift, mul
 from typing import NamedTuple
 
 from . import polytopes
@@ -213,7 +220,8 @@ class _OperatorTable(NamedTuple):
                    # which no coordinate passes
     down: tuple    # down[i - 1][k]: index of f_i of state k, or -1
     up: tuple      # up[i - 1][k]: index of e_i of state k, or -1
-    eps: tuple     # eps[i - 1][k]: epsilon_i of state k
+    eps: tuple     # eps[i - 1][k]: epsilon_i of state k, one unsigned array
+                   # per letter whose items hold the depth (`_eps_code`)
     lowest: int    # index of the one state every f_i kills
 
 
@@ -234,11 +242,12 @@ def _coords(table: _OperatorTable, key: int, length: int) -> tuple:
     return tuple((key >> (width * p)) & field for p in range(length))
 
 
-def _invert(step) -> list:
+def _invert(step, ids) -> list:
     """The inverse of one letter's lowering indices: e_i f_i b = b, so e_i is
-    f_i read backwards, which needs f_i injective."""
+    f_i read backwards, which needs f_i injective.  ids[k] is the index k,
+    one int object that the inverses of every letter share."""
     out = [-1] * len(step)
-    for k, j in enumerate(step):
+    for k, j in zip(ids, step):
         if j >= 0:
             if out[j] >= 0:
                 raise InvariantError("lowering is not injective")
@@ -273,6 +282,15 @@ def _statistics_layout(datum: RootDatum, word, bits: int) -> tuple:
 
 
 _FIELDS = {array(code).itemsize * 8: code for code in "qlihb"}  # array codes by width
+_UNSIGNED = {array(code).itemsize: code for code in "QLIHB"}  # unsigned codes by bytes
+
+
+def _eps_code(depth: int) -> str:
+    """The unsigned array code of the eps columns and of the string fields:
+    the narrowest of 1, 2, 4 and 8 bytes that holds the depth, which no eps
+    and no string coordinate passes.  The caller's `_field_bits` check has
+    bounded the depth below 2^63, so 8 bytes always do."""
+    return _UNSIGNED[next(size for size in (1, 2, 4, 8) if not depth >> 8 * size)]
 
 
 def _field_bits(bound: int) -> int:
@@ -329,18 +347,19 @@ def _operator_table(datum: RootDatum, word, lam) -> _OperatorTable:
     keys, index = [0], {0: 0}
     highest = sum((tops + (x << bits * len(where))) << shift for (shift, _, tops, where), x in zip(letters, lam))
     pending = deque([highest])  # the statistics of the states not yet expanded
-    down, decided = [[] for _ in letters], [[] for _ in letters]
-    steps = [(*letter, {}, decided_i, down_i) for letter, decided_i, down_i in zip(letters, decided, down)]
+    code = _eps_code(depth)
+    down, eps = [[] for _ in letters], [array(code) for _ in letters]
+    steps = [(*letter, {}, eps_i, down_i) for letter, eps_i, down_i in zip(letters, eps, down)]
     lowest = []
     for key in keys:  # visits the states appended on the way
         s = pending.popleft()
         killed = True
-        for shift, mask, tops, where, seen, decided_i, down_i in steps:
+        for shift, mask, tops, where, seen, eps_i, down_i in steps:
             group = s >> shift & mask
             d = seen.get(group)
             if d is None:
                 d = seen[group] = _decide(group, tops, where, bits, unit, moves)
-            decided_i.append(d)
+            eps_i.append(d[2])
             if not d[0]:
                 down_i.append(-1)
                 continue
@@ -357,9 +376,12 @@ def _operator_table(datum: RootDatum, word, lam) -> _OperatorTable:
     if len(lowest) != 1:
         raise InvariantError("lowest element not unique")
     (low, low_stats), = lowest
-    up = tuple(tuple(_invert(row)) for row in down)
-    eps = tuple(tuple(map(itemgetter(2), row)) for row in decided)
-    table = _OperatorTable(tuple(keys), width, depth, tuple(map(tuple, down)), up, eps, index[low])
+    ids, low = list(index.values()), index[low]  # the index ints that down holds
+    del index, pending
+    for i, row in enumerate(down):
+        down[i] = tuple(row)
+    up = tuple(tuple(_invert(row, ids)) for row in down)
+    table = _OperatorTable(tuple(keys), width, depth, tuple(down), up, tuple(eps), low)
     coords = _coords(table, table.keys[table.lowest], len(word))
     if sum(coords) != table.depth:
         raise InvariantError("the lowest state's coordinates do not sum to the depth %d" % depth)
@@ -396,7 +418,49 @@ def string_coords(datum: RootDatum, word, lam, state) -> tuple:
     raise InvariantError("non-normal state: not in the generated crystal")
 
 
-def _string_table(table: _OperatorTable, word) -> tuple:
+class _Strings(Sequence):
+    """The record's strings: each packed into one int, coordinate p in
+    unsigned byte field p, the fields as wide as the items of array code
+    `code`.  A read-only sequence that decodes a string to its tuple on
+    index and on iteration, and a slice to a tuple of tuples."""
+
+    __slots__ = ("packed", "length", "code", "size")
+
+    def __init__(self, packed: tuple, length: int, code: str):
+        self.packed = packed  # the strings in table order
+        self.length = length  # the coordinates of a string
+        self.code = code
+        self.size = array(code).itemsize * length  # the bytes of a string
+
+    def __len__(self):
+        return len(self.packed)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self._decode, self.packed[k]))
+        return self._decode(self.packed[k])
+
+    def __iter__(self):
+        return map(self._decode, self.packed)
+
+    def _items(self, data: bytes) -> array:
+        """Little-endian fields as array items."""
+        items = array(self.code, data)
+        if sys.byteorder == "big":
+            items.byteswap()
+        return items
+
+    def _decode(self, string: int) -> tuple:
+        return tuple(self._items(string.to_bytes(self.size, "little")))
+
+    def columns(self) -> list:
+        """Coordinate p of every string, one strided slice of the packed
+        fields per p."""
+        items = memoryview(self._items(b"".join(s.to_bytes(self.size, "little") for s in self.packed)))
+        return [items[p :: self.length] for p in range(self.length)]
+
+
+def _string_table(table: _OperatorTable, word) -> _Strings:
     """The string coords of every table state, in table order, by suffix
     table; the record's builder `_crystal` is its one caller.
 
@@ -406,10 +470,24 @@ def _string_table(table: _OperatorTable, word) -> tuple:
     indices, so the work is the sum of the level sizes rather than N times
     the crystal; a level keeps each state's top, its count being its epsilon.
     In table order e_i b comes before b (a state's depth is its coordinate
-    sum), so b takes the top of e_i b when e_i b is in the level."""
+    sum), so b takes the top of e_i b when e_i b is in the level.  The first
+    level is every state, so its tops are a list in table order.  The tails
+    are packed ints, a_p in byte field p, built from the last level back,
+    each level freed once read; the fields are as wide as the eps items,
+    which must hold the depth, since no string coordinate passes it."""
+    first, *rest = word
+    up, eps = table.up[first - 1], table.eps[first - 1]
+    shift = 8 * eps.itemsize
+    if table.depth >> shift:
+        raise InvariantError("string fields of %d bytes do not hold the depth %d" % (eps.itemsize, table.depth))
+    tops = []
+    for b, parent in enumerate(up):
+        if eps[b] != (eps[parent] + 1 if parent >= 0 else 0):
+            raise InvariantError("non-normal state: not in the generated crystal")
+        tops.append(tops[parent] if parent >= 0 else b)
     levels = []
-    frontier = range(len(table.keys))
-    for i in word:
+    frontier = set(tops)
+    for i in rest:
         up, eps = table.up[i - 1], table.eps[i - 1]
         step = {}
         for b in sorted(frontier):
@@ -428,20 +506,22 @@ def _string_table(table: _OperatorTable, word) -> tuple:
         frontier = set(step.values())
     if frontier != {0}:
         raise InvariantError("string extraction did not reach the top")
-    tails = {0: ()}
-    for eps, step in reversed(levels):
-        tails = {b: (eps[b],) + tails[top] for b, top in step.items()}
-    strings = tuple(tails[k] for k in range(len(table.keys)))
-    if len(set(strings)) != len(strings):
+    tails = {0: 0}
+    while levels:
+        eps, step = levels.pop()
+        tails = {b: eps[b] + (tails[top] << shift) for b, top in step.items()}
+    eps = table.eps[first - 1]
+    packed = tuple(eps[b] + (tails[top] << shift) for b, top in enumerate(tops))
+    if len(set(packed)) != len(packed):
         raise InvariantError("string parametrization not injective")
-    return strings
+    return _Strings(packed, len(word), eps.typecode)
 
 
 class _Crystal(NamedTuple):
     table: _OperatorTable  # the operators over the table order
-    strings: tuple         # the certified strings, in table order
+    strings: _Strings      # the certified strings, in table order
     masks: tuple           # per row, the bitmask over the strings tight on it
-    folds: dict            # (opposite, w) -> the mask of B^w or B_w, filled on first read
+    folds: tuple           # per side, B_w then B^w, a dict w -> its mask, filled on first read
     datum: RootDatum       # the group of every w in folds
 
 
@@ -464,7 +544,7 @@ def _crystal(datum: RootDatum, word, lam) -> _Crystal:
     (on the standard word) the cone rows, must have a string on all its rows
     (`polytopes.check_blocks_meet`), so that no face is empty."""
     table = _operator_table(datum, word, lam)
-    points = _string_table(table, word)
+    strings = _string_table(table, word)
     certified = is_certified_word(datum, word)
     if certified:
         polytope = polytopes.string_polytope(datum, lam)
@@ -472,19 +552,19 @@ def _crystal(datum: RootDatum, word, lam) -> _Crystal:
     else:
         facets = (polytopes.string_lambda_facet(datum, word, j) for j in range(1, len(word) + 1))
         rows = [(vec, sum(map(mul, lam_vec, lam))) for vec, lam_vec in facets]
-    masks, outside = polytopes.slack_masks(rows, points)
+    masks, outside = polytopes.column_masks(rows, strings.columns(), len(strings))
     if outside:
         raise CrystalPolytopeMismatchError(
-            "string %r lies outside the string polytope" % (polytopes.mask_points(outside, points)[0],)
+            "string %r lies outside the string polytope" % (polytopes.mask_points(outside, strings)[0],)
         )
     if certified:
         count = polytopes.lattice_count(polytope)
-        if count != len(points):
+        if count != len(strings):
             raise CrystalPolytopeMismatchError(
-                "crystal generation has %d points, string polytope %d" % (len(points), count)
+                "crystal generation has %d points, string polytope %d" % (len(strings), count)
             )
     polytopes.check_blocks_meet(masks, len(word))
-    return _Crystal(table, points, masks, {}, datum)
+    return _Crystal(table, strings, masks, ({}, {}), datum)
 
 
 def record(datum: RootDatum, word, lam) -> _Crystal:
@@ -541,7 +621,8 @@ def fold(record: _Crystal, w: WeylElement, opposite: bool) -> int:
     """The mask of B_w(lam), or of B^w(lam) when opposite, filed in the
     record: B_e is state 0, B_w = F_i B_{s_i w} for the least left descent i
     of w, B^{w_0} the lowest state, B^w = E_i B^{s_i w} for the least ascent."""
-    mask = record.folds.get((opposite, w))
+    filed = record.folds[opposite]
+    mask = filed.get(w)
     if mask is None:
         check_group(record.datum, w)
         letters, table = left_ascents(w) if opposite else left_descents(w), record.table
@@ -550,7 +631,7 @@ def fold(record: _Crystal, w: WeylElement, opposite: bool) -> int:
         else:
             step = (table.up if opposite else table.down)[letters[0] - 1]
             mask = _closure(step, fold(record, left_mul(letters[0], w), opposite))
-        record.folds[opposite, w] = mask
+        filed[w] = mask
     return mask
 
 

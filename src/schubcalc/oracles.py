@@ -46,13 +46,12 @@ from .cartan import (
     check_weight,
     elements_of_length,
     group_order,
-    inverse,
-    left_ascents,
-    left_mul,
     length,
     positive_coroots,
     positive_roots,
     reduced_word,
+    right_ascents,
+    right_mul,
     simple_root_in_fundamental,
 )
 
@@ -227,16 +226,17 @@ def schubert_representative(datum: RootDatum, w: WeylElement) -> tuple:
     With i the first letter of `reduced_word(w^{-1} w_0)`, its least left
     descent, which is the least right ascent of w, the rest of that word is
     the one of (w s_i)^{-1} w_0, so the representative is d_i of the cached
-    one of w s_i: the same divided differences in the same order."""
+    one of w s_i: the same divided differences in the same order, w s_i
+    read off the group table's right column."""
     check_group(datum, w)  # this public cache holds no element of another group
-    inv = inverse(w)
-    ascents = left_ascents(inv)  # the letters i with l(w s_i) > l(w)
+    ascents = right_ascents(w)
     if not ascents:
         return top_class_polynomial(datum)
+    i = ascents[0]
     # the cached function under a private name, so that a patch of the
     # public one reaches no other representative
-    rep = _representative(datum, inverse(left_mul(ascents[0], inv)))
-    return tuple(sorted(divided_difference(datum, ascents[0], dict(rep)).items()))
+    rep = _representative(datum, right_mul(w, i))
+    return tuple(sorted(divided_difference(datum, i, dict(rep)).items()))
 
 
 _representative = schubert_representative

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import array
 import sys
-from collections.abc import Set
+from collections.abc import Sequence, Set
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, compress, repeat
@@ -213,11 +213,13 @@ def slack_masks(rows, points) -> tuple:
     OverflowError."""
     if len({len(vec) for vec, _ in rows} | set(map(len, points))) > 1:
         raise ValueError("slack_masks takes rows and points of one dimension")
-    return _column_masks(rows, tuple(zip(*points)), len(points))
+    return column_masks(rows, tuple(zip(*points)), len(points))
 
 
-def _column_masks(rows, columns, n) -> tuple:
-    """`slack_masks` over n points given as one column per coordinate."""
+def column_masks(rows, columns, n) -> tuple:
+    """`slack_masks` over n points given as one column per coordinate, each
+    a sequence of n ints (a list, or a strided view of packed fields), for
+    callers that hold their points by column."""
     if not rows or not n:
         return (0,) * len(rows), 0
     highs = [max(max(column), -min(column)) for column in columns]
@@ -260,9 +262,10 @@ def _column_masks(rows, columns, n) -> tuple:
 
 
 def mask_points(mask: int, points) -> tuple:
-    """The points whose bits are set in `mask`, in point order: the inverse
-    of the masks of `slack_masks`."""
-    return tuple(compress(points, mask_flags(mask, len(points))))
+    """The points whose bits are set in `mask`, in point order, each read
+    by its index, so that a sequence that decodes on index decodes only
+    these: the inverse of the masks of `slack_masks`."""
+    return tuple(map(points.__getitem__, compress(range(len(points)), mask_flags(mask, len(points)))))
 
 
 def mask_flags(mask: int, size: int) -> bytearray:
@@ -281,17 +284,19 @@ def flags_mask(flags) -> int:
 
 class PointSet(Set):
     """A read-only set view: the points whose bits are set in `mask`, bit i
-    for points[i], the points distinct.  Its size is the bit count, and it
-    decodes its points (`mask_points`) only to iterate or to test membership;
-    the first membership test keeps them as a frozenset, so that a subset
-    test or a set operation does not decode once per member.  Two views over
-    the same points tuple are equal exactly when their masks are, which the
-    distinct points make set equality; any other comparison is by content.
-    Set operations return frozensets."""
+    for points[i], the points a sequence of distinct tuples (a tuple, or a
+    crystal record's packed strings, which decode as they are read).  Its
+    size is the bit count, and it decodes its points (`mask_points`) only to
+    iterate or to test membership; the first membership test keeps them as
+    a frozenset, so that a subset test or a set operation does not decode
+    once per member.  Two views over the same points sequence are equal
+    exactly when their masks are, which the distinct points make set
+    equality; any other comparison is by content.  Set operations return
+    frozensets."""
 
     __slots__ = ("mask", "points", "_members")
 
-    def __init__(self, mask: int, points: tuple):
+    def __init__(self, mask: int, points: Sequence):
         self.mask = mask
         self.points = points
         self._members = None
@@ -328,7 +333,7 @@ def lattice_incidence(p: Polytope) -> tuple:
     tight on it) over the points in sweep order (`_sweep`), whose columns go
     to the packed kernel of `slack_masks` as they are, building no point."""
     count, columns = _sweep(p, True)
-    return count, _column_masks(p.ineqs, columns, count)[0]
+    return count, column_masks(p.ineqs, columns, count)[0]
 
 
 def check_blocks_meet(masks, size: int):

@@ -25,6 +25,7 @@ formulas with one branch per type.  Also the
 exact linear solve and the weight and diagram helpers that only tests use."""
 
 import itertools
+from array import array
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -313,6 +314,15 @@ def table_states(datum, word, lam, table=None):
     )
 
 
+def pack_strings(points, code="B"):
+    """Tuples of one length as the record holds them (`crystals._Strings`):
+    each a sum of shifted coordinates, coordinate p in field p, as wide as
+    the items of unsigned array code `code`."""
+    bits = 8 * array(code).itemsize
+    packed = tuple(sum(a << bits * p for p, a in enumerate(point)) for point in points)
+    return cr._Strings(packed, len(points[0]), code)
+
+
 def table_key(table, state):
     """The key of a state packed into the table's fields: coordinate p times
     the unit of field p.  A coordinate past the field carries."""
@@ -394,7 +404,7 @@ def list_statistics_table(datum, word, lam):
         width,
         depth,
         tuple(tuple(row) for row in down),
-        tuple(tuple(cr._invert(row)) for row in down),
+        tuple(tuple(cr._invert(row, range(len(row)))) for row in down),
         tuple(tuple(row) for row in eps),
         lowest[0],
     )

@@ -30,6 +30,8 @@ from schubcalc.cartan import (
     positive_coroots,
     positive_roots,
     reduced_word,
+    right_ascents,
+    right_mul,
     simple_element,
     simple_root_in_fundamental,
     standard_word,
@@ -252,7 +254,9 @@ def test_table_matches_oneline_arithmetic(datum):
         assert table.length[k] == length(w) == _inversions(w)
         for i, s in enumerate(simple, 1):
             assert table.elements[table.left[i - 1][k]] == ref.oneline_left_mul(i, w) == left_mul(i, w)
-            assert table.elements[table.right[i - 1][k]] == multiply(w, s)
+            assert table.elements[table.right[i - 1][k]] == multiply(w, s) == right_mul(w, i)
+        ascents = [i for i, s in enumerate(simple, 1) if _inversions(multiply(w, s)) > _inversions(w)]
+        assert right_ascents(w) == ascents
         assert reduced_word(w) == ref.oneline_reduced_word(w)
         assert word_to_element(datum, reduced_word(w)) == w
 
@@ -452,6 +456,17 @@ def test_malformed_elements_are_refused(datum, line):
         WeylElement(datum, line)
 
 
+@pytest.mark.parametrize(
+    "datum, line",
+    [(C2, 5), (C2, None), (C2, (1, "a")), (A2, (1, "a", 3))],
+    ids=["C2-int", "C2-none", "C2-str-entry", "A2-str-entry"],
+)
+def test_a_one_line_form_that_is_no_tuple_of_ints_is_refused_with_value_error(datum, line):
+    # each once raised TypeError, in abs or in sorted, before the form was checked
+    with pytest.raises(ValueError, match="permutation of 1|not an integer"):
+        WeylElement(datum, line)
+
+
 @pytest.mark.parametrize("rank", [2.0, 2.5, Fraction(2), "2"], ids=["whole-float", "float", "fraction", "str"])
 def test_a_rank_that_is_not_an_int_is_refused_cold_and_warm(rank):
     # RootDatum("A", 2.0) once equalled A2: a cold cache raised TypeError
@@ -500,6 +515,7 @@ def test_a_letter_that_is_not_an_int_is_refused(letter):
         lambda: word_to_element(A2, (letter, 2)),
         lambda: simple_element(A2, letter),
         lambda: left_mul(letter, identity_element(A2)),
+        lambda: right_mul(identity_element(A2), letter),
         lambda: simple_root_in_fundamental(A2, letter),
     ):
         with pytest.raises(ValueError, match=message):
@@ -527,6 +543,8 @@ def test_table_lookup_of_a_non_member_raises_value_error():
             lambda: length(bad),
             lambda: left_mul(1, bad),
             lambda: left_descents(bad),
+            lambda: right_mul(bad, 1),
+            lambda: right_ascents(bad),
             lambda: reduced_word(bad),
             lambda: inverse(bad),
             lambda: bruhat_leq(bad, e),
@@ -542,5 +560,7 @@ def test_bad_letters_raise_value_error():
     for i in (0, 3, -1):
         with pytest.raises(ValueError, match="out of range"):
             left_mul(i, e)
+        with pytest.raises(ValueError, match="out of range"):
+            right_mul(e, i)
         with pytest.raises(ValueError, match="out of range"):
             word_to_element(A2, (1, i))

@@ -1,6 +1,9 @@
+import gc
 import itertools
 import operator
 import random
+import tracemalloc
+from array import array
 from fractions import Fraction
 from functools import reduce
 
@@ -372,7 +375,7 @@ def _with_planted_state(table, datum, word, lam, planted):
         down=tuple(row + (-1,) for row in table.down),
         up=tuple(row + (-1,) for row in table.up),
         eps=tuple(
-            row + (cr.epsilon(datum, word, lam, planted, i),)
+            row + array(row.typecode, [cr.epsilon(datum, word, lam, planted, i)])
             for i, row in enumerate(table.eps, start=1)
         ),
     )
@@ -411,7 +414,8 @@ def test_exported_strings_are_certified(monkeypatch, name):
     strings = cr._crystal(A2, IA2, (1, 0)).strings
     assert strings[2] == (0, 1, 1)
     cr._crystal.cache_clear()
-    monkeypatch.setattr(cr, "_string_table", lambda table, word: strings[:2] + ((0, 1, 2),))
+    planted = ref.pack_strings(strings[:2] + ((0, 1, 2),))
+    monkeypatch.setattr(cr, "_string_table", lambda table, word: planted)
     try:
         with pytest.raises(cr.CrystalPolytopeMismatchError, match=r"string \(0, 1, 2\) lies outside"):
             EXPORTED_STRINGS[name]()
@@ -567,7 +571,8 @@ def test_packed_statistics_table_matches_the_list_statistics_reference():
     cases += [(datum, standard_word(datum), lam) for datum, lam in ((A3, (3, 3, 3)), (C3, (2, 2, 2)), (A2, (300, 0)))]
     for datum, word, lam in cases:
         table = cr._operator_table(datum, word, lam)
-        assert table == ref.list_statistics_table(datum, word, lam), (datum, word, lam)
+        decoded = table._replace(eps=tuple(map(tuple, table.eps)))
+        assert decoded == ref.list_statistics_table(datum, word, lam), (datum, word, lam)
     # the last case's table, A2 at (300, 0)
     assert max(map(max, ref.table_states(A2, IA2, (300, 0), table))) > 255
 
@@ -599,7 +604,7 @@ def test_string_coords_of_every_state_are_the_record_strings_in_table_order():
     rec = cr.record(A3, word, lam)
     states = ref.table_states(A3, word, lam)
     assert len(states) == 4096
-    assert tuple(cr.string_coords(A3, word, lam, state) for state in states) == rec.strings
+    assert tuple(cr.string_coords(A3, word, lam, state) for state in states) == tuple(rec.strings)
     members = set(states)
     outside = next(s for s in itertools.product(range(rec.table.depth + 1), repeat=len(word)) if s not in members)
     with pytest.raises(InvariantError, match="^non-normal state"):
@@ -645,9 +650,9 @@ def test_operator_table_rejects_corrupt_statistics(monkeypatch):
 
 
 def test_invert_rejects_non_injective_lowering():
-    assert cr._invert((1, 2, -1)) == [-1, 0, 1]
+    assert cr._invert((1, 2, -1), range(3)) == [-1, 0, 1]
     with pytest.raises(InvariantError, match="not injective"):
-        cr._invert((2, 2, -1))
+        cr._invert((2, 2, -1), range(3))
 
 
 def test_table_readers_match_reference_routes():
@@ -714,14 +719,18 @@ class _CountingRow(tuple):
 
 
 def test_string_table_reads_each_raise_about_once():
-    # A1 at (2000,) is one string of 2001 states: each state's top is read
-    # off its parent's, not walked to afresh (about n^2 / 2 = 2,000,000 reads)
-    table = cr._operator_table(A1, standard_word(A1), (2000,))
-    counting = table._replace(up=(_CountingRow(table.up[0]),))
+    # A2 at (0, 200) along (1, 2, 1): the 1-highest states, the second
+    # level, hold the 2-string of the highest weight, 201 states long.  Each
+    # state's top there is read off its parent's, not walked to afresh
+    # (about 201^2 = 40,000 reads of the letter-2 raising column)
+    word, lam = (1, 2, 1), (0, 200)
+    table = cr._operator_table(A2, word, lam)
+    level = sum(parent < 0 for parent in table.up[0])
+    counting = table._replace(up=(table.up[0], _CountingRow(table.up[1])))
     _CountingRow.reads = 0
-    strings = cr._string_table(counting, standard_word(A1))
-    assert strings == tuple((k,) for k in range(2001))
-    assert _CountingRow.reads <= 2 * len(table.keys)
+    strings = cr._string_table(counting, word)
+    assert list(strings) == list(cr._string_table(table, word))
+    assert level == 201 and 0 < _CountingRow.reads <= 2 * level
 
 
 def test_folds_are_filed_in_the_record_and_built_again_after_a_clear(monkeypatch):
@@ -737,22 +746,23 @@ def test_folds_are_filed_in_the_record_and_built_again_after_a_clear(monkeypatch
         expected = ref.fold_demazure(A2, IA2, lam, reduced_word(w))
         assert _fold_states(A2, IA2, w, lam, False) == expected
         assert len(closures) == 2
-        assert set(cr._crystal(A2, IA2, lam).folds) == {(False, u) for u in chain}
+        demazure, opposite = cr._crystal(A2, IA2, lam).folds
+        assert set(demazure) == set(chain) and not opposite
         assert _fold_states(A2, IA2, w, lam, False) == expected
         assert len(closures) == 2
         closures.clear()
     # the other side of the same w is its own fold: B^w for w = s_2 s_1
     assert _fold_states(A2, IA2, w, lam, True) == ref.fold_opposite(A2, IA2, lam, w)
-    assert (True, w) in cr._crystal(A2, IA2, lam).folds
+    assert w in cr._crystal(A2, IA2, lam).folds[True]
 
 
 def test_the_record_holds_the_strings_it_certified(monkeypatch):
     # one string table per record: the strings the record hands out are the
-    # very tuple the rows' containment was read off
+    # very sequence whose columns the rows' containment was read off
     built, read = [], []
-    string_table, slack_masks = cr._string_table, pt.slack_masks
+    string_table, columns = cr._string_table, cr._Strings.columns
     monkeypatch.setattr(cr, "_string_table", lambda table, word: built.append(string_table(table, word)) or built[-1])
-    monkeypatch.setattr(pt, "slack_masks", lambda rows, points: read.append(points) or slack_masks(rows, points))
+    monkeypatch.setattr(cr._Strings, "columns", lambda strings: read.append(strings) or columns(strings))
     for word in (IA2, (2, 1, 2)):
         cr._crystal.cache_clear()
         built.clear()
@@ -761,6 +771,125 @@ def test_the_record_holds_the_strings_it_certified(monkeypatch):
         assert len(built) == len(read) == 1
         assert record.strings is built[0] is read[0]
     cr._crystal.cache_clear()
+
+
+def _record_rows(datum, word, lam):
+    """The rows of the record's masks: the string polytope's on the standard
+    word, the lambda-bound ones on any other."""
+    if word == standard_word(datum):
+        return pt.string_polytope(datum, lam).ineqs
+    facets = (pt.string_lambda_facet(datum, word, j) for j in range(1, len(word) + 1))
+    return [(vec, sum(map(operator.mul, lam_vec, lam))) for vec, lam_vec in facets]
+
+
+# (datum, word, lam, sample): a coordinate past one byte on A1 (300,), of
+# depth 300, so fields of two bytes; a non-standard word; and C4 rho, of
+# 65,536 strings, whose strings and masks are checked on a seeded sample
+PACKED_PANEL = (
+    (A1, standard_word(A1), (300,), None),
+    (A2, IA2, (2, 1), None),
+    (C2, IC2, (3, 1), None),
+    (A3, ref.other_word(A3), (2, 0, 1), None),
+    (C3, standard_word(C3), (2, 0, 1), None),
+    (RootDatum("C", 4), standard_word(RootDatum("C", 4)), (1, 1, 1, 1), 300),
+)
+
+
+@pytest.mark.parametrize(
+    "datum, word, lam, sample",
+    PACKED_PANEL,
+    ids=["%s%d-%s-%s" % (d.family, d.rank, "".join(map(str, w)), l) for d, w, l, _ in PACKED_PANEL],
+)
+def test_packed_record_matches_the_tuple_routes(datum, word, lam, sample):
+    # the table's columns are the list-statistics build's, the eps held as
+    # unsigned items that hold the depth; the decoded strings are the
+    # per-state raising route's, and the masks the exact dot products over them
+    rec = cr.record(datum, word, lam)
+    table = rec.table
+    assert table._replace(eps=tuple(map(tuple, table.eps))) == ref.list_statistics_table(datum, word, lam)
+    assert {row.typecode for row in table.eps} == {"B" if table.depth < 256 else "H"}
+    states = ref.table_states(datum, word, lam)
+    picked = range(len(states)) if sample is None else sorted(random.Random(44).sample(range(len(states)), sample))
+    strings = [ref.string_coords(datum, word, lam, states[k]) for k in picked]
+    decoded = list(rec.strings)
+    assert [decoded[k] for k in picked] == [rec.strings[k] for k in picked] == strings
+    masks = tuple(sum((mask >> k & 1) << i for i, k in enumerate(picked)) for mask in rec.masks)
+    assert masks == ref.column_tight_bits(_record_rows(datum, word, lam), strings)
+
+
+def test_record_strings_decode_slices():
+    strings = cr.record(A2, IA2, (1, 0)).strings
+    assert strings[:2] == ((0, 0, 0), (1, 0, 0)) and strings[::-1] == tuple(reversed(list(strings)))
+
+
+def test_point_sets_over_the_packed_strings_iterate_the_decoded_tuples_in_order():
+    # every fold of A3 at (2, 1, 1) and the full mask, as views over the
+    # packed strings and over their decoded tuple
+    word, lam = standard_word(A3), (2, 1, 1)
+    rec = cr.record(A3, word, lam)
+    decoded = tuple(ref.string_coords(A3, word, lam, s) for s in ref.table_states(A3, word, lam))
+    masks = [(1 << len(decoded)) - 1]
+    masks += [cr.fold(rec, w, opposite) for w in all_elements(A3) for opposite in (False, True)]
+    for mask in masks:
+        view = pt.PointSet(mask, rec.strings)
+        expected = [s for k, s in enumerate(decoded) if mask >> k & 1]
+        assert list(view) == expected
+        assert all(s in view for s in expected) and len(view) == len(expected)
+        assert view == pt.PointSet(mask, decoded)
+
+
+def test_string_table_refuses_a_first_level_state_off_its_parent_string():
+    # A2 at (1, 0), strings (0, 0, 0), (1, 0, 0) and (0, 1, 1): eps_1 of state
+    # 2, the top of its 1-string, made 1, which no parent gives.  Only the
+    # first level reads it: the last, of letter 1 too, meets states 0 and 1
+    table = cr._operator_table(A2, IA2, (1, 0))
+    assert tuple(table.eps[0]) == (0, 1, 0) and table.up[0][2] == -1
+    planted = table._replace(eps=(array("B", (0, 1, 1)), table.eps[1]))
+    with pytest.raises(InvariantError, match="^non-normal state"):
+        cr._string_table(planted, IA2)
+
+
+def test_string_table_refuses_two_states_with_one_string():
+    # a copy of state 2 of A2 at (1, 1), no operator reaching it, with the
+    # raising indices and eps of the original: it passes every level, and
+    # only the packed strings' injectivity sees it
+    table = cr._operator_table(A2, IA2, (1, 1))
+    planted = table._replace(
+        keys=table.keys + (max(table.keys) + 1,),
+        down=tuple(row + (-1,) for row in table.down),
+        up=tuple(row + (row[2],) for row in table.up),
+        eps=tuple(row + row[2:3] for row in table.eps),
+    )
+    with pytest.raises(InvariantError, match="not injective"):
+        cr._string_table(planted, IA2)
+
+
+def test_string_table_refuses_fields_narrower_than_the_depth():
+    # one-byte items hold the depth 255 of A1 at (255,) and not 256, past
+    # which a string coordinate could carry into the next field
+    table = cr._operator_table(A1, standard_word(A1), (255,))
+    assert table.depth == 255 and table.eps[0].typecode == "B"
+    assert len(cr._string_table(table, standard_word(A1))) == 256
+    with pytest.raises(InvariantError, match="do not hold the depth 256"):
+        cr._string_table(table._replace(depth=256), standard_word(A1))
+    assert cr._operator_table(A1, standard_word(A1), (256,)).eps[0].typecode == "H"
+
+
+def test_the_record_of_c3_at_2_2_2_holds_at_most_4_5_mb():
+    # the bytes that the record of C3 at (2, 2, 2), 19,683 strings, holds
+    # once built, the caches of the group warm: 3.5 MB measured, bounded with
+    # a margin of about 30%; the record of tuple strings and eps held 7.1 MB
+    word, lam = standard_word(C3), (2, 2, 2)
+    cr.record(C3, word, lam)
+    cr._crystal.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cr.record(C3, word, lam)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 4.5e6, held
 
 
 NON_INTEGER_STATES = ((0.0, 0, 0), (0.5, 0, 0), (1, Fraction(1), 0))

@@ -26,6 +26,8 @@ except InvariantError as err:
 # reaches it, its eps are its true ones, and its key, packed into fields too
 # narrow for it, is no table state's
 NON_NORMAL_TABLE_ENTRY = """
+from array import array
+
 from schubcalc import crystals
 from schubcalc.cartan import InvariantError, RootDatum, standard_word
 
@@ -37,7 +39,7 @@ planted = table._replace(
     keys=table.keys + (key,),
     down=tuple(row + (-1,) for row in table.down),
     up=tuple(row + (-1,) for row in table.up),
-    eps=tuple(row + (crystals.epsilon(A2, word, lam, state, i),) for i, row in enumerate(table.eps, 1)),
+    eps=tuple(row + array("B", [crystals.epsilon(A2, word, lam, state, i)]) for i, row in enumerate(table.eps, 1)),
 )
 crystals._operator_table = lambda datum, word, lam: planted
 try:
@@ -55,8 +57,10 @@ from schubcalc.cartan import InvariantError, RootDatum, standard_word
 
 A2 = RootDatum("A", 2)
 word = standard_word(A2)
-strings = crystals._string_table(crystals._operator_table(A2, word, (1, 0)), word)
-crystals._string_table = lambda table, word: %s
+strings = tuple(crystals._string_table(crystals._operator_table(A2, word, (1, 0)), word))
+# packed as the record packs them, coordinate p in byte p
+planted = crystals._Strings(tuple(int.from_bytes(bytes(s), "little") for s in %s), 3, "B")
+crystals._string_table = lambda table, word: planted
 try:
     print(sorted(crystals.generate_b_lambda(A2, word, (1, 0))))
 except InvariantError as err:
@@ -74,8 +78,10 @@ from schubcalc.cartan import InvariantError, RootDatum
 
 A2 = RootDatum("A", 2)
 word = (2, 1, 2)
-strings = crystals._string_table(crystals._operator_table(A2, word, (1, 0)), word)
-crystals._string_table = lambda table, word: %s
+strings = tuple(crystals._string_table(crystals._operator_table(A2, word, (1, 0)), word))
+# packed as the record packs them, coordinate p in byte p
+planted = crystals._Strings(tuple(int.from_bytes(bytes(s), "little") for s in %s), 3, "B")
+crystals._string_table = lambda table, word: planted
 try:
     print(sorted(crystals.generate_b_lambda(A2, word, (1, 0))))
 except InvariantError as err:
