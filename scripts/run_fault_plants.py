@@ -16,7 +16,7 @@ other pytest outcome (no such test, a collection error) is an error.
 
 It prints one line per plant, then the killed, survived and error counts,
 and exits 1 unless every plant is killed.  Each row costs one pytest start
-and one test run (the 73 rows took about two and a quarter minutes on a 2-core
+and one test run (the 76 rows took about two minutes on a 2-core
 host), so the script is not part of the test suite, which checks only that
 every anchor occurs once.
 """
@@ -131,11 +131,17 @@ PLANTS = (
         'high, low = (w, w0) if side == "opposite" else (e, w)',
         "tests/test_faces.py::test_side_volume_at_w0_is_the_leading_weyl_dimension_coefficient",
     ),
-    # the packed slack kernel and the crystal table
+    # the packed-field codec, the packed slack kernel and the crystal table
     (
         "polytopes",
-        "width = next((w for w in (16, 32, 64) if bound.bit_length() + 2 <= w), None)",
-        "width = next((w for w in (16, 32, 64) if bound.bit_length() <= w), None)",
+        'return int.from_bytes(_little(array.array(_TYPECODES[size, signed], values)).tobytes(), "little")',
+        'return int.from_bytes(_little(array.array(_TYPECODES[size, signed], values)).tobytes(), "big")',
+        "tests/test_polytopes.py::test_packed_fields_round_trip_against_the_int_reference",
+    ),
+    (
+        "polytopes",
+        "step = max(2, field_size(max(bounds).bit_length() + 2))  # two guard bits, 16-bit floor",
+        "step = max(2, field_size(max(bounds).bit_length()))",
         "tests/test_polytopes.py::test_tight_bits_at_the_field_limits",
     ),
     (
@@ -233,6 +239,12 @@ PLANTS = (
         "crystals",
         "return unit[p], moves[p], eps",
         "return unit[p - 1], moves[p], eps",
+        "tests/test_crystals.py::test_packed_table_matches_tuple_bfs",
+    ),
+    (
+        "crystals",
+        "unit = [1 << (8 * size * p) for p in range(len(word))]",
+        "unit = [1 << (8 * p) for p in range(len(word))]",
         "tests/test_crystals.py::test_packed_table_matches_tuple_bfs",
     ),
     # packed statistics: one letter's group of fields, its first largest
@@ -376,6 +388,12 @@ PLANTS = (
         "check_weight(self.datum, lam)",
         "pass",
         "tests/test_faces.py::test_divisor_refuses_a_weight_that_is_not_dominant_with_int_entries",
+    ),
+    (
+        "faces",
+        'check_integers("tight index", indices)',
+        "pass",
+        "tests/test_faces.py::test_model_face_union_count_refuses_a_tight_index_that_is_not_an_int",
     ),
     (
         "crystals",

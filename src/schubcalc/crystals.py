@@ -20,10 +20,11 @@ under lowering, with per letter the index of f_i of every state, its inverse
 e_i (e_i f_i b = b), eps_i, and the lowest element: `down` and `up` are
 tuples of index ints, `up` sharing the int objects of `down`, and eps is one
 unsigned array per letter whose items hold the depth.  Each state is one int
-key, and its sigmas and weight pairings ride along as one more int, so the
-build sweeps no coordinates and decides each letter's lowering once per
-distinct group of that letter's statistics.  Only `crystal_states` decodes
-the keys, and `string_coords` packs the state it is given.  `f_op`, `e_op`,
+key, coordinate p in byte field p as wide as the eps items (the codec of
+`polytopes`), and its sigmas and weight pairings ride along as one more int,
+so the build sweeps no coordinates and decides each letter's lowering once
+per distinct group of that letter's statistics.  Only `crystal_states`
+decodes the keys, and `string_coords` packs the state it is given.  `f_op`, `e_op`,
 `epsilon` and `phi` keep the one-state sweep; they, `weight_of` and
 `string_coords` refuse a word, weight or state outside their domain with
 ValueError, through `_validate` and `_check_state`.  The Demazure folds follow
@@ -56,8 +57,6 @@ AND of two folds.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections import deque
 from collections.abc import Sequence
 from functools import lru_cache
@@ -214,14 +213,13 @@ def is_certified_word(datum: RootDatum, word) -> bool:
 
 class _OperatorTable(NamedTuple):
     keys: tuple    # the cut crystal in breadth-first order, the highest first,
-                   # each state packed into one int, coordinate p in bit field p
-    width: int     # bits per field: those of depth, and at least 1
+                   # each state one int, coordinate p in the eps-wide byte field p
     depth: int     # <lam, 2 rho^vee>, the coordinate sum of the lowest state,
                    # which no coordinate passes
     down: tuple    # down[i - 1][k]: index of f_i of state k, or -1
     up: tuple      # up[i - 1][k]: index of e_i of state k, or -1
     eps: tuple     # eps[i - 1][k]: epsilon_i of state k, one unsigned array
-                   # per letter whose items hold the depth (`_eps_code`)
+                   # per letter whose items hold the depth
     lowest: int    # index of the one state every f_i kills
 
 
@@ -233,13 +231,6 @@ def _depth(datum: RootDatum, lam) -> int:
     height of lam - wt, and every weight of B(lam) lies above w_0 lam in the
     dominance order, so no coordinate of any state passes it."""
     return sum(sum(map(mul, k, lam)) for k in positive_coroots(datum))
-
-
-def _coords(table: _OperatorTable, key: int, length: int) -> tuple:
-    """The coordinates of a packed key: its `length` fields of `table.width`
-    bits, field p being coordinate p."""
-    width, field = table.width, (1 << table.width) - 1
-    return tuple((key >> (width * p)) & field for p in range(length))
 
 
 def _invert(step, ids) -> list:
@@ -281,30 +272,10 @@ def _statistics_layout(datum: RootDatum, word, bits: int) -> tuple:
     return tuple(letters), tuple(moves)
 
 
-_FIELDS = {array(code).itemsize * 8: code for code in "qlihb"}  # array codes by width
-_UNSIGNED = {array(code).itemsize: code for code in "QLIHB"}  # unsigned codes by bytes
-
-
-def _eps_code(depth: int) -> str:
-    """The unsigned array code of the eps columns and of the string fields:
-    the narrowest of 1, 2, 4 and 8 bytes that holds the depth, which no eps
-    and no string coordinate passes.  The caller's `_field_bits` check has
-    bounded the depth below 2^63, so 8 bytes always do."""
-    return _UNSIGNED[next(size for size in (1, 2, 4, 8) if not depth >> 8 * size)]
-
-
-def _field_bits(bound: int) -> int:
-    """The narrowest of 8, 16, 32 and 64 bits past the bit length of bound."""
-    bits = max(8, 1 << bound.bit_length().bit_length())
-    if bits not in _FIELDS:
-        raise OverflowError("crystal statistics of %d bits do not fit a 64-bit field" % bound.bit_length())
-    return bits
-
-
-def _fields(group: int, tops: int, bits: int) -> array:
+def _fields(group: int, tops: int, bits: int):
     """The values in a group of fields, tops holding their top bits: v +
     2^(bits - 1) with its top bit flipped is v in two's complement."""
-    return array(_FIELDS[bits], (group ^ tops).to_bytes(tops.bit_length() + 7 >> 3, sys.byteorder))
+    return polytopes.unpack_fields(group ^ tops, tops.bit_length() // bits, bits >> 3, True)
 
 
 def _decide(group, tops, where, bits, unit, moves) -> tuple:
@@ -326,29 +297,29 @@ def _decide(group, tops, where, bits, unit, moves) -> tuple:
 def _operator_table(datum: RootDatum, word, lam) -> _OperatorTable:
     """The cut crystal and its operators over integer indices: the
     breadth-first closure of the zero vector, state 0, under lowering.  Each
-    state is one int key, coordinate p in bit field p, as wide as the depth,
-    which no coordinate passes, and its statistics ride along as one more
-    int (`_statistics_layout`), each lam_i plus a combination, with Cartan
-    entries, 1 and 0 for coefficients, of coordinates >= 0 summing to at
-    most the depth, which bounds the field width.  Lowering at p adds the
-    unit of field p to the key and the move of p to the statistics.  Letter
-    i's lowering reads only its own group of fields (Nakashima-Zelevinsky
-    1997), so it is decided once per distinct group (`_decide`).  Raising is
-    lowering inverted, eps is read off the decisions, and the state every
-    letter kills is the lowest: its coordinates must sum to the depth, and
-    a sweep of them (`_sigma_profile`) must give the statistics it carries.
-    The weight is checked by `record`, the one way to the table's builder."""
+    state is one int key, coordinate p in byte field p, as wide as the eps
+    items, which hold the depth, and its statistics ride along as one more int
+    (`_statistics_layout`), each lam_i plus a combination, with Cartan entries,
+    1 and 0 for coefficients, of coordinates >= 0 summing to at most the depth,
+    which bounds the field width.  Lowering at p adds the unit of field p to
+    the key and the move of p to the statistics.  Letter i's lowering reads
+    only its own group of fields (Nakashima-Zelevinsky 1997), so it is decided
+    once per distinct group (`_decide`).  Raising is lowering inverted, eps is
+    read off the decisions, and the state every letter kills is the lowest: its
+    coordinates must sum to the depth, and a sweep of them (`_sigma_profile`)
+    must give the statistics it carries.  The weight is checked by `record`,
+    the one way to the table's builder."""
     check_word_of_longest(datum, word)
     depth = _depth(datum, lam)
-    width = depth.bit_length() or 1
-    unit = [1 << (width * p) for p in range(len(word))]
-    bits = _field_bits(max(map(abs, chain.from_iterable(cartan_matrix(datum)))) * depth + max(lam))
+    size = polytopes.field_size(depth.bit_length())
+    unit = [1 << (8 * size * p) for p in range(len(word))]
+    bound = max(map(abs, chain.from_iterable(cartan_matrix(datum)))) * depth + max(lam)
+    bits = 8 * polytopes.field_size(bound.bit_length() + 1)  # and a sign bit
     letters, moves = _statistics_layout(datum, word, bits)
     keys, index = [0], {0: 0}
     highest = sum((tops + (x << bits * len(where))) << shift for (shift, _, tops, where), x in zip(letters, lam))
     pending = deque([highest])  # the statistics of the states not yet expanded
-    code = _eps_code(depth)
-    down, eps = [[] for _ in letters], [array(code) for _ in letters]
+    down, eps = [[] for _ in letters], [polytopes.field_array(size) for _ in letters]
     steps = [(*letter, {}, eps_i, down_i) for letter, eps_i, down_i in zip(letters, eps, down)]
     lowest = []
     for key in keys:  # visits the states appended on the way
@@ -381,8 +352,8 @@ def _operator_table(datum: RootDatum, word, lam) -> _OperatorTable:
     for i, row in enumerate(down):
         down[i] = tuple(row)
     up = tuple(tuple(_invert(row, ids)) for row in down)
-    table = _OperatorTable(tuple(keys), width, depth, tuple(down), up, tuple(eps), low)
-    coords = _coords(table, table.keys[table.lowest], len(word))
+    table = _OperatorTable(tuple(keys), depth, tuple(down), up, tuple(eps), low)
+    coords = tuple(polytopes.unpack_fields(table.keys[table.lowest], len(word), size))
     if sum(coords) != table.depth:
         raise InvariantError("the lowest state's coordinates do not sum to the depth %d" % depth)
     for i, (shift, mask, tops, where) in enumerate(letters, 1):
@@ -398,7 +369,8 @@ def crystal_states(datum: RootDatum, word, lam) -> tuple:
     """All elements of the cut crystal in ladder coordinates, sorted: the
     record's keys decoded."""
     table = record(datum, word, lam).table
-    return tuple(sorted(_coords(table, key, len(word)) for key in table.keys))
+    size = table.eps[0].itemsize
+    return tuple(sorted(tuple(polytopes.unpack_fields(key, len(word), size)) for key in table.keys))
 
 
 def string_coords(datum: RootDatum, word, lam, state) -> tuple:
@@ -408,9 +380,9 @@ def string_coords(datum: RootDatum, word, lam, state) -> tuple:
     table, strings, *_ = record(datum, word, lam)
     state = tuple(state)
     _check_state(word, state)
-    # a coordinate past the depth could pack onto another state's key
+    # a coordinate past the depth may pass its field
     if max(state) <= table.depth:
-        key = sum(a << (table.width * p) for p, a in enumerate(state))
+        key = polytopes.pack_fields(state, table.eps[0].itemsize)
         try:
             return strings[table.keys.index(key)]
         except ValueError:
@@ -420,17 +392,16 @@ def string_coords(datum: RootDatum, word, lam, state) -> tuple:
 
 class _Strings(Sequence):
     """The record's strings: each packed into one int, coordinate p in
-    unsigned byte field p, the fields as wide as the items of array code
-    `code`.  A read-only sequence that decodes a string to its tuple on
-    index and on iteration, and a slice to a tuple of tuples."""
+    unsigned byte field p of `size` bytes.  A read-only sequence that decodes
+    a string to its tuple on index and on iteration, and a slice to a tuple
+    of tuples."""
 
-    __slots__ = ("packed", "length", "code", "size")
+    __slots__ = ("packed", "length", "size")
 
-    def __init__(self, packed: tuple, length: int, code: str):
+    def __init__(self, packed: tuple, length: int, size: int):
         self.packed = packed  # the strings in table order
         self.length = length  # the coordinates of a string
-        self.code = code
-        self.size = array(code).itemsize * length  # the bytes of a string
+        self.size = size      # the bytes of a field
 
     def __len__(self):
         return len(self.packed)
@@ -443,21 +414,13 @@ class _Strings(Sequence):
     def __iter__(self):
         return map(self._decode, self.packed)
 
-    def _items(self, data: bytes) -> array:
-        """Little-endian fields as array items."""
-        items = array(self.code, data)
-        if sys.byteorder == "big":
-            items.byteswap()
-        return items
-
     def _decode(self, string: int) -> tuple:
-        return tuple(self._items(string.to_bytes(self.size, "little")))
+        return tuple(polytopes.unpack_fields(string, self.length, self.size))
 
     def columns(self) -> list:
         """Coordinate p of every string, one strided slice of the packed
         fields per p."""
-        items = memoryview(self._items(b"".join(s.to_bytes(self.size, "little") for s in self.packed)))
-        return [items[p :: self.length] for p in range(self.length)]
+        return polytopes.field_columns(self.packed, self.length, self.size)
 
 
 def _string_table(table: _OperatorTable, word) -> _Strings:
@@ -514,7 +477,7 @@ def _string_table(table: _OperatorTable, word) -> _Strings:
     packed = tuple(eps[b] + (tails[top] << shift) for b, top in enumerate(tops))
     if len(set(packed)) != len(packed):
         raise InvariantError("string parametrization not injective")
-    return _Strings(packed, len(word), eps.typecode)
+    return _Strings(packed, len(word), eps.itemsize)
 
 
 class _Crystal(NamedTuple):

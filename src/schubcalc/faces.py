@@ -160,6 +160,7 @@ def model_face_union_count(datum: RootDatum, lam, tights, family: str) -> int:
         raise ValueError("family must be 'F' or 'Fv'")
     big_n = datum.num_positive_roots
     indices = tuple(chain.from_iterable(tights))
+    check_integers("tight index", indices)
     if indices and not 1 <= min(indices) <= max(indices) <= big_n:
         raise IndexError("tight indices run from 1 to %d" % big_n)
     check_integers("weight", lam)  # before the cache, so that no 1.0 finds the table of 1
@@ -376,7 +377,7 @@ def _context(datum: RootDatum, ctx) -> DeformedContext:
     return ctx
 
 
-def degree_pairing(datum: RootDatum, u: WeylElement, v: WeylElement, ctx=None) -> int:
+def degree_pairing(datum: RootDatum, u: WeylElement, v: WeylElement) -> int:
     """Intersection number of the opposite classes of u and v in complementary
     codimensions: the degree of F_u * Fv_v in the ring of the deformed
     polytope (`DeformedContext.degree`), for Fv_v the Kogan face sum of the
@@ -384,7 +385,7 @@ def degree_pairing(datum: RootDatum, u: WeylElement, v: WeylElement, ctx=None) -
     check_group(datum, u, v)
     if length(u) + length(v) != datum.num_positive_roots:
         raise ValueError("lengths must be complementary")
-    ctx = _context(datum, ctx)
+    ctx = default_context(datum)
     return ctx.degree(ctx.class_form(u), multiply(longest_element(datum), v))
 
 

@@ -188,8 +188,50 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 # a field's top byte read as the binary digit "1" exactly when it is below
 # 0x80, that is when the field's top bit is clear
 _ZERO_TOPS = bytes.maketrans(bytes(range(256)), b"1" * 128 + b"0" * 128)
-# a signed array typecode per field width in bits
-_FIELDS = {array.array(code).itemsize * 8: code for code in "qlih"}
+
+
+# ---------------------------------------------------------------------------
+# packed fields: a vector held as one int, field p at bytes [p * size,
+# (p + 1) * size) of its little-endian bytes, in two's complement when signed
+
+_TYPECODES = {(array.array(code).itemsize, code.islower()): code for code in "LlQqIiHhBb"}  # by (bytes, signed)
+
+
+def field_size(bits: int) -> int:
+    """The bytes of the narrowest of 1, 2, 4 and 8 that hold `bits` bits."""
+    if bits > 64:
+        raise OverflowError("fields of %d bits do not fit 64 bits" % bits)
+    return next(size for size in (1, 2, 4, 8) if bits <= 8 * size)
+
+
+def field_array(size: int, values=()) -> array.array:
+    """An array of unsigned fields of `size` bytes holding `values`."""
+    return array.array(_TYPECODES[size, False], values)
+
+
+def _little(items: array.array) -> array.array:
+    """The items' bytes swapped, in place, between the host's order and little-endian."""
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items
+
+
+def pack_fields(values, size: int, signed: bool = False) -> int:
+    """One int holding value p of `values` in field p of `size` bytes, or OverflowError."""
+    return int.from_bytes(_little(array.array(_TYPECODES[size, signed], values)).tobytes(), "little")
+
+
+def unpack_fields(packed: int, count: int, size: int, signed: bool = False) -> array.array:
+    """The `count` fields of `size` bytes of `packed`: the inverse of `pack_fields`."""
+    return _little(array.array(_TYPECODES[size, signed], packed.to_bytes(count * size, "little")))
+
+
+def field_columns(packed, count: int, size: int) -> list:
+    """Field p of every int of `packed`, each holding `count` unsigned fields
+    of `size` bytes: one strided view of one array per p."""
+    data = b"".join(fields.to_bytes(count * size, "little") for fields in packed)
+    items = memoryview(_little(field_array(size, data)))
+    return [items[p::count] for p in range(count)]
 
 
 def slack_masks(rows, points) -> tuple:
@@ -226,31 +268,24 @@ def column_masks(rows, columns, n) -> tuple:
     bounds = [abs(rhs) + sum(abs(c) * h for c, h in zip(vec, highs)) for vec, rhs in rows]
     if not all(isinstance(b, int) for b in bounds):
         raise TypeError("slack_masks takes integer rows and points")
-    bound = max(bounds)
-    width = next((w for w in (16, 32, 64) if bound.bit_length() + 2 <= w), None)
-    if width is None:
-        raise OverflowError("row slacks of %d bits do not fit a 64-bit field" % bound.bit_length())
-    step = width // 8
+    step = max(2, field_size(max(bounds).bit_length() + 2))  # two guard bits, 16-bit floor
     size = step * n
-    ones = int.from_bytes(b"\x01".ljust(step, b"\x00") * n, "little")
-    tops = ones << (width - 1)
+    ones = ((1 << 8 * size) - 1) // ((1 << 8 * step) - 1)  # 1 in each field
+    tops = ones << (8 * step - 1)
     low = tops - ones
     packed = {}
 
     def column(v):
         """Column v packed as the int sum_i x_i 2^(W i)."""
         if v not in packed:
-            digits = array.array(_FIELDS[width], columns[v])
-            if sys.byteorder == "big":
-                digits.byteswap()
-            fields = int.from_bytes(digits.tobytes(), "little")
+            fields = pack_fields(columns[v], step, True)
             packed[v] = fields - ((fields & tops) << 1)
         return packed[v]
 
     tight = []
     inside = -1
     for vec, rhs in rows:
-        slack = (rhs + (1 << (width - 1))) * ones
+        slack = rhs * ones + tops
         for v, c in enumerate(vec):
             if c:
                 slack -= c * column(v)

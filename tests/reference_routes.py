@@ -25,7 +25,6 @@ formulas with one branch per type.  Also the
 exact linear solve and the weight and diagram helpers that only tests use."""
 
 import itertools
-from array import array
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -303,30 +302,43 @@ def string_coords(datum, word, lam, state):
     return tuple(out)
 
 
+def byte_fields(depth):
+    """The bytes of a field that holds the depth: the least of 1, 2, 4 and 8."""
+    return next(size for size in (1, 2, 4, 8) if not depth >> 8 * size)
+
+
+def unpack_bits(key, bits, length):
+    """The `length` fields of `bits` bits of an int, field p from bit bits * p."""
+    return tuple((key >> (bits * p)) & ((1 << bits) - 1) for p in range(length))
+
+
+def pack_bits(values, bits):
+    """The int with value p from bit bits * p: a sum of shifted values, a
+    value past its field carrying into the next."""
+    return sum(a << (bits * p) for p, a in enumerate(values))
+
+
 def table_states(datum, word, lam, table=None):
     """The states of the operator table in table order, each key decoded
-    field by field: coordinate p is the width bits from bit width * p.  The
-    table is the record's unless one is given."""
+    field by field: coordinate p is byte field p, as wide as the eps items.
+    The table is the record's unless one is given."""
     table = table or cr._crystal(datum, word, lam).table
-    field = (1 << table.width) - 1
-    return tuple(
-        tuple((key >> (table.width * p)) & field for p in range(len(word))) for key in table.keys
-    )
+    bits = 8 * table.eps[0].itemsize
+    return tuple(unpack_bits(key, bits, len(word)) for key in table.keys)
 
 
-def pack_strings(points, code="B"):
+def pack_strings(points, size=1):
     """Tuples of one length as the record holds them (`crystals._Strings`):
-    each a sum of shifted coordinates, coordinate p in field p, as wide as
-    the items of unsigned array code `code`."""
-    bits = 8 * array(code).itemsize
-    packed = tuple(sum(a << bits * p for p, a in enumerate(point)) for point in points)
-    return cr._Strings(packed, len(points[0]), code)
+    each a sum of shifted coordinates, coordinate p in field p of `size`
+    bytes."""
+    packed = tuple(pack_bits(point, 8 * size) for point in points)
+    return cr._Strings(packed, len(points[0]), size)
 
 
 def table_key(table, state):
     """The key of a state packed into the table's fields: coordinate p times
     the unit of field p.  A coordinate past the field carries."""
-    return sum(a << (table.width * p) for p, a in enumerate(state))
+    return pack_bits(state, 8 * table.eps[0].itemsize)
 
 
 def list_statistics_layout(datum, word):
@@ -352,19 +364,20 @@ def list_statistics_layout(datum, word):
     return tuple(letters), tuple(where), deltas
 
 
-def list_statistics_table(datum, word, lam):
+def list_statistics_table(datum, word, lam, bits=None):
     """The operator table by the breadth-first build on list statistics:
     every state carries its flat list of sigmas and weight pairings
     (`list_statistics_layout`), and every (state, letter) pair takes the
     max of the letter's sigmas and its first position afresh, as the
     library did before it decided each letter once per distinct group of
-    packed statistics.  The keys, their width, the depth witness and the
-    checks are the library's."""
+    packed statistics.  The keys are packed with coordinate p in field p of
+    `bits` bits, by default the library's byte fields that hold the depth;
+    the depth witness and the checks are the library's."""
     cr._validate(datum, word, lam)
     letters, where, deltas = list_statistics_layout(datum, word)
     depth = cr._depth(datum, lam)
-    width = depth.bit_length() or 1
-    unit = [1 << (width * p) for p in range(len(word))]
+    bits = bits or 8 * byte_fields(depth)
+    unit = [1 << (bits * p) for p in range(len(word))]
     keys = [0]
     index = {0: 0}
     down = [[] for _ in letters]
@@ -401,16 +414,39 @@ def list_statistics_table(datum, word, lam):
         raise InvariantError("lowest element not unique")
     table = cr._OperatorTable(
         tuple(keys),
-        width,
         depth,
         tuple(tuple(row) for row in down),
         tuple(tuple(cr._invert(row, range(len(row)))) for row in down),
         tuple(tuple(row) for row in eps),
         lowest[0],
     )
-    if sum(cr._coords(table, table.keys[table.lowest], len(word))) != table.depth:
+    if sum(unpack_bits(table.keys[table.lowest], bits, len(word))) != table.depth:
         raise InvariantError("the lowest state's coordinates do not sum to the depth %d" % depth)
     return table
+
+
+def parent_key_bits(depth):
+    """The bits of a key field when keys were bit fields: those of the
+    depth, and at least 1."""
+    return depth.bit_length() or 1
+
+
+def statistics_bits(datum, lam):
+    """The bits of a statistic field when the crystal module chose them: the
+    narrowest of 8, 16, 32 and 64 past the bit length of the bound
+    max |c_ij| * depth + max lam."""
+    bound = max(abs(c) for row in cartan_matrix(datum) for c in row) * depth(datum, lam) + max(lam)
+    return max(8, 1 << bound.bit_length().bit_length())
+
+
+def list_statistics(datum, word, lam, state):
+    """One state's flat list statistics (`list_statistics_layout`): the
+    highest state's, zero sigmas and lam, plus a_p times the move of p."""
+    letters, where, deltas = list_statistics_layout(datum, word)
+    stats = [0] * len(where) + list(lam)
+    for a, delta in zip(state, deltas):
+        stats = [x + a * d for x, d in zip(stats, delta)]
+    return stats
 
 
 def bfs_states(datum, word, lam):
@@ -1109,7 +1145,6 @@ def all_pairs_duality_report(family, rank):
     """The duality suite's report by filtering all |W|^2 pairs for
     complementary lengths, the route `verify.duality_suite` replaced."""
     datum = RootDatum(family, rank)
-    ctx = fc.default_context(datum)
     w0 = longest_element(datum)
 
     def cells():
@@ -1119,7 +1154,7 @@ def all_pairs_duality_report(family, rank):
             cell = {"theorem": "duality", "type": family, "rank": rank,
                     "u": list(reduced_word(u)), "v": list(reduced_word(v))}
             expected = 1 if v == multiply(w0, u) else 0
-            got = cell["pairing"] = fc.degree_pairing(datum, u, v, ctx)
+            got = cell["pairing"] = fc.degree_pairing(datum, u, v)
             yield verify._verdict(cell, [] if got == expected else [{"expected": expected, "got": got}])
 
     return verify._collect({"theorem": "duality", "type": family, "rank": rank}, cells(), 0.0, None)

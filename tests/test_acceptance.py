@@ -202,7 +202,6 @@ def test_09_oracle_concordance():
 
 def test_10_poincare_duality():
     def body():
-        ctx = fc.default_context(C2)
         w0 = longest_element(C2)
         cells = 0
         for u in all_elements(C2):
@@ -210,12 +209,12 @@ def test_10_poincare_duality():
                 if length(u) + length(v) != 4:
                     continue
                 # every pair gets a number
-                got = fc.degree_pairing(C2, u, v, ctx)
+                got = fc.degree_pairing(C2, u, v)
                 assert got == (1 if v == multiply(w0, u) else 0), (u, v, got)
                 cells += 1
         assert cells == 14
         for u in all_elements(C2):
-            assert fc.degree_pairing(C2, u, multiply(w0, u), ctx) == 1
+            assert fc.degree_pairing(C2, u, multiply(w0, u)) == 1
 
     _timed("10 Poincare duality pairings", 120.0, body)
 

@@ -21,6 +21,8 @@ from schubcalc.cartan import (
     bruhat_leq,
     compatible_subsets,
     identity_element,
+    left_ascents,
+    left_descents,
     left_mul,
     length,
     longest_element,
@@ -531,7 +533,7 @@ def _check_packed_table(datum, word, lam) -> tuple:
     assert [index[key] for key in table.keys] == list(range(len(expected)))
     assert states[table.lowest] == ref.lowest(datum, word, lam, expected)
     assert sum(states[table.lowest]) == table.depth
-    assert table.depth < 1 << table.width
+    assert table.depth < 1 << 8 * table.eps[0].itemsize
     return expected
 
 
@@ -578,12 +580,12 @@ def test_packed_statistics_table_matches_the_list_statistics_reference():
 
 
 def test_string_coords_refuses_a_state_that_packs_onto_another():
-    # A2 at (1, 0) has depth 2 and fields of two bits, and the state
-    # (1, 1, 0) has key 1 + 4 = 5: a coordinate past the depth, a negative
-    # one or a trailing zero packs each of these onto 5, and (1,) onto the
-    # key 1 of (1, 0, 0).  A malformed state is refused as `f_op` refuses
-    # it, with ValueError; a well-formed one past the depth is not in the
-    # table, an internal fault
+    # A2 at (1, 0) has depth 2 and fields of one byte, and the state
+    # (1, 1, 0) has key 1 + 256 = 257: a trailing zero packs (1, 1, 0, 0)
+    # onto 257, and (1,) onto the key 1 of (1, 0, 0); a negative coordinate
+    # fits no field.  A malformed state is refused as `f_op` refuses it, with
+    # ValueError; a well-formed one past the depth is not in the table, an
+    # internal fault
     assert cr.string_coords(A2, IA2, (1, 0), (1, 1, 0)) == (0, 1, 1)
     with pytest.raises(InvariantError, match="^non-normal state"):
         cr.string_coords(A2, IA2, (1, 0), (5, 0, 0))
@@ -815,6 +817,77 @@ def test_packed_record_matches_the_tuple_routes(datum, word, lam, sample):
     assert [decoded[k] for k in picked] == [rec.strings[k] for k in picked] == strings
     masks = tuple(sum((mask >> k & 1) << i for i, k in enumerate(picked)) for mask in rec.masks)
     assert masks == ref.column_tight_bits(_record_rows(datum, word, lam), strings)
+
+
+# (datum, lam, sample): one-byte keys and strings on A3, C3 and A4, two-byte
+# ones and 16-bit statistics on A1 (300,); the statistics, the per-state
+# strings and the masks of C3 (2, 2, 2), of 19,683 states, and of C4 rho, of
+# 65,536, are checked on a seeded sample, and the folds of C4 rho too
+CODEC_PANEL = (
+    (A1, (300,), None),
+    (A3, (3, 3, 3), None),
+    (C3, (2, 2, 2), 1000),
+    (A4, (1, 1, 1, 1), None),
+    (RootDatum("C", 4), (1, 1, 1, 1), 300),
+)
+
+
+def _index_fold(table, w, opposite, memo):
+    """The fold of w as a frozenset of table indices, by the recursion of
+    `fold` run on frozensets over the table's columns."""
+    if (w, opposite) not in memo:
+        letters = left_ascents(w) if opposite else left_descents(w)
+        if letters:
+            step = (table.up if opposite else table.down)[letters[0] - 1]
+            memo[w, opposite] = ref._index_closure(step, _index_fold(table, left_mul(letters[0], w), opposite, memo))
+        else:
+            memo[w, opposite] = frozenset([table.lowest if opposite else 0])
+    return memo[w, opposite]
+
+
+@pytest.mark.parametrize(
+    "datum, lam, sample", CODEC_PANEL, ids=["%s%d-%s" % (d.family, d.rank, l) for d, l, _ in CODEC_PANEL]
+)
+def test_the_field_codec_matches_the_parent_routes(datum, lam, sample):
+    # the byte-field keys, strings and statistics against the bit-field keys
+    # and the shift-and-mask decodes that the codec replaced
+    word = standard_word(datum)
+    rec = cr.record(datum, word, lam)
+    table = rec.table
+    key_bits = ref.parent_key_bits(table.depth)
+    parent = ref.list_statistics_table(datum, word, lam, key_bits)
+    assert (table.down, table.up, table.lowest, table.depth) == (parent.down, parent.up, parent.lowest, parent.depth)
+    assert tuple(map(tuple, table.eps)) == parent.eps
+    states = ref.table_states(datum, word, lam)
+    assert states == tuple(ref.unpack_bits(key, key_bits, len(word)) for key in parent.keys)
+    assert cr.crystal_states(datum, word, lam) == tuple(sorted(states))
+    picked = range(len(states)) if sample is None else sorted(random.Random(45).sample(range(len(states)), sample))
+    # each letter's statistics, stored as v + 2^(bits - 1), decoded
+    bits = ref.statistics_bits(datum, lam)
+    letters, _ = cr._statistics_layout(datum, word, bits)
+    slots = ref.list_statistics_layout(datum, word)[0]
+    for k in picked:
+        stats = ref.list_statistics(datum, word, lam, states[k])
+        for (*_, tops, _), (lo, hi, slot) in zip(letters, slots):
+            values = stats[lo:hi] + [stats[slot]]
+            group = ref.pack_bits([v + (1 << bits - 1) for v in values], bits)
+            assert list(cr._fields(group, tops, bits)) == values
+    # the strings, every one decoded field by field, and the masks over them
+    size = rec.strings.size
+    assert list(rec.strings) == [ref.unpack_bits(s, 8 * size, len(word)) for s in rec.strings.packed]
+    strings = [ref.string_coords(datum, word, lam, states[k]) for k in picked]
+    assert [rec.strings[k] for k in picked] == strings
+    masks = tuple(sum((mask >> k & 1) << i for i, k in enumerate(picked)) for mask in rec.masks)
+    assert masks == ref.column_tight_bits(_record_rows(datum, word, lam), strings)
+    # the folds of every element, or of a seeded few, both sides
+    elements = sorted(all_elements(datum), key=str)
+    if len(states) > 50000:
+        elements = random.Random(45).sample(elements, 4)
+    memo = {}
+    for w in elements:
+        for opposite in (False, True):
+            expected = sum(1 << k for k in _index_fold(parent, w, opposite, memo))
+            assert cr.fold(rec, w, opposite) == expected, (w, opposite)
 
 
 def test_record_strings_decode_slices():

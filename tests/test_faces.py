@@ -234,18 +234,20 @@ def test_square_sign_flip_is_caught(step, at):
         _c2_product_table(ctx)
 
 
-def test_dropping_the_empty_step_rule_is_caught():
+def test_dropping_the_empty_step_rule_is_caught(monkeypatch):
     # one step per row: no F-step mask is the complement of an Fv-step mask.
     # A context holds the classes it has read, so the fault is planted on a
-    # fresh context before its first read, the sanity table run on another
+    # fresh context before its first read, the sanity table run on another;
+    # the pairings read it as the default context
     _c2_product_table(fc.DeformedContext(C2))
     ctx = fc.DeformedContext(C2)
     ctx.step = tuple(range(2 * C2.num_positive_roots))
     with pytest.raises(fc.TheoremViolationError):
         _c2_product_table(ctx)
+    monkeypatch.setattr(fc, "default_context", lambda datum: ctx)
     w0 = longest_element(C2)
     assert any(
-        fc.degree_pairing(C2, u, v, ctx) != (v == multiply(w0, u))
+        fc.degree_pairing(C2, u, v) != (v == multiply(w0, u))
         for u in all_elements(C2)
         for v in all_elements(C2)
         if length(u) + length(v) == C2.num_positive_roots
@@ -343,7 +345,7 @@ def test_normal_form_matches_row_multiset_route():
         for u in all_elements(datum):
             for v in all_elements(datum):
                 if length(u) + length(v) == datum.num_positive_roots:
-                    assert fc.degree_pairing(datum, u, v, ctx) == routes.degree_pairing(datum, u, v, ctx)
+                    assert fc.degree_pairing(datum, u, v) == routes.degree_pairing(datum, u, v, ctx)
     for datum in (C2, C3):
         ctx = fc.default_context(datum)
         for v in all_elements(datum):
@@ -445,23 +447,22 @@ def test_product_pipeline_runs_no_elimination(monkeypatch):
     assert result.method == "degree-pairing"
     assert result.expansion == dict(bgg_structure_constants(C3, s1, s2))
     w0 = longest_element(C3)
-    assert fc.degree_pairing(C3, s1, multiply(w0, s1), ctx) == 1
+    assert fc.degree_pairing(C3, s1, multiply(w0, s1)) == 1
 
 
 def test_degree_pairing_duality():
     # every complementary pair of A2, C2, A3 and C3 gets a number: 1 exactly
     # on Poincare-dual pairs
     for datum, cells in ((A2, 10), (C2, 14), (A3, 106), (C3, 296)):
-        ctx = fc.default_context(datum)
         w0 = longest_element(datum)
         big_n = datum.num_positive_roots
         e = identity_element(datum)
-        assert fc.degree_pairing(datum, e, w0, ctx) == 1
+        assert fc.degree_pairing(datum, e, w0) == 1
         seen = 0
         for u in all_elements(datum):
             for v in all_elements(datum):
                 if length(u) + length(v) == big_n:
-                    assert fc.degree_pairing(datum, u, v, ctx) == (v == multiply(w0, u)), (u, v)
+                    assert fc.degree_pairing(datum, u, v) == (v == multiply(w0, u)), (u, v)
                     seen += 1
         assert seen == cells
 
@@ -560,15 +561,13 @@ def test_product_refuses_an_oracle_coefficient_off_by_one(monkeypatch):
 
 
 def test_pairing_and_product_refuse_a_context_of_another_datum():
-    # the steps of a C3 context misread the C2 classes: most pairings come
-    # out wrong, and a product reads as a theorem violation
+    # the steps of a C3 context misread the C2 classes: a product reads as a
+    # theorem violation; a pairing takes no context and reads its datum's own
     ctx = fc.default_context(C3)
     s1 = word_to_element(C2, (1,))
     with pytest.raises(ValueError, match="context built for"):
-        fc.degree_pairing(C2, s1, multiply(longest_element(C2), s1), ctx)
-    with pytest.raises(ValueError, match="context built for"):
         fc.product_c(C2, s1, s1, ctx)
-    assert fc.degree_pairing(C2, s1, multiply(longest_element(C2), s1), fc.default_context(C2)) == 1
+    assert fc.degree_pairing(C2, s1, multiply(longest_element(C2), s1)) == 1
 
 
 def _plant_fold(monkeypatch, w, opposite, planted):
@@ -891,6 +890,16 @@ def test_model_face_union_count_refuses_a_weight_of_the_wrong_length():
     for lam in ((1,), (1, 1, 5)):
         with pytest.raises(ValueError, match="one entry per fundamental weight"):
             fc.model_face_union_count(C2, lam, [(1,)], "F")
+
+
+def test_model_face_union_count_refuses_a_tight_index_that_is_not_an_int():
+    # a ValueError, as at every other library door, and not the TypeError
+    # of the tuple index (1.0) or of the range comparison ("1")
+    for tights in (((1.0,),), (("1",),), ((1,), (2, 1.0))):
+        for family in ("F", "Fv"):
+            with pytest.raises(ValueError, match="tight index .* not an integer"):
+                fc.model_face_union_count(C2, (1, 1), tights, family)
+    assert fc.model_face_union_count(C2, (1, 1), ((1,),), "F") > 0
 
 
 def test_model_face_union_count_refuses_a_weight_that_is_not_dominant():

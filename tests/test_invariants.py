@@ -23,8 +23,8 @@ except InvariantError as err:
 """
 
 # the suffix table meets a state planted in the operator table: no operator
-# reaches it, its eps are its true ones, and its key, packed into fields too
-# narrow for it, is no table state's
+# reaches it, its eps are its true ones, and its key, packed into the
+# table's byte fields, is no table state's
 NON_NORMAL_TABLE_ENTRY = """
 from array import array
 
@@ -34,7 +34,7 @@ from schubcalc.cartan import InvariantError, RootDatum, standard_word
 A2 = RootDatum("A", 2)
 word, lam, state = standard_word(A2), (1, 0), (5, 5, 5)
 table = crystals._operator_table(A2, word, lam)
-key = sum(a << (table.width * p) for p, a in enumerate(state))
+key = sum(a << (8 * table.eps[0].itemsize * p) for p, a in enumerate(state))
 planted = table._replace(
     keys=table.keys + (key,),
     down=tuple(row + (-1,) for row in table.down),
@@ -59,7 +59,7 @@ A2 = RootDatum("A", 2)
 word = standard_word(A2)
 strings = tuple(crystals._string_table(crystals._operator_table(A2, word, (1, 0)), word))
 # packed as the record packs them, coordinate p in byte p
-planted = crystals._Strings(tuple(int.from_bytes(bytes(s), "little") for s in %s), 3, "B")
+planted = crystals._Strings(tuple(int.from_bytes(bytes(s), "little") for s in %s), 3, 1)
 crystals._string_table = lambda table, word: planted
 try:
     print(sorted(crystals.generate_b_lambda(A2, word, (1, 0))))
@@ -80,7 +80,7 @@ A2 = RootDatum("A", 2)
 word = (2, 1, 2)
 strings = tuple(crystals._string_table(crystals._operator_table(A2, word, (1, 0)), word))
 # packed as the record packs them, coordinate p in byte p
-planted = crystals._Strings(tuple(int.from_bytes(bytes(s), "little") for s in %s), 3, "B")
+planted = crystals._Strings(tuple(int.from_bytes(bytes(s), "little") for s in %s), 3, 1)
 crystals._string_table = lambda table, word: planted
 try:
     print(sorted(crystals.generate_b_lambda(A2, word, (1, 0))))
@@ -131,16 +131,17 @@ except InvariantError as err:
     print("InvariantError:", err)
 """
 
-# the statistic fields at a planted width of 8 bits: A2 at (126, 0) asks for
-# 16, its bound being 2 * 252 + 126, but every statistic of its crystal fits
-# 8 bits, so the table is the true one, of 8,128 states; at (130, 0) a
-# statistic passes 127 and wraps, which a lowering decision refuses
+# every packed field at a planted size of one byte: A2 at (126, 0) asks for
+# 16-bit statistic fields, its bound being 2 * 252 + 126, but every statistic
+# of its crystal fits 8 bits, so the table is the true one, of 8,128 states;
+# at (130, 0) a statistic passes 127 and wraps, which a lowering decision
+# refuses.  The key and eps fields hold every coordinate of both, none past 130
 PLANTED_WIDTH = """
 from schubcalc import crystals
 from schubcalc.cartan import InvariantError, RootDatum, standard_word
 
 A2 = RootDatum("A", 2)
-crystals._field_bits = lambda bound: 8
+crystals.polytopes.field_size = lambda bits: 1
 try:
     print(len(crystals._operator_table(A2, standard_word(A2), %s).keys))
 except InvariantError as err:
@@ -455,6 +456,54 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+# the packed-field codec of `polytopes`: its typecode table, width rule,
+# byte swap and little-endian layout
+CODEC = {"_TYPECODES", "field_size", "field_array", "_little", "pack_fields", "unpack_fields", "field_columns"}
+WIDTH_TUPLES = {(1, 2, 4, 8), (8, 16, 32, 64), (16, 32, 64)}
+
+
+def _layout_words(node):
+    """What `node` names of a packed-field layout, if anything: the host's
+    byte order, a byte swap, an array or a string of array typecodes, the
+    little-endian layout, or a tuple of field widths."""
+    if isinstance(node, ast.Attribute) and node.attr in ("byteorder", "byteswap", "typecode"):
+        return node.attr
+    if isinstance(node, (ast.Import, ast.ImportFrom)) and "array" in (
+        [node.module] if isinstance(node, ast.ImportFrom) else [alias.name for alias in node.names]
+    ):
+        return "import array"
+    if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "array":
+        return "array"
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if node.value == "little":
+            return "little"
+        if len(node.value) > 1 and set(node.value) <= set("bBhHiIlLqQ"):
+            return "typecodes"
+    if isinstance(node, ast.Tuple) and all(isinstance(e, ast.Constant) for e in node.elts):
+        if tuple(e.value for e in node.elts) in WIDTH_TUPLES:
+            return "width tuple"
+    return None
+
+
+def test_the_field_codec_owns_byte_order_widths_and_typecodes():
+    # sys.byteorder, byteswap, the array typecodes and the field widths occur
+    # in the library only inside the codec, the byte order, the typecode
+    # table and the width rule each once
+    inside, outside = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            names = [getattr(top, "name", None)] + [t.id for t in getattr(top, "targets", ()) if isinstance(t, ast.Name)]
+            owned = path.stem == "polytopes" and (set(names) & CODEC or isinstance(top, (ast.Import, ast.ImportFrom)))
+            for node in ast.walk(top):
+                word = _layout_words(node)
+                if word:
+                    (inside if owned else outside).append((word, "%s:%d" % (path.name, node.lineno)))
+    assert not outside, outside
+    words = [word for word, _ in inside]
+    assert words.count("byteorder") == words.count("byteswap") == 1, inside
+    assert words.count("typecodes") == words.count("width tuple") == 1, inside
 
 
 def test_library_holds_17_lru_caches():

@@ -488,6 +488,48 @@ def test_tight_bits_at_the_field_limits():
         pt.slack_masks([((1, 0), Fraction(1, 2))], [(0, 0)])[0]
 
 
+def _field_values(size, signed):
+    """Lists of values that fields of `size` bytes hold, both extremes,
+    zero and one among them."""
+    bits = 8 * size
+    lo, hi = (-(1 << bits - 1), (1 << bits - 1) - 1) if signed else (0, (1 << bits) - 1)
+    return st.lists(st.sampled_from((lo, hi, 0, 1)) | st.integers(lo, hi), max_size=9)
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(st.sampled_from((1, 2, 4, 8)), st.booleans()).flatmap(
+        lambda case: st.tuples(st.just(case), _field_values(*case))
+    )
+)
+def test_packed_fields_round_trip_against_the_int_reference(case):
+    # value p in field p of `size` bytes, from bit 8 * size * p, in two's
+    # complement when signed: the int a sum of shifted values reads
+    (size, signed), values = case
+    bits = 8 * size
+    packed = pt.pack_fields(values, size, signed)
+    assert packed == ref.pack_bits([v % (1 << bits) for v in values], bits)
+    decoded = pt.unpack_fields(packed, len(values), size, signed)
+    assert list(decoded) == values and decoded.itemsize == size
+    if not signed:
+        assert list(ref.unpack_bits(packed, bits, len(values))) == values
+        other = ref.pack_bits(values[::-1], bits)
+        columns = pt.field_columns((packed, other, 0), len(values), size)
+        assert [tuple(column) for column in columns] == list(zip(values, values[::-1], [0] * len(values)))
+    # one past either extreme is refused
+    lo, hi = (-(1 << bits - 1), (1 << bits - 1) - 1) if signed else (0, (1 << bits) - 1)
+    for value in (lo - 1, hi + 1):
+        with pytest.raises(OverflowError):
+            pt.pack_fields(values + [value], size, signed)
+
+
+def test_field_size_is_the_narrowest_of_1_2_4_and_8_bytes():
+    assert [pt.field_size(bits) for bits in range(65)] == [1] * 9 + [2] * 8 + [4] * 16 + [8] * 32
+    with pytest.raises(OverflowError, match="65 bits"):
+        pt.field_size(65)
+
+
 @seed(20261019)
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 80).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
