@@ -40,11 +40,12 @@ the word.  `_string_table` computes these tails per word position and state
 over the whole cut crystal, each state's top read off its parent's, so the
 table costs the sum of the level sizes.  A tail is one int, coordinate p in
 byte field p, as wide as the eps items, so a string is one packed int, and
-the record's strings (`_Strings`) are a read-only sequence that decodes a
-string to its tuple on index and on iteration.  The record holds them with
-one bitmask per string-polytope row over them, certified as the polytope's
-lattice points by containment and count when it is built, the containment
-reading each coordinate column as a strided slice of the packed bytes.  Every
+the record's strings (`_Strings`) are a read-only sequence that decodes one
+string to its tuple on index, and all in one pass on iteration and on a
+slice.  The record holds them with one bitmask per string-polytope row over
+them, certified as the polytope's lattice points by containment and count
+when it is built, the containment reading each coordinate off the strings'
+bytes, joined once and widened by one strided slice per byte lane.  Every
 string set exported to the polytope side (B(lam), Demazure and opposite
 Demazure sets, Richardson intersections, one state's `string_coords`) is
 read off these certified strings, so none escapes the certificate.  B(lam)
@@ -369,8 +370,7 @@ def crystal_states(datum: RootDatum, word, lam) -> tuple:
     """All elements of the cut crystal in ladder coordinates, sorted: the
     record's keys decoded."""
     table = record(datum, word, lam).table
-    size = table.eps[0].itemsize
-    return tuple(sorted(tuple(polytopes.unpack_fields(key, len(word), size)) for key in table.keys))
+    return tuple(sorted(polytopes.unpack_each(table.keys, len(word), table.eps[0].itemsize)))
 
 
 def string_coords(datum: RootDatum, word, lam, state) -> tuple:
@@ -408,19 +408,11 @@ class _Strings(Sequence):
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return tuple(map(self._decode, self.packed[k]))
-        return self._decode(self.packed[k])
+            return tuple(polytopes.unpack_each(self.packed[k], self.length, self.size))
+        return tuple(polytopes.unpack_fields(self.packed[k], self.length, self.size))
 
     def __iter__(self):
-        return map(self._decode, self.packed)
-
-    def _decode(self, string: int) -> tuple:
-        return tuple(polytopes.unpack_fields(string, self.length, self.size))
-
-    def columns(self) -> list:
-        """Coordinate p of every string, one strided slice of the packed
-        fields per p."""
-        return polytopes.field_columns(self.packed, self.length, self.size)
+        return polytopes.unpack_each(self.packed, self.length, self.size)
 
 
 def _string_table(table: _OperatorTable, word) -> _Strings:
@@ -515,7 +507,9 @@ def _crystal(datum: RootDatum, word, lam) -> _Crystal:
     else:
         facets = (polytopes.string_lambda_facet(datum, word, j) for j in range(1, len(word) + 1))
         rows = [(vec, sum(map(mul, lam_vec, lam))) for vec, lam_vec in facets]
-    masks, outside = polytopes.column_masks(rows, strings.columns(), len(strings))
+    column = polytopes.strided_columns(strings.packed, len(word), strings.size)
+    high = (1 << 8 * strings.size) - 1  # no coordinate passes its field
+    masks, outside = polytopes.column_masks(rows, [high] * len(word), column, len(strings))
     if outside:
         raise CrystalPolytopeMismatchError(
             "string %r lies outside the string polytope" % (polytopes.mask_points(outside, strings)[0],)

@@ -8,10 +8,12 @@ that is not a permutation.  There are no equation rows: an equation is a
 row and its negation.  `interval_tower` certifies a polytope as a tower of
 intervals along its sweep order and lists its integer vertices with no
 elimination.  One level-by-level sweep along that order with a slack column
-per row (`_sweep`) gives `lattice_count`, `lattice_points` and the point
-columns of `lattice_incidence`, which the packed kernel of `slack_masks`
-turns into one bitmask per inequality over the points tight on it: faces and their unions are integer AND and OR, and a point set is
-certified to be the lattice points by containment and count.  A `PointSet`
+per row (`_sweep`) gives `lattice_count`, `lattice_points` and the levels of
+`lattice_incidence`, each coordinate packed from its level's values repeated
+by their leaf counts for the kernel of `slack_masks` (`column_masks`), which
+gives one bitmask per inequality over the points tight on it: faces and
+their unions are integer AND and OR, and a point set is certified to be the
+lattice points by containment and count.  A `PointSet`
 is a read-only set view of such a mask over its points.  `vertices`
 (exact Fractions) and `is_simple`, with `incidence` and `facet_defining`,
 remain as the general-polytope oracles the tower certificate is tested
@@ -110,17 +112,17 @@ def _sweep_rows(p: Polytope):
 
 
 def _sweep(p: Polytope, leaves: bool = False):
-    """(number of lattice points of p, columns): with `leaves` one column per
-    coordinate over the points sorted by their coordinates read along the
-    sweep order, else none.  Level t lists the sweep tree's nodes of
-    depth t.  A row with a term in an earlier coordinate keeps a slack column,
-    its rhs minus those terms at each node: started by its first coordinate,
-    copied down each level where a node has other than one child (once per
-    child), updated by one map at each of its coordinates and read at its
-    step, bounding x <= s // a for a > 0, x >= -(s // -a) for a < 0.  A
-    level with a node that reaches a step with no lower or no upper row
-    raises UnboundedRegionError; an empty level ends the sweep first.  A
-    leaf column repeats its level's values by the leaf counts under them."""
+    """(number of lattice points of p, levels): with `leaves` per coordinate
+    its level's values and leaf counts, the points under each value in the
+    order of their coordinates read along the sweep order, else none.  Level
+    t lists the sweep tree's nodes of depth t.  A row with a term in an
+    earlier coordinate keeps a slack column, its rhs minus those terms at
+    each node: started by its first coordinate, copied down each level where
+    a node has other than one child (once per child), updated by one map at
+    each of its coordinates and read at its step, bounding x <= s // a for
+    a > 0, x >= -(s // -a) for a < 0.  A level with a node that reaches a
+    step with no lower or no upper row raises UnboundedRegionError; an empty
+    level ends the sweep first."""
     rows = _sweep_rows(p)
     if rows is None:
         return 0, []
@@ -160,19 +162,20 @@ def _sweep(p: Polytope, leaves: bool = False):
             slacks[key] = list(map(sub, s, vals if c == 1 else map(mul, vals, repeat(c))))
     if not leaves or not size:
         return size, []
-    columns, sizes = [None] * len(order), None  # sizes: leaf counts under the level below
+    out, sizes = [None] * len(order), None  # sizes: leaf counts under the level's values
     for var, vals, counts in reversed(levels):
-        columns[var] = list(chain.from_iterable(map(repeat, vals, sizes))) if sizes else vals
+        out[var] = vals, sizes or repeat(1)  # one leaf under each value of the last level
         at = list(accumulate(sizes, initial=0)) if sizes else range(len(vals) + 1)
         at = list(map(at.__getitem__, accumulate(counts, initial=0)))
         sizes = list(map(sub, at[1:], at))
-    return size, columns
+    return size, out
 
 
 def lattice_points(p: Polytope) -> tuple:
     """All integer points, sorted.  Requires bounds derivable along the sweep
     order (true for every polytope built here and their faces)."""
-    count, columns = _sweep(p, True)
+    count, levels = _sweep(p, True)
+    columns = [chain.from_iterable(map(repeat, vals, leaves)) for vals, leaves in levels]
     return tuple(sorted(zip(*columns))) if columns else ((),) * count
 
 
@@ -226,12 +229,45 @@ def unpack_fields(packed: int, count: int, size: int, signed: bool = False) -> a
     return _little(array.array(_TYPECODES[size, signed], packed.to_bytes(count * size, "little")))
 
 
-def field_columns(packed, count: int, size: int) -> list:
-    """Field p of every int of `packed`, each holding `count` unsigned fields
-    of `size` bytes: one strided view of one array per p."""
-    data = b"".join(fields.to_bytes(count * size, "little") for fields in packed)
-    items = memoryview(_little(field_array(size, data)))
-    return [items[p::count] for p in range(count)]
+def _joined(packed, count: int, size: int) -> bytes:
+    """The little-endian bytes of every int of `packed`, `count` fields of `size` bytes each, one after another."""
+    return b"".join(map(int.to_bytes, packed, repeat(count * size), repeat("little")))
+
+
+def unpack_each(packed, count: int, size: int):
+    """The `count` unsigned fields of `size` bytes of each int of `packed`, a
+    tuple per int, all unpacked in one pass: `unpack_fields` over many ints."""
+    return zip(*[iter(_little(field_array(size, _joined(packed, count, size))))] * count)
+
+
+def strided_columns(packed, count: int, size: int):
+    """column(p, step): field p of every int of `packed`, each holding `count`
+    unsigned fields of `size` bytes, widened to fields of `step` >= `size`
+    bytes, field i from int i, as one int.  The ints' bytes are joined once,
+    and each byte lane of the wide fields is one strided slice of them."""
+    data, stride = _joined(packed, count, size), count * size
+
+    def column(p: int, step: int) -> int:
+        fields = bytearray(len(packed) * step)
+        for lane in range(size):
+            fields[lane::step] = data[p * size + lane :: stride]
+        return int.from_bytes(fields, "little")
+
+    return column
+
+
+def repeated_fields(values, repeats, step: int) -> int:
+    """sum_i x_i 2^(8 step i) over the x_i that take value k of `values`
+    repeats[k] times in turn: each distinct value encoded once in a signed
+    field of `step` bytes, the codes repeated and joined, and, when a value
+    is negative, the borrow of each negative field from the next given back."""
+    codes = {x: x.to_bytes(step, "little", signed=True) for x in set(values)}
+    data = b"".join(map(mul, map(codes.__getitem__, values), repeats))
+    fields = int.from_bytes(data, "little")
+    if min(codes, default=0) >= 0:
+        return fields
+    tops = int.from_bytes((bytes(step - 1) + b"\x80") * (len(data) // step), "little")
+    return fields - ((fields & tops) << 1)
 
 
 def slack_masks(rows, points) -> tuple:
@@ -241,12 +277,11 @@ def slack_masks(rows, points) -> tuple:
 
     Each coordinate column is packed into one int, point i in the W-bit field
     i, W the narrowest field width that holds every row's slack bound plus two
-    guard bits: one signed array of W-bit items gives the fields modulo 2^W,
-    and subtracting 2^W once per negative field, one shift of their top bits,
-    gives sum_i x_i 2^(W i).  A row's offset slacks rhs + 2^(W-1) - vec . x
-    are then one exact integer combination of the columns, each field holding
-    its point's slack, never borrowing from its neighbour.  The slack is zero
-    exactly when the low W - 1 bits of its field are, so one AND with the low
+    guard bits: sum_i x_i 2^(W i) (`repeated_fields`).  A row's offset slacks
+    rhs + 2^(W-1) - vec . x are then one exact integer combination of the
+    columns, each field holding its point's slack, never borrowing from its
+    neighbour.  The slack is zero exactly when the low W - 1 bits of its
+    field are, so one AND with the low
     bits and one add of them leave the field's top byte below 0x80 exactly on
     the row; the slack is nonnegative exactly when the field's top bit is
     set, so the AND of every row's slacks has it clear exactly at the points
@@ -255,16 +290,18 @@ def slack_masks(rows, points) -> tuple:
     OverflowError."""
     if len({len(vec) for vec, _ in rows} | set(map(len, points))) > 1:
         raise ValueError("slack_masks takes rows and points of one dimension")
-    return column_masks(rows, tuple(zip(*points)), len(points))
+    columns = tuple(zip(*points))
+    highs = [max(max(column), -min(column)) for column in columns]
+    return column_masks(rows, highs, lambda v, step: repeated_fields(columns[v], repeat(1), step), len(points))
 
 
-def column_masks(rows, columns, n) -> tuple:
-    """`slack_masks` over n points given as one column per coordinate, each
-    a sequence of n ints (a list, or a strided view of packed fields), for
-    callers that hold their points by column."""
+def column_masks(rows, highs, column, n) -> tuple:
+    """`slack_masks` over n points held by column, for callers that hold
+    them so: highs[v] bounds |x_v| over the points, and column(v, step) is
+    coordinate v packed as the int sum_i x_i 2^(8 step i), asked for once per
+    coordinate that some row reads."""
     if not rows or not n:
         return (0,) * len(rows), 0
-    highs = [max(max(column), -min(column)) for column in columns]
     bounds = [abs(rhs) + sum(abs(c) * h for c, h in zip(vec, highs)) for vec, rhs in rows]
     if not all(isinstance(b, int) for b in bounds):
         raise TypeError("slack_masks takes integer rows and points")
@@ -274,21 +311,15 @@ def column_masks(rows, columns, n) -> tuple:
     tops = ones << (8 * step - 1)
     low = tops - ones
     packed = {}
-
-    def column(v):
-        """Column v packed as the int sum_i x_i 2^(W i)."""
-        if v not in packed:
-            fields = pack_fields(columns[v], step, True)
-            packed[v] = fields - ((fields & tops) << 1)
-        return packed[v]
-
     tight = []
     inside = -1
     for vec, rhs in rows:
         slack = rhs * ones + tops
         for v, c in enumerate(vec):
             if c:
-                slack -= c * column(v)
+                if v not in packed:
+                    packed[v] = column(v, step)
+                slack -= c * packed[v]
         inside &= slack
         zero = ((slack & low) + low).to_bytes(size, "big")[::step]
         tight.append(int(zero.translate(_ZERO_TOPS), 2))
@@ -365,10 +396,13 @@ class PointSet(Set):
 
 def lattice_incidence(p: Polytope) -> tuple:
     """(number of lattice points, per inequality the bitmask of the points
-    tight on it) over the points in sweep order (`_sweep`), whose columns go
-    to the packed kernel of `slack_masks` as they are, building no point."""
-    count, columns = _sweep(p, True)
-    return count, column_masks(p.ineqs, columns, count)[0]
+    tight on it) over the points in sweep order (`_sweep`): each coordinate
+    goes to the packed kernel of `slack_masks` as its level's values repeated
+    by their leaf counts (`repeated_fields`), bounded by the level's largest
+    |value|, building no point and no column."""
+    count, levels = _sweep(p, True)
+    highs = [max(max(vals), -min(vals)) for vals, _ in levels]
+    return count, column_masks(p.ineqs, highs, lambda v, step: repeated_fields(*levels[v], step), count)[0]
 
 
 def check_blocks_meet(masks, size: int):

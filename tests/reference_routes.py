@@ -610,6 +610,17 @@ INCIDENCE_CASES = tuple(
 ) + (("A", 3, (3, 3, 3)), ("C", 3, (2, 2, 2)), ("C", 2, (2, 3)))
 
 
+# (family, rank, lambda) of the packed column routes checked against the
+# list route of `slack_masks`: A2 and C2 at lambda <= 3, A3 at lambda <= 2,
+# C3 at lambda <= 1, C3 (2, 2, 2), and A1 (300,), whose strings take fields
+# of two bytes
+LIST_ROUTE_CASES = tuple(
+    (family, rank, lam)
+    for family, rank, top in (("A", 2, 3), ("A", 3, 2), ("C", 2, 3), ("C", 3, 1))
+    for lam in itertools.product(range(top + 1), repeat=rank)
+) + (("C", 3, (2, 2, 2)), ("A", 1, (300,)))
+
+
 def enumerated_string_incidence(datum, word, lam):
     """(points, masks) of one (datum, word, lambda) by enumerating the
     polytope.  On the standard word: the string polytope's lattice points in

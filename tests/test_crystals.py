@@ -760,18 +760,18 @@ def test_folds_are_filed_in_the_record_and_built_again_after_a_clear(monkeypatch
 
 def test_the_record_holds_the_strings_it_certified(monkeypatch):
     # one string table per record: the strings the record hands out are the
-    # very sequence whose columns the rows' containment was read off
+    # very packed strings whose bytes the rows' containment was read off
     built, read = [], []
-    string_table, columns = cr._string_table, cr._Strings.columns
+    string_table, columns = cr._string_table, pt.strided_columns
     monkeypatch.setattr(cr, "_string_table", lambda table, word: built.append(string_table(table, word)) or built[-1])
-    monkeypatch.setattr(cr._Strings, "columns", lambda strings: read.append(strings) or columns(strings))
+    monkeypatch.setattr(pt, "strided_columns", lambda packed, *layout: read.append(packed) or columns(packed, *layout))
     for word in (IA2, (2, 1, 2)):
         cr._crystal.cache_clear()
         built.clear()
         read.clear()
         record = cr._crystal(A2, word, (1, 1))
         assert len(built) == len(read) == 1
-        assert record.strings is built[0] is read[0]
+        assert record.strings is built[0] and record.strings.packed is read[0]
     cr._crystal.cache_clear()
 
 
@@ -893,6 +893,32 @@ def test_the_field_codec_matches_the_parent_routes(datum, lam, sample):
 def test_record_strings_decode_slices():
     strings = cr.record(A2, IA2, (1, 0)).strings
     assert strings[:2] == ((0, 0, 0), (1, 0, 0)) and strings[::-1] == tuple(reversed(list(strings)))
+
+
+@pytest.mark.parametrize(
+    "datum, lam", [(A2, (2, 1)), (C2, (3, 1)), (C3, (2, 0, 1)), (A1, (300,))], ids=["A2", "C2", "C3", "A1-300"]
+)
+def test_bulk_decode_is_the_per_index_decode(datum, lam):
+    # iteration and slices unpack every string in one pass; index access
+    # unpacks one; A1 (300,) has fields of two bytes
+    strings = cr.record(datum, standard_word(datum), lam).strings
+    assert strings.size == (2 if datum == A1 else 1)
+    each = [strings[k] for k in range(len(strings))]
+    assert all(type(s) is tuple and len(s) == strings.length for s in each)
+    assert list(strings) == each
+    assert strings[1::3] == tuple(each[1::3]) and strings[5:2:-1] == tuple(each[5:2:-1]) and strings[3:3] == ()
+
+
+@pytest.mark.parametrize(
+    "family, rank, lam", ref.LIST_ROUTE_CASES, ids=["%s%d-%s" % case for case in ref.LIST_ROUTE_CASES]
+)
+def test_record_masks_are_the_list_route_masks(family, rank, lam):
+    # the masks read off the strings' bytes, widened in byte lanes, are the
+    # list route's over the decoded strings, and no string is outside
+    datum = RootDatum(family, rank)
+    rec = cr.record(datum, standard_word(datum), lam)
+    rows = pt.string_polytope(datum, lam).ineqs
+    assert pt.slack_masks(rows, list(rec.strings)) == (rec.masks, 0)
 
 
 def test_point_sets_over_the_packed_strings_iterate_the_decoded_tuples_in_order():

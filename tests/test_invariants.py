@@ -460,7 +460,10 @@ def test_library_has_no_assert_statements():
 
 # the packed-field codec of `polytopes`: its typecode table, width rule,
 # byte swap and little-endian layout
-CODEC = {"_TYPECODES", "field_size", "field_array", "_little", "pack_fields", "unpack_fields", "field_columns"}
+CODEC = {
+    "_TYPECODES", "field_size", "field_array", "_little", "pack_fields", "unpack_fields",
+    "_joined", "unpack_each", "strided_columns", "repeated_fields",
+}
 WIDTH_TUPLES = {(1, 2, 4, 8), (8, 16, 32, 64), (16, 32, 64)}
 
 

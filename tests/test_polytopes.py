@@ -515,8 +515,21 @@ def test_packed_fields_round_trip_against_the_int_reference(case):
     if not signed:
         assert list(ref.unpack_bits(packed, bits, len(values))) == values
         other = ref.pack_bits(values[::-1], bits)
-        columns = pt.field_columns((packed, other, 0), len(values), size)
-        assert [tuple(column) for column in columns] == list(zip(values, values[::-1], [0] * len(values)))
+        ints = (packed, other, 0)
+        if values:
+            expected = [tuple(values), tuple(values[::-1]), (0,) * len(values)]
+            assert list(pt.unpack_each(ints, len(values), size)) == expected
+        # field p of the three ints, widened to each field size from `size` on
+        column = pt.strided_columns(ints, len(values), size)
+        for step in (1, 2, 4, 8)[(1, 2, 4, 8).index(size) :]:
+            columns = zip(values, values[::-1], [0] * len(values))
+            assert [column(p, step) for p in range(len(values))] == [ref.pack_bits(c, 8 * step) for c in columns]
+    else:
+        # each value repeated in turn, in signed fields, is the sum of the
+        # shifted values, a negative one borrowing from the field above
+        repeats = [k % 3 for k in range(len(values))]
+        expanded = [v for v, r in zip(values, repeats) for _ in range(r)]
+        assert pt.repeated_fields(values, repeats, size) == ref.pack_bits(expanded, bits)
     # one past either extreme is refused
     lo, hi = (-(1 << bits - 1), (1 << bits - 1) - 1) if signed else (0, (1 << bits) - 1)
     for value in (lo - 1, hi + 1):
@@ -665,6 +678,45 @@ def _check_against_the_recursive_sweep(poly):
     count, masks = pt.lattice_incidence(poly)
     assert count == len(points)
     assert masks == ref.column_tight_bits(poly.ineqs, ref.in_sweep_order(poly, points))
+
+
+@pytest.mark.parametrize(
+    "family, rank, lam", ref.LIST_ROUTE_CASES, ids=["%s%d-%s" % case for case in ref.LIST_ROUTE_CASES]
+)
+def test_model_incidence_is_the_list_route_incidence(family, rank, lam):
+    # the columns packed from the sweep's levels give the masks that the
+    # list route gives over the recursive reference's points in sweep order
+    poly = pt.model_polytope(RootDatum(family, rank), lam)
+    points = ref.in_sweep_order(poly, ref.recursive_lattice_points(poly))
+    assert pt.lattice_incidence(poly) == (len(points), pt.slack_masks(poly.ineqs, points)[0])
+
+
+def test_incidence_of_a_polytope_with_negative_sweep_values():
+    # -3 <= x0 <= 2, x0 - 2 <= x1 <= 1 - x0 and x0 + x1 <= x2 <= 0: every
+    # level holds negative values, each repeated by its leaf counts
+    rows = (((1, 0, 0), 2), ((-1, 0, 0), 3), ((1, -1, 0), 2), ((1, 1, 0), 1), ((1, 1, -1), 0), ((0, 0, 1), 0))
+    poly = pt.Polytope(rows, (0, 1, 2))
+    points = ref.in_sweep_order(poly, ref.recursive_lattice_points(poly))
+    assert all(min(column) < 0 for column in zip(*points)) and len(points) == 95
+    assert pt.lattice_incidence(poly) == (len(points), pt.slack_masks(rows, points)[0])
+    _check_against_the_recursive_sweep(poly)
+
+
+def test_incidence_at_the_62_bit_edge():
+    # three points up to 2^61 - 1, then three from -(2^61 - 1): the slack
+    # bound 2^62 - 2 takes the 64-bit fields to their last guard bit; one
+    # more and the sweep's columns are refused as the list route's are
+    for edge in (1 << 61) - 1, -(1 << 61) + 3:
+        rows = (((1,), edge), ((-1,), 2 - edge))
+        poly = pt.Polytope(rows, (0,))
+        points = ref.recursive_lattice_points(poly)
+        assert len(points) == 3 and edge in (points[0][0], points[-1][0])
+        assert pt.lattice_incidence(poly) == (3, pt.slack_masks(rows, points)[0]) == (3, (0b100, 0b001))
+    rows = (((1,), 1 << 61), ((-1,), 2 - (1 << 61)))
+    poly = pt.Polytope(rows, (0,))
+    for route in (lambda: pt.lattice_incidence(poly), lambda: pt.slack_masks(rows, pt.lattice_points(poly))):
+        with pytest.raises(OverflowError):
+            route()
 
 
 def _sweep_cases():
