@@ -6,14 +6,16 @@ basis, so a weight pairs with a coroot by an integer dot product.  Type C is
 labelled with the double edge between nodes 1 and 2 and node 1 long, so
 c_{1,2} = -1 and c_{2,1} = -2; tests pin this orientation against the
 symplectic Weyl dimensions.  A `RootDatum` refuses a family other than A
-or C, a rank that is not an int and a rank too small for its family with
-`ValueError`, so no float rank equals an int one in a cache key.
+or C, a rank that is not an int (a bool included) and a rank too small for
+its family with `ValueError`, so no float or bool rank equals an int one in a
+cache key.
 
 Weyl elements are stored in one-line form: a permutation of 1..n+1 for type A,
 a signed permutation of 1..n for type C (entry j is the signed image of the
 j-th coordinate vector).  Products compose right-to-left, so the word
 (j_1, ..., j_m) denotes s_{j_1} s_{j_2} ... s_{j_m}.  A `WeylElement` refuses
-any other one-line form, or an entry that is not an int, with `ValueError`.
+any other one-line form, or an entry that is not an int, with `ValueError`;
+a bool is not an int here.
 
 The group arithmetic runs on one table per datum (`_weyl_table`), built once
 on one-line tuples by `_compose`, the composition that `multiply` also runs,
@@ -55,7 +57,7 @@ class RootDatum:
     def __post_init__(self):
         if self.family not in ("A", "C"):
             raise ValueError("family must be 'A' or 'C', got %r" % (self.family,))
-        if not isinstance(self.rank, int):
+        if type(self.rank) is not int:
             raise ValueError("rank %r is not an integer" % (self.rank,))
         minimum = 1 if self.family == "A" else 2
         if self.rank < minimum:
@@ -137,8 +139,10 @@ def simple_root_in_fundamental(datum: RootDatum, i: int) -> tuple:
 
 
 def check_integers(kind: str, values):
-    """Raise ValueError unless every entry of a weight, state, word or one-line form is an int."""
-    if not all(map(isinstance, values, repeat(int))):
+    """Raise ValueError unless every entry of a weight, state, word or one-line
+    form is an int.  A bool is refused: True equals 1 and shares its hash, so
+    it would find the cache entry of 1."""
+    if not {int}.issuperset(map(type, values)):
         raise ValueError("%s %r has an entry that is not an integer" % (kind, values))
 
 
@@ -196,7 +200,7 @@ def simple_element(datum: RootDatum, i: int) -> WeylElement:
 
 
 def check_letter(datum: RootDatum, i: int):
-    if not isinstance(i, int) or not 1 <= i <= datum.rank:
+    if type(i) is not int or not 1 <= i <= datum.rank:
         raise ValueError("letter %r out of range 1..%d" % (i, datum.rank))
 
 
@@ -402,17 +406,6 @@ def reduced_word(w: WeylElement) -> tuple:
     off the group table."""
     table, k = _locate(w)
     return table.words[k]
-
-
-def all_reduced_words(w: WeylElement) -> tuple:
-    """Every reduced word of w, sorted."""
-    if length(w) == 0:
-        return ((),)
-    out = []
-    for i in left_descents(w):
-        for tail in all_reduced_words(left_mul(i, w)):
-            out.append((i,) + tail)
-    return tuple(sorted(out))
 
 
 def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:

@@ -1,19 +1,21 @@
 """Independent cross-validation oracles.
 
-Three routes that never touch the polytope, crystal or pipe-dream machinery:
+Two routes that never touch the polytope, crystal or pipe-dream machinery:
 
 * the Weyl dimension formula, one integer quotient over the positive
   coroots;
-* isobaric Demazure operators on formal characters, for Demazure module
-  dimensions;
 * divided differences on the coinvariant algebra, for Schubert-basis
   structure constants.
+
+Demazure module dimensions by isobaric Demazure operators on formal
+characters live with the test references (`tests/reference_routes.py`),
+since nothing that the system runs reads them.
 
 The divided differences act on integer polynomials in orthogonal coordinates,
 the classical realization of Billey-Haiman ("Schubert polynomials for the
 classical groups", J. AMS 1995), in x_1..x_n for type C and x_1..x_{n+1} for
 type A.  A polynomial is a dict {key: int}, the key one int holding the
-exponent of x_j in bit field j (`pack`, `unpack`).  No exponent of a
+exponent of x_j in bit field j (`_fields`).  No exponent of a
 polynomial of degree at most N, the number of positive roots, passes N, so a
 field holds N.bit_length() bits, and `poly_mul` refuses a product of a higher
 degree with `InvariantError`, since its fields could carry; it reads each
@@ -52,7 +54,6 @@ from .cartan import (
     reduced_word,
     right_ascents,
     right_mul,
-    simple_root_in_fundamental,
 )
 
 
@@ -72,41 +73,6 @@ def weyl_dimension(datum: RootDatum, lam) -> int:
 
 
 # ---------------------------------------------------------------------------
-# formal characters and isobaric Demazure operators
-
-
-def demazure_operator(datum: RootDatum, i: int, char: dict) -> dict:
-    """pi_i on an integer combination of formal exponentials e^mu: with
-    m = <mu, h_i>, e^mu goes to the e^(mu - k alpha_i) for 0 <= k <= m, and
-    to minus those for m < k < 0."""
-    alpha = simple_root_in_fundamental(datum, i)
-    out = {}
-    for mu, coeff in char.items():
-        if len(mu) != datum.rank:
-            raise ValueError("weight %r is not of rank %d" % (mu, datum.rank))
-        m = mu[i - 1]
-        ks, c = (range(m + 1), coeff) if m >= 0 else (range(-1, m, -1), -coeff)
-        for k in ks:
-            image = tuple(x - k * a for x, a in zip(mu, alpha))
-            out[image] = out.get(image, 0) + c
-    return {mu: c for mu, c in out.items() if c}
-
-
-def demazure_character(datum: RootDatum, w: WeylElement, lam) -> dict:
-    """Character of the Demazure module for w at lam, via any reduced word."""
-    check_group(datum, w)
-    check_weight(datum, lam)
-    char = {tuple(lam): 1}
-    for i in reversed(reduced_word(w)):
-        char = demazure_operator(datum, i, char)
-    return char
-
-
-def demazure_dimension(datum: RootDatum, w: WeylElement, lam) -> int:
-    return sum(demazure_character(datum, w, lam).values())
-
-
-# ---------------------------------------------------------------------------
 # integer polynomials in orthogonal coordinates and divided differences
 
 
@@ -115,23 +81,6 @@ def _fields(datum: RootDatum) -> range:
     field width."""
     width = datum.num_positive_roots.bit_length()
     return range(0, datum.num_coordinates * width, width)
-
-
-def pack(datum: RootDatum, poly: dict) -> dict:
-    """{exponent tuple: c} keyed by one int, exponent j in field j.  Raises
-    ValueError for a tuple of another length than the coordinates or an
-    exponent outside 0..N."""
-    fields, top = _fields(datum), datum.num_positive_roots
-    for mono in poly:
-        if len(mono) != len(fields) or not all(0 <= e <= top for e in mono):
-            raise ValueError("monomial %r is not %d exponents in 0..%d" % (mono, len(fields), top))
-    return {sum(e << at for at, e in zip(fields, mono)): c for mono, c in poly.items()}
-
-
-def unpack(datum: RootDatum, poly: dict) -> dict:
-    """{key: c} keyed by exponent tuples, the inverse of `pack`."""
-    fields = _fields(datum)
-    return {tuple(key >> at & (1 << fields.step) - 1 for at in fields): c for key, c in poly.items()}
 
 
 def _degree(datum: RootDatum, poly: dict) -> int:

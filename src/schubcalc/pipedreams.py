@@ -63,10 +63,6 @@ def full_diagram(datum: RootDatum) -> Diagram:
     return Diagram(datum, board(datum).boxes)
 
 
-def diagram(datum: RootDatum, boxes) -> Diagram:
-    return Diagram(datum, frozenset(boxes))
-
-
 def _rows_up(datum: RootDatum, step: int) -> tuple:
     """The board's boxes, rows bottom to top, each row's columns left to
     right (step 1) or right to left (step -1)."""

@@ -42,15 +42,15 @@ THEOREMS = {kind: STATEMENTS[kind] for kind in ("theorem1", "theorem2", "theorem
 
 def check_request(kind, family, budget=None, lambda_max=None, samples=None, table=STATEMENTS):
     """Refuse a statement missing from `table`, a family it is not stated for,
-    counts that are not ints, counts that leave no cells, which would pass
-    having checked nothing, and a NaN budget, which never runs out, or a
-    negative one."""
+    counts that are not ints (a bool included), counts that leave no cells,
+    which would pass having checked nothing, and a NaN budget, which never
+    runs out, or a negative one."""
     if kind not in table:
         raise ValueError("%r is not one of the statements %s" % (kind, ", ".join(table)))
     if family not in table[kind]:
         raise ValueError("%s is stated for type %s, not %r" % (kind, " or ".join(table[kind]), family))
     for name, count in (("lambda_max", lambda_max), ("samples", samples)):
-        if count is not None and not isinstance(count, int):
+        if count is not None and type(count) is not int:
             raise ValueError("%s must be an integer, got %r" % (name, count))
     if lambda_max is not None and lambda_max < 0:
         raise ValueError("lambda_max must be at least 0, got %d" % lambda_max)

@@ -1,8 +1,10 @@
 """Slow reference routes that the library's table-driven code is tested
 against: the Weyl group and its inverses by one-line arithmetic, reduced
-words by the descent walk on the group table, the length by the root
-action, the coroots, the crystal's depth and the Weyl dimension by the
-symmetrized Cartan matrix and root norms over Fractions, the crystal read off
+words by the descent walk on the group table and every reduced word by the
+descent recursion, the length by the root action, the coroots, the
+crystal's depth and the Weyl dimension by the symmetrized Cartan matrix and
+root norms over Fractions, Demazure characters and dimensions by isobaric
+Demazure operators, the crystal read off
 `f_op`/`e_op` state by state, the operator table's packed keys decoded field
 by field, the sigma statistic by its definition, string
 coordinates by raising one state along the word, the Demazure folds along
@@ -11,7 +13,8 @@ by one search per Weyl element, the type A ladder move and box-removal
 operator on the staircase board, the Demazure index sets by one whole
 box-removal fold per element, Schubert representatives and structure
 constants by one whole divided-difference chain per element on polynomials
-keyed by exponent tuples, and the
+keyed by exponent tuples, which `pack` and `unpack` convert to and from the
+oracle's packed keys, and the
 products and pairings of the deformed-polytope ring by rewriting row
 multisets one repeated row at a time and its products and divisor powers
 one shared step at a time, the duality suite by filtering all pairs of
@@ -43,9 +46,10 @@ from schubcalc.cartan import (
     WeylElement,
     _inversions,
     _weyl_table,
-    all_reduced_words,
     bruhat_leq,
     cartan_matrix,
+    check_group,
+    check_weight,
     check_word_of_longest,
     all_elements,
     identity_element,
@@ -58,6 +62,7 @@ from schubcalc.cartan import (
     multiply,
     reduced_word,
     simple_element,
+    simple_root_in_fundamental,
     positive_roots,
     standard_word,
     word_to_element,
@@ -138,6 +143,14 @@ def table_reduced_word(w):
         word.append(i)
         k = left[i - 1][k]
     return tuple(word)
+
+
+def all_reduced_words(w):
+    """Every reduced word of w, sorted: each left descent followed by every
+    reduced word of s_i w."""
+    if length(w) == 0:
+        return ((),)
+    return tuple(sorted((i,) + tail for i in left_descents(w) for tail in all_reduced_words(left_mul(i, w))))
 
 
 def lifting_bruhat_leq(v, w):
@@ -258,6 +271,42 @@ def act_on_weight(w, lam):
 
 def is_reduced_word(datum, word):
     return length(word_to_element(datum, word)) == len(word)
+
+
+# ---------------------------------------------------------------------------
+# formal characters and isobaric Demazure operators
+
+
+def demazure_operator(datum, i, char):
+    """pi_i on an integer combination of formal exponentials e^mu: with
+    m = <mu, h_i>, e^mu goes to the e^(mu - k alpha_i) for 0 <= k <= m, and
+    to minus those for m < k < 0."""
+    alpha = simple_root_in_fundamental(datum, i)
+    out = {}
+    for mu, coeff in char.items():
+        if len(mu) != datum.rank:
+            raise ValueError("weight %r is not of rank %d" % (mu, datum.rank))
+        m = mu[i - 1]
+        ks, c = (range(m + 1), coeff) if m >= 0 else (range(-1, m, -1), -coeff)
+        for k in ks:
+            image = tuple(x - k * a for x, a in zip(mu, alpha))
+            out[image] = out.get(image, 0) + c
+    return {mu: c for mu, c in out.items() if c}
+
+
+def demazure_character(datum, w, lam):
+    """Character of the Demazure module for w at lam, via any reduced word
+    (Kashiwara, Duke Math. J. 71, 1993)."""
+    check_group(datum, w)
+    check_weight(datum, lam)
+    char = {tuple(lam): 1}
+    for i in reversed(reduced_word(w)):
+        char = demazure_operator(datum, i, char)
+    return char
+
+
+def demazure_dimension(datum, w, lam):
+    return sum(demazure_character(datum, w, lam).values())
 
 
 # ---------------------------------------------------------------------------
@@ -1006,6 +1055,23 @@ def fold_mset(datum, w):
 # ---------------------------------------------------------------------------
 # the oracle's polynomials keyed by exponent tuples, and divided-difference
 # chains along whole reduced words
+
+
+def pack(datum, poly):
+    """{exponent tuple: c} keyed as the oracle keys it, exponent j in field j
+    of `oracles._fields`.  Raises ValueError for a tuple of another length
+    than the coordinates or an exponent outside 0..N."""
+    fields, top = orc._fields(datum), datum.num_positive_roots
+    for mono in poly:
+        if len(mono) != len(fields) or not all(0 <= e <= top for e in mono):
+            raise ValueError("monomial %r is not %d exponents in 0..%d" % (mono, len(fields), top))
+    return {pack_bits(mono, fields.step): c for mono, c in poly.items()}
+
+
+def unpack(datum, poly):
+    """{key: c} keyed by exponent tuples, the inverse of `pack`."""
+    fields = orc._fields(datum)
+    return {unpack_bits(key, fields.step, len(fields)): c for key, c in poly.items()}
 
 
 def poly_mul(f, g):

@@ -15,7 +15,6 @@ from schubcalc.cartan import (
     _inversions,
     _weyl_table,
     all_elements,
-    all_reduced_words,
     bruhat_leq,
     cartan_matrix,
     compatible_subsets,
@@ -41,6 +40,7 @@ from schubcalc.crystals import demazure_crystal
 from schubcalc.oracles import weyl_dimension
 
 import reference_routes as ref
+from reference_routes import all_reduced_words
 
 A1 = RootDatum("A", 1)
 A2 = RootDatum("A", 2)
@@ -467,10 +467,13 @@ def test_a_one_line_form_that_is_no_tuple_of_ints_is_refused_with_value_error(da
         WeylElement(datum, line)
 
 
-@pytest.mark.parametrize("rank", [2.0, 2.5, Fraction(2), "2"], ids=["whole-float", "float", "fraction", "str"])
+@pytest.mark.parametrize(
+    "rank", [2.0, 2.5, Fraction(2), "2", True], ids=["whole-float", "float", "fraction", "str", "bool"]
+)
 def test_a_rank_that_is_not_an_int_is_refused_cold_and_warm(rank):
     # RootDatum("A", 2.0) once equalled A2: a cold cache raised TypeError
-    # and a warm one returned the six elements of A2
+    # and a warm one returned the six elements of A2; True equals 1 and
+    # shares its hash, and RootDatum("A", True) once equalled A1
     message = r"^rank %s is not an integer$" % re.escape(repr(rank))
     _weyl_table.cache_clear()
     for _ in range(2):  # cold, then with the table of A2 cached
@@ -507,9 +510,10 @@ def test_a_one_line_entry_that_is_not_an_int_is_refused_cold_and_warm(entry):
         assert multiply(s2, s1) == word_to_element(A2, (2, 1))
 
 
-@pytest.mark.parametrize("letter", [1.0, Fraction(1), "1"], ids=["float", "fraction", "str"])
+@pytest.mark.parametrize("letter", [1.0, Fraction(1), "1", True], ids=["float", "fraction", "str", "bool"])
 def test_a_letter_that_is_not_an_int_is_refused(letter):
-    # a letter 1.0 once passed the range check and raised TypeError on the table
+    # a letter 1.0 once passed the range check and raised TypeError on the
+    # table; True passed it as the letter 1
     message = r"^letter %s out of range 1..2$" % re.escape(repr(letter))
     for call in (
         lambda: word_to_element(A2, (letter, 2)),
@@ -520,6 +524,24 @@ def test_a_letter_that_is_not_an_int_is_refused(letter):
     ):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_a_bool_entry_is_refused_by_every_integer_check():
+    # WeylElement(A1, (True, 2)) was once accepted as the identity, and a
+    # weight or word with True in it found the cache entries of 1
+    e, word = identity_element(A2), standard_word(A2)
+    for _ in range(2):  # cold, then with the entries of 1 cached
+        for kind, values, call in (
+            ("one-line form", (True, 2), lambda: WeylElement(A1, (True, 2))),
+            ("word", (True, 2, 1), lambda: compatible_subsets(A2, (True, 2, 1), e)),
+            ("weight", (True, 0), lambda: weyl_dimension(A2, (True, 0))),
+            ("weight", (True, 0), lambda: crystals.generate_b_lambda(A2, word, (True, 0))),
+        ):
+            message = r"^%s %s has an entry that is not an integer$" % (kind, re.escape(repr(values)))
+            with pytest.raises(ValueError, match=message):
+                call()
+        assert compatible_subsets(A2, word, e) == ((),)
+        assert len(crystals.generate_b_lambda(A2, word, (1, 0))) == 3
 
 
 def test_signed_permutations_are_elements():

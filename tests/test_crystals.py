@@ -17,7 +17,6 @@ from schubcalc.cartan import (
     InvariantError,
     RootDatum,
     all_elements,
-    all_reduced_words,
     bruhat_leq,
     compatible_subsets,
     identity_element,
@@ -31,9 +30,10 @@ from schubcalc.cartan import (
     standard_word,
     word_to_element,
 )
-from schubcalc.oracles import demazure_character, demazure_dimension, weyl_dimension
+from schubcalc.oracles import weyl_dimension
 
 import reference_routes as ref
+from reference_routes import all_reduced_words, demazure_character, demazure_dimension
 
 A1 = RootDatum("A", 1)
 A2 = RootDatum("A", 2)

@@ -18,7 +18,6 @@ from schubcalc.cartan import (
     InvariantError,
     RootDatum,
     all_elements,
-    all_reduced_words,
     bruhat_leq,
     compatible_subsets,
     identity_element,
@@ -29,9 +28,10 @@ from schubcalc.cartan import (
     standard_word,
     word_to_element,
 )
-from schubcalc.oracles import bgg_structure_constants, demazure_dimension, weyl_dimension
+from schubcalc.oracles import bgg_structure_constants, weyl_dimension
 
 import reference_routes as routes
+from reference_routes import all_reduced_words, demazure_dimension
 
 A2 = RootDatum("A", 2)
 A3 = RootDatum("A", 3)

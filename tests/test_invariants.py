@@ -4,6 +4,7 @@ and no library module falls back on strippable `assert` statements."""
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -299,15 +300,16 @@ except InvariantError as err:
 
 
 # x_1^4 * x_1^4 in C2, whose fields are 3 bits since N = 4: the product has
-# degree 8 > N, and x_1^8 would carry into x_2, so it must be refused
+# degree 8 > N, and x_1^8 would carry into x_2, so it must be refused; x_1^4
+# is key 4, exponent 4 in the lowest field
 FIELD_OVERFLOW = """
 from schubcalc import oracles
 from schubcalc.cartan import InvariantError, RootDatum
 
 C2 = RootDatum("C", 2)
-f = oracles.pack(C2, {(4, 0): 1})
+f = {4: 1}
 try:
-    print(oracles.unpack(C2, oracles.poly_mul(C2, f, f)))
+    print(oracles.poly_mul(C2, f, f))
 except InvariantError as err:
     print("InvariantError:", err)
 """
@@ -547,3 +549,133 @@ def test_faces_reads_only_the_cross_check_from_oracles():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "oracles":
             taken |= {alias.name for alias in node.names}
     assert taken == {"bgg_structure_constants"}, taken
+
+
+# What the library keeps only because the benchmark names it: the entry
+# points that `perfbench/spans.py` wraps and what only they reach.  The
+# trim waits on ROADMAP item 1 (the benchmark names these symbols) and is
+# the open half of item 11; a name leaves this set when it leaves `src/`.
+HELD_FOR_THE_BENCHMARK = {
+    "crystals.crystal_states", "crystals.string_coords",
+    "polytopes.lattice_points", "polytopes.vertices", "polytopes.is_simple", "polytopes.incidence",
+    "polytopes.facet_defining", "polytopes.affine_rank", "polytopes._normalized_halfspace",
+    "polytopes.slack_masks", "polytopes.pack_fields",
+    "linalg.Echelon", "linalg.integer_row", "linalg.rank",
+    "linalg.INDEPENDENT", "linalg.DEPENDENT", "linalg.INCONSISTENT",
+}
+
+
+def _library_imports(tree):
+    """{local name: (module, name) for a schubcalc name, or module for a
+    schubcalc module} over every import of the tree, relative or absolute."""
+    bound = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            module = node.module
+        elif (node.module or "").split(".")[0] == "schubcalc":
+            module = node.module.partition(".")[2] or None
+        else:
+            continue
+        for alias in node.names:
+            bound[alias.asname or alias.name] = (module, alias.name) if module else alias.name
+    return bound
+
+
+def _references(tree, module, defined, bound):
+    """The (module, name) pairs that the tree names: a name of its own
+    module, a name imported from a library module, or an attribute of an
+    imported library module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            if (module, node.id) in defined:
+                yield module, node.id
+            elif isinstance(bound.get(node.id), tuple):
+                yield bound[node.id]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if isinstance(bound.get(node.value.id), str):
+                yield bound[node.value.id], node.attr
+
+
+def _library_graph():
+    """{(module, name): its top-level statement} over src/schubcalc, dunder
+    metadata aside, and {module: its imports}."""
+    defined, imports = {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imports[path.stem] = _library_imports(tree)
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined[path.stem, top.name] = top
+            elif isinstance(top, ast.Assign):
+                for target in top.targets:
+                    if not target.id.startswith("__"):
+                        defined[path.stem, target.id] = top
+    return defined, imports
+
+
+def _reached(roots, defined, imports):
+    """Every library name that the roots reach through the references of
+    each reached name's statement; a name imported into a module is read
+    where it is defined, and a reached class reaches its methods."""
+    seen, todo = set(), list(roots)
+    while todo:
+        key = todo.pop()
+        module, name = key
+        if key not in defined and isinstance(imports.get(module, {}).get(name), tuple):
+            key = imports[module][name]
+        if key in seen or key not in defined:
+            continue
+        seen.add(key)
+        todo.extend(_references(defined[key], key[0], defined, imports[key[0]]))
+    return seen
+
+
+def _benchmark_names(path):
+    """The `lib.<module>.<name>` attributes of a benchmark file, read as text."""
+    return {
+        (node.value.attr, node.attr)
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id == "lib"
+    }
+
+
+def test_every_library_name_is_reached_by_what_the_system_runs():
+    # the CLI, `python -m schubcalc`, the scripts and the benchmark
+    # workloads; a name that only tests call belongs in the test references
+    root = PACKAGE.parent.parent
+    defined, imports = _library_graph()
+    roots = {("cli", "main")}
+    for path in [PACKAGE / "__main__.py", *sorted((root / "scripts").glob("*.py"))]:
+        tree = ast.parse(path.read_text(), str(path))
+        roots |= set(_references(tree, None, defined, _library_imports(tree)))
+    for name in ("run.py", "workloads.py"):
+        roots |= _benchmark_names(root / "perfbench" / name)
+    reached = _reached(roots, defined, imports)
+    assert {"%s.%s" % key for key in set(defined) - reached} == HELD_FOR_THE_BENCHMARK
+    # and each held name is one that the benchmark's span tracer wraps, or
+    # one that only those reach
+    wrapped = {
+        tuple(text.split("."))
+        for text in re.findall(r'"(\w+\.\w+)"', (root / "perfbench" / "spans.py").read_text())
+    }
+    held = _reached(wrapped & set(defined), defined, imports) - reached
+    assert {"%s.%s" % key for key in held} == HELD_FOR_THE_BENCHMARK
+
+
+def test_library_imports_only_the_standard_library_and_itself():
+    # the test references under tests/ are no library dependency, and the
+    # library has no third-party one
+    outside = {
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not getattr(node, "level", 0)
+        for name in ([node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names])
+        if name.split(".")[0] not in sys.stdlib_module_names | {"schubcalc"}
+    }
+    assert not outside, outside

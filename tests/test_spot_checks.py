@@ -19,9 +19,10 @@ from schubcalc.cartan import (
     standard_word,
     word_to_element,
 )
-from schubcalc.oracles import demazure_dimension, weyl_dimension
+from schubcalc.oracles import weyl_dimension
 
 import reference_routes as ref
+from reference_routes import demazure_dimension
 
 A4 = RootDatum("A", 4)
 C3 = RootDatum("C", 3)

@@ -98,8 +98,8 @@ def test_verify_path_decodes_no_point(monkeypatch):
     A3 = RootDatum("A", 3)
     lam, letters = (1, 0, 1), (1, 2, 3)
     w = word_to_element(A3, letters)
-    schubert = oracles.demazure_dimension(A3, w, lam)
-    opposite = oracles.demazure_dimension(A3, multiply(longest_element(A3), w), lam)
+    schubert = ref.demazure_dimension(A3, w, lam)
+    opposite = ref.demazure_dimension(A3, multiply(longest_element(A3), w), lam)
     monkeypatch.setattr(polytopes, "mask_points", refuse)
     dec = faces.opposite_demazure_faces(A3, w, lam)
     assert len(dec.union) == opposite
@@ -333,6 +333,15 @@ def test_axioms_suite_refuses_samples_that_are_not_an_int(no_work):
         verify.axioms_suite("A", 2, 2.5)
 
 
+def test_suites_refuse_bool_counts(no_work):
+    # theorem_suite("theorem1", "A", 2, True) once ran as lambda_max 1 and
+    # reported "lambda_max": true
+    with pytest.raises(ValueError, match=r"^lambda_max must be an integer, got True$"):
+        verify.theorem_suite("theorem1", "A", 2, True)
+    with pytest.raises(ValueError, match=r"^samples must be an integer, got True$"):
+        verify.axioms_suite("A", 2, True)
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_axioms_suite_refuses_fewer_than_one_sample(no_work, samples):
     with pytest.raises(ValueError, match="samples must be at least 1, got %d" % samples):
@@ -378,4 +387,4 @@ def test_rank_four_cell_counts_are_demazure_dimensions():
         cell = verify._theorem_cell((kind, datum.family, 4, lam, tuple(reduced_word(w))))
         assert cell["status"] == "pass", cell
         u = multiply(longest_element(datum), w) if kind == "theorem1" else w
-        assert cell["n_lattice_points"] == oracles.demazure_dimension(datum, u, lam), cell
+        assert cell["n_lattice_points"] == ref.demazure_dimension(datum, u, lam), cell
