@@ -6,9 +6,10 @@ and Sayward, "Hints on test data selection", IEEE Computer 1978).
 Each row of PLANTS is (module, anchor, planted, test).  The anchor is one
 line of src/schubcalc/<module>.py, compared without its indentation, and it
 occurs exactly once in src/; the planted line replaces it at the same
-indentation; the test is a pytest node id under tests/.  For each row the
-script copies src/ into a temporary directory, plants the fault there and
-runs that one test against the copy in a subprocess, one row after another.
+indentation; the test is a pytest node id under tests/, of a test or of
+one parametrized case of it.  For each row the script copies src/ into a
+temporary directory, plants the fault there and runs that one test against
+the copy in a subprocess, one row after another.
 The plant is killed when the test fails and survives when it passes; any
 other pytest outcome (no such test, a collection error) is an error.
 
@@ -16,7 +17,7 @@ other pytest outcome (no such test, a collection error) is an error.
 
 It prints one line per plant, then the killed, survived and error counts,
 and exits 1 unless every plant is killed.  Each row costs one pytest start
-and one test run (the 80 rows took about two minutes on a 2-core
+and one test run (the 81 rows took about two minutes on a 2-core
 host), so the script is not part of the test suite, which checks only that
 every anchor occurs once.
 """
@@ -134,8 +135,8 @@ PLANTS = (
     # the packed-field codec, the packed slack kernel and the crystal table
     (
         "polytopes",
-        'return int.from_bytes(_little(array.array(_TYPECODES[size, signed], values)).tobytes(), "little")',
-        'return int.from_bytes(_little(array.array(_TYPECODES[size, signed], values)).tobytes(), "big")',
+        'return _little(array.array(_TYPECODES[size, signed], packed.to_bytes(count * size, "little")))',
+        'return _little(array.array(_TYPECODES[size, signed], packed.to_bytes(count * size, "big")))',
         "tests/test_polytopes.py::test_packed_fields_round_trip_against_the_int_reference",
     ),
     (
@@ -242,24 +243,31 @@ PLANTS = (
         "return self.mask.bit_count() == other.mask.bit_count()",
         "tests/test_polytopes.py::test_point_sets_over_one_table_compare_their_masks",
     ),
-    # packed crystal states: the depth witness and the unit of each field
+    # crystal states keyed by their statistics: the step of each lowering,
+    # and the witness that replays a path to the lowest state by the sweep
     (
         "crystals",
-        "if sum(coords) != table.depth:",
+        "if not coords or k != table.lowest or sum(coords) != depth:",
         "if False:",
         "tests/test_invariants.py::test_depth_witness_survives_optimize_flag",
     ),
     (
         "crystals",
-        "return unit[p], moves[p], eps",
-        "return unit[p - 1], moves[p], eps",
+        "return moves[p], eps",
+        "return moves[p - 1], eps",
         "tests/test_crystals.py::test_packed_table_matches_tuple_bfs",
     ),
     (
         "crystals",
-        "unit = [1 << (8 * size * p) for p in range(len(word))]",
-        "unit = [1 << (8 * p) for p in range(len(word))]",
+        "nxt = s + d[0]",
+        "nxt = s + moves[0]",
         "tests/test_crystals.py::test_packed_table_matches_tuple_bfs",
+    ),
+    (
+        "crystals",
+        "coords, k = _lower(datum, word, lam, coords, i), table.down[i - 1][k]",
+        "coords, k = _lower(datum, word, lam, coords, i % datum.rank + 1), table.down[i - 1][k]",
+        "tests/test_crystals.py::test_the_witness_refuses_lowering_columns_under_the_wrong_letters",
     ),
     # packed statistics: one letter's group of fields, its first largest
     # sigma, the inverse of its lowering and the width witness
@@ -523,13 +531,13 @@ PLANTS = (
         "cartan",
         "if type(self.rank) is not int:",
         "if not isinstance(self.rank, int):",
-        "tests/test_cartan.py::test_a_rank_that_is_not_an_int_is_refused_cold_and_warm",
+        "tests/test_cartan.py::test_a_rank_that_is_not_an_int_is_refused_cold_and_warm[bool]",
     ),
     (
         "cartan",
         "if type(i) is not int or not 1 <= i <= datum.rank:",
         "if not isinstance(i, int) or not 1 <= i <= datum.rank:",
-        "tests/test_cartan.py::test_a_letter_that_is_not_an_int_is_refused",
+        "tests/test_cartan.py::test_a_letter_that_is_not_an_int_is_refused[bool]",
     ),
     (
         "verify",

@@ -19,13 +19,13 @@ and both face decompositions take once per call.  Its operator table
 under lowering, with per letter the index of f_i of every state, its inverse
 e_i (e_i f_i b = b), eps_i, and the lowest element: `down` and `up` are
 tuples of index ints, `up` sharing the int objects of `down`, and eps is one
-unsigned array per letter whose items hold the depth.  Each state is one int
-key, coordinate p in byte field p as wide as the eps items (the codec of
-`polytopes`), and its sigmas and weight pairings ride along as one more int,
-so the build sweeps no coordinates and decides each letter's lowering once
-per distinct group of that letter's statistics.  Only `crystal_states`
-decodes the keys, and `string_coords` packs the state it is given.  `f_op`, `e_op`,
-`epsilon` and `phi` keep the one-state sweep; they, `weight_of` and
+unsigned array per letter whose items hold the depth.  The build keys each
+state by its sigmas and weight pairings, packed into one int, which
+determine its coordinates, so it sweeps no coordinates and decides each
+letter's lowering once per distinct group of that letter's statistics; the
+table keeps no coordinates.  `f_op`, `e_op`, `epsilon` and `phi` keep the
+one-state sweep, through which the build's witness, `crystal_states` and
+`string_coords` replay coordinates along the table; they, `weight_of` and
 `string_coords` refuse a word, weight or state outside their domain with
 ValueError, through `_validate` and `_check_state`.  The Demazure folds follow
 Kashiwara's recursion, B_w = F_i B_{s_i w} for a left descent i and
@@ -41,8 +41,8 @@ over the whole cut crystal, each state's top read off its parent's, so the
 table costs the sum of the level sizes.  A tail is one int, coordinate p in
 byte field p, as wide as the eps items, so a string is one packed int, and
 the record's strings (`_Strings`) are a read-only sequence that decodes one
-string to its tuple on index, and all in one pass on iteration and on a
-slice.  The record holds them with one bitmask per string-polytope row over
+string to its tuple on index, iterating and slicing it index by
+index.  The record holds them with one bitmask per string-polytope row over
 them, certified as the polytope's lattice points by containment and count
 when it is built, the containment reading each coordinate off the strings'
 bytes, joined once and widened by one strided slice per byte lane.  Every
@@ -58,7 +58,6 @@ AND of two folds.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain, compress, filterfalse
@@ -140,13 +139,12 @@ def _sigma_profile(datum, word, lam, coords, i):
     return best, first, last, (0 if lam is INFINITY else lam[i - 1]) - suffix
 
 
-def _checked_profile(datum, word, lam, coords, i):
-    """`_sigma_profile` of the one-state readers, once the word, weight,
-    state and letter are checked."""
+def _checked(datum, word, lam, coords, i) -> tuple:
+    """A one-state reader's arguments to `_sigma_profile`, each one checked."""
     _validate(datum, word, lam)
     _check_state(word, coords)
     check_letter(datum, i)
-    return _sigma_profile(datum, word, lam, coords, i)
+    return datum, word, lam, coords, i
 
 
 def weight_of(datum: RootDatum, word, lam, coords):
@@ -165,18 +163,18 @@ def weight_of(datum: RootDatum, word, lam, coords):
 
 
 def epsilon(datum: RootDatum, word, lam, coords, i: int) -> int:
-    best, _, _, wt_i = _checked_profile(datum, word, lam, coords, i)
+    best, _, _, wt_i = _sigma_profile(*_checked(datum, word, lam, coords, i))
     return best if lam is INFINITY else max(best, -wt_i)
 
 
 def phi(datum: RootDatum, word, lam, coords, i: int) -> int:
-    best, _, _, wt_i = _checked_profile(datum, word, lam, coords, i)
+    best, _, _, wt_i = _sigma_profile(*_checked(datum, word, lam, coords, i))
     return (best if lam is INFINITY else max(best, -wt_i)) + wt_i
 
 
-def f_op(datum: RootDatum, word, lam, coords, i: int):
-    """Lower by alpha_i; None at the cutoff, never None at infinity."""
-    best, first, _, wt_i = _checked_profile(datum, word, lam, coords, i)
+def _lower(datum, word, lam, coords, i):
+    """`f_op` of checked arguments, by one sweep."""
+    best, first, _, wt_i = _sigma_profile(datum, word, lam, coords, i)
     if lam is not INFINITY and best + wt_i <= 0:
         if best + wt_i < 0:
             raise CorruptElementError("negative phi: element outside the cut crystal")
@@ -189,9 +187,14 @@ def f_op(datum: RootDatum, word, lam, coords, i: int):
     return tuple(out)
 
 
-def e_op(datum: RootDatum, word, lam, coords, i: int):
-    """Raise by alpha_i; None when no raise is possible."""
-    best, _, last, wt_i = _checked_profile(datum, word, lam, coords, i)
+def f_op(datum: RootDatum, word, lam, coords, i: int):
+    """Lower by alpha_i; None at the cutoff, never None at infinity."""
+    return _lower(*_checked(datum, word, lam, coords, i))
+
+
+def _raise(datum, word, lam, coords, i):
+    """`e_op` of checked arguments, by one sweep."""
+    best, _, last, wt_i = _sigma_profile(datum, word, lam, coords, i)
     if best == 0:
         return None
     if lam is not INFINITY and best + wt_i < 0:
@@ -204,6 +207,11 @@ def e_op(datum: RootDatum, word, lam, coords, i: int):
     return tuple(out)
 
 
+def e_op(datum: RootDatum, word, lam, coords, i: int):
+    """Raise by alpha_i; None when no raise is possible."""
+    return _raise(*_checked(datum, word, lam, coords, i))
+
+
 # ---------------------------------------------------------------------------
 # the operator table
 
@@ -213,8 +221,6 @@ def is_certified_word(datum: RootDatum, word) -> bool:
 
 
 class _OperatorTable(NamedTuple):
-    keys: tuple    # the cut crystal in breadth-first order, the highest first,
-                   # each state one int, coordinate p in the eps-wide byte field p
     depth: int     # <lam, 2 rho^vee>, the coordinate sum of the lowest state,
                    # which no coordinate passes
     down: tuple    # down[i - 1][k]: index of f_i of state k, or -1
@@ -279,8 +285,8 @@ def _fields(group: int, tops: int, bits: int):
     return polytopes.unpack_fields(group ^ tops, tops.bit_length() // bits, bits >> 3, True)
 
 
-def _decide(group, tops, where, bits, unit, moves) -> tuple:
-    """(key step, statistics step, eps_i) at a letter's group, checked as in `f_op`; 0 steps kill."""
+def _decide(group, tops, where, bits, moves) -> tuple:
+    """(statistics step, eps_i) at a letter's group, checked as in `f_op`; a 0 step kills."""
     *values, wt = _fields(group, tops, bits)
     top = max(values)
     best = top if top > 0 else 0
@@ -288,74 +294,75 @@ def _decide(group, tops, where, bits, unit, moves) -> tuple:
         raise CorruptElementError("negative phi: element outside the cut crystal")
     eps = best if best > -wt else -wt
     if best + wt == 0:
-        return 0, 0, eps
+        return 0, eps
     if top < 0:
         raise CorruptElementError("lowering argmin beyond stored coordinates")
     p = where[values.index(top)]
-    return unit[p], moves[p], eps
+    return moves[p], eps
 
 
 def _operator_table(datum: RootDatum, word, lam) -> _OperatorTable:
     """The cut crystal and its operators over integer indices: the
-    breadth-first closure of the zero vector, state 0, under lowering.  Each
-    state is one int key, coordinate p in byte field p, as wide as the eps
-    items, which hold the depth, and its statistics ride along as one more int
-    (`_statistics_layout`), each lam_i plus a combination, with Cartan entries,
-    1 and 0 for coefficients, of coordinates >= 0 summing to at most the depth,
-    which bounds the field width.  Lowering at p adds the unit of field p to
-    the key and the move of p to the statistics.  Letter i's lowering reads
-    only its own group of fields (Nakashima-Zelevinsky 1997), so it is decided
-    once per distinct group (`_decide`).  Raising is lowering inverted, eps is
-    read off the decisions, and the state every letter kills is the lowest: its
-    coordinates must sum to the depth, and a sweep of them (`_sigma_profile`)
-    must give the statistics it carries.  The weight is checked by `record`,
-    the one way to the table's builder."""
+    breadth-first closure of the highest state, state 0, under lowering,
+    each state keyed by its statistics, one int (`_statistics_layout`):
+    every word position carries one sigma, unitriangular in the coordinates
+    (Nakashima-Zelevinsky 1997), so they determine the state.  Each is
+    lam_i plus a combination, with Cartan entries, 1 and 0 for
+    coefficients, of coordinates >= 0 summing to at most the depth, which
+    bounds the field width.  Lowering at p adds the move of p, and letter
+    i's lowering, reading only its group of fields, is decided once per
+    distinct group (`_decide`).  Raising is lowering inverted, eps is read
+    off the decisions, and the state every letter kills is the lowest: the
+    one-state sweep (`_lower`) must walk there from state 0 in depth steps,
+    each by the least letter that lowers, and give the statistics it
+    carries.  The weight is checked by `record`."""
     check_word_of_longest(datum, word)
     depth = _depth(datum, lam)
     size = polytopes.field_size(depth.bit_length())
-    unit = [1 << (8 * size * p) for p in range(len(word))]
     bound = max(map(abs, chain.from_iterable(cartan_matrix(datum)))) * depth + max(lam)
     bits = 8 * polytopes.field_size(bound.bit_length() + 1)  # and a sign bit
     letters, moves = _statistics_layout(datum, word, bits)
-    keys, index = [0], {0: 0}
     highest = sum((tops + (x << bits * len(where))) << shift for (shift, _, tops, where), x in zip(letters, lam))
-    pending = deque([highest])  # the statistics of the states not yet expanded
+    states, index = [highest], {highest: 0}
     down, eps = [[] for _ in letters], [polytopes.field_array(size) for _ in letters]
     steps = [(*letter, {}, eps_i, down_i) for letter, eps_i, down_i in zip(letters, eps, down)]
     lowest = []
-    for key in keys:  # visits the states appended on the way
-        s = pending.popleft()
+    for s in states:  # visits the states appended on the way
         killed = True
         for shift, mask, tops, where, seen, eps_i, down_i in steps:
             group = s >> shift & mask
             d = seen.get(group)
             if d is None:
-                d = seen[group] = _decide(group, tops, where, bits, unit, moves)
-            eps_i.append(d[2])
+                d = seen[group] = _decide(group, tops, where, bits, moves)
+            eps_i.append(d[1])
             if not d[0]:
                 down_i.append(-1)
                 continue
             killed = False
-            nxt = key + d[0]
+            nxt = s + d[0]
             j = index.get(nxt)
             if j is None:
-                j = index[nxt] = len(keys)
-                keys.append(nxt)
-                pending.append(s + d[1])
+                j = index[nxt] = len(states)
+                states.append(nxt)
             down_i.append(j)
         if killed:
-            lowest.append((key, s))
+            lowest.append(s)
     if len(lowest) != 1:
         raise InvariantError("lowest element not unique")
-    (low, low_stats), = lowest
-    ids, low = list(index.values()), index[low]  # the index ints that down holds
-    del index, pending
+    (low_stats,) = lowest
+    ids, low = list(index.values()), index[low_stats]  # the index ints that down holds
+    del index, states
     for i, row in enumerate(down):
         down[i] = tuple(row)
     up = tuple(tuple(_invert(row, ids)) for row in down)
-    table = _OperatorTable(tuple(keys), depth, tuple(down), up, tuple(eps), low)
-    coords = tuple(polytopes.unpack_fields(table.keys[table.lowest], len(word), size))
-    if sum(coords) != table.depth:
+    table = _OperatorTable(depth, tuple(down), up, tuple(eps), low)
+    coords, k = (0,) * len(word), 0
+    while coords and k != table.lowest and sum(coords) < depth:
+        i = next((i for i, row in enumerate(table.down, 1) if row[k] >= 0), None)
+        if i is None:
+            break
+        coords, k = _lower(datum, word, lam, coords, i), table.down[i - 1][k]
+    if not coords or k != table.lowest or sum(coords) != depth:
         raise InvariantError("the lowest state's coordinates do not sum to the depth %d" % depth)
     for i, (shift, mask, tops, where) in enumerate(letters, 1):
         *sigmas, wt = _fields(low_stats >> shift & mask, tops, bits)
@@ -367,34 +374,46 @@ def _operator_table(datum: RootDatum, word, lam) -> _OperatorTable:
 
 
 def crystal_states(datum: RootDatum, word, lam) -> tuple:
-    """All elements of the cut crystal in ladder coordinates, sorted: the
-    record's keys decoded."""
+    """All elements of the cut crystal in ladder coordinates, sorted: state
+    0 is zero, and in table order each later state is f_i of its parent e_i,
+    for the least letter i that raises it, by the one-state sweep."""
     table = record(datum, word, lam).table
-    return tuple(sorted(polytopes.unpack_each(table.keys, len(word), table.eps[0].itemsize)))
+    states = [(0,) * len(word)]
+    for j in range(1, len(table.eps[0])):
+        i, parent = next((i, up[j]) for i, up in enumerate(table.up, 1) if up[j] >= 0)
+        states.append(_lower(datum, word, lam, states[parent], i))
+    return tuple(sorted(states))
 
 
 def string_coords(datum: RootDatum, word, lam, state) -> tuple:
     """String parametrization of one cut-crystal element, read off the
-    record's certified strings at the state's place in the table's keys; a
+    record's certified strings at the state's index: the state raised to
+    zero by the one-state sweep, each time by the least letter that raises
+    it, and the raises walked back down the table from state 0.  A
     well-formed state outside the table raises InvariantError."""
     table, strings, *_ = record(datum, word, lam)
     state = tuple(state)
     _check_state(word, state)
-    # a coordinate past the depth may pass its field
-    if max(state) <= table.depth:
-        key = polytopes.pack_fields(state, table.eps[0].itemsize)
-        try:
-            return strings[table.keys.index(key)]
-        except ValueError:
-            pass
-    raise InvariantError("non-normal state: not in the generated crystal")
+    path, k = [], 0
+    try:
+        while any(state) and sum(state) <= table.depth:  # every raise takes 1 from the sum
+            i = next(i for i in range(1, datum.rank + 1) if _raise(datum, word, lam, state, i))
+            state = _raise(datum, word, lam, state, i)
+            path.append(i)
+    except (StopIteration, CorruptElementError):  # no letter raises, or one onto a zero coordinate
+        pass
+    for i in reversed(path):
+        k = table.down[i - 1][k] if k >= 0 else k
+    if any(state) or k < 0:
+        raise InvariantError("non-normal state: not in the generated crystal")
+    return strings[k]
 
 
 class _Strings(Sequence):
     """The record's strings: each packed into one int, coordinate p in
     unsigned byte field p of `size` bytes.  A read-only sequence that decodes
-    a string to its tuple on index and on iteration, and a slice to a tuple
-    of tuples."""
+    a string to its tuple on index, iterates by index and decodes a slice to
+    a tuple of tuples."""
 
     __slots__ = ("packed", "length", "size")
 
@@ -408,11 +427,8 @@ class _Strings(Sequence):
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return tuple(polytopes.unpack_each(self.packed[k], self.length, self.size))
+            return tuple(map(self.__getitem__, range(len(self))[k]))
         return tuple(polytopes.unpack_fields(self.packed[k], self.length, self.size))
-
-    def __iter__(self):
-        return polytopes.unpack_each(self.packed, self.length, self.size)
 
 
 def _string_table(table: _OperatorTable, word) -> _Strings:

@@ -219,25 +219,9 @@ def _little(items: array.array) -> array.array:
     return items
 
 
-def pack_fields(values, size: int, signed: bool = False) -> int:
-    """One int holding value p of `values` in field p of `size` bytes, or OverflowError."""
-    return int.from_bytes(_little(array.array(_TYPECODES[size, signed], values)).tobytes(), "little")
-
-
 def unpack_fields(packed: int, count: int, size: int, signed: bool = False) -> array.array:
-    """The `count` fields of `size` bytes of `packed`: the inverse of `pack_fields`."""
+    """The `count` fields of `size` bytes of `packed`, field p at bytes [p * size, (p + 1) * size)."""
     return _little(array.array(_TYPECODES[size, signed], packed.to_bytes(count * size, "little")))
-
-
-def _joined(packed, count: int, size: int) -> bytes:
-    """The little-endian bytes of every int of `packed`, `count` fields of `size` bytes each, one after another."""
-    return b"".join(map(int.to_bytes, packed, repeat(count * size), repeat("little")))
-
-
-def unpack_each(packed, count: int, size: int):
-    """The `count` unsigned fields of `size` bytes of each int of `packed`, a
-    tuple per int, all unpacked in one pass: `unpack_fields` over many ints."""
-    return zip(*[iter(_little(field_array(size, _joined(packed, count, size))))] * count)
 
 
 def strided_columns(packed, count: int, size: int):
@@ -245,7 +229,7 @@ def strided_columns(packed, count: int, size: int):
     unsigned fields of `size` bytes, widened to fields of `step` >= `size`
     bytes, field i from int i, as one int.  The ints' bytes are joined once,
     and each byte lane of the wide fields is one strided slice of them."""
-    data, stride = _joined(packed, count, size), count * size
+    data, stride = b"".join(map(int.to_bytes, packed, repeat(count * size), repeat("little"))), count * size
 
     def column(p: int, step: int) -> int:
         fields = bytearray(len(packed) * step)

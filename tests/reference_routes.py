@@ -5,8 +5,8 @@ descent recursion, the length by the root action, the coroots, the
 crystal's depth and the Weyl dimension by the symmetrized Cartan matrix and
 root norms over Fractions, Demazure characters and dimensions by isobaric
 Demazure operators, the crystal read off
-`f_op`/`e_op` state by state, the operator table's packed keys decoded field
-by field, the sigma statistic by its definition, string
+`f_op`/`e_op` state by state, the operator table's states replayed by
+`f_op` along its raising indices, the sigma statistic by its definition, string
 coordinates by raising one state along the word, the Demazure folds along
 whole reduced words and as frozensets of table indices, the extraction sets
 by one search per Weyl element, the type A ladder move and box-removal
@@ -368,12 +368,16 @@ def pack_bits(values, bits):
 
 
 def table_states(datum, word, lam, table=None):
-    """The states of the operator table in table order, each key decoded
-    field by field: coordinate p is byte field p, as wide as the eps items.
-    The table is the record's unless one is given."""
+    """The states of the operator table in table order, replayed by `f_op`:
+    state 0 is zero, and each later state is f_i of its parent up[i - 1][k]
+    for the least letter i that has one.  The table is the record's unless
+    one is given."""
     table = table or cr._crystal(datum, word, lam).table
-    bits = 8 * table.eps[0].itemsize
-    return tuple(unpack_bits(key, bits, len(word)) for key in table.keys)
+    states = [(0,) * len(word)]
+    for k in range(1, len(table.down[0])):
+        i, parent = next((i, up[k]) for i, up in enumerate(table.up, 1) if up[k] >= 0)
+        states.append(cr.f_op(datum, word, lam, states[parent], i))
+    return tuple(states)
 
 
 def pack_strings(points, size=1):
@@ -382,12 +386,6 @@ def pack_strings(points, size=1):
     bytes."""
     packed = tuple(pack_bits(point, 8 * size) for point in points)
     return cr._Strings(packed, len(points[0]), size)
-
-
-def table_key(table, state):
-    """The key of a state packed into the table's fields: coordinate p times
-    the unit of field p.  A coordinate past the field carries."""
-    return pack_bits(state, 8 * table.eps[0].itemsize)
 
 
 def list_statistics_layout(datum, word):
@@ -414,14 +412,15 @@ def list_statistics_layout(datum, word):
 
 
 def list_statistics_table(datum, word, lam, bits=None):
-    """The operator table by the breadth-first build on list statistics:
-    every state carries its flat list of sigmas and weight pairings
-    (`list_statistics_layout`), and every (state, letter) pair takes the
-    max of the letter's sigmas and its first position afresh, as the
-    library did before it decided each letter once per distinct group of
-    packed statistics.  The keys are packed with coordinate p in field p of
-    `bits` bits, by default the library's byte fields that hold the depth;
-    the depth witness and the checks are the library's."""
+    """(table, states): the operator table by the breadth-first build on
+    list statistics, and its states in table order.  Every state carries its
+    flat list of sigmas and weight pairings (`list_statistics_layout`), and
+    every (state, letter) pair takes the max of the letter's sigmas and its
+    first position afresh, as the library did before it decided each letter
+    once per distinct group of packed statistics.  The states are keyed by
+    coordinate p in field p of `bits` bits, by default the byte fields that
+    hold the depth, as the library keyed them before it keyed them by their
+    statistics; the depth witness and the checks are the library's."""
     cr._validate(datum, word, lam)
     letters, where, deltas = list_statistics_layout(datum, word)
     depth = cr._depth(datum, lam)
@@ -462,16 +461,16 @@ def list_statistics_table(datum, word, lam, bits=None):
     if len(lowest) != 1:
         raise InvariantError("lowest element not unique")
     table = cr._OperatorTable(
-        tuple(keys),
         depth,
         tuple(tuple(row) for row in down),
         tuple(tuple(cr._invert(row, range(len(row)))) for row in down),
         tuple(tuple(row) for row in eps),
         lowest[0],
     )
-    if sum(unpack_bits(table.keys[table.lowest], bits, len(word))) != table.depth:
+    states = tuple(unpack_bits(key, bits, len(word)) for key in keys)
+    if sum(states[table.lowest]) != table.depth:
         raise InvariantError("the lowest state's coordinates do not sum to the depth %d" % depth)
-    return table
+    return table, states
 
 
 def parent_key_bits(depth):

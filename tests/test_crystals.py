@@ -368,12 +368,9 @@ def test_string_table_matches_per_state_route():
 
 
 def _with_planted_state(table, datum, word, lam, planted):
-    """The table with one more state, unreached by any operator, whose eps
-    are its true ones, under the key it packs to."""
-    key = ref.table_key(table, planted)
-    assert key not in table.keys
+    """The table with one more state, an index unreached by any operator,
+    whose eps are those of the planted coordinates."""
     return table._replace(
-        keys=table.keys + (key,),
         down=tuple(row + (-1,) for row in table.down),
         up=tuple(row + (-1,) for row in table.up),
         eps=tuple(
@@ -504,9 +501,7 @@ def test_operator_table_matches_operators():
         states = ref.table_states(datum, word, lam)
         assert cr.crystal_states(datum, word, lam) == ref.bfs_states(datum, word, lam)
         assert states[0] == (0,) * len(word)
-        index = {key: k for k, key in enumerate(table.keys)}
-        assert all(index[ref.table_key(table, s)] == k for k, s in enumerate(states))
-        assert len(index) == len(states)
+        assert len(set(states)) == len(states)
         assert _lowest(datum, word, lam) == ref.lowest(datum, word, lam)
 
         def state(k):
@@ -517,7 +512,7 @@ def test_operator_table_matches_operators():
                 assert state(table.down[i - 1][k]) == cr.f_op(datum, word, lam, s, i)
                 assert state(table.up[i - 1][k]) == cr.e_op(datum, word, lam, s, i)
                 assert table.eps[i - 1][k] == cr.epsilon(datum, word, lam, s, i)
-    assert len(cr._operator_table(A3, standard_word(A3), (3, 3, 3)).keys) == 4096
+    assert len(cr._operator_table(A3, standard_word(A3), (3, 3, 3)).down[0]) == 4096
 
 
 def _check_packed_table(datum, word, lam) -> tuple:
@@ -529,8 +524,7 @@ def _check_packed_table(datum, word, lam) -> tuple:
     assert tuple(sorted(states)) == expected
     assert cr.crystal_states(datum, word, lam) == expected
     assert states[0] == (0,) * len(word)
-    index = {key: k for k, key in enumerate(table.keys)}
-    assert [index[key] for key in table.keys] == list(range(len(expected)))
+    assert {len(row) for row in table.down + table.up + table.eps} == {len(expected)}
     assert states[table.lowest] == ref.lowest(datum, word, lam, expected)
     assert sum(states[table.lowest]) == table.depth
     assert table.depth < 1 << 8 * table.eps[0].itemsize
@@ -574,21 +568,22 @@ def test_packed_statistics_table_matches_the_list_statistics_reference():
     for datum, word, lam in cases:
         table = cr._operator_table(datum, word, lam)
         decoded = table._replace(eps=tuple(map(tuple, table.eps)))
-        assert decoded == ref.list_statistics_table(datum, word, lam), (datum, word, lam)
+        assert decoded == ref.list_statistics_table(datum, word, lam)[0], (datum, word, lam)
     # the last case's table, A2 at (300, 0)
     assert max(map(max, ref.table_states(A2, IA2, (300, 0), table))) > 255
 
 
 def test_string_coords_refuses_a_state_that_packs_onto_another():
-    # A2 at (1, 0) has depth 2 and fields of one byte, and the state
-    # (1, 1, 0) has key 1 + 256 = 257: a trailing zero packs (1, 1, 0, 0)
-    # onto 257, and (1,) onto the key 1 of (1, 0, 0); a negative coordinate
-    # fits no field.  A malformed state is refused as `f_op` refuses it, with
-    # ValueError; a well-formed one past the depth is not in the table, an
-    # internal fault
+    # A2 at (1, 0) has depth 2 and fields of one byte: packed into them, a
+    # trailing zero put (1, 1, 0, 0) onto the key 257 of (1, 1, 0), and (1,)
+    # onto the key 1 of (1, 0, 0); a negative coordinate fits no field.  A
+    # malformed state is refused as `f_op` refuses it, with ValueError; a
+    # well-formed one past the depth is not in the table, an internal fault,
+    # refused before any raise however far past the depth it is
     assert cr.string_coords(A2, IA2, (1, 0), (1, 1, 0)) == (0, 1, 1)
-    with pytest.raises(InvariantError, match="^non-normal state"):
-        cr.string_coords(A2, IA2, (1, 0), (5, 0, 0))
+    for state in ((5, 0, 0), (10**9, 0, 0)):
+        with pytest.raises(InvariantError, match="^non-normal state"):
+            cr.string_coords(A2, IA2, (1, 0), state)
     for state, message in (
         ((-3, 2, 0), "negative coordinate"),
         ((1, -3, 1), "negative coordinate"),
@@ -600,8 +595,9 @@ def test_string_coords_refuses_a_state_that_packs_onto_another():
 
 
 def test_string_coords_of_every_state_are_the_record_strings_in_table_order():
-    # each state is found by one scan of the table's keys; a well-formed
-    # state within the depth that the crystal lacks is still refused
+    # each state is raised to state 0 by the sweep and found by walking the
+    # raises back down the table; a well-formed state within the depth that
+    # the crystal lacks is still refused
     word, lam = standard_word(A3), (3, 3, 3)
     rec = cr.record(A3, word, lam)
     states = ref.table_states(A3, word, lam)
@@ -611,6 +607,49 @@ def test_string_coords_of_every_state_are_the_record_strings_in_table_order():
     outside = next(s for s in itertools.product(range(rec.table.depth + 1), repeat=len(word)) if s not in members)
     with pytest.raises(InvariantError, match="^non-normal state"):
         cr.string_coords(A3, word, lam, outside)
+
+
+EVERY_TUPLE_CASES = ((A2, IA2, (1, 0)), (A2, IA2, (2, 1)), (C2, IC2, (1, 1)), (A2, (2, 1, 2), (2, 1)))
+
+
+@pytest.mark.parametrize(
+    "datum, word, lam",
+    EVERY_TUPLE_CASES,
+    ids=["%s%d-%s-%s" % (d.family, d.rank, "".join(map(str, w)), l) for d, w, l in EVERY_TUPLE_CASES],
+)
+def test_string_coords_of_every_tuple_up_to_one_past_the_depth(datum, word, lam):
+    # every tuple of [0, depth + 1]^N: a state of the crystal gets the
+    # string of the per-state raising route, and every other tuple, whether
+    # its raises stop short of zero, land on a zero coordinate or leave the
+    # table, is refused as non-normal
+    depth = cr.record(datum, word, lam).table.depth
+    members = set(ref.bfs_states(datum, word, lam))
+    assert len(members) == weyl_dimension(datum, lam)
+    for state in itertools.product(range(depth + 2), repeat=len(word)):
+        if state in members:
+            assert cr.string_coords(datum, word, lam, state) == ref.string_coords(datum, word, lam, state)
+        else:
+            with pytest.raises(InvariantError, match="^non-normal state"):
+                cr.string_coords(datum, word, lam, state)
+
+
+def test_the_operator_table_keeps_no_coordinates():
+    # the build keys each state by its statistics, so the table is its
+    # index columns, eps and lowest index, and the readers replay coordinates
+    assert cr._OperatorTable._fields == ("depth", "down", "up", "eps", "lowest")
+
+
+def test_the_witness_refuses_lowering_columns_under_the_wrong_letters(monkeypatch):
+    # the lowering columns of A2 at (1, 0) handed to the table under each
+    # other's letter: the replay from state 0 asks the sweep for f_2 of the
+    # highest state, which the cutoff kills, so the path never reaches the
+    # lowest state in depth steps
+    true = cr._OperatorTable
+    monkeypatch.setattr(cr, "_OperatorTable", lambda depth, down, *rest: true(depth, down[::-1], *rest))
+    with pytest.raises(InvariantError, match="do not sum to the depth 2"):
+        cr._operator_table(A2, IA2, (1, 0))
+    monkeypatch.undo()
+    assert cr._operator_table(A2, IA2, (1, 0)).down == ((1, -1, -1), (-1, 2, -1))
 
 
 def _planted_layout(monkeypatch, position, field, bump):
@@ -808,7 +847,7 @@ def test_packed_record_matches_the_tuple_routes(datum, word, lam, sample):
     # per-state raising route's, and the masks the exact dot products over them
     rec = cr.record(datum, word, lam)
     table = rec.table
-    assert table._replace(eps=tuple(map(tuple, table.eps))) == ref.list_statistics_table(datum, word, lam)
+    assert table._replace(eps=tuple(map(tuple, table.eps))) == ref.list_statistics_table(datum, word, lam)[0]
     assert {row.typecode for row in table.eps} == {"B" if table.depth < 256 else "H"}
     states = ref.table_states(datum, word, lam)
     picked = range(len(states)) if sample is None else sorted(random.Random(44).sample(range(len(states)), sample))
@@ -819,7 +858,7 @@ def test_packed_record_matches_the_tuple_routes(datum, word, lam, sample):
     assert masks == ref.column_tight_bits(_record_rows(datum, word, lam), strings)
 
 
-# (datum, lam, sample): one-byte keys and strings on A3, C3 and A4, two-byte
+# (datum, lam, sample): one-byte eps and strings on A3, C3 and A4, two-byte
 # ones and 16-bit statistics on A1 (300,); the statistics, the per-state
 # strings and the masks of C3 (2, 2, 2), of 19,683 states, and of C4 rho, of
 # 65,536, are checked on a seeded sample, and the folds of C4 rho too
@@ -849,17 +888,18 @@ def _index_fold(table, w, opposite, memo):
     "datum, lam, sample", CODEC_PANEL, ids=["%s%d-%s" % (d.family, d.rank, l) for d, l, _ in CODEC_PANEL]
 )
 def test_the_field_codec_matches_the_parent_routes(datum, lam, sample):
-    # the byte-field keys, strings and statistics against the bit-field keys
-    # and the shift-and-mask decodes that the codec replaced
+    # the replayed states, the strings and statistics against the bit-field
+    # keys of the list-statistics build and the shift-and-mask decodes that
+    # the codec replaced
     word = standard_word(datum)
     rec = cr.record(datum, word, lam)
     table = rec.table
     key_bits = ref.parent_key_bits(table.depth)
-    parent = ref.list_statistics_table(datum, word, lam, key_bits)
+    parent, parent_states = ref.list_statistics_table(datum, word, lam, key_bits)
     assert (table.down, table.up, table.lowest, table.depth) == (parent.down, parent.up, parent.lowest, parent.depth)
     assert tuple(map(tuple, table.eps)) == parent.eps
     states = ref.table_states(datum, word, lam)
-    assert states == tuple(ref.unpack_bits(key, key_bits, len(word)) for key in parent.keys)
+    assert states == parent_states
     assert cr.crystal_states(datum, word, lam) == tuple(sorted(states))
     picked = range(len(states)) if sample is None else sorted(random.Random(45).sample(range(len(states)), sample))
     # each letter's statistics, stored as v + 2^(bits - 1), decoded
@@ -899,14 +939,16 @@ def test_record_strings_decode_slices():
     "datum, lam", [(A2, (2, 1)), (C2, (3, 1)), (C3, (2, 0, 1)), (A1, (300,))], ids=["A2", "C2", "C3", "A1-300"]
 )
 def test_bulk_decode_is_the_per_index_decode(datum, lam):
-    # iteration and slices unpack every string in one pass; index access
-    # unpacks one; A1 (300,) has fields of two bytes
+    # iteration and slices read the strings through index access, which
+    # unpacks one string field by field; A1 (300,) has fields of two bytes
     strings = cr.record(datum, standard_word(datum), lam).strings
     assert strings.size == (2 if datum == A1 else 1)
     each = [strings[k] for k in range(len(strings))]
+    assert each == [ref.unpack_bits(s, 8 * strings.size, strings.length) for s in strings.packed]
     assert all(type(s) is tuple and len(s) == strings.length for s in each)
-    assert list(strings) == each
+    assert list(strings) == each and list(reversed(strings)) == each[::-1]
     assert strings[1::3] == tuple(each[1::3]) and strings[5:2:-1] == tuple(each[5:2:-1]) and strings[3:3] == ()
+    assert strings[-3:] == tuple(each[-3:]) and strings[::-2] == tuple(each[::-2]) and strings[-1] == each[-1]
 
 
 @pytest.mark.parametrize(
@@ -954,7 +996,6 @@ def test_string_table_refuses_two_states_with_one_string():
     # only the packed strings' injectivity sees it
     table = cr._operator_table(A2, IA2, (1, 1))
     planted = table._replace(
-        keys=table.keys + (max(table.keys) + 1,),
         down=tuple(row + (-1,) for row in table.down),
         up=tuple(row + (row[2],) for row in table.up),
         eps=tuple(row + row[2:3] for row in table.eps),
@@ -976,8 +1017,9 @@ def test_string_table_refuses_fields_narrower_than_the_depth():
 
 def test_the_record_of_c3_at_2_2_2_holds_at_most_4_5_mb():
     # the bytes that the record of C3 at (2, 2, 2), 19,683 strings, holds
-    # once built, the caches of the group warm: 3.5 MB measured, bounded with
-    # a margin of about 30%; the record of tuple strings and eps held 7.1 MB
+    # once built, the caches of the group warm: 2.6 MB measured, 3.5 MB with
+    # a key column in its table, which this bound was set for with a margin
+    # of about 30%; the record of tuple strings and eps held 7.1 MB
     word, lam = standard_word(C3), (2, 2, 2)
     cr.record(C3, word, lam)
     cr._crystal.cache_clear()
@@ -989,6 +1031,23 @@ def test_the_record_of_c3_at_2_2_2_holds_at_most_4_5_mb():
     finally:
         tracemalloc.stop()
     assert held <= 4.5e6, held
+
+
+def test_the_operator_table_of_c3_at_2_2_2_holds_at_most_2_mb():
+    # the bytes that the operator table of C3 at (2, 2, 2), 19,683 states,
+    # holds once built, the caches of the group warm: 1.7 MB measured; with
+    # a column of packed coordinates it held 2.6 MB
+    word, lam = standard_word(C3), (2, 2, 2)
+    cr._operator_table(C3, word, lam)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = cr._operator_table(C3, word, lam)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.down[0]) == 19683
+    assert held <= 2.0e6, held
 
 
 NON_INTEGER_STATES = ((0.0, 0, 0), (0.5, 0, 0), (1, Fraction(1), 0))

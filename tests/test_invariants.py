@@ -23,9 +23,8 @@ except InvariantError as err:
     print("InvariantError:", err)
 """
 
-# the suffix table meets a state planted in the operator table: no operator
-# reaches it, its eps are its true ones, and its key, packed into the
-# table's byte fields, is no table state's
+# the suffix table meets a state planted in the operator table: an index
+# that no operator reaches, whose eps are those of a state outside the crystal
 NON_NORMAL_TABLE_ENTRY = """
 from array import array
 
@@ -35,9 +34,7 @@ from schubcalc.cartan import InvariantError, RootDatum, standard_word
 A2 = RootDatum("A", 2)
 word, lam, state = standard_word(A2), (1, 0), (5, 5, 5)
 table = crystals._operator_table(A2, word, lam)
-key = sum(a << (8 * table.eps[0].itemsize * p) for p, a in enumerate(state))
 planted = table._replace(
-    keys=table.keys + (key,),
     down=tuple(row + (-1,) for row in table.down),
     up=tuple(row + (-1,) for row in table.up),
     eps=tuple(row + array("B", [crystals.epsilon(A2, word, lam, state, i)]) for i, row in enumerate(table.eps, 1)),
@@ -109,7 +106,7 @@ def planted(datum, word, bits):
 
 crystals._statistics_layout = planted
 try:
-    print(len(crystals._operator_table(A2, word, (1, 1)).keys))
+    print(len(crystals._operator_table(A2, word, (1, 1)).down[0]))
 except InvariantError as err:
     print(type(err).__name__ + ":", err)
 """
@@ -127,7 +124,7 @@ true, Table = crystals._depth, crystals._OperatorTable
 crystals._depth = lambda datum, lam: true(datum, lam) + %d
 crystals._OperatorTable = lambda *fields: Table(*fields[:-1], fields[-1] - %d)
 try:
-    print(len(crystals._operator_table(A2, standard_word(A2), (1, 1)).keys))
+    print(len(crystals._operator_table(A2, standard_word(A2), (1, 1)).down[0]))
 except InvariantError as err:
     print("InvariantError:", err)
 """
@@ -136,7 +133,7 @@ except InvariantError as err:
 # 16-bit statistic fields, its bound being 2 * 252 + 126, but every statistic
 # of its crystal fits 8 bits, so the table is the true one, of 8,128 states;
 # at (130, 0) a statistic passes 127 and wraps, which a lowering decision
-# refuses.  The key and eps fields hold every coordinate of both, none past 130
+# refuses.  The eps fields hold every eps of both, none past 130
 PLANTED_WIDTH = """
 from schubcalc import crystals
 from schubcalc.cartan import InvariantError, RootDatum, standard_word
@@ -144,7 +141,7 @@ from schubcalc.cartan import InvariantError, RootDatum, standard_word
 A2 = RootDatum("A", 2)
 crystals.polytopes.field_size = lambda bits: 1
 try:
-    print(len(crystals._operator_table(A2, standard_word(A2), %s).keys))
+    print(len(crystals._operator_table(A2, standard_word(A2), %s).down[0]))
 except InvariantError as err:
     print(type(err).__name__ + ":", err)
 """
@@ -168,7 +165,7 @@ def planted(datum, word, bits):
 
 crystals._statistics_layout = planted
 try:
-    print(len(crystals._operator_table(A1, standard_word(A1), (3,)).keys))
+    print(len(crystals._operator_table(A1, standard_word(A1), (3,)).down[0]))
 except InvariantError as err:
     print("InvariantError:", err)
 """
@@ -463,8 +460,8 @@ def test_library_has_no_assert_statements():
 # the packed-field codec of `polytopes`: its typecode table, width rule,
 # byte swap and little-endian layout
 CODEC = {
-    "_TYPECODES", "field_size", "field_array", "_little", "pack_fields", "unpack_fields",
-    "_joined", "unpack_each", "strided_columns", "repeated_fields",
+    "_TYPECODES", "field_size", "field_array", "_little", "unpack_fields", "strided_columns",
+    "repeated_fields",
 }
 WIDTH_TUPLES = {(1, 2, 4, 8), (8, 16, 32, 64), (16, 32, 64)}
 
@@ -559,7 +556,7 @@ HELD_FOR_THE_BENCHMARK = {
     "crystals.crystal_states", "crystals.string_coords",
     "polytopes.lattice_points", "polytopes.vertices", "polytopes.is_simple", "polytopes.incidence",
     "polytopes.facet_defining", "polytopes.affine_rank", "polytopes._normalized_halfspace",
-    "polytopes.slack_masks", "polytopes.pack_fields",
+    "polytopes.slack_masks",
     "linalg.Echelon", "linalg.integer_row", "linalg.rank",
     "linalg.INDEPENDENT", "linalg.DEPENDENT", "linalg.INCONSISTENT",
 }

@@ -508,17 +508,15 @@ def test_packed_fields_round_trip_against_the_int_reference(case):
     # complement when signed: the int a sum of shifted values reads
     (size, signed), values = case
     bits = 8 * size
-    packed = pt.pack_fields(values, size, signed)
-    assert packed == ref.pack_bits([v % (1 << bits) for v in values], bits)
+    packed = ref.pack_bits([v % (1 << bits) for v in values], bits)
     decoded = pt.unpack_fields(packed, len(values), size, signed)
     assert list(decoded) == values and decoded.itemsize == size
     if not signed:
         assert list(ref.unpack_bits(packed, bits, len(values))) == values
         other = ref.pack_bits(values[::-1], bits)
         ints = (packed, other, 0)
-        if values:
-            expected = [tuple(values), tuple(values[::-1]), (0,) * len(values)]
-            assert list(pt.unpack_each(ints, len(values), size)) == expected
+        expected = [tuple(values), tuple(values[::-1]), (0,) * len(values)]
+        assert [tuple(pt.unpack_fields(x, len(values), size)) for x in ints] == expected
         # field p of the three ints, widened to each field size from `size` on
         column = pt.strided_columns(ints, len(values), size)
         for step in (1, 2, 4, 8)[(1, 2, 4, 8).index(size) :]:
@@ -530,11 +528,15 @@ def test_packed_fields_round_trip_against_the_int_reference(case):
         repeats = [k % 3 for k in range(len(values))]
         expanded = [v for v, r in zip(values, repeats) for _ in range(r)]
         assert pt.repeated_fields(values, repeats, size) == ref.pack_bits(expanded, bits)
-    # one past either extreme is refused
+    # one past either extreme is refused, by the unsigned arrays and the
+    # signed repeated fields
     lo, hi = (-(1 << bits - 1), (1 << bits - 1) - 1) if signed else (0, (1 << bits) - 1)
     for value in (lo - 1, hi + 1):
         with pytest.raises(OverflowError):
-            pt.pack_fields(values + [value], size, signed)
+            if signed:
+                pt.repeated_fields(values + [value], [1] * (len(values) + 1), size)
+            else:
+                pt.field_array(size, values + [value])
 
 
 def test_field_size_is_the_narrowest_of_1_2_4_and_8_bytes():

@@ -64,12 +64,30 @@ def test_verification_matrix_script_has_no_jobs_flag(tmp_path):
 
 def test_fault_plant_anchors_occur_once_in_the_library():
     # the table of run_fault_plants.py cannot rot: every anchor is one line
-    # of src/ and every test it names is defined in its file
+    # of src/, every test it names is defined in its file, and every
+    # parametrized case it names (`test[id]`) is collected
     spec = importlib.util.spec_from_file_location("run_fault_plants", SCRIPTS / "run_fault_plants.py")
     plants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(plants)
     assert plants.anchor_counts(PACKAGE.parent) == dict.fromkeys((row[1] for row in plants.PLANTS), 1)
+    cases = set()
     for module, anchor, _, test in plants.PLANTS:
         assert anchor in (PACKAGE / (module + ".py")).read_text()
         path, name = test.split("::")
-        assert "\ndef %s(" % name in (SCRIPTS.parent / path).read_text()
+        assert "\ndef %s(" % name.partition("[")[0] in (SCRIPTS.parent / path).read_text()
+        if "[" in name:
+            cases.add(test)
+    assert cases  # the bool rows name their bool cases
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider"]
+        + sorted({test.split("::")[0] for test in cases}),
+        cwd=SCRIPTS.parent,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert cases <= set(proc.stdout.splitlines()), cases - set(proc.stdout.splitlines())
