@@ -17,7 +17,7 @@ other pytest outcome (no such test, a collection error) is an error.
 
 It prints one line per plant, then the killed, survived and error counts,
 and exits 1 unless every plant is killed.  Each row costs one pytest start
-and one test run (the 81 rows took about two minutes on a 2-core
+and one test run (the 89 rows took about two minutes on a 2-core
 host), so the script is not part of the test suite, which checks only that
 every anchor occurs once.
 """
@@ -132,6 +132,58 @@ PLANTS = (
         'high, low = (w, w0) if side == "opposite" else (e, w)',
         "tests/test_faces.py::test_side_volume_at_w0_is_the_leading_weyl_dimension_coefficient",
     ),
+    # the GT/SGT side read off the string side's record once one map is
+    # certified per root datum: one echelon carrying several right-hand
+    # sides, a forward solve that is consistent, unique and integral, a
+    # reverse solve that makes it unimodular, and a refusal read per cell
+    (
+        "linalg",
+        "return INCONSISTENT if any(row[self.ncols :]) else DEPENDENT",
+        "return INCONSISTENT if row[self.ncols] else DEPENDENT",
+        "tests/test_linalg.py::test_a_row_is_inconsistent_on_its_last_right_hand_side",
+    ),
+    (
+        "linalg",
+        "s = row[n + rhs] * den - sum(map(mul, row, num))",
+        "s = row[n] * den - sum(map(mul, row, num))",
+        "tests/test_linalg.py::test_several_right_hand_sides_solve_as_one_system_each",
+    ),
+    (
+        "polytopes",
+        "if echelon.push(vec + rhs) == linalg.INCONSISTENT:",
+        "if False:",
+        "tests/test_polytopes.py::test_model_map_refuses_a_model_row_with_one_coefficient_changed",
+    ),
+    (
+        "polytopes",
+        "if echelon.rank < echelon.ncols:",
+        "if False:",
+        "tests/test_polytopes.py::test_model_map_refuses_a_map_that_is_not_unique",
+    ),
+    (
+        "polytopes",
+        "if any(x.denominator != 1 for column in columns for x in column):",
+        "if False:",
+        "tests/test_polytopes.py::test_model_map_refuses_a_model_polytope_on_an_index_2_sublattice",
+    ),
+    (
+        "polytopes",
+        '_integral_solution(a_string, a_model, "the reverse map onto the string rows")',
+        "pass",
+        "tests/test_polytopes.py::test_model_map_refuses_a_string_polytope_on_an_index_2_sublattice",
+    ),
+    (
+        "faces",
+        "polytopes.model_map(datum)",
+        "pass",
+        "tests/test_verify.py::test_a_model_row_off_its_certificate_makes_every_theorem_cell_a_violation",
+    ),
+    (
+        "verify",
+        'mismatches.append({"kind": "model-map", "error": str(err)})',
+        "pass",
+        "tests/test_verify.py::test_a_model_row_off_its_certificate_makes_every_theorem_cell_a_violation",
+    ),
     # the packed-field codec, the packed slack kernel and the crystal table
     (
         "polytopes",
@@ -152,7 +204,8 @@ PLANTS = (
         "tests/test_polytopes.py::test_tight_bits_at_the_field_limits",
     ),
     # the columns packed at their source: the strings' bytes widened lane by
-    # lane, and the sweep's level values repeated by their leaf counts
+    # lane, and the sweep's level values repeated by their leaf counts (the
+    # test reference `lattice_incidence`, through `repeated_fields`)
     (
         "polytopes",
         "fields[lane::step] = data[p * size + lane :: stride]",

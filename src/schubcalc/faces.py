@@ -24,10 +24,11 @@ of its faces.  The (opposite) Demazure crystal is the record's fold mask over
 the same strings (`crystals.fold`), so the check compares two ints, a count
 is a bit count, and the union, a `polytopes.PointSet` view, decodes its
 strings only where they are read.  The GT/SGT side counts its face unions
-the same way over the lattice points of the model polytope, in sweep order
-(`polytopes.lattice_incidence`).  Each facet block of a record
-or table has a point on all its rows, certified when it is built, so no face
-is empty.  Only these are cached; the crystal comparison runs on every call.
+over the same masks, its polytope certified once per root datum as the
+image of the string polytope under a unimodular map keeping every row
+(`polytopes.model_map`).  Each facet block of a record has a point on all
+its rows, certified when it is built, so no face is empty.  Only these are
+cached; the crystal comparison runs on every call.
 
 The claim the class arithmetic exercises: the (dual) Kogan face sums
 represent the Schubert classes in the polytope ring (Kiritchenko-Smirnov-
@@ -140,16 +141,13 @@ def demazure_faces(datum: RootDatum, w: WeylElement, lam) -> FaceDecomposition:
     return _decompose("demazure-faces", datum, standard_word(datum), w, lam, tights, datum.num_positive_roots, False)
 
 
-@lru_cache(maxsize=None)
-def _model_table(datum: RootDatum, lam: tuple) -> tuple:
+def _model_table(datum: RootDatum, lam) -> tuple:
     """(number of lattice points, per-row bitmasks over them) of the GT/SGT
-    model polytope at lambda: the dual Kogan rows, then the Kogan rows, each
-    block certified to have a point on all its rows."""
-    polytope = polytopes.model_polytope(datum, lam)
-    check_weight(datum, lam)
-    count, masks = polytopes.lattice_incidence(polytope)
-    polytopes.check_blocks_meet(masks, datum.num_positive_roots)
-    return count, masks
+    polytope at lambda, dual Kogan rows then Kogan rows: those of the string
+    polytope's record, once `polytopes.model_map` certifies the map between."""
+    polytopes.model_map(datum)
+    record = crystals.record(datum, standard_word(datum), lam)
+    return len(record.strings), record.masks
 
 
 def model_face_union_count(datum: RootDatum, lam, tights, family: str) -> int:
@@ -163,8 +161,8 @@ def model_face_union_count(datum: RootDatum, lam, tights, family: str) -> int:
     check_integers("tight index", indices)
     if indices and not 1 <= min(indices) <= max(indices) <= big_n:
         raise IndexError("tight indices run from 1 to %d" % big_n)
-    check_integers("weight", lam)  # before the cache, so that no 1.0 finds the table of 1
-    count, masks = _model_table(datum, tuple(lam))
+    polytopes.check_weight_length(lam, datum.rank)  # the record checks the entries
+    count, masks = _model_table(datum, lam)
     masks = masks[big_n:] if family == "Fv" else masks[:big_n]
     return _face_union(tights, masks, count).bit_count()
 
@@ -182,8 +180,9 @@ def side_volume(datum: RootDatum, side: str, w: WeylElement, lam) -> Fraction:
     """Sum of lattice-normalized face volumes at the side's stated dimension d
     (l(w) on the Demazure side, N - l(w) on the opposite side) over the faces
     of the GT/SGT polytope at lambda that the (dual) Kogan face sum of w
-    indexes, which have the indices and the volumes of the string-polytope
-    faces (`test_volume_invariance_under_model_change`).
+    indexes.  These have the indices and the volumes of the string-polytope
+    faces, since the certified map between the two polytopes is unimodular
+    and keeps every row (`polytopes.model_map`).
 
     Each volume is a degree in the ring of the deformed polytope: a dominant
     lambda gives support numbers h_j in the closure of its type cone, so a

@@ -1,17 +1,19 @@
 """Exact linear algebra: one fraction-free integer row echelon.
 
-Every rank and elimination vertex in the library goes through `Echelon`.
-A row is a coefficient vector followed by its right-hand side.  Rational
-input is scaled to integers once, on entry; elimination cross-multiplies
-(fraction-free, after Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", 1968) and each stored row is
-divided by its content, so no Fraction is built before back-substitution.
+Every rank, elimination vertex and solve in the library goes through
+`Echelon`.  A row is a coefficient vector followed by one or several
+right-hand sides.  Rational input is scaled to integers once, on entry;
+elimination cross-multiplies (fraction-free, after Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", 1968) and
+each stored row is divided by its content, so no Fraction is built before
+back-substitution.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 INDEPENDENT = "independent"
 DEPENDENT = "dependent"
@@ -40,8 +42,8 @@ class Echelon:
 
     def push(self, row) -> str:
         """Reduce `row` against the stored rows and store it if it is
-        INDEPENDENT; a DEPENDENT or INCONSISTENT (0 = c, c != 0) row is not
-        stored."""
+        INDEPENDENT; a DEPENDENT or INCONSISTENT (0 = c, some right-hand
+        side c != 0) row is not stored."""
         row = integer_row(row)
         for piv, erow in self.rows:
             f = row[piv]
@@ -52,7 +54,7 @@ class Echelon:
                 row = [a * x - f * y for x, y in zip(row, erow)]
         piv = next((j for j in range(self.ncols) if row[j]), None)
         if piv is None:
-            return INCONSISTENT if row[self.ncols] else DEPENDENT
+            return INCONSISTENT if any(row[self.ncols :]) else DEPENDENT
         g = gcd(*row)
         if row[piv] < 0:
             g = -g
@@ -63,21 +65,23 @@ class Echelon:
         """Drop the most recently stored row."""
         self.rows.pop()
 
-    def solve(self):
-        """The unique solution as a tuple of Fractions, or None while some
-        unknown is free.  With full rank every column is a pivot, so each
-        row is resolved by the rows stored after it."""
+    def solve(self, rhs: int = 0):
+        """The unique solution for right-hand side `rhs` (0-based) as a tuple
+        of Fractions, or None while some unknown is free.  With full rank
+        every column is a pivot, so each row is resolved by the rows stored
+        after it, num[piv] still 0 while the row is read."""
         n = self.ncols
         if len(self.rows) < n:
             return None
         num = [0] * n  # solution = num / den, den > 0
         den = 1
         for piv, row in reversed(self.rows):
-            s = row[n] * den - sum(row[j] * num[j] for j in range(n) if j != piv)
+            s = row[n + rhs] * den - sum(map(mul, row, num))
             a = row[piv]
-            num = [x * a for x in num]
+            if a != 1:
+                num = [x * a for x in num]
+                den *= a
             num[piv] = s
-            den *= a
         return tuple(Fraction(x, den) for x in num)
 
 

@@ -8,17 +8,15 @@ that is not a permutation.  There are no equation rows: an equation is a
 row and its negation.  `interval_tower` certifies a polytope as a tower of
 intervals along its sweep order and lists its integer vertices with no
 elimination.  One level-by-level sweep along that order with a slack column
-per row (`_sweep`) gives `lattice_count`, `lattice_points` and the levels of
-`lattice_incidence`, each coordinate packed from its level's values repeated
-by their leaf counts for the kernel of `slack_masks` (`column_masks`), which
-gives one bitmask per inequality over the points tight on it: faces and
-their unions are integer AND and OR, and a point set is certified to be the
-lattice points by containment and count.  A `PointSet`
-is a read-only set view of such a mask over its points.  `vertices`
-(exact Fractions) and `is_simple`, with `incidence` and `facet_defining`,
-remain as the general-polytope oracles the tower certificate is tested
-against; they and `affine_rank` run on the fraction-free integer echelon of
-`linalg`.
+per row (`_sweep`) gives `lattice_count` and `lattice_points`.  The packed
+kernel of `slack_masks` (`column_masks`) gives one bitmask per inequality
+over the points tight on it: faces and their unions are integer AND and
+OR, and a point set is certified to be the lattice points by containment
+and count.  A `PointSet` is a read-only set view of such a mask over its
+points.  `vertices` (exact Fractions) and `is_simple`, with `incidence`
+and `facet_defining`, remain as the general-polytope oracles the tower
+certificate is tested against; they and `affine_rank` run on the
+fraction-free integer echelon of `linalg`.
 
 Every string, GT and SGT polytope is built by one builder (`_polytope`) from
 facet rows (vec, lam_vec, shift), read as vec . x <= lam_vec . lam, plus the
@@ -27,8 +25,9 @@ per root datum.  Facet indices are laid out uniformly across the model
 polytopes: inequalities 0..N-1 are the "F" family (lambda bounds on the
 string side, dual Kogan equations on the GT/SGT side) and N..2N-1 are the
 "F-vee" family (string-cone facets, Kogan equations), each in the fixed
-arrangement order that the face combinatorics relies on.  The cone facets
-and the pattern coordinates (`a_pos`, `b_pos`) are read off the pipe-dream
+arrangement order that the face combinatorics relies on; `model_map` maps
+the string polytope onto the GT/SGT one row by row.  The cone facets and
+the pattern coordinates (`a_pos`, `b_pos`) are read off the pipe-dream
 board of `pipedreams`.
 """
 
@@ -58,6 +57,10 @@ class UnboundedRegionError(ValueError):
 
 class EmptyFaceError(InvariantError):
     """The rows of one facet block share no point of a face table."""
+
+
+class ModelMapError(InvariantError):
+    """No certified unimodular map keeps every row from the string to the GT/SGT side."""
 
 
 @dataclass(frozen=True)
@@ -378,17 +381,6 @@ class PointSet(Set):
         return "PointSet(%r)" % (sorted(self),)
 
 
-def lattice_incidence(p: Polytope) -> tuple:
-    """(number of lattice points, per inequality the bitmask of the points
-    tight on it) over the points in sweep order (`_sweep`): each coordinate
-    goes to the packed kernel of `slack_masks` as its level's values repeated
-    by their leaf counts (`repeated_fields`), bounded by the level's largest
-    |value|, building no point and no column."""
-    count, levels = _sweep(p, True)
-    highs = [max(max(vals), -min(vals)) for vals, _ in levels]
-    return count, column_masks(p.ineqs, highs, lambda v, step: repeated_fields(*levels[v], step), count)[0]
-
-
 def check_blocks_meet(masks, size: int):
     """Raise EmptyFaceError unless each block of `size` consecutive row masks
     has a point on all its rows, their AND nonzero.  Every face cut by rows
@@ -567,13 +559,18 @@ def _string_rows(datum: RootDatum) -> tuple:
     return f_rows, fv_rows, tuple(range(big_n - 1, -1, -1))
 
 
+def check_weight_length(lam, size: int):
+    """Raise ValueError unless lam has `size` entries, one per fundamental weight."""
+    if len(lam) != size:
+        raise ValueError("weight %r does not have one entry per fundamental weight" % (lam,))
+
+
 def _polytope(f_rows, fv_rows, order, lam, deformed=False) -> Polytope:
     """The polytope of the facet rows F1.. then Fv1..; a row (vec, lam_vec,
     shift) reads vec . x <= lam_vec . lam, plus the shift when deformed; a
     weight with more or fewer entries than lam_vec raises ValueError."""
     rows = f_rows + fv_rows
-    if any(len(lam_vec) != len(lam) for _, lam_vec, _ in rows):
-        raise ValueError("weight %r does not have one entry per fundamental weight" % (lam,))
+    check_weight_length(lam, len(rows[0][1]))
     ineqs = tuple(
         (vec, sum(u * l for u, l in zip(lam_vec, lam)) + (shift if deformed else 0))
         for vec, lam_vec, shift in rows
@@ -704,6 +701,42 @@ def _interlacing_specs(datum: RootDatum) -> tuple:
 def model_polytope(datum: RootDatum, lam) -> Polytope:
     """The GT polytope in type A, the SGT polytope in type C."""
     return _polytope(*_interlacing_specs(datum), lam)
+
+
+def _integral_solution(a, b, name: str) -> tuple:
+    """The X of a X = b as rows of ints, a and b integer matrices as rows,
+    by one `linalg.Echelon` with b's rows as right-hand sides; ModelMapError
+    unless X is unique and integral."""
+    echelon = linalg.Echelon(len(a[0]))
+    for vec, rhs in zip(a, b):
+        if echelon.push(vec + rhs) == linalg.INCONSISTENT:
+            raise ModelMapError("%s has no solution" % name)
+    if echelon.rank < echelon.ncols:
+        raise ModelMapError("%s has more than one solution" % name)
+    columns = [echelon.solve(k) for k in range(len(b[0]))]
+    if any(x.denominator != 1 for column in columns for x in column):
+        raise ModelMapError("%s has no integral solution" % name)
+    return tuple(tuple(map(int, row)) for row in zip(*columns))
+
+
+@lru_cache(maxsize=None)
+def model_map(datum: RootDatum) -> tuple:
+    """(M, T), integer matrices as rows: y = M x + T lam maps the lattice
+    points of the string polytope at lam (standard word) one-to-one onto the
+    GT/SGT polytope's, for every dominant lam, keeping the slack of row k,
+    F rows on lambda rows and Fv rows on cone rows (Littelmann, "Cones,
+    crystals, and patterns", 1998).  With A the rows' coefficients and U their
+    lambda-coefficients, A_model M = A_string and A_model T = U_model -
+    U_string.  M and T must be integral, and so must the M' of A_string M' =
+    A_model: A_model has full column rank, the first solve being unique, so
+    M M' = 1 and M is unimodular.  Otherwise ModelMapError."""
+    string, model = (f_rows + fv_rows for f_rows, fv_rows, _ in (_string_rows(datum), _interlacing_specs(datum)))
+    a_string, a_model = [vec for vec, _, _ in string], [vec for vec, _, _ in model]
+    offsets = [vec + tuple(map(sub, u, v)) for vec, (_, u, _), (_, v, _) in zip(a_string, model, string)]
+    solution = _integral_solution(a_model, offsets, "the map onto the model rows")
+    _integral_solution(a_string, a_model, "the reverse map onto the string rows")
+    big_n = datum.num_positive_roots
+    return tuple(row[:big_n] for row in solution), tuple(row[big_n:] for row in solution)
 
 
 def deformed_polytope(datum: RootDatum, lam) -> Polytope:

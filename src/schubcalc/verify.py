@@ -15,7 +15,7 @@ import itertools
 import random
 import time
 
-from . import crystals, faces
+from . import crystals, faces, polytopes
 from .cartan import (
     RootDatum,
     all_elements,
@@ -106,19 +106,21 @@ def _theorem_cell(args):
     mismatches = []
     try:
         if kind == "theorem1":
-            dec = faces.opposite_demazure_faces(datum, w, lam)
-            model_count = faces.model_face_union_count(datum, lam, dec.tights, "F")
+            dec, block = faces.opposite_demazure_faces(datum, w, lam), "F"
         else:
-            dec = faces.demazure_faces(datum, w, lam)
-            model_count = faces.model_face_union_count(datum, lam, dec.tights, "Fv")
+            dec, block = faces.demazure_faces(datum, w, lam), "Fv"
         cell["n_faces"] = len(dec.tights)
         cell["n_lattice_points"] = len(dec.union)
+        model_count = faces.model_face_union_count(datum, lam, dec.tights, block)
         if model_count != len(dec.union):
             mismatches.append(
                 {"kind": "model-face-union-count", "model": model_count, "string": len(dec.union)}
             )
     except faces.TheoremViolationError as err:
         mismatches.append(err.payload)
+    except polytopes.ModelMapError as err:
+        # the model side is not certified: the cell is no pass, the suite goes on
+        mismatches.append({"kind": "model-map", "error": str(err)})
     return _verdict(cell, mismatches)
 
 

@@ -21,11 +21,14 @@ one shared step at a time, the duality suite by filtering all pairs of
 elements for complementary lengths, the crystal's string table checked
 against an enumeration of the string polytope's lattice points, lattice
 points and counts by the recursive sweep with one call per node, the row
-incidence masks by exact dot products column by column, face volumes by
+incidence masks by exact dot products column by column and, over the GT/SGT
+polytope, by the packed lattice sweep (the model side's route before its
+certified map), face volumes by
 Ehrhart interpolation over the lattice points of the dilates, and the board
 layouts, string cone facets and pattern coordinates by hand-indexed
 formulas with one branch per type.  Also the
-exact linear solve and the weight and diagram helpers that only tests use."""
+exact linear solve, a determinant over Fractions, the planted facet rows and
+the weight and diagram helpers that only tests use."""
 
 import itertools
 from collections import Counter
@@ -178,6 +181,48 @@ def solve(rows, ncols):
         if echelon.push(row) == linalg.INCONSISTENT:
             return None
     return echelon.solve()
+
+
+def determinant(matrix):
+    """The determinant of a square matrix of ints or Fractions by Gaussian
+    elimination over Fractions, one pivot per column: no `linalg` route."""
+    rows = [list(map(Fraction, row)) for row in matrix]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        piv = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return det
+
+
+def matrix_product(a, b):
+    """a b for matrices given as sequences of rows, as a list of row tuples."""
+    return [tuple(sum(map(mul, row, column)) for column in zip(*b)) for row in a]
+
+
+# ---------------------------------------------------------------------------
+# planted facet rows: (vec, lam_vec, shift) triples, F rows then Fv rows
+
+
+def one_coefficient_off(rows, k=1, v=1):
+    """The rows with coefficient v of row k one higher."""
+    vec, lam_vec, shift = rows[k]
+    return rows[:k] + ((vec[:v] + (vec[v] + 1,) + vec[v + 1 :], lam_vec, shift),) + rows[k + 1 :]
+
+
+def coordinate_scaled(rows, v=0, factor=2):
+    """The rows with coordinate v times `factor` in every row.  Doubled, the
+    polytope is that of the points whose doubled coordinate v lies in the
+    given one, which it maps onto the given points of even coordinate v, an
+    index-2 sublattice; zeroed, no row reads coordinate v."""
+    return tuple((vec[:v] + (factor * vec[v],) + vec[v + 1 :], lam_vec, shift) for vec, lam_vec, shift in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +724,7 @@ def enumerated_string_incidence(datum, word, lam):
     strings = frozenset(cr._string_table(cr._operator_table(datum, word, lam), word))
     if word == standard_word(datum):
         poly = pt.string_polytope(datum, lam)
-        count, masks = pt.lattice_incidence(poly)
+        count, masks = lattice_incidence(poly)
         points = in_sweep_order(poly, pt.lattice_points(poly))
         if count != len(points) or frozenset(points) != strings:
             raise cr.CrystalPolytopeMismatchError(
@@ -785,6 +830,25 @@ def in_sweep_order(p, points):
     """The points sorted by their coordinates read along p's sweep order: the
     order of `lattice_incidence`'s masks."""
     return tuple(sorted(points, key=lambda x: [x[v] for v in p.sweep_order]))
+
+
+def lattice_incidence(p):
+    """(number of lattice points, per inequality the bitmask of the points
+    tight on it) over the points in sweep order (`pt._sweep`): each
+    coordinate goes to the packed kernel of `slack_masks` as its level's
+    values repeated by their leaf counts (`pt.repeated_fields`), bounded by
+    the level's largest |value|, building no point and no column.  The
+    library's GT/SGT side swept the model polytope so at every weight before
+    `pt.model_map` certified it once per root datum."""
+    count, levels = pt._sweep(p, True)
+    highs = [max(max(vals), -min(vals)) for vals, _ in levels]
+    return count, pt.column_masks(p.ineqs, highs, lambda v, step: pt.repeated_fields(*levels[v], step), count)[0]
+
+
+def tight_row_multiset(count, masks):
+    """The multiset of the points' tight-row sets, each point i of `count`
+    the frozenset of the rows whose masks hold bit i."""
+    return Counter(tight_rows_by_point(range(count), masks).values())
 
 
 # ---------------------------------------------------------------------------

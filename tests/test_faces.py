@@ -690,18 +690,46 @@ def test_empty_faces_are_reported_not_silent():
 
 
 def test_model_table_refuses_a_facet_block_without_a_common_point(monkeypatch):
-    # the Kogan rows of the C2 table at (1, 1) cleared of their common point
-    count, masks = pt.lattice_incidence(pt.model_polytope(C2, (1, 1)))
-    common = reduce(operator.and_, masks[4:])
-    planted = masks[:4] + tuple(m & ~common for m in masks[4:])
-    monkeypatch.setattr(fc.polytopes, "lattice_incidence", lambda p: (count, planted))
-    fc._model_table.cache_clear()
+    # the Kogan rows of the C2 record at (1, 1), whose masks the model table
+    # reads, cleared of their common point
+    true = pt.column_masks
+
+    def planted(rows, highs, column, n):
+        masks, outside = true(rows, highs, column, n)
+        common = reduce(operator.and_, masks[4:])
+        return masks[:4] + tuple(m & ~common for m in masks[4:]), outside
+
+    monkeypatch.setattr(pt, "column_masks", planted)
+    cr._crystal.cache_clear()
     try:
         with pytest.raises(pt.EmptyFaceError, match="facet block 2 share no point"):
             fc.model_face_union_count(C2, (1, 1), ((),), "F")
     finally:
         monkeypatch.undo()
-        fc._model_table.cache_clear()
+        cr._crystal.cache_clear()
+
+
+# the weights on which the certified model side is checked against the
+# model polytope's own lattice sweep: A2 and C2 at lambda <= 3, A3 at
+# lambda <= 2, C3 and A4 at lambda <= 1
+MODEL_SWEEP_CASES = tuple(
+    (RootDatum(family, rank), lam)
+    for family, rank, top in (("A", 2, 3), ("A", 3, 2), ("C", 2, 3), ("C", 3, 1), ("A", 4, 1))
+    for lam in itertools.product(range(top + 1), repeat=rank)
+)
+
+
+def test_certified_model_side_is_the_swept_model_side():
+    # the record's masks, which the model table reads once the map is
+    # certified, against the GT/SGT polytope swept at each weight (the old
+    # route): the same count and the same multiset of per-point tight-row
+    # sets, rows matched by index
+    assert len(MODEL_SWEEP_CASES) == 83
+    for datum, lam in MODEL_SWEEP_CASES:
+        count, masks = fc._model_table(datum, lam)
+        swept = routes.lattice_incidence(pt.model_polytope(datum, lam))
+        assert count == swept[0]
+        assert routes.tight_row_multiset(count, masks) == routes.tight_row_multiset(*swept)
 
 
 def _leading_coefficient(values):

@@ -102,3 +102,28 @@ def test_push_then_pop_restores_the_echelon(system, data):
         assert echelon.rank == len(before) + 1
         echelon.pop()
     assert echelon.rows == before
+
+
+@seed(SEED)
+@settings(max_examples=150, deadline=None)
+@given(matrices(entries), st.integers(2, 4), st.data())
+def test_several_right_hand_sides_solve_as_one_system_each(system, k, data):
+    # one echelon carrying k right-hand sides solves each as its own system
+    # does, and a row is inconsistent when any of them is
+    n, coeffs = system
+    sides = [data.draw(st.lists(entries, min_size=k, max_size=k)) for _ in coeffs]
+    echelon = linalg.Echelon(n)
+    statuses = [echelon.push(row + side) for row, side in zip(coeffs, sides)]
+    alone = [ref.solve([row + [side[j]] for row, side in zip(coeffs, sides)], n) for j in range(k)]
+    if linalg.INCONSISTENT in statuses:
+        assert None in alone
+    else:
+        assert [echelon.solve(j) for j in range(k)] == alone
+
+
+def test_a_row_is_inconsistent_on_its_last_right_hand_side():
+    echelon = linalg.Echelon(1)
+    assert echelon.push((1, 0, 0)) == linalg.INDEPENDENT
+    assert echelon.push((2, 0, 0)) == linalg.DEPENDENT
+    assert echelon.push((1, 0, 1)) == linalg.INCONSISTENT
+    assert (echelon.solve(0), echelon.solve(1)) == ((0,), (0,))

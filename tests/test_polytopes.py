@@ -677,7 +677,7 @@ def _check_against_the_recursive_sweep(poly):
     points = ref.recursive_lattice_points(poly)
     assert pt.lattice_count(poly) == ref.recursive_lattice_count(poly) == len(points)
     assert pt.lattice_points(poly) == points
-    count, masks = pt.lattice_incidence(poly)
+    count, masks = ref.lattice_incidence(poly)
     assert count == len(points)
     assert masks == ref.column_tight_bits(poly.ineqs, ref.in_sweep_order(poly, points))
 
@@ -690,7 +690,7 @@ def test_model_incidence_is_the_list_route_incidence(family, rank, lam):
     # list route gives over the recursive reference's points in sweep order
     poly = pt.model_polytope(RootDatum(family, rank), lam)
     points = ref.in_sweep_order(poly, ref.recursive_lattice_points(poly))
-    assert pt.lattice_incidence(poly) == (len(points), pt.slack_masks(poly.ineqs, points)[0])
+    assert ref.lattice_incidence(poly) == (len(points), pt.slack_masks(poly.ineqs, points)[0])
 
 
 def test_incidence_of_a_polytope_with_negative_sweep_values():
@@ -700,7 +700,7 @@ def test_incidence_of_a_polytope_with_negative_sweep_values():
     poly = pt.Polytope(rows, (0, 1, 2))
     points = ref.in_sweep_order(poly, ref.recursive_lattice_points(poly))
     assert all(min(column) < 0 for column in zip(*points)) and len(points) == 95
-    assert pt.lattice_incidence(poly) == (len(points), pt.slack_masks(rows, points)[0])
+    assert ref.lattice_incidence(poly) == (len(points), pt.slack_masks(rows, points)[0])
     _check_against_the_recursive_sweep(poly)
 
 
@@ -713,10 +713,10 @@ def test_incidence_at_the_62_bit_edge():
         poly = pt.Polytope(rows, (0,))
         points = ref.recursive_lattice_points(poly)
         assert len(points) == 3 and edge in (points[0][0], points[-1][0])
-        assert pt.lattice_incidence(poly) == (3, pt.slack_masks(rows, points)[0]) == (3, (0b100, 0b001))
+        assert ref.lattice_incidence(poly) == (3, pt.slack_masks(rows, points)[0]) == (3, (0b100, 0b001))
     rows = (((1,), 1 << 61), ((-1,), 2 - (1 << 61)))
     poly = pt.Polytope(rows, (0,))
-    for route in (lambda: pt.lattice_incidence(poly), lambda: pt.slack_masks(rows, pt.lattice_points(poly))):
+    for route in (lambda: ref.lattice_incidence(poly), lambda: pt.slack_masks(rows, pt.lattice_points(poly))):
         with pytest.raises(OverflowError):
             route()
 
@@ -789,7 +789,7 @@ def test_a_polytope_empty_before_an_unbounded_step_has_no_points():
     poly = pt.Polytope(rows, (0, 1, 2))
     assert pt.lattice_points(poly) == ref.recursive_lattice_points(poly) == ()
     assert pt.lattice_count(poly) == ref.recursive_lattice_count(poly) == 0
-    assert pt.lattice_incidence(poly) == (0, (0, 0, 0, 0))
+    assert ref.lattice_incidence(poly) == (0, (0, 0, 0, 0))
 
 
 def test_lattice_count_and_points_refuse_an_unbounded_polytope():
@@ -797,7 +797,7 @@ def test_lattice_count_and_points_refuse_an_unbounded_polytope():
         cone = string_cone(datum)
         with pytest.raises(pt.UnboundedRegionError) as expected:
             ref.recursive_lattice_points(cone)
-        for route in (pt.lattice_points, pt.lattice_count, pt.lattice_incidence):
+        for route in (pt.lattice_points, pt.lattice_count, ref.lattice_incidence):
             with pytest.raises(pt.UnboundedRegionError) as err:
                 route(cone)
             assert str(err.value) == str(expected.value)
@@ -807,9 +807,84 @@ def test_lattice_incidence_is_points_and_facet_masks():
     # the masks run over the points in sweep order, and each row's bits are
     # the lattice points of its face
     poly = pt.string_polytope(A2, (2, 1))
-    count, masks = pt.lattice_incidence(poly)
+    count, masks = ref.lattice_incidence(poly)
     points = ref.in_sweep_order(poly, pt.lattice_points(poly))
     assert count == len(points) == weyl_dimension(A2, (2, 1)) == 15
     for k, mask in enumerate(masks):
         on_row = pt.lattice_points(ref.face_polytope(poly, (k,)))
         assert sorted(pt.mask_points(mask, points)) == list(on_row)
+
+
+# ---------------------------------------------------------------------------
+# the certified map from the string polytope onto the GT/SGT polytope
+
+MAP_DATA = [RootDatum("A", n) for n in range(1, 7)] + [RootDatum("C", n) for n in range(2, 6)]
+
+
+def _side_rows(specs):
+    f_rows, fv_rows, _ = specs
+    return f_rows + fv_rows
+
+
+@pytest.mark.parametrize("datum", MAP_DATA, ids=str)
+def test_model_map_keeps_every_row_and_is_unimodular(datum):
+    # A_model M = A_string and A_model T = U_model - U_string, row k on row
+    # k, with M of determinant +-1 by elimination over Fractions
+    m, t = pt.model_map(datum)
+    string, model = _side_rows(pt._string_rows(datum)), _side_rows(pt._interlacing_specs(datum))
+    a_model = [vec for vec, _, _ in model]
+    assert {type(x) for row in m + t for x in row} == {int}
+    assert ref.matrix_product(a_model, m) == [vec for vec, _, _ in string]
+    assert ref.matrix_product(a_model, t) == [
+        tuple(a - b for a, b in zip(u, v)) for (_, u, _), (_, v, _) in zip(model, string)
+    ]
+    assert abs(ref.determinant(m)) == 1
+
+
+@pytest.mark.parametrize(
+    "family, rank, lam",
+    [("A", 1, (3,)), ("A", 2, (2, 1)), ("A", 3, (1, 0, 2)), ("A", 4, (1, 0, 0, 1)),
+     ("C", 2, (1, 2)), ("C", 3, (1, 1, 0)), ("C", 3, (0, 0, 0))],
+)
+def test_model_map_sends_the_string_points_onto_the_model_points(family, rank, lam):
+    # y = M x + T lam, point by point, against the model polytope's own sweep
+    datum = RootDatum(family, rank)
+    m, t = pt.model_map(datum)
+    offset = [sum(a * b for a, b in zip(row, lam)) for row in t]
+    strings = pt.lattice_points(pt.string_polytope(datum, lam))
+    image = [tuple(c + sum(a * b for a, b in zip(row, x)) for row, c in zip(m, offset)) for x in strings]
+    assert sorted(image) == list(pt.lattice_points(pt.model_polytope(datum, lam)))
+
+
+@pytest.mark.parametrize("datum", [A2, C2], ids=str)
+def test_model_map_refuses_a_model_row_with_one_coefficient_changed(plant_rows, datum):
+    plant_rows("_interlacing_specs", ref.one_coefficient_off)
+    with pytest.raises(pt.ModelMapError, match="^the map onto the model rows has no solution$"):
+        pt.model_map(datum)
+
+
+@pytest.mark.parametrize("datum", [A2, C2, A3], ids=str)
+def test_model_map_refuses_a_model_polytope_on_an_index_2_sublattice(plant_rows, datum):
+    # M would take half a lattice step: the integrality check of M and T
+    plant_rows("_interlacing_specs", ref.coordinate_scaled)
+    with pytest.raises(pt.ModelMapError, match="^the map onto the model rows has no integral solution$"):
+        pt.model_map(datum)
+
+
+@pytest.mark.parametrize("datum", [A2, C2, A3], ids=str)
+def test_model_map_refuses_a_string_polytope_on_an_index_2_sublattice(plant_rows, datum):
+    # the forward solve, M times the doubling, is integral; only the reverse
+    # solve sees that the map is not unimodular
+    plant_rows("_string_rows", ref.coordinate_scaled)
+    with pytest.raises(pt.ModelMapError, match="^the reverse map onto the string rows has no integral solution$"):
+        pt.model_map(datum)
+
+
+def test_model_map_refuses_a_map_that_is_not_unique(plant_rows):
+    # both sides the string rows with no row reading coordinate 0: one
+    # cylinder, which every map moving coordinate 0 alone sends onto itself
+    plant_rows("_string_rows", partial(ref.coordinate_scaled, factor=0))
+    f_rows, fv_rows, _ = pt._string_rows(A2)
+    plant_rows("_interlacing_specs", lambda rows: f_rows + fv_rows)
+    with pytest.raises(pt.ModelMapError, match="^the map onto the model rows has more than one solution$"):
+        pt.model_map(A2)

@@ -162,6 +162,26 @@ def test_verify_command_exits_one_and_prints_the_violation_report(one_wrong_crys
     assert printed["status"] == "violation"
 
 
+def test_a_model_row_off_its_certificate_makes_every_theorem_cell_a_violation(plant_rows, capsys):
+    # one GT/SGT row coefficient changed: the model side is no longer the
+    # certified image of the string side, so no cell passes, every cell says
+    # why, the suites run to the end, and the command exits 1
+    plant_rows("_interlacing_specs", ref.one_coefficient_off)
+    expected = {"kind": "model-map", "error": "the map onto the model rows has no solution"}
+    for kind, family in (("theorem1", "A"), ("theorem2", "A"), ("theorem1", "C"), ("theorem3", "C")):
+        report = verify.theorem_suite(kind, family, 2, 1)
+        assert report["status"] == "violation"
+        assert len(report["cells"]) == 4 * len(all_elements(RootDatum(family, 2)))
+        for cell in report["cells"]:
+            assert (cell["status"], cell["mismatches"]) == ("violation", [expected])
+            assert cell["n_lattice_points"] > 0
+    code = cli.main(["verify", "theorem1", "--type", "C", "--rank", "2", "--lambda-max", "1"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_VIOLATION
+    assert err == ""
+    assert json.loads(out)["status"] == "violation"
+
+
 def test_duality_suite_reports_a_pairing_off_by_one(monkeypatch):
     true = faces.degree_pairing
     monkeypatch.setattr(faces, "degree_pairing", lambda *args: true(*args) + 1)
