@@ -85,9 +85,22 @@ PLANTS = (
     ),
     (
         "oracles",
-        "if rem:",
+        "if schubert_representative(datum, all_elements(datum)[0]) != ((0, 1),):",
         "if False:",
-        "tests/test_invariants.py::test_non_divisible_representative_survives_optimize_flag",
+        "tests/test_invariants.py::test_normalization_gate_survives_optimize_flag",
+    ),
+    # the signed staircase top class: one exponent, and the sign
+    (
+        "oracles",
+        "exponents, sign = range(2 * n - 1, 0, -2), (-1) ** (n // 2)",
+        "exponents, sign = range(2 * n - 1, 2, -2), (-1) ** (n // 2)",
+        "tests/test_oracles.py::test_longest_divided_difference_of_the_staircase_is_one[C3]",
+    ),
+    (
+        "oracles",
+        "exponents, sign = range(2 * n - 1, 0, -2), (-1) ** (n // 2)",
+        "exponents, sign = range(2 * n - 1, 0, -2), 1",
+        "tests/test_oracles.py::test_normalization_gate",
     ),
     (
         "oracles",

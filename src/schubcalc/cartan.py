@@ -116,11 +116,6 @@ def _reflection_closure(matrix: tuple, count: int) -> tuple:
     return result
 
 
-def positive_roots(datum: RootDatum) -> tuple:
-    """All positive roots in the simple-root basis, via reflection closure."""
-    return _reflection_closure(cartan_matrix(datum), datum.num_positive_roots)
-
-
 @lru_cache(maxsize=None)
 def positive_coroots(datum: RootDatum) -> tuple:
     """All positive coroots beta^vee = 2 beta / (beta, beta) in the

@@ -25,12 +25,17 @@ alpha_i = x_i - x_{i-1} for i >= 2; type A has alpha_i = x_i - x_{i+1}.  Every
 other s_i swaps the two variables of alpha_i, so each divided difference is a
 closed form per monomial, with no multiplication and no division.
 
-The top class is the integer product of the positive roots, so the
-representative of w is |W| times its Schubert polynomial and a structure
-constant is a constant term divided by |W|^2.  An identity representative
-other than the constant |W|, or a remainder in that division, is a convention
-slip and raises `InvariantError`.  A product of degree d runs over the table's
-slice of length d, and `faces` reads nothing here but `bgg_structure_constants`.
+The top class is one signed staircase monomial (`top_class_polynomial`), the
+root of Lascoux-Schutzenberger's Schubert polynomials in type A (1982), not
+the denser product of the positive roots, |W| times the class of a point and
+the test reference.  The top degree of the coinvariant algebra is one line
+and every d_i keeps the ideal of positive-degree invariants
+(Bernstein-Gelfand-Gelfand 1973), so any top-degree polynomial with d_{w_0}
+equal to 1 gives the same structure constants: the identity representative
+is the constant 1, else `check_normalization` raises `InvariantError`, and a
+structure constant is a constant term.  A product of degree d runs over the
+table's slice of length d, and `faces` reads nothing here but
+`bgg_structure_constants`.
 """
 
 from __future__ import annotations
@@ -47,10 +52,9 @@ from .cartan import (
     check_letter,
     check_weight,
     elements_of_length,
-    group_order,
+    left_mul,
     length,
     positive_coroots,
-    positive_roots,
     reduced_word,
     right_ascents,
     right_mul,
@@ -83,11 +87,10 @@ def _fields(datum: RootDatum) -> range:
     return range(0, datum.num_coordinates * width, width)
 
 
-def _degree(datum: RootDatum, poly: dict) -> int:
+def _degree(fields: range, poly: dict) -> int:
     """The highest total degree of a packed polynomial: per key the sum of
     its bit fields, each shifted down and masked, so a total past N is read
     exactly and no exponent tuple is built."""
-    fields = _fields(datum)
     field = (1 << fields.step) - 1
     top = 0
     for key in poly:
@@ -99,11 +102,12 @@ def _degree(datum: RootDatum, poly: dict) -> int:
     return top
 
 
-def poly_mul(datum: RootDatum, f: dict, g: dict) -> dict:
-    """f * g: exponents add field by field, with no carry while the degrees
-    add up to at most N.  Each degree is the largest sum of a key's bit
-    fields (`_degree`), so the guard decodes no monomial to a tuple."""
-    degrees = [_degree(datum, h) for h in (f, g)]
+def poly_mul(datum: RootDatum, fields: range, f: dict, g: dict) -> dict:
+    """f * g on the datum's `_fields`: exponents add field by field, with no
+    carry while the degrees add up to at most N.  Each degree is the largest
+    sum of a key's bit fields (`_degree`), so the guard decodes no monomial
+    to a tuple."""
+    degrees = [_degree(fields, h) for h in (f, g)]
     if sum(degrees) > datum.num_positive_roots:
         raise InvariantError("degrees %d + %d overflow the exponent fields" % tuple(degrees))
     out = {}
@@ -121,10 +125,14 @@ def _swapped_variables(datum: RootDatum, i: int) -> tuple:
 def divided_difference(datum: RootDatum, i: int, f: dict) -> dict:
     """(f - s_i f) / alpha_i, one packed monomial at a time."""
     check_letter(datum, i)
+    return _difference(datum, _fields(datum), i, f)
+
+
+def _difference(datum: RootDatum, fields: range, i: int, f: dict) -> dict:
+    """`divided_difference` on the datum's `fields`, for a letter in range."""
     if datum.family == "C" and i == 1:
         # (x^p - (-x)^p) / 2x is x^(p-1) for odd p and 0 for even p
         return {m - 1: c for m, c in f.items() if m & 1}
-    fields = _fields(datum)
     field = (1 << fields.step) - 1
     a, b = (fields[j] for j in _swapped_variables(datum, i))
     step = (1 << a) - (1 << b)
@@ -144,33 +152,22 @@ def divided_difference(datum: RootDatum, i: int, f: dict) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
-def orthogonal_root(datum: RootDatum, root) -> tuple:
-    """A root given in the simple-root basis, in orthogonal coordinates."""
-    out = [0] * datum.num_coordinates
-    for j, m in enumerate(root, start=1):
-        if datum.family == "C" and j == 1:
-            out[0] += 2 * m
-        else:
-            a, b = _swapped_variables(datum, j)
-            out[a] += m
-            out[b] -= m
-    return tuple(out)
-
-
 def top_class_polynomial(datum: RootDatum) -> tuple:
-    """The product of the positive roots, |W| times the class of a point, as
-    a sorted item tuple, packed."""
-    f = {0: 1}
-    for alpha in positive_roots(datum):
-        vec = orthogonal_root(datum, alpha)
-        f = poly_mul(datum, f, {1 << at: c for at, c in zip(_fields(datum), vec) if c})
-    return tuple(sorted(f.items()))
+    """The class of a point, packed as an item tuple: x_1^n x_2^(n-1) ... x_n
+    in A_n, and e x_1^(2n-1) x_2^(2n-3) ... x_n in C_n with e = (-1)^(n // 2),
+    the sign of reversing x_1..x_n, as x_1 x_2^3 ... x_n^(2n-1) has d_{w_0} = 1."""
+    n = datum.rank
+    if datum.family == "A":
+        exponents, sign = range(n, -1, -1), 1
+    else:
+        exponents, sign = range(2 * n - 1, 0, -2), (-1) ** (n // 2)
+    return ((sum(e << at for e, at in zip(exponents, _fields(datum))), sign),)
 
 
 @lru_cache(maxsize=None)
 def schubert_representative(datum: RootDatum, w: WeylElement) -> tuple:
-    """|W| times the Schubert polynomial of w, as a sorted item tuple: divided
-    differences along w^{-1} w_0 applied to the top class.
+    """The representative of the Schubert class of w, a sorted item tuple:
+    divided differences along w^{-1} w_0 applied to the top class.
 
     With i the first letter of `reduced_word(w^{-1} w_0)`, its least left
     descent, which is the least right ascent of w, the rest of that word is
@@ -192,8 +189,8 @@ _representative = schubert_representative
 
 
 def check_normalization(datum: RootDatum):
-    """The identity representative must be the constant |W|."""
-    if dict(schubert_representative(datum, all_elements(datum)[0])) != {0: group_order(datum)}:
+    """The identity representative, d_{w_0} of the top class, must be 1."""
+    if schubert_representative(datum, all_elements(datum)[0]) != ((0, 1),):
         raise InvariantError("top-class normalization failed; convention error")
 
 
@@ -202,10 +199,10 @@ def bgg_structure_constants(datum: RootDatum, u: WeylElement, v: WeylElement) ->
     """Expansion coefficients of the product of two Schubert classes, as a
     sorted tuple of (w, c) with c > 0 and l(w) = l(u) + l(v).
 
-    Coefficient extraction: c_w is the constant term of the divided-difference
-    chain for w applied to any representative of the product, here
-    |W|^2 times the product, for each w of its degree.  The pair is taken in
-    group-table order, so (v, u) is one cache hit on (u, v), computed once.
+    Coefficient extraction: c_w is the constant term of d_w applied to the
+    product of the two representatives, for each w of its degree.  The pair
+    is taken in group-table order, so (v, u) is one cache hit on (u, v),
+    computed once.
     """
     check_group(datum, u, v)
     lu, lv = length(u), length(v)
@@ -215,22 +212,24 @@ def bgg_structure_constants(datum: RootDatum, u: WeylElement, v: WeylElement) ->
     deg = lu + lv
     if deg > datum.num_positive_roots:
         return ()
-    product = poly_mul(datum, dict(schubert_representative(datum, u)), dict(schubert_representative(datum, v)))
-    scale = group_order(datum) ** 2
-    # word suffix -> its divided differences applied to the product; the
-    # suffixes of a reduced word are the reduced words of shorter elements
-    # (reduced_word(s_i t) is reduced_word(t)[1:]), so each runs once
-    chains = {(): product}
+    fields = _fields(datum)
+    product = poly_mul(datum, fields, dict(schubert_representative(datum, u)), dict(schubert_representative(datum, v)))
+    # w -> d_w of the product: d_w = d_i d_{s_i w} for i the least left
+    # descent of w, the letters of `reduced_word(w)`, so each element's
+    # chain runs once per call, and a zero one stays zero
+    chains = {all_elements(datum)[0]: product}
+
+    def chain(w):
+        f = chains.get(w)
+        if f is None:
+            i = reduced_word(w)[0]
+            f = chain(left_mul(i, w))
+            f = chains[w] = _difference(datum, fields, i, f) if f else f
+        return f
+
     out = []
     for w in elements_of_length(datum, deg):
-        word = reduced_word(w)
-        k = next(k for k in range(len(word) + 1) if word[k:] in chains)
-        f = chains[word[k:]]
-        for j in range(k - 1, -1, -1):
-            f = chains[word[j:]] = divided_difference(datum, word[j], f)
-        val, rem = divmod(f.get(0, 0), scale)
-        if rem:
-            raise InvariantError("structure constant is not an integer; convention error")
+        val = chain(w).get(0, 0)
         if val:
             out.append((w, val))
     return tuple(out)

@@ -4,20 +4,16 @@ from schubcalc import oracles, polytopes
 
 
 @pytest.fixture
-def wrong_signed_root(monkeypatch):
-    """Plant a convention slip in the divided-difference oracle: the first
-    positive root enters the top class with the wrong sign.  The oracle's
-    caches are cleared on entry and on exit, so no other test sees it."""
-    original = oracles.orthogonal_root
-
-    def flipped(datum, root):
-        vec = original(datum, root)
-        return tuple(-x for x in vec) if root == oracles.positive_roots(datum)[0] else vec
-
+def wrong_signed_top_class(monkeypatch):
+    """Plant a convention slip in the divided-difference oracle: the top
+    class enters with the wrong sign, so every representative does and the
+    identity one is -1.  The oracle's caches are cleared on entry and on
+    exit, so no other test sees it."""
+    original = oracles.top_class_polynomial
     caches = (oracles.schubert_representative, oracles.bgg_structure_constants)
     for f in caches:
         f.cache_clear()
-    monkeypatch.setattr(oracles, "orthogonal_root", flipped)
+    monkeypatch.setattr(oracles, "top_class_polynomial", lambda datum: tuple((m, -c) for m, c in original(datum)))
     yield
     monkeypatch.undo()
     for f in caches:

@@ -14,7 +14,8 @@ operator on the staircase board, the Demazure index sets by one whole
 box-removal fold per element, Schubert representatives and structure
 constants by one whole divided-difference chain per element on polynomials
 keyed by exponent tuples, which `pack` and `unpack` convert to and from the
-oracle's packed keys, and the
+oracle's packed keys, from the staircase top class or from the dense one,
+the product of the positive roots in orthogonal coordinates, and the
 products and pairings of the deformed-polytope ring by rewriting row
 multisets one repeated row at a time and its products and divisor powers
 one shared step at a time, the duality suite by filtering all pairs of
@@ -48,6 +49,7 @@ from schubcalc.cartan import (
     RootDatum,
     WeylElement,
     _inversions,
+    _reflection_closure,
     _weyl_table,
     bruhat_leq,
     cartan_matrix,
@@ -66,7 +68,6 @@ from schubcalc.cartan import (
     reduced_word,
     simple_element,
     simple_root_in_fundamental,
-    positive_roots,
     standard_word,
     word_to_element,
 )
@@ -227,6 +228,12 @@ def coordinate_scaled(rows, v=0, factor=2):
 
 # ---------------------------------------------------------------------------
 # weights
+
+
+def positive_roots(datum):
+    """All positive roots in the simple-root basis, the reflection closure of
+    the Cartan matrix's rows (`positive_coroots` closes its columns)."""
+    return _reflection_closure(cartan_matrix(datum), datum.num_positive_roots)
 
 
 def symmetrizer(datum):
@@ -1174,14 +1181,40 @@ def divided_difference(datum, i, f):
     return {m: c for m, c in out.items() if c}
 
 
+def orthogonal_root(datum, root):
+    """A root given in the simple-root basis, in orthogonal coordinates:
+    alpha_1 = 2 x_1 and alpha_i = x_i - x_{i-1} in type C, alpha_i =
+    x_i - x_{i+1} in type A."""
+    out = [0] * datum.num_coordinates
+    for j, m in enumerate(root, start=1):
+        if datum.family == "C" and j == 1:
+            out[0] += 2 * m
+        else:
+            a, b = (j - 1, j) if datum.family == "A" else (j - 1, j - 2)
+            out[a] += m
+            out[b] -= m
+    return tuple(out)
+
+
 def top_class_polynomial(datum):
-    """The product of the positive roots in orthogonal coordinates."""
+    """The product of the positive roots in orthogonal coordinates, |W|
+    times the class of a point: the dense route's top class."""
     size = datum.num_coordinates
     f = {(0,) * size: 1}
     for alpha in positive_roots(datum):
-        vec = orc.orthogonal_root(datum, alpha)
+        vec = orthogonal_root(datum, alpha)
         f = poly_mul(f, {tuple(int(t == j) for t in range(size)): c for j, c in enumerate(vec) if c})
     return f
+
+
+def staircase_top_class(datum):
+    """The class of a point as one signed staircase monomial: x_1^n ... x_n
+    in A_n, and (-1)^(n(n-1)/2) x_1^(2n-1) x_2^(2n-3) ... x_n in C_n, the
+    sign of the permutation reversing x_1..x_n."""
+    n = datum.rank
+    if datum.family == "A":
+        return {tuple(range(n, -1, -1)): 1}
+    return {tuple(range(2 * n - 1, 0, -2)): (-1) ** (n * (n - 1) // 2)}
 
 
 def apply_divided_differences(datum, word, f):
@@ -1193,23 +1226,27 @@ def apply_divided_differences(datum, word, f):
     return f
 
 
-def chain_representative(datum, w):
-    """|W| times the Schubert polynomial of w, keyed by exponent tuples: the
-    whole chain along reduced_word(w^{-1} w_0) applied to the top class."""
+def chain_representative(datum, w, top=top_class_polynomial):
+    """The representative of w from the top class `top`, keyed by exponent
+    tuples: the whole chain along reduced_word(w^{-1} w_0) applied to it.
+    From the product of the positive roots this is |W| times the one from
+    the staircase."""
     word = reduced_word(multiply(inverse(w), longest_element(datum)))
-    f = apply_divided_differences(datum, word, top_class_polynomial(datum))
+    f = apply_divided_differences(datum, word, top(datum))
     return tuple(sorted(f.items()))
 
 
 def chain_structure_constants(datum, u, v):
-    """The expansion of the product of the classes of u and v: one whole
-    chain along reduced_word(t) per target t of degree l(u) + l(v)."""
+    """The expansion of the product of the classes of u and v, by the dense
+    route: the representatives carry |W| from the product of the positive
+    roots, so one whole chain along reduced_word(t) per target t of degree
+    l(u) + l(v) gives |W|^2 times its coefficient."""
     deg = length(u) + length(v)
     if deg > datum.num_positive_roots:
         return ()
     product = poly_mul(dict(chain_representative(datum, u)), dict(chain_representative(datum, v)))
     zero = (0,) * datum.num_coordinates
-    scale = orc.group_order(datum) ** 2
+    scale = len(all_elements(datum)) ** 2
     out = []
     for t in all_elements(datum):
         if length(t) == deg:

@@ -27,7 +27,6 @@ from schubcalc.cartan import (
     longest_element,
     multiply,
     positive_coroots,
-    positive_roots,
     reduced_word,
     right_ascents,
     right_mul,
@@ -40,7 +39,7 @@ from schubcalc.crystals import demazure_crystal
 from schubcalc.oracles import weyl_dimension
 
 import reference_routes as ref
-from reference_routes import all_reduced_words
+from reference_routes import all_reduced_words, positive_roots
 
 A1 = RootDatum("A", 1)
 A2 = RootDatum("A", 2)

@@ -435,7 +435,7 @@ def test_internal_invariant_exits_one(monkeypatch, capsys, error):
     assert "Traceback" not in err
 
 
-def test_oracle_convention_slip_exits_one(wrong_signed_root, capsys):
+def test_oracle_convention_slip_exits_one(wrong_signed_top_class, capsys):
     code = cli.main(["product", "--type", "C", "--rank", "2", "--v", "1", "--w", "2"])
     err = capsys.readouterr().err
     assert code == cli.EXIT_VIOLATION

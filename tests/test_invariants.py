@@ -191,28 +191,18 @@ except InvariantError as err:
     print("InvariantError:", err)
 """
 
-# the representative of s_1 of C2 gains the monomial x_1, so |W| no longer
-# divides it: the structure constants must refuse the remainder rather than
-# round it away
-NON_DIVISIBLE_REPRESENTATIVE = """
+# the top class of C2 planted with the wrong sign: its d_{w_0}, the identity
+# representative, is -1, and the structure constants must refuse to run
+# rather than give every coefficient negated
+WRONG_SIGNED_TOP_CLASS = """
 from schubcalc import oracles
 from schubcalc.cartan import InvariantError, RootDatum, simple_element
 
 C2 = RootDatum("C", 2)
-s1 = simple_element(C2, 1)
-true = oracles.schubert_representative
-
-
-def planted(datum, w):
-    rep = dict(true(datum, w))
-    if w == s1:
-        rep[1] += 1  # x_1: exponent 1 in the first field
-    return tuple(sorted(rep.items()))
-
-
-oracles.schubert_representative = planted
+true = oracles.top_class_polynomial
+oracles.top_class_polynomial = lambda datum: tuple((m, -c) for m, c in true(datum))
 try:
-    print(oracles.bgg_structure_constants(C2, s1, s1))
+    print(oracles.bgg_structure_constants(C2, simple_element(C2, 1), simple_element(C2, 2)))
 except InvariantError as err:
     print("InvariantError:", err)
 """
@@ -306,7 +296,7 @@ from schubcalc.cartan import InvariantError, RootDatum
 C2 = RootDatum("C", 2)
 f = {4: 1}
 try:
-    print(oracles.poly_mul(C2, f, f))
+    print(oracles.poly_mul(C2, oracles._fields(C2), f, f))
 except InvariantError as err:
     print("InvariantError:", err)
 """
@@ -429,9 +419,11 @@ def test_model_map_refusal_survives_optimize_flag():
     assert out.startswith("ModelMapError: the map onto the model rows has no solution"), out
 
 
-def test_non_divisible_representative_survives_optimize_flag():
-    out = _run_optimized(NON_DIVISIBLE_REPRESENTATIVE)
-    assert out.startswith("InvariantError: structure constant is not an integer"), out
+def test_normalization_gate_survives_optimize_flag():
+    out = _run_optimized(WRONG_SIGNED_TOP_CLASS)
+    assert out.startswith("InvariantError: top-class normalization failed; convention error"), out
+    # the true sign: s_1 s_2 + s_2 s_1
+    assert _run_optimized(WRONG_SIGNED_TOP_CLASS.replace("-c)", "c)")) == "((WC2[-2, 1], 1), (WC2[2, -1], 1))\n"
 
 
 def test_non_integral_weyl_dimension_survives_optimize_flag():

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from schubcalc.cartan import (
     length,
     longest_element,
     multiply,
+    reduced_word,
     simple_element,
     word_to_element,
 )
@@ -25,6 +27,7 @@ A2 = RootDatum("A", 2)
 A3 = RootDatum("A", 3)
 C2 = RootDatum("C", 2)
 C3 = RootDatum("C", 3)
+C4 = RootDatum("C", 4)
 SEED = 20261018
 
 
@@ -104,7 +107,7 @@ def test_schubert_representative_refuses_an_element_of_another_group(datum, othe
     for w in all_elements(other):
         with pytest.raises(ValueError, match="^elements from different groups$"):
             orc.schubert_representative(datum, w)
-    assert dict(orc.schubert_representative(datum, identity_element(datum))) == {0: len(all_elements(datum))}
+    assert dict(orc.schubert_representative(datum, identity_element(datum))) == {0: 1}
 
 
 def test_structure_constants_refuse_an_element_of_another_group():
@@ -138,7 +141,7 @@ def test_pack_refuses_exponents_outside_the_coordinates(datum, mono):
 def test_packed_kernels_refuse_polynomials_keyed_by_tuples():
     # the calls that zip used to cut now fail: the packed kernels read ints
     with pytest.raises(TypeError):
-        orc.poly_mul(A2, {(1, 0, 0): 1}, {(1, 0): 1})
+        orc.poly_mul(A2, orc._fields(A2), {(1, 0, 0): 1}, {(1, 0): 1})
     with pytest.raises(TypeError):
         orc.divided_difference(C2, 1, {(1, 0, 0): 1})
     with pytest.raises(TypeError):
@@ -147,11 +150,11 @@ def test_packed_kernels_refuse_polynomials_keyed_by_tuples():
 
 def test_field_width_witness_refuses_a_carry():
     # N = 4 gives C2 3-bit fields: x_1^4 * x_1^4 would carry into x_2
-    f = ref.pack(C2, {(4, 0): 1})
+    f, fields = ref.pack(C2, {(4, 0): 1}), orc._fields(C2)
     with pytest.raises(InvariantError, match="degrees 4 \\+ 4 overflow the exponent fields"):
-        orc.poly_mul(C2, f, f)
-    assert ref.unpack(C2, orc.poly_mul(C2, f, ref.pack(C2, {(0, 0): 3}))) == {(4, 0): 3}
-    assert ref.unpack(C2, orc.poly_mul(C2, ref.pack(C2, {(1, 1): 2}), ref.pack(C2, {(0, 2): 1, (2, 0): -1}))) == {
+        orc.poly_mul(C2, fields, f, f)
+    assert ref.unpack(C2, orc.poly_mul(C2, fields, f, ref.pack(C2, {(0, 0): 3}))) == {(4, 0): 3}
+    assert ref.unpack(C2, orc.poly_mul(C2, fields, ref.pack(C2, {(1, 1): 2}), ref.pack(C2, {(0, 2): 1, (2, 0): -1}))) == {
         (1, 3): 2,
         (3, 1): -2,
     }
@@ -166,9 +169,10 @@ def test_field_sum_degree_matches_the_unpacked_degree(datum, data):
     top, size = datum.num_positive_roots, num_variables(datum)
     monos = st.tuples(*[st.integers(0, top) for _ in range(size)])
     packed = ref.pack(datum, dict.fromkeys(data.draw(st.lists(monos, min_size=1, max_size=6)), 1))
-    assert orc._degree(datum, packed) == max(map(sum, ref.unpack(datum, packed)))
-    assert orc._degree(datum, ref.pack(datum, {(top,) * size: 1})) == top * size
-    assert orc._degree(datum, {}) == 0
+    fields = orc._fields(datum)
+    assert orc._degree(fields, packed) == max(map(sum, ref.unpack(datum, packed)))
+    assert orc._degree(fields, ref.pack(datum, {(top,) * size: 1})) == top * size
+    assert orc._degree(fields, {}) == 0
 
 
 def test_demazure_operator_basics():
@@ -269,7 +273,7 @@ def test_divided_difference_closed_forms():
 
 
 @pytest.mark.parametrize("datum", [A2, C2, A3, C3], ids=["A2", "C2", "A3", "C3"])
-def test_wrong_signed_root_trips_normalization_gate(wrong_signed_root, datum):
+def test_wrong_signed_root_trips_normalization_gate(wrong_signed_top_class, datum):
     with pytest.raises(InvariantError, match="normalization"):
         orc.check_normalization(datum)
     e = identity_element(datum)
@@ -295,32 +299,67 @@ def test_normalization_gate():
 
 
 def test_top_class_is_the_integer_product_of_positive_roots():
+    # the dense route's top class, |W| times the class of a point:
     # A2: (x1 - x2)(x2 - x3)(x1 - x3); C2: (2 x1)(x2 - x1)(x2 + x1)(2 x2)
-    a2 = ref.unpack(A2, dict(orc.top_class_polynomial(A2)))
+    a2 = ref.top_class_polynomial(A2)
     assert a2[(2, 1, 0)] == 1 and a2[(0, 1, 2)] == -1 and len(a2) == 6
-    assert ref.unpack(C2, dict(orc.top_class_polynomial(C2))) == {(1, 3): 4, (3, 1): -4}
+    assert ref.top_class_polynomial(C2) == {(1, 3): 4, (3, 1): -4}
+    # its d_{w_0}, the identity representative, is |W|
+    for datum in (A2, C2, A3, C3):
+        zero = (0,) * num_variables(datum)
+        assert dict(ref.chain_representative(datum, identity_element(datum))) == {zero: len(all_elements(datum))}
+
+
+def test_top_class_is_the_signed_staircase_monomial():
+    # A2: x1^2 x2; C2: -x1^3 x2; C3: -x1^5 x2^3 x3; C4: +x1^7 x2^5 x3^3 x4
+    assert ref.unpack(A2, dict(orc.top_class_polynomial(A2))) == {(2, 1, 0): 1}
+    assert ref.unpack(C2, dict(orc.top_class_polynomial(C2))) == {(3, 1): -1}
+    assert ref.unpack(C3, dict(orc.top_class_polynomial(C3))) == {(5, 3, 1): -1}
+    assert ref.unpack(C4, dict(orc.top_class_polynomial(C4))) == {(7, 5, 3, 1): 1}
     for datum in (A2, C2, A3, C3):
         e = identity_element(datum)
-        assert ref.unpack(datum, dict(orc.schubert_representative(datum, e))) == {
-            (0,) * num_variables(datum): orc.group_order(datum)
-        }
-        assert ref.unpack(datum, dict(orc.top_class_polynomial(datum))) == ref.top_class_polynomial(datum)
+        assert ref.unpack(datum, dict(orc.schubert_representative(datum, e))) == {(0,) * num_variables(datum): 1}
+        assert ref.unpack(datum, dict(orc.top_class_polynomial(datum))) == ref.staircase_top_class(datum)
+
+
+@pytest.mark.parametrize(
+    "datum",
+    [RootDatum("A", n) for n in range(1, 7)] + [RootDatum("C", n) for n in range(2, 7)],
+    ids=["A%d" % n for n in range(1, 7)] + ["C%d" % n for n in range(2, 7)],
+)
+def test_longest_divided_difference_of_the_staircase_is_one(datum):
+    # d_{w_0} of the top class is the constant 1, so it is the class of a
+    # point modulo the invariants of positive degree; without the sign
+    # (-1)^(n // 2) the type C staircase gives -1 at C2, C3 and C6
+    top = dict(orc.top_class_polynomial(datum))
+    assert packed_chain(datum, reduced_word(longest_element(datum)), top) == {0: 1}
 
 
 @pytest.mark.parametrize("datum", [A2, A3, C2, C3], ids=["A2", "A3", "C2", "C3"])
 def test_one_step_routes_match_the_whole_chains(datum):
     # each representative is one packed divided difference of a cached one,
-    # and one structure-constant call shares its word suffixes; the whole
-    # chains per element on exponent tuples give the same tables, each pair
-    # in both orders
+    # and one structure-constant call shares the chains of shorter elements;
+    # the whole chains per element on exponent tuples give the same
+    # representatives from the staircase, and the same tables from the dense
+    # top class, the product of the positive roots, each pair in both orders
     elems = all_elements(datum)
     for w in elems:
         assert ref.unpack(datum, dict(orc.schubert_representative(datum, w))) == dict(
-            ref.chain_representative(datum, w)
+            ref.chain_representative(datum, w, ref.staircase_top_class)
         )
     for u in elems:
         for v in elems:
             assert orc.bgg_structure_constants(datum, u, v) == ref.chain_structure_constants(datum, u, v)
+
+
+def test_c4_sample_matches_the_dense_route():
+    # 60 of the 40,206 unordered C4 pairs of degree at most N = 16, seeded:
+    # the staircase route against the product-of-roots chains
+    elems = all_elements(C4)
+    pairs = [(u, v) for k, u in enumerate(elems) for v in elems[k:] if length(u) + length(v) <= 16]
+    assert len(pairs) == 40206
+    for u, v in random.Random(1).sample(pairs, 60):
+        assert orc.bgg_structure_constants(C4, u, v) == ref.chain_structure_constants(C4, u, v)
 
 
 def table_digest(datum):
