@@ -23,14 +23,17 @@ with one `WeylElement` per element and the inversion count: every element in
 `all_elements` order, an index from one-line form to position, the position of
 each inverse, per letter the positions of the left and right products by s_i,
 the lengths, |W| * (2 * rank + 2) integers in all, and one reduced word per
-element.  `length`, `inverse`, `reduced_word`, `left_mul`, `left_descents`,
-`left_ascents`, `word_to_element`, `bruhat_leq`, `elements_of_length` (a slice
-bisected off the sorted lengths) and the subword search of `_extraction_table`
-read these integer columns and return the table's own elements; a lookup of a
-non-member raises `ValueError`.  The build raises `InvariantError` unless |W|
-is `group_order`, the identity and w_0 sit at the two ends, the inverse column
-is an involution that keeps the length, and every product by a simple
-reflection changes the length by exactly one.
+element, whose first letter is the element's least left descent.  `length`,
+`inverse`, `reduced_word`, `left_mul`, `right_mul`, `left_ascents`,
+`right_ascents`, `word_to_element`, `bruhat_leq`, `elements_of_length` (a
+slice bisected off the sorted lengths), the subword search of
+`_extraction_table` and the certificate of `standard_word` read these integer
+columns and return the table's own elements; a lookup of a non-member raises
+`ValueError`.  The build raises `InvariantError` unless |W| is `group_order`,
+the identity and w_0 sit at the two ends, the inverse column is an involution
+that keeps the length, and every product by a simple reflection changes the
+length by exactly one.  `standard_word` is certified once per datum, so
+`check_word_of_longest` accepts it, its letters ints, without a walk.
 """
 
 from __future__ import annotations
@@ -375,13 +378,6 @@ def right_mul(w: WeylElement, i: int) -> WeylElement:
     return table.elements[table.right[i - 1][k]]
 
 
-def left_descents(w: WeylElement) -> list:
-    """The letters i with l(s_i w) < l(w), increasing."""
-    table, k = _locate(w)
-    lw = table.length[k]
-    return [i for i, step in enumerate(table.left, 1) if table.length[step[k]] < lw]
-
-
 def left_ascents(w: WeylElement) -> list:
     """The letters i with l(s_i w) > l(w), increasing."""
     table, k = _locate(w)
@@ -404,41 +400,47 @@ def reduced_word(w: WeylElement) -> tuple:
 
 
 def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order by the lifting property, on table indices: for a left
-    descent s of w, v <= w iff sv <= sw when s is a left descent of v, and
-    iff v <= sw otherwise."""
+    """Bruhat order by the lifting property, on table indices: for the least
+    left descent s of w, the first letter of its table word, v <= w iff sv <=
+    sw when s is a left descent of v, and iff v <= sw otherwise."""
     check_group(v.datum, w)
     table, a = _locate(v)
     _, b = _locate(w)
-    length, left = table.length, table.left
+    length, left, words = table.length, table.left, table.words
     while length[a]:
         if length[a] > length[b]:
             return False
-        step = next(step for step in left if length[step[b]] < length[b])
+        step = left[words[b][0] - 1]
         if length[step[a]] < length[a]:
             a = step[a]
         b = step[b]
     return True
 
 
+def _block_word(datum: RootDatum) -> tuple:
+    """(1, 21, 321, ...) for A, (1, 212, 32123, ...) for C: block r runs from
+    r down to 1, and in type C back up to r."""
+    back = datum.family == "C"
+    return tuple(i for r in range(1, datum.rank + 1) for i in (*range(r, 0, -1), *range(2, r + 1 if back else 2)))
+
+
 @lru_cache(maxsize=None)
 def standard_word(datum: RootDatum) -> tuple:
-    """The block reduced word of w_0 used throughout: (1, 21, 321, ...) for A,
-    (1, 212, 32123, ...) for C."""
-    word = []
-    for r in range(1, datum.rank + 1):
-        if datum.family == "A":
-            word.extend(range(r, 0, -1))
-        else:
-            word.extend(range(r, 0, -1))
-            word.extend(range(2, r + 1))
-    return tuple(word)
+    """The block reduced word of w_0 used throughout (`_block_word`), whose
+    walk must reach the group table's last element, which `_weyl_table`
+    certifies to be w_0, in N steps, else `InvariantError`."""
+    word, steps = _block_word(datum), datum.num_positive_roots
+    if len(word) != steps or word_to_element(datum, word) is not _weyl_table(datum).elements[-1]:
+        raise InvariantError("the standard word %r does not walk to w_0 in %d steps" % (word, steps))
+    return word
 
 
 def check_word_of_longest(datum: RootDatum, word):
-    """Raise unless word is a reduced word of w_0: a word of the length of
-    w_0 whose walk ends at the table's last element, which `_weyl_table`
-    certifies to be w_0."""
+    """Raise unless word is a reduced word of w_0: the certified standard
+    word, its letters ints, with no walk, or a word of the length of w_0
+    whose walk ends at the table's last element, w_0 by `_weyl_table`."""
+    if tuple(word) == standard_word(datum) and {int}.issuperset(map(type, word)):
+        return
     w = word_to_element(datum, word)
     if len(word) != datum.num_positive_roots or w is not _weyl_table(datum).elements[-1]:
         raise ValueError("word %r is not a reduced word of the longest element" % (word,))

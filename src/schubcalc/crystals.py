@@ -77,9 +77,9 @@ from .cartan import (
     check_weight,
     check_word_of_longest,
     left_ascents,
-    left_descents,
     left_mul,
     positive_coroots,
+    reduced_word,
     simple_root_in_fundamental,
     standard_word,
 )
@@ -593,12 +593,13 @@ def _closure(step, members: int) -> int:
 def fold(record: _Crystal, w: WeylElement, opposite: bool) -> int:
     """The mask of B_w(lam), or of B^w(lam) when opposite, filed in the
     record: B_e is state 0, B_w = F_i B_{s_i w} for the least left descent i
-    of w, B^{w_0} the lowest state, B^w = E_i B^{s_i w} for the least ascent."""
+    of w, `reduced_word(w)[0]`, B^{w_0} the lowest state, B^w = E_i B^{s_i w}
+    for the least ascent."""
     filed = record.folds[opposite]
     mask = filed.get(w)
     if mask is None:
         check_group(record.datum, w)
-        letters, table = left_ascents(w) if opposite else left_descents(w), record.table
+        letters, table = left_ascents(w) if opposite else reduced_word(w), record.table
         if not letters:
             mask = 1 << table.lowest if opposite else 1
         else:

@@ -24,11 +24,11 @@ of its faces.  The (opposite) Demazure crystal is the record's fold mask over
 the same strings (`crystals.fold`), so the check compares two ints, a count
 is a bit count, and the union, a `polytopes.PointSet` view, decodes its
 strings only where they are read.  The GT/SGT side counts its face unions
-over the same masks, its polytope certified once per root datum as the
-image of the string polytope under a unimodular map keeping every row
-(`polytopes.model_map`).  Each facet block of a record has a point on all
-its rows, certified when it is built, so no face is empty.  Only these are
-cached; the crystal comparison runs on every call.
+over the same record's masks, its polytope certified once per root datum
+as the image of the string polytope under a unimodular map keeping every
+row (`polytopes.model_map`).  Each facet block of a record has a point on
+all its rows, certified when it is built, so no face is empty.  Only these
+are cached; the crystal comparison runs on every call.
 
 The claim the class arithmetic exercises: the (dual) Kogan face sums
 represent the Schubert classes in the polytope ring (Kiritchenko-Smirnov-
@@ -141,19 +141,11 @@ def demazure_faces(datum: RootDatum, w: WeylElement, lam) -> FaceDecomposition:
     return _decompose("demazure-faces", datum, standard_word(datum), w, lam, tights, datum.num_positive_roots, False)
 
 
-def _model_table(datum: RootDatum, lam) -> tuple:
-    """(number of lattice points, per-row bitmasks over them) of the GT/SGT
-    polytope at lambda, dual Kogan rows then Kogan rows: those of the string
-    polytope's record, once `polytopes.model_map` certifies the map between."""
-    polytopes.model_map(datum)
-    record = crystals.record(datum, standard_word(datum), lam)
-    return len(record.strings), record.masks
-
-
 def model_face_union_count(datum: RootDatum, lam, tights, family: str) -> int:
     """Lattice count of the corresponding face union on the GT/SGT side,
     where family "F" means the first facet block (rows 0..N-1) and "Fv" the
-    second (rows N..2N-1): the bits of the OR of the faces' masks."""
+    second (rows N..2N-1): the bits of the OR of the faces' masks, the string
+    record's, once `polytopes.model_map` certifies the map between."""
     if family not in ("F", "Fv"):
         raise ValueError("family must be 'F' or 'Fv'")
     big_n = datum.num_positive_roots
@@ -162,9 +154,10 @@ def model_face_union_count(datum: RootDatum, lam, tights, family: str) -> int:
     if indices and not 1 <= min(indices) <= max(indices) <= big_n:
         raise IndexError("tight indices run from 1 to %d" % big_n)
     polytopes.check_weight_length(lam, datum.rank)  # the record checks the entries
-    count, masks = _model_table(datum, lam)
-    masks = masks[big_n:] if family == "Fv" else masks[:big_n]
-    return _face_union(tights, masks, count).bit_count()
+    polytopes.model_map(datum)
+    record = crystals.record(datum, standard_word(datum), lam)
+    masks = record.masks[big_n:] if family == "Fv" else record.masks[:big_n]
+    return _face_union(tights, masks, len(record.strings)).bit_count()
 
 
 def h0_dimension(datum: RootDatum, side: str, w: WeylElement, lam) -> int:

@@ -23,12 +23,12 @@ from .cartan import (
     RootDatum,
     WeylElement,
     check_letter,
+    compatible_subsets,
     inverse,
     longest_element,
     multiply,
-    simple_element,
+    right_mul,
     standard_word,
-    compatible_subsets,
 )
 
 
@@ -126,10 +126,12 @@ def ladder_move(d: Diagram, i: int, j: int):
     The move walks the later boxes of facet order in column j and its
     mirror 2n - j, skipping rungs with both the box and its right neighbour
     filled.  The first other rung decides: the box moves to its right
-    neighbour when both are free and that neighbour is on the board, and the
-    move is inapplicable otherwise.  On the staircase board the mirror holds
-    no later box (columns beyond n are empty, and column n is the single box
-    (1, n)), so the walk stays in column j."""
+    neighbour when both are free, and the move is inapplicable otherwise.  On
+    the staircase board the mirror holds no later box (columns beyond n are
+    empty, and column n is the single box (1, n)), so the walk stays in
+    column j.  The neighbour is on the board: a later rung's column q is one
+    of row i, and the rung lies in row i with q = 2n - j < j, or in a row
+    above, which reaches one column past row i."""
     boxes = d.boxes
     if (i, j) not in boxes or (i, j + 1) in boxes:
         return None
@@ -143,8 +145,6 @@ def ladder_move(d: Diagram, i: int, j: int):
         if here and right:
             continue
         if here or right:
-            return None
-        if (p, q + 1) not in layout.boxes:
             return None
         return Diagram(d.datum, (boxes - {(i, j)}) | {(p, q + 1)})
     return None
@@ -179,11 +179,10 @@ def ladder_closure(d: Diagram, source_cols=None) -> frozenset:
 
 def bottom_diagram(datum: RootDatum, w: WeylElement) -> Diagram:
     """The diagram whose complement word-positions form the lexicographically
-    minimal extraction of w from the standard word (the full board at the
-    identity, whose one extraction is empty)."""
-    word = standard_word(datum)
-    subsets = compatible_subsets(datum, word, w)
-    kprime = min(subsets)
+    minimal extraction of w from the standard word, the first of its sorted
+    extractions (the full board at the identity, whose one extraction is
+    empty)."""
+    kprime = compatible_subsets(datum, standard_word(datum), w)[0]
     layout = board(datum)
     complement = {layout.word_order[k - 1] for k in kprime}
     out = Diagram(datum, layout.boxes - complement)
@@ -304,20 +303,21 @@ def m_op(datum: RootDatum, i: int, d: Diagram) -> frozenset:
 @lru_cache(maxsize=None)
 def mset(datum: RootDatum, w: WeylElement) -> frozenset:
     """The Demazure index set of diagrams: M folded over the letters of the
-    standard word at the lexicographically minimal extraction of w (the
-    bottom diagram's complement positions), starting from the full board.
+    standard word at the lexicographically minimal extraction of w, the
+    first of its sorted extractions (the bottom diagram's complement
+    positions), starting from the full board.
 
     Each set is one step from a cached one.  With i the last fold letter,
     the lex-min extraction of w s_i is that of w without its last position,
     so M(w) is the union of M_i over M(w s_i); a lex-min extraction of w s_i
     that is not that prefix raises `InvariantError`."""
     word = standard_word(datum)
-    kprime = min(compatible_subsets(datum, word, w))
+    kprime = compatible_subsets(datum, word, w)[0]
     if not kprime:
         return frozenset([full_diagram(datum)])
     i = word[kprime[-1] - 1]
-    v = multiply(w, simple_element(datum, i))
-    if min(compatible_subsets(datum, word, v)) != kprime[:-1]:
+    v = right_mul(w, i)
+    if compatible_subsets(datum, word, v)[0] != kprime[:-1]:
         raise InvariantError("the lex-min extraction of %r does not extend that of %r" % (w, v))
     out = set()
     for d in mset(datum, v):

@@ -49,6 +49,7 @@ from schubcalc.cartan import (
     RootDatum,
     WeylElement,
     _inversions,
+    _locate,
     _reflection_closure,
     _weyl_table,
     bruhat_leq,
@@ -60,7 +61,6 @@ from schubcalc.cartan import (
     identity_element,
     inverse,
     left_ascents,
-    left_descents,
     left_mul,
     length,
     longest_element,
@@ -147,6 +147,13 @@ def table_reduced_word(w):
         word.append(i)
         k = left[i - 1][k]
     return tuple(word)
+
+
+def left_descents(w):
+    """The letters i with l(s_i w) < l(w), increasing, off the group table's
+    left and length columns; a non-member raises ValueError."""
+    table, k = _locate(w)
+    return [i for i, step in enumerate(table.left, 1) if table.length[step[k]] < table.length[k]]
 
 
 def all_reduced_words(w):

@@ -17,11 +17,11 @@ from schubcalc.cartan import (
     all_elements,
     bruhat_leq,
     cartan_matrix,
+    check_word_of_longest,
     compatible_subsets,
     elements_of_length,
     identity_element,
     inverse,
-    left_descents,
     left_mul,
     length,
     longest_element,
@@ -190,6 +190,22 @@ def test_compatible_subsets_rejects_bad_input():
             compatible_subsets(A2, standard_word(A2), w)
 
 
+def test_the_standard_word_is_accepted_without_a_walk(monkeypatch):
+    # certified once per datum, the standard word needs no walk; any other
+    # word keeps the walk, and a bool or float copy of the standard word its
+    # letter message
+    word = standard_word(A3)
+    monkeypatch.setattr(cartan, "word_to_element", lambda datum, word: identity_element(datum))
+    check_word_of_longest(A3, word)
+    check_word_of_longest(A3, list(word))
+    with pytest.raises(ValueError, match="not a reduced word"):
+        check_word_of_longest(A3, ref.other_word(A3))
+    monkeypatch.undo()
+    for bad in ((True,) + word[1:], (1.0,) + word[1:]):
+        with pytest.raises(ValueError, match=r"^letter %r out of range 1\.\.3$" % (bad[0],)):
+            check_word_of_longest(A3, bad)
+
+
 def test_standard_words_are_reduced_words_of_longest():
     for datum in (A2, A3, A4, C2, C3):
         word = standard_word(datum)
@@ -276,6 +292,9 @@ def test_word_column_matches_the_descent_walk(datum):
     for k, w in enumerate(table.elements):
         assert table.words[k] == ref.table_reduced_word(w)
         assert reduced_word(w) is table.words[k]
+        # its first letter is the least left descent, which `fold` and
+        # `bruhat_leq` read
+        assert table.words[k][:1] == tuple(ref.left_descents(w)[:1])
 
 
 @pytest.mark.parametrize("datum", TABLE_DATA, ids=repr)
@@ -563,7 +582,7 @@ def test_table_lookup_of_a_non_member_raises_value_error():
         for call in (
             lambda: length(bad),
             lambda: left_mul(1, bad),
-            lambda: left_descents(bad),
+            lambda: ref.left_descents(bad),
             lambda: right_mul(bad, 1),
             lambda: right_ascents(bad),
             lambda: reduced_word(bad),

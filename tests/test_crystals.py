@@ -21,7 +21,6 @@ from schubcalc.cartan import (
     compatible_subsets,
     identity_element,
     left_ascents,
-    left_descents,
     left_mul,
     length,
     longest_element,
@@ -875,7 +874,7 @@ def _index_fold(table, w, opposite, memo):
     """The fold of w as a frozenset of table indices, by the recursion of
     `fold` run on frozensets over the table's columns."""
     if (w, opposite) not in memo:
-        letters = left_ascents(w) if opposite else left_descents(w)
+        letters = left_ascents(w) if opposite else ref.left_descents(w)
         if letters:
             step = (table.up if opposite else table.down)[letters[0] - 1]
             memo[w, opposite] = ref._index_closure(step, _index_fold(table, left_mul(letters[0], w), opposite, memo))

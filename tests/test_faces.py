@@ -720,15 +720,17 @@ MODEL_SWEEP_CASES = tuple(
 
 
 def test_certified_model_side_is_the_swept_model_side():
-    # the record's masks, which the model table reads once the map is
+    # the record's masks, which the model side reads once the map is
     # certified, against the GT/SGT polytope swept at each weight (the old
     # route): the same count and the same multiset of per-point tight-row
     # sets, rows matched by index
     assert len(MODEL_SWEEP_CASES) == 83
     for datum, lam in MODEL_SWEEP_CASES:
-        count, masks = fc._model_table(datum, lam)
+        pt.model_map(datum)
+        record = cr.record(datum, standard_word(datum), lam)
+        count, masks = len(record.strings), record.masks
         swept = routes.lattice_incidence(pt.model_polytope(datum, lam))
-        assert count == swept[0]
+        assert count == swept[0] == fc.model_face_union_count(datum, lam, ((),), "F")
         assert routes.tight_row_multiset(count, masks) == routes.tight_row_multiset(*swept)
 
 
@@ -912,6 +914,21 @@ def test_model_face_union_count_rejects_unknown_family():
     for family in ("kogan", "G", "f"):
         with pytest.raises(ValueError):
             fc.model_face_union_count(A2, (1, 1), [(1,)], family)
+
+
+def test_section_dimension_refuses_an_unknown_side():
+    with pytest.raises(ValueError, match=r"^side must be 'schubert' or 'opposite'$"):
+        fc.h0_dimension(A2, "both", identity_element(A2), (1, 1))
+
+
+def test_side_volume_refuses_an_unknown_side():
+    with pytest.raises(ValueError, match=r"^side must be 'schubert' or 'opposite'$"):
+        fc.side_volume(C2, "both", identity_element(C2), (1, 1))
+
+
+def test_schubert_class_refuses_an_unknown_family():
+    with pytest.raises(ValueError, match=r"^family must be 'dual-kogan' or 'kogan'$"):
+        fc.schubert_class(C2, identity_element(C2), "grassmann")
 
 
 def test_model_face_union_count_refuses_a_weight_of_the_wrong_length():

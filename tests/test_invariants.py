@@ -325,6 +325,20 @@ except polytopes.ModelMapError as err:
 """
 
 
+# the block word of A2 planted: (1, 2, 2) walks to s_1 s_2 s_2 = s_1, and
+# (1, 2) stops short of w_0, so the standard word must refuse to certify
+PLANTED_STANDARD_WORD = """
+from schubcalc import cartan
+from schubcalc.cartan import InvariantError, RootDatum
+
+cartan._block_word = lambda datum: %s
+try:
+    print(cartan.standard_word(RootDatum("A", 2)))
+except InvariantError as err:
+    print("InvariantError:", err)
+"""
+
+
 def _run_optimized(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
@@ -436,6 +450,14 @@ def test_prefix_mismatch_survives_optimize_flag():
     out = _run_optimized(PREFIX_MISMATCH)
     expected = "InvariantError: the lex-min extraction of WA2[2, 3, 1] does not extend that of WA2[2, 1, 3]"
     assert out.startswith(expected), out
+
+
+def test_standard_word_certificate_survives_optimize_flag():
+    assert _run_optimized(PLANTED_STANDARD_WORD % "(1, 2, 1)") == "(1, 2, 1)\n"
+    for planted in ("(1, 2, 2)", "(1, 2)"):
+        out = _run_optimized(PLANTED_STANDARD_WORD % planted)
+        expected = "InvariantError: the standard word %s does not walk to w_0 in 3 steps" % planted
+        assert out.startswith(expected), out
 
 
 def test_tower_certificate_survives_optimize_flag():

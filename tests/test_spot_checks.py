@@ -11,7 +11,6 @@ from schubcalc import polytopes as pt
 from schubcalc.cartan import (
     RootDatum,
     all_elements,
-    left_descents,
     left_mul,
     length,
     longest_element,
@@ -32,7 +31,7 @@ def _random_longest_word(datum, rng):
     word = []
     w = longest_element(datum)
     while length(w) > 0:
-        i = rng.choice(left_descents(w))
+        i = rng.choice(ref.left_descents(w))
         word.append(i)
         w = left_mul(i, w)
     return tuple(word)
