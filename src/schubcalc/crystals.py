@@ -110,7 +110,7 @@ def _check_state(word, coords):
     check_integers("state", coords)
     if len(coords) != len(word):
         raise ValueError("state %r does not have the %d coordinates of word %r" % (coords, len(word), word))
-    if any(a < 0 for a in coords):
+    if min(coords) < 0:
         raise ValueError("state %r has a negative coordinate" % (coords,))
 
 
@@ -397,8 +397,7 @@ def string_coords(datum: RootDatum, word, lam, state) -> tuple:
     path, k = [], 0
     try:
         while any(state) and sum(state) <= table.depth:  # every raise takes 1 from the sum
-            i = next(i for i in range(1, datum.rank + 1) if _raise(datum, word, lam, state, i))
-            state = _raise(datum, word, lam, state, i)
+            i, state = next((i, up) for i in range(1, datum.rank + 1) if (up := _raise(datum, word, lam, state, i)))
             path.append(i)
     except (StopIteration, CorruptElementError):  # no letter raises, or one onto a zero coordinate
         pass

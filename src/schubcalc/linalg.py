@@ -1,11 +1,12 @@
 """Exact linear algebra: one fraction-free integer row echelon.
 
-Every rank, elimination vertex and solve in the library goes through
-`Echelon`.  A row is a coefficient vector followed by one or several
-right-hand sides.  Rational input is scaled to integers once, on entry;
-elimination cross-multiplies (fraction-free, after Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", 1968) and
-each stored row is divided by its content, so no Fraction is built before
+The library's one elimination: `polytopes` pushes rows into `Echelon` for
+the affine rank, the elimination vertices and the certified model map.  A
+row is a coefficient vector followed by one or several right-hand sides.
+Rational input is scaled to integers once, on entry; elimination
+cross-multiplies (fraction-free, after Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", 1968) and each stored
+row is divided by its content, so no Fraction is built before
 back-substitution.
 """
 
@@ -84,15 +85,3 @@ class Echelon:
             num[piv] = s
         return tuple(Fraction(x, den) for x in num)
 
-
-def rank(rows) -> int:
-    """Rank of a list of coefficient vectors (ints or Fractions)."""
-    rows = list(rows)
-    if not rows:
-        return 0
-    echelon = Echelon(len(rows[0]))
-    for row in rows:
-        echelon.push(tuple(row) + (0,))
-        if echelon.rank == echelon.ncols:
-            break
-    return echelon.rank

@@ -9,20 +9,20 @@ row and its negation.  `interval_tower` certifies a polytope as a tower of
 intervals along its sweep order and lists its integer vertices with no
 elimination.  One level-by-level sweep along that order with a slack column
 per row (`_sweep`) gives `lattice_count` and `lattice_points`.  The packed
-kernel of `slack_masks` (`column_masks`) gives one bitmask per inequality
-over the points tight on it: faces and their unions are integer AND and
-OR, and a point set is certified to be the lattice points by containment
-and count.  A `PointSet` is a read-only set view of such a mask over its
-points.  `vertices` (exact Fractions) and `is_simple`, with `incidence`
-and `facet_defining`, remain as the general-polytope oracles the tower
-certificate is tested against; they and `affine_rank` run on the
-fraction-free integer echelon of `linalg`.
+slack kernel `column_masks` gives one bitmask per inequality over the
+points tight on it: faces and their unions are integer AND and OR, and a
+point set is certified to be the lattice points by containment and count.
+A `PointSet` is a read-only set view of such a mask over its points.
+`vertices` (exact Fractions) and `is_simple`, with `incidence`,
+`facet_defining` and `affine_rank`, remain as the general-polytope oracles
+the tower certificate is tested against, on the echelon of `linalg`.
 
 Every string, GT and SGT polytope is built by one builder (`_polytope`) from
 facet rows (vec, lam_vec, shift), read as vec . x <= lam_vec . lam, plus the
-shift on the deformed GT/SGT polytope, and each family's row table is cached
-per root datum.  Facet indices are laid out uniformly across the model
-polytopes: inequalities 0..N-1 are the "F" family (lambda bounds on the
+shift on the deformed GT/SGT polytope.  The string rows are cached per root
+datum; the GT/SGT rows are rebuilt per call, their run-time reader
+`model_map` being cached.  Facet indices are laid out uniformly across the
+model polytopes: inequalities 0..N-1 are the "F" family (lambda bounds on the
 string side, dual Kogan equations on the GT/SGT side) and N..2N-1 are the
 "F-vee" family (string-cone facets, Kogan equations), each in the fixed
 arrangement order that the face combinatorics relies on; `model_map` maps
@@ -243,55 +243,28 @@ def strided_columns(packed, count: int, size: int):
     return column
 
 
-def repeated_fields(values, repeats, step: int) -> int:
-    """sum_i x_i 2^(8 step i) over the x_i that take value k of `values`
-    repeats[k] times in turn: each distinct value encoded once in a signed
-    field of `step` bytes, the codes repeated and joined, and, when a value
-    is negative, the borrow of each negative field from the next given back."""
-    codes = {x: x.to_bytes(step, "little", signed=True) for x in set(values)}
-    data = b"".join(map(mul, map(codes.__getitem__, values), repeats))
-    fields = int.from_bytes(data, "little")
-    if min(codes, default=0) >= 0:
-        return fields
-    tops = int.from_bytes((bytes(step - 1) + b"\x80") * (len(data) // step), "little")
-    return fields - ((fields & tops) << 1)
-
-
-def slack_masks(rows, points) -> tuple:
-    """(tight, outside): per row (coefficients, rhs) the int with bit i set
-    when points[i] lies on the row, and the int with bit i set when points[i]
-    violates some row.  Points and rows hold integers only.
-
-    Each coordinate column is packed into one int, point i in the W-bit field
-    i, W the narrowest field width that holds every row's slack bound plus two
-    guard bits: sum_i x_i 2^(W i) (`repeated_fields`).  A row's offset slacks
-    rhs + 2^(W-1) - vec . x are then one exact integer combination of the
-    columns, each field holding its point's slack, never borrowing from its
-    neighbour.  The slack is zero exactly when the low W - 1 bits of its
-    field are, so one AND with the low
-    bits and one add of them leave the field's top byte below 0x80 exactly on
-    the row; the slack is nonnegative exactly when the field's top bit is
-    set, so the AND of every row's slacks has it clear exactly at the points
-    outside.  `bytes.translate` reads the top bytes as binary digits.  Rows
-    and points of more than one length raise ValueError, slacks past 62 bits
-    OverflowError."""
-    if len({len(vec) for vec, _ in rows} | set(map(len, points))) > 1:
-        raise ValueError("slack_masks takes rows and points of one dimension")
-    columns = tuple(zip(*points))
-    highs = [max(max(column), -min(column)) for column in columns]
-    return column_masks(rows, highs, lambda v, step: repeated_fields(columns[v], repeat(1), step), len(points))
-
-
 def column_masks(rows, highs, column, n) -> tuple:
-    """`slack_masks` over n points held by column, for callers that hold
-    them so: highs[v] bounds |x_v| over the points, and column(v, step) is
-    coordinate v packed as the int sum_i x_i 2^(8 step i), asked for once per
-    coordinate that some row reads."""
+    """(tight, outside): per row (coefficients, rhs) the int with bit i set
+    when point i of n lies on the row, and the int with bit i set when point
+    i violates some row.  highs[v] bounds |x_v| over the integer points, and
+    column(v, step) is coordinate v packed as sum_i x_i 2^(8 step i), asked
+    for once per coordinate that some row reads.
+
+    Point i takes the W-bit field i, W the narrowest width that holds every
+    row's slack bound plus two guard bits, so a row's offset slacks
+    rhs + 2^(W-1) - vec . x are one exact integer combination of the
+    columns, no field borrowing from its neighbour.  A slack is zero exactly
+    when the low W - 1 bits of its field are: one AND with the low bits and
+    one add of them leave the top byte below 0x80 exactly on the row.  A
+    slack is nonnegative exactly when its top bit is set, so the AND of all
+    rows' slacks has it clear exactly at the points outside.
+    `bytes.translate` reads the top bytes as binary digits.  Non-integers
+    raise TypeError, slacks past 62 bits OverflowError."""
     if not rows or not n:
         return (0,) * len(rows), 0
     bounds = [abs(rhs) + sum(abs(c) * h for c, h in zip(vec, highs)) for vec, rhs in rows]
     if not all(isinstance(b, int) for b in bounds):
-        raise TypeError("slack_masks takes integer rows and points")
+        raise TypeError("column_masks takes integer rows and points")
     step = max(2, field_size(max(bounds).bit_length() + 2))  # two guard bits, 16-bit floor
     size = step * n
     ones = ((1 << 8 * size) - 1) // ((1 << 8 * step) - 1)  # 1 in each field
@@ -317,7 +290,7 @@ def column_masks(rows, highs, column, n) -> tuple:
 def mask_points(mask: int, points) -> tuple:
     """The points whose bits are set in `mask`, in point order, each read
     by its index, so that a sequence that decodes on index decodes only
-    these: the inverse of the masks of `slack_masks`."""
+    these: the inverse of the masks of `column_masks`."""
     return tuple(map(points.__getitem__, compress(range(len(points)), mask_flags(mask, len(points)))))
 
 
@@ -330,7 +303,7 @@ def mask_flags(mask: int, size: int) -> bytearray:
 
 def flags_mask(flags) -> int:
     """The int with bit i set when flag byte i is 1: the inverse of
-    `mask_flags`, the flags read backwards as binary digits, as `slack_masks`
+    `mask_flags`, the flags read backwards as binary digits, as `column_masks`
     reads its top bytes."""
     return int(flags[::-1].translate(_DIGITS), 2)
 
@@ -460,18 +433,26 @@ def vertices(p: Polytope) -> tuple:
 
 def incidence(p: Polytope) -> tuple:
     """Per inequality, the bitmask over `vertices(p)` of the vertices on
-    which it is tight, read by `slack_masks` off the vertices and right-hand
-    sides scaled by the vertices' common denominator."""
+    which it is tight: the vertices scaled to integers once by their common
+    denominator, and each compared with each row exactly."""
     verts = vertices(p)
     scale = lcm(*(x.denominator for v in verts for x in v))
-    points = [[int(x * scale) for x in v] for v in verts]
-    return slack_masks([(c, r * scale) for c, r in p.ineqs], points)[0]
+    points = [[x.numerator * (scale // x.denominator) for x in v] for v in verts]
+    return tuple(sum(1 << k for k, x in enumerate(points) if sum(map(mul, c, x)) == r * scale) for c, r in p.ineqs)
 
 
 def affine_rank(points) -> int:
     """Dimension of the affine span (-1 for empty input): the rank of the
     points in homogeneous coordinates, minus one."""
-    return linalg.rank(tuple(q) + (1,) for q in points) - 1
+    rows = [tuple(q) + (1, 0) for q in points]  # homogenized, right-hand side 0
+    if not rows:
+        return -1
+    echelon = linalg.Echelon(len(rows[0]) - 1)
+    for row in rows:
+        echelon.push(row)
+        if echelon.rank == echelon.ncols:
+            break
+    return echelon.rank - 1
 
 
 def _normalized_halfspace(coeffs, rhs):
@@ -623,7 +604,6 @@ def _row(size: int, hi, lo, shift=0) -> tuple:
     return tuple(vec), tuple(b - a for a, b in zip(hi[1], lo[1])), shift
 
 
-@lru_cache(maxsize=None)
 def _gt_facet_specs(datum: RootDatum) -> tuple:
     """(F rows, Fv rows, sweep order) of the GT polytope, type A."""
     n = datum.rank
@@ -649,7 +629,6 @@ def _gt_facet_specs(datum: RootDatum) -> tuple:
     return tuple(f_rows), tuple(fv_rows), order
 
 
-@lru_cache(maxsize=None)
 def _sgt_facet_specs(datum: RootDatum) -> tuple:
     """(F rows, Fv rows, sweep order) of the SGT polytope, type C."""
     n = datum.rank

@@ -22,13 +22,14 @@ one shared step at a time, the duality suite by filtering all pairs of
 elements for complementary lengths, the crystal's string table checked
 against an enumeration of the string polytope's lattice points, lattice
 points and counts by the recursive sweep with one call per node, the row
-incidence masks by exact dot products column by column and, over the GT/SGT
-polytope, by the packed lattice sweep (the model side's route before its
-certified map), face volumes by
+incidence masks by exact dot products column by column, by the list entry
+into the packed slack kernel (`slack_masks`, columns packed by
+`repeated_fields`) and, over the GT/SGT polytope, by the packed lattice
+sweep (the model side's route before its certified map), face volumes by
 Ehrhart interpolation over the lattice points of the dilates, and the board
 layouts, string cone facets and pattern coordinates by hand-indexed
 formulas with one branch per type.  Also the
-exact linear solve, a determinant over Fractions, the planted facet rows and
+exact linear solve and rank, a determinant over Fractions, the planted facet rows and
 the weight and diagram helpers that only tests use."""
 
 import itertools
@@ -189,6 +190,21 @@ def solve(rows, ncols):
         if echelon.push(row) == linalg.INCONSISTENT:
             return None
     return echelon.solve()
+
+
+def rank(rows):
+    """Rank of a list of coefficient vectors (ints or Fractions), pushed into
+    one `linalg.Echelon`; `pt.affine_rank` is this rank of the homogenized
+    points, minus one."""
+    rows = list(rows)
+    if not rows:
+        return 0
+    echelon = linalg.Echelon(len(rows[0]))
+    for row in rows:
+        echelon.push(tuple(row) + (0,))
+        if echelon.rank == echelon.ncols:
+            break
+    return echelon.rank
 
 
 def determinant(matrix):
@@ -849,14 +865,14 @@ def in_sweep_order(p, points):
 def lattice_incidence(p):
     """(number of lattice points, per inequality the bitmask of the points
     tight on it) over the points in sweep order (`pt._sweep`): each
-    coordinate goes to the packed kernel of `slack_masks` as its level's
-    values repeated by their leaf counts (`pt.repeated_fields`), bounded by
+    coordinate goes to the packed kernel `pt.column_masks` as its level's
+    values repeated by their leaf counts (`repeated_fields`), bounded by
     the level's largest |value|, building no point and no column.  The
     library's GT/SGT side swept the model polytope so at every weight before
     `pt.model_map` certified it once per root datum."""
     count, levels = pt._sweep(p, True)
     highs = [max(max(vals), -min(vals)) for vals, _ in levels]
-    return count, pt.column_masks(p.ineqs, highs, lambda v, step: pt.repeated_fields(*levels[v], step), count)[0]
+    return count, pt.column_masks(p.ineqs, highs, lambda v, step: repeated_fields(*levels[v], step), count)[0]
 
 
 def tight_row_multiset(count, masks):
@@ -885,6 +901,34 @@ def column_tight_bits(rows, points):
                 dots = map(add, dots, map(mul, itertools.repeat(c), column))
         out.append(int(bytes(map(eq, dots, itertools.repeat(rhs))).translate(_DIGITS) or b"0", 2))
     return tuple(out)
+
+
+def repeated_fields(values, repeats, step):
+    """sum_i x_i 2^(8 step i) over the x_i that take value k of `values`
+    repeats[k] times in turn: each distinct value encoded once in a signed
+    field of `step` bytes, the codes repeated and joined, and, when a value
+    is negative, the borrow of each negative field from the next given back."""
+    codes = {x: x.to_bytes(step, "little", signed=True) for x in set(values)}
+    data = b"".join(map(mul, map(codes.__getitem__, values), repeats))
+    fields = int.from_bytes(data, "little")
+    if min(codes, default=0) >= 0:
+        return fields
+    tops = int.from_bytes((bytes(step - 1) + b"\x80") * (len(data) // step), "little")
+    return fields - ((fields & tops) << 1)
+
+
+def slack_masks(rows, points):
+    """(tight, outside) of `pt.column_masks` over a list of integer points,
+    each coordinate column packed once by `repeated_fields`: the packed
+    route of the row incidence that `pt.incidence` once took over the scaled
+    vertices.  Rows and points of more than one length raise ValueError."""
+    if len({len(vec) for vec, _ in rows} | set(map(len, points))) > 1:
+        raise ValueError("slack_masks takes rows and points of one dimension")
+    columns = tuple(zip(*points))
+    highs = [max(max(column), -min(column)) for column in columns]
+    return pt.column_masks(
+        rows, highs, lambda v, step: repeated_fields(columns[v], itertools.repeat(1), step), len(points)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -501,10 +501,7 @@ def test_library_has_no_assert_statements():
 
 # the packed-field codec of `polytopes`: its typecode table, width rule,
 # byte swap and little-endian layout
-CODEC = {
-    "_TYPECODES", "field_size", "field_array", "_little", "unpack_fields", "strided_columns",
-    "repeated_fields",
-}
+CODEC = {"_TYPECODES", "field_size", "field_array", "_little", "unpack_fields", "strided_columns"}
 WIDTH_TUPLES = {(1, 2, 4, 8), (8, 16, 32, 64), (16, 32, 64)}
 
 
@@ -550,7 +547,7 @@ def test_the_field_codec_owns_byte_order_widths_and_typecodes():
     assert words.count("typecodes") == words.count("width tuple") == 1, inside
 
 
-def test_library_holds_17_lru_caches():
+def test_library_holds_15_lru_caches():
     # every cache is one more thing to clear, size and keep in step: a new
     # one moves this count on purpose
     count = sum(
@@ -558,7 +555,7 @@ def test_library_holds_17_lru_caches():
         for path in sorted(PACKAGE.glob("*.py"))
         for line in path.read_text().splitlines()
     )
-    assert count == 17
+    assert count == 15
 
 
 def test_oracles_import_no_validated_module():
@@ -594,13 +591,12 @@ def test_faces_reads_only_the_cross_check_from_oracles():
 # points that `perfbench/spans.py` wraps and what only they reach.  The
 # trim waits on ROADMAP item 1 (the benchmark names these symbols) and is
 # the open half of item 11; a name leaves this set when it leaves `src/`.
-# `repeated_fields` is reached only through `slack_masks`; its repeat counts
-# serve the test reference `lattice_incidence`.
+# `incidence`, `facet_defining` and `_normalized_halfspace` are reached only
+# through `is_simple`.
 HELD_FOR_THE_BENCHMARK = {
     "crystals.crystal_states", "crystals.string_coords",
     "polytopes.lattice_points", "polytopes.vertices", "polytopes.is_simple", "polytopes.incidence",
     "polytopes.facet_defining", "polytopes.affine_rank", "polytopes._normalized_halfspace",
-    "polytopes.slack_masks", "polytopes.repeated_fields", "linalg.rank",
 }
 
 

@@ -1,5 +1,5 @@
-"""Properties of the fraction-free echelon on small random integer and
-rational systems."""
+"""Properties of the fraction-free echelon, and of the ranks pushed into
+it, on small random integer and rational systems."""
 
 import itertools
 from fractions import Fraction
@@ -8,6 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from schubcalc import linalg
+from schubcalc import polytopes as pt
 
 import reference_routes as ref
 
@@ -79,13 +80,22 @@ def test_full_rank_recovers_integer_solution(system, data):
 @given(matrices(entries), st.data())
 def test_rank_matches_minors_and_ignores_order_and_combinations(system, data):
     n, rows = system
-    r = linalg.rank(rows)
+    r = ref.rank(rows)
     assert r == minor_rank(rows, n)
-    assert linalg.rank(data.draw(st.permutations(rows))) == r
+    assert ref.rank(data.draw(st.permutations(rows))) == r
     if rows:
         weights = data.draw(st.lists(integers, min_size=len(rows), max_size=len(rows)))
         combination = [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n)]
-        assert linalg.rank(rows + [combination]) == r
+        assert ref.rank(rows + [combination]) == r
+
+
+@seed(SEED)
+@settings(max_examples=150, deadline=None)
+@given(matrices(entries))
+def test_affine_rank_is_the_homogeneous_rank_minus_one(system):
+    # the rows read as points, each with a homogenizing 1 appended
+    _, points = system
+    assert pt.affine_rank(points) == ref.rank([row + [1] for row in points]) - 1
 
 
 @seed(SEED)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import partial
+from math import lcm
 
 import pytest
 from hypothesis import given, seed, settings
@@ -390,8 +391,8 @@ def test_string_lambda_facet_refuses_an_index_out_of_range():
 
 
 def test_tight_bits_of_no_points_are_zero():
-    assert pt.slack_masks((((1, 0), 0), ((0, 1), 2)), [])[0] == (0, 0)
-    assert pt.slack_masks((), [(0, 0)])[0] == ()
+    assert ref.slack_masks((((1, 0), 0), ((0, 1), 2)), [])[0] == (0, 0)
+    assert ref.slack_masks((), [(0, 0)])[0] == ()
 
 
 @pytest.mark.parametrize(
@@ -405,7 +406,7 @@ def test_tight_bits_of_no_points_are_zero():
 )
 def test_tight_bits_refuses_mismatched_lengths(rows, points):
     with pytest.raises(ValueError, match="one dimension"):
-        pt.slack_masks(rows, points)[0]
+        ref.slack_masks(rows, points)[0]
 
 
 def _dot(vec, point):
@@ -437,7 +438,7 @@ def rows_and_points(draw):
 @given(rows_and_points())
 def test_tight_bits_matches_per_point_evaluation(case):
     rows, points = case
-    bits, outside = pt.slack_masks(rows, points)
+    bits, outside = ref.slack_masks(rows, points)
     assert bits == ref.column_tight_bits(rows, points)
     assert list(pt.mask_points(outside, points)) == [
         p for p in points if any(_dot(vec, p) > rhs for vec, rhs in rows)
@@ -458,34 +459,34 @@ def test_tight_bits_at_the_field_limits():
         top = (1 << bits) - 2
         points = [(top,), (-top,), (0,), (1,), (-1,)]
         rows = [((1,), 0), ((-1,), 0), ((1,), 1), ((0,), 0)]
-        assert pt.slack_masks(rows, points)[0] == ref.column_tight_bits(rows, points)
-        assert pt.slack_masks([((1,), 0)], [(top,), (-top,)])[0] == (0,)
-        assert pt.slack_masks([((0,), top)], [(0,), (5,)])[0] == (0,)
+        assert ref.slack_masks(rows, points)[0] == ref.column_tight_bits(rows, points)
+        assert ref.slack_masks([((1,), 0)], [(top,), (-top,)])[0] == (0,)
+        assert ref.slack_masks([((0,), top)], [(0,), (5,)])[0] == (0,)
         # the most negative coordinate the width admits: x <= 0 holds there
         # and -x <= 0 fails, as it does at 1 for x <= 0
         bottom = -((1 << bits) - 1)
         points = [(bottom,), (0,), (1,)]
         rows = [((1,), 0), ((-1,), 0), ((0,), 0)]
-        assert pt.slack_masks(rows, points)[0] == ref.column_tight_bits(rows, points) == (0b10, 0b10, 0b111)
-        assert pt.slack_masks(rows, points)[1] == 0b101
+        assert ref.slack_masks(rows, points)[0] == ref.column_tight_bits(rows, points) == (0b10, 0b10, 0b111)
+        assert ref.slack_masks(rows, points)[1] == 0b101
         # one column of both signs, each row's tight and outside points
         # checked against the slacks
         half = 1 << (bits - 2)
         points = [(half,), (-half,), (1,), (-1,), (0,), (1 - half,), (half - 1,)]
         rows = [((1,), 0), ((-1,), 0), ((1,), 1), ((-1,), half - 1), ((1,), half - 1), ((2,), 0)]
-        tight, outside = pt.slack_masks(rows, points)
+        tight, outside = ref.slack_masks(rows, points)
         assert tight == ref.column_tight_bits(rows, points)
         assert list(pt.mask_points(outside, points)) == [
             p for p in points if any(_dot(vec, p) > rhs for vec, rhs in rows)
         ]
     with pytest.raises(OverflowError):
-        pt.slack_masks([((1,), 0)], [(1 << 62,)])[0]
+        ref.slack_masks([((1,), 0)], [(1 << 62,)])[0]
     with pytest.raises(OverflowError):
-        pt.slack_masks([((1, 1), 1 << 61)], [(1 << 61, 0)])[0]
+        ref.slack_masks([((1, 1), 1 << 61)], [(1 << 61, 0)])[0]
     with pytest.raises(TypeError):
-        pt.slack_masks([((1, 0), 0)], [(Fraction(1, 2), 0)])[0]
+        ref.slack_masks([((1, 0), 0)], [(Fraction(1, 2), 0)])[0]
     with pytest.raises(TypeError):
-        pt.slack_masks([((1, 0), Fraction(1, 2))], [(0, 0)])[0]
+        ref.slack_masks([((1, 0), Fraction(1, 2))], [(0, 0)])[0]
 
 
 def _field_values(size, signed):
@@ -527,14 +528,14 @@ def test_packed_fields_round_trip_against_the_int_reference(case):
         # shifted values, a negative one borrowing from the field above
         repeats = [k % 3 for k in range(len(values))]
         expanded = [v for v, r in zip(values, repeats) for _ in range(r)]
-        assert pt.repeated_fields(values, repeats, size) == ref.pack_bits(expanded, bits)
+        assert ref.repeated_fields(values, repeats, size) == ref.pack_bits(expanded, bits)
     # one past either extreme is refused, by the unsigned arrays and the
     # signed repeated fields
     lo, hi = (-(1 << bits - 1), (1 << bits - 1) - 1) if signed else (0, (1 << bits) - 1)
     for value in (lo - 1, hi + 1):
         with pytest.raises(OverflowError):
             if signed:
-                pt.repeated_fields(values + [value], [1] * (len(values) + 1), size)
+                ref.repeated_fields(values + [value], [1] * (len(values) + 1), size)
             else:
                 pt.field_array(size, values + [value])
 
@@ -635,6 +636,30 @@ def test_incidence_on_fractional_vertices():
             k for k in range(len(verts)) if mask >> k & 1
         ]
     assert masks[3:] == (0b1110, 0b1100)
+    assert masks == _packed_incidence(simplex)
+
+
+def _packed_incidence(poly):
+    """The row masks over the vertices by the packed route: the list entry
+    into the slack kernel over the vertices and right-hand sides scaled by
+    the vertices' common denominator."""
+    verts = pt.vertices(poly)
+    scale = lcm(*(x.denominator for v in verts for x in v))
+    points = [[int(x * scale) for x in v] for v in verts]
+    return ref.slack_masks([(c, r * scale) for c, r in poly.ineqs], points)[0]
+
+
+@pytest.mark.parametrize("datum", [A2, A3, C2, RootDatum("C", 3)], ids=repr)
+def test_incidence_is_the_packed_incidence_on_the_model_polytopes(datum):
+    # the exact comparison of each vertex with each row against the packed
+    # kernel, on the deformed, GT/SGT and string polytopes
+    ones = (1,) * datum.rank
+    for poly in (
+        pt.deformed_polytope(datum, pt.default_regular_lambda(datum)),
+        pt.model_polytope(datum, ones),
+        pt.string_polytope(datum, ones),
+    ):
+        assert pt.incidence(poly) == _packed_incidence(poly)
 
 
 # The cases are builders, called inside the test, so that a fault in a layout
@@ -690,7 +715,7 @@ def test_model_incidence_is_the_list_route_incidence(family, rank, lam):
     # list route gives over the recursive reference's points in sweep order
     poly = pt.model_polytope(RootDatum(family, rank), lam)
     points = ref.in_sweep_order(poly, ref.recursive_lattice_points(poly))
-    assert ref.lattice_incidence(poly) == (len(points), pt.slack_masks(poly.ineqs, points)[0])
+    assert ref.lattice_incidence(poly) == (len(points), ref.slack_masks(poly.ineqs, points)[0])
 
 
 def test_incidence_of_a_polytope_with_negative_sweep_values():
@@ -700,7 +725,7 @@ def test_incidence_of_a_polytope_with_negative_sweep_values():
     poly = pt.Polytope(rows, (0, 1, 2))
     points = ref.in_sweep_order(poly, ref.recursive_lattice_points(poly))
     assert all(min(column) < 0 for column in zip(*points)) and len(points) == 95
-    assert ref.lattice_incidence(poly) == (len(points), pt.slack_masks(rows, points)[0])
+    assert ref.lattice_incidence(poly) == (len(points), ref.slack_masks(rows, points)[0])
     _check_against_the_recursive_sweep(poly)
 
 
@@ -713,10 +738,10 @@ def test_incidence_at_the_62_bit_edge():
         poly = pt.Polytope(rows, (0,))
         points = ref.recursive_lattice_points(poly)
         assert len(points) == 3 and edge in (points[0][0], points[-1][0])
-        assert ref.lattice_incidence(poly) == (3, pt.slack_masks(rows, points)[0]) == (3, (0b100, 0b001))
+        assert ref.lattice_incidence(poly) == (3, ref.slack_masks(rows, points)[0]) == (3, (0b100, 0b001))
     rows = (((1,), 1 << 61), ((-1,), 2 - (1 << 61)))
     poly = pt.Polytope(rows, (0,))
-    for route in (lambda: ref.lattice_incidence(poly), lambda: pt.slack_masks(rows, pt.lattice_points(poly))):
+    for route in (lambda: ref.lattice_incidence(poly), lambda: ref.slack_masks(rows, pt.lattice_points(poly))):
         with pytest.raises(OverflowError):
             route()
 
