@@ -10,6 +10,13 @@ or C, a rank that is not an int (a bool included) and a rank too small for
 its family with `ValueError`, so no float or bool rank equals an int one in a
 cache key.
 
+`RootDatum` and `WeylElement` keep the equality that `dataclass` generates
+but hash by hand on ints only: a datum as `rank << 1 | (family == "C")`, an
+element as its one-line tuple, so that equal objects hash equal, no hash
+reads a `str` and every process gives the same value whatever its
+`PYTHONHASHSEED`.  Every cache and dict keyed on a datum or an element pays
+this hash, which is cheaper than the generated hash of the field tuple.
+
 Weyl elements are stored in one-line form: a permutation of 1..n+1 for type A,
 a signed permutation of 1..n for type C (entry j is the signed image of the
 j-th coordinate vector).  Products compose right-to-left, so the word
@@ -25,10 +32,11 @@ each inverse, per letter the positions of the left and right products by s_i,
 the lengths, |W| * (2 * rank + 2) integers in all, and one reduced word per
 element, whose first letter is the element's least left descent.  `length`,
 `inverse`, `reduced_word`, `left_mul`, `right_mul`, `left_ascents`,
-`right_ascents`, `word_to_element`, `bruhat_leq`, `elements_of_length` (a
-slice bisected off the sorted lengths), the subword search of
-`_extraction_table` and the certificate of `standard_word` read these integer
-columns and return the table's own elements; a lookup of a non-member raises
+`word_to_element`, `bruhat_leq`, `elements_of_length` (a slice bisected off
+the sorted lengths), the subword search of `_extraction_table` and the
+certificate of `standard_word` read these integer columns and return the
+table's own elements, and so does the divided-difference oracle, which walks
+table indices after one `_locate` per element; a lookup of a non-member raises
 `ValueError`.  The build raises `InvariantError` unless |W| is `group_order`,
 the identity and w_0 sit at the two ends, the inverse column is an involution
 that keeps the length, and every product by a simple reflection changes the
@@ -65,6 +73,9 @@ class RootDatum:
         minimum = 1 if self.family == "A" else 2
         if self.rank < minimum:
             raise ValueError("rank %d too small for type %s" % (self.rank, self.family))
+
+    def __hash__(self):
+        return self.rank << 1 | (self.family == "C")
 
     @property
     def num_coordinates(self) -> int:
@@ -170,6 +181,9 @@ class WeylElement:
             raise ValueError(
                 "%r is not a %spermutation of 1..%d" % (line, "signed " if signed else "", size)
             )
+
+    def __hash__(self):
+        return hash(self.oneline)
 
     def __repr__(self):
         return "W%s%d%r" % (self.datum.family, self.datum.rank, list(self.oneline))
@@ -383,13 +397,6 @@ def left_ascents(w: WeylElement) -> list:
     table, k = _locate(w)
     lw = table.length[k]
     return [i for i, step in enumerate(table.left, 1) if table.length[step[k]] > lw]
-
-
-def right_ascents(w: WeylElement) -> list:
-    """The letters i with l(w s_i) > l(w), increasing."""
-    table, k = _locate(w)
-    lw = table.length[k]
-    return [i for i, step in enumerate(table.right, 1) if table.length[step[k]] > lw]
 
 
 def reduced_word(w: WeylElement) -> tuple:

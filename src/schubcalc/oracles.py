@@ -40,6 +40,7 @@ table's slice of length d, and `faces` reads nothing here but
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from operator import mul
 
@@ -47,17 +48,12 @@ from .cartan import (
     InvariantError,
     RootDatum,
     WeylElement,
+    _locate,
     all_elements,
     check_group,
     check_letter,
     check_weight,
-    elements_of_length,
-    left_mul,
-    length,
     positive_coroots,
-    reduced_word,
-    right_ascents,
-    right_mul,
 )
 
 
@@ -172,17 +168,19 @@ def schubert_representative(datum: RootDatum, w: WeylElement) -> tuple:
     With i the first letter of `reduced_word(w^{-1} w_0)`, its least left
     descent, which is the least right ascent of w, the rest of that word is
     the one of (w s_i)^{-1} w_0, so the representative is d_i of the cached
-    one of w s_i: the same divided differences in the same order, w s_i
-    read off the group table's right column."""
+    one of w s_i: the same divided differences in the same order.  w is
+    located once, and i and w s_i are read off the group table's right and
+    length columns."""
     check_group(datum, w)  # this public cache holds no element of another group
-    ascents = right_ascents(w)
-    if not ascents:
-        return top_class_polynomial(datum)
-    i = ascents[0]
-    # the cached function under a private name, so that a patch of the
-    # public one reaches no other representative
-    rep = _representative(datum, right_mul(w, i))
-    return tuple(sorted(divided_difference(datum, i, dict(rep)).items()))
+    table, k = _locate(w)
+    length = table.length
+    for i, step in enumerate(table.right, 1):
+        if length[step[k]] > length[k]:
+            # the cached function under a private name, so that a patch of
+            # the public one reaches no other representative
+            rep = _representative(datum, table.elements[step[k]])
+            return tuple(sorted(divided_difference(datum, i, dict(rep)).items()))
+    return top_class_polynomial(datum)
 
 
 _representative = schubert_representative
@@ -200,38 +198,42 @@ def bgg_structure_constants(datum: RootDatum, u: WeylElement, v: WeylElement) ->
     sorted tuple of (w, c) with c > 0 and l(w) = l(u) + l(v).
 
     Coefficient extraction: c_w is the constant term of d_w applied to the
-    product of the two representatives, for each w of its degree.  The pair
-    is taken in group-table order, so (v, u) is one cache hit on (u, v),
-    computed once.
+    product of the two representatives, for each w of its degree.  u and v
+    are located once in the group table; the pair is taken in table order,
+    by index, so (v, u) is one cache hit on (u, v), computed once, and the
+    chains walk table indices.
     """
     check_group(datum, u, v)
-    lu, lv = length(u), length(v)
-    if (lv, v.oneline) < (lu, u.oneline):
+    table, a = _locate(u)
+    _, b = _locate(v)
+    if b < a:
         return _structure_constants(datum, v, u)
     check_normalization(datum)
-    deg = lu + lv
+    length, left, words = table.length, table.left, table.words
+    deg = length[a] + length[b]
     if deg > datum.num_positive_roots:
         return ()
     fields = _fields(datum)
     product = poly_mul(datum, fields, dict(schubert_representative(datum, u)), dict(schubert_representative(datum, v)))
-    # w -> d_w of the product: d_w = d_i d_{s_i w} for i the least left
-    # descent of w, the letters of `reduced_word(w)`, so each element's
-    # chain runs once per call, and a zero one stays zero
-    chains = {all_elements(datum)[0]: product}
+    # index k -> d_w of the product for w = elements[k]: d_w = d_i d_{s_i w}
+    # for i the least left descent of w, the first letter of its table word,
+    # and s_i w at left[i - 1][k], so each element's chain runs once per
+    # call, and a zero one stays zero
+    chains = {0: product}
 
-    def chain(w):
-        f = chains.get(w)
+    def chain(k):
+        f = chains.get(k)
         if f is None:
-            i = reduced_word(w)[0]
-            f = chain(left_mul(i, w))
-            f = chains[w] = _difference(datum, fields, i, f) if f else f
+            i = words[k][0]
+            f = chain(left[i - 1][k])
+            f = chains[k] = _difference(datum, fields, i, f) if f else f
         return f
 
     out = []
-    for w in elements_of_length(datum, deg):
-        val = chain(w).get(0, 0)
+    for k in range(bisect_left(length, deg), bisect_right(length, deg)):
+        val = chain(k).get(0, 0)
         if val:
-            out.append((w, val))
+            out.append((table.elements[k], val))
     return tuple(out)
 
 

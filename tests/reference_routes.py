@@ -157,6 +157,13 @@ def left_descents(w):
     return [i for i, step in enumerate(table.left, 1) if table.length[step[k]] < table.length[k]]
 
 
+def right_ascents(w):
+    """The letters i with l(w s_i) > l(w), increasing, off the group table's
+    right and length columns; a non-member raises ValueError."""
+    table, k = _locate(w)
+    return [i for i, step in enumerate(table.right, 1) if table.length[step[k]] > table.length[k]]
+
+
 def all_reduced_words(w):
     """Every reduced word of w, sorted: each left descent followed by every
     reduced word of s_i w."""

@@ -1,5 +1,9 @@
 import itertools
+import os
+import pathlib
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,7 +32,6 @@ from schubcalc.cartan import (
     multiply,
     positive_coroots,
     reduced_word,
-    right_ascents,
     right_mul,
     simple_element,
     simple_root_in_fundamental,
@@ -271,7 +274,7 @@ def test_table_matches_oneline_arithmetic(datum):
             assert table.elements[table.left[i - 1][k]] == ref.oneline_left_mul(i, w) == left_mul(i, w)
             assert table.elements[table.right[i - 1][k]] == multiply(w, s) == right_mul(w, i)
         ascents = [i for i, s in enumerate(simple, 1) if _inversions(multiply(w, s)) > _inversions(w)]
-        assert right_ascents(w) == ascents
+        assert ref.right_ascents(w) == ascents
         assert reduced_word(w) == ref.oneline_reduced_word(w)
         assert word_to_element(datum, reduced_word(w)) == w
 
@@ -584,7 +587,7 @@ def test_table_lookup_of_a_non_member_raises_value_error():
             lambda: left_mul(1, bad),
             lambda: ref.left_descents(bad),
             lambda: right_mul(bad, 1),
-            lambda: right_ascents(bad),
+            lambda: ref.right_ascents(bad),
             lambda: reduced_word(bad),
             lambda: inverse(bad),
             lambda: bruhat_leq(bad, e),
@@ -593,6 +596,48 @@ def test_table_lookup_of_a_non_member_raises_value_error():
         ):
             with pytest.raises(ValueError, match="not an element"):
                 call()
+
+
+@pytest.mark.parametrize("datum", TABLE_DATA, ids=repr)
+def test_equal_objects_built_apart_hash_equal(datum):
+    twin = RootDatum(datum.family, datum.rank)
+    assert twin == datum and twin is not datum and hash(twin) == hash(datum)
+    for w in all_elements(datum):
+        copy = WeylElement(twin, tuple(list(w.oneline)))
+        assert copy == w and copy is not w and hash(copy) == hash(w)
+
+
+@pytest.mark.parametrize("datum", TABLE_DATA, ids=repr)
+def test_a_fresh_copy_finds_its_table_element_in_a_dict(datum):
+    position = {w: k for k, w in enumerate(all_elements(datum))}
+    twin = RootDatum(datum.family, datum.rank)
+    for k, w in enumerate(all_elements(datum)):
+        assert position[WeylElement(twin, tuple(list(w.oneline)))] == k
+    assert {twin: 1}[datum] == 1
+
+
+HASHES_OF_C3 = """
+from schubcalc.cartan import RootDatum, all_elements
+
+C3 = RootDatum("C", 3)
+print(hash(C3), hash(all_elements(C3)[17]))
+"""
+
+
+def test_hashes_are_the_same_under_every_hash_seed():
+    # a hash that read the family's str, as the generated dataclass hash
+    # does, would change with the seed
+    package = pathlib.Path(cartan.__file__).parent.parent
+    outputs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", HASHES_OF_C3], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
 
 
 def test_bad_letters_raise_value_error():

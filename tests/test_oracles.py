@@ -10,6 +10,7 @@ from schubcalc import oracles as orc
 from schubcalc.cartan import (
     InvariantError,
     RootDatum,
+    _weyl_table,
     all_elements,
     identity_element,
     length,
@@ -22,6 +23,7 @@ from schubcalc.cartan import (
 
 import reference_routes as ref
 from reference_routes import act_on_weight, all_reduced_words
+from test_cartan import _forged
 
 A2 = RootDatum("A", 2)
 A3 = RootDatum("A", 3)
@@ -116,6 +118,25 @@ def test_structure_constants_refuse_an_element_of_another_group():
     u, v = word_to_element(C2, (1, 2)), word_to_element(A2, (1, 2))
     with pytest.raises(ValueError, match="elements from different groups"):
         orc.bgg_structure_constants(A2, u, v)
+
+
+def test_oracle_refuses_a_forged_non_member_cold_and_warm():
+    # the oracle locates each element once and then walks table indices, so
+    # a one-line form outside the table is refused with ValueError, never
+    # KeyError, whether or not the tables and answers of A2 are cached
+    bad, e, s1 = _forged(A2, (1, 1, 3)), identity_element(A2), simple_element(A2, 1)
+    for cache in (_weyl_table, orc.schubert_representative, orc.bgg_structure_constants):
+        cache.cache_clear()
+    for _ in range(2):  # cold, then with the answers for A2 cached
+        for call in (
+            lambda: orc.schubert_representative(A2, bad),
+            lambda: orc.bgg_structure_constants(A2, bad, s1),
+            lambda: orc.bgg_structure_constants(A2, s1, bad),
+            lambda: orc.bgg_structure_constants(A2, bad, bad),
+        ):
+            with pytest.raises(ValueError, match="not an element"):
+                call()
+        assert dict(orc.bgg_structure_constants(A2, e, s1)) == {s1: 1}
 
 
 def test_demazure_operator_refuses_a_weight_of_the_wrong_length():
